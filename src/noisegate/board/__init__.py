@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ..dataset import RatingsTable
+from ..ioutil import atomic_write_csv
 from ..recsys import KnnConfig
 from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
 from .nf2 import Nf2Result, nf2_detect, nf2_group_user, nf2_rnd
@@ -128,17 +129,14 @@ VOTES_HEADER = ("userId", "itemId", "nf1", "nf2", "nf3", "nf4", "consensus")
 
 
 def write_votes(votesets: list[VoteSet], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(VOTES_HEADER)
-        for vs in votesets:
-            w.writerow(
-                [vs.key[0], vs.key[1]]
-                + [vs.votes[d].value for d in DETECTOR_IDS]
-                + [vs.consensus.value]
-            )
+    atomic_write_csv(
+        path,
+        VOTES_HEADER,
+        (
+            [vs.key[0], vs.key[1], *(vs.votes[d].value for d in DETECTOR_IDS), vs.consensus.value]
+            for vs in votesets
+        ),
+    )
 
 
 def read_votes(path: str | Path) -> list[VoteSet]:

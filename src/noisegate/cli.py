@@ -21,6 +21,7 @@ from .pipeline import (
     DataError,
     NoiseKind,
     PipelineConfig,
+    RunResult,
     StageError,
     cli_detect,
     cli_ensemble,
@@ -40,8 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_STAGE = 4
-
-_STAGE_COMMANDS = ("ingest", "detect", "ensemble", "signature", "evaluate")
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -211,57 +210,51 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_stage_or_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    if args.command == "run":
-        result = run_framework(cfg)
-        ev = result.report_dict["evaluation"]
-        _print_json(
-            {
-                "report": str(result.paths.report),
-                "percent_positive": {
-                    pair: sec["percent_positive"] for pair, sec in ev["pairs"].items()
-                },
-                "critical_group_pct_after": ev["critical_group_pct_after"],
-                "flagged_users": result.report_dict["signature"]["flagged_users"],
-            }
-        )
-        return EXIT_OK
-    if args.command == "baseline":
-        result = run_baseline(cfg, args.detector)
-        ev = result.report_dict["evaluation"]
-        _print_json(
-            {
-                "report": str(result.paths.report),
-                "detector": args.detector,
-                "percent_positive": {
-                    pair: sec["percent_positive"] for pair, sec in ev["pairs"].items()
-                },
-            }
-        )
-        return EXIT_OK
-    paths = run_paths(cfg)
-    if args.command == "ingest":
-        _print_json(cli_ingest(cfg, paths))
-    elif args.command == "detect":
-        _print_json(cli_detect(cfg, paths))
-    elif args.command == "ensemble":
-        _print_json(cli_ensemble(cfg, paths))
-    elif args.command == "signature":
-        hits = cli_signature(cfg, paths)
-        _print_json({"flagged_users": sorted(h.user_id for h in hits), "count": len(hits)})
-    elif args.command == "evaluate":
-        report = cli_evaluate(cfg, paths)
-        _print_json(
-            {
-                "report": str(paths.report),
-                "percent_positive": {
-                    pair: sec["percent_positive"]
-                    for pair, sec in report["evaluation"]["pairs"].items()
-                },
-            }
-        )
-    return EXIT_OK
+def _percent_positive(result: RunResult) -> dict:
+    pairs = result.report_dict["evaluation"]["pairs"]
+    return {pair: sec["percent_positive"] for pair, sec in pairs.items()}
+
+
+def _run(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
+    result = run_framework(cfg)
+    return {
+        "report": str(result.paths.report),
+        "percent_positive": _percent_positive(result),
+        "critical_group_pct_after": result.report_dict["evaluation"]["critical_group_pct_after"],
+        "flagged_users": result.report_dict["signature"]["flagged_users"],
+    }
+
+
+def _baseline(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
+    result = run_baseline(cfg, args.detector)
+    return {
+        "report": str(result.paths.report),
+        "detector": args.detector,
+        "percent_positive": _percent_positive(result),
+    }
+
+
+def _signature(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
+    hits = cli_signature(cfg, run_paths(cfg))
+    return {"flagged_users": sorted(h.user_id for h in hits), "count": len(hits)}
+
+
+def _evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
+    result = cli_evaluate(cfg, run_paths(cfg))
+    return {"report": str(result.paths.report), "percent_positive": _percent_positive(result)}
+
+
+# Pipeline subcommand -> function of (config, parsed args) returning the
+# JSON summary it prints.
+STAGES = {
+    "ingest": lambda cfg, args: cli_ingest(cfg, run_paths(cfg)),
+    "detect": lambda cfg, args: cli_detect(cfg, run_paths(cfg)),
+    "ensemble": lambda cfg, args: cli_ensemble(cfg, run_paths(cfg)),
+    "signature": _signature,
+    "evaluate": _evaluate,
+    "run": _run,
+    "baseline": _baseline,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -276,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_inject(args)
         if args.command == "report":
             return _cmd_report(args)
-        return _cmd_stage_or_run(args)
+        _print_json(STAGES[args.command](_resolve_config(args), args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,6 +17,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .ioutil import atomic_write_csv
+
 logger = logging.getLogger("noisegate.dataset")
 
 RATINGS_HEADER = ("userId", "movieId", "rating", "timestamp")
@@ -262,12 +264,9 @@ class RatingsTable:
         return out
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(RATINGS_HEADER)
-            for u, i, v, t in self.rows():
-                w.writerow([u, i, repr(float(v)), t])
+        atomic_write_csv(
+            path, RATINGS_HEADER, ([u, i, repr(float(v)), t] for u, i, v, t in self.rows())
+        )
 
 
 # -- loaders ----------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..board.verdict import Verdict
+from ..ioutil import atomic_write_csv
 from ..seeding import derive_seed
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix, build_features
@@ -237,13 +238,11 @@ def write_classification(
     variant: str,
     path: str | Path,
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CLASSIFICATION_HEADER)
-        for key in sorted(labels):
-            w.writerow([key[0], key[1], repr(scores[key]), labels[key].value, variant])
+    atomic_write_csv(
+        path,
+        CLASSIFICATION_HEADER,
+        ([key[0], key[1], repr(scores[key]), labels[key].value, variant] for key in sorted(labels)),
+    )
 
 
 def read_classification(path: str | Path) -> dict[tuple[int, int], Verdict]:

@@ -12,6 +12,7 @@ from ..board import BoardResult
 from ..board.nf1 import ItemClass, UserClass
 from ..board.verdict import DETECTOR_IDS, Verdict
 from ..dataset import Rating, RatingsTable
+from ..ioutil import atomic_write_csv
 
 FEATURE_NAMES = (
     "rating_norm",
@@ -129,12 +130,11 @@ def write_features(
 ) -> None:
     """Persist the feature matrix so later stages can run without
     recomputing the detector board."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FEATURES_HEADER)
-        for (user, item), row in zip(keys, X):
-            w.writerow([user, item, *[repr(float(v)) for v in row]])
+    atomic_write_csv(
+        path,
+        FEATURES_HEADER,
+        ([user, item, *[repr(float(v)) for v in row]] for (user, item), row in zip(keys, X)),
+    )
 
 
 def read_features(path: str | Path) -> tuple[list[tuple[int, int]], np.ndarray]:

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .boosting import _sigmoid
 
 
 class _Standardizer:

@@ -118,7 +118,7 @@ def _cluster_ndcg_means(evals: Sequence[UserEval]) -> dict[int, float]:
     for e in evals:
         sums[e.cluster] = sums.get(e.cluster, 0.0) + e.ndcg
         counts[e.cluster] = counts.get(e.cluster, 0) + 1
-    return {c: sums[c] / counts[c] for c in sums}
+    return {c: sums[c] / counts[c] for c in sorted(sums)}
 
 
 def percent_positive(

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .board import BoardConfig, BoardResult, read_votes, run_board, write_votes
+from .board import BoardConfig, read_votes, run_board, write_votes
 from .board.verdict import DETECTOR_IDS, Consensus, Verdict, VoteSet
 from .dataset import (
     GenreMap,
@@ -56,6 +56,7 @@ from .evaluation import (
     write_delta_csv,
     write_scatter_svg,
 )
+from .evaluation.deltas import _cluster_ndcg_means
 from .evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
 from .ioutil import dump_json, read_json
 from .recsys import KnnConfig, MfModel, mf_train, recommend_topk, save_model
@@ -107,7 +108,7 @@ class PipelineConfig:
     """Flat, fully defaulted configuration for a pipeline run."""
 
     ratings_path: str = ""
-    movies_path: str | None = None
+    movies_path: str = ""
     out_dir: str = "out"
     run_id: str | None = None
     mask_path: str | None = None
@@ -212,6 +213,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.ratings_path:
             raise ConfigError("ratings_path is required")
+        if not self.movies_path:
+            raise ConfigError("movies_path is required: NF2 and serendipity need item genres")
         if not self.scale_min < self.scale_max:
             raise ConfigError("scale_min must be less than scale_max")
         fr = (self.train_fraction, self.detect_fraction, self.eval_fraction)
@@ -242,7 +245,7 @@ class PipelineConfig:
 
 
 _OPT_INT_FIELDS = {"rf_feature_subset", "eif_extension_level"}
-_OPT_STR_FIELDS = {"movies_path", "run_id", "mask_path"}
+_OPT_STR_FIELDS = {"run_id", "mask_path"}
 
 
 def _coerce(name: str, value, kind: type):
@@ -410,6 +413,7 @@ class RunPaths:
         self.base = Path(out_dir) / run_id
         self.splits = self.base / "splits"
         self.models = self.base / "models"
+        self.manifest = self.base / "manifest.json"
         self.ingest = self.base / "ingest.json"
         self.train_csv = self.splits / "train.csv"
         self.detect_csv = self.splits / "detect.csv"
@@ -449,16 +453,33 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _require(path: Path, producer: str) -> Path:
+def _require(path: Path, producer: str) -> None:
     if not path.exists():
         raise DataError(f"missing artifact {path}; run the {producer} stage first")
-    return path
 
 
 # -- stage bodies -------------------------------------------------------
 
 
-def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, GenreMap | None, dict]:
+def _load_genres(cfg: PipelineConfig) -> GenreMap:
+    path = Path(cfg.movies_path)
+    if not path.exists():
+        raise DataError(f"movies file not found: {path}")
+    try:
+        return load_genres(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
+def _load_split(cfg: PipelineConfig, path: Path, genres: GenreMap) -> RatingsTable:
+    try:
+        table = load_ratings(path, cfg.scale())
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    return table.with_genres(genres)
+
+
+def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, dict]:
     """Load, dedupe, activity-filter, and attach genres."""
     path = Path(cfg.ratings_path)
     if not path.exists():
@@ -467,15 +488,7 @@ def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, GenreMap | None, di
         table = load_ratings(path, cfg.scale())
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    genres: GenreMap | None = None
-    if cfg.movies_path:
-        mpath = Path(cfg.movies_path)
-        if not mpath.exists():
-            raise DataError(f"movies file not found: {mpath}")
-        try:
-            genres = load_genres(mpath)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+    genres = _load_genres(cfg)
     loaded = len(table)
     dropped = table.dropped_duplicates
     table = filter_min_activity(table, cfg.min_activity, cfg.activity_by)
@@ -483,8 +496,7 @@ def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, GenreMap | None, di
         raise DataError(
             f"no ratings left after min_activity={cfg.min_activity} filter on {cfg.activity_by}s"
         )
-    if genres is not None:
-        table = table.with_genres(genres)
+    table = table.with_genres(genres)
     counts = {
         "ratings_loaded": loaded,
         "dropped_duplicates": dropped,
@@ -492,7 +504,7 @@ def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, GenreMap | None, di
         "users": len(table.user_ids()),
         "items": len(table.item_ids()),
     }
-    return table, genres, counts
+    return table, counts
 
 
 def split_three(
@@ -529,7 +541,7 @@ def stage_board(
     train: RatingsTable,
     detect: RatingsTable,
     paths: RunPaths,
-) -> tuple[BoardResult, list[tuple[int, int]], np.ndarray, dict]:
+) -> dict:
     """Layer 1 plus the feature matrix Layer 2 will consume; everything
     persisted so the ensemble stage can run without recomputation."""
     board = run_board(train, detect, cfg.board_config())
@@ -553,56 +565,58 @@ def stage_board(
         "nf4_prefiltered": board.nf4.n_prefiltered,
     }
     dump_json(section, paths.board_json)
-    return board, keys, X, section
+    return section
 
 
 def stage_ensemble(
     cfg: PipelineConfig,
+    votesets: Sequence[VoteSet],
     keys: Sequence[tuple[int, int]],
     X: np.ndarray,
-    consensus_by_key: Mapping[tuple[int, int], Consensus],
     paths: RunPaths,
-) -> tuple[dict[tuple[int, int], Verdict], dict]:
+) -> dict[tuple[int, int], Verdict]:
     """Layer 2: arbitrate every Uncertain rating with the configured
-    learner; returns the complete label map (consensus where unanimous)."""
-    labeled_idx = [
-        k for k, key in enumerate(keys) if consensus_by_key[key] is not Consensus.UNCERTAIN
-    ]
-    uncertain_idx = [
-        k for k, key in enumerate(keys) if consensus_by_key[key] is Consensus.UNCERTAIN
-    ]
-    n_features = X.shape[1] if X.ndim == 2 else 0
-    X_lab = X[labeled_idx] if labeled_idx else np.zeros((0, n_features))
-    y = np.array(
-        [1 if consensus_by_key[keys[k]] is Consensus.NOISY else 0 for k in labeled_idx],
-        dtype=np.int64,
-    )
-    X_unc = X[uncertain_idx] if uncertain_idx else np.zeros((0, n_features))
-    unc_keys = [keys[k] for k in uncertain_idx]
-
-    labels: dict[tuple[int, int], Verdict] = {}
-    for key in keys:
-        c = consensus_by_key[key]
-        if c is Consensus.NOISY:
-            labels[key] = Verdict.NOISY
-        elif c is Consensus.CLEAN:
-            labels[key] = Verdict.CLEAN
-    uncertain_labels: dict[tuple[int, int], Verdict] = {}
+    learner, trained on the unanimous ratings; returns the Uncertain
+    set's labels."""
+    consensus = {vs.key: vs.consensus for vs in votesets}
+    labeled_idx = [k for k, key in enumerate(keys) if consensus[key] is not Consensus.UNCERTAIN]
+    uncertain_idx = [k for k, key in enumerate(keys) if consensus[key] is Consensus.UNCERTAIN]
+    classified: dict[tuple[int, int], Verdict] = {}
     scores: dict[tuple[int, int], float] = {}
-    if unc_keys:
-        model = train_el(
-            X_lab, y, X_unc, cfg.ensemble_config(), derive_seed(cfg.seed, _SALT_ENSEMBLE)
+    if uncertain_idx:
+        y = np.array(
+            [consensus[keys[k]] is Consensus.NOISY for k in labeled_idx], dtype=np.int64
         )
-        uncertain_labels, scores = classify_uncertain(model, unc_keys, X_unc)
-        labels.update(uncertain_labels)
-    write_classification(uncertain_labels, scores, cfg.ensemble_variant, paths.ensemble_csv)
-    info = {
-        "variant": cfg.ensemble_variant,
-        "uncertain_total": len(unc_keys),
-        "classified_noisy": sum(1 for v in uncertain_labels.values() if v is Verdict.NOISY),
-        "classified_clean": sum(1 for v in uncertain_labels.values() if v is Verdict.CLEAN),
+        X_unc = X[uncertain_idx]
+        model = train_el(
+            X[labeled_idx], y, X_unc, cfg.ensemble_config(), derive_seed(cfg.seed, _SALT_ENSEMBLE)
+        )
+        classified, scores = classify_uncertain(model, [keys[k] for k in uncertain_idx], X_unc)
+    write_classification(classified, scores, cfg.ensemble_variant, paths.ensemble_csv)
+    return classified
+
+
+def _ensemble_info(variant: str | None, classified: Mapping[tuple[int, int], Verdict]) -> dict:
+    verdicts = list(classified.values())
+    return {
+        "variant": variant,
+        "uncertain_total": len(verdicts),
+        "classified_noisy": verdicts.count(Verdict.NOISY),
+        "classified_clean": verdicts.count(Verdict.CLEAN),
     }
-    return labels, info
+
+
+def _final_labels(
+    votesets: Sequence[VoteSet], classified: Mapping[tuple[int, int], Verdict]
+) -> dict[tuple[int, int], Verdict]:
+    """Consensus where the board is unanimous, the ensemble's label elsewhere."""
+    labels = {
+        vs.key: Verdict(vs.consensus.value)
+        for vs in votesets
+        if vs.consensus is not Consensus.UNCERTAIN
+    }
+    labels.update(classified)
+    return labels
 
 
 def stage_signature(
@@ -642,7 +656,7 @@ def _evaluate_arm(
     eval_t: RatingsTable,
     universe: Sequence[int],
     assignment: Mapping[int, int],
-    genres: GenreMap | None,
+    genres: GenreMap,
     cfg: PipelineConfig,
 ) -> list[UserEval]:
     out: list[UserEval] = []
@@ -655,24 +669,12 @@ def _evaluate_arm(
             if float(eval_t.values[k]) >= cfg.relevance_threshold
         }
         rm = ranking_metrics(recs, relevant, cfg.top_k)
-        if genres is not None:
-            history = {int(corpus.items[k]) for k in corpus.user_rows(user)}
-            ser = serendipity(recs, history, relevant, genres, cfg.serendipity_formula)
-        else:
-            ser = 0.0
+        history = {int(corpus.items[k]) for k in corpus.user_rows(user)}
+        ser = serendipity(recs, history, relevant, genres, cfg.serendipity_formula)
         out.append(
             UserEval(user, rm.ndcg, rm.precision, rm.recall, rm.f1, ser, int(assignment[user]))
         )
     return out
-
-
-def _cluster_ndcg_means(evals: Sequence[UserEval]) -> dict[int, float]:
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for e in evals:
-        sums[e.cluster] = sums.get(e.cluster, 0.0) + e.ndcg
-        counts[e.cluster] = counts.get(e.cluster, 0) + 1
-    return {c: sums[c] / counts[c] for c in sorted(sums)}
 
 
 def stage_evaluate(
@@ -680,7 +682,7 @@ def stage_evaluate(
     corpus: RatingsTable,
     cleaned: RatingsTable,
     eval_t: RatingsTable,
-    genres: GenreMap | None,
+    genres: GenreMap,
     paths: RunPaths,
     venn: Mapping[str, int],
 ) -> tuple[dict[str, DeltaReport], dict]:
@@ -784,6 +786,16 @@ _REPORT_GLOSSARY = {
 }
 
 
+def _provenance(cfg: PipelineConfig) -> dict:
+    """The config block shared by the run manifest and the report."""
+    return {
+        "config": {
+            k: v for k, v in config_to_dict(cfg).items() if k not in ("out_dir", "run_id")
+        },
+        "config_hash": config_hash(cfg),
+    }
+
+
 def _assemble_report(
     cfg: PipelineConfig,
     mode: str,
@@ -798,10 +810,7 @@ def _assemble_report(
     ground_truth: dict | None,
 ) -> dict:
     report = {
-        "config": {
-            k: v for k, v in config_to_dict(cfg).items() if k not in ("out_dir", "run_id")
-        },
-        "config_hash": config_hash(cfg),
+        **_provenance(cfg),
         "mode": mode,
         "detector": detector,
         "seed": cfg.seed,
@@ -870,7 +879,12 @@ def _load_mask_if_configured(cfg: PipelineConfig) -> GroundTruthMask | None:
     return read_mask(mpath)
 
 
-# -- drivers ------------------------------------------------------------
+# -- stages ---------------------------------------------------------------
+#
+# Each stage reads only artifacts persisted by earlier stages, so a run
+# executes end to end (`run_framework`) or one stage per command against the
+# same run directory, and both give bit-identical artifacts.  The manifest
+# written by ingest pins the run directory to one config.
 
 
 class RunResult(NamedTuple):
@@ -878,165 +892,94 @@ class RunResult(NamedTuple):
     reports: dict[str, DeltaReport]
     report_dict: dict
     paths: RunPaths
-    board: BoardResult
+    votesets: list[VoteSet]
     labels: dict[tuple[int, int], Verdict]
     hits: list[SignatureHit]
 
 
-def _drive(cfg: PipelineConfig, mode: str, detector: str | None) -> RunResult:
-    cfg.validate()
-    paths = run_paths(cfg, mode if detector is None else f"baseline-{detector.lower()}")
-    paths.ensure()
-
-    table, genres, counts = _stage("ingest", stage_ingest, cfg)
-    dump_json(counts, paths.ingest)
-    train, detect, eval_t = _stage("split", stage_split, cfg, table, paths)
-    board, keys, X, board_section = _stage("board", stage_board, cfg, train, detect, paths)
-    corpus = train.merged(detect)
-
-    hits: list[SignatureHit] = []
-    if detector is None:
-        consensus_by_key = {vs.key: vs.consensus for vs in board.votesets}
-        labels, ens_info = _stage(
-            "ensemble", stage_ensemble, cfg, keys, X, consensus_by_key, paths
+def _check_manifest(cfg: PipelineConfig, paths: RunPaths) -> None:
+    built = read_json(paths.manifest)["config_hash"]
+    if built != config_hash(cfg):
+        raise ConfigError(
+            f"run directory {paths.base} was built with config_hash {built}, but this "
+            f"config has config_hash {config_hash(cfg)}; changed settings need a new run_id"
         )
-        hits = _stage("signature", stage_signature, cfg, detect, labels, paths)
-    else:
-        labels = {vs.key: vs.votes[detector] for vs in board.votesets}
-        ens_info = {
-            "variant": None,
-            "uncertain_total": 0,
-            "classified_noisy": 0,
-            "classified_clean": 0,
-        }
-        write_classification({}, {}, cfg.ensemble_variant, paths.ensemble_csv)
-        write_hits([], cfg.action(), paths.signature_csv)
-
-    cleaned, removal = _clean_corpus(corpus, labels, hits, cfg.action())
-    reports, eval_section = _stage(
-        "evaluate", stage_evaluate, cfg, corpus, cleaned, eval_t, genres, paths, board.venn
-    )
-
-    mask = _load_mask_if_configured(cfg)
-    gt = ground_truth_section(mask, board.votesets, labels) if mask is not None else None
-    split_sizes = {"train": len(train), "detect": len(detect), "eval": len(eval_t)}
-    report_dict = _assemble_report(
-        cfg, mode if detector is None else "baseline", detector, counts, split_sizes,
-        board_section, ens_info, hits, removal, eval_section, gt,
-    )
-    dump_json(_jsonable(report_dict), paths.report)
-    return RunResult(
-        reports["serendipity-ndcg"], reports, report_dict, paths, board, labels, hits
-    )
 
 
-def run_framework(cfg: PipelineConfig) -> RunResult:
-    """Full three-layer run: board consensus, ensemble arbitration of the
-    Uncertain set, opt-out signature, removal, retrain, evaluate."""
-    return _drive(cfg, "run", None)
-
-
-def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
-    """Single-detector run: that detector's Noisy verdicts alone drive
-    removal; the evaluation protocol is identical to the full framework."""
-    if detector not in DETECTOR_IDS:
-        raise ConfigError(f"detector must be one of {DETECTOR_IDS}, got {detector!r}")
-    return _drive(cfg, "baseline", detector)
-
-
-# -- stage resumption (CLI) ----------------------------------------------
-#
-# Each command below reads only artifacts persisted by earlier stages, so a
-# pipeline interrupted (or intentionally staged) resumes bit-identically.
-
-
-def _load_genres_if_configured(cfg: PipelineConfig) -> GenreMap | None:
-    if not cfg.movies_path:
-        return None
-    mpath = Path(cfg.movies_path)
-    if not mpath.exists():
-        raise DataError(f"movies file not found: {mpath}")
-    return load_genres(mpath)
-
-
-def _load_split(cfg: PipelineConfig, path: Path, genres: GenreMap | None) -> RatingsTable:
-    try:
-        table = load_ratings(path, cfg.scale())
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    return table.with_genres(genres) if genres is not None else table
+def _resume(cfg: PipelineConfig, paths: RunPaths, needs: Mapping[Path, str]) -> None:
+    """Check that a stage's input artifacts exist (needs maps each to the
+    stage producing it) and that the run directory was built with cfg."""
+    for path, producer in needs.items():
+        _require(path, producer)
+    _require(paths.manifest, "ingest")
+    _check_manifest(cfg, paths)
 
 
 def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
+    cfg.validate()
+    if paths.manifest.exists():
+        _check_manifest(cfg, paths)
     paths.ensure()
-    table, _genres, counts = _stage("ingest", stage_ingest, cfg)
+    table, counts = _stage("ingest", stage_ingest, cfg)
     dump_json(counts, paths.ingest)
     _stage("split", stage_split, cfg, table, paths)
+    dump_json(_provenance(cfg), paths.manifest)
     return counts
 
 
 def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    genres = _load_genres_if_configured(cfg)
-    train = _load_split(cfg, _require(paths.train_csv, "ingest"), genres)
-    detect = _load_split(cfg, _require(paths.detect_csv, "ingest"), genres)
-    _board, _keys, _X, section = _stage("board", stage_board, cfg, train, detect, paths)
-    return section
+    _resume(cfg, paths, {paths.train_csv: "ingest", paths.detect_csv: "ingest"})
+    genres = _load_genres(cfg)
+    train = _load_split(cfg, paths.train_csv, genres)
+    detect = _load_split(cfg, paths.detect_csv, genres)
+    return _stage("board", stage_board, cfg, train, detect, paths)
 
 
 def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    votesets = read_votes(_require(paths.votes, "detect"))
-    keys, X = read_features(_require(paths.features, "detect"))
-    consensus_by_key = {vs.key: vs.consensus for vs in votesets}
-    _labels, info = _stage("ensemble", stage_ensemble, cfg, keys, X, consensus_by_key, paths)
-    return info
-
-
-def _labels_from_artifacts(paths: RunPaths) -> dict[tuple[int, int], Verdict]:
-    votesets = read_votes(_require(paths.votes, "detect"))
-    labels: dict[tuple[int, int], Verdict] = {}
-    for vs in votesets:
-        if vs.consensus is Consensus.NOISY:
-            labels[vs.key] = Verdict.NOISY
-        elif vs.consensus is Consensus.CLEAN:
-            labels[vs.key] = Verdict.CLEAN
-    ensemble_labels = read_classification(_require(paths.ensemble_csv, "ensemble"))
-    labels.update(ensemble_labels)
-    return labels
+    _resume(cfg, paths, {paths.votes: "detect", paths.features: "detect"})
+    votesets = read_votes(paths.votes)
+    keys, X = read_features(paths.features)
+    classified = _stage("ensemble", stage_ensemble, cfg, votesets, keys, X, paths)
+    return _ensemble_info(cfg.ensemble_variant, classified)
 
 
 def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> list[SignatureHit]:
-    genres = _load_genres_if_configured(cfg)
-    detect = _load_split(cfg, _require(paths.detect_csv, "ingest"), genres)
-    labels = _labels_from_artifacts(paths)
+    _resume(
+        cfg, paths,
+        {paths.detect_csv: "ingest", paths.votes: "detect", paths.ensemble_csv: "ensemble"},
+    )
+    detect = _load_split(cfg, paths.detect_csv, _load_genres(cfg))
+    labels = _final_labels(read_votes(paths.votes), read_classification(paths.ensemble_csv))
     return _stage("signature", stage_signature, cfg, detect, labels, paths)
 
 
-def cli_evaluate(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    genres = _load_genres_if_configured(cfg)
-    train = _load_split(cfg, _require(paths.train_csv, "ingest"), genres)
-    detect = _load_split(cfg, _require(paths.detect_csv, "ingest"), genres)
-    eval_t = _load_split(cfg, _require(paths.eval_csv, "ingest"), genres)
-    counts = read_json(_require(paths.ingest, "ingest"))
-    board_section = read_json(_require(paths.board_json, "detect"))
-    votesets = read_votes(_require(paths.votes, "detect"))
-    labels = _labels_from_artifacts(paths)
-    hits, action = read_hits(_require(paths.signature_csv, "signature"))
-    ens_info = {
-        "variant": cfg.ensemble_variant,
-        "uncertain_total": sum(
-            1 for vs in votesets if vs.consensus is Consensus.UNCERTAIN
-        ),
-        "classified_noisy": sum(
-            1
-            for vs in votesets
-            if vs.consensus is Consensus.UNCERTAIN and labels[vs.key] is Verdict.NOISY
-        ),
-        "classified_clean": sum(
-            1
-            for vs in votesets
-            if vs.consensus is Consensus.UNCERTAIN and labels[vs.key] is Verdict.CLEAN
-        ),
-    }
+def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = None) -> RunResult:
+    """Remove, retrain, evaluate and write the report.  With a detector,
+    that detector's verdicts alone are the labels (a baseline run)."""
+    _resume(
+        cfg, paths,
+        {
+            paths.train_csv: "ingest", paths.detect_csv: "ingest", paths.eval_csv: "ingest",
+            paths.ingest: "ingest", paths.board_json: "detect", paths.votes: "detect",
+            paths.ensemble_csv: "ensemble", paths.signature_csv: "signature",
+        },
+    )
+    genres = _load_genres(cfg)
+    train = _load_split(cfg, paths.train_csv, genres)
+    detect = _load_split(cfg, paths.detect_csv, genres)
+    eval_t = _load_split(cfg, paths.eval_csv, genres)
+    counts = read_json(paths.ingest)
+    board_section = read_json(paths.board_json)
+    votesets = read_votes(paths.votes)
+    classified = read_classification(paths.ensemble_csv)
+    hits, action = read_hits(paths.signature_csv)
+    if detector is None:
+        labels = _final_labels(votesets, classified)
+        ens_info = _ensemble_info(cfg.ensemble_variant, classified)
+    else:
+        labels = {vs.key: vs.votes[detector] for vs in votesets}
+        ens_info = _ensemble_info(None, classified)
+
     corpus = train.merged(detect)
     cleaned, removal = _clean_corpus(corpus, labels, hits, action or cfg.action())
     reports, eval_section = _stage(
@@ -1047,11 +990,35 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths) -> dict:
     gt = ground_truth_section(mask, votesets, labels) if mask is not None else None
     split_sizes = {"train": len(train), "detect": len(detect), "eval": len(eval_t)}
     report_dict = _assemble_report(
-        cfg, "run", None, counts, split_sizes, board_section, ens_info, hits,
-        removal, eval_section, gt,
+        cfg, "run" if detector is None else "baseline", detector, counts, split_sizes,
+        board_section, ens_info, hits, removal, eval_section, gt,
     )
     dump_json(_jsonable(report_dict), paths.report)
-    return report_dict
+    return RunResult(
+        reports["serendipity-ndcg"], reports, report_dict, paths, votesets, labels, hits
+    )
+
+
+def run_framework(cfg: PipelineConfig) -> RunResult:
+    """Full three-layer run: board consensus, ensemble arbitration of the
+    Uncertain set, opt-out signature, removal, retrain, evaluate."""
+    paths = run_paths(cfg)
+    for stage in (cli_ingest, cli_detect, cli_ensemble, cli_signature):
+        stage(cfg, paths)
+    return cli_evaluate(cfg, paths)
+
+
+def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
+    """Single-detector run: that detector's Noisy verdicts alone drive
+    removal; the evaluation protocol is identical to the full framework."""
+    if detector not in DETECTOR_IDS:
+        raise ConfigError(f"detector must be one of {DETECTOR_IDS}, got {detector!r}")
+    paths = run_paths(cfg, f"baseline-{detector.lower()}")
+    cli_ingest(cfg, paths)
+    cli_detect(cfg, paths)
+    write_classification({}, {}, cfg.ensemble_variant, paths.ensemble_csv)
+    write_hits([], cfg.action(), paths.signature_csv)
+    return cli_evaluate(cfg, paths, detector)
 
 
 # -- report comparison ----------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 
 from .board.verdict import Verdict
 from .dataset import RatingsTable
+from .ioutil import atomic_write_csv
 
 OPTOUT_SIGNATURE_ID = "optout"
 DEFAULT_THRESHOLD = 0.5
@@ -122,17 +123,15 @@ HITS_HEADER = ("signatureId", "userId", "lastDay", "noisyCount", "totalCount", "
 
 
 def write_hits(hits: list[SignatureHit], action: SignatureAction, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HITS_HEADER)
-        for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id)):
-            e = h.evidence
-            w.writerow(
-                [h.signature_id, h.user_id, e["last_day"], e["noisy_count"],
-                 e["total_count"], repr(float(e["ratio"])), action.value]
-            )
+    atomic_write_csv(
+        path,
+        HITS_HEADER,
+        (
+            [h.signature_id, h.user_id, h.evidence["last_day"], h.evidence["noisy_count"],
+             h.evidence["total_count"], repr(float(h.evidence["ratio"])), action.value]
+            for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id))
+        ),
+    )
 
 
 def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | None]:

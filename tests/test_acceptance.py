@@ -64,7 +64,7 @@ def test_criterion_1_partition_and_coverage(tmp_path):
         }
     )
     result = run_framework(cfg)
-    votesets = result.board.votesets
+    votesets = result.votesets
     detect_size = result.report_dict["counts"]["detect"]
 
     # Layer 1 partitions the detect split into Noisy/Clean/Uncertain

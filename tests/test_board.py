@@ -156,3 +156,16 @@ def test_votes_csv_roundtrip(tmp_path):
     assert [(vs.key, vs.votes, vs.consensus) for vs in back] == [
         (vs.key, vs.votes, vs.consensus) for vs in res.votesets
     ]
+
+
+def test_write_votes_failure_leaves_old_file(tmp_path):
+    p = tmp_path / "votes.csv"
+    old = VoteSet((9, 9), {d: Verdict.NOISY for d in DETECTOR_IDS}, Consensus.NOISY)
+    write_votes([old], p)
+    before = p.read_bytes()
+    good = VoteSet((1, 2), {d: Verdict.CLEAN for d in DETECTOR_IDS}, Consensus.CLEAN)
+    missing_detector = VoteSet((1, 3), {"NF1": Verdict.NOISY}, Consensus.UNCERTAIN)
+    with pytest.raises(KeyError):
+        write_votes([good, missing_detector], p)
+    assert p.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from noisegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
+from noisegate.ioutil import read_json
 
 from .conftest import MINI_DIR
 
@@ -83,6 +85,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         json.dumps(
             {
                 "ratings_path": str(MINI_DIR / "ratings.csv"),
+                "movies_path": str(MINI_DIR / "movies.csv"),
                 "out_dir": str(tmp_path / "from-file"),
                 "min_activity": 5,
                 "seed": 7,
@@ -109,9 +112,34 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_without_movies_exits_2(tmp_path, capsys):
+    code = main(
+        ["run", "--ratings-path", str(MINI_DIR / "ratings.csv"),
+         "--out-dir", str(tmp_path / "out"), "--min-activity", "5"]
+    )
+    assert code == EXIT_CONFIG
+    assert "movies_path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_with_other_config_exits_2(tmp_path, capsys):
+    args = _run_args(tmp_path, "mixed")
+    assert main(["ingest", *args, "--seed", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["detect", *args, "--seed", "2", "--nf3-th", "0.3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    built = read_json(tmp_path / "mixed" / "manifest.json")["config_hash"]
+    hashes = set(re.findall(r"\b[0-9a-f]{16}\b", err))
+    assert built in hashes and len(hashes) == 2
+    assert not (tmp_path / "mixed" / "votes.csv").exists()
+    # ingest does not rebuild the splits of a run directory under another config
+    assert main(["ingest", *args, "--seed", "2"]) == EXIT_CONFIG
+
+
 def test_missing_data_exits_3(tmp_path, capsys):
     code = main(
-        ["run", "--ratings-path", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path)]
+        ["run", "--ratings-path", str(tmp_path / "absent.csv"),
+         "--movies-path", str(MINI_DIR / "movies.csv"), "--out-dir", str(tmp_path)]
     )
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err

@@ -88,6 +88,7 @@ def test_config_coercion_from_strings():
     cfg = config_from_dict(
         {
             "ratings_path": "r.csv",
+            "movies_path": "m.csv",
             "train_fraction": "0.7",
             "detect_fraction": "0.15",
             "eval_fraction": "0.15",
@@ -103,7 +104,7 @@ def test_config_coercion_from_strings():
 
 
 def test_config_bad_values_rejected():
-    base = {"ratings_path": "r.csv"}
+    base = {"ratings_path": "r.csv", "movies_path": "m.csv"}
     with pytest.raises(ConfigError, match="cannot read"):
         config_from_dict({**base, "nf3_k": "many"})
     with pytest.raises(ConfigError, match="cannot read"):
@@ -305,7 +306,7 @@ def test_noise_free_dataset_flags_little(framework_run):
 
 def test_labels_cover_detect_split_without_uncertainty(framework_run):
     cfg, result = framework_run
-    by_key = {vs.key: vs.consensus for vs in result.board.votesets}
+    by_key = {vs.key: vs.consensus for vs in result.votesets}
     assert set(result.labels) == set(by_key)
     for key, consensus in by_key.items():
         assert result.labels[key] in (Verdict.NOISY, Verdict.CLEAN)
@@ -407,6 +408,10 @@ def test_unknown_baseline_detector_rejected(tmp_path):
 # -- staged CLI path == in-memory path ------------------------------------
 
 
+def _artifact_files(base):
+    return {p.relative_to(base): p for p in base.rglob("*") if p.is_file()}
+
+
 def test_staged_run_matches_end_to_end(framework_run, tmp_path):
     cfg_full, result = framework_run
     cfg = _fast_config(tmp_path, run_id="staged")
@@ -417,6 +422,11 @@ def test_staged_run_matches_end_to_end(framework_run, tmp_path):
     cli_signature(cfg, paths)
     cli_evaluate(cfg, paths)
     assert reports_equal(result.paths.report, paths.report)
+    full, staged = _artifact_files(result.paths.base), _artifact_files(paths.base)
+    assert sorted(full) == sorted(staged)
+    for name, path in full.items():
+        if name != paths.report.relative_to(paths.base):
+            assert path.read_bytes() == staged[name].read_bytes(), name
 
 
 def test_stage_resume_requires_artifacts(tmp_path):
