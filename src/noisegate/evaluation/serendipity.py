@@ -54,19 +54,19 @@ def serendipity(
     if not recs.items:
         return 0.0
     vec = _vector_getter(item_vectors)
+    # Every recommended item with a genre vector counts in the mean, but only
+    # relevant ones can contribute a nonzero term, so only they need cosines.
+    scored = [(item, vec(item)) for item, _score in recs.items]
+    scored = [(item, v) for item, v in scored if np.linalg.norm(v) > 0]
+    hits = [k for k, (item, _v) in enumerate(scored) if item in relevant]
+    if not hits:
+        return 0.0
     hist = [vec(h) for h in sorted(history)]
     H = np.array([v for v in hist if np.linalg.norm(v) > 0])
     if len(H) == 0:
         return 0.0
-    contributions: list[float] = []
-    for item, _score in recs.items:
-        v = vec(item)
-        if np.linalg.norm(v) == 0:
-            continue
-        s = float(np.mean(_cosine_rows(H, v)))
-        u = s if formula == FORMULA_PAPER_LITERAL else 1.0 - s
-        rel = 1.0 if item in relevant else 0.0
-        contributions.append(u * rel)
-    if not contributions:
-        return 0.0
+    contributions = np.zeros(len(scored))
+    for k in hits:
+        s = float(np.mean(_cosine_rows(H, scored[k][1])))
+        contributions[k] = s if formula == FORMULA_PAPER_LITERAL else 1.0 - s
     return float(np.mean(contributions))

@@ -157,7 +157,6 @@ class PipelineConfig:
 
     mf_factors: int = 16
     mf_epochs: int = 20
-    mf_lr: float = 0.01
     mf_reg: float = 0.02
 
     clusters_k: int = 20
@@ -471,12 +470,12 @@ def _load_genres(cfg: PipelineConfig) -> GenreMap:
         raise DataError(str(exc)) from exc
 
 
-def _load_split(cfg: PipelineConfig, path: Path, genres: GenreMap) -> RatingsTable:
+def _load_split(cfg: PipelineConfig, path: Path, genres: GenreMap | None = None) -> RatingsTable:
     try:
         table = load_ratings(path, cfg.scale())
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    return table.with_genres(genres)
+    return table if genres is None else table.with_genres(genres)
 
 
 def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, dict]:
@@ -688,12 +687,8 @@ def stage_evaluate(
 ) -> tuple[dict[str, DeltaReport], dict]:
     """Retrain both arms, evaluate on the untouched fold, classify deltas."""
     mf_seed = derive_seed(cfg.seed, _SALT_MF)
-    before = mf_train(
-        corpus, f=cfg.mf_factors, epochs=cfg.mf_epochs, lr=cfg.mf_lr, reg=cfg.mf_reg, seed=mf_seed
-    )
-    after = mf_train(
-        cleaned, f=cfg.mf_factors, epochs=cfg.mf_epochs, lr=cfg.mf_lr, reg=cfg.mf_reg, seed=mf_seed
-    )
+    before = mf_train(corpus, f=cfg.mf_factors, epochs=cfg.mf_epochs, reg=cfg.mf_reg, seed=mf_seed)
+    after = mf_train(cleaned, f=cfg.mf_factors, epochs=cfg.mf_epochs, reg=cfg.mf_reg, seed=mf_seed)
     save_model(before, paths.before_model)
     save_model(after, paths.after_model)
 
@@ -897,13 +892,36 @@ class RunResult(NamedTuple):
     hits: list[SignatureHit]
 
 
+_INPUT_FILES = ("ratings_path", "movies_path")
+
+
+def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
+    """sha256 of each input file the run reads, keyed by its config key."""
+    digests = {}
+    for key in _INPUT_FILES:
+        path = Path(getattr(cfg, key))
+        if not path.exists():
+            raise DataError(f"{key} file not found: {path}")
+        digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def _check_manifest(cfg: PipelineConfig, paths: RunPaths) -> None:
-    built = read_json(paths.manifest)["config_hash"]
+    manifest = read_json(paths.manifest)
+    built = manifest["config_hash"]
     if built != config_hash(cfg):
         raise ConfigError(
             f"run directory {paths.base} was built with config_hash {built}, but this "
             f"config has config_hash {config_hash(cfg)}; changed settings need a new run_id"
         )
+    recorded = manifest.get("inputs", {})
+    for key, digest in _input_digests(cfg).items():
+        if recorded.get(key) != digest:
+            raise ConfigError(
+                f"{key} file {getattr(cfg, key)} changed since run directory {paths.base} "
+                f"was built (sha256 {recorded.get(key)}, now {digest}); "
+                "changed inputs need a new run_id"
+            )
 
 
 def _resume(cfg: PipelineConfig, paths: RunPaths, needs: Mapping[Path, str]) -> None:
@@ -919,11 +937,14 @@ def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
     cfg.validate()
     if paths.manifest.exists():
         _check_manifest(cfg, paths)
+    # Hashed before reading: an input edited during ingest then fails the
+    # next stage's check instead of passing with splits of unknown content.
+    inputs = _input_digests(cfg)
     paths.ensure()
     table, counts = _stage("ingest", stage_ingest, cfg)
     dump_json(counts, paths.ingest)
     _stage("split", stage_split, cfg, table, paths)
-    dump_json(_provenance(cfg), paths.manifest)
+    dump_json({**_provenance(cfg), "inputs": inputs}, paths.manifest)
     return counts
 
 
@@ -948,7 +969,7 @@ def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> list[SignatureHit]:
         cfg, paths,
         {paths.detect_csv: "ingest", paths.votes: "detect", paths.ensemble_csv: "ensemble"},
     )
-    detect = _load_split(cfg, paths.detect_csv, _load_genres(cfg))
+    detect = _load_split(cfg, paths.detect_csv)
     labels = _final_labels(read_votes(paths.votes), read_classification(paths.ensemble_csv))
     return _stage("signature", stage_signature, cfg, detect, labels, paths)
 

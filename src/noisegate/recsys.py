@@ -2,7 +2,8 @@
 
 Two predictors live here: a Pearson-correlation user-kNN (used by the
 accuracy-centered detector) and a biased matrix-factorization recommender
-trained with SGD (used by the evaluation protocol and for user clustering).
+trained by alternating least squares (used by the evaluation protocol and
+for user clustering).
 """
 
 from __future__ import annotations
@@ -215,59 +216,101 @@ class MfModel:
         return self.P[self.urow[user]]
 
 
+# Rows per batched ridge solve: bounds the (rows, d, d) Gram stack a
+# half-sweep holds at once, d = factors + 1.
+_SOLVE_ROWS = 128
+
+
+def _ridge_rows(
+    mask: np.ndarray,
+    resid: np.ndarray,
+    fixed: np.ndarray,
+    offset: np.ndarray,
+    reg: float,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ALS half-sweep: the ridge solution ``[factors, bias]`` of every row.
+
+    Row r is fitted to the targets ``resid[r, c] - offset[c]`` over its rated
+    columns (``mask[r, c] == 1``) with design rows ``[fixed[c], 1]`` and ridge
+    weight ``reg * counts[r]`` (ALS-WR).  All Gram blocks of a row block come
+    from one product of the 0/1 mask with the upper triangles of the
+    per-column outer products; with ``reg == 0`` the blocks can be singular
+    and the minimum-norm solution is taken.
+    """
+    n, f = mask.shape[0], fixed.shape[1]
+    d = f + 1
+    design = np.hstack([fixed, np.ones((len(fixed), 1))])
+    iu, ju = np.triu_indices(d)
+    outer = design[:, iu]
+    outer *= design[:, ju]
+    shifted = offset[:, None] * design
+    diag = np.arange(d)
+    out = np.empty((n, d))
+    for lo in range(0, n, _SOLVE_ROWS):
+        rows = slice(lo, lo + _SOLVE_ROWS)
+        upper = mask[rows] @ outer
+        gram = np.empty((len(upper), d, d))
+        gram[:, iu, ju] = upper
+        gram[:, ju, iu] = upper
+        rhs = (resid[rows] @ design - mask[rows] @ shifted)[:, :, None]
+        if reg > 0:
+            gram[:, diag, diag] += reg * counts[rows, None]
+            out[rows] = np.linalg.solve(gram, rhs)[:, :, 0]
+        else:
+            out[rows] = (np.linalg.pinv(gram) @ rhs)[:, :, 0]
+    return out[:, :f], out[:, f]
+
+
 def mf_train(
     train: RatingsTable,
     f: int = 16,
     epochs: int = 20,
-    lr: float = 0.01,
     reg: float = 0.02,
     seed: int = 0,
 ) -> MfModel:
-    """SGD on squared error with L2 regularization over biases and factors.
+    """Biased MF fitted by alternating least squares (ALS-WR).
 
-    Iteration order is a fresh seeded permutation each epoch, so the result
-    is bitwise-reproducible for a fixed seed.  Training RMSE is recorded per
-    epoch; a non-finite loss aborts with diagnostics.
+    Minimizes the squared error over the rated cells plus
+    ``reg * (|p_u|^2 + |q_i|^2 + b_u^2 + b_i^2)`` per rating, which is
+    ALS-WR's ridge of ``reg * n_row`` on each user's ``[p_u, b_u]`` and
+    each item's ``[q_i, b_i]`` (Zhou et al. 2008).  Each sweep solves every
+    user against the fixed items, then every item against the fixed users,
+    so after training each item is the exact ridge minimizer given the
+    users.  Item factors start from a seeded normal draw and every step is
+    deterministic, so the result is bitwise-reproducible for a fixed seed.
+    Training RMSE is recorded per sweep; a non-finite loss aborts with
+    diagnostics.
     """
     if len(train) == 0:
         raise ValueError("train table is empty")
     users = train.user_ids()
     items = train.item_ids()
-    urow_of = {u: k for k, u in enumerate(users)}
-    irow_of = {i: k for k, i in enumerate(items)}
-    urow = np.fromiter((urow_of[int(u)] for u in train.users), dtype=np.int64, count=len(train))
-    irow = np.fromiter((irow_of[int(i)] for i in train.items), dtype=np.int64, count=len(train))
+    urow = np.searchsorted(np.array(users, dtype=np.int64), train.users)
+    irow = np.searchsorted(np.array(items, dtype=np.int64), train.items)
     values = train.values
     mu = float(values.mean())
+    mask = np.zeros((len(users), len(items)))
+    mask[urow, irow] = 1.0
+    resid = np.zeros((len(users), len(items)))
+    resid[urow, irow] = values - mu
+    n_u = np.bincount(urow, minlength=len(users)).astype(np.float64)
+    n_i = np.bincount(irow, minlength=len(items)).astype(np.float64)
     rng = np.random.default_rng(seed)
     # init noise on p.q scales with sqrt(f) * sigma^2; keep it ~1e-2 at any f
     sigma = 0.1 / math.sqrt(f)
-    P = rng.normal(0.0, sigma, size=(len(users), f))
     Q = rng.normal(0.0, sigma, size=(len(items), f))
-    bu = np.zeros(len(users))
     bi = np.zeros(len(items))
     rmse_per_epoch: list[float] = []
-    urow_l = urow.tolist()
-    irow_l = irow.tolist()
-    vals_l = values.tolist()
     for epoch in range(epochs):
-        order = rng.permutation(len(values)).tolist()
-        for k in order:
-            ur = urow_l[k]
-            ir = irow_l[k]
-            pu = P[ur]
-            qi = Q[ir]
-            e = vals_l[k] - (mu + bu[ur] + bi[ir] + float(pu @ qi))
-            bu[ur] += lr * (e - reg * bu[ur])
-            bi[ir] += lr * (e - reg * bi[ir])
-            P[ur] = pu + lr * (e * qi - reg * pu)
-            Q[ir] = qi + lr * (e * pu - reg * qi)
-        pred = mu + bu[urow] + bi[irow] + np.einsum("ij,ij->i", P[urow], Q[irow])
-        rmse = float(np.sqrt(np.mean((values - pred) ** 2)))
+        P, bu = _ridge_rows(mask, resid, Q, bi, reg, n_u)
+        Q, bi = _ridge_rows(mask.T, resid.T, P, bu, reg, n_i)
+        pred = (P @ Q.T)[urow, irow] + bu[urow] + bi[irow]
+        rmse = float(np.sqrt(np.mean((values - mu - pred) ** 2)))
         if not np.isfinite(rmse):
             raise RuntimeError(
-                f"MF training diverged at epoch {epoch}: rmse={rmse} "
-                f"(f={f}, lr={lr}, reg={reg}, seed={seed})"
+                f"MF training diverged at sweep {epoch}: rmse={rmse} "
+                f"(f={f}, reg={reg}, seed={seed})"
             )
         rmse_per_epoch.append(rmse)
     return MfModel(users, items, P, Q, bu, bi, mu, train.scale, rmse_per_epoch)

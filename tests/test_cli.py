@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -134,6 +135,27 @@ def test_resume_with_other_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "mixed" / "votes.csv").exists()
     # ingest does not rebuild the splits of a run directory under another config
     assert main(["ingest", *args, "--seed", "2"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("name", ["ratings.csv", "movies.csv"])
+def test_resume_after_input_edit_exits_2(tmp_path, capsys, name):
+    data = tmp_path / "data"
+    shutil.copytree(MINI_DIR, data)
+    args = [
+        "--ratings-path", str(data / "ratings.csv"),
+        "--movies-path", str(data / "movies.csv"),
+        "--out-dir", str(tmp_path / "out"),
+        "--run-id", "edited",
+        *FAST_FLAGS,
+    ]
+    assert main(["ingest", *args]) == EXIT_OK
+    edited = data / name
+    lines = edited.read_text().splitlines(keepends=True)
+    edited.write_text("".join(lines[: len(lines) // 2]))
+    capsys.readouterr()
+    assert main(["detect", *args]) == EXIT_CONFIG
+    assert str(edited) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "edited" / "votes.csv").exists()
 
 
 def test_missing_data_exits_3(tmp_path, capsys):

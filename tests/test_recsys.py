@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisegate.dataset import Scale
+from noisegate.cli import EXIT_CONFIG, main
+from noisegate.dataset import Scale, SplitSpec, split_train_test
 from noisegate.recsys import (
     KnnConfig,
     MfModel,
@@ -20,7 +23,7 @@ from noisegate.recsys import (
     save_model,
 )
 
-from .conftest import make_table
+from .conftest import MINI_DIR, make_table
 
 
 def _brute_pearson(a: dict[int, float], b: dict[int, float], cfg: KnnConfig) -> float:
@@ -152,7 +155,7 @@ def test_knn_prediction_clamped_to_scale():
 def test_mf_constant_dataset_converges_to_mean():
     rows = [(u, i, 3.0, 0) for u in range(1, 6) for i in range(1, 9)]
     t = make_table(rows)
-    model = mf_train(t, f=4, epochs=20, lr=0.01, reg=0.02, seed=0)
+    model = mf_train(t, f=4, epochs=20, reg=0.02, seed=0)
     assert model.global_mean == pytest.approx(3.0)
     preds = [model.predict(u, i) for u in range(1, 6) for i in range(1, 9)]
     rmse = float(np.sqrt(np.mean((np.array(preds) - 3.0) ** 2)))
@@ -172,10 +175,86 @@ def test_mf_rank_one_pattern_fits():
     # 2x2 rank-1 pattern: r_ui = a_u * b_i scaled into the rating range
     rows = [(1, 1, 1.0, 0), (1, 2, 2.0, 0), (2, 1, 2.0, 0), (2, 2, 4.0, 0)]
     t = make_table(rows)
-    model = mf_train(t, f=2, epochs=200, lr=0.05, reg=0.0, seed=3)
+    model = mf_train(t, f=2, epochs=200, reg=0.0, seed=3)
     preds = np.array([model.predict(r.user_id, r.item_id) for r in t])
     rmse = float(np.sqrt(np.mean((preds - t.values) ** 2)))
     assert rmse < 0.1
+
+
+def test_mf_items_are_exact_ridge_minimizers():
+    # The item half-sweep ends every ALS sweep, so each item's [q_i, b_i]
+    # zeroes the gradient of  sum (r - mu - b_u - b_i - p_u.q_i)^2
+    # + reg * n_i * (|q_i|^2 + b_i^2)  given the final users.
+    rng = np.random.default_rng(4)
+    rows = [
+        (u, i, float(rng.integers(1, 11)) / 2, 0)
+        for u in range(1, 10)
+        for i in range(1, 14)
+        if rng.random() < 0.6
+    ]
+    t = make_table(rows)
+    reg = 0.05
+    model = mf_train(t, f=3, epochs=6, reg=reg, seed=2)
+    grads = {i: np.zeros(model.f + 1) for i in model.items}
+    counts = dict.fromkeys(model.items, 0)
+    for r in t:
+        ur, ir = model.urow[r.user_id], model.irow[r.item_id]
+        p, q = model.P[ur], model.Q[ir]
+        e = r.value - (model.global_mean + model.bu[ur] + model.bi[ir] + float(p @ q))
+        grads[r.item_id] -= 2.0 * e * np.append(p, 1.0)
+        counts[r.item_id] += 1
+    for i in model.items:
+        k = model.irow[i]
+        grads[i] += 2.0 * reg * counts[i] * np.append(model.Q[k], model.bi[k])
+    assert max(float(np.abs(g).max()) for g in grads.values()) < 1e-8
+
+
+def _bias_only(train, lam: float = 1.0, sweeps: int = 20):
+    """Damped-mean baseline mu + b_u + b_i fitted by alternating means."""
+    mu = float(train.values.mean())
+    bu: dict[int, float] = {}
+    bi: dict[int, float] = {}
+    for _ in range(sweeps):
+        acc: dict[int, list[float]] = {}
+        for r in train:
+            acc.setdefault(r.item_id, []).append(r.value - mu - bu.get(r.user_id, 0.0))
+        bi = {i: sum(v) / (len(v) + lam) for i, v in acc.items()}
+        acc = {}
+        for r in train:
+            acc.setdefault(r.user_id, []).append(r.value - mu - bi[r.item_id])
+        bu = {u: sum(v) / (len(v) + lam) for u, v in acc.items()}
+    return lambda u, i: train.scale.clamp(mu + bu.get(u, 0.0) + bi.get(i, 0.0))
+
+
+def test_mf_beats_bias_only_on_held_out(planted_small):
+    table, _genres = planted_small
+    train, held = split_train_test(table, SplitSpec(train_fraction=0.8, seed=1))
+    model = mf_train(train, f=6, epochs=20, reg=0.05, seed=0)
+    baseline = _bias_only(train)
+
+    def rmse(predict) -> float:
+        errs = [predict(r.user_id, r.item_id) - r.value for r in held]
+        return float(np.sqrt(np.mean(np.square(errs))))
+
+    assert rmse(model.predict) < rmse(baseline)
+
+
+def test_config_with_mf_lr_exits_2(tmp_path, capsys):
+    # ALS has no learning rate, so a config that still sets one is stale.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(
+        json.dumps(
+            {
+                "ratings_path": str(MINI_DIR / "ratings.csv"),
+                "movies_path": str(MINI_DIR / "movies.csv"),
+                "out_dir": str(tmp_path / "out"),
+                "mf_lr": 0.01,
+            }
+        )
+    )
+    assert main(["ingest", "--config", str(cfg_file)]) == EXIT_CONFIG
+    assert "mf_lr" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _fixed_score_model(item_scores: dict[int, float], mu: float = 3.0) -> MfModel:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisegate.evaluation.serendipity import (
     FORMULA_COMPLEMENT,
     FORMULA_PAPER_LITERAL,
+    _cosine_rows,
+    _vector_getter,
     serendipity,
 )
 from noisegate.recsys import TopKList
@@ -144,3 +148,49 @@ def test_random_fixtures_match_brute_force():
             want = _brute(_recs(recs), history, relevant, vectors, formula=formula)
             assert got == pytest.approx(want, abs=1e-9)
             assert -1e-12 <= got <= 1.0 + 1e-12
+
+
+def _all_cosines(recs, history, relevant, item_vectors, formula=FORMULA_COMPLEMENT):
+    """The earlier serendipity body, which took the history cosine of every
+    recommended item and multiplied it by the relevance gate."""
+    if not recs.items:
+        return 0.0
+    vec = _vector_getter(item_vectors)
+    hist = [vec(h) for h in sorted(history)]
+    H = np.array([v for v in hist if np.linalg.norm(v) > 0])
+    if len(H) == 0:
+        return 0.0
+    contributions: list[float] = []
+    for item, _score in recs.items:
+        v = vec(item)
+        if np.linalg.norm(v) == 0:
+            continue
+        s = float(np.mean(_cosine_rows(H, v)))
+        u = s if formula == FORMULA_PAPER_LITERAL else 1.0 - s
+        rel = 1.0 if item in relevant else 0.0
+        contributions.append(u * rel)
+    if not contributions:
+        return 0.0
+    return float(np.mean(contributions))
+
+
+@st.composite
+def _serendipity_inputs(draw):
+    width = draw(st.integers(1, 5))
+    vectors = {
+        item: np.array(draw(st.lists(st.integers(0, 2), min_size=width, max_size=width)), float)
+        for item in range(15)
+    }
+    items = st.integers(0, 14)
+    history = draw(st.sets(items, min_size=1))
+    recs = draw(st.lists(items, max_size=12, unique=True))
+    relevant = draw(st.sets(items))
+    formula = draw(st.sampled_from((FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL)))
+    return _recs(recs), history, relevant, vectors, formula
+
+
+@settings(max_examples=300, deadline=None)
+@given(_serendipity_inputs())
+def test_relevant_only_cosines_equal_all_cosines(inputs):
+    # Irrelevant items add exactly 0.0, so skipping their cosines changes no bit.
+    assert serendipity(*inputs) == _all_cosines(*inputs)
