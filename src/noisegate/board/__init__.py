@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import combinations, repeat
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from ..dataset import RatingsTable
 from ..ioutil import atomic_write_csv
 from ..recsys import KnnConfig
 from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
-from .nf2 import Nf2Result, nf2_detect, nf2_group_user, nf2_rnd
+from .nf2 import Nf2Result, nf2_detect, nf2_rnd
 from .nf3 import Nf3Result, nf3_detect
 from .nf4 import FuzzyProfile, Nf4Result, manhattan, nf4_detect, nf4_fuzzify
 from .verdict import DETECTOR_IDS, Consensus, Verdict, VoteSet
@@ -25,7 +28,7 @@ __all__ = [
     "BoardConfig", "BoardResult", "Consensus", "Verdict", "VoteSet",
     "consensus", "venn_counts", "run_board", "write_votes", "read_votes",
     "nf1_detect", "nf1_classify_user", "nf1_classify_item",
-    "nf2_detect", "nf2_group_user", "nf2_rnd",
+    "nf2_detect", "nf2_rnd",
     "nf3_detect", "nf4_detect", "nf4_fuzzify", "manhattan", "FuzzyProfile",
     "DETECTOR_IDS",
 ]
@@ -58,22 +61,29 @@ def consensus(votes: dict[str, Verdict]) -> Consensus:
     return Consensus.UNCERTAIN
 
 
-def region_label(detectors: tuple[str, ...]) -> str:
+def _region_label(detectors: tuple[str, ...]) -> str:
     return "&".join(detectors) if detectors else "none"
+
+
+def _noisy_masks(columns: list[list[Verdict]]) -> np.ndarray:
+    """Per rating, from one verdict column per detector: bit d set when
+    detector d voted Noisy."""
+    noisy = np.array(columns, dtype=object).reshape(len(DETECTOR_IDS), -1) == Verdict.NOISY
+    return (noisy.astype(np.int64) << np.arange(len(DETECTOR_IDS))[:, None]).sum(axis=0)
+
+
+def _venn_from_masks(masks: np.ndarray) -> dict[str, int]:
+    tally = np.bincount(masks, minlength=1 << len(DETECTOR_IDS)).tolist()
+    return {
+        _region_label(combo): tally[sum(1 << DETECTOR_IDS.index(d) for d in combo)]
+        for size in range(len(DETECTOR_IDS) + 1)
+        for combo in combinations(DETECTOR_IDS, size)
+    }
 
 
 def venn_counts(votesets: list[VoteSet]) -> dict[str, int]:
     """Counts per exact noisy-detector subset; 'none' is the all-clean region."""
-    from itertools import combinations
-
-    counts: dict[str, int] = {}
-    for size in range(len(DETECTOR_IDS) + 1):
-        for combo in combinations(DETECTOR_IDS, size):
-            counts[region_label(combo)] = 0
-    for vs in votesets:
-        noisy = tuple(d for d in DETECTOR_IDS if vs.votes[d] is Verdict.NOISY)
-        counts[region_label(noisy)] += 1
-    return counts
+    return _venn_from_masks(_noisy_masks([[vs.votes[d] for vs in votesets] for d in DETECTOR_IDS]))
 
 
 class BoardResult(NamedTuple):
@@ -92,15 +102,19 @@ class BoardResult(NamedTuple):
 
 
 def run_board(
-    train: RatingsTable, test: RatingsTable, config: BoardConfig = BoardConfig()
+    train: RatingsTable,
+    test: RatingsTable,
+    config: BoardConfig = BoardConfig(),
+    context: RatingsTable | None = None,
 ) -> BoardResult:
     """Run all four detectors on the test table and reduce votes to consensus.
 
     Detector profiles (classes, groups, fuzzy aggregates) are computed over
-    train + test so every verdict uses all evidence available at detection
-    time; the kNN detector predicts strictly from train.
+    `context`, train + test unless given, so every verdict uses all evidence
+    available at detection time; the kNN detector predicts strictly from train.
     """
-    context = train.merged(test) if len(train) else test
+    if context is None:
+        context = train.merged(test) if len(train) else test
     r1 = nf1_detect(test, config.nf1_cuts, config.nf1_majority, context=context)
     r2 = nf2_detect(
         test,
@@ -112,17 +126,17 @@ def run_board(
     )
     r3 = nf3_detect(train, test, config.nf3_knn, config.nf3_th)
     r4 = nf4_detect(test, config.nf4_delta1, config.nf4_delta2, context=context)
-    votesets: list[VoteSet] = []
-    for r in test:
-        key = (r.user_id, r.item_id)
-        votes = {
-            "NF1": r1.verdicts[key],
-            "NF2": r2.verdicts[key],
-            "NF3": r3.verdicts[key],
-            "NF4": r4.verdicts[key],
-        }
-        votesets.append(VoteSet(key, votes, consensus(votes)))
-    return BoardResult(votesets, venn_counts(votesets), r1, r2, r3, r4)
+    keys = test.keys()
+    columns = [list(map(r.verdicts.__getitem__, keys)) for r in (r1, r2, r3, r4)]
+    masks = _noisy_masks(columns)
+    # consensus(): all four Noisy -> Noisy, none -> Clean, else Uncertain
+    outcome = np.where(masks == (1 << len(DETECTOR_IDS)) - 1, 0, np.where(masks == 0, 1, 2))
+    votes = map(dict, map(zip, repeat(DETECTOR_IDS), zip(*columns)))
+    votesets = list(map(VoteSet, keys, votes, _CONSENSUS[outcome].tolist()))
+    return BoardResult(votesets, _venn_from_masks(masks), r1, r2, r3, r4)
+
+
+_CONSENSUS = np.array([Consensus.NOISY, Consensus.CLEAN, Consensus.UNCERTAIN], dtype=object)
 
 
 VOTES_HEADER = ("userId", "itemId", "nf1", "nf2", "nf3", "nf4", "consensus")

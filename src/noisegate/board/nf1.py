@@ -11,8 +11,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from ..dataset import RatingsTable
-from .verdict import Verdict
+from .verdict import Verdict, profile_rows, verdict_map
 
 
 class UserClass(Enum):
@@ -62,17 +64,38 @@ def classify_rating(value: float, cuts: tuple[float, float] = DEFAULT_CUTS) -> R
     return RatingClass.STRONG
 
 
-def _set_counts(values: Iterable[float], cuts: tuple[float, float]) -> tuple[int, int, int]:
-    w = a = s = 0
-    for v in values:
-        cls = classify_rating(v, cuts)
-        if cls is RatingClass.WEAK:
-            w += 1
-        elif cls is RatingClass.AVERAGE:
-            a += 1
-        else:
-            s += 1
-    return w, a, s
+def _class_codes(values: np.ndarray, cuts: tuple[float, float]) -> np.ndarray:
+    """classify_rating over an array: 0 weak, 1 average, 2 strong."""
+    c1, c2 = cuts
+    return np.where(values < c1, 0, np.where(values < c2, 1, 2))
+
+
+def _majority_codes(
+    ids: np.ndarray, values: np.ndarray, cuts: tuple[float, float], majority: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids (sorted) and, per id, the code of the rating class holding
+    strictly more than majority * n of its values (weak first), or 3 for none."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    counts = np.bincount(inv * 3 + _class_codes(values, cuts), minlength=3 * len(uniq))
+    counts = counts.reshape(-1, 3)
+    over = counts > majority * counts.sum(axis=1)[:, None]
+    return uniq, np.where(over.any(axis=1), over.argmax(axis=1), 3)
+
+
+def _classify_set(values: Iterable[float], cuts: tuple[float, float], majority: float) -> int:
+    values = np.fromiter(values, dtype=np.float64)
+    if len(values) == 0:
+        raise ValueError("empty rating list")
+    return int(_majority_codes(np.zeros(len(values), np.int64), values, cuts, majority)[1][0])
+
+
+_USER_CLASSES = (UserClass.CRITICAL, UserClass.AVERAGE, UserClass.BENEVOLENT, UserClass.VARIABLE)
+_ITEM_CLASSES = (
+    ItemClass.WEAKLY_PREFERRED,
+    ItemClass.AVERAGELY_PREFERRED,
+    ItemClass.STRONGLY_PREFERRED,
+    ItemClass.VARIABLY_PREFERRED,
+)
 
 
 def nf1_classify_user(
@@ -81,17 +104,7 @@ def nf1_classify_user(
     majority: float = DEFAULT_MAJORITY,
 ) -> UserClass:
     """Class of the set (weak/average/strong) strictly exceeding majority*n, else Variable."""
-    w, a, s = _set_counts(user_ratings, cuts)
-    n = w + a + s
-    if n == 0:
-        raise ValueError("empty rating list")
-    if w > majority * n:
-        return UserClass.CRITICAL
-    if a > majority * n:
-        return UserClass.AVERAGE
-    if s > majority * n:
-        return UserClass.BENEVOLENT
-    return UserClass.VARIABLE
+    return _USER_CLASSES[_classify_set(user_ratings, cuts, majority)]
 
 
 def nf1_classify_item(
@@ -99,17 +112,7 @@ def nf1_classify_item(
     cuts: tuple[float, float] = DEFAULT_CUTS,
     majority: float = DEFAULT_MAJORITY,
 ) -> ItemClass:
-    w, a, s = _set_counts(item_ratings, cuts)
-    n = w + a + s
-    if n == 0:
-        raise ValueError("empty rating list")
-    if w > majority * n:
-        return ItemClass.WEAKLY_PREFERRED
-    if a > majority * n:
-        return ItemClass.AVERAGELY_PREFERRED
-    if s > majority * n:
-        return ItemClass.STRONGLY_PREFERRED
-    return ItemClass.VARIABLY_PREFERRED
+    return _ITEM_CLASSES[_classify_set(item_ratings, cuts, majority)]
 
 
 class Nf1Result(NamedTuple):
@@ -131,21 +134,18 @@ def nf1_detect(
     Ratings whose (user, item) classes form no homologous pair are Clean.
     """
     ctx = context if context is not None else test
-    user_classes: dict[int, UserClass] = {}
-    item_classes: dict[int, ItemClass] = {}
-    for u in {int(u) for u in test.users}:
-        rows = ctx.user_rows(u)
-        values = ctx.values[rows] if len(rows) else test.values[test.user_rows(u)]
-        user_classes[u] = nf1_classify_user(values, cuts, majority)
-    for i in {int(i) for i in test.items}:
-        rows = ctx.item_rows(i)
-        values = ctx.values[rows] if len(rows) else test.values[test.item_rows(i)]
-        item_classes[i] = nf1_classify_item(values, cuts, majority)
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    for r in test:
-        expected = HOMOLOGOUS.get((user_classes[r.user_id], item_classes[r.item_id]))
-        if expected is not None and classify_rating(r.value, cuts) is not expected:
-            verdicts[(r.user_id, r.item_id)] = Verdict.NOISY
-        else:
-            verdicts[(r.user_id, r.item_id)] = Verdict.CLEAN
-    return Nf1Result(verdicts, user_classes, item_classes)
+    users, user_codes = _majority_codes(
+        *profile_rows(test.users, test.values, ctx.users, ctx.values), cuts, majority
+    )
+    items, item_codes = _majority_codes(
+        *profile_rows(test.items, test.values, ctx.items, ctx.values), cuts, majority
+    )
+    u = user_codes[np.searchsorted(users, test.users)]
+    i = item_codes[np.searchsorted(items, test.items)]
+    # HOMOLOGOUS pairs user class k with item class k and expects rating class k.
+    noisy = (u == i) & (u < 3) & (_class_codes(test.values, cuts) != u)
+    return Nf1Result(
+        verdict_map(test.keys(), noisy),
+        dict(zip(users.tolist(), map(_USER_CLASSES.__getitem__, user_codes.tolist()))),
+        dict(zip(items.tolist(), map(_ITEM_CLASSES.__getitem__, item_codes.tolist()))),
+    )

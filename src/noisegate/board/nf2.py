@@ -14,8 +14,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..dataset import RatingsTable
-from .verdict import Verdict
+from ..dataset import GenreMap, RatingsTable, segment_means, sorted_index
+from .verdict import Verdict, verdict_map
 
 logger = logging.getLogger("noisegate.board.nf2")
 
@@ -42,75 +42,85 @@ class Nf2Group(NamedTuple):
     quality: Quality
 
 
-def _genre_matrix(table: RatingsTable, rows: np.ndarray) -> np.ndarray:
-    genres = table.genres
-    return np.array([genres.vector(int(table.items[k])) for k in rows])
+# group codes: quantity 0 heavy, 1 medium, 2 light; quality 0 difficult, 1 easy
+_QUANTITIES = (Quantity.HEAVY, Quantity.MEDIUM, Quantity.LIGHT)
+_GROUPS = tuple(
+    (Nf2Group(q, Quality.DIFFICULT), Nf2Group(q, Quality.EASY)) for q in _QUANTITIES
+)
 
 
-def user_coherence(user: int, table: RatingsTable) -> tuple[float, bool]:
-    """1 - mean normalized within-genre deviation; (coherence, had_genres).
+def _genre_pairs(table: RatingsTable, genres: GenreMap) -> tuple[np.ndarray, np.ndarray]:
+    """(row, genre) index pairs for the genres of each row's item, by row then genre."""
+    item_ids, inv = np.unique(table.items, return_inverse=True)
+    member = np.zeros((len(item_ids), genres.n_genres), dtype=bool)
+    for k, item in enumerate(item_ids.tolist()):
+        member[k] = genres.vector(item) != 0
+    return np.nonzero(member[inv])
 
-    For each rated item with at least one genre, the deviation is the mean
-    over the item's genres g of |r - m_g| / span, where m_g is the user's
-    mean rating over items carrying g.  Items without genres are skipped;
-    a user with only genre-less items gets coherence 1.0.
+
+def _genre_sums(
+    table: RatingsTable, rows: np.ndarray, genres: np.ndarray, n_genres: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted user ids, and per (user, genre) the sum and count of the
+    ratings over the (row, genre) pairs, with one more all-zero user row for
+    users the table lacks.  On the rating grid the sums are exact in any order."""
+    users, inv = np.unique(table.users, return_inverse=True)
+    shape = (len(users) + 1, n_genres)
+    flat = inv[rows] * n_genres + genres
+    size = shape[0] * shape[1]
+    sums = np.bincount(flat, weights=table.values[rows], minlength=size).reshape(shape)
+    return users, sums, np.bincount(flat, minlength=size).reshape(shape)
+
+
+def _coherence(table: RatingsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted user ids with their coherence and whether they rated any item with genres.
+
+    Coherence is 1 - the mean normalized within-genre deviation: for each
+    rated item with at least one genre, the mean over the item's genres g of
+    |r - m_g| / span, where m_g is the user's mean rating over items carrying
+    g.  Items without genres are skipped; a user with only genre-less items
+    gets coherence 1.0.
     """
     if table.genres is None:
         raise ValueError("genre vectors unavailable")
+    rows, genres = _genre_pairs(table, table.genres)
+    users, sums, counts = _genre_sums(table, rows, genres, table.genres.n_genres)
+    user = sorted_index(users, table.users[rows])
+    abs_dev = np.abs(table.values[rows] - sums[user, genres] / counts[user, genres])
+    rated, starts, lengths = np.unique(rows, return_index=True, return_counts=True)
+    devs = segment_means(abs_dev, starts, lengths) / table.scale.span
+    owners, starts, lengths = np.unique(table.users[rated], return_index=True, return_counts=True)
+    had = np.isin(users, owners)
+    coherence = np.ones(len(users))
+    coherence[had] = 1.0 - segment_means(devs, starts, lengths)
+    return users, coherence, had
+
+
+def user_coherence(user: int, table: RatingsTable) -> tuple[float, bool]:
+    """(coherence, had_genres) of one user over their rows of the table; see _coherence."""
     rows = table.user_rows(user)
     if len(rows) == 0:
         raise ValueError(f"user {user} not in table")
-    G = _genre_matrix(table, rows)
-    values = table.values[rows]
-    span = table.scale.span
-    counts = G.sum(axis=0)
-    sums = values @ G
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.where(counts > 0, counts, 1), 0.0)
-    devs = []
-    for k in range(len(rows)):
-        gidx = np.flatnonzero(G[k])
-        if len(gidx) == 0:
-            continue
-        devs.append(float(np.mean(np.abs(values[k] - means[gidx]))) / span)
-    if not devs:
-        return 1.0, False
-    return 1.0 - float(np.mean(devs)), True
+    _, coherence, had = _coherence(table.subset_rows(rows))
+    return float(coherence[0]), bool(had[0])
 
 
 def group_users(
     table: RatingsTable, coherence_cut: float = DEFAULT_COHERENCE_CUT
 ) -> dict[int, Nf2Group]:
     """Assign every user a (quantity, quality) group over this table."""
-    users = table.user_ids()
-    counts = np.array([len(table.user_rows(u)) for u in users], dtype=np.float64)
+    users, coherence, had = _coherence(table)
+    counts = np.unique(table.users, return_counts=True)[1].astype(np.float64)
     q1 = float(np.quantile(counts, 1 / 3))
     q2 = float(np.quantile(counts, 2 / 3))
-    groups: dict[int, Nf2Group] = {}
-    for u, n in zip(users, counts):
-        if n > q2:
-            quantity = Quantity.HEAVY
-        elif n <= q1:
-            quantity = Quantity.LIGHT
-        else:
-            quantity = Quantity.MEDIUM
-        coherence, had_genres = user_coherence(u, table)
-        if not had_genres:
-            logger.warning("user %d rated only genre-less items; quality defaults to easy", u)
-            quality = Quality.EASY
-        else:
-            quality = Quality.EASY if coherence >= coherence_cut else Quality.DIFFICULT
-        groups[u] = Nf2Group(quantity, quality)
-    return groups
-
-
-def nf2_group_user(
-    user: int, table: RatingsTable, coherence_cut: float = DEFAULT_COHERENCE_CUT
-) -> Nf2Group:
-    group = group_users(table, coherence_cut).get(user)
-    if group is None:
-        raise ValueError(f"user {user} not in table")
-    return group
+    quantity = np.where(counts > q2, 0, np.where(counts <= q1, 2, 1))
+    for u in users[~had].tolist():
+        logger.warning("user %d rated only genre-less items; quality defaults to easy", u)
+    easy = ~had | (coherence >= coherence_cut)
+    return {
+        u: _GROUPS[q][e]
+        for u, q, e in zip(users.tolist(), quantity.tolist(), easy.astype(int).tolist())
+    }
 
 
 def nf2_rnd(
@@ -159,37 +169,36 @@ def nf2_detect(
     if ctx.genres is None:
         raise ValueError("genre vectors unavailable")
     groups = group_users(ctx, coherence_cut)
-    genres = ctx.genres
-    # per-user genre sums/counts over the context table
-    stats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    rnd_values: dict[tuple[int, int], float] = {}
-    for r in test:
-        key = (r.user_id, r.item_id)
-        group = groups.get(r.user_id)
-        if group is None:
-            group = nf2_group_user(r.user_id, test, coherence_cut)
-            groups[r.user_id] = group
-        if r.user_id not in stats:
-            rows = ctx.user_rows(r.user_id)
-            G = _genre_matrix(ctx, rows)
-            if G.size == 0:
-                G = np.zeros((0, genres.n_genres))
-            stats[r.user_id] = (ctx.values[rows] @ G, G.sum(axis=0))
-        gsum, gcount = stats[r.user_id]
-        gvec = genres.vector(r.item_id)
-        gidx = np.flatnonzero(gvec)
-        own = ctx.has(r.user_id, r.item_id)
-        means: list[float] = []
-        for g in gidx:
-            cnt = gcount[g] - (1 if own else 0)
-            if cnt >= 1:
-                means.append(float((gsum[g] - (r.value if own else 0.0)) / cnt))
-        theta = theta_light if group.quantity is Quantity.LIGHT else theta_heavy_medium
-        rnd = nf2_rnd(r.value, means, theta)
-        rnd_values[key] = rnd
-        if group.quantity is Quantity.MEDIUM and group.quality is Quality.EASY:
-            verdicts[key] = Verdict.CLEAN
-        else:
-            verdicts[key] = Verdict.NOISY if rnd > rnd_cut else Verdict.CLEAN
-    return Nf2Result(verdicts, groups, rnd_values)
+    missing = set(test.users.tolist()) - groups.keys()
+    if missing:
+        test_groups = group_users(test, coherence_cut)
+        groups.update((u, test_groups[u]) for u in sorted(missing))
+    test_users, at = np.unique(test.users, return_inverse=True)
+    group = [groups[u] for u in test_users.tolist()]
+    light = np.array([g.quantity is Quantity.LIGHT for g in group], dtype=bool)[at]
+    exempt = np.array([g == (Quantity.MEDIUM, Quality.EASY) for g in group], dtype=bool)[at]
+    theta = np.where(light, theta_light, theta_heavy_medium)
+
+    # Leave-one-out genre means over the context: the user's per-genre sums
+    # and counts, minus the rating itself when the context holds it.
+    ctx_rows, ctx_genres = _genre_pairs(ctx, ctx.genres)
+    users, sums, counts = _genre_sums(ctx, ctx_rows, ctx_genres, ctx.genres.n_genres)
+    own = ctx.contains(test.users, test.items)
+    rows, genres = _genre_pairs(test, ctx.genres)
+    user = sorted_index(users, test.users)[rows]
+    cnt = counts[user, genres] - own[rows]
+    ok = cnt >= 1
+    rows, genres, user, cnt = rows[ok], genres[ok], user[ok], cnt[ok]
+    value = test.values[rows]
+    mean = (sums[user, genres] - np.where(own[rows], value, 0.0)) / cnt
+    deviant = np.abs(value - mean) / np.maximum(mean, _EPS) >= theta[rows]
+    n_means = np.bincount(rows, minlength=len(test))
+    n_deviant = np.bincount(rows[deviant], minlength=len(test))
+    rnd = np.zeros(len(test))
+    np.divide(n_deviant, n_means, out=rnd, where=n_means > 0)
+    keys = test.keys()
+    return Nf2Result(
+        verdict_map(keys, ~exempt & (rnd > rnd_cut)),
+        groups,
+        dict(zip(keys, rnd.tolist())),
+    )

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from ..dataset import RatingsTable
-from ..recsys import KnnConfig, SimilarityMatrix, knn_predict
-from .verdict import Verdict
+# knn_predict is unused here but stays importable under this module's name:
+# perfbench/spans.py wraps noisegate.board.nf3.knn_predict and .SimilarityMatrix.
+from ..recsys import KnnConfig, SimilarityMatrix, knn_predict, knn_predict_rows  # noqa: F401
+from .verdict import Verdict, verdict_map
 
 DEFAULT_TH = 0.05
 
@@ -41,23 +45,17 @@ def nf3_detect(
     unpredictable: no evidence is not evidence of noise.
     """
     sims = SimilarityMatrix(train, cfg) if len(train) else None
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    cons: dict[tuple[int, int], float | None] = {}
-    preds: dict[tuple[int, int], float | None] = {}
-    unpredictable = 0
-    for r in test:
-        key = (r.user_id, r.item_id)
-        if sims is None or len(train.user_rows(r.user_id)) == 0:
-            pred = None
-        else:
-            pred = knn_predict(train, r.user_id, r.item_id, cfg, sims=sims)
-        preds[key] = pred
-        if pred is None:
-            unpredictable += 1
-            cons[key] = None
-            verdicts[key] = Verdict.CLEAN
-        else:
-            c = consistency(r.value, pred, test.scale)
-            cons[key] = c
-            verdicts[key] = Verdict.NOISY if c > th else Verdict.CLEAN
-    return Nf3Result(verdicts, cons, preds, unpredictable)
+    preds = knn_predict_rows(train, test.users, test.items, cfg, sims)
+    missing = np.isnan(preds)
+    cons = np.abs(test.values - preds) / test.scale.span
+    keys = test.keys()
+    return Nf3Result(
+        verdict_map(keys, cons > th),
+        dict(zip(keys, _none_where(missing, cons))),
+        dict(zip(keys, _none_where(missing, preds))),
+        int(missing.sum()),
+    )
+
+
+def _none_where(missing: np.ndarray, values: np.ndarray) -> list[float | None]:
+    return np.where(missing, None, values.astype(object)).tolist()

@@ -9,12 +9,12 @@ ratings pass.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from ..dataset import RatingsTable, Scale
-from .verdict import Verdict
+from ..dataset import RatingsTable, Scale, segment_means
+from .verdict import Verdict, profile_rows, verdict_map
 
 DEFAULT_DELTA1 = 1.0
 DEFAULT_DELTA2 = 0.25
@@ -47,12 +47,28 @@ def dissim(a: FuzzyProfile, b: FuzzyProfile) -> float:
     return max(0.0, manhattan(a, b) - 1.0)
 
 
-def _mean_profile(values: np.ndarray, scale: Scale) -> FuzzyProfile:
+def _fuzzy(values: np.ndarray, scale: Scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nf4_fuzzify over an array: (low, medium, high) columns."""
     t = (values - scale.r_min) / scale.span
     low = np.maximum(0.0, 1.0 - 2.0 * t)
     high = np.maximum(0.0, 2.0 * t - 1.0)
-    medium = 1.0 - low - high
-    return FuzzyProfile(float(low.mean()), float(medium.mean()), float(high.mean()))
+    return low, 1.0 - low - high, high
+
+
+def _mean_profiles(
+    test_ids: np.ndarray, test_values: np.ndarray, ctx: tuple[np.ndarray, np.ndarray], scale: Scale
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct test ids (sorted) and their mean fuzzy profiles, one row each,
+    over the rows profile_rows picks; each mean is np.mean of the id's values."""
+    ids, values = profile_rows(test_ids, test_values, *ctx)
+    order = np.argsort(ids, kind="stable")
+    uniq, starts, lengths = np.unique(ids[order], return_index=True, return_counts=True)
+    profile = [segment_means(col[order], starts, lengths) for col in _fuzzy(values, scale)]
+    return uniq, np.column_stack(profile) if len(uniq) else np.zeros((0, 3))
+
+
+def _manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a[:, 0] - b[:, 0]) + np.abs(a[:, 1] - b[:, 1]) + np.abs(a[:, 2] - b[:, 2])
 
 
 class Nf4Result(NamedTuple):
@@ -68,45 +84,31 @@ def nf4_detect(
     delta1: float = DEFAULT_DELTA1,
     delta2: float = DEFAULT_DELTA2,
     context: RatingsTable | None = None,
-    amplify: Callable[[FuzzyProfile], FuzzyProfile] | None = None,
 ) -> Nf4Result:
     """Flag ratings far from both their user's and their item's fuzzy profile.
 
     Profiles are arithmetic means of fuzzified ratings over `context`
-    (defaults to the test table).  `amplify` is an optional hook applied to
-    the aggregated user/item profiles; by default they are used as-is.
-    Pairs with d(user, item) >= delta1 are prefiltered Clean; otherwise the
+    (defaults to the test table).  Pairs with d(user, item) >= delta1 are prefiltered Clean; otherwise the
     noise degree is min(dissim(user, rating), dissim(item, rating)) and the
     rating is Noisy iff it exceeds delta2.
     """
     ctx = context if context is not None else test
     scale = test.scale
-    user_profiles: dict[int, FuzzyProfile] = {}
-    item_profiles: dict[int, FuzzyProfile] = {}
-    for u in {int(x) for x in test.users}:
-        rows = ctx.user_rows(u)
-        values = ctx.values[rows] if len(rows) else test.values[test.user_rows(u)]
-        profile = _mean_profile(values, scale)
-        user_profiles[u] = amplify(profile) if amplify else profile
-    for i in {int(x) for x in test.items}:
-        rows = ctx.item_rows(i)
-        values = ctx.values[rows] if len(rows) else test.values[test.item_rows(i)]
-        profile = _mean_profile(values, scale)
-        item_profiles[i] = amplify(profile) if amplify else profile
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    degrees: dict[tuple[int, int], float] = {}
-    prefiltered = 0
-    for r in test:
-        key = (r.user_id, r.item_id)
-        up = user_profiles[r.user_id]
-        ip = item_profiles[r.item_id]
-        if manhattan(up, ip) >= delta1:
-            prefiltered += 1
-            degrees[key] = 0.0
-            verdicts[key] = Verdict.CLEAN
-            continue
-        rp = nf4_fuzzify(r.value, scale)
-        degree = min(dissim(up, rp), dissim(ip, rp))
-        degrees[key] = degree
-        verdicts[key] = Verdict.NOISY if degree > delta2 else Verdict.CLEAN
-    return Nf4Result(verdicts, degrees, user_profiles, item_profiles, prefiltered)
+    users, user_p = _mean_profiles(test.users, test.values, (ctx.users, ctx.values), scale)
+    items, item_p = _mean_profiles(test.items, test.values, (ctx.items, ctx.values), scale)
+    up = user_p[np.searchsorted(users, test.users)]
+    ip = item_p[np.searchsorted(items, test.items)]
+    rp = np.column_stack(_fuzzy(test.values, scale))
+    prefiltered = _manhattan(up, ip) >= delta1
+    degree = np.minimum(
+        np.maximum(0.0, _manhattan(up, rp) - 1.0), np.maximum(0.0, _manhattan(ip, rp) - 1.0)
+    )
+    degree[prefiltered] = 0.0
+    keys = test.keys()
+    return Nf4Result(
+        verdict_map(keys, (degree > delta2) & ~prefiltered),
+        dict(zip(keys, degree.tolist())),
+        dict(zip(users.tolist(), map(FuzzyProfile._make, user_p.tolist()))),
+        dict(zip(items.tolist(), map(FuzzyProfile._make, item_p.tolist()))),
+        int(prefiltered.sum()),
+    )

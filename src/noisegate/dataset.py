@@ -8,6 +8,7 @@ independent of input row order.
 
 from __future__ import annotations
 
+import copy
 import csv
 import logging
 import math
@@ -104,10 +105,22 @@ class RatingsTable:
         dropped_duplicates: int = 0,
     ):
         rows = list(rows)
-        users = np.array([r[0] for r in rows], dtype=np.int64)
-        items = np.array([r[1] for r in rows], dtype=np.int64)
-        values = np.array([r[2] for r in rows], dtype=np.float64)
-        stamps = np.array([r[3] for r in rows], dtype=np.int64)
+        columns = (np.array([r[k] for r in rows]) for k in range(4))
+        self._set_arrays(*columns, scale, genres, dropped_duplicates)
+
+    @classmethod
+    def from_arrays(
+        cls, users, items, values, timestamps, scale: Scale,
+        genres: GenreMap | None = None, dropped_duplicates: int = 0,
+    ) -> "RatingsTable":
+        """Table over parallel column arrays, in any row order."""
+        out = cls.__new__(cls)
+        out._set_arrays(users, items, values, timestamps, scale, genres, dropped_duplicates)
+        return out
+
+    def _set_arrays(self, users, items, values, stamps, scale, genres, dropped_duplicates) -> None:
+        users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
+        values = np.asarray(values, dtype=np.float64)
         order = np.lexsort((items, users))
         self._users = users[order]
         self._items = items[order]
@@ -130,12 +143,7 @@ class RatingsTable:
                     f"rating value {self._values[k]} outside scale "
                     f"[{scale.r_min}, {scale.r_max}] for user={self._users[k]} item={self._items[k]}"
                 )
-        self._user_rows: dict[int, np.ndarray] = {}
-        start = 0
-        for pos in range(1, len(self._users) + 1):
-            if pos == len(self._users) or self._users[pos] != self._users[start]:
-                self._user_rows[int(self._users[start])] = np.arange(start, pos)
-                start = pos
+        self._user_rows = split_runs(self._users, np.arange(len(self._users)))
         self._item_rows: dict[int, np.ndarray] | None = None
         self._user_stats: dict[int, tuple[float, float, int]] | None = None
         self._item_stats: dict[int, tuple[float, float, int]] | None = None
@@ -180,16 +188,26 @@ class RatingsTable:
 
     def item_rows(self, item_id: int) -> np.ndarray:
         if self._item_rows is None:
-            by_item: dict[int, list[int]] = {}
-            for k, item in enumerate(self._items.tolist()):
-                by_item.setdefault(item, []).append(k)
-            self._item_rows = {i: np.array(ks) for i, ks in by_item.items()}
+            order = np.argsort(self._items, kind="stable")
+            self._item_rows = split_runs(self._items[order], order)
         return self._item_rows.get(item_id, np.arange(0))
 
     def user_profile(self, user_id: int) -> dict[int, float]:
         """item_id -> value map for one user."""
         rows = self.user_rows(user_id)
         return {int(self._items[k]): float(self._values[k]) for k in rows}
+
+    def keys(self) -> list[tuple[int, int]]:
+        """(user_id, item_id) of every row, in row order."""
+        return list(zip(self._users.tolist(), self._items.tolist()))
+
+    def contains(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Batched has(): whether each (users[k], items[k]) is a key of this table."""
+        _, u = np.unique(np.concatenate([self._users, users]), return_inverse=True)
+        i_ids, i = np.unique(np.concatenate([self._items, items]), return_inverse=True)
+        # Ranks keep the (user, item) order, so this table's codes come sorted.
+        codes = u * len(i_ids) + i
+        return sorted_index(codes[: len(self)], codes[len(self):]) < len(self)
 
     def has(self, user_id: int, item_id: int) -> bool:
         rows = self.user_rows(user_id)
@@ -229,15 +247,11 @@ class RatingsTable:
 
     # -- derived tables -----------------------------------------------
 
-    def _take(self, idx: np.ndarray, dropped: int = 0) -> "RatingsTable":
-        out = RatingsTable.__new__(RatingsTable)
-        RatingsTable.__init__(
-            out,
-            zip(self._users[idx].tolist(), self._items[idx].tolist(),
-                self._values[idx].tolist(), self._timestamps[idx].tolist()),
-            self.scale, self.genres, dropped,
+    def _take(self, idx: np.ndarray) -> "RatingsTable":
+        return RatingsTable.from_arrays(
+            self._users[idx], self._items[idx], self._values[idx], self._timestamps[idx],
+            self.scale, self.genres,
         )
-        return out
 
     def subset_rows(self, idx: np.ndarray) -> "RatingsTable":
         return self._take(np.asarray(idx, dtype=np.int64))
@@ -255,18 +269,54 @@ class RatingsTable:
 
     def merged(self, other: "RatingsTable") -> "RatingsTable":
         """Union of two tables with disjoint keys."""
-        return RatingsTable(self.rows() + other.rows(), self.scale, self.genres)
+        return RatingsTable.from_arrays(
+            *(np.concatenate([a, b]) for a, b in zip(self._columns(), other._columns())),
+            self.scale, self.genres,
+        )
 
     def with_genres(self, genres: GenreMap) -> "RatingsTable":
-        out = self._take(np.arange(len(self)))
+        """The same rows with another genre map; the row arrays are shared."""
+        out = copy.copy(self)
         out.genres = genres
-        out.dropped_duplicates = self.dropped_duplicates
         return out
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self._users, self._items, self._values, self._timestamps
 
     def to_csv(self, path: str | Path) -> None:
         atomic_write_csv(
             path, RATINGS_HEADER, ([u, i, repr(float(v)), t] for u, i, v, t in self.rows())
         )
+
+
+def split_runs(keys: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """key -> its run of rows, for keys[k] labelling rows[k] with equal keys adjacent."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
+    return {
+        int(k): block
+        for k, block in zip(keys[starts].tolist(), np.split(rows, starts[1:]))
+    }
+
+
+def sorted_index(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each id among sorted unique keys; len(keys) where absent."""
+    at = np.searchsorted(keys, ids)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == ids[found]
+    return np.where(found, at, len(keys))
+
+
+def segment_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.mean of each slice values[s : s + n], equal bit for bit to one call per slice.
+
+    Slices of one length are averaged as the rows of one matrix, which numpy
+    reduces row by row with the same pairwise summation as a 1-D call.
+    """
+    out = np.empty(len(starts))
+    for n in np.unique(lengths).tolist():
+        sel = np.flatnonzero(lengths == n)
+        out[sel] = values[starts[sel, None] + np.arange(n)].mean(axis=1)
+    return out
 
 
 # -- loaders ----------------------------------------------------------

@@ -20,7 +20,7 @@ from ..board.verdict import Verdict
 from ..ioutil import atomic_write_csv
 from ..seeding import derive_seed
 from .boosting import GbtModel, train_gbt
-from .features import FEATURE_NAMES, build_feature_matrix, build_features
+from .features import FEATURE_NAMES, build_feature_matrix
 from .forest import RandomForest
 from .isolation import ExtendedIsolationForest, score_isolation_forest
 from .ressel import ResselModel, train_bagging, train_ressel
@@ -38,7 +38,7 @@ __all__ = [
     "VARIANTS", "ElModel", "EnsembleConfig", "train_el", "classify_uncertain",
     "train_random_forest", "train_stacking", "train_gbt", "train_ressel",
     "train_bagging", "score_isolation_forest",
-    "build_features", "build_feature_matrix", "FEATURE_NAMES",
+    "build_feature_matrix", "FEATURE_NAMES",
     "RandomForest", "DecisionTree", "RegressionTree", "ExtendedIsolationForest",
     "StackingModel", "GbtModel", "ResselModel",
     "save_el_model", "load_el_model", "write_classification", "read_classification",
@@ -107,6 +107,16 @@ class ElModel:
         if self.variant == "EL5":
             return (self.inner.score(X) > self.score_cut).astype(np.int64)
         return self.inner.predict(X)
+
+    def classify_with_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(classify(X), scores(X)), sharing the work the two have in common."""
+        X = self._check(X)
+        if self.variant == "EL5":
+            scores = self.inner.score(X)
+            return (scores > self.score_cut).astype(np.int64), scores
+        if isinstance(self.inner, StackingModel):
+            return self.inner.predict_with_proba(X)
+        return self.inner.predict(X), self.inner.predict_proba(X)
 
 
 def train_random_forest(
@@ -188,8 +198,7 @@ def classify_uncertain(
     """Label every uncertain rating Noisy or Clean; returns (labels, scores)."""
     if len(keys) == 0:
         return {}, {}
-    labels = model.classify(X)
-    scores = model.scores(X)
+    labels, scores = model.classify_with_scores(X)
     verdicts = {
         key: (Verdict.NOISY if labels[k] == 1 else Verdict.CLEAN) for k, key in enumerate(keys)
     }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from ..board import BoardResult
 from ..board.nf1 import ItemClass, UserClass
 from ..board.verdict import DETECTOR_IDS, Verdict
-from ..dataset import Rating, RatingsTable
+from ..dataset import RatingsTable
 from ..ioutil import atomic_write_csv
 
 FEATURE_NAMES = (
@@ -50,75 +51,62 @@ _ITEM_CLASS_CODE = {
 }
 
 
-def build_features(rating: Rating, context: RatingsTable, board: BoardResult) -> np.ndarray:
-    """Fixed-order feature vector for one voted rating.
-
-    Statistics come from the same context table the detectors profiled on.
-    An unpredictable kNN rating encodes consistency 0 alongside a raised
-    missing flag so the learners can tell it apart from a perfect match.
-    """
-    key = (rating.user_id, rating.item_id)
-    votes = None
-    for vs in board.votesets:
-        if vs.key == key:
-            votes = vs.votes
-            break
-    if votes is None:
-        raise ValueError(f"rating {key} has not been voted on")
-    return _vector(rating, key, votes, context, board)
-
-
-def _vector(
-    rating: Rating,
-    key: tuple[int, int],
-    votes: dict[str, Verdict],
-    context: RatingsTable,
-    board: BoardResult,
-) -> np.ndarray:
-    scale = context.scale
-    u_mean, u_std, u_count = context.user_stats()[rating.user_id]
-    i_mean, i_std, i_count = context.item_stats()[rating.item_id]
-    c = board.nf3.consistency.get(key)
-    missing = 1.0 if c is None else 0.0
-    vec = np.array(
-        [
-            (rating.value - scale.r_min) / scale.span,
-            u_mean,
-            u_std,
-            i_mean,
-            i_std,
-            abs(rating.value - u_mean),
-            abs(rating.value - i_mean),
-            math.log(u_count),
-            math.log(i_count),
-            _USER_CLASS_CODE[board.nf1.user_classes[rating.user_id]],
-            _ITEM_CLASS_CODE[board.nf1.item_classes[rating.item_id]],
-            board.nf4.noise_degree[key],
-            0.0 if c is None else c,
-            missing,
-            board.nf2.rnd[key],
-        ]
-        + [1.0 if votes[d] is Verdict.NOISY else 0.0 for d in DETECTOR_IDS]
-    )
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"non-finite feature for rating {key}")
-    return vec
+def _per_id(ids: np.ndarray, row_of) -> np.ndarray:
+    """row_of(id) for each id, computed once per distinct id."""
+    uniq, at = np.unique(ids, return_inverse=True)
+    return np.array([row_of(i) for i in uniq.tolist()], dtype=np.float64)[at]
 
 
 def build_feature_matrix(
     test: RatingsTable, context: RatingsTable, board: BoardResult
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Feature matrix for every voted test rating, keyed in table order."""
+    """Feature matrix for every voted test rating, keyed in table order.
+
+    Statistics come from the same context table the detectors profiled on.
+    An unpredictable kNN rating encodes consistency 0 alongside a raised
+    missing flag so the learners can tell it apart from a perfect match.
+    """
     votes_by_key = {vs.key: vs.votes for vs in board.votesets}
-    keys: list[tuple[int, int]] = []
-    rows: list[np.ndarray] = []
-    for r in test:
-        key = (r.user_id, r.item_id)
-        if key not in votes_by_key:
-            raise ValueError(f"rating {key} has not been voted on")
-        keys.append(key)
-        rows.append(_vector(r, key, votes_by_key[key], context, board))
-    X = np.vstack(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))
+    keys = test.keys()
+    if not votes_by_key.keys() >= set(keys):
+        unvoted = next(key for key in keys if key not in votes_by_key)
+        raise ValueError(f"rating {unvoted} has not been voted on")
+    if not keys:
+        return keys, np.zeros((0, len(FEATURE_NAMES)))
+    user_stats, item_stats = context.user_stats(), context.item_stats()
+    # (mean, std, log count, class code) per user and per item
+    user = _per_id(test.users, lambda u: (
+        *user_stats[u][:2], math.log(user_stats[u][2]),
+        _USER_CLASS_CODE[board.nf1.user_classes[u]],
+    ))
+    item = _per_id(test.items, lambda i: (
+        *item_stats[i][:2], math.log(item_stats[i][2]),
+        _ITEM_CLASS_CODE[board.nf1.item_classes[i]],
+    ))
+    value = test.values
+    scale = context.scale
+    cons = np.array(list(map(board.nf3.consistency.get, keys)), dtype=np.float64)
+    missing = np.isnan(cons)  # None -> NaN
+    votes = map(itemgetter(*DETECTOR_IDS), map(votes_by_key.__getitem__, keys))
+    X = np.column_stack([
+        (value - scale.r_min) / scale.span,
+        user[:, :2],
+        item[:, :2],
+        np.abs(value - user[:, 0]),
+        np.abs(value - item[:, 0]),
+        user[:, 2],
+        item[:, 2],
+        user[:, 3],
+        item[:, 3],
+        np.fromiter(map(board.nf4.noise_degree.__getitem__, keys), np.float64, len(keys)),
+        np.where(missing, 0.0, cons),
+        missing,
+        np.fromiter(map(board.nf2.rnd.__getitem__, keys), np.float64, len(keys)),
+        np.array(list(votes), dtype=object) == Verdict.NOISY,
+    ]).astype(np.float64)
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite feature for rating {keys[int(np.argmax(bad))]}")
     return keys, X
 
 

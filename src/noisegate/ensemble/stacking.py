@@ -81,6 +81,11 @@ class StackingModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.meta.predict_proba(self._base_matrix(X))
 
+    def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(X), predict_proba(X)) from one pass of the base learners."""
+        Z = self._base_matrix(X)
+        return self.meta.predict(Z), self.meta.predict_proba(Z)
+
 
 def train_stacking(X: np.ndarray, y: np.ndarray, variant: str = "EL2", seed: int = 0) -> StackingModel:
     """Five-fold out-of-fold stacking with a logistic-regression meta-learner.

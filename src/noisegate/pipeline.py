@@ -543,8 +543,8 @@ def stage_board(
 ) -> dict:
     """Layer 1 plus the feature matrix Layer 2 will consume; everything
     persisted so the ensemble stage can run without recomputation."""
-    board = run_board(train, detect, cfg.board_config())
     context = train.merged(detect) if len(train) else detect
+    board = run_board(train, detect, cfg.board_config(), context=context)
     keys, X = build_feature_matrix(detect, context, board)
     write_votes(board.votesets, paths.votes)
     dump_json(board.venn, paths.venn)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RatingsTable, Scale
+from .dataset import RatingsTable, Scale, sorted_index, split_runs
 from .ioutil import atomic_write_text
 
 CHECKPOINT_FORMAT = "noisegate-mf"
@@ -114,6 +114,60 @@ class SimilarityMatrix:
         return self.matrix[self.index[user]]
 
 
+def knn_predict_rows(
+    train: RatingsTable,
+    users: np.ndarray,
+    items: np.ndarray,
+    cfg: KnnConfig = KnnConfig(),
+    sims: SimilarityMatrix | None = None,
+) -> np.ndarray:
+    """Mean-centered weighted kNN prediction per (users[k], items[k]); NaN means unpredictable.
+
+    Neighbors are train users with nonzero similarity who rated the item,
+    ranked by |similarity| descending (ties by ascending user id), truncated
+    to cfg.k.  The prediction is clamped to the rating scale.  Users absent
+    from train are unpredictable.
+
+    Rows are grouped by item, so each item's raters are gathered once, as one
+    block of similarities with every self-pair zeroed.  A stable sort on
+    -|w| keeps the raters' ascending user order among ties, and both sums
+    run left to right over the chosen neighbors, as a sequential sum would.
+    When fewer than k raters have a nonzero weight, the zero weights sorted
+    after them add exact zeros.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    out = np.full(len(users), np.nan)
+    if len(train) == 0 or len(users) == 0:
+        return out
+    if sims is None:
+        sims = SimilarityMatrix(train, cfg)
+    ids = np.asarray(sims.user_ids, dtype=np.int64)
+    stats = train.user_stats()
+    means = np.array([stats[u][0] for u in sims.user_ids])
+    pos = sorted_index(ids, users)
+    todo = np.flatnonzero(pos < len(ids))
+    todo = todo[np.argsort(items[todo], kind="stable")]
+    scale = train.scale
+    for item, rows in split_runs(items[todo], todo).items():
+        raters = train.item_rows(item)
+        if len(raters) == 0:
+            continue
+        u = pos[rows]
+        v = np.searchsorted(ids, train.users[raters])
+        w = sims.matrix[np.ix_(u, v)]
+        w[u[:, None] == v[None, :]] = 0.0
+        top = np.argsort(-np.abs(w), axis=1, kind="stable")[:, : cfg.k]
+        w = np.take_along_axis(w, top, axis=1)
+        dev = (train.values[raters] - means[v])[top]
+        num = np.cumsum(w * dev, axis=1)[:, -1]
+        den = np.cumsum(np.abs(w), axis=1)[:, -1]
+        ok = den != 0.0
+        pred = means[u[ok]] + num[ok] / den[ok]
+        out[rows[ok]] = np.minimum(scale.r_max, np.maximum(scale.r_min, pred))
+    return out
+
+
 def knn_predict(
     train: RatingsTable,
     user: int,
@@ -121,41 +175,11 @@ def knn_predict(
     cfg: KnnConfig = KnnConfig(),
     sims: SimilarityMatrix | None = None,
 ) -> float | None:
-    """Mean-centered weighted kNN prediction; None means unpredictable.
-
-    Neighbors are train users with nonzero similarity who rated the item,
-    ranked by |similarity| descending (ties by ascending user id), truncated
-    to cfg.k.  The prediction is clamped to the rating scale.
-    """
-    user_rows = train.user_rows(user)
-    if len(user_rows) == 0:
+    """knn_predict_rows for one rating; None means unpredictable."""
+    if len(train.user_rows(user)) == 0:
         raise ValueError(f"user {user} not in train")
-    rater_rows = train.item_rows(item)
-    if len(rater_rows) == 0:
-        return None
-    stats = train.user_stats()
-    profile = None
-    candidates: list[tuple[float, int, float]] = []
-    for k in rater_rows:
-        v = int(train.users[k])
-        if v == user:
-            continue
-        if sims is not None:
-            w = sims.between(user, v)
-        else:
-            if profile is None:
-                profile = train.user_profile(user)
-            w = pearson_similarity(profile, train.user_profile(v), cfg)
-        if w != 0.0:
-            candidates.append((w, v, float(train.values[k])))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda c: (-abs(c[0]), c[1]))
-    chosen = candidates[: cfg.k]
-    num = sum(w * (r - stats[v][0]) for w, v, r in chosen)
-    den = sum(abs(w) for w, _, _ in chosen)
-    pred = stats[user][0] + num / den
-    return train.scale.clamp(pred)
+    pred = knn_predict_rows(train, np.array([user]), np.array([item]), cfg, sims)[0]
+    return None if np.isnan(pred) else float(pred)
 
 
 # -- matrix factorization ----------------------------------------------

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
-import pytest
+# One BLAS thread, set before numpy is first imported: on a shared machine a
+# multi-threaded BLAS pool competing with other busy processes made one ALS
+# fit ten times slower.  An explicit setting in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from noisegate.dataset import GenreMap, RatingsTable, Scale
-from noisegate.synth import planted_tables
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from noisegate.dataset import GenreMap, RatingsTable, Scale  # noqa: E402
+from noisegate.synth import planted_tables  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI_DIR = REPO_ROOT / "data" / "mini"

@@ -5,17 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from noisegate.board import BoardConfig, run_board
-from noisegate.dataset import SplitSpec, split_train_test
+from noisegate.board import BoardConfig, BoardResult, run_board
+from noisegate.dataset import Rating, RatingsTable, SplitSpec, split_train_test
 from noisegate.ensemble.features import (
     FEATURE_NAMES,
     build_feature_matrix,
-    build_features,
     read_features,
     write_features,
 )
 
 from .conftest import make_genres, make_table
+
+
+def build_features(rating: Rating, context: RatingsTable, board: BoardResult) -> np.ndarray:
+    """Feature vector of one voted rating."""
+    return build_feature_matrix(RatingsTable([rating], context.scale), context, board)[1][0]
 
 
 def _board_fixture():

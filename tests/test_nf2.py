@@ -7,19 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisegate.board.nf2 import (
+    DEFAULT_COHERENCE_CUT,
+    Nf2Group,
     Quality,
     Quantity,
     group_users,
     nf2_detect,
-    nf2_group_user,
     nf2_rnd,
     user_coherence,
 )
 from noisegate.board.verdict import Verdict
+from noisegate.dataset import RatingsTable
 
 from .conftest import make_genres, make_table
 
 VOCAB = ("Action", "Comedy", "Drama")
+
+
+def nf2_group_user(
+    user: int, table: RatingsTable, coherence_cut: float = DEFAULT_COHERENCE_CUT
+) -> Nf2Group:
+    group = group_users(table, coherence_cut).get(user)
+    if group is None:
+        raise ValueError(f"user {user} not in table")
+    return group
 
 
 def _population_table():
