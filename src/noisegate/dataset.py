@@ -202,7 +202,7 @@ class RatingsTable:
         return list(zip(self._users.tolist(), self._items.tolist()))
 
     def contains(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Batched has(): whether each (users[k], items[k]) is a key of this table."""
+        """Whether each (users[k], items[k]) is a key of this table."""
         _, u = np.unique(np.concatenate([self._users, users]), return_inverse=True)
         i_ids, i = np.unique(np.concatenate([self._items, items]), return_inverse=True)
         # Ranks keep the (user, item) order, so this table's codes come sorted.
@@ -210,9 +210,8 @@ class RatingsTable:
         return sorted_index(codes[: len(self)], codes[len(self):]) < len(self)
 
     def has(self, user_id: int, item_id: int) -> bool:
-        rows = self.user_rows(user_id)
-        pos = np.searchsorted(self._items[rows], item_id)
-        return pos < len(rows) and self._items[rows[pos]] == item_id
+        """contains() for one pair; it costs a sort of the table, so batch lookups."""
+        return bool(self.contains(np.array([user_id]), np.array([item_id]))[0])
 
     def value_of(self, user_id: int, item_id: int) -> float:
         rows = self.user_rows(user_id)

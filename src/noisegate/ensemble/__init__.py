@@ -95,21 +95,12 @@ class ElModel:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
         return X
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        """Noisy-class probability (supervised) or anomaly score (EL5)."""
-        X = self._check(X)
-        if self.variant == "EL5":
-            return self.inner.score(X)
-        return self.inner.predict_proba(X)
-
     def classify(self, X: np.ndarray) -> np.ndarray:
-        X = self._check(X)
-        if self.variant == "EL5":
-            return (self.inner.score(X) > self.score_cut).astype(np.int64)
-        return self.inner.predict(X)
+        return self.classify_with_scores(X)[0]
 
     def classify_with_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(classify(X), scores(X)), sharing the work the two have in common."""
+        """Labels (1 = noisy) and scores: the noisy-class probability
+        (supervised) or the anomaly score (EL5, labeled noisy above score_cut)."""
         X = self._check(X)
         if self.variant == "EL5":
             scores = self.inner.score(X)

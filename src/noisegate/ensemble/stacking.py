@@ -76,10 +76,10 @@ class StackingModel:
         return np.column_stack([b.predict_proba(X) for b in self.bases])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.meta.predict(self._base_matrix(X))
+        return self.predict_with_proba(X)[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.meta.predict_proba(self._base_matrix(X))
+        return self.predict_with_proba(X)[1]
 
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(predict(X), predict_proba(X)) from one pass of the base learners."""

@@ -114,6 +114,30 @@ class SimilarityMatrix:
         return self.matrix[self.index[user]]
 
 
+def _weighted_neighbors(
+    w: np.ndarray, dev: np.ndarray, base: np.ndarray, k: int, scale: Scale
+) -> np.ndarray:
+    """Predictions for rows of weights over one item's raters; NaN when unpredictable.
+
+    w holds one row per prediction with one column per rater, raters in
+    ascending user id and self-pairs zeroed; dev is each rater's rating
+    minus their mean, and base each row's own user mean.  A stable sort on
+    -|w| keeps the ascending user order among ties, and both sums run left
+    to right over the k chosen neighbors, as a sequential sum would.  When
+    fewer than k raters have a nonzero weight, the zero weights sorted after
+    them add exact zeros; a row with no nonzero weight is unpredictable.
+    """
+    top = np.argsort(-np.abs(w), axis=1, kind="stable")[:, :k]
+    w = np.take_along_axis(w, top, axis=1)
+    num = np.cumsum(w * dev[top], axis=1)[:, -1]
+    den = np.cumsum(np.abs(w), axis=1)[:, -1]
+    out = np.full(len(w), np.nan)
+    ok = den != 0.0
+    pred = base[ok] + num[ok] / den[ok]
+    out[ok] = np.minimum(scale.r_max, np.maximum(scale.r_min, pred))
+    return out
+
+
 def knn_predict_rows(
     train: RatingsTable,
     users: np.ndarray,
@@ -129,11 +153,7 @@ def knn_predict_rows(
     from train are unpredictable.
 
     Rows are grouped by item, so each item's raters are gathered once, as one
-    block of similarities with every self-pair zeroed.  A stable sort on
-    -|w| keeps the raters' ascending user order among ties, and both sums
-    run left to right over the chosen neighbors, as a sequential sum would.
-    When fewer than k raters have a nonzero weight, the zero weights sorted
-    after them add exact zeros.
+    block of the similarity matrix (built here when sims is None).
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -148,7 +168,6 @@ def knn_predict_rows(
     pos = sorted_index(ids, users)
     todo = np.flatnonzero(pos < len(ids))
     todo = todo[np.argsort(items[todo], kind="stable")]
-    scale = train.scale
     for item, rows in split_runs(items[todo], todo).items():
         raters = train.item_rows(item)
         if len(raters) == 0:
@@ -157,14 +176,8 @@ def knn_predict_rows(
         v = np.searchsorted(ids, train.users[raters])
         w = sims.matrix[np.ix_(u, v)]
         w[u[:, None] == v[None, :]] = 0.0
-        top = np.argsort(-np.abs(w), axis=1, kind="stable")[:, : cfg.k]
-        w = np.take_along_axis(w, top, axis=1)
-        dev = (train.values[raters] - means[v])[top]
-        num = np.cumsum(w * dev, axis=1)[:, -1]
-        den = np.cumsum(np.abs(w), axis=1)[:, -1]
-        ok = den != 0.0
-        pred = means[u[ok]] + num[ok] / den[ok]
-        out[rows[ok]] = np.minimum(scale.r_max, np.maximum(scale.r_min, pred))
+        dev = train.values[raters] - means[v]
+        out[rows] = _weighted_neighbors(w, dev, means[u], cfg.k, train.scale)
     return out
 
 
@@ -175,10 +188,29 @@ def knn_predict(
     cfg: KnnConfig = KnnConfig(),
     sims: SimilarityMatrix | None = None,
 ) -> float | None:
-    """knn_predict_rows for one rating; None means unpredictable."""
+    """knn_predict_rows for one rating; None means unpredictable.
+
+    Without sims, only the item's raters are weighted, each by
+    pearson_similarity against the user: O(raters x profile), with no
+    all-pairs matrix.
+    """
     if len(train.user_rows(user)) == 0:
         raise ValueError(f"user {user} not in train")
-    pred = knn_predict_rows(train, np.array([user]), np.array([item]), cfg, sims)[0]
+    if sims is not None:
+        pred = knn_predict_rows(train, np.array([user]), np.array([item]), cfg, sims)[0]
+        return None if np.isnan(pred) else float(pred)
+    raters = train.item_rows(item)
+    if len(raters) == 0:
+        return None
+    stats = train.user_stats()
+    profile = train.user_profile(user)
+    neighbors = train.users[raters].tolist()
+    w = np.array([[
+        0.0 if v == user else pearson_similarity(profile, train.user_profile(v), cfg)
+        for v in neighbors
+    ]])
+    dev = train.values[raters] - np.array([stats[v][0] for v in neighbors])
+    pred = _weighted_neighbors(w, dev, np.array([stats[user][0]]), cfg.k, train.scale)[0]
     return None if np.isnan(pred) else float(pred)
 
 

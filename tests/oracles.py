@@ -26,11 +26,15 @@ from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
 from noisegate.board.verdict import DETECTOR_IDS, Verdict, VoteSet
 from noisegate.dataset import RatingsTable
-from noisegate.recsys import KnnConfig, SimilarityMatrix
+from noisegate.recsys import KnnConfig, SimilarityMatrix, pearson_similarity
 
 
 def _rows(column: np.ndarray, key: int) -> np.ndarray:
     return np.flatnonzero(column == key)
+
+
+def _profile(table: RatingsTable, user: int) -> dict[int, float]:
+    return {int(table.items[k]): float(table.values[k]) for k in _rows(table.users, user)}
 
 
 def _has(table: RatingsTable, user: int, item: int) -> bool:
@@ -185,8 +189,9 @@ def nf2_detect_loop(
 
 
 def knn_predict_loop(
-    train: RatingsTable, user: int, item: int, cfg: KnnConfig, sims: SimilarityMatrix
+    train: RatingsTable, user: int, item: int, cfg: KnnConfig, sims: SimilarityMatrix | None
 ) -> float | None:
+    """Without sims, each rater is weighted by pearson_similarity over profiles."""
     rater_rows = _rows(train.items, item)
     if len(rater_rows) == 0:
         return None
@@ -198,7 +203,10 @@ def knn_predict_loop(
         v = int(train.users[k])
         if v == user:
             continue
-        w = sims.between(user, v)
+        if sims is not None:
+            w = sims.between(user, v)
+        else:
+            w = pearson_similarity(_profile(train, user), _profile(train, v), cfg)
         if w != 0.0:
             candidates.append((w, v, float(train.values[k])))
     if not candidates:

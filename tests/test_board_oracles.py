@@ -8,7 +8,7 @@ Ratings sit on the 0.5 grid, where genre sums are exact in any order.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisegate.board import BoardConfig, run_board, venn_counts
@@ -27,6 +27,7 @@ VOCAB = ("Action", "Comedy", "Drama", "Solo")
 TEST_ONLY_USER = 50  # rates only in test: absent from train
 TEST_ONLY_ITEM = 60  # rated only in test (no raters); its genre "Solo" is on no other item
 UNMAPPED_ITEM = 61  # missing from the genre map
+COMEDY_ITEMS = (62, 63)  # Comedy only
 
 
 @st.composite
@@ -36,9 +37,11 @@ def board_cases(draw):
     Besides the drawn ratings, every case holds a test-only user, an item
     with no train raters whose only genre is known through the held-out
     rating, a genre-less item rated in train, and a test rating whose
-    neighbors tie on |similarity| with both signs.  The context is the
-    train + test union the board uses, the test table alone, or train alone
-    (which lacks the test-only user and every held-out rating).
+    neighbors tie on |similarity| with both signs, a test rating with ten
+    weighted neighbors, and a test rating that deviates from its genre mean
+    by exactly 0.2.  The context is the train + test union the board uses,
+    the test table alone, or train alone (which lacks the test-only user and
+    every held-out rating).
     """
     n_users = draw(st.integers(2, 8))
     n_items = draw(st.integers(2, 6))
@@ -64,8 +67,18 @@ def board_cases(draw):
     train_rows += [(v, i, x, 0) for v in (41, 42, 43) for i, x in ((70, a), (71, b))]
     train_rows += [(v, 72, draw(grid), 0) for v in (41, 42, 43, 44)]
     test_rows.append((1, 72, draw(grid), 0))
-    vectors = {}
-    mapped = [*range(1, n_items + 1), 70, 71, 72]
+    # Users 81-90 rate item 73, which user 1 rates in test, and share items
+    # 70, 71 and 74-76 with user 1: ten raters with distinct nonzero weights,
+    # enough for a pairwise sum to round differently from a sequential one.
+    train_rows += [(1, i, draw(grid), 0) for i in (74, 75, 76)]
+    train_rows += [(v, i, draw(grid), 0) for v in range(81, 91) for i in (70, 71, 73, 74, 75, 76)]
+    test_rows.append((1, 73, draw(grid), 0))
+    # User 46 rates one Comedy item 2.5 in train and another 3.0 in test: a
+    # relative deviation of exactly 0.2 from the leave-one-out Comedy mean.
+    train_rows.append((46, COMEDY_ITEMS[0], 2.5, 0))
+    test_rows.append((46, COMEDY_ITEMS[1], 3.0, 0))
+    vectors = {item: np.array([0.0, 1.0, 0.0, 0.0]) for item in COMEDY_ITEMS}
+    mapped = [*range(1, n_items + 1), *range(70, 77)]
     bits = draw(st.lists(st.integers(0, 7), min_size=len(mapped), max_size=len(mapped)))
     for item, b in zip(mapped, bits):  # three genre bits; 0 is an empty vector
         vectors[item] = np.array([b & 1, b >> 1 & 1, b >> 2 & 1, 0], dtype=np.float64)
@@ -104,7 +117,7 @@ def test_nf1_matches_loop_oracle(case, majority):
 @settings(max_examples=100, deadline=None)
 @given(
     case=board_cases(),
-    thetas=st.sampled_from([(0.075, 0.05), (0.3, 0.2), (0.01, 0.6)]),
+    thetas=st.sampled_from([(0.075, 0.05), (0.3, 0.2), (0.2, 0.2), (0.01, 0.6)]),
     rnd_cut=st.sampled_from([0.0, 0.3, 0.5]),
     coherence_cut=st.sampled_from([0.8, 0.9, 0.95]),
 )
@@ -122,8 +135,21 @@ def test_nf2_matches_loop_oracle(case, thetas, rnd_cut, coherence_cut):
         assert user_coherence(u, context) == oracles.user_coherence_loop(u, context)
 
 
+def _long_neighbor_case():
+    """40 users on 8 items, each item held out by 5: every held-out item has
+    35 raters with distinct weights, so a sum over up to 35 neighbors would
+    round differently if it were pairwise rather than left to right."""
+    rng = np.random.default_rng(5)
+    cells = [(u, i, float(rng.choice(GRID)), 0) for u in range(1, 41) for i in range(1, 9)]
+    held = {(u, 1 + u % 8) for u in range(1, 41)}
+    train = RatingsTable([c for c in cells if c[:2] not in held], Scale())
+    test = RatingsTable([c for c in cells if c[:2] in held], Scale())
+    return train, test, train.merged(test)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=board_cases(), cfg=knn_configs, th=st.sampled_from([0.0, 0.05, 0.2]))
+@example(case=_long_neighbor_case(), cfg=KnnConfig(k=35), th=0.05)
 def test_nf3_matches_loop_oracle(case, cfg, th):
     train, test, _ = case
     got = nf3_detect(train, test, cfg, th)
@@ -137,6 +163,9 @@ def test_nf3_matches_loop_oracle(case, cfg, th):
         if r.user_id in train.user_ids():
             assert knn_predict(train, r.user_id, r.item_id, cfg, sims) == (
                 oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, sims)
+            )
+            assert knn_predict(train, r.user_id, r.item_id, cfg) == (
+                oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, None)
             )
 
 
