@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,10 +22,10 @@ from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
 from .nf2 import Nf2Result, nf2_detect, nf2_rnd
 from .nf3 import Nf3Result, nf3_detect
 from .nf4 import FuzzyProfile, Nf4Result, manhattan, nf4_detect, nf4_fuzzify
-from .verdict import DETECTOR_IDS, Consensus, Verdict, VoteSet
+from .verdict import DETECTOR_IDS, Consensus, Verdict
 
 __all__ = [
-    "BoardConfig", "BoardResult", "Consensus", "Verdict", "VoteSet",
+    "BoardConfig", "BoardResult", "CONSENSUS", "Consensus", "Verdict", "Votes",
     "consensus", "venn_counts", "run_board", "write_votes", "read_votes",
     "nf1_detect", "nf1_classify_user", "nf1_classify_item",
     "nf2_detect", "nf2_rnd",
@@ -48,57 +48,66 @@ class BoardConfig:
     nf4_delta2: float = 0.25
 
 
-def consensus(votes: dict[str, Verdict]) -> Consensus:
-    """Unanimous noisy -> Noisy, unanimous clean -> Clean, else Uncertain."""
-    missing = [d for d in DETECTOR_IDS if d not in votes]
-    if missing or len(votes) != len(DETECTOR_IDS):
-        raise ValueError(f"expected votes from exactly {DETECTOR_IDS}, got {sorted(votes)}")
-    values = [votes[d] for d in DETECTOR_IDS]
-    if all(v is Verdict.NOISY for v in values):
-        return Consensus.NOISY
-    if all(v is Verdict.CLEAN for v in values):
-        return Consensus.CLEAN
-    return Consensus.UNCERTAIN
+# Votes.consensus holds each rating's outcome as an int8 index into CONSENSUS.
+CONSENSUS = (Consensus.NOISY, Consensus.CLEAN, Consensus.UNCERTAIN)
+
+
+def consensus(noisy: np.ndarray) -> np.ndarray:
+    """Unanimity per row of an (n, 4) noisy-vote matrix, as CONSENSUS codes:
+    four Noisy votes -> Noisy, none -> Clean, else Uncertain."""
+    noisy = np.asarray(noisy, dtype=bool)
+    if noisy.ndim != 2 or noisy.shape[1] != len(DETECTOR_IDS):
+        raise ValueError(f"expected one vote column per detector {DETECTOR_IDS}, got {noisy.shape}")
+    n_noisy = noisy.sum(axis=1)
+    return np.select([n_noisy == len(DETECTOR_IDS), n_noisy == 0], [0, 1], 2).astype(np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class Votes:
+    """The board's votes, one row per voted rating in table order:
+    noisy[k, d] is detector DETECTOR_IDS[d]'s Noisy flag on rating k and
+    consensus[k] the CONSENSUS code of its four votes."""
+
+    users: np.ndarray
+    items: np.ndarray
+    noisy: np.ndarray
+    consensus: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def keys(self, rows: np.ndarray | slice = slice(None)) -> list[tuple[int, int]]:
+        """(user_id, item_id) of the selected rows, in row order."""
+        return list(zip(self.users[rows].tolist(), self.items[rows].tolist()))
+
+    def where(self, outcome: Consensus) -> np.ndarray:
+        """Row mask of the ratings whose consensus is outcome."""
+        return self.consensus == CONSENSUS.index(outcome)
 
 
 def _region_label(detectors: tuple[str, ...]) -> str:
     return "&".join(detectors) if detectors else "none"
 
 
-def _noisy_masks(columns: list[list[Verdict]]) -> np.ndarray:
-    """Per rating, from one verdict column per detector: bit d set when
-    detector d voted Noisy."""
-    noisy = np.array(columns, dtype=object).reshape(len(DETECTOR_IDS), -1) == Verdict.NOISY
-    return (noisy.astype(np.int64) << np.arange(len(DETECTOR_IDS))[:, None]).sum(axis=0)
-
-
-def _venn_from_masks(masks: np.ndarray) -> dict[str, int]:
-    tally = np.bincount(masks, minlength=1 << len(DETECTOR_IDS)).tolist()
+def venn_counts(noisy: np.ndarray) -> dict[str, int]:
+    """Counts per exact noisy-detector subset of an (n, 4) noisy-vote
+    matrix; 'none' is the all-clean region."""
+    masks = np.asarray(noisy, dtype=np.int64) @ (1 << np.arange(len(DETECTOR_IDS)))
+    tally = np.bincount(masks, minlength=1 << len(DETECTOR_IDS))
     return {
-        _region_label(combo): tally[sum(1 << DETECTOR_IDS.index(d) for d in combo)]
+        _region_label(combo): int(tally[sum(1 << DETECTOR_IDS.index(d) for d in combo)])
         for size in range(len(DETECTOR_IDS) + 1)
         for combo in combinations(DETECTOR_IDS, size)
     }
 
 
-def venn_counts(votesets: list[VoteSet]) -> dict[str, int]:
-    """Counts per exact noisy-detector subset; 'none' is the all-clean region."""
-    return _venn_from_masks(_noisy_masks([[vs.votes[d] for vs in votesets] for d in DETECTOR_IDS]))
-
-
 class BoardResult(NamedTuple):
-    votesets: list[VoteSet]
+    votes: Votes
     venn: dict[str, int]
     nf1: Nf1Result
     nf2: Nf2Result
     nf3: Nf3Result
     nf4: Nf4Result
-
-    def labels(self) -> dict[tuple[int, int], Consensus]:
-        return {vs.key: vs.consensus for vs in self.votesets}
-
-    def keys_with_consensus(self, value: Consensus) -> list[tuple[int, int]]:
-        return [vs.key for vs in self.votesets if vs.consensus is value]
 
 
 def run_board(
@@ -126,42 +135,48 @@ def run_board(
     )
     r3 = nf3_detect(train, test, config.nf3_knn, config.nf3_th)
     r4 = nf4_detect(test, config.nf4_delta1, config.nf4_delta2, context=context)
-    keys = test.keys()
-    columns = [list(map(r.verdicts.__getitem__, keys)) for r in (r1, r2, r3, r4)]
-    masks = _noisy_masks(columns)
-    # consensus(): all four Noisy -> Noisy, none -> Clean, else Uncertain
-    outcome = np.where(masks == (1 << len(DETECTOR_IDS)) - 1, 0, np.where(masks == 0, 1, 2))
-    votes = map(dict, map(zip, repeat(DETECTOR_IDS), zip(*columns)))
-    votesets = list(map(VoteSet, keys, votes, _CONSENSUS[outcome].tolist()))
-    return BoardResult(votesets, _venn_from_masks(masks), r1, r2, r3, r4)
-
-
-_CONSENSUS = np.array([Consensus.NOISY, Consensus.CLEAN, Consensus.UNCERTAIN], dtype=object)
+    noisy = np.column_stack([r1.noisy, r2.noisy, r3.noisy, r4.noisy])
+    votes = Votes(test.users, test.items, noisy, consensus(noisy))
+    return BoardResult(votes, venn_counts(noisy), r1, r2, r3, r4)
 
 
 VOTES_HEADER = ("userId", "itemId", "nf1", "nf2", "nf3", "nf4", "consensus")
+_VOTE = np.array([Verdict.CLEAN.value, Verdict.NOISY.value])  # by noisy flag
+_OUTCOME = np.array([c.value for c in CONSENSUS])  # by CONSENSUS code
 
 
-def write_votes(votesets: list[VoteSet], path: str | Path) -> None:
+def write_votes(votes: Votes, path: str | Path) -> None:
     atomic_write_csv(
         path,
         VOTES_HEADER,
         (
-            [vs.key[0], vs.key[1], *(vs.votes[d].value for d in DETECTOR_IDS), vs.consensus.value]
-            for vs in votesets
+            [user, item, *cells, CONSENSUS[code].value]
+            for user, item, cells, code in zip(
+                votes.users.tolist(), votes.items.tolist(),
+                _VOTE[votes.noisy.astype(np.intp)].tolist(), votes.consensus.tolist(),
+            )
         ),
     )
 
 
-def read_votes(path: str | Path) -> list[VoteSet]:
-    votesets: list[VoteSet] = []
+def read_votes(path: str | Path) -> Votes:
+    """Votes from a votes.csv.  A malformed row raises ValueError, and so
+    does a consensus cell other than the unanimity of the row's votes."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != VOTES_HEADER:
+        if tuple(next(reader, ())) != VOTES_HEADER:
             raise ValueError(f"{path}: expected header {','.join(VOTES_HEADER)}")
-        for row in reader:
-            key = (int(row[0]), int(row[1]))
-            votes = {d: Verdict(row[2 + k]) for k, d in enumerate(DETECTOR_IDS)}
-            votesets.append(VoteSet(key, votes, Consensus(row[6])))
-    return votesets
+        rows = list(reader)
+    if any(len(row) != len(VOTES_HEADER) for row in rows):
+        raise ValueError(f"{path}: expected {len(VOTES_HEADER)} fields in every row")
+    cells = np.array(rows, dtype=str).reshape(-1, len(VOTES_HEADER))
+    votes = cells[:, 2:6]
+    noisy = votes == Verdict.NOISY.value
+    codes = consensus(noisy)
+    bad = (~noisy & (votes != Verdict.CLEAN.value)).any(axis=1) | (cells[:, 6] != _OUTCOME[codes])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{path}:{k + 2}: {cells[k, 2:].tolist()} are not four Verdicts and their unanimity"
+        )
+    return Votes(cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64), noisy, codes)

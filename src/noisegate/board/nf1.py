@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ..dataset import RatingsTable
-from .verdict import Verdict, profile_rows, verdict_map
+from .verdict import profile_rows
 
 
 class UserClass(Enum):
@@ -116,7 +116,7 @@ def nf1_classify_item(
 
 
 class Nf1Result(NamedTuple):
-    verdicts: dict[tuple[int, int], Verdict]
+    noisy: np.ndarray  # per test row
     user_classes: dict[int, UserClass]
     item_classes: dict[int, ItemClass]
 
@@ -130,7 +130,7 @@ def nf1_detect(
     """Flag ratings that contradict a homologous user/item class pair.
 
     Classes are computed over `context` (all available evidence, defaulting
-    to the test table itself); verdicts are emitted for test ratings only.
+    to the test table itself); the noisy flags cover the test rows, in order.
     Ratings whose (user, item) classes form no homologous pair are Clean.
     """
     ctx = context if context is not None else test
@@ -143,9 +143,8 @@ def nf1_detect(
     u = user_codes[np.searchsorted(users, test.users)]
     i = item_codes[np.searchsorted(items, test.items)]
     # HOMOLOGOUS pairs user class k with item class k and expects rating class k.
-    noisy = (u == i) & (u < 3) & (_class_codes(test.values, cuts) != u)
     return Nf1Result(
-        verdict_map(test.keys(), noisy),
+        (u == i) & (u < 3) & (_class_codes(test.values, cuts) != u),
         dict(zip(users.tolist(), map(_USER_CLASSES.__getitem__, user_codes.tolist()))),
         dict(zip(items.tolist(), map(_ITEM_CLASSES.__getitem__, item_codes.tolist()))),
     )

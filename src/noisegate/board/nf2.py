@@ -15,7 +15,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..dataset import GenreMap, RatingsTable, segment_means, sorted_index
-from .verdict import Verdict, verdict_map
 
 logger = logging.getLogger("noisegate.board.nf2")
 
@@ -144,9 +143,9 @@ def nf2_rnd(
 
 
 class Nf2Result(NamedTuple):
-    verdicts: dict[tuple[int, int], Verdict]
+    noisy: np.ndarray  # per test row
     groups: dict[int, Nf2Group]
-    rnd: dict[tuple[int, int], float]
+    rnd: np.ndarray  # per test row
 
 
 def nf2_detect(
@@ -196,9 +195,4 @@ def nf2_detect(
     n_deviant = np.bincount(rows[deviant], minlength=len(test))
     rnd = np.zeros(len(test))
     np.divide(n_deviant, n_means, out=rnd, where=n_means > 0)
-    keys = test.keys()
-    return Nf2Result(
-        verdict_map(keys, ~exempt & (rnd > rnd_cut)),
-        groups,
-        dict(zip(keys, rnd.tolist())),
-    )
+    return Nf2Result(~exempt & (rnd > rnd_cut), groups, rnd)

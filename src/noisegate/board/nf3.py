@@ -15,7 +15,6 @@ from ..dataset import RatingsTable
 # knn_predict is unused here but stays importable under this module's name:
 # perfbench/spans.py wraps noisegate.board.nf3.knn_predict and .SimilarityMatrix.
 from ..recsys import KnnConfig, SimilarityMatrix, knn_predict, knn_predict_rows  # noqa: F401
-from .verdict import Verdict, verdict_map
 
 DEFAULT_TH = 0.05
 
@@ -26,9 +25,9 @@ def consistency(value: float, prediction: float, scale) -> float:
 
 
 class Nf3Result(NamedTuple):
-    verdicts: dict[tuple[int, int], Verdict]
-    consistency: dict[tuple[int, int], float | None]
-    predictions: dict[tuple[int, int], float | None]
+    noisy: np.ndarray  # per test row
+    consistency: np.ndarray  # per test row, NaN where unpredictable
+    predictions: np.ndarray  # per test row, NaN where unpredictable
     n_unpredictable: int
 
 
@@ -46,16 +45,5 @@ def nf3_detect(
     """
     sims = SimilarityMatrix(train, cfg) if len(train) else None
     preds = knn_predict_rows(train, test.users, test.items, cfg, sims)
-    missing = np.isnan(preds)
     cons = np.abs(test.values - preds) / test.scale.span
-    keys = test.keys()
-    return Nf3Result(
-        verdict_map(keys, cons > th),
-        dict(zip(keys, _none_where(missing, cons))),
-        dict(zip(keys, _none_where(missing, preds))),
-        int(missing.sum()),
-    )
-
-
-def _none_where(missing: np.ndarray, values: np.ndarray) -> list[float | None]:
-    return np.where(missing, None, values.astype(object)).tolist()
+    return Nf3Result(cons > th, cons, preds, int(np.isnan(preds).sum()))

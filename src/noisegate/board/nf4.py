@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dataset import RatingsTable, Scale, segment_means
-from .verdict import Verdict, profile_rows, verdict_map
+from .verdict import profile_rows
 
 DEFAULT_DELTA1 = 1.0
 DEFAULT_DELTA2 = 0.25
@@ -72,8 +72,8 @@ def _manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Nf4Result(NamedTuple):
-    verdicts: dict[tuple[int, int], Verdict]
-    noise_degree: dict[tuple[int, int], float]
+    noisy: np.ndarray  # per test row
+    noise_degree: np.ndarray  # per test row
     user_profiles: dict[int, FuzzyProfile]
     item_profiles: dict[int, FuzzyProfile]
     n_prefiltered: int
@@ -104,10 +104,9 @@ def nf4_detect(
         np.maximum(0.0, _manhattan(up, rp) - 1.0), np.maximum(0.0, _manhattan(ip, rp) - 1.0)
     )
     degree[prefiltered] = 0.0
-    keys = test.keys()
     return Nf4Result(
-        verdict_map(keys, (degree > delta2) & ~prefiltered),
-        dict(zip(keys, degree.tolist())),
+        (degree > delta2) & ~prefiltered,
+        degree,
         dict(zip(users.tolist(), map(FuzzyProfile._make, user_p.tolist()))),
         dict(zip(items.tolist(), map(FuzzyProfile._make, item_p.tolist()))),
         int(prefiltered.sum()),

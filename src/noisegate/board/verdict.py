@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,20 +19,6 @@ class Consensus(Enum):
 
 
 DETECTOR_IDS = ("NF1", "NF2", "NF3", "NF4")
-
-
-class VoteSet(NamedTuple):
-    key: tuple[int, int]
-    votes: dict[str, Verdict]
-    consensus: Consensus
-
-
-_BY_FLAG = np.array([Verdict.CLEAN, Verdict.NOISY], dtype=object)
-
-
-def verdict_map(keys: list[tuple[int, int]], noisy: np.ndarray) -> dict[tuple[int, int], Verdict]:
-    """key -> Noisy where the flag is set, else Clean."""
-    return dict(zip(keys, _BY_FLAG[np.asarray(noisy, dtype=np.intp)].tolist()))
 
 
 def profile_rows(

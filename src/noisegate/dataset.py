@@ -201,13 +201,20 @@ class RatingsTable:
         """(user_id, item_id) of every row, in row order."""
         return list(zip(self._users.tolist(), self._items.tolist()))
 
-    def contains(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Whether each (users[k], items[k]) is a key of this table."""
+    def _key_codes(self, users, items) -> tuple[np.ndarray, np.ndarray]:
+        """One integer code per (user, item) key, for this table's rows and for
+        the given pairs.  Codes rank keys in (user, item) order, so the codes
+        of this table's rows come sorted."""
+        users, items = np.asarray(users, np.int64), np.asarray(items, np.int64)
         _, u = np.unique(np.concatenate([self._users, users]), return_inverse=True)
         i_ids, i = np.unique(np.concatenate([self._items, items]), return_inverse=True)
-        # Ranks keep the (user, item) order, so this table's codes come sorted.
         codes = u * len(i_ids) + i
-        return sorted_index(codes[: len(self)], codes[len(self):]) < len(self)
+        return codes[: len(self)], codes[len(self):]
+
+    def contains(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Whether each (users[k], items[k]) is a key of this table."""
+        own, asked = self._key_codes(users, items)
+        return sorted_index(own, asked) < len(self)
 
     def has(self, user_id: int, item_id: int) -> bool:
         """contains() for one pair; it costs a sort of the table, so batch lookups."""
@@ -255,12 +262,10 @@ class RatingsTable:
     def subset_rows(self, idx: np.ndarray) -> "RatingsTable":
         return self._take(np.asarray(idx, dtype=np.int64))
 
-    def without_keys(self, keys: set[tuple[int, int]]) -> "RatingsTable":
-        keep = np.array(
-            [(int(u), int(i)) not in keys for u, i in zip(self._users, self._items)],
-            dtype=bool,
-        )
-        return self._take(np.flatnonzero(keep))
+    def without_keys(self, users: np.ndarray, items: np.ndarray) -> "RatingsTable":
+        """The table less every row keyed by some (users[k], items[k])."""
+        own, dropped = self._key_codes(users, items)
+        return self._take(np.flatnonzero(~np.isin(own, dropped)))
 
     def without_users(self, users: set[int]) -> "RatingsTable":
         keep = ~np.isin(self._users, sorted(users))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -31,9 +30,6 @@ logger = logging.getLogger("noisegate.ensemble")
 
 VARIANTS = ("EL1", "EL2", "EL2_2", "EL3", "EL4_1", "EL4_2", "EL5")
 
-MODEL_FORMAT = "noisegate-el"
-MODEL_VERSION = 1
-
 __all__ = [
     "VARIANTS", "ElModel", "EnsembleConfig", "train_el", "classify_uncertain",
     "train_random_forest", "train_stacking", "train_gbt", "train_ressel",
@@ -41,7 +37,7 @@ __all__ = [
     "build_feature_matrix", "FEATURE_NAMES",
     "RandomForest", "DecisionTree", "RegressionTree", "ExtendedIsolationForest",
     "StackingModel", "GbtModel", "ResselModel",
-    "save_el_model", "load_el_model", "write_classification", "read_classification",
+    "write_classification", "read_classification",
 ]
 
 
@@ -199,36 +195,6 @@ def classify_uncertain(
 # -- persistence --------------------------------------------------------
 
 
-def save_el_model(model: ElModel, path: str | Path) -> None:
-    """Versioned binary blob: a pickled payload behind a small header."""
-    blob = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "variant": model.variant,
-        "n_features": model.n_features,
-        "score_cut": model.score_cut,
-        "diagnostics": model.diagnostics,
-        "inner": model.inner,
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("wb") as fh:
-        pickle.dump(blob, fh, protocol=4)
-    tmp.replace(path)
-
-
-def load_el_model(path: str | Path) -> ElModel:
-    with Path(path).open("rb") as fh:
-        blob = pickle.load(fh)
-    if blob.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
-    if blob.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {blob.get('version')}")
-    return ElModel(blob["variant"], blob["inner"], blob["n_features"],
-                   blob["diagnostics"], blob["score_cut"])
-
-
 CLASSIFICATION_HEADER = ("userId", "itemId", "score", "label", "variant")
 
 
@@ -253,5 +219,7 @@ def read_classification(path: str | Path) -> dict[tuple[int, int], Verdict]:
         if header != CLASSIFICATION_HEADER:
             raise ValueError(f"{path}: expected header {','.join(CLASSIFICATION_HEADER)}")
         for row in reader:
+            if len(row) != len(CLASSIFICATION_HEADER):
+                raise ValueError(f"{path}: expected {len(CLASSIFICATION_HEADER)} fields per row")
             out[(int(row[0]), int(row[1]))] = Verdict(row[3])
     return out

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from ..board import BoardResult
 from ..board.nf1 import ItemClass, UserClass
-from ..board.verdict import DETECTOR_IDS, Verdict
 from ..dataset import RatingsTable
 from ..ioutil import atomic_write_csv
 
@@ -60,17 +58,16 @@ def _per_id(ids: np.ndarray, row_of) -> np.ndarray:
 def build_feature_matrix(
     test: RatingsTable, context: RatingsTable, board: BoardResult
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Feature matrix for every voted test rating, keyed in table order.
+    """Feature matrix for the test ratings the board voted on, keyed in table order.
 
     Statistics come from the same context table the detectors profiled on.
     An unpredictable kNN rating encodes consistency 0 alongside a raised
     missing flag so the learners can tell it apart from a perfect match.
     """
-    votes_by_key = {vs.key: vs.votes for vs in board.votesets}
+    votes = board.votes
+    if not (np.array_equal(votes.users, test.users) and np.array_equal(votes.items, test.items)):
+        raise ValueError(f"the board's votes are not aligned to the {len(test)} rows of this table")
     keys = test.keys()
-    if not votes_by_key.keys() >= set(keys):
-        unvoted = next(key for key in keys if key not in votes_by_key)
-        raise ValueError(f"rating {unvoted} has not been voted on")
     if not keys:
         return keys, np.zeros((0, len(FEATURE_NAMES)))
     user_stats, item_stats = context.user_stats(), context.item_stats()
@@ -85,9 +82,8 @@ def build_feature_matrix(
     ))
     value = test.values
     scale = context.scale
-    cons = np.array(list(map(board.nf3.consistency.get, keys)), dtype=np.float64)
-    missing = np.isnan(cons)  # None -> NaN
-    votes = map(itemgetter(*DETECTOR_IDS), map(votes_by_key.__getitem__, keys))
+    cons = board.nf3.consistency
+    missing = np.isnan(cons)
     X = np.column_stack([
         (value - scale.r_min) / scale.span,
         user[:, :2],
@@ -98,11 +94,11 @@ def build_feature_matrix(
         item[:, 2],
         user[:, 3],
         item[:, 3],
-        np.fromiter(map(board.nf4.noise_degree.__getitem__, keys), np.float64, len(keys)),
+        board.nf4.noise_degree,
         np.where(missing, 0.0, cons),
         missing,
-        np.fromiter(map(board.nf2.rnd.__getitem__, keys), np.float64, len(keys)),
-        np.array(list(votes), dtype=object) == Verdict.NOISY,
+        board.nf2.rnd,
+        votes.noisy,
     ]).astype(np.float64)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
@@ -129,12 +125,14 @@ def read_features(path: str | Path) -> tuple[list[tuple[int, int]], np.ndarray]:
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != FEATURES_HEADER:
-            raise ValueError(f"unexpected features header: {header[:4]}...")
+            raise ValueError(f"{path}: unexpected features header: {header[:4]}...")
         keys: list[tuple[int, int]] = []
         rows: list[list[float]] = []
         for row in reader:
+            if len(row) != len(FEATURES_HEADER):
+                raise ValueError(f"{path}: expected {len(FEATURES_HEADER)} fields in every row")
             keys.append((int(row[0]), int(row[1])))
             rows.append([float(v) for v in row[2:]])
     X = np.array(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))

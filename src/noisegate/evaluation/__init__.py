@@ -6,7 +6,6 @@ from .clustering import (
     DEFAULT_MAX_ITER,
     ClusterAssignment,
     cluster_users,
-    elbow_curve,
 )
 from .deltas import (
     ACCURACY_METRICS,
@@ -53,7 +52,6 @@ __all__ = [
     "cluster_users",
     "critical_groups",
     "delta_points",
-    "elbow_curve",
     "mean_or_zero",
     "percent_positive",
     "plane_positive",

@@ -81,16 +81,3 @@ def cluster_users(
     assignment = {u: int(labels[i]) for i, u in enumerate(users)}
     return ClusterAssignment(assignment, centroids, k, inertia_curve)
 
-
-def elbow_curve(
-    user_vectors: Mapping[int, np.ndarray],
-    ks: Sequence[int],
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[int, float]]:
-    """Final inertia per candidate k; selection is left to the reader."""
-    out = []
-    for k in ks:
-        result = cluster_users(user_vectors, k, seed, max_iter)
-        out.append((result.k, result.inertia_curve[-1]))
-    return out

@@ -60,10 +60,8 @@ class DeltaReport(NamedTuple):
     plane: tuple[float, float]
     points: tuple[DeltaPoint, ...]
     percent_positive: float
-    critical_group_pct: float
     global_before: dict[str, float]
     global_after: dict[str, float]
-    venn: dict[str, int]
 
 
 def quadrant(x: float, y: float) -> Quadrant:
@@ -148,7 +146,6 @@ def delta_points(
     after: Sequence[UserEval],
     metric: str = "ndcg",
     plane: tuple[float, float] = DEFAULT_PLANE,
-    venn: Mapping[str, int] | None = None,
     basis: str = BASIS_USERS,
     weights: Mapping[int, int] | None = None,
 ) -> DeltaReport:
@@ -189,17 +186,14 @@ def delta_points(
                 boundary=(x == 0.0 or y == 0.0),
             )
         )
-    after_cluster_ndcg = _cluster_ndcg_means(after)
     report = DeltaReport(
         pair=f"serendipity-{metric}",
         metric=metric,
         plane=(float(plane[0]), float(plane[1])),
         points=tuple(points),
         percent_positive=percent_positive(points, basis=basis, weights=weights),
-        critical_group_pct=critical_groups(after_cluster_ndcg) if after_cluster_ndcg else 0.0,
         global_before=_global_means(before),
         global_after=_global_means(after),
-        venn=dict(venn) if venn is not None else {},
     )
     return report
 

@@ -21,8 +21,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .board import BoardConfig, read_votes, run_board, write_votes
-from .board.verdict import DETECTOR_IDS, Consensus, Verdict, VoteSet
+from .board import CONSENSUS, BoardConfig, Votes, read_votes, run_board, write_votes
+from .board.verdict import DETECTOR_IDS, Consensus, Verdict
 from .dataset import (
     GenreMap,
     RatingsTable,
@@ -457,6 +457,15 @@ def _require(path: Path, producer: str) -> None:
         raise DataError(f"missing artifact {path}; run the {producer} stage first")
 
 
+def _read(reader, path: Path):
+    """reader(path), with the ValueError of a malformed artifact raised as DataError."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        message = str(exc)
+        raise DataError(message if str(path) in message else f"{path}: {message}") from exc
+
+
 # -- stage bodies -------------------------------------------------------
 
 
@@ -546,19 +555,13 @@ def stage_board(
     context = train.merged(detect) if len(train) else detect
     board = run_board(train, detect, cfg.board_config(), context=context)
     keys, X = build_feature_matrix(detect, context, board)
-    write_votes(board.votesets, paths.votes)
+    write_votes(board.votes, paths.votes)
     dump_json(board.venn, paths.venn)
     write_features(paths.features, keys, X)
+    tally = np.bincount(board.votes.consensus, minlength=len(CONSENSUS))
     section = {
-        "consensus": {
-            "noisy": sum(1 for vs in board.votesets if vs.consensus is Consensus.NOISY),
-            "clean": sum(1 for vs in board.votesets if vs.consensus is Consensus.CLEAN),
-            "uncertain": sum(1 for vs in board.votesets if vs.consensus is Consensus.UNCERTAIN),
-        },
-        "per_detector_noisy": {
-            det: sum(1 for vs in board.votesets if vs.votes[det] is Verdict.NOISY)
-            for det in DETECTOR_IDS
-        },
+        "consensus": dict(zip((c.value for c in CONSENSUS), tally.tolist())),
+        "per_detector_noisy": dict(zip(DETECTOR_IDS, board.votes.noisy.sum(axis=0).tolist())),
         "venn": dict(board.venn),
         "nf3_unpredictable": board.nf3.n_unpredictable,
         "nf4_prefiltered": board.nf4.n_prefiltered,
@@ -568,29 +571,21 @@ def stage_board(
 
 
 def stage_ensemble(
-    cfg: PipelineConfig,
-    votesets: Sequence[VoteSet],
-    keys: Sequence[tuple[int, int]],
-    X: np.ndarray,
-    paths: RunPaths,
+    cfg: PipelineConfig, votes: Votes, X: np.ndarray, paths: RunPaths
 ) -> dict[tuple[int, int], Verdict]:
     """Layer 2: arbitrate every Uncertain rating with the configured
-    learner, trained on the unanimous ratings; returns the Uncertain
-    set's labels."""
-    consensus = {vs.key: vs.consensus for vs in votesets}
-    labeled_idx = [k for k, key in enumerate(keys) if consensus[key] is not Consensus.UNCERTAIN]
-    uncertain_idx = [k for k, key in enumerate(keys) if consensus[key] is Consensus.UNCERTAIN]
+    learner, trained on the unanimous ratings; X holds one feature row per
+    vote row.  Returns the Uncertain set's labels."""
+    uncertain = votes.where(Consensus.UNCERTAIN)
     classified: dict[tuple[int, int], Verdict] = {}
     scores: dict[tuple[int, int], float] = {}
-    if uncertain_idx:
-        y = np.array(
-            [consensus[keys[k]] is Consensus.NOISY for k in labeled_idx], dtype=np.int64
-        )
-        X_unc = X[uncertain_idx]
+    if uncertain.any():
+        y = votes.where(Consensus.NOISY)[~uncertain].astype(np.int64)
+        X_unc = X[uncertain]
         model = train_el(
-            X[labeled_idx], y, X_unc, cfg.ensemble_config(), derive_seed(cfg.seed, _SALT_ENSEMBLE)
+            X[~uncertain], y, X_unc, cfg.ensemble_config(), derive_seed(cfg.seed, _SALT_ENSEMBLE)
         )
-        classified, scores = classify_uncertain(model, [keys[k] for k in uncertain_idx], X_unc)
+        classified, scores = classify_uncertain(model, votes.keys(uncertain), X_unc)
     write_classification(classified, scores, cfg.ensemble_variant, paths.ensemble_csv)
     return classified
 
@@ -605,15 +600,19 @@ def _ensemble_info(variant: str | None, classified: Mapping[tuple[int, int], Ver
     }
 
 
+def _labels(
+    keys: Sequence[tuple[int, int]], noisy: np.ndarray
+) -> dict[tuple[int, int], Verdict]:
+    """key -> Noisy where its flag is set, else Clean."""
+    return {key: Verdict.NOISY if f else Verdict.CLEAN for key, f in zip(keys, noisy.tolist())}
+
+
 def _final_labels(
-    votesets: Sequence[VoteSet], classified: Mapping[tuple[int, int], Verdict]
+    votes: Votes, classified: Mapping[tuple[int, int], Verdict]
 ) -> dict[tuple[int, int], Verdict]:
     """Consensus where the board is unanimous, the ensemble's label elsewhere."""
-    labels = {
-        vs.key: Verdict(vs.consensus.value)
-        for vs in votesets
-        if vs.consensus is not Consensus.UNCERTAIN
-    }
+    settled = ~votes.where(Consensus.UNCERTAIN)
+    labels = _labels(votes.keys(settled), votes.where(Consensus.NOISY)[settled])
     labels.update(classified)
     return labels
 
@@ -637,8 +636,8 @@ def _clean_corpus(
     hits: list[SignatureHit],
     action: SignatureAction,
 ) -> tuple[RatingsTable, dict]:
-    noisy_keys = {k for k, v in labels.items() if v is Verdict.NOISY}
-    after_noise = corpus.without_keys(noisy_keys)
+    noisy = [k for k, v in labels.items() if v is Verdict.NOISY]
+    after_noise = corpus.without_keys(*np.array(noisy, dtype=np.int64).reshape(-1, 2).T)
     cleaned = apply_signature_action(after_noise, hits, action)
     removal = {
         "corpus_size": len(corpus),
@@ -683,7 +682,6 @@ def stage_evaluate(
     eval_t: RatingsTable,
     genres: GenreMap,
     paths: RunPaths,
-    venn: Mapping[str, int],
 ) -> tuple[dict[str, DeltaReport], dict]:
     """Retrain both arms, evaluate on the untouched fold, classify deltas."""
     mf_seed = derive_seed(cfg.seed, _SALT_MF)
@@ -714,7 +712,6 @@ def stage_evaluate(
             after_evals,
             metric,
             (cfg.plane_a, cfg.plane_b),
-            venn=venn,
             basis=cfg.percent_basis,
             weights=weights,
         )
@@ -829,39 +826,38 @@ def _assemble_report(
     return report
 
 
-def _precision_recall(flagged: set, positives: set) -> dict:
-    tp = len(flagged & positives)
+def _precision_recall(flagged: np.ndarray, positive: np.ndarray) -> dict:
+    n_flagged, tp, n_positive = (int(m.sum()) for m in (flagged, flagged & positive, positive))
     return {
-        "flagged": len(flagged),
+        "flagged": n_flagged,
         "true_positives": tp,
-        "precision": tp / len(flagged) if flagged else 0.0,
-        "recall": tp / len(positives) if positives else 0.0,
+        "precision": tp / n_flagged if n_flagged else 0.0,
+        "recall": tp / n_positive if n_positive else 0.0,
     }
 
 
 def ground_truth_section(
     mask: GroundTruthMask,
-    votesets: Sequence[VoteSet],
+    votes: Votes,
     labels: Mapping[tuple[int, int], Verdict],
 ) -> dict:
     """Detector precision/recall against the known perturbed keys,
-    restricted to the split the detectors actually saw."""
-    detect_keys = {vs.key for vs in votesets}
-    positives = set(mask.keys) & detect_keys
-    per_detector = {}
-    for det in DETECTOR_IDS:
-        flagged = {vs.key for vs in votesets if vs.votes[det] is Verdict.NOISY}
-        per_detector[det] = _precision_recall(flagged, positives)
-    consensus_flagged = {vs.key for vs in votesets if vs.consensus is Consensus.NOISY}
-    final_flagged = {k for k, v in labels.items() if v is Verdict.NOISY}
+    restricted to the split the detectors actually saw; labels are the
+    final labels of those ratings."""
+    keys = votes.keys()
+    positive = np.fromiter(map(mask.keys.__contains__, keys), bool, len(keys))
+    final = np.fromiter((labels.get(k) is Verdict.NOISY for k in keys), bool, len(keys))
     return {
         "kind": mask.kind.value,
         "rate": mask.rate,
         "mask_size": len(mask.keys),
-        "positives_in_detect": len(positives),
-        "detectors": per_detector,
-        "consensus": _precision_recall(consensus_flagged, positives),
-        "final_labels": _precision_recall(final_flagged, positives),
+        "positives_in_detect": int(positive.sum()),
+        "detectors": {
+            det: _precision_recall(votes.noisy[:, d], positive)
+            for d, det in enumerate(DETECTOR_IDS)
+        },
+        "consensus": _precision_recall(votes.where(Consensus.NOISY), positive),
+        "final_labels": _precision_recall(final, positive),
     }
 
 
@@ -887,7 +883,7 @@ class RunResult(NamedTuple):
     reports: dict[str, DeltaReport]
     report_dict: dict
     paths: RunPaths
-    votesets: list[VoteSet]
+    votes: Votes
     labels: dict[tuple[int, int], Verdict]
     hits: list[SignatureHit]
 
@@ -907,7 +903,7 @@ def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def _check_manifest(cfg: PipelineConfig, paths: RunPaths) -> None:
-    manifest = read_json(paths.manifest)
+    manifest = _read(read_json, paths.manifest)
     built = manifest["config_hash"]
     if built != config_hash(cfg):
         raise ConfigError(
@@ -958,9 +954,11 @@ def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _resume(cfg, paths, {paths.votes: "detect", paths.features: "detect"})
-    votesets = read_votes(paths.votes)
-    keys, X = read_features(paths.features)
-    classified = _stage("ensemble", stage_ensemble, cfg, votesets, keys, X, paths)
+    votes = _read(read_votes, paths.votes)
+    keys, X = _read(read_features, paths.features)
+    if keys != votes.keys():
+        raise DataError(f"{paths.features} does not list the ratings of {paths.votes} row for row")
+    classified = _stage("ensemble", stage_ensemble, cfg, votes, X, paths)
     return _ensemble_info(cfg.ensemble_variant, classified)
 
 
@@ -970,7 +968,9 @@ def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> list[SignatureHit]:
         {paths.detect_csv: "ingest", paths.votes: "detect", paths.ensemble_csv: "ensemble"},
     )
     detect = _load_split(cfg, paths.detect_csv)
-    labels = _final_labels(read_votes(paths.votes), read_classification(paths.ensemble_csv))
+    labels = _final_labels(
+        _read(read_votes, paths.votes), _read(read_classification, paths.ensemble_csv)
+    )
     return _stage("signature", stage_signature, cfg, detect, labels, paths)
 
 
@@ -986,29 +986,28 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
         },
     )
     genres = _load_genres(cfg)
-    train = _load_split(cfg, paths.train_csv, genres)
-    detect = _load_split(cfg, paths.detect_csv, genres)
-    eval_t = _load_split(cfg, paths.eval_csv, genres)
-    counts = read_json(paths.ingest)
-    board_section = read_json(paths.board_json)
-    votesets = read_votes(paths.votes)
-    classified = read_classification(paths.ensemble_csv)
-    hits, action = read_hits(paths.signature_csv)
+    train = _load_split(cfg, paths.train_csv)
+    detect = _load_split(cfg, paths.detect_csv)
+    eval_t = _load_split(cfg, paths.eval_csv)
+    counts = _read(read_json, paths.ingest)
+    board_section = _read(read_json, paths.board_json)
+    votes = _read(read_votes, paths.votes)
+    classified = _read(read_classification, paths.ensemble_csv)
+    hits, action = _read(read_hits, paths.signature_csv)
     if detector is None:
-        labels = _final_labels(votesets, classified)
+        labels = _final_labels(votes, classified)
         ens_info = _ensemble_info(cfg.ensemble_variant, classified)
     else:
-        labels = {vs.key: vs.votes[detector] for vs in votesets}
+        labels = _labels(votes.keys(), votes.noisy[:, DETECTOR_IDS.index(detector)])
         ens_info = _ensemble_info(None, classified)
 
     corpus = train.merged(detect)
     cleaned, removal = _clean_corpus(corpus, labels, hits, action or cfg.action())
     reports, eval_section = _stage(
-        "evaluate", stage_evaluate, cfg, corpus, cleaned, eval_t, genres, paths,
-        board_section["venn"],
+        "evaluate", stage_evaluate, cfg, corpus, cleaned, eval_t, genres, paths
     )
     mask = _load_mask_if_configured(cfg)
-    gt = ground_truth_section(mask, votesets, labels) if mask is not None else None
+    gt = ground_truth_section(mask, votes, labels) if mask is not None else None
     split_sizes = {"train": len(train), "detect": len(detect), "eval": len(eval_t)}
     report_dict = _assemble_report(
         cfg, "run" if detector is None else "baseline", detector, counts, split_sizes,
@@ -1016,7 +1015,7 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
     )
     dump_json(_jsonable(report_dict), paths.report)
     return RunResult(
-        reports["serendipity-ndcg"], reports, report_dict, paths, votesets, labels, hits
+        reports["serendipity-ndcg"], reports, report_dict, paths, votes, labels, hits
     )
 
 

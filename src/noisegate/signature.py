@@ -2,8 +2,7 @@
 
 The shipped signature targets opt-out behavior: a user whose final active
 day is dominated by noisy ratings is treated as having scrambled their own
-history on the way out.  A small registry leaves room for further
-label-dependent or label-independent signatures.
+history on the way out.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import csv
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .board.verdict import Verdict
 from .dataset import RatingsTable
@@ -103,20 +102,13 @@ def apply_signature_action(
         return table
     if action is SignatureAction.REMOVE_USER:
         return table.without_users({h.user_id for h in hits})
-    last_day = {h.user_id: h.evidence["last_day"] for h in hits}
-    keys = set()
-    for user, day in last_day.items():
-        for k in table.user_rows(user):
-            if utc_day(int(table.timestamps[k])) == day:
-                keys.add((user, int(table.items[k])))
-    return table.without_keys(keys)
-
-
-# Registry of available signatures.  Each detector takes (table, labels)
-# plus keyword configuration and returns a list of SignatureHit.
-SIGNATURES: dict[str, Callable[..., list[SignatureHit]]] = {
-    OPTOUT_SIGNATURE_ID: detect_optout,
-}
+    rows = [
+        k
+        for h in hits
+        for k in table.user_rows(h.user_id).tolist()
+        if utc_day(int(table.timestamps[k])) == h.evidence["last_day"]
+    ]
+    return table.without_keys(table.users[rows], table.items[rows])
 
 
 HITS_HEADER = ("signatureId", "userId", "lastDay", "noisyCount", "totalCount", "ratio", "action")
@@ -143,6 +135,8 @@ def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | N
         if header != HITS_HEADER:
             raise ValueError(f"{path}: expected header {','.join(HITS_HEADER)}")
         for row in reader:
+            if len(row) != len(HITS_HEADER):
+                raise ValueError(f"{path}: expected {len(HITS_HEADER)} fields in every row")
             hits.append(
                 SignatureHit(
                     row[0], int(row[1]),

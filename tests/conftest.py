@@ -45,6 +45,11 @@ def make_table(
     return RatingsTable(rows, scale, genres=genres)
 
 
+def by_key(table: RatingsTable, column) -> dict[tuple[int, int], object]:
+    """A detector's per-row output over table, looked up by (user, item) key."""
+    return dict(zip(table.keys(), column.tolist()))
+
+
 def make_genres(mapping: dict[int, tuple[str, ...]], vocabulary: tuple[str, ...]) -> GenreMap:
     import numpy as np
 

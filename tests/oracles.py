@@ -3,7 +3,9 @@
 These are the reference implementations the array code in `noisegate.board`
 and `noisegate.ensemble.features` is checked against, bit for bit: one
 Python iteration per rating, neighbor or genre, with row lookups done by a
-plain scan of the table's columns.
+plain scan of the table's columns.  Per-rating outputs come back as arrays
+in test row order, as the array code gives them; an unpredictable NF3
+rating's None becomes NaN there.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from noisegate.board import BoardResult, consensus
+from noisegate.board import CONSENSUS, BoardResult, Consensus, Votes
 from noisegate.board.nf1 import (
     HOMOLOGOUS,
     ItemClass,
@@ -24,7 +26,7 @@ from noisegate.board.nf1 import (
 from noisegate.board.nf2 import Nf2Group, Nf2Result, Quality, Quantity, nf2_rnd
 from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
-from noisegate.board.verdict import DETECTOR_IDS, Verdict, VoteSet
+from noisegate.board.verdict import DETECTOR_IDS
 from noisegate.dataset import RatingsTable
 from noisegate.recsys import KnnConfig, SimilarityMatrix, pearson_similarity
 
@@ -87,14 +89,14 @@ def nf1_detect_loop(test, cuts=(2.5, 4.0), majority=0.5, context=None) -> Nf1Res
         i: _ITEM_CLASSES[_set_class(_profile_values(test, ctx, "items", i), cuts, majority)]
         for i in {int(i) for i in test.items}
     }
-    verdicts = {}
+    noisy = []
     for r in test:
         expected = HOMOLOGOUS.get((user_classes[r.user_id], item_classes[r.item_id]))
         if expected is not None and classify_rating(r.value, cuts) is not expected:
-            verdicts[(r.user_id, r.item_id)] = Verdict.NOISY
+            noisy.append(True)
         else:
-            verdicts[(r.user_id, r.item_id)] = Verdict.CLEAN
-    return Nf1Result(verdicts, user_classes, item_classes)
+            noisy.append(False)
+    return Nf1Result(np.array(noisy, dtype=bool), user_classes, item_classes)
 
 
 # -- NF2 -----------------------------------------------------------------
@@ -155,10 +157,9 @@ def nf2_detect_loop(
     groups = group_users_loop(ctx, coherence_cut)
     genres = ctx.genres
     stats = {}
-    verdicts = {}
-    rnd_values = {}
+    noisy = []
+    rnd_values = []
     for r in test:
-        key = (r.user_id, r.item_id)
         group = groups.get(r.user_id)
         if group is None:
             group = group_users_loop(test, coherence_cut)[r.user_id]
@@ -177,12 +178,12 @@ def nf2_detect_loop(
                 means.append(float((gsum[g] - (r.value if own else 0.0)) / cnt))
         theta = theta_light if group.quantity is Quantity.LIGHT else theta_heavy_medium
         rnd = nf2_rnd(r.value, means, theta)
-        rnd_values[key] = rnd
+        rnd_values.append(rnd)
         if group.quantity is Quantity.MEDIUM and group.quality is Quality.EASY:
-            verdicts[key] = Verdict.CLEAN
+            noisy.append(False)
         else:
-            verdicts[key] = Verdict.NOISY if rnd > rnd_cut else Verdict.CLEAN
-    return Nf2Result(verdicts, groups, rnd_values)
+            noisy.append(rnd > rnd_cut)
+    return Nf2Result(np.array(noisy, dtype=bool), groups, np.array(rnd_values))
 
 
 # -- NF3 -----------------------------------------------------------------
@@ -220,24 +221,27 @@ def knn_predict_loop(
 
 def nf3_detect_loop(train, test, cfg=KnnConfig(), th=0.05) -> Nf3Result:
     sims = SimilarityMatrix(train, cfg) if len(train) else None
-    verdicts, cons, preds = {}, {}, {}
+    noisy, cons, preds = [], [], []
     unpredictable = 0
     for r in test:
-        key = (r.user_id, r.item_id)
         if sims is None or len(_rows(train.users, r.user_id)) == 0:
             pred = None
         else:
             pred = knn_predict_loop(train, r.user_id, r.item_id, cfg, sims)
-        preds[key] = pred
         if pred is None:
             unpredictable += 1
-            cons[key] = None
-            verdicts[key] = Verdict.CLEAN
+            preds.append(math.nan)
+            cons.append(math.nan)
+            noisy.append(False)
         else:
             c = consistency(r.value, pred, test.scale)
-            cons[key] = c
-            verdicts[key] = Verdict.NOISY if c > th else Verdict.CLEAN
-    return Nf3Result(verdicts, cons, preds, unpredictable)
+            preds.append(pred)
+            cons.append(c)
+            noisy.append(c > th)
+    return Nf3Result(
+        np.array(noisy, dtype=bool), np.array(cons, dtype=np.float64),
+        np.array(preds, dtype=np.float64), unpredictable,
+    )
 
 
 # -- NF4 -----------------------------------------------------------------
@@ -262,37 +266,49 @@ def nf4_detect_loop(test, delta1=1.0, delta2=0.25, context=None) -> Nf4Result:
         i: _mean_profile(_profile_values(test, ctx, "items", i), scale)
         for i in {int(x) for x in test.items}
     }
-    verdicts, degrees = {}, {}
+    noisy, degrees = [], []
     prefiltered = 0
     for r in test:
-        key = (r.user_id, r.item_id)
         up = user_profiles[r.user_id]
         ip = item_profiles[r.item_id]
         if manhattan(up, ip) >= delta1:
             prefiltered += 1
-            degrees[key] = 0.0
-            verdicts[key] = Verdict.CLEAN
+            degrees.append(0.0)
+            noisy.append(False)
             continue
         rp = nf4_fuzzify(r.value, scale)
         degree = min(dissim(up, rp), dissim(ip, rp))
-        degrees[key] = degree
-        verdicts[key] = Verdict.NOISY if degree > delta2 else Verdict.CLEAN
-    return Nf4Result(verdicts, degrees, user_profiles, item_profiles, prefiltered)
+        degrees.append(degree)
+        noisy.append(degree > delta2)
+    return Nf4Result(
+        np.array(noisy, dtype=bool), np.array(degrees, dtype=np.float64),
+        user_profiles, item_profiles, prefiltered,
+    )
 
 
 # -- board and features ----------------------------------------------------
 
 
-def votesets_loop(test: RatingsTable, results) -> list[VoteSet]:
-    out = []
-    for r in test:
-        key = (r.user_id, r.item_id)
-        votes = {d: res.verdicts[key] for d, res in zip(DETECTOR_IDS, results)}
-        out.append(VoteSet(key, votes, consensus(votes)))
-    return out
+def votes_loop(test: RatingsTable, results) -> Votes:
+    """The board's votes from the four detector results, by a unanimity loop per rating."""
+    noisy, codes = [], []
+    for k in range(len(test)):
+        flags = [bool(res.noisy[k]) for res in results]
+        if all(flags):
+            outcome = Consensus.NOISY
+        elif not any(flags):
+            outcome = Consensus.CLEAN
+        else:
+            outcome = Consensus.UNCERTAIN
+        noisy.append(flags)
+        codes.append(CONSENSUS.index(outcome))
+    return Votes(
+        test.users, test.items,
+        np.array(noisy, dtype=bool).reshape(-1, len(DETECTOR_IDS)), np.array(codes, dtype=np.int8),
+    )
 
 
-def venn_loop(votesets: list[VoteSet]) -> dict[str, int]:
+def venn_loop(votes: Votes) -> dict[str, int]:
     from itertools import combinations
 
     def label(detectors):
@@ -302,8 +318,8 @@ def venn_loop(votesets: list[VoteSet]) -> dict[str, int]:
     for size in range(len(DETECTOR_IDS) + 1):
         for combo in combinations(DETECTOR_IDS, size):
             counts[label(combo)] = 0
-    for vs in votesets:
-        counts[label(tuple(d for d in DETECTOR_IDS if vs.votes[d] is Verdict.NOISY))] += 1
+    for flags in votes.noisy.tolist():
+        counts[label(tuple(d for d, f in zip(DETECTOR_IDS, flags) if f))] += 1
     return counts
 
 
@@ -314,16 +330,15 @@ _ITEM_CODE = {c: float(k) for k, c in enumerate(_ITEM_CLASSES)}
 def feature_matrix_loop(
     test: RatingsTable, context: RatingsTable, board: BoardResult
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    votes_by_key = {vs.key: vs.votes for vs in board.votesets}
     scale = context.scale
     keys, rows = [], []
-    for r in test:
+    for k, r in enumerate(test):
         key = (r.user_id, r.item_id)
         u_vals = context.values[_rows(context.users, r.user_id)]
         i_vals = context.values[_rows(context.items, r.item_id)]
         u_mean, u_std = float(u_vals.mean()), float(u_vals.std())
         i_mean, i_std = float(i_vals.mean()), float(i_vals.std())
-        c = board.nf3.consistency.get(key)
+        c = float(board.nf3.consistency[k])
         keys.append(key)
         rows.append(np.array(
             [
@@ -333,11 +348,11 @@ def feature_matrix_loop(
                 math.log(len(u_vals)), math.log(len(i_vals)),
                 _USER_CODE[board.nf1.user_classes[r.user_id]],
                 _ITEM_CODE[board.nf1.item_classes[r.item_id]],
-                board.nf4.noise_degree[key],
-                0.0 if c is None else c,
-                1.0 if c is None else 0.0,
-                board.nf2.rnd[key],
+                board.nf4.noise_degree[k],
+                0.0 if math.isnan(c) else c,
+                1.0 if math.isnan(c) else 0.0,
+                board.nf2.rnd[k],
             ]
-            + [1.0 if votes_by_key[key][d] is Verdict.NOISY else 0.0 for d in DETECTOR_IDS]
+            + [1.0 if board.votes.noisy[k, d] else 0.0 for d in range(len(DETECTOR_IDS))]
         ))
     return keys, np.vstack(rows)

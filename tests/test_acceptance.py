@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from noisegate.board import BoardConfig, run_board
+from noisegate.board import CONSENSUS, BoardConfig, run_board
 from noisegate.board.nf2 import nf2_rnd
 from noisegate.board.nf3 import consistency
 from noisegate.board.nf4 import FuzzyProfile, dissim, manhattan, nf4_fuzzify
@@ -64,18 +64,18 @@ def test_criterion_1_partition_and_coverage(tmp_path):
         }
     )
     result = run_framework(cfg)
-    votesets = result.votesets
+    votes = result.votes
     detect_size = result.report_dict["counts"]["detect"]
 
     # Layer 1 partitions the detect split into Noisy/Clean/Uncertain
-    assert len(votesets) == detect_size
+    assert len(votes) == detect_size
     consensus_counts = {c: 0 for c in Consensus}
-    for vs in votesets:
-        consensus_counts[vs.consensus] += 1
+    for code in votes.consensus.tolist():
+        consensus_counts[CONSENSUS[code]] += 1
     assert sum(consensus_counts.values()) == detect_size
 
     # after Layer 2 no Uncertain remains and every rating carries a label
-    assert set(result.labels) == {vs.key for vs in votesets}
+    assert set(result.labels) == set(votes.keys())
     assert all(v in (Verdict.NOISY, Verdict.CLEAN) for v in result.labels.values())
 
     # Venn region sums plus the untouched complement cover the detect split
@@ -223,12 +223,11 @@ def test_criterion_3_consensus_precision():
             return len(flagged & positives) / len(flagged) if flagged else 0.0
 
         per_detector = []
-        for det in DETECTOR_IDS:
-            flagged = {vs.key for vs in board.votesets if vs.votes[det] is Verdict.NOISY}
+        keys = board.votes.keys()
+        for d in range(len(DETECTOR_IDS)):
+            flagged = {key for key, f in zip(keys, board.votes.noisy[:, d].tolist()) if f}
             per_detector.append(precision(flagged))
-        consensus_flagged = {
-            vs.key for vs in board.votesets if vs.consensus is Consensus.NOISY
-        }
+        consensus_flagged = set(board.votes.keys(board.votes.where(Consensus.NOISY)))
         cons = precision(consensus_flagged)
         outcomes.append((cons, sum(per_detector) / len(per_detector)))
 

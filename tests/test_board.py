@@ -9,38 +9,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisegate.board import BoardConfig, consensus, run_board, venn_counts, write_votes, read_votes
-from noisegate.board.verdict import DETECTOR_IDS, Consensus, Verdict, VoteSet
+from noisegate.board import (
+    CONSENSUS,
+    BoardConfig,
+    Votes,
+    consensus,
+    read_votes,
+    run_board,
+    venn_counts,
+    write_votes,
+)
+from noisegate.board.verdict import DETECTOR_IDS, Consensus, Verdict
 from noisegate.dataset import SplitSpec, split_train_test
 
 from .conftest import make_table
 
 
+def _outcome(pattern) -> Consensus:
+    """The board's consensus on one rating voted pattern (one Verdict per detector)."""
+    return CONSENSUS[consensus(np.array([[v is Verdict.NOISY for v in pattern]]))[0]]
+
+
 def test_consensus_unanimous_noisy():
-    votes = {d: Verdict.NOISY for d in DETECTOR_IDS}
-    assert consensus(votes) is Consensus.NOISY
+    assert _outcome([Verdict.NOISY] * 4) is Consensus.NOISY
 
 
 def test_consensus_unanimous_clean():
-    votes = {d: Verdict.CLEAN for d in DETECTOR_IDS}
-    assert consensus(votes) is Consensus.CLEAN
+    assert _outcome([Verdict.CLEAN] * 4) is Consensus.CLEAN
 
 
 def test_consensus_split_vote_uncertain():
-    votes = dict(zip(DETECTOR_IDS, [Verdict.NOISY, Verdict.CLEAN, Verdict.NOISY, Verdict.NOISY]))
-    assert consensus(votes) is Consensus.UNCERTAIN
+    pattern = [Verdict.NOISY, Verdict.CLEAN, Verdict.NOISY, Verdict.NOISY]
+    assert _outcome(pattern) is Consensus.UNCERTAIN
 
 
 def test_consensus_missing_vote_raises():
-    votes = {d: Verdict.NOISY for d in DETECTOR_IDS[:3]}
     with pytest.raises(ValueError):
-        consensus(votes)
+        consensus(np.ones((1, len(DETECTOR_IDS) - 1), dtype=bool))
 
 
 def test_consensus_exhaustive_16_patterns():
     for pattern in itertools.product([Verdict.NOISY, Verdict.CLEAN], repeat=4):
-        votes = dict(zip(DETECTOR_IDS, pattern))
-        got = consensus(votes)
+        got = _outcome(pattern)
         if all(v is Verdict.NOISY for v in pattern):
             assert got is Consensus.NOISY
         elif all(v is Verdict.CLEAN for v in pattern):
@@ -49,21 +59,20 @@ def test_consensus_exhaustive_16_patterns():
             assert got is Consensus.UNCERTAIN
 
 
-def _voteset(key, pattern):
-    votes = dict(zip(DETECTOR_IDS, pattern))
-    return VoteSet(key, votes, consensus(votes))
+def _noisy(patterns) -> np.ndarray:
+    """The (n, 4) noisy-vote matrix of n voted patterns."""
+    return np.array([[v is Verdict.NOISY for v in p] for p in patterns], dtype=bool).reshape(-1, 4)
 
 
 def test_venn_nothing_flagged():
-    sets = [_voteset((1, i), [Verdict.CLEAN] * 4) for i in range(5)]
-    counts = venn_counts(sets)
+    counts = venn_counts(_noisy([[Verdict.CLEAN] * 4] * 5))
     assert counts["none"] == 5
     assert sum(v for k, v in counts.items() if k != "none") == 0
 
 
 def test_venn_single_pair_region():
     pattern = [Verdict.CLEAN, Verdict.NOISY, Verdict.NOISY, Verdict.CLEAN]
-    counts = venn_counts([_voteset((1, 1), pattern)])
+    counts = venn_counts(_noisy([pattern]))
     assert counts["NF2&NF3"] == 1
     assert counts["none"] == 0
 
@@ -77,11 +86,7 @@ def test_venn_single_pair_region():
     )
 )
 def test_venn_regions_partition_everything(patterns):
-    sets = []
-    for k, flags in enumerate(patterns):
-        pattern = [Verdict.NOISY if f else Verdict.CLEAN for f in flags]
-        sets.append(_voteset((1, k), pattern))
-    counts = venn_counts(sets)
+    counts = venn_counts(np.array(patterns, dtype=bool).reshape(-1, 4))
     assert sum(counts.values()) == len(patterns)
     # brute-force oracle: recount each exact subset independently
     for flags in itertools.product([False, True], repeat=4):
@@ -114,21 +119,20 @@ def _board_tables():
 def test_run_board_partitions_test_split():
     train, test = _board_tables()
     res = run_board(train, test, BoardConfig())
-    keys = {vs.key for vs in res.votesets}
+    keys = set(res.votes.keys())
     assert keys == {(r.user_id, r.item_id) for r in test}
-    labels = res.labels()
     n = len(test)
-    by = {c: sum(1 for v in labels.values() if v is c) for c in Consensus}
+    by = {c: int(res.votes.where(c).sum()) for c in Consensus}
     assert sum(by.values()) == n
 
 
 def test_run_board_consensus_subset_of_each_detector():
     train, test = _board_tables()
     res = run_board(train, test, BoardConfig())
-    consensus_noisy = {vs.key for vs in res.votesets if vs.consensus is Consensus.NOISY}
-    for vs in res.votesets:
-        if vs.key in consensus_noisy:
-            assert all(v is Verdict.NOISY for v in vs.votes.values())
+    consensus_noisy = res.votes.where(Consensus.NOISY)
+    for flags, noisy in zip(res.votes.noisy.tolist(), consensus_noisy.tolist()):
+        if noisy:
+            assert all(flags)
 
 
 def test_run_board_venn_sums_to_test_size():
@@ -141,9 +145,8 @@ def test_run_board_deterministic():
     train, test = _board_tables()
     a = run_board(train, test, BoardConfig())
     b = run_board(train, test, BoardConfig())
-    assert [(vs.key, vs.consensus) for vs in a.votesets] == [
-        (vs.key, vs.consensus) for vs in b.votesets
-    ]
+    assert a.votes.keys() == b.votes.keys()
+    assert a.votes.consensus.tolist() == b.votes.consensus.tolist()
     assert a.venn == b.venn
 
 
@@ -151,21 +154,42 @@ def test_votes_csv_roundtrip(tmp_path):
     train, test = _board_tables()
     res = run_board(train, test, BoardConfig())
     p = tmp_path / "votes.csv"
-    write_votes(res.votesets, p)
+    write_votes(res.votes, p)
     back = read_votes(p)
-    assert [(vs.key, vs.votes, vs.consensus) for vs in back] == [
-        (vs.key, vs.votes, vs.consensus) for vs in res.votesets
-    ]
+    for name in ("users", "items", "noisy", "consensus"):
+        got, want = getattr(back, name), getattr(res.votes, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _votes(keys, patterns, codes) -> Votes:
+    users, items = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return Votes(users, items, _noisy(patterns), np.array(codes, dtype=np.int8))
 
 
 def test_write_votes_failure_leaves_old_file(tmp_path):
     p = tmp_path / "votes.csv"
-    old = VoteSet((9, 9), {d: Verdict.NOISY for d in DETECTOR_IDS}, Consensus.NOISY)
-    write_votes([old], p)
+    write_votes(_votes([(9, 9)], [[Verdict.NOISY] * 4], [0]), p)
     before = p.read_bytes()
-    good = VoteSet((1, 2), {d: Verdict.CLEAN for d in DETECTOR_IDS}, Consensus.CLEAN)
-    missing_detector = VoteSet((1, 3), {"NF1": Verdict.NOISY}, Consensus.UNCERTAIN)
-    with pytest.raises(KeyError):
-        write_votes([good, missing_detector], p)
+    # the second row's consensus code names no outcome: the writer fails there
+    bad = _votes([(1, 2), (1, 3)], [[Verdict.CLEAN] * 4, [Verdict.NOISY] * 4], [1, 7])
+    with pytest.raises(IndexError):
+        write_votes(bad, p)
     assert p.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,2,noisy,bogus,clean,clean,uncertain", "Verdict"),
+        ("1,2,noisy,noisy,noisy,clean,noisy", "unanimity"),
+        ("1,x,clean,clean,clean,clean,clean", "invalid literal"),
+        ("1,2,clean,clean,clean,clean", "fields"),
+    ],
+)
+def test_read_votes_rejects_malformed_rows(tmp_path, row, message):
+    p = tmp_path / "votes.csv"
+    p.write_text("userId,itemId,nf1,nf2,nf3,nf4,consensus\n1,1,clean,clean,clean,clean,clean\n"
+                 + row + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_votes(p)

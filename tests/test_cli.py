@@ -184,6 +184,63 @@ def test_missing_artifacts_exit_3(tmp_path, capsys):
     assert "run the detect stage first" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """A run directory after ingest, detect, ensemble and signature."""
+    out = tmp_path_factory.mktemp("staged")
+    for command in ("ingest", "detect", "ensemble", "signature"):
+        assert main([command, *_run_args(out, "malformed")]) == EXIT_OK, command
+    return out / "malformed"
+
+
+def _bogus_cell(column: int):
+    def edit(lines: list[str]) -> None:
+        cells = lines[1].rstrip("\r\n").split(",")
+        cells[column] = "bogus"
+        lines[1] = ",".join(cells) + "\r\n"
+    return edit
+
+
+def _swap_first_rows(lines: list[str]) -> None:
+    lines[1], lines[2] = lines[2], lines[1]
+
+
+def _bad_header(lines: list[str]) -> None:
+    lines[0] = "bogus," + lines[0]
+
+
+def _short_row(lines: list[str]) -> None:
+    lines.append("1\r\n")
+
+
+@pytest.mark.parametrize(
+    "artifact, edit, command",
+    [
+        ("votes.csv", _bogus_cell(3), "ensemble"),
+        ("features.csv", _swap_first_rows, "ensemble"),
+        ("ensemble.csv", _bogus_cell(3), "signature"),
+        ("features.csv", _short_row, "ensemble"),
+        ("signature.csv", _bad_header, "evaluate"),
+        ("board.json", _bad_header, "evaluate"),
+    ],
+    ids=[
+        "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
+        "bad-hits-header", "bad-board-json",
+    ],
+)
+def test_malformed_artifact_exits_3(staged_run, tmp_path, capsys, artifact, edit, command):
+    run_dir = tmp_path / "malformed"
+    shutil.copytree(staged_run, run_dir)
+    path = run_dir / artifact
+    lines = path.read_text().splitlines(keepends=True)
+    edit(lines)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main([command, *_run_args(tmp_path, "malformed")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and artifact in err
+
+
 def test_inject_noise_subcommand(tmp_path, capsys):
     out_ratings = tmp_path / "noisy.csv"
     out_mask = tmp_path / "mask.json"

@@ -64,9 +64,22 @@ def test_user_and_item_stats_population_std():
 
 def test_without_keys_and_without_users():
     t = make_table([(1, 1, 1.0, 0), (1, 2, 2.0, 0), (2, 1, 3.0, 0)])
-    assert len(t.without_keys({(1, 2)})) == 2
+    assert len(t.without_keys(np.array([1]), np.array([2]))) == 2
     assert len(t.without_users({1})) == 1
     assert t.without_users({1}).rows() == [(2, 1, 3.0, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=20),
+    dropped=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+)
+def test_without_keys_matches_set_filter(cells, dropped):
+    """Absent and repeated keys included: the rows left are those whose key is not dropped."""
+    t = make_table([(u, i, 3.0, 0) for u, i in sorted(cells)])
+    users = np.array([u for u, _ in dropped], dtype=np.int64)
+    items = np.array([i for _, i in dropped], dtype=np.int64)
+    assert t.without_keys(users, items).keys() == [k for k in t.keys() if k not in set(dropped)]
 
 
 def test_merged_tables_preserve_rows():

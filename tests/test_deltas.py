@@ -12,6 +12,7 @@ from noisegate.evaluation.deltas import (
     DeltaPoint,
     Quadrant,
     UserEval,
+    _cluster_ndcg_means,
     critical_groups,
     delta_points,
     percent_positive,
@@ -100,7 +101,7 @@ def _arms():
 
 def test_delta_points_full_report():
     before, after = _arms()
-    report = delta_points(before, after, metric="ndcg", venn={"NF1": 2, "none": 5})
+    report = delta_points(before, after, metric="ndcg")
     assert report.metric == "ndcg"
     assert report.pair == "serendipity-ndcg"
     assert report.plane == DEFAULT_PLANE
@@ -115,8 +116,7 @@ def test_delta_points_full_report():
     # one of three positive
     assert report.percent_positive == pytest.approx(100.0 / 3.0, abs=1e-9)
     # after-arm clusters: 0 -> mean(0.55, 0.60) = 0.575, 1 -> 0.35; one below mean
-    assert report.critical_group_pct == pytest.approx(50.0, abs=1e-9)
-    assert report.venn == {"NF1": 2, "none": 5}
+    assert critical_groups(_cluster_ndcg_means(after)) == pytest.approx(50.0, abs=1e-9)
     # cluster id taken from the before arm
     assert p2.cluster == 1
 

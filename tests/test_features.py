@@ -57,31 +57,26 @@ def test_identical_inputs_identical_vectors():
 
 
 def test_vote_features_encode_verdicts():
-    from noisegate.board.verdict import Verdict
-
     test, context, board = _board_fixture()
     keys, X = build_feature_matrix(test, context, board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
-    by_key = {vs.key: vs.votes for vs in board.votesets}
-    for k, key in enumerate(keys):
-        votes = by_key[key]
-        for det, feat in (("NF1", "vote_nf1"), ("NF2", "vote_nf2"),
-                          ("NF3", "vote_nf3"), ("NF4", "vote_nf4")):
-            want = 1.0 if votes[det] is Verdict.NOISY else 0.0
+    assert keys == board.votes.keys()
+    for k in range(len(keys)):
+        for d, (result, feat) in enumerate(((board.nf1, "vote_nf1"), (board.nf2, "vote_nf2"),
+                                            (board.nf3, "vote_nf3"), (board.nf4, "vote_nf4"))):
+            want = 1.0 if result.noisy[k] else 0.0
+            assert board.votes.noisy[k, d] == result.noisy[k]
             assert X[k, col[feat]] == want
 
 
 def test_all_clean_votes_encode_zeros():
-    from noisegate.board.verdict import Verdict
-
     # unanimous raters: every detector must vote Clean on every test rating
     genres = make_genres({i: ("Action",) for i in range(1, 6)}, ("Action",))
     rows = [(u, i, 5.0, u * 10 + i) for u in range(1, 6) for i in range(1, 6)]
     test = make_table([r for r in rows if r[0] == 1], genres=genres)
     train = make_table([r for r in rows if r[0] != 1], genres=genres)
     board = run_board(train, test, BoardConfig())
-    for vs in board.votesets:
-        assert all(v is Verdict.CLEAN for v in vs.votes.values())
+    assert not board.votes.noisy.any()
     keys, X = build_feature_matrix(test, train.merged(test), board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
     vote_cols = [col[f"vote_nf{d}"] for d in (1, 2, 3, 4)]
@@ -113,10 +108,10 @@ def test_nf3_missing_flag_distinguishes_unpredictable():
     test, context, board = _board_fixture()
     keys, X = build_feature_matrix(test, context, board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
-    for k, key in enumerate(keys):
+    for k in range(len(keys)):
         missing = X[k, col["nf3_missing"]]
-        cons = board.nf3.consistency[key]
-        if cons is None:
+        cons = board.nf3.consistency[k]
+        if np.isnan(cons):
             assert missing == 1.0
             assert X[k, col["nf3_consistency"]] == 0.0
         else:

@@ -16,9 +16,8 @@ from noisegate.board.nf1 import (
     nf1_classify_user,
     nf1_detect,
 )
-from noisegate.board.verdict import Verdict
 
-from .conftest import make_table
+from .conftest import by_key, make_table
 
 
 def test_rating_class_boundaries():
@@ -109,7 +108,7 @@ def test_detect_benevolent_strong_item_strong_rating_clean():
     res = nf1_detect(t)
     assert res.user_classes[1] is UserClass.BENEVOLENT
     assert res.item_classes[1] is ItemClass.STRONGLY_PREFERRED
-    assert res.verdicts[(1, 1)] is Verdict.CLEAN
+    assert not by_key(t, res.noisy)[(1, 1)]
 
 
 def test_detect_critical_weak_item_strong_rating_noisy():
@@ -117,39 +116,35 @@ def test_detect_critical_weak_item_strong_rating_noisy():
     res = nf1_detect(t)
     assert res.user_classes[2] is UserClass.CRITICAL
     assert res.item_classes[2] is ItemClass.WEAKLY_PREFERRED
+    noisy = by_key(t, res.noisy)
     # 4.5 is Strong where the homologous group expects Weak
-    assert res.verdicts[(2, 2)] is Verdict.NOISY
+    assert noisy[(2, 2)]
     # the conforming weak rating from a critical user stays clean
-    assert res.verdicts[(3, 2)] is Verdict.CLEAN or res.user_classes[3] is not UserClass.CRITICAL
+    assert not noisy[(3, 2)] or res.user_classes[3] is not UserClass.CRITICAL
 
 
 def test_detect_variable_user_always_clean():
     t = _homologous_fixture()
     res = nf1_detect(t)
     assert res.user_classes[3] is UserClass.VARIABLE
-    for (u, i), v in res.verdicts.items():
+    for (u, i), noisy in by_key(t, res.noisy).items():
         if u == 3:
-            assert v is Verdict.CLEAN
+            assert not noisy
 
 
 def test_detect_flags_exactly_homologous_violations():
     """Brute-force oracle over the whole fixture."""
     t = _homologous_fixture()
     res = nf1_detect(t)
-    for r in t:
+    for r, noisy in zip(t, res.noisy.tolist()):
         pair = (res.user_classes[r.user_id], res.item_classes[r.item_id])
         expected = HOMOLOGOUS.get(pair)
-        want = (
-            Verdict.NOISY
-            if expected is not None and classify_rating(r.value) is not expected
-            else Verdict.CLEAN
-        )
-        assert res.verdicts[(r.user_id, r.item_id)] is want
+        assert noisy == (expected is not None and classify_rating(r.value) is not expected)
 
 
 def test_detect_emits_verdicts_for_test_rows_only():
     ctx = _homologous_fixture()
     test = make_table([(1, 1, 5.0, 0), (2, 2, 4.5, 0)])
     res = nf1_detect(test, context=ctx)
-    assert set(res.verdicts) == {(1, 1), (2, 2)}
-    assert res.verdicts[(2, 2)] is Verdict.NOISY
+    assert res.noisy.shape == (len(test),)
+    assert by_key(test, res.noisy)[(2, 2)]

@@ -16,10 +16,9 @@ from noisegate.board.nf2 import (
     nf2_rnd,
     user_coherence,
 )
-from noisegate.board.verdict import Verdict
 from noisegate.dataset import RatingsTable
 
-from .conftest import make_genres, make_table
+from .conftest import by_key, make_genres, make_table
 
 VOCAB = ("Action", "Comedy", "Drama")
 
@@ -134,9 +133,9 @@ def test_detect_medium_easy_always_clean():
     t = _detect_fixture()
     res = nf2_detect(t)
     assert res.groups[2] == (Quantity.MEDIUM, Quality.EASY)
-    for (u, i), v in res.verdicts.items():
+    for (u, i), noisy in by_key(t, res.noisy).items():
         if u == 2:
-            assert v is Verdict.CLEAN
+            assert not noisy
 
 
 def test_detect_heavy_deviant_rating_noisy():
@@ -144,9 +143,9 @@ def test_detect_heavy_deviant_rating_noisy():
     res = nf2_detect(t)
     assert res.groups[3].quantity is Quantity.HEAVY
     # leave-one-out genre mean stays ~4.0; |0.5-4|/4 = 0.875 >= theta -> RND 1
-    assert res.rnd[(3, 1000)] == pytest.approx(1.0)
-    assert res.verdicts[(3, 1000)] is Verdict.NOISY
-    assert res.verdicts[(3, 1)] is Verdict.CLEAN
+    assert by_key(t, res.rnd)[(3, 1000)] == pytest.approx(1.0)
+    assert by_key(t, res.noisy)[(3, 1000)]
+    assert not by_key(t, res.noisy)[(3, 1)]
 
 
 def test_detect_rnd_exactly_at_cut_is_clean():
@@ -163,9 +162,9 @@ def test_detect_rnd_exactly_at_cut_is_clean():
     # the single user lands in the light tercile; align its theta with the
     # worked example so the 0.05 relative deviation stays under threshold
     res = nf2_detect(t, theta_light=0.075, rnd_cut=0.5)
-    assert res.rnd[(1, 3)] == pytest.approx(0.5, abs=1e-9)
+    assert by_key(t, res.rnd)[(1, 3)] == pytest.approx(0.5, abs=1e-9)
     # strict inequality: RND == cut stays clean regardless of group
-    assert res.verdicts[(1, 3)] is Verdict.CLEAN
+    assert not by_key(t, res.noisy)[(1, 3)]
 
 
 def test_detect_leave_one_out_excludes_own_rating():
@@ -174,8 +173,8 @@ def test_detect_leave_one_out_excludes_own_rating():
     t = make_table(rows, genres=genres)
     res = nf2_detect(t, rnd_cut=0.5)
     # for (1,1): LOO Action mean is 1.0 -> |5-1|/1 = 4 -> RND 1 -> noisy
-    assert res.rnd[(1, 1)] == pytest.approx(1.0)
-    assert res.verdicts[(1, 1)] is Verdict.NOISY
+    assert by_key(t, res.rnd)[(1, 1)] == pytest.approx(1.0)
+    assert by_key(t, res.noisy)[(1, 1)]
 
 
 def test_detect_genre_known_only_through_this_rating_skipped():
@@ -185,5 +184,5 @@ def test_detect_genre_known_only_through_this_rating_skipped():
     t = make_table(rows, genres=genres)
     res = nf2_detect(t)
     # only the Action mean (4.0 after LOO) is countable; deviation 0 -> RND 0
-    assert res.rnd[(1, 2)] == pytest.approx(0.0)
-    assert res.verdicts[(1, 2)] is Verdict.CLEAN
+    assert by_key(t, res.rnd)[(1, 2)] == pytest.approx(0.0)
+    assert not by_key(t, res.noisy)[(1, 2)]

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisegate.board.nf3 import consistency, nf3_detect
-from noisegate.board.verdict import Verdict
 from noisegate.dataset import Scale
 from noisegate.recsys import KnnConfig
 
-from .conftest import make_table
+from .conftest import by_key, make_table
 
 
 def test_consistency_spec_examples():
@@ -47,17 +48,17 @@ def test_detect_far_rating_noisy():
     train, test = _train_test_fixture(5.0)
     cfg = KnnConfig(k=5, min_overlap=2, significance_cap=3)
     res = nf3_detect(train, test, cfg, th=0.05)
-    assert res.predictions[(1, 99)] == pytest.approx(4.0, abs=1e-9)
-    assert res.consistency[(1, 99)] == pytest.approx(1.0 / 4.5, abs=1e-9)
-    assert res.verdicts[(1, 99)] is Verdict.NOISY
+    assert by_key(test, res.predictions)[(1, 99)] == pytest.approx(4.0, abs=1e-9)
+    assert by_key(test, res.consistency)[(1, 99)] == pytest.approx(1.0 / 4.5, abs=1e-9)
+    assert by_key(test, res.noisy)[(1, 99)]
 
 
 def test_detect_exact_match_clean():
     train, test = _train_test_fixture(4.0)
     cfg = KnnConfig(k=5, min_overlap=2, significance_cap=3)
     res = nf3_detect(train, test, cfg, th=0.05)
-    assert res.consistency[(1, 99)] == pytest.approx(0.0)
-    assert res.verdicts[(1, 99)] is Verdict.CLEAN
+    assert by_key(test, res.consistency)[(1, 99)] == pytest.approx(0.0)
+    assert not by_key(test, res.noisy)[(1, 99)]
 
 
 def test_detect_boundary_is_strict():
@@ -67,24 +68,24 @@ def test_detect_boundary_is_strict():
     cfg = KnnConfig(k=5, min_overlap=2, significance_cap=3)
     th = abs(4.225 - 4.0) / 4.5
     res = nf3_detect(train, test, cfg, th=th)
-    assert res.consistency[(1, 99)] == th
-    assert res.verdicts[(1, 99)] is Verdict.CLEAN  # c > th is required
+    assert by_key(test, res.consistency)[(1, 99)] == th
+    assert not by_key(test, res.noisy)[(1, 99)]  # c > th is required
 
 
 def test_detect_small_error_clean():
     train, test = _train_test_fixture(4.1)
     cfg = KnnConfig(k=5, min_overlap=2, significance_cap=3)
     res = nf3_detect(train, test, cfg, th=0.05)
-    assert res.consistency[(1, 99)] == pytest.approx(0.1 / 4.5, abs=1e-9)
-    assert res.verdicts[(1, 99)] is Verdict.CLEAN
+    assert by_key(test, res.consistency)[(1, 99)] == pytest.approx(0.1 / 4.5, abs=1e-9)
+    assert not by_key(test, res.noisy)[(1, 99)]
 
 
 def test_unpredictable_is_clean_and_counted():
     train, _ = _train_test_fixture(4.0)
     test = make_table([(1, 777, 5.0, 0)])  # item unknown to every neighbor
     res = nf3_detect(train, test, KnnConfig(min_overlap=2), th=0.05)
-    assert res.verdicts[(1, 777)] is Verdict.CLEAN
-    assert res.consistency[(1, 777)] is None
+    assert not by_key(test, res.noisy)[(1, 777)]
+    assert math.isnan(by_key(test, res.consistency)[(1, 777)])
     assert res.n_unpredictable == 1
 
 
@@ -92,7 +93,7 @@ def test_user_missing_from_train_is_unpredictable():
     train, _ = _train_test_fixture(4.0)
     test = make_table([(42, 99, 5.0, 0)])
     res = nf3_detect(train, test, KnnConfig(min_overlap=2), th=0.05)
-    assert res.verdicts[(42, 99)] is Verdict.CLEAN
+    assert not by_key(test, res.noisy)[(42, 99)]
     assert res.n_unpredictable == 1
 
 
@@ -101,7 +102,7 @@ def test_empty_train_everything_unpredictable():
     test = make_table([(1, 1, 5.0, 0), (2, 2, 1.0, 0)])
     res = nf3_detect(train, test, KnnConfig(), th=0.05)
     assert res.n_unpredictable == 2
-    assert all(v is Verdict.CLEAN for v in res.verdicts.values())
+    assert not res.noisy.any()
 
 
 def test_threshold_monotonicity():
@@ -113,7 +114,7 @@ def test_threshold_monotonicity():
     previous = None
     for th in (0.01, 0.05, 0.1, 0.3, 0.9):
         res = nf3_detect(train, test, cfg, th=th)
-        noisy = {k for k, v in res.verdicts.items() if v is Verdict.NOISY}
+        noisy = {k for k, v in by_key(test, res.noisy).items() if v}
         if previous is not None:
             assert noisy <= previous
         previous = noisy

@@ -13,10 +13,9 @@ from noisegate.board.nf4 import (
     nf4_detect,
     nf4_fuzzify,
 )
-from noisegate.board.verdict import Verdict
 from noisegate.dataset import Scale
 
-from .conftest import make_table
+from .conftest import by_key, make_table
 
 S = Scale(0.5, 5.0)
 
@@ -102,8 +101,8 @@ def test_detect_identity_profiles_clean():
     rows = [(u, i, 2.75, 0) for u in (1, 2) for i in (1, 2)]
     t = make_table(rows)
     res = nf4_detect(t)
-    assert all(v is Verdict.CLEAN for v in res.verdicts.values())
-    assert all(d == 0.0 for d in res.noise_degree.values())
+    assert not res.noisy.any()
+    assert all(d == 0.0 for d in res.noise_degree.tolist())
 
 
 def test_detect_opposed_rating_noisy():
@@ -120,8 +119,8 @@ def test_detect_opposed_rating_noisy():
     ip = res.item_profiles[1]
     assert up == (0.0, 0.0, 1.0) and ip == (0.0, 0.0, 1.0)
     # manhattan(user,item)=0 < delta1; rating profile (1,0,0): d=2 -> dissim 1
-    assert res.noise_degree[(1, 1)] == pytest.approx(1.0, abs=1e-9)
-    assert res.verdicts[(1, 1)] is Verdict.NOISY
+    assert by_key(test, res.noise_degree)[(1, 1)] == pytest.approx(1.0, abs=1e-9)
+    assert by_key(test, res.noisy)[(1, 1)]
     assert res.n_prefiltered == 0
 
 
@@ -137,8 +136,8 @@ def test_detect_prefilter_dissimilar_profiles_clean():
     assert res.user_profiles[1] == (1.0, 0.0, 0.0)
     assert res.item_profiles[1] == (0.0, 0.0, 1.0)
     assert res.n_prefiltered == 1
-    assert res.verdicts[(1, 1)] is Verdict.CLEAN
-    assert res.noise_degree[(1, 1)] == 0.0
+    assert not by_key(test, res.noisy)[(1, 1)]
+    assert by_key(test, res.noise_degree)[(1, 1)] == 0.0
 
 
 def test_detect_noise_degree_is_min_tnorm():
@@ -164,8 +163,8 @@ def test_detect_noise_degree_is_min_tnorm():
     assert dissim(up, rp) == pytest.approx(1 / 3, abs=1e-12)
     assert dissim(ip, rp) == 0.0
     want = min(dissim(up, rp), dissim(ip, rp))
-    assert res.noise_degree[(1, 3)] == pytest.approx(want, abs=1e-12)
-    assert res.verdicts[(1, 3)] is Verdict.CLEAN
+    assert by_key(test, res.noise_degree)[(1, 3)] == pytest.approx(want, abs=1e-12)
+    assert not by_key(test, res.noisy)[(1, 3)]
 
 
 def test_detect_boundary_delta2_strict():
@@ -177,9 +176,9 @@ def test_detect_boundary_delta2_strict():
     test = make_table([(1, 1, 0.5, 0)])
     ctx = make_table(rows).merged(test)
     res = nf4_detect(test, context=ctx)
-    nd = res.noise_degree[(1, 1)]
+    nd = by_key(test, res.noise_degree)[(1, 1)]
     assert nd == pytest.approx(1 / 3, abs=1e-12)
     res_at = nf4_detect(test, context=ctx, delta2=nd)
-    assert res_at.verdicts[(1, 1)] is Verdict.CLEAN
+    assert not by_key(test, res_at.noisy)[(1, 1)]
     res_below = nf4_detect(test, context=ctx, delta2=nd - 1e-9)
-    assert res_below.verdicts[(1, 1)] is Verdict.NOISY
+    assert by_key(test, res_below.noisy)[(1, 1)]

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from noisegate.board.verdict import Consensus, Verdict
+from noisegate.board import CONSENSUS
+from noisegate.board.verdict import DETECTOR_IDS, Consensus, Verdict
 from noisegate.dataset import Scale, load_ratings
 from noisegate.pipeline import (
     ConfigError,
@@ -306,7 +307,7 @@ def test_noise_free_dataset_flags_little(framework_run):
 
 def test_labels_cover_detect_split_without_uncertainty(framework_run):
     cfg, result = framework_run
-    by_key = {vs.key: vs.consensus for vs in result.votesets}
+    by_key = dict(zip(result.votes.keys(), map(CONSENSUS.__getitem__, result.votes.consensus)))
     assert set(result.labels) == set(by_key)
     for key, consensus in by_key.items():
         assert result.labels[key] in (Verdict.NOISY, Verdict.CLEAN)
@@ -324,11 +325,12 @@ def test_removal_soundness(framework_run):
     corpus = train.merged(detect)
     noisy = {k for k, v in result.labels.items() if v is Verdict.NOISY}
     flagged = {h.user_id for h in result.hits}
-    expected = corpus.without_keys(noisy).without_users(flagged)
+    keep = [k for k, key in enumerate(corpus.keys()) if key not in noisy]
+    expected = corpus.subset_rows(keep).without_users(flagged)
     rm = result.report_dict["removal"]
     assert rm["corpus_size"] == len(corpus)
     assert rm["cleaned_size"] == len(expected)
-    assert rm["noisy_ratings_removed"] == len(corpus) - len(corpus.without_keys(noisy))
+    assert rm["noisy_ratings_removed"] == len(corpus) - len(keep)
     # the held-out fold is never touched by cleaning
     assert result.report_dict["counts"]["eval"] == len(eval_t)
 
@@ -374,6 +376,28 @@ def test_ground_truth_section_with_mask(tmp_path):
         assert 0.0 <= gt["detectors"][det]["precision"] <= 1.0
         assert 0.0 <= gt["detectors"][det]["recall"] <= 1.0
     assert set(gt["consensus"]) == {"flagged", "true_positives", "precision", "recall"}
+    # brute-force recount over the keys of the detect split
+    keys = result.votes.keys()
+    positives = set(mask.keys) & set(keys)
+    assert gt["positives_in_detect"] == len(positives)
+    flagged_by = {
+        det: {key for key, f in zip(keys, result.votes.noisy[:, d].tolist()) if f}
+        for d, det in enumerate(DETECTOR_IDS)
+    }
+    flagged_by["consensus"] = {
+        key for key, c in zip(keys, result.votes.consensus.tolist())
+        if CONSENSUS[c] is Consensus.NOISY
+    }
+    flagged_by["final_labels"] = {k for k, v in result.labels.items() if v is Verdict.NOISY}
+    for name, flagged in flagged_by.items():
+        section = gt["detectors"][name] if name in DETECTOR_IDS else gt[name]
+        tp = len(flagged & positives)
+        assert section == {
+            "flagged": len(flagged),
+            "true_positives": tp,
+            "precision": tp / len(flagged) if flagged else 0.0,
+            "recall": tp / len(positives) if positives else 0.0,
+        }
 
 
 # -- baselines -----------------------------------------------------------
