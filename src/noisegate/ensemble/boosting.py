@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trees import RegressionTree
+from .trees import RegressionTree, presort
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,15 +59,17 @@ def train_gbt(
     """Boost depth-limited regression trees on logistic-loss gradients.
 
     Round t fits a tree to the residual y - p and steps each leaf by the
-    Newton estimate sum(g)/sum(p(1-p)).  With rounds=0 the model is the
-    prior log-odds, so it predicts the majority class; lr=0 freezes the
-    score at that prior.  Training log-loss is recorded per round.
+    Newton estimate sum(g)/sum(p(1-p)).  X is presorted once for all
+    rounds.  With rounds=0 the model is the prior log-odds, so it predicts
+    the majority class; lr=0 freezes the score at that prior.  Training
+    log-loss is recorded per round.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     p1 = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
     base = float(np.log(p1 / (1.0 - p1)))
     score = np.full(len(y), base)
+    orders = presort(X)
     trees: list[RegressionTree] = []
     losses: list[float] = [_log_loss(y, _sigmoid(score))]
     for _ in range(rounds):
@@ -77,7 +79,7 @@ def train_gbt(
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
             raise RuntimeError(f"non-finite gradient at round {len(trees)}")
         tree = RegressionTree(max_depth=depth)
-        tree.fit(X, g, h)
+        tree.fit(X, g, h, orders)
         trees.append(tree)
         score = score + lr * tree.predict(X)
         losses.append(_log_loss(y, _sigmoid(score)))

@@ -24,7 +24,11 @@ class _Standardizer:
 
 
 class KnnClassifier:
-    """Euclidean kNN vote on standardized features."""
+    """Euclidean kNN vote on standardized features; labels are 0 or 1.
+
+    Distance ties at the k-th neighbour go to the lowest training row, the
+    rows a stable argsort would put first.
+    """
 
     def __init__(self, k: int = 5, seed: int = 0):
         self.k = k
@@ -41,13 +45,31 @@ class KnnClassifier:
         X = self.scaler.transform(np.asarray(X, dtype=np.float64))
         k = min(self.k, len(self.y))
         out = np.zeros(len(X))
-        train_sq = np.sum(self.X**2, axis=1)
         for start in range(0, len(X), 512):
-            chunk = X[start : start + 512]
-            d2 = np.sum(chunk**2, axis=1)[:, None] + train_sq[None, :] - 2.0 * chunk @ self.X.T
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[start : start + 512] = self.y[nearest].mean(axis=1)
+            out[start : start + 512] = self._positives_in_k_nearest(X[start : start + 512], k) / k
         return out
+
+    def _positives_in_k_nearest(self, chunk: np.ndarray, k: int) -> np.ndarray:
+        # d2 = |q|^2 + |x|^2 - 2 q.x, rounded as written; the 2 q.x buffer
+        # then takes the partition, so a chunk holds two arrays of its
+        # distances' size at most.
+        buf = chunk @ self.X.T
+        buf *= 2.0
+        d2 = np.sum(chunk**2, axis=1)[:, None] + np.sum(self.X**2, axis=1)[None, :]
+        d2 -= buf
+        buf[...] = d2
+        buf.partition(k - 1, axis=1)
+        kth = buf[:, k - 1 : k]
+        below = d2 < kth
+        positive = self.y == 1
+        need = k - np.count_nonzero(below, axis=1)
+        hits = np.count_nonzero(below & positive, axis=1)
+        # The ties at the k-th distance fill the remaining `need` places in
+        # column order; np.nonzero lists each row's ties in that order.
+        rows, cols = np.nonzero(d2 == kth)
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        taken = (rank < need[rows]) & positive[cols]
+        return hits + np.bincount(rows[taken], minlength=len(chunk))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(np.int64)
@@ -100,28 +122,77 @@ class GaussianNB:
         return self.classes[np.argmax(jll, axis=1)]
 
 
-class LogisticRegression:
-    """L2-regularized logistic regression fit by full-batch gradient descent."""
+def _log_loss(y: np.ndarray, z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean log loss at scores z, labels y in {0, 1}: (loss, d/dz, d2/dz2)."""
+    p = _sigmoid(z)
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)), p - y, p * (1.0 - p)
 
-    def __init__(self, lr: float = 0.5, iters: int = 500, reg: float = 1e-3, seed: int = 0):
-        self.lr = lr
-        self.iters = iters
+
+def _squared_hinge(y: np.ndarray, z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean max(0, 1 - t z)^2 with t = +1 / -1 for y = 1 / 0: (loss, d/dz,
+    d2/dz2 of the generalized Hessian, 2 on the active set)."""
+    t = 2.0 * y - 1.0
+    slack = np.maximum(0.0, 1.0 - t * z)
+    return float(np.mean(slack * slack)), -2.0 * t * slack, 2.0 * (slack > 0.0)
+
+
+_GRAD_TOL = 1e-10
+_FLAT_DECREMENT = 1e-12
+_MAX_NEWTON_STEPS = 100
+
+
+def _newton(Z: np.ndarray, y: np.ndarray, loss, reg: float) -> tuple[np.ndarray, float]:
+    """Minimize mean(loss(y, Z w + b)) + reg/2 |w|^2 over (w, b), b unregularized.
+
+    Newton's method with a backtracking (Armijo) line search, one (d+1) x
+    (d+1) solve per step; for the squared hinge the Hessian is the
+    generalized one over the active set (finite Newton).  Stops at gradient
+    norm _GRAD_TOL, or when no step lowers the objective.  A step of Newton
+    decrement below _FLAT_DECREMENT is taken whole: its predicted decrease
+    nears the objective's rounding error, which would decide an Armijo test.
+    """
+    n, d = Z.shape
+    A = np.hstack([Z, np.ones((n, 1))])
+    penalty = np.full(d + 1, reg)
+    penalty[-1] = 0.0
+
+    def objective(theta):
+        value, dz, d2z = loss(y, A @ theta)
+        return value + 0.5 * float(penalty @ (theta * theta)), dz, d2z
+
+    theta = np.zeros(d + 1)
+    f, dz, d2z = objective(theta)
+    for _ in range(_MAX_NEWTON_STEPS):
+        grad = A.T @ dz / n + penalty * theta
+        if np.linalg.norm(grad) <= _GRAD_TOL:
+            break
+        hess = (A.T * d2z) @ A / n + np.diag(penalty)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = -float(grad @ step)
+        size = 1.0
+        f_new, dz, d2z = objective(theta + step)
+        while f_new > f - 1e-4 * size * decrement and decrement > _FLAT_DECREMENT:
+            size *= 0.5
+            if size < 1e-12:
+                return theta[:-1], float(theta[-1])
+            f_new, dz, d2z = objective(theta + size * step)
+        theta = theta + size * step
+        f = f_new
+    return theta[:-1], float(theta[-1])
+
+
+class _LinearModel:
+    """Linear score on standardized features; the subclass names the loss."""
+
+    def __init__(self, reg: float = 1e-3, seed: int = 0):
         self.reg = reg
         self.seed = seed
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearModel":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         self.scaler = _Standardizer().fit(X)
-        Z = self.scaler.transform(X)
-        n, d = Z.shape
-        self.w = np.zeros(d)
-        self.b = 0.0
-        for _ in range(self.iters):
-            p = _sigmoid(Z @ self.w + self.b)
-            err = p - y
-            self.w -= self.lr * (Z.T @ err / n + self.reg * self.w)
-            self.b -= self.lr * float(err.mean())
+        y = (np.asarray(y) == 1).astype(np.float64)
+        self.w, self.b = _newton(self.scaler.transform(X), y, self._loss, self.reg)
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -135,83 +206,17 @@ class LogisticRegression:
         return (self.decision_function(X) > 0.0).astype(np.int64)
 
 
-class MarginClassifier:
-    """Linear hinge-loss classifier trained by seeded subgradient descent.
+class LogisticRegression(_LinearModel):
+    """L2-regularized logistic regression, fit exactly by Newton's method."""
 
-    A kernel-free margin learner; probabilities are a sigmoid squash of the
-    signed margin, good enough for ranking confidence.
+    _loss = staticmethod(_log_loss)
+
+
+class MarginClassifier(_LinearModel):
+    """L2-loss (squared-hinge) linear SVM, fit exactly by finite Newton.
+
+    Probabilities are a sigmoid squash of the signed margin, good enough
+    for ranking confidence.
     """
 
-    def __init__(self, epochs: int = 50, lr: float = 0.1, reg: float = 1e-3, seed: int = 0):
-        self.epochs = epochs
-        self.lr = lr
-        self.reg = reg
-        self.seed = seed
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "MarginClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        t = np.where(np.asarray(y, dtype=np.int64) == 1, 1.0, -1.0)
-        self.scaler = _Standardizer().fit(X)
-        Z = self.scaler.transform(X)
-        n, d = Z.shape
-        self.w = np.zeros(d)
-        self.b = 0.0
-        rng = np.random.default_rng(self.seed)
-        for epoch in range(self.epochs):
-            step = self.lr / (1.0 + 0.1 * epoch)
-            for i in rng.permutation(n).tolist():
-                margin = t[i] * (Z[i] @ self.w + self.b)
-                if margin < 1.0:
-                    self.w += step * (t[i] * Z[i] - self.reg * self.w)
-                    self.b += step * t[i]
-                else:
-                    self.w -= step * self.reg * self.w
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        Z = self.scaler.transform(np.asarray(X, dtype=np.float64))
-        return Z @ self.w + self.b
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0.0).astype(np.int64)
-
-
-class SgdLogLoss:
-    """Linear logistic model trained one sample at a time in seeded order."""
-
-    def __init__(self, epochs: int = 30, lr: float = 0.1, reg: float = 1e-4, seed: int = 0):
-        self.epochs = epochs
-        self.lr = lr
-        self.reg = reg
-        self.seed = seed
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "SgdLogLoss":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self.scaler = _Standardizer().fit(X)
-        Z = self.scaler.transform(X)
-        n, d = Z.shape
-        self.w = np.zeros(d)
-        self.b = 0.0
-        rng = np.random.default_rng(self.seed)
-        for epoch in range(self.epochs):
-            step = self.lr / (1.0 + 0.1 * epoch)
-            for i in rng.permutation(n).tolist():
-                p = float(_sigmoid(np.array([Z[i] @ self.w + self.b]))[0])
-                err = p - y[i]
-                self.w -= step * (err * Z[i] + self.reg * self.w)
-                self.b -= step * err
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        Z = self.scaler.transform(np.asarray(X, dtype=np.float64))
-        return Z @ self.w + self.b
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0.0).astype(np.int64)
+    _loss = staticmethod(_squared_hinge)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..seeding import derive_seed
-from .learners import GaussianNB, KnnClassifier, MarginClassifier, SgdLogLoss
+from .learners import GaussianNB, KnnClassifier, LogisticRegression, MarginClassifier
 from .trees import DecisionTree
 
 logger = logging.getLogger("noisegate.ensemble.ressel")
@@ -34,12 +34,12 @@ def base_roster(spec: str | Sequence[Factory]) -> list[Factory]:
     if spec == "EL4_1":
         return [
             lambda s: _SqrtTree(max_depth=4, seed=s),
-            lambda s: SgdLogLoss(seed=s),
+            lambda s: LogisticRegression(reg=1e-4, seed=s),
         ]
     if spec == "EL4_2":
         return [
             lambda s: _SqrtTree(max_depth=4, seed=s),
-            lambda s: SgdLogLoss(seed=s),
+            lambda s: LogisticRegression(reg=1e-4, seed=s),
             lambda s: GaussianNB(seed=s),
             lambda s: MarginClassifier(seed=s),
             lambda s: KnnClassifier(k=10, seed=s),
@@ -74,12 +74,6 @@ class ResselModel:
         return self._votes(X) / len(self.classifiers)
 
 
-def _fit_fresh(factory: Factory, clf_seed: int, X: np.ndarray, y: np.ndarray):
-    clf = factory(clf_seed)
-    clf.fit(X, y)
-    return clf
-
-
 def _oob_error(clf, X: np.ndarray, y: np.ndarray, oob: np.ndarray) -> float:
     pred = clf.predict(X[oob])
     return float(np.mean(pred != y[oob]))
@@ -100,7 +94,7 @@ def train_bagging(
     for b in range(bags):
         rng = np.random.default_rng(derive_seed(seed, b))
         idx = rng.integers(0, len(y), size=len(y))
-        clf = _fit_fresh(roster[b % len(roster)], derive_seed(seed, b, 1), X[idx], y[idx])
+        clf = roster[b % len(roster)](derive_seed(seed, b, 1)).fit(X[idx], y[idx])
         classifiers.append(clf)
     return ResselModel(classifiers, [], "bagging")
 
@@ -140,7 +134,7 @@ def train_ressel(
         idx = rng.integers(0, n, size=n)
         clf_seed = derive_seed(seed, b, 1)
         factory = roster[b % len(roster)]
-        clf = _fit_fresh(factory, clf_seed, X_labeled[idx], y[idx])
+        clf = factory(clf_seed).fit(X_labeled[idx], y[idx])
         oob = np.setdiff1d(np.arange(n), idx)
         if len(oob) == 0:
             logger.warning("bag %d has no OOB samples; skipping self-training", b)
@@ -170,7 +164,7 @@ def train_ressel(
             by = pred[batch]
             trial_X = np.vstack([X_labeled[idx]] + accepted_X + [bx])
             trial_y = np.concatenate([y[idx]] + accepted_y + [by])
-            clf2 = _fit_fresh(factory, clf_seed, trial_X, trial_y)
+            clf2 = factory(clf_seed).fit(trial_X, trial_y)
             e_new = _oob_error(clf2, X_labeled, y, oob)
             if e_new > e_prev:
                 break

@@ -84,9 +84,13 @@ def quadrant(x: float, y: float) -> Quadrant:
 
 
 def plane_positive(x: float, y: float, plane: tuple[float, float] = DEFAULT_PLANE) -> bool:
-    """True iff the point lies strictly above the plane a*x + b*y = 0."""
-    a, b = plane
-    return a * x + b * y > 0.0
+    """True iff the point lies strictly above the plane a*x + b*y = 0.
+
+    The sign is exact, in integers over a common denominator: in floats a
+    product such as 0.07 * 5e-324 underflows, and rescaling (a, b) could
+    flip the answer."""
+    (na, da), (nb, db), (nx, dx), (ny, dy) = (float(v).as_integer_ratio() for v in (*plane, x, y))
+    return na * nx * db * dy + nb * ny * da * dx > 0
 
 
 def critical_groups(cluster_metrics: Mapping[int, float]) -> float:

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -241,6 +242,8 @@ class PipelineConfig:
             raise ConfigError("clusters_k and top_k must be >= 1")
         if self.mf_factors < 1 or self.mf_epochs < 1:
             raise ConfigError("mf_factors and mf_epochs must be >= 1")
+        if not all(math.isfinite(v) for v in (self.plane_a, self.plane_b)):
+            raise ConfigError("plane_a and plane_b must be finite")
 
 
 _OPT_INT_FIELDS = {"rf_feature_subset", "eif_extension_level"}

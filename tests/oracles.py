@@ -1,11 +1,13 @@
-"""Per-rating loop versions of the board detectors and the feature builder.
+"""Per-rating loop versions of the board detectors and the feature builder,
+and per-row / per-node sort versions of the Layer-2 kNN and trees.
 
 These are the reference implementations the array code in `noisegate.board`
-and `noisegate.ensemble.features` is checked against, bit for bit: one
-Python iteration per rating, neighbor or genre, with row lookups done by a
-plain scan of the table's columns.  Per-rating outputs come back as arrays
-in test row order, as the array code gives them; an unpredictable NF3
-rating's None becomes NaN there.
+and `noisegate.ensemble` is checked against, bit for bit: one Python
+iteration per rating, neighbor or genre, with row lookups done by a plain
+scan of the table's columns.  Per-rating outputs come back as arrays in
+test row order, as the array code gives them; an unpredictable NF3
+rating's None becomes NaN there.  The kNN oracle argsorts every query's
+distances; the tree oracles argsort every candidate feature at every node.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
 from noisegate.board.verdict import DETECTOR_IDS
 from noisegate.dataset import RatingsTable
+from noisegate.ensemble.learners import KnnClassifier
+from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
 from noisegate.recsys import KnnConfig, SimilarityMatrix, pearson_similarity
 
 
@@ -356,3 +360,146 @@ def feature_matrix_loop(
             + [1.0 if board.votes.noisy[k, d] else 0.0 for d in range(len(DETECTOR_IDS))]
         ))
     return keys, np.vstack(rows)
+
+
+# -- Layer 2: kNN and trees ----------------------------------------------
+
+
+def knn_proba_argsort(model: KnnClassifier, X: np.ndarray) -> np.ndarray:
+    """A fitted KnnClassifier's probabilities from a stable argsort per query."""
+    X = model.scaler.transform(np.asarray(X, dtype=np.float64))
+    k = min(model.k, len(model.y))
+    out = np.zeros(len(X))
+    train_sq = np.sum(model.X**2, axis=1)
+    for start in range(0, len(X), 512):
+        chunk = X[start : start + 512]
+        d2 = np.sum(chunk**2, axis=1)[:, None] + train_sq[None, :] - 2.0 * chunk @ model.X.T
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start : start + 512] = model.y[nearest].mean(axis=1)
+    return out
+
+
+class ArgsortDecisionTree(DecisionTree):
+    """DecisionTree that argsorts each candidate feature at every node."""
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "ArgsortDecisionTree":
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        self.n_features = X.shape[1]
+        rng = np.random.default_rng(self.seed)
+        self.root = self._grow_sorting(X, y, 0, rng)
+        return self
+
+    def _grow_sorting(self, X, y, depth, rng) -> _Node:
+        n = len(y)
+        n1 = int(y.sum())
+        if (
+            n < self.min_samples_split
+            or n1 == 0
+            or n1 == n
+            or (self.max_depth is not None and depth >= self.max_depth)
+        ):
+            return self._leaf(y)
+        parent_imp = float(_gini(np.array([n1]), np.array([n]))[0])
+        best = (parent_imp - _MIN_GAIN, -1, 0.0)
+        for f in self._candidate_features(rng):
+            xs = X[:, f]
+            if self.splitter == "random":
+                lo, hi = xs.min(), xs.max()
+                if lo == hi:
+                    continue
+                thr = rng.uniform(lo, hi)
+                left = xs <= thr
+                nl = int(left.sum())
+                if nl == 0 or nl == n:
+                    continue
+                n1l = int(y[left].sum())
+                imp = (
+                    nl * float(_gini(np.array([n1l]), np.array([nl]))[0])
+                    + (n - nl) * float(_gini(np.array([n1 - n1l]), np.array([n - nl]))[0])
+                ) / n
+                if imp < best[0]:
+                    best = (imp, int(f), float(thr))
+                continue
+            order = np.argsort(xs, kind="stable")
+            xs_s = xs[order]
+            ys_s = y[order]
+            boundaries = np.flatnonzero(xs_s[:-1] < xs_s[1:])
+            if len(boundaries) == 0:
+                continue
+            c1 = np.cumsum(ys_s)
+            nl = boundaries + 1
+            n1l = c1[boundaries]
+            nr = n - nl
+            n1r = n1 - n1l
+            imps = (nl * _gini(n1l, nl) + nr * _gini(n1r, nr)) / n
+            k = int(np.argmin(imps))
+            if imps[k] < best[0]:
+                thr = (xs_s[boundaries[k]] + xs_s[boundaries[k] + 1]) / 2.0
+                best = (float(imps[k]), int(f), float(thr))
+        if best[1] < 0:
+            return self._leaf(y)
+        node = _Node()
+        node.feature = best[1]
+        node.threshold = best[2]
+        node.counts = (n - n1, n1)
+        mask = X[:, node.feature] <= node.threshold
+        node.left = self._grow_sorting(X[mask], y[mask], depth + 1, rng)
+        node.right = self._grow_sorting(X[~mask], y[~mask], depth + 1, rng)
+        return node
+
+
+class ArgsortRegressionTree(RegressionTree):
+    """RegressionTree that argsorts every feature at every node."""
+
+    def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray) -> "ArgsortRegressionTree":
+        X = np.asarray(X, dtype=np.float64)
+        self.n_features = X.shape[1]
+        g = np.asarray(g, dtype=np.float64)
+        self.root = self._grow_sorting(X, g, np.asarray(h, dtype=np.float64), 0)
+        return self
+
+    def _grow_sorting(self, X, g, h, depth) -> _Node:
+        n = len(g)
+        if n < self.min_samples_split or depth >= self.max_depth:
+            return self._leaf(g, h)
+        total_sse = float(g @ g) - g.sum() ** 2 / n
+        best = (total_sse - _MIN_GAIN, -1, 0.0)
+        for f in range(self.n_features):
+            xs = X[:, f]
+            order = np.argsort(xs, kind="stable")
+            xs_s = xs[order]
+            gs = g[order]
+            boundaries = np.flatnonzero(xs_s[:-1] < xs_s[1:])
+            if len(boundaries) == 0:
+                continue
+            csum = np.cumsum(gs)
+            csq = np.cumsum(gs * gs)
+            nl = boundaries + 1
+            sl = csum[boundaries]
+            ql = csq[boundaries]
+            nr = n - nl
+            sr = csum[-1] - sl
+            qr = csq[-1] - ql
+            sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+            k = int(np.argmin(sse))
+            if sse[k] < best[0]:
+                thr = (xs_s[boundaries[k]] + xs_s[boundaries[k] + 1]) / 2.0
+                best = (float(sse[k]), int(f), float(thr))
+        if best[1] < 0:
+            return self._leaf(g, h)
+        node = _Node()
+        node.feature = best[1]
+        node.threshold = best[2]
+        mask = X[:, node.feature] <= node.threshold
+        node.left = self._grow_sorting(X[mask], g[mask], h[mask], depth + 1)
+        node.right = self._grow_sorting(X[~mask], g[~mask], h[~mask], depth + 1)
+        return node
+
+
+def tree_structure(node: _Node) -> list[tuple]:
+    """Pre-order (feature, threshold, counts, value) of every node."""
+    out = [(node.feature, node.threshold, node.counts, node.value)]
+    if node.left is not None:
+        out += tree_structure(node.left) + tree_structure(node.right)
+    return out

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisegate.evaluation.deltas import (
@@ -70,6 +70,7 @@ def test_plane_boundary_not_positive():
     st.floats(min_value=-1, max_value=1, allow_nan=False),
     st.integers(min_value=-3, max_value=8),
 )
+@example(x=0.0, y=5e-324, exponent=2)
 def test_plane_scale_invariant(x, y, exponent):
     # powers of two rescale both coefficients exactly
     c = 2.0 ** exponent

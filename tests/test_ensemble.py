@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisegate.ensemble import (
     VARIANTS,
@@ -18,10 +20,13 @@ from noisegate.ensemble import (
 from noisegate.ensemble.boosting import train_gbt
 from noisegate.ensemble.forest import RandomForest
 from noisegate.ensemble.isolation import ExtendedIsolationForest, c_factor
+from noisegate.ensemble.learners import KnnClassifier, LogisticRegression, MarginClassifier
 from noisegate.ensemble.ressel import train_bagging, train_ressel
 from noisegate.ensemble.stacking import train_stacking
-from noisegate.ensemble.trees import DecisionTree
+from noisegate.ensemble.trees import DecisionTree, RegressionTree, presort
 from noisegate.board.verdict import Verdict
+
+from . import oracles
 
 
 def _separable(n=100, seed=0, gap=2.0):
@@ -41,6 +46,123 @@ def _xor(n=200, seed=3):
     X = rng.uniform(-1, 1, size=(n, 2))
     y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(np.int64)
     return X, y
+
+
+# -- linear learners -----------------------------------------------------
+
+
+def _objective_gradient(model, X, y) -> np.ndarray:
+    """Gradient in (w, b) of the objective the fitted model claims to
+    minimize, mean loss + reg/2 |w|^2 on standardized X, written out here."""
+    Z = model.scaler.transform(X)
+    z = Z @ model.w + model.b
+    if isinstance(model, LogisticRegression):
+        dz = 1.0 / (1.0 + np.exp(-z)) - y  # log loss
+    else:
+        t = np.where(y == 1, 1.0, -1.0)
+        dz = -2.0 * t * np.maximum(0.0, 1.0 - t * z)  # max(0, 1 - t z)^2
+    return np.append(Z.T @ dz / len(y) + model.reg * model.w, dz.mean())
+
+
+def _linear_cases():
+    X, y = _separable(60, seed=20)  # linearly separable
+    rng = np.random.default_rng(21)
+    Xn = rng.normal(0, 1, size=(50, 3))
+    yn = (Xn[:, 0] + rng.normal(0, 1, 50) > 0).astype(np.int64)
+    one_positive = np.zeros(40, np.int64)
+    one_positive[7] = 1
+    return {
+        "separable": (X, y),
+        "constant column": (np.column_stack([Xn, np.full(50, 3.0)]), yn),
+        "one feature": (Xn[:, :1], yn),
+        "one positive": (rng.normal(0, 1, size=(40, 4)), one_positive),
+    }
+
+
+@pytest.mark.parametrize("learner", [LogisticRegression, MarginClassifier])
+@pytest.mark.parametrize("case", sorted(_linear_cases()))
+def test_linear_learners_stop_at_a_stationary_point(learner, case):
+    X, y = _linear_cases()[case]
+    for reg in (1e-3, 1e-4):
+        model = learner(reg=reg, seed=3).fit(X, y)
+        assert np.linalg.norm(_objective_gradient(model, X, y)) < 1e-8
+        again = learner(reg=reg, seed=3).fit(X, y)
+        assert again.w.tobytes() == model.w.tobytes() and again.b == model.b
+
+
+# -- kNN and tree oracles -------------------------------------------------
+
+
+def _grid_rows(draw, n, d, levels=3):
+    """n rows of d features on a small integer grid, so that rows repeat and
+    distances and feature values tie."""
+    values = draw(st.lists(st.integers(0, levels), min_size=n * d, max_size=n * d))
+    return np.array(values, dtype=np.float64).reshape(n, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_knn_proba_equals_stable_argsort(data):
+    n = data.draw(st.integers(1, 40))
+    d = data.draw(st.integers(1, 3))
+    X = _grid_rows(data.draw, n, d)
+    dup = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
+    X = np.vstack([X, X[dup]])
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    k = data.draw(st.integers(1, len(X) + 3))
+    Q = np.vstack([_grid_rows(data.draw, data.draw(st.integers(1, 20)), d), X[:3]])
+    model = KnnClassifier(k=k).fit(X, y)
+    assert np.array_equal(model.predict_proba(Q), oracles.knn_proba_argsort(model, Q))
+
+
+def test_knn_proba_equals_stable_argsort_across_chunks():
+    rng = np.random.default_rng(22)
+    X = rng.integers(0, 3, size=(300, 2)).astype(np.float64)
+    y = rng.integers(0, 2, size=300)
+    Q = rng.integers(0, 4, size=(1100, 2)).astype(np.float64)
+    for k in (1, 7, 64):
+        model = KnnClassifier(k=k).fit(X, y)
+        assert np.array_equal(model.predict_proba(Q), oracles.knn_proba_argsort(model, Q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(["best", "random"]),
+    st.sampled_from([None, 1, 2, 5]),
+    st.sampled_from([None, 1, 3]),
+    st.booleans(),
+)
+def test_decision_tree_equals_per_node_sort(data, splitter, subset, depth, bootstrap):
+    n = data.draw(st.integers(2, 60))
+    X = _grid_rows(data.draw, n, 4)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if bootstrap:
+        idx = np.random.default_rng(data.draw(st.integers(0, 99))).integers(0, n, size=n)
+        X, y = X[idx], y[idx]
+    kw = dict(max_depth=depth, feature_subset=subset, splitter=splitter, seed=5)
+    got = DecisionTree(**kw).fit(X, y)
+    want = oracles.ArgsortDecisionTree(**kw).fit(X, y)
+    assert oracles.tree_structure(got.root) == oracles.tree_structure(want.root)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3, 5]))
+def test_regression_tree_equals_per_node_sort(data, depth):
+    # Column 2 mirrors column 0, so each split on one ties exactly with a
+    # split on the other, and rounding of the gradient sums, which depends
+    # on the order of tied rows, picks the feature.  (The classification
+    # tree counts labels in integers, so its splits cannot see that order.)
+    n = data.draw(st.integers(2, 60))
+    X = _grid_rows(data.draw, n, 2)
+    X = np.column_stack([X, -X[:, 0]])
+    g = np.array(data.draw(st.lists(
+        st.sampled_from([0.1, 0.2, 0.3, -0.7, 1.1, -2.9, 1e16, -1e16]), min_size=n, max_size=n
+    )))
+    h = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    want = oracles.tree_structure(oracles.ArgsortRegressionTree(depth).fit(X, g, h).root)
+    assert oracles.tree_structure(RegressionTree(depth).fit(X, g, h).root) == want
+    assert oracles.tree_structure(RegressionTree(depth).fit(X, g, h, presort(X)).root) == want
 
 
 # -- random forest ------------------------------------------------------
@@ -241,6 +363,11 @@ def test_train_el_all_variants_classify(variant):
     assert set(labels) == set(keys)
     assert all(v in (Verdict.NOISY, Verdict.CLEAN) for v in labels.values())
     assert len(scores) == len(keys)
+    # the same seed trains the same model, bit for bit
+    first = model.classify_with_scores(U)
+    again = train_el(X, y, U, cfg, seed=0).classify_with_scores(U)
+    assert first[0].tobytes() == again[0].tobytes()
+    assert first[1].tobytes() == again[1].tobytes()
 
 
 def test_train_el_single_class_constant_guard():

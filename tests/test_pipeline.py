@@ -116,6 +116,8 @@ def test_config_bad_values_rejected():
         config_from_dict({**base, "ensemble_variant": "EL9"})
     with pytest.raises(ConfigError, match="signature_action"):
         config_from_dict({**base, "signature_action": "shadowban"})
+    with pytest.raises(ConfigError, match="plane_a and plane_b"):
+        config_from_dict({**base, "plane_b": float("inf")})
     with pytest.raises(ConfigError, match="ratings_path"):
         config_from_dict({})
 
