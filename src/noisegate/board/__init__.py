@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dataset import RatingsTable
-from ..ioutil import atomic_write_csv
+from ..ioutil import atomic_write_columns, read_columns
 from ..recsys import KnnConfig
 from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
 from .nf2 import Nf2Result, nf2_detect, nf2_rnd
@@ -141,27 +141,45 @@ def run_board(
 
 
 VOTES_HEADER = ("userId", "itemId", "nf1", "nf2", "nf3", "nf4", "consensus")
-_VOTE = np.array([Verdict.CLEAN.value, Verdict.NOISY.value])  # by noisy flag
-_OUTCOME = np.array([c.value for c in CONSENSUS])  # by CONSENSUS code
+_VOTE = np.array([Verdict.CLEAN.value, Verdict.NOISY.value], dtype=object)  # by noisy flag
+_OUTCOME = np.array([c.value for c in CONSENSUS], dtype=object)  # by CONSENSUS code
+# Cells are read wider than any valid one, so a longer cell cannot be cut down to one.
+_VOTES_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("cells", "U16", (5,))])
 
 
 def write_votes(votes: Votes, path: str | Path) -> None:
-    atomic_write_csv(
+    atomic_write_columns(
         path,
         VOTES_HEADER,
-        (
-            [user, item, *cells, CONSENSUS[code].value]
-            for user, item, cells, code in zip(
-                votes.users.tolist(), votes.items.tolist(),
-                _VOTE[votes.noisy.astype(np.intp)].tolist(), votes.consensus.tolist(),
-            )
-        ),
+        (votes.users, votes.items, _VOTE[votes.noisy.astype(np.intp)], _OUTCOME[votes.consensus]),
     )
 
 
 def read_votes(path: str | Path) -> Votes:
     """Votes from a votes.csv.  A malformed row raises ValueError, and so
     does a consensus cell other than the unanimity of the row's votes."""
+    rows = read_columns(path, VOTES_HEADER, _VOTES_DTYPE)
+    if rows is not None:
+        noisy, codes, bad = _check_votes(rows["cells"])
+        if not bad.any():
+            users, items = (np.ascontiguousarray(rows[name]) for name in ("user", "item"))
+            return Votes(users, items, noisy, codes)
+    return _read_vote_rows(path)
+
+
+def _check_votes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(noisy, consensus codes, bad-row mask) of an (n, 5) array of the
+    four vote cells and the consensus cell of each row."""
+    votes = cells[:, :4]
+    noisy = votes == Verdict.NOISY.value
+    codes = consensus(noisy)
+    bad = (~noisy & (votes != Verdict.CLEAN.value)).any(axis=1) | (cells[:, 4] != _OUTCOME[codes])
+    return noisy, codes, bad
+
+
+def _read_vote_rows(path: str | Path) -> Votes:
+    """read_votes through csv.reader, for a file read_columns does not take:
+    it reads the file or raises the error of its first bad row."""
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != VOTES_HEADER:
@@ -170,10 +188,7 @@ def read_votes(path: str | Path) -> Votes:
     if any(len(row) != len(VOTES_HEADER) for row in rows):
         raise ValueError(f"{path}: expected {len(VOTES_HEADER)} fields in every row")
     cells = np.array(rows, dtype=str).reshape(-1, len(VOTES_HEADER))
-    votes = cells[:, 2:6]
-    noisy = votes == Verdict.NOISY.value
-    codes = consensus(noisy)
-    bad = (~noisy & (votes != Verdict.CLEAN.value)).any(axis=1) | (cells[:, 6] != _OUTCOME[codes])
+    noisy, codes, bad = _check_votes(cells[:, 2:])
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .ioutil import atomic_write_csv
+from .ioutil import atomic_write_columns, format_floats, read_columns
 
 logger = logging.getLogger("noisegate.dataset")
 
@@ -121,7 +121,7 @@ class RatingsTable:
     def _set_arrays(self, users, items, values, stamps, scale, genres, dropped_duplicates) -> None:
         users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
         values = np.asarray(values, dtype=np.float64)
-        order = np.lexsort((items, users))
+        order = np.arange(len(users)) if _in_key_order(users, items) else np.lexsort((items, users))
         self._users = users[order]
         self._items = items[order]
         self._values = values[order]
@@ -288,9 +288,17 @@ class RatingsTable:
         return self._users, self._items, self._values, self._timestamps
 
     def to_csv(self, path: str | Path) -> None:
-        atomic_write_csv(
-            path, RATINGS_HEADER, ([u, i, repr(float(v)), t] for u, i, v, t in self.rows())
+        atomic_write_columns(
+            path, RATINGS_HEADER,
+            (self._users, self._items, format_floats(self._values), self._timestamps),
         )
+
+
+def _in_key_order(users: np.ndarray, items: np.ndarray) -> bool:
+    """Whether the (user, item) keys strictly increase down the rows, so
+    they are sorted and unique."""
+    later = (users[1:] > users[:-1]) | ((users[1:] == users[:-1]) & (items[1:] > items[:-1]))
+    return bool(later.all())
 
 
 def split_runs(keys: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
@@ -357,37 +365,54 @@ def _parse_ratings_rows(path: Path, scale: Scale) -> list[tuple[int, int, float,
     return rows
 
 
-def dedupe_rows(
-    rows: Iterable[tuple[int, int, float, int]],
-) -> tuple[list[tuple[int, int, float, int]], int]:
-    """Collapse duplicate (user, item) keys keeping the latest timestamp.
+_RATINGS_DTYPE = np.dtype(
+    [("user", np.int64), ("item", np.int64), ("value", np.float64), ("stamp", np.int64)]
+)
 
-    Timestamp ties keep the later occurrence.  Returns (rows, dropped_count).
-    """
-    best: dict[tuple[int, int], tuple[int, int, float, int]] = {}
-    dropped = 0
-    for row in rows:
-        key = (row[0], row[1])
-        prev = best.get(key)
-        if prev is None:
-            best[key] = row
-        else:
-            dropped += 1
-            if row[3] >= prev[3]:
-                best[key] = row
-    return list(best.values()), dropped
+
+def _read_ratings_columns(path: Path, scale: Scale) -> list[np.ndarray]:
+    """The four columns of a ratings CSV, in file order."""
+    rows = read_columns(path, RATINGS_HEADER, _RATINGS_DTYPE)
+    if rows is not None:
+        users, items, values, stamps = (rows[name] for name in _RATINGS_DTYPE.names)
+        if (
+            (users >= 0).all() and (items >= 0).all() and (stamps >= 0).all()
+            and ((values >= scale.r_min) & (values <= scale.r_max)).all()
+        ):
+            return [users, items, values, stamps]
+    # Not plain, or some row out of range: the row parser reads it or
+    # raises the message that names the first bad row.
+    parsed = _parse_ratings_rows(path, scale)
+    return [np.array([r[k] for r in parsed]) for k in range(4)]
 
 
 def load_ratings(path: str | Path, scale: Scale = Scale()) -> RatingsTable:
-    """Read a ratings CSV (userId,movieId,rating,timestamp) into a table."""
+    """Read a ratings CSV (userId,movieId,rating,timestamp) into a table.
+
+    Of rows sharing a (user, item) key, the one with the latest timestamp
+    stays, and of those the later in the file.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    rows = _parse_ratings_rows(path, scale)
-    rows, dropped = dedupe_rows(rows)
+    users, items, values, stamps = _read_ratings_columns(path, scale)
+    users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
+    if _in_key_order(users, items):
+        keep = np.arange(len(users))
+    else:
+        # lexsort is stable, so rows of one (user, item, timestamp) stay in
+        # file order, and the last row of each key is the one to keep.
+        order = np.lexsort((stamps, items, users))
+        u, i = users[order], items[order]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = (u[1:] != u[:-1]) | (i[1:] != i[:-1])
+        keep = order[last]
+    dropped = len(users) - len(keep)
     if dropped:
         logger.warning("%s: dropped %d duplicate rating(s), keeping latest timestamp", path, dropped)
-    return RatingsTable(rows, scale, dropped_duplicates=dropped)
+    return RatingsTable.from_arrays(
+        users[keep], items[keep], values[keep], stamps[keep], scale, dropped_duplicates=dropped
+    )
 
 
 def load_genres(path: str | Path) -> GenreMap:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..board.verdict import Verdict
-from ..ioutil import atomic_write_csv
+from ..ioutil import atomic_write_columns, format_floats, read_columns
 from ..seeding import derive_seed
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
@@ -196,6 +196,12 @@ def classify_uncertain(
 
 
 CLASSIFICATION_HEADER = ("userId", "itemId", "score", "label", "variant")
+# Labels are read wider than any valid one, so a longer cell cannot be cut down to one.
+_CLASSIFICATION_DTYPE = np.dtype([
+    ("user", np.int64), ("item", np.int64), ("score", np.float64),
+    ("label", "U16"), ("variant", "U16"),
+])
+_LABELS = np.array([Verdict.CLEAN, Verdict.NOISY], dtype=object)  # by noisy flag
 
 
 def write_classification(
@@ -204,18 +210,40 @@ def write_classification(
     variant: str,
     path: str | Path,
 ) -> None:
-    atomic_write_csv(
+    keys = sorted(labels)
+    ids = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    atomic_write_columns(
         path,
         CLASSIFICATION_HEADER,
-        ([key[0], key[1], repr(scores[key]), labels[key].value, variant] for key in sorted(labels)),
+        (
+            ids,
+            format_floats(np.array([scores[key] for key in keys], dtype=np.float64)),
+            np.array([labels[key].value for key in keys], dtype=object),
+            np.full(len(keys), variant, dtype=object),
+        ),
     )
 
 
 def read_classification(path: str | Path) -> dict[tuple[int, int], Verdict]:
+    """Labels from an ensemble.csv; the score and variant cells are not read."""
+    rows = read_columns(path, CLASSIFICATION_HEADER, _CLASSIFICATION_DTYPE)
+    if rows is None:
+        return _read_classification_rows(path)
+    label = rows["label"]
+    noisy = label == Verdict.NOISY.value
+    if not (noisy | (label == Verdict.CLEAN.value)).all():
+        return _read_classification_rows(path)
+    keys = zip(rows["user"].tolist(), rows["item"].tolist())
+    return dict(zip(keys, _LABELS[noisy.astype(np.intp)].tolist()))
+
+
+def _read_classification_rows(path: str | Path) -> dict[tuple[int, int], Verdict]:
+    """read_classification through csv.reader, for a file read_columns does
+    not take: it reads the file or raises the error of its first bad row."""
     out: dict[tuple[int, int], Verdict] = {}
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CLASSIFICATION_HEADER:
             raise ValueError(f"{path}: expected header {','.join(CLASSIFICATION_HEADER)}")
         for row in reader:

@@ -11,7 +11,7 @@ import numpy as np
 from ..board import BoardResult
 from ..board.nf1 import ItemClass, UserClass
 from ..dataset import RatingsTable
-from ..ioutil import atomic_write_csv
+from ..ioutil import atomic_write_columns, format_floats, read_columns
 
 FEATURE_NAMES = (
     "rating_norm",
@@ -107,6 +107,9 @@ def build_feature_matrix(
 
 
 FEATURES_HEADER = ("userId", "itemId", *FEATURE_NAMES)
+_FEATURES_DTYPE = np.dtype(
+    [("user", np.int64), ("item", np.int64), ("x", np.float64, (len(FEATURE_NAMES),))]
+)
 
 
 def write_features(
@@ -114,15 +117,20 @@ def write_features(
 ) -> None:
     """Persist the feature matrix so later stages can run without
     recomputing the detector board."""
-    atomic_write_csv(
-        path,
-        FEATURES_HEADER,
-        ([user, item, *[repr(float(v)) for v in row]] for (user, item), row in zip(keys, X)),
-    )
+    ids = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    atomic_write_columns(path, FEATURES_HEADER, (ids, format_floats(X)))
 
 
 def read_features(path: str | Path) -> tuple[list[tuple[int, int]], np.ndarray]:
-    path = Path(path)
+    rows = read_columns(path, FEATURES_HEADER, _FEATURES_DTYPE)
+    if rows is None:
+        return _read_feature_rows(Path(path))
+    return list(zip(rows["user"].tolist(), rows["item"].tolist())), np.ascontiguousarray(rows["x"])
+
+
+def _read_feature_rows(path: Path) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """read_features one row at a time, for a file read_columns does not
+    take: it reads the file or raises the error of its first bad row."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))

@@ -13,9 +13,11 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .board.verdict import Verdict
 from .dataset import RatingsTable
-from .ioutil import atomic_write_csv
+from .ioutil import atomic_write_columns
 
 OPTOUT_SIGNATURE_ID = "optout"
 DEFAULT_THRESHOLD = 0.5
@@ -115,14 +117,13 @@ HITS_HEADER = ("signatureId", "userId", "lastDay", "noisyCount", "totalCount", "
 
 
 def write_hits(hits: list[SignatureHit], action: SignatureAction, path: str | Path) -> None:
-    atomic_write_csv(
-        path,
-        HITS_HEADER,
-        (
-            [h.signature_id, h.user_id, h.evidence["last_day"], h.evidence["noisy_count"],
-             h.evidence["total_count"], repr(float(h.evidence["ratio"])), action.value]
-            for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id))
-        ),
+    rows = [
+        [h.signature_id, h.user_id, h.evidence["last_day"], h.evidence["noisy_count"],
+         h.evidence["total_count"], repr(float(h.evidence["ratio"])), action.value]
+        for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id))
+    ]
+    atomic_write_columns(
+        path, HITS_HEADER, (np.array(rows, dtype=object).reshape(-1, len(HITS_HEADER)),)
     )
 
 
@@ -131,7 +132,7 @@ def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | N
     action: SignatureAction | None = None
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != HITS_HEADER:
             raise ValueError(f"{path}: expected header {','.join(HITS_HEADER)}")
         for row in reader:

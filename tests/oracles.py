@@ -1,5 +1,6 @@
 """Per-rating loop versions of the board detectors and the feature builder,
-and per-row / per-node sort versions of the Layer-2 kNN and trees.
+per-row / per-node sort versions of the Layer-2 kNN and trees, and the
+per-row csv.writer renderings of the artifact writers.
 
 These are the reference implementations the array code in `noisegate.board`
 and `noisegate.ensemble` is checked against, bit for bit: one Python
@@ -8,10 +9,14 @@ scan of the table's columns.  Per-rating outputs come back as arrays in
 test row order, as the array code gives them; an unpredictable NF3
 rating's None becomes NaN there.  The kNN oracle argsorts every query's
 distances; the tree oracles argsort every candidate feature at every node.
+The artifact oracles format one cell at a time and hand the rows to
+csv.writer; dedupe_rows collapses duplicate rating keys through a dict.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -503,3 +508,61 @@ def tree_structure(node: _Node) -> list[tuple]:
     if node.left is not None:
         out += tree_structure(node.left) + tree_structure(node.right)
     return out
+
+
+# -- artifact CSVs -------------------------------------------------------
+
+
+def dedupe_rows(rows):
+    """Collapse duplicate (user, item) keys keeping the latest timestamp.
+
+    Timestamp ties keep the later occurrence.  Returns (rows, dropped_count).
+    """
+    best: dict[tuple[int, int], tuple[int, int, float, int]] = {}
+    dropped = 0
+    for row in rows:
+        key = (row[0], row[1])
+        prev = best.get(key)
+        if prev is None:
+            best[key] = row
+        else:
+            dropped += 1
+            if row[3] >= prev[3]:
+                best[key] = row
+    return list(best.values()), dropped
+
+
+def csv_writer_text(header, rows) -> str:
+    """The header and rows as csv.writer writes them."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def ratings_rows(table: RatingsTable):
+    return ([u, i, repr(float(v)), t] for u, i, v, t in table.rows())
+
+
+def feature_rows(keys, X: np.ndarray):
+    return ([user, item, *[repr(float(v)) for v in row]] for (user, item), row in zip(keys, X))
+
+
+def vote_rows(votes: Votes):
+    for user, item, flags, code in zip(
+        votes.users.tolist(), votes.items.tolist(), votes.noisy.tolist(), votes.consensus.tolist()
+    ):
+        yield [user, item, *["noisy" if f else "clean" for f in flags], CONSENSUS[code].value]
+
+
+def classification_rows(labels, scores, variant: str):
+    return ([key[0], key[1], repr(scores[key]), labels[key].value, variant] for key in sorted(labels))
+
+
+def hit_rows(hits, action):
+    return (
+        [h.signature_id, h.user_id, h.evidence["last_day"], h.evidence["noisy_count"],
+         h.evidence["total_count"], repr(float(h.evidence["ratio"])), action.value]
+        for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id))
+    )

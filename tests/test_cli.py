@@ -213,22 +213,30 @@ def _short_row(lines: list[str]) -> None:
     lines.append("1\r\n")
 
 
+def _empty(lines: list[str]) -> None:
+    lines.clear()
+
+
 @pytest.mark.parametrize(
-    "artifact, edit, command",
+    "artifact, edit, command, message",
     [
-        ("votes.csv", _bogus_cell(3), "ensemble"),
-        ("features.csv", _swap_first_rows, "ensemble"),
-        ("ensemble.csv", _bogus_cell(3), "signature"),
-        ("features.csv", _short_row, "ensemble"),
-        ("signature.csv", _bad_header, "evaluate"),
-        ("board.json", _bad_header, "evaluate"),
+        ("votes.csv", _bogus_cell(3), "ensemble", "are not four Verdicts"),
+        ("features.csv", _swap_first_rows, "ensemble", "does not list the ratings"),
+        ("ensemble.csv", _bogus_cell(3), "signature", "'bogus' is not a valid Verdict"),
+        ("features.csv", _short_row, "ensemble", "expected 21 fields in every row"),
+        ("signature.csv", _bad_header, "evaluate", "expected header"),
+        ("board.json", _bad_header, "evaluate", "Expecting value"),
+        ("ensemble.csv", _empty, "signature", "expected header"),
+        ("signature.csv", _empty, "evaluate", "expected header"),
     ],
     ids=[
         "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
-        "bad-hits-header", "bad-board-json",
+        "bad-hits-header", "bad-board-json", "empty-classification", "empty-hits",
     ],
 )
-def test_malformed_artifact_exits_3(staged_run, tmp_path, capsys, artifact, edit, command):
+def test_malformed_artifact_exits_3(
+    staged_run, tmp_path, capsys, artifact, edit, command, message
+):
     run_dir = tmp_path / "malformed"
     shutil.copytree(staged_run, run_dir)
     path = run_dir / artifact
@@ -238,7 +246,7 @@ def test_malformed_artifact_exits_3(staged_run, tmp_path, capsys, artifact, edit
     capsys.readouterr()
     assert main([command, *_run_args(tmp_path, "malformed")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert "data error" in err and artifact in err
+    assert "data error" in err and artifact in err and message in err
 
 
 def test_inject_noise_subcommand(tmp_path, capsys):
