@@ -8,7 +8,7 @@ consensus: all-noisy, all-clean, or uncertain.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -36,16 +36,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoardConfig:
-    nf1_cuts: tuple[float, float] = (2.5, 4.0)
+    """Layer-1 keys: the detectors' cuts, thresholds and kNN settings."""
+
+    nf1_cut_low: float = 2.5
+    nf1_cut_high: float = 4.0
     nf1_majority: float = 0.5
     nf2_theta_heavy_medium: float = 0.075
     nf2_theta_light: float = 0.05
     nf2_rnd_cut: float = 0.5
     nf2_coherence_cut: float = 0.8
-    nf3_knn: KnnConfig = field(default_factory=KnnConfig)
+    nf3_k: int = 35
+    nf3_min_overlap: int = 2
+    nf3_significance_cap: int = 50
     nf3_th: float = 0.05
     nf4_delta1: float = 1.0
     nf4_delta2: float = 0.25
+
+    def nf3_knn(self) -> KnnConfig:
+        """NF3's kNN settings; raises ValueError on a count below 1."""
+        return KnnConfig(self.nf3_k, self.nf3_min_overlap, self.nf3_significance_cap)
 
 
 # Votes.consensus holds each rating's outcome as an int8 index into CONSENSUS.
@@ -124,7 +133,9 @@ def run_board(
     """
     if context is None:
         context = train.merged(test) if len(train) else test
-    r1 = nf1_detect(test, config.nf1_cuts, config.nf1_majority, context=context)
+    r1 = nf1_detect(
+        test, (config.nf1_cut_low, config.nf1_cut_high), config.nf1_majority, context=context
+    )
     r2 = nf2_detect(
         test,
         config.nf2_theta_heavy_medium,
@@ -133,7 +144,7 @@ def run_board(
         context=context,
         coherence_cut=config.nf2_coherence_cut,
     )
-    r3 = nf3_detect(train, test, config.nf3_knn, config.nf3_th)
+    r3 = nf3_detect(train, test, config.nf3_knn(), config.nf3_th)
     r4 = nf4_detect(test, config.nf4_delta1, config.nf4_delta2, context=context)
     noisy = np.column_stack([r1.noisy, r2.noisy, r3.noisy, r4.noisy])
     votes = Votes(test.users, test.items, noisy, consensus(noisy))

@@ -66,21 +66,13 @@ def _config_parent() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    values: dict[str, object] = {}
-    if args.config:
-        file_cfg = load_config(args.config)
-        values.update(
-            {
-                k: v
-                for k, v in dataclasses.asdict(file_cfg).items()
-                if v != getattr(PipelineConfig(), k)
-            }
-        )
-    for f in dataclasses.fields(PipelineConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            values[f.name] = v
-    return config_from_dict(values)
+    """The config file's keys, if one is given, with the explicit flags laid over them."""
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return load_config(args.config, flags) if args.config else config_from_dict(flags)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -334,6 +334,9 @@ def segment_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -
 # -- loaders ----------------------------------------------------------
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _parse_ratings_rows(path: Path, scale: Scale) -> list[tuple[int, int, float, int]]:
     rows: list[tuple[int, int, float, int]] = []
     with path.open(newline="") as fh:
@@ -355,8 +358,12 @@ def _parse_ratings_rows(path: Path, scale: Scale) -> list[tuple[int, int, float,
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if user < 0 or item < 0:
                 raise ValueError(f"{path}:{lineno}: negative id in row {row!r}")
+            if max(user, item) > _INT64_MAX:
+                raise ValueError(f"{path}:{lineno}: id outside int64 in row {row!r}")
             if stamp < 0:
                 raise ValueError(f"{path}:{lineno}: negative timestamp {stamp}")
+            if stamp > _INT64_MAX:
+                raise ValueError(f"{path}:{lineno}: timestamp {stamp} outside int64")
             if not scale.contains(value):
                 raise ValueError(
                     f"{path}:{lineno}: rating {value} outside scale [{scale.r_min}, {scale.r_max}]"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    variant: str = "EL3"
+    """Layer-2 keys: the variant and its learners' settings."""
+
+    ensemble_variant: str = "EL3"
     rf_trees: int = 100
     rf_max_depth: int = 8
     rf_feature_subset: int | None = None
@@ -52,15 +54,11 @@ class EnsembleConfig:
     gbt_lr: float = 0.1
     ressel_bags: int = 25
     ressel_add_per_round: int = 10
-    ressel_max_rounds: int | None = 20
+    ressel_max_rounds: int = 20
     eif_trees: int = 100
     eif_sample_size: int = 256
     eif_extension_level: int | None = None
     eif_score_cut: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 class _ConstantModel:
@@ -144,7 +142,9 @@ def train_el(
     X_labeled = np.asarray(X_labeled, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     X_unlabeled = np.asarray(X_unlabeled, dtype=np.float64)
-    v = config.variant
+    v = config.ensemble_variant
+    if v not in VARIANTS:
+        raise ValueError(f"unknown variant {v!r}")
     n_features = X_labeled.shape[1] if X_labeled.size else X_unlabeled.shape[1]
     if v == "EL5":
         forest = ExtendedIsolationForest(
@@ -170,13 +170,12 @@ def train_el(
     if v == "EL3":
         model = train_gbt(X_labeled, y, config.gbt_rounds, config.gbt_depth, config.gbt_lr, seed)
         return ElModel(v, model, n_features, {"loss_curve": model.loss_curve})
-    if v in ("EL4_1", "EL4_2"):
-        model = train_ressel(
-            X_labeled, y, X_unlabeled, v, config.ressel_bags,
-            config.ressel_add_per_round, seed, config.ressel_max_rounds,
-        )
-        return ElModel(v, model, n_features, {"oob_sequences": model.oob_sequences})
-    raise ValueError(f"unknown variant {v!r}")
+    # EL4_1 and EL4_2
+    model = train_ressel(
+        X_labeled, y, X_unlabeled, v, config.ressel_bags,
+        config.ressel_add_per_round, seed, config.ressel_max_rounds,
+    )
+    return ElModel(v, model, n_features, {"oob_sequences": model.oob_sequences})
 
 
 def classify_uncertain(

@@ -107,14 +107,14 @@ def train_ressel(
     bags: int = DEFAULT_BAGS,
     add_per_round: int = DEFAULT_ADD_PER_ROUND,
     seed: int = 0,
-    max_rounds: int | None = DEFAULT_MAX_ROUNDS,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> ResselModel:
     """Self-training bag ensemble with OOB-guarded growth.
 
     Per round a bag adds its add_per_round most confident unlabeled points,
     class-balanced by predicted label; the candidate step is kept only when
     the bag's OOB error does not increase.  max_rounds caps the number of
-    self-training rounds per bag (None removes the cap).
+    self-training rounds per bag.
     """
     X_labeled = np.asarray(X_labeled, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -147,7 +147,7 @@ def train_ressel(
         accepted_X: list[np.ndarray] = []
         accepted_y: list[np.ndarray] = []
         rounds = 0
-        while len(pool) and (max_rounds is None or rounds < max_rounds):
+        while len(pool) and rounds < max_rounds:
             rounds += 1
             proba = clf.predict_proba(X_unlabeled[pool])
             pred = (proba > 0.5).astype(np.int64)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -60,7 +61,7 @@ from .evaluation import (
 from .evaluation.deltas import _cluster_ndcg_means
 from .evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
 from .ioutil import dump_json, read_json
-from .recsys import KnnConfig, MfModel, mf_train, recommend_topk, save_model
+from .recsys import MfModel, mf_train, recommend_topk, save_model
 from .seeding import derive_seed
 from .signature import (
     DENOMINATOR_GLOBAL_NOISE,
@@ -105,8 +106,9 @@ _SALT_INJECT = {"uniform": 41, "flip": 42, "optout": 43}
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Flat, fully defaulted configuration for a pipeline run."""
+class PipelineConfig(BoardConfig, EnsembleConfig):
+    """Flat, fully defaulted configuration for a pipeline run: the board's
+    and the ensemble's keys, inherited, plus the keys of the other stages."""
 
     ratings_path: str = ""
     movies_path: str = ""
@@ -122,35 +124,6 @@ class PipelineConfig:
     train_fraction: float = 0.7
     detect_fraction: float = 0.15
     eval_fraction: float = 0.15
-
-    nf1_cut_low: float = 2.5
-    nf1_cut_high: float = 4.0
-    nf1_majority: float = 0.5
-    nf2_theta_heavy_medium: float = 0.075
-    nf2_theta_light: float = 0.05
-    nf2_rnd_cut: float = 0.5
-    nf2_coherence_cut: float = 0.8
-    nf3_k: int = 35
-    nf3_min_overlap: int = 2
-    nf3_significance_cap: int = 50
-    nf3_th: float = 0.05
-    nf4_delta1: float = 1.0
-    nf4_delta2: float = 0.25
-
-    ensemble_variant: str = "EL3"
-    rf_trees: int = 100
-    rf_max_depth: int = 8
-    rf_feature_subset: int | None = None
-    gbt_rounds: int = 100
-    gbt_depth: int = 3
-    gbt_lr: float = 0.1
-    ressel_bags: int = 25
-    ressel_add_per_round: int = 10
-    ressel_max_rounds: int = 20
-    eif_trees: int = 100
-    eif_sample_size: int = 256
-    eif_extension_level: int | None = None
-    eif_score_cut: float = 0.8
 
     signature_threshold: float = 0.5
     signature_action: str = "remove_user"
@@ -175,38 +148,6 @@ class PipelineConfig:
     def scale(self) -> Scale:
         return Scale(self.scale_min, self.scale_max)
 
-    def board_config(self) -> BoardConfig:
-        return BoardConfig(
-            nf1_cuts=(self.nf1_cut_low, self.nf1_cut_high),
-            nf1_majority=self.nf1_majority,
-            nf2_theta_heavy_medium=self.nf2_theta_heavy_medium,
-            nf2_theta_light=self.nf2_theta_light,
-            nf2_rnd_cut=self.nf2_rnd_cut,
-            nf2_coherence_cut=self.nf2_coherence_cut,
-            nf3_knn=KnnConfig(self.nf3_k, self.nf3_min_overlap, self.nf3_significance_cap),
-            nf3_th=self.nf3_th,
-            nf4_delta1=self.nf4_delta1,
-            nf4_delta2=self.nf4_delta2,
-        )
-
-    def ensemble_config(self) -> EnsembleConfig:
-        return EnsembleConfig(
-            variant=self.ensemble_variant,
-            rf_trees=self.rf_trees,
-            rf_max_depth=self.rf_max_depth,
-            rf_feature_subset=self.rf_feature_subset,
-            gbt_rounds=self.gbt_rounds,
-            gbt_depth=self.gbt_depth,
-            gbt_lr=self.gbt_lr,
-            ressel_bags=self.ressel_bags,
-            ressel_add_per_round=self.ressel_add_per_round,
-            ressel_max_rounds=self.ressel_max_rounds,
-            eif_trees=self.eif_trees,
-            eif_sample_size=self.eif_sample_size,
-            eif_extension_level=self.eif_extension_level,
-            eif_score_cut=self.eif_score_cut,
-        )
-
     def action(self) -> SignatureAction:
         return SignatureAction(self.signature_action)
 
@@ -224,10 +165,19 @@ class PipelineConfig:
             raise ConfigError("min_activity must be >= 1")
         if self.activity_by not in ("user", "item"):
             raise ConfigError(f"activity_by must be 'user' or 'item', got {self.activity_by!r}")
+        try:
+            self.nf3_knn()
+        except ValueError as exc:
+            # KnnConfig names its field, which is the config key less "nf3_".
+            raise ConfigError(f"nf3_{exc}") from None
         if self.ensemble_variant not in VARIANTS:
             raise ConfigError(
                 f"ensemble_variant must be one of {VARIANTS}, got {self.ensemble_variant!r}"
             )
+        if min(self.rf_trees, self.ressel_bags, self.eif_trees) < 1:
+            raise ConfigError("rf_trees, ressel_bags and eif_trees must be >= 1")
+        if self.eif_sample_size < 2:
+            raise ConfigError("eif_sample_size must be >= 2: one point has no isolation depth")
         try:
             SignatureAction(self.signature_action)
         except ValueError:
@@ -246,10 +196,6 @@ class PipelineConfig:
             raise ConfigError("plane_a and plane_b must be finite")
 
 
-_OPT_INT_FIELDS = {"rf_feature_subset", "eif_extension_level"}
-_OPT_STR_FIELDS = {"run_id", "mask_path"}
-
-
 def _coerce(name: str, value, kind: type):
     try:
         if kind is int:
@@ -266,20 +212,23 @@ def _coerce(name: str, value, kind: type):
 
 
 def config_from_dict(values: Mapping[str, object]) -> PipelineConfig:
-    """Build a config from a flat key-value mapping, coercing strings."""
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = sorted(set(values) - known)
+    """Build a config from a flat key-value mapping, coercing strings.
+
+    A key typed `X | None` reads None from None or "", and an optional int
+    also from "none".
+    """
+    hints = typing.get_type_hints(PipelineConfig)
+    unknown = sorted(set(values) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    defaults = PipelineConfig()
     out: dict[str, object] = {}
     for name, value in values.items():
-        if name in _OPT_STR_FIELDS:
-            out[name] = None if value in (None, "") else str(value)
-        elif name in _OPT_INT_FIELDS:
-            out[name] = None if value in (None, "", "none") else _coerce(name, value, int)
+        # `X | None` unpacks to kind X and optional [NoneType], a plain X to X and [].
+        kind, *optional = typing.get_args(hints[name]) or (hints[name],)
+        if optional and (value in (None, "") or (kind is int and value == "none")):
+            out[name] = None
         else:
-            out[name] = _coerce(name, value, type(getattr(defaults, name)))
+            out[name] = _coerce(name, value, kind)
     cfg = PipelineConfig(**out)  # type: ignore[arg-type]
     cfg.validate()
     return cfg
@@ -289,8 +238,8 @@ def config_to_dict(cfg: PipelineConfig) -> dict[str, object]:
     return dataclasses.asdict(cfg)
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Read a flat JSON object of config keys."""
+def load_config(path: str | Path, overrides: Mapping[str, object] = {}) -> PipelineConfig:
+    """Read a flat JSON object of config keys; overrides win over its values."""
     try:
         raw = read_json(path)
     except FileNotFoundError as exc:
@@ -299,7 +248,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object of key-value pairs")
-    return config_from_dict(raw)
+    return config_from_dict({**raw, **overrides})
 
 
 def config_hash(cfg: PipelineConfig) -> str:
@@ -556,7 +505,7 @@ def stage_board(
     """Layer 1 plus the feature matrix Layer 2 will consume; everything
     persisted so the ensemble stage can run without recomputation."""
     context = train.merged(detect) if len(train) else detect
-    board = run_board(train, detect, cfg.board_config(), context=context)
+    board = run_board(train, detect, cfg, context=context)
     keys, X = build_feature_matrix(detect, context, board)
     write_votes(board.votes, paths.votes)
     dump_json(board.venn, paths.venn)
@@ -585,9 +534,7 @@ def stage_ensemble(
     if uncertain.any():
         y = votes.where(Consensus.NOISY)[~uncertain].astype(np.int64)
         X_unc = X[uncertain]
-        model = train_el(
-            X[~uncertain], y, X_unc, cfg.ensemble_config(), derive_seed(cfg.seed, _SALT_ENSEMBLE)
-        )
+        model = train_el(X[~uncertain], y, X_unc, cfg, derive_seed(cfg.seed, _SALT_ENSEMBLE))
         classified, scores = classify_uncertain(model, votes.keys(uncertain), X_unc)
     write_classification(classified, scores, cfg.ensemble_variant, paths.ensemble_csv)
     return classified

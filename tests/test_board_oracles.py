@@ -207,7 +207,10 @@ def test_nf4_matches_loop_oracle(case, deltas):
 def test_board_and_features_match_loop_oracles(case, cfg):
     train, test, _ = case
     context = train.merged(test)
-    board = run_board(train, test, BoardConfig(nf3_knn=cfg))
+    board_cfg = BoardConfig(
+        nf3_k=cfg.k, nf3_min_overlap=cfg.min_overlap, nf3_significance_cap=cfg.significance_cap
+    )
+    board = run_board(train, test, board_cfg)
     votes = oracles.votes_loop(test, (board.nf1, board.nf2, board.nf3, board.nf4))
     assert _same_votes(board.votes, votes)
     assert list(board.venn.items()) == list(oracles.venn_loop(votes).items())

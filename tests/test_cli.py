@@ -113,6 +113,69 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nf3-k", "0"], "nf3_k must be >= 1"),
+        (["--nf3-significance-cap", "0"], "nf3_significance_cap must be >= 1"),
+        (["--ensemble-variant", "EL1", "--rf-trees", "0"], "rf_trees"),
+        (["--ensemble-variant", "EL5", "--eif-trees", "0"], "eif_trees"),
+        (["--ensemble-variant", "EL4_1", "--ressel-bags", "0"], "ressel_bags"),
+        (["--ensemble-variant", "EL5", "--eif-sample-size", "0"], "eif_sample_size"),
+    ],
+    ids=[
+        "nf3-k", "nf3-significance-cap", "rf-trees", "eif-trees", "ressel-bags",
+        "eif-sample-size",
+    ],
+)
+def test_out_of_range_learner_keys_exit_2_before_writing(tmp_path, capsys, flags, message):
+    code = main(
+        ["run", "--ratings-path", str(MINI_DIR / "ratings.csv"),
+         "--movies-path", str(MINI_DIR / "movies.csv"), "--out-dir", str(tmp_path / "out"),
+         "--min-activity", "5", "--clusters-k", "5", "--top-k", "5", "--seed", "7", *flags]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_partial_config_file_completed_by_flags(tmp_path, capsys):
+    cfg_file = tmp_path / "partial.json"
+    # Alone the file is invalid twice over: no input paths, min_activity 0.
+    cfg_file.write_text(json.dumps({"min_activity": 0, "seed": 7}))
+    code = main(
+        ["ingest", "--config", str(cfg_file),
+         "--ratings-path", str(MINI_DIR / "ratings.csv"),
+         "--movies-path", str(MINI_DIR / "movies.csv"),
+         "--min-activity", "5", "--out-dir", str(tmp_path), "--run-id", "partial"]
+    )
+    assert code == EXIT_OK
+    manifest = read_json(tmp_path / "partial" / "manifest.json")
+    assert manifest["config"]["seed"] == 7 and manifest["config"]["min_activity"] == 5
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("99999999999999999999,1,3.0,5", "id outside int64"),
+        ("1,1,3.0,99999999999999999999", "timestamp 99999999999999999999 outside int64"),
+    ],
+    ids=["user-id", "timestamp"],
+)
+def test_int64_overflow_in_ratings_exits_3(tmp_path, capsys, row, message):
+    ratings = tmp_path / "ratings.csv"
+    head = (MINI_DIR / "ratings.csv").read_text().splitlines(keepends=True)[:4]
+    ratings.write_text("".join(head) + row + "\n")
+    code = main(
+        ["ingest", "--ratings-path", str(ratings), "--movies-path", str(MINI_DIR / "movies.csv"),
+         "--out-dir", str(tmp_path / "out"), "--min-activity", "1"]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{ratings}:5: {message}" in err
+
+
 def test_run_without_movies_exits_2(tmp_path, capsys):
     code = main(
         ["run", "--ratings-path", str(MINI_DIR / "ratings.csv"),

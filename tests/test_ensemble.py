@@ -354,7 +354,7 @@ def test_train_el_all_variants_classify(variant):
     X, y = _separable(80, seed=16)
     U = np.random.default_rng(5).normal(0, 2, size=(30, 2))
     cfg = EnsembleConfig(
-        variant=variant, rf_trees=15, gbt_rounds=15, ressel_bags=5,
+        ensemble_variant=variant, rf_trees=15, gbt_rounds=15, ressel_bags=5,
         eif_trees=20, eif_sample_size=16,
     )
     model = train_el(X, y, U, cfg, seed=0)
@@ -373,14 +373,22 @@ def test_train_el_all_variants_classify(variant):
 def test_train_el_single_class_constant_guard():
     X = np.random.default_rng(6).normal(0, 1, size=(20, 2))
     y = np.ones(20, np.int64)
-    model = train_el(X, y, np.empty((0, 2)), EnsembleConfig(variant="EL3"), seed=0)
+    model = train_el(X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3"), seed=0)
     probe = np.random.default_rng(7).normal(0, 1, size=(5, 2))
     assert np.all(model.classify(probe) == 1)
 
 
+def test_train_el_rejects_unknown_variant_before_single_class_guard():
+    X = np.random.default_rng(6).normal(0, 1, size=(20, 2))
+    with pytest.raises(ValueError, match="unknown variant 'EL9'"):
+        train_el(X, np.ones(20, np.int64), X, EnsembleConfig(ensemble_variant="EL9"))
+
+
 def test_classify_uncertain_empty_set():
     X, y = _separable(40, seed=17)
-    model = train_el(X, y, np.empty((0, 2)), EnsembleConfig(variant="EL3", gbt_rounds=5), seed=0)
+    model = train_el(
+        X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3", gbt_rounds=5), seed=0
+    )
     labels, scores = classify_uncertain(model, [], np.empty((0, 2)))
     assert labels == {} and scores == {}
 
@@ -411,6 +419,8 @@ def test_classification_csv_roundtrip(tmp_path):
 
 def test_dimension_mismatch_raises():
     X, y = _separable(40, seed=19)
-    model = train_el(X, y, np.empty((0, 2)), EnsembleConfig(variant="EL3", gbt_rounds=5), seed=0)
+    model = train_el(
+        X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3", gbt_rounds=5), seed=0
+    )
     with pytest.raises(ValueError):
         model.classify(np.zeros((3, 5)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from noisegate.board import CONSENSUS
 from noisegate.board.verdict import DETECTOR_IDS, Consensus, Verdict
+from noisegate.cli import STAGES, build_parser
 from noisegate.dataset import Scale, load_ratings
 from noisegate.pipeline import (
     ConfigError,
@@ -128,6 +131,43 @@ def test_config_hash_ignores_output_location():
     c = PipelineConfig(ratings_path="r.csv", seed=99)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+# Every config key with its default.  A change here changes the CLI flags,
+# the JSON keys and the config hash of existing run directories.
+_CONFIG_DEFAULTS = [
+    ("activity_by", "user"), ("clusters_k", 20), ("detect_fraction", 0.15),
+    ("eif_extension_level", None), ("eif_sample_size", 256), ("eif_score_cut", 0.8),
+    ("eif_trees", 100), ("ensemble_variant", "EL3"), ("eval_fraction", 0.15),
+    ("gbt_depth", 3), ("gbt_lr", 0.1), ("gbt_rounds", 100), ("mask_path", None),
+    ("mf_epochs", 20), ("mf_factors", 16), ("mf_reg", 0.02), ("min_activity", 50),
+    ("movies_path", ""), ("nf1_cut_high", 4.0), ("nf1_cut_low", 2.5), ("nf1_majority", 0.5),
+    ("nf2_coherence_cut", 0.8), ("nf2_rnd_cut", 0.5), ("nf2_theta_heavy_medium", 0.075),
+    ("nf2_theta_light", 0.05), ("nf3_k", 35), ("nf3_min_overlap", 2),
+    ("nf3_significance_cap", 50), ("nf3_th", 0.05), ("nf4_delta1", 1.0), ("nf4_delta2", 0.25),
+    ("out_dir", "out"), ("percent_basis", "users"), ("plane_a", 0.07), ("plane_b", 0.17),
+    ("ratings_path", ""), ("relevance_threshold", 3.5), ("ressel_add_per_round", 10),
+    ("ressel_bags", 25), ("ressel_max_rounds", 20), ("rf_feature_subset", None),
+    ("rf_max_depth", 8), ("rf_trees", 100), ("run_id", None), ("scale_max", 5.0),
+    ("scale_min", 0.5), ("seed", 0), ("serendipity_formula", "complement"),
+    ("signature_action", "remove_user"), ("signature_denominator", "last_day_activity"),
+    ("signature_threshold", 0.5), ("top_k", 10), ("train_fraction", 0.7),
+]
+
+
+def test_config_surface_is_frozen():
+    fields = dataclasses.fields(PipelineConfig)
+    assert sorted((f.name, f.default) for f in fields) == _CONFIG_DEFAULTS
+    assert config_hash(PipelineConfig(ratings_path="r.csv", movies_path="m.csv")) == (
+        "6847c3bfbd8ecd2a"
+    )
+    keys = [f.name for f in fields]
+    (commands,) = (
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command in STAGES:
+        flags = [(a.dest, a.option_strings) for a in commands[command]._actions if a.dest in keys]
+        assert sorted(flags) == sorted((k, ["--" + k.replace("_", "-")]) for k in keys), command
 
 
 def test_load_config_errors(tmp_path):
