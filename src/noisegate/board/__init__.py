@@ -7,7 +7,6 @@ consensus: all-noisy, all-clean, or uncertain.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dataset import RatingsTable
-from ..ioutil import atomic_write_columns, read_columns
+from ..ioutil import atomic_write_columns, read_columns, read_csv_rows
 from ..recsys import KnnConfig
 from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
 from .nf2 import Nf2Result, nf2_detect, nf2_rnd
@@ -191,13 +190,7 @@ def _check_votes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _read_vote_rows(path: str | Path) -> Votes:
     """read_votes through csv.reader, for a file read_columns does not take:
     it reads the file or raises the error of its first bad row."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != VOTES_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(VOTES_HEADER)}")
-        rows = list(reader)
-    if any(len(row) != len(VOTES_HEADER) for row in rows):
-        raise ValueError(f"{path}: expected {len(VOTES_HEADER)} fields in every row")
+    rows = read_csv_rows(path, VOTES_HEADER)
     cells = np.array(rows, dtype=str).reshape(-1, len(VOTES_HEADER))
     noisy, codes, bad = _check_votes(cells[:, 2:])
     if bad.any():

@@ -7,16 +7,14 @@ isolation forest (unsupervised, scores the uncertain set directly).
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from ..board.verdict import Verdict
-from ..ioutil import atomic_write_columns, format_floats, read_columns
+from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
 from ..seeding import derive_seed
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
@@ -178,75 +176,68 @@ def train_el(
     return ElModel(v, model, n_features, {"oob_sequences": model.oob_sequences})
 
 
-def classify_uncertain(
-    model: ElModel, keys: Sequence[tuple[int, int]], X: np.ndarray
-) -> tuple[dict[tuple[int, int], Verdict], dict[tuple[int, int], float]]:
-    """Label every uncertain rating Noisy or Clean; returns (labels, scores)."""
-    if len(keys) == 0:
-        return {}, {}
+def classify_uncertain(model: ElModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy flags and scores of the uncertain ratings, one per row of X."""
+    if len(X) == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0)
     labels, scores = model.classify_with_scores(X)
-    verdicts = {
-        key: (Verdict.NOISY if labels[k] == 1 else Verdict.CLEAN) for k, key in enumerate(keys)
-    }
-    return verdicts, {key: float(scores[k]) for k, key in enumerate(keys)}
+    return labels == 1, np.asarray(scores, dtype=np.float64)
 
 
 # -- persistence --------------------------------------------------------
 
 
 CLASSIFICATION_HEADER = ("userId", "itemId", "score", "label", "variant")
-# Labels are read wider than any valid one, so a longer cell cannot be cut down to one.
+# Labels and variants are read wider than any valid one, so a longer cell
+# cannot be cut down to one.
 _CLASSIFICATION_DTYPE = np.dtype([
     ("user", np.int64), ("item", np.int64), ("score", np.float64),
     ("label", "U16"), ("variant", "U16"),
 ])
-_LABELS = np.array([Verdict.CLEAN, Verdict.NOISY], dtype=object)  # by noisy flag
+_LABELS = np.array([Verdict.CLEAN.value, Verdict.NOISY.value], dtype=object)  # by noisy flag
 
 
 def write_classification(
-    labels: dict[tuple[int, int], Verdict],
-    scores: dict[tuple[int, int], float],
-    variant: str,
-    path: str | Path,
+    users: np.ndarray, items: np.ndarray, noisy: np.ndarray, scores: np.ndarray,
+    variant: str, path: str | Path,
 ) -> None:
-    keys = sorted(labels)
-    ids = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    """One row per classified rating, in the order given."""
+    labels = _LABELS[np.asarray(noisy, dtype=np.intp)]
     atomic_write_columns(
-        path,
-        CLASSIFICATION_HEADER,
-        (
-            ids,
-            format_floats(np.array([scores[key] for key in keys], dtype=np.float64)),
-            np.array([labels[key].value for key in keys], dtype=object),
-            np.full(len(keys), variant, dtype=object),
-        ),
+        path, CLASSIFICATION_HEADER,
+        (users, items, format_floats(scores), labels, np.full(len(users), variant, dtype=object)),
     )
 
 
-def read_classification(path: str | Path) -> dict[tuple[int, int], Verdict]:
-    """Labels from an ensemble.csv; the score and variant cells are not read."""
+def read_classification(
+    path: str | Path, variant: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(users, items, noisy, scores) of an ensemble.csv in file order.  A
+    malformed row raises ValueError, and so does a variant cell other than
+    variant."""
     rows = read_columns(path, CLASSIFICATION_HEADER, _CLASSIFICATION_DTYPE)
-    if rows is None:
-        return _read_classification_rows(path)
-    label = rows["label"]
-    noisy = label == Verdict.NOISY.value
-    if not (noisy | (label == Verdict.CLEAN.value)).all():
-        return _read_classification_rows(path)
-    keys = zip(rows["user"].tolist(), rows["item"].tolist())
-    return dict(zip(keys, _LABELS[noisy.astype(np.intp)].tolist()))
+    if rows is not None:
+        label = rows["label"]
+        noisy = label == Verdict.NOISY.value
+        if ((noisy | (label == Verdict.CLEAN.value)) & (rows["variant"] == variant)).all():
+            users, items, scores = (
+                np.ascontiguousarray(rows[name]) for name in ("user", "item", "score")
+            )
+            return users, items, noisy, scores
+    return _read_classification_rows(path, variant)
 
 
-def _read_classification_rows(path: str | Path) -> dict[tuple[int, int], Verdict]:
+def _read_classification_rows(
+    path: str | Path, variant: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """read_classification through csv.reader, for a file read_columns does
     not take: it reads the file or raises the error of its first bad row."""
-    out: dict[tuple[int, int], Verdict] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CLASSIFICATION_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CLASSIFICATION_HEADER)}")
-        for row in reader:
-            if len(row) != len(CLASSIFICATION_HEADER):
-                raise ValueError(f"{path}: expected {len(CLASSIFICATION_HEADER)} fields per row")
-            out[(int(row[0]), int(row[1]))] = Verdict(row[3])
-    return out
+    ids, noisy, scores = [], [], []
+    for lineno, row in enumerate(read_csv_rows(path, CLASSIFICATION_HEADER), start=2):
+        ids.append((int(row[0]), int(row[1])))
+        scores.append(float(row[2]))
+        noisy.append(Verdict(row[3]) is Verdict.NOISY)
+        if row[4] != variant:
+            raise ValueError(f"{path}:{lineno}: variant {row[4]!r}, expected {variant!r}")
+    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    return users, items, np.array(noisy, dtype=bool), np.array(scores, dtype=np.float64)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import numpy as np
 from ..board import BoardResult
 from ..board.nf1 import ItemClass, UserClass
 from ..dataset import RatingsTable
-from ..ioutil import atomic_write_columns, format_floats, read_columns
+from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
 
 FEATURE_NAMES = (
     "rating_norm",
@@ -57,8 +56,8 @@ def _per_id(ids: np.ndarray, row_of) -> np.ndarray:
 
 def build_feature_matrix(
     test: RatingsTable, context: RatingsTable, board: BoardResult
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Feature matrix for the test ratings the board voted on, keyed in table order.
+) -> np.ndarray:
+    """Feature matrix for the test ratings the board voted on, one row per vote row.
 
     Statistics come from the same context table the detectors profiled on.
     An unpredictable kNN rating encodes consistency 0 alongside a raised
@@ -67,9 +66,8 @@ def build_feature_matrix(
     votes = board.votes
     if not (np.array_equal(votes.users, test.users) and np.array_equal(votes.items, test.items)):
         raise ValueError(f"the board's votes are not aligned to the {len(test)} rows of this table")
-    keys = test.keys()
-    if not keys:
-        return keys, np.zeros((0, len(FEATURE_NAMES)))
+    if not len(test):
+        return np.zeros((0, len(FEATURE_NAMES)))
     user_stats, item_stats = context.user_stats(), context.item_stats()
     # (mean, std, log count, class code) per user and per item
     user = _per_id(test.users, lambda u: (
@@ -102,8 +100,9 @@ def build_feature_matrix(
     ]).astype(np.float64)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        raise ValueError(f"non-finite feature for rating {keys[int(np.argmax(bad))]}")
-    return keys, X
+        k = int(np.argmax(bad))
+        raise ValueError(f"non-finite feature for rating ({test.users[k]}, {test.items[k]})")
+    return X
 
 
 FEATURES_HEADER = ("userId", "itemId", *FEATURE_NAMES)
@@ -112,36 +111,25 @@ _FEATURES_DTYPE = np.dtype(
 )
 
 
-def write_features(
-    path: str | Path, keys: list[tuple[int, int]], X: np.ndarray
-) -> None:
+def write_features(path: str | Path, users: np.ndarray, items: np.ndarray, X: np.ndarray) -> None:
     """Persist the feature matrix so later stages can run without
     recomputing the detector board."""
-    ids = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    atomic_write_columns(path, FEATURES_HEADER, (ids, format_floats(X)))
+    atomic_write_columns(path, FEATURES_HEADER, (users, items, format_floats(X)))
 
 
-def read_features(path: str | Path) -> tuple[list[tuple[int, int]], np.ndarray]:
+def read_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(users, items, X) of a features.csv, in file order."""
     rows = read_columns(path, FEATURES_HEADER, _FEATURES_DTYPE)
     if rows is None:
         return _read_feature_rows(Path(path))
-    return list(zip(rows["user"].tolist(), rows["item"].tolist())), np.ascontiguousarray(rows["x"])
+    return tuple(np.ascontiguousarray(rows[name]) for name in ("user", "item", "x"))
 
 
-def _read_feature_rows(path: Path) -> tuple[list[tuple[int, int]], np.ndarray]:
+def _read_feature_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """read_features one row at a time, for a file read_columns does not
     take: it reads the file or raises the error of its first bad row."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != FEATURES_HEADER:
-            raise ValueError(f"{path}: unexpected features header: {header[:4]}...")
-        keys: list[tuple[int, int]] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            if len(row) != len(FEATURES_HEADER):
-                raise ValueError(f"{path}: expected {len(FEATURES_HEADER)} fields in every row")
-            keys.append((int(row[0]), int(row[1])))
-            rows.append([float(v) for v in row[2:]])
-    X = np.array(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))
-    return keys, X
+    rows = read_csv_rows(path, FEATURES_HEADER)
+    ids = [(int(row[0]), int(row[1])) for row in rows]
+    X = np.array([[float(v) for v in row[2:]] for row in rows]).reshape(-1, len(FEATURE_NAMES))
+    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    return users, items, X

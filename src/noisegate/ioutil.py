@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import secrets
@@ -53,6 +54,20 @@ def atomic_write_columns(path: str | Path, header: Sequence[str], columns: Seque
     line = ",".join(["%s"] * len(header)) + "\r\n"
     body = (line * len(cells)) % tuple(cells.ravel().tolist())
     atomic_write_text(path, ",".join(header) + "\r\n" + body)
+
+
+def read_csv_rows(path: str | Path, header: Sequence[str]) -> list[list[str]]:
+    """The rows under the header of a CSV, through csv.reader.  ValueError
+    unless the first row is exactly the header and every row has one field
+    per column."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != tuple(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        rows = list(reader)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: expected {len(header)} fields in every row")
+    return rows
 
 
 def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray | None:

@@ -176,6 +176,8 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
             )
         if min(self.rf_trees, self.ressel_bags, self.eif_trees) < 1:
             raise ConfigError("rf_trees, ressel_bags and eif_trees must be >= 1")
+        if min(self.gbt_rounds, self.gbt_depth, self.rf_max_depth) < 1:
+            raise ConfigError("gbt_rounds, gbt_depth and rf_max_depth must be >= 1")
         if self.eif_sample_size < 2:
             raise ConfigError("eif_sample_size must be >= 2: one point has no isolation depth")
         try:
@@ -409,11 +411,12 @@ def _require(path: Path, producer: str) -> None:
         raise DataError(f"missing artifact {path}; run the {producer} stage first")
 
 
-def _read(reader, path: Path):
-    """reader(path), with the ValueError of a malformed artifact raised as DataError."""
+def _read(reader, path: Path, *args):
+    """reader(path, *args), with the error of a malformed artifact raised as
+    DataError: ValueError, or OverflowError for an id outside int64."""
     try:
-        return reader(path)
-    except ValueError as exc:
+        return reader(path, *args)
+    except (ValueError, OverflowError) as exc:
         message = str(exc)
         raise DataError(message if str(path) in message else f"{path}: {message}") from exc
 
@@ -506,10 +509,10 @@ def stage_board(
     persisted so the ensemble stage can run without recomputation."""
     context = train.merged(detect) if len(train) else detect
     board = run_board(train, detect, cfg, context=context)
-    keys, X = build_feature_matrix(detect, context, board)
+    X = build_feature_matrix(detect, context, board)
     write_votes(board.votes, paths.votes)
     dump_json(board.venn, paths.venn)
-    write_features(paths.features, keys, X)
+    write_features(paths.features, board.votes.users, board.votes.items, X)
     tally = np.bincount(board.votes.consensus, minlength=len(CONSENSUS))
     section = {
         "consensus": dict(zip((c.value for c in CONSENSUS), tally.tolist())),
@@ -524,70 +527,58 @@ def stage_board(
 
 def stage_ensemble(
     cfg: PipelineConfig, votes: Votes, X: np.ndarray, paths: RunPaths
-) -> dict[tuple[int, int], Verdict]:
+) -> np.ndarray:
     """Layer 2: arbitrate every Uncertain rating with the configured
     learner, trained on the unanimous ratings; X holds one feature row per
-    vote row.  Returns the Uncertain set's labels."""
+    vote row.  Returns the Noisy flags of the Uncertain rows, in row order."""
     uncertain = votes.where(Consensus.UNCERTAIN)
-    classified: dict[tuple[int, int], Verdict] = {}
-    scores: dict[tuple[int, int], float] = {}
+    classified, scores = np.zeros(0, dtype=bool), np.zeros(0)
     if uncertain.any():
         y = votes.where(Consensus.NOISY)[~uncertain].astype(np.int64)
         X_unc = X[uncertain]
         model = train_el(X[~uncertain], y, X_unc, cfg, derive_seed(cfg.seed, _SALT_ENSEMBLE))
-        classified, scores = classify_uncertain(model, votes.keys(uncertain), X_unc)
-    write_classification(classified, scores, cfg.ensemble_variant, paths.ensemble_csv)
+        classified, scores = classify_uncertain(model, X_unc)
+    write_classification(
+        votes.users[uncertain], votes.items[uncertain], classified, scores,
+        cfg.ensemble_variant, paths.ensemble_csv,
+    )
     return classified
 
 
-def _ensemble_info(variant: str | None, classified: Mapping[tuple[int, int], Verdict]) -> dict:
-    verdicts = list(classified.values())
+def _ensemble_info(variant: str | None, classified: np.ndarray) -> dict:
+    n_noisy = int(classified.sum())
     return {
         "variant": variant,
-        "uncertain_total": len(verdicts),
-        "classified_noisy": verdicts.count(Verdict.NOISY),
-        "classified_clean": verdicts.count(Verdict.CLEAN),
+        "uncertain_total": len(classified),
+        "classified_noisy": n_noisy,
+        "classified_clean": len(classified) - n_noisy,
     }
 
 
-def _labels(
-    keys: Sequence[tuple[int, int]], noisy: np.ndarray
-) -> dict[tuple[int, int], Verdict]:
-    """key -> Noisy where its flag is set, else Clean."""
-    return {key: Verdict.NOISY if f else Verdict.CLEAN for key, f in zip(keys, noisy.tolist())}
-
-
-def _final_labels(
-    votes: Votes, classified: Mapping[tuple[int, int], Verdict]
-) -> dict[tuple[int, int], Verdict]:
-    """Consensus where the board is unanimous, the ensemble's label elsewhere."""
-    settled = ~votes.where(Consensus.UNCERTAIN)
-    labels = _labels(votes.keys(settled), votes.where(Consensus.NOISY)[settled])
-    labels.update(classified)
-    return labels
+def _final_noisy(votes: Votes, classified: np.ndarray) -> np.ndarray:
+    """Noisy flag per vote row: the consensus where the board is unanimous,
+    the ensemble's label of the Uncertain rows elsewhere."""
+    noisy = votes.where(Consensus.NOISY)
+    noisy[votes.where(Consensus.UNCERTAIN)] = classified
+    return noisy
 
 
 def stage_signature(
-    cfg: PipelineConfig,
-    detect: RatingsTable,
-    labels: Mapping[tuple[int, int], Verdict],
-    paths: RunPaths,
+    cfg: PipelineConfig, detect: RatingsTable, noisy: np.ndarray, paths: RunPaths
 ) -> list[SignatureHit]:
-    hits = detect_optout(
-        detect, dict(labels), cfg.signature_threshold, cfg.signature_denominator
-    )
+    hits = detect_optout(detect, noisy, cfg.signature_threshold, cfg.signature_denominator)
     write_hits(hits, cfg.action(), paths.signature_csv)
     return hits
 
 
 def _clean_corpus(
     corpus: RatingsTable,
-    labels: Mapping[tuple[int, int], Verdict],
+    votes: Votes,
+    noisy: np.ndarray,
     hits: list[SignatureHit],
     action: SignatureAction,
 ) -> tuple[RatingsTable, dict]:
-    noisy = [k for k, v in labels.items() if v is Verdict.NOISY]
-    after_noise = corpus.without_keys(*np.array(noisy, dtype=np.int64).reshape(-1, 2).T)
+    after_noise = corpus.without_keys(votes.users[noisy], votes.items[noisy])
     cleaned = apply_signature_action(after_noise, hits, action)
     removal = {
         "corpus_size": len(corpus),
@@ -834,7 +825,7 @@ class RunResult(NamedTuple):
     report_dict: dict
     paths: RunPaths
     votes: Votes
-    labels: dict[tuple[int, int], Verdict]
+    noisy: np.ndarray
     hits: list[SignatureHit]
 
 
@@ -886,8 +877,8 @@ def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
     # Hashed before reading: an input edited during ingest then fails the
     # next stage's check instead of passing with splits of unknown content.
     inputs = _input_digests(cfg)
-    paths.ensure()
     table, counts = _stage("ingest", stage_ingest, cfg)
+    paths.ensure()
     dump_json(counts, paths.ingest)
     _stage("split", stage_split, cfg, table, paths)
     dump_json({**_provenance(cfg), "inputs": inputs}, paths.manifest)
@@ -905,11 +896,33 @@ def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _resume(cfg, paths, {paths.votes: "detect", paths.features: "detect"})
     votes = _read(read_votes, paths.votes)
-    keys, X = _read(read_features, paths.features)
-    if keys != votes.keys():
+    users, items, X = _read(read_features, paths.features)
+    if not (np.array_equal(users, votes.users) and np.array_equal(items, votes.items)):
         raise DataError(f"{paths.features} does not list the ratings of {paths.votes} row for row")
     classified = _stage("ensemble", stage_ensemble, cfg, votes, X, paths)
     return _ensemble_info(cfg.ensemble_variant, classified)
+
+
+def _read_labels(
+    cfg: PipelineConfig, paths: RunPaths, detect: RatingsTable, detector: str | None = None
+) -> tuple[Votes, np.ndarray]:
+    """The votes and the ensemble's Noisy flags, checked to line up: votes.csv
+    lists the detect split's ratings row for row, and ensemble.csv the
+    Uncertain ones under this run's variant (none in a baseline run, which
+    classifies nothing)."""
+    votes = _read(read_votes, paths.votes)
+    users, items, classified, _ = _read(
+        read_classification, paths.ensemble_csv, cfg.ensemble_variant
+    )
+    if not (np.array_equal(votes.users, detect.users) and np.array_equal(votes.items, detect.items)):
+        raise DataError(f"{paths.votes} does not list the ratings of {paths.detect_csv} row for row")
+    uncertain = votes.where(Consensus.UNCERTAIN) & (detector is None)
+    if not (np.array_equal(users, votes.users[uncertain])
+            and np.array_equal(items, votes.items[uncertain])):
+        raise DataError(
+            f"{paths.ensemble_csv} does not list the Uncertain ratings of {paths.votes} row for row"
+        )
+    return votes, classified
 
 
 def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> list[SignatureHit]:
@@ -918,10 +931,9 @@ def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> list[SignatureHit]:
         {paths.detect_csv: "ingest", paths.votes: "detect", paths.ensemble_csv: "ensemble"},
     )
     detect = _load_split(cfg, paths.detect_csv)
-    labels = _final_labels(
-        _read(read_votes, paths.votes), _read(read_classification, paths.ensemble_csv)
-    )
-    return _stage("signature", stage_signature, cfg, detect, labels, paths)
+    votes, classified = _read_labels(cfg, paths, detect)
+    noisy = _final_noisy(votes, classified)
+    return _stage("signature", stage_signature, cfg, detect, noisy, paths)
 
 
 def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = None) -> RunResult:
@@ -941,23 +953,26 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
     eval_t = _load_split(cfg, paths.eval_csv)
     counts = _read(read_json, paths.ingest)
     board_section = _read(read_json, paths.board_json)
-    votes = _read(read_votes, paths.votes)
-    classified = _read(read_classification, paths.ensemble_csv)
+    votes, classified = _read_labels(cfg, paths, detect, detector)
     hits, action = _read(read_hits, paths.signature_csv)
     if detector is None:
-        labels = _final_labels(votes, classified)
+        noisy = _final_noisy(votes, classified)
         ens_info = _ensemble_info(cfg.ensemble_variant, classified)
     else:
-        labels = _labels(votes.keys(), votes.noisy[:, DETECTOR_IDS.index(detector)])
+        noisy = votes.noisy[:, DETECTOR_IDS.index(detector)]
         ens_info = _ensemble_info(None, classified)
 
     corpus = train.merged(detect)
-    cleaned, removal = _clean_corpus(corpus, labels, hits, action or cfg.action())
+    cleaned, removal = _clean_corpus(corpus, votes, noisy, hits, action or cfg.action())
     reports, eval_section = _stage(
         "evaluate", stage_evaluate, cfg, corpus, cleaned, eval_t, genres, paths
     )
     mask = _load_mask_if_configured(cfg)
-    gt = ground_truth_section(mask, votes, labels) if mask is not None else None
+    gt = None
+    if mask is not None:
+        # ground_truth_section keeps (user, item)-keyed labels: perfbench's noise_quality passes them.
+        labels = {k: Verdict.NOISY if f else Verdict.CLEAN for k, f in zip(votes.keys(), noisy)}
+        gt = ground_truth_section(mask, votes, labels)
     split_sizes = {"train": len(train), "detect": len(detect), "eval": len(eval_t)}
     report_dict = _assemble_report(
         cfg, "run" if detector is None else "baseline", detector, counts, split_sizes,
@@ -965,7 +980,7 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
     )
     dump_json(_jsonable(report_dict), paths.report)
     return RunResult(
-        reports["serendipity-ndcg"], reports, report_dict, paths, votes, labels, hits
+        reports["serendipity-ndcg"], reports, report_dict, paths, votes, noisy, hits
     )
 
 
@@ -986,7 +1001,8 @@ def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
     paths = run_paths(cfg, f"baseline-{detector.lower()}")
     cli_ingest(cfg, paths)
     cli_detect(cfg, paths)
-    write_classification({}, {}, cfg.ensemble_variant, paths.ensemble_csv)
+    none = np.zeros(0, dtype=np.int64)
+    write_classification(none, none, none, none, cfg.ensemble_variant, paths.ensemble_csv)
     write_hits([], cfg.action(), paths.signature_csv)
     return cli_evaluate(cfg, paths, detector)
 

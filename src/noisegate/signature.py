@@ -7,7 +7,6 @@ history on the way out.
 
 from __future__ import annotations
 
-import csv
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -15,9 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .board.verdict import Verdict
 from .dataset import RatingsTable
-from .ioutil import atomic_write_columns
+from .ioutil import atomic_write_columns, read_csv_rows
 
 OPTOUT_SIGNATURE_ID = "optout"
 DEFAULT_THRESHOLD = 0.5
@@ -37,6 +35,9 @@ class SignatureHit(NamedTuple):
     evidence: dict
 
 
+_DAY_SECONDS = 86400
+
+
 def utc_day(timestamp: int) -> str:
     """Calendar day (UTC) of a unix timestamp, as YYYY-MM-DD."""
     return datetime.fromtimestamp(int(timestamp), tz=timezone.utc).date().isoformat()
@@ -44,54 +45,48 @@ def utc_day(timestamp: int) -> str:
 
 def detect_optout(
     table: RatingsTable,
-    labels: dict[tuple[int, int], Verdict],
+    noisy: np.ndarray,
     threshold: float = DEFAULT_THRESHOLD,
     denominator: str = DENOMINATOR_LAST_DAY,
 ) -> list[SignatureHit]:
     """Flag users whose last active day is mostly noise.
 
-    The last active day is the UTC calendar day of the user's maximum
-    timestamp.  With the default denominator the ratio is noisy-on-day over
-    ratings-on-day; the global_noise variant divides by the user's total
-    noisy count instead (no hit when that count is zero).  The inequality
-    is strict: a ratio exactly at the threshold does not fire.
-
-    Every rating of every user must be labeled; an unlabeled rating is a
-    pipeline ordering violation and raises.
+    noisy[k] is the final Noisy label of table row k.  The last active day
+    is the UTC calendar day of the user's maximum timestamp.  With the
+    default denominator the ratio is noisy-on-day over ratings-on-day; the
+    global_noise variant divides by the user's total noisy count instead
+    (no hit when that count is zero).  The inequality is strict: a ratio
+    exactly at the threshold does not fire.
     """
     if denominator not in (DENOMINATOR_LAST_DAY, DENOMINATOR_GLOBAL_NOISE):
         raise ValueError(f"unknown denominator {denominator!r}")
-    hits: list[SignatureHit] = []
-    for user in table.user_ids():
-        rows = table.user_rows(user)
-        days = [utc_day(int(table.timestamps[k])) for k in rows]
-        verdicts = []
-        for k in rows:
-            key = (user, int(table.items[k]))
-            if key not in labels:
-                raise ValueError(f"rating {key} has no label; signatures run after Layer 2")
-            verdicts.append(labels[key])
-        last_day = max(days)
-        on_day = [v for d, v in zip(days, verdicts) if d == last_day]
-        noisy_on_day = sum(1 for v in on_day if v is Verdict.NOISY)
-        if denominator == DENOMINATOR_LAST_DAY:
-            total = len(on_day)
-        else:
-            total = sum(1 for v in verdicts if v is Verdict.NOISY)
-        if total > 0 and noisy_on_day / total > threshold:
-            hits.append(
-                SignatureHit(
-                    OPTOUT_SIGNATURE_ID,
-                    user,
-                    {
-                        "last_day": last_day,
-                        "noisy_count": noisy_on_day,
-                        "total_count": total,
-                        "ratio": noisy_on_day / total,
-                    },
-                )
-            )
-    return hits
+    noisy = np.asarray(noisy, dtype=bool)
+    if noisy.shape != (len(table),):
+        raise ValueError(f"expected {len(table)} noisy flags, one per table row, got {noisy.shape}")
+    if not len(table):
+        return []
+    users = table.users
+    starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
+    days = table.timestamps // _DAY_SECONDS
+    last_day = np.maximum.reduceat(days, starts)
+    on_day = days == np.repeat(last_day, np.diff(np.r_[starts, len(users)]))
+    noisy_on_day = np.add.reduceat((noisy & on_day).astype(np.int64), starts)
+    counted = on_day if denominator == DENOMINATOR_LAST_DAY else noisy
+    total = np.add.reduceat(counted.astype(np.int64), starts)
+    ratio = noisy_on_day / np.maximum(total, 1)
+    fire = np.flatnonzero((total > 0) & (ratio > threshold))
+    return [
+        SignatureHit(
+            OPTOUT_SIGNATURE_ID,
+            user,
+            {"last_day": utc_day(day * _DAY_SECONDS), "noisy_count": n, "total_count": t,
+             "ratio": r},
+        )
+        for user, day, n, t, r in zip(
+            users[starts[fire]].tolist(), last_day[fire].tolist(),
+            noisy_on_day[fire].tolist(), total[fire].tolist(), ratio[fire].tolist(),
+        )
+    ]
 
 
 def apply_signature_action(
@@ -130,20 +125,13 @@ def write_hits(hits: list[SignatureHit], action: SignatureAction, path: str | Pa
 def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | None]:
     hits: list[SignatureHit] = []
     action: SignatureAction | None = None
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != HITS_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(HITS_HEADER)}")
-        for row in reader:
-            if len(row) != len(HITS_HEADER):
-                raise ValueError(f"{path}: expected {len(HITS_HEADER)} fields in every row")
-            hits.append(
-                SignatureHit(
-                    row[0], int(row[1]),
-                    {"last_day": row[2], "noisy_count": int(row[3]),
-                     "total_count": int(row[4]), "ratio": float(row[5])},
-                )
+    for row in read_csv_rows(path, HITS_HEADER):
+        hits.append(
+            SignatureHit(
+                row[0], int(row[1]),
+                {"last_day": row[2], "noisy_count": int(row[3]),
+                 "total_count": int(row[4]), "ratio": float(row[5])},
             )
-            action = SignatureAction(row[6])
+        )
+        action = SignatureAction(row[6])
     return hits, action

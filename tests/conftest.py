@@ -12,8 +12,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from noisegate.board.verdict import Verdict  # noqa: E402
 from noisegate.dataset import GenreMap, RatingsTable, Scale  # noqa: E402
 from noisegate.synth import planted_tables  # noqa: E402
 
@@ -48,6 +50,11 @@ def make_table(
 def by_key(table: RatingsTable, column) -> dict[tuple[int, int], object]:
     """A detector's per-row output over table, looked up by (user, item) key."""
     return dict(zip(table.keys(), column.tolist()))
+
+
+def noisy_flags(table: RatingsTable, labels) -> np.ndarray:
+    """Noisy flag per table row from a (user, item) -> Verdict mapping."""
+    return np.array([labels[key] is Verdict.NOISY for key in table.keys()], dtype=bool)
 
 
 def make_genres(mapping: dict[int, tuple[str, ...]], vocabulary: tuple[str, ...]) -> GenreMap:

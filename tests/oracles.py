@@ -11,6 +11,8 @@ rating's None becomes NaN there.  The kNN oracle argsorts every query's
 distances; the tree oracles argsort every candidate feature at every node.
 The artifact oracles format one cell at a time and hand the rows to
 csv.writer; dedupe_rows collapses duplicate rating keys through a dict.
+The opt-out signature oracle looks each rating's label up by its
+(user, item) key and formats every rating's UTC day.
 """
 
 from __future__ import annotations
@@ -33,11 +35,17 @@ from noisegate.board.nf1 import (
 from noisegate.board.nf2 import Nf2Group, Nf2Result, Quality, Quantity, nf2_rnd
 from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
-from noisegate.board.verdict import DETECTOR_IDS
+from noisegate.board.verdict import DETECTOR_IDS, Verdict
 from noisegate.dataset import RatingsTable
 from noisegate.ensemble.learners import KnnClassifier
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
 from noisegate.recsys import KnnConfig, SimilarityMatrix, pearson_similarity
+from noisegate.signature import (
+    DENOMINATOR_LAST_DAY,
+    OPTOUT_SIGNATURE_ID,
+    SignatureHit,
+    utc_day,
+)
 
 
 def _rows(column: np.ndarray, key: int) -> np.ndarray:
@@ -367,6 +375,47 @@ def feature_matrix_loop(
     return keys, np.vstack(rows)
 
 
+# -- Layer 3: the opt-out signature --------------------------------------
+
+
+def detect_optout_loop(
+    table: RatingsTable, labels, threshold: float = 0.5, denominator: str = DENOMINATOR_LAST_DAY
+) -> list[SignatureHit]:
+    """detect_optout with labels a (user, item) -> Verdict mapping that
+    must cover every rating of the table."""
+    hits: list[SignatureHit] = []
+    for user in table.user_ids():
+        rows = table.user_rows(user)
+        days = [utc_day(int(table.timestamps[k])) for k in rows]
+        verdicts = []
+        for k in rows:
+            key = (user, int(table.items[k]))
+            if key not in labels:
+                raise ValueError(f"rating {key} has no label; signatures run after Layer 2")
+            verdicts.append(labels[key])
+        last_day = max(days)
+        on_day = [v for d, v in zip(days, verdicts) if d == last_day]
+        noisy_on_day = sum(1 for v in on_day if v is Verdict.NOISY)
+        if denominator == DENOMINATOR_LAST_DAY:
+            total = len(on_day)
+        else:
+            total = sum(1 for v in verdicts if v is Verdict.NOISY)
+        if total > 0 and noisy_on_day / total > threshold:
+            hits.append(
+                SignatureHit(
+                    OPTOUT_SIGNATURE_ID,
+                    user,
+                    {
+                        "last_day": last_day,
+                        "noisy_count": noisy_on_day,
+                        "total_count": total,
+                        "ratio": noisy_on_day / total,
+                    },
+                )
+            )
+    return hits
+
+
 # -- Layer 2: kNN and trees ----------------------------------------------
 
 
@@ -556,8 +605,12 @@ def vote_rows(votes: Votes):
         yield [user, item, *["noisy" if f else "clean" for f in flags], CONSENSUS[code].value]
 
 
-def classification_rows(labels, scores, variant: str):
-    return ([key[0], key[1], repr(scores[key]), labels[key].value, variant] for key in sorted(labels))
+def classification_rows(cells, variant: str):
+    """Rows of a (user, item) -> (Verdict, score) mapping, in its order."""
+    return (
+        [user, item, repr(float(score)), label.value, variant]
+        for (user, item), (label, score) in cells.items()
+    )
 
 
 def hit_rows(hits, action):

@@ -39,7 +39,7 @@ from noisegate.seeding import derive_seed
 from noisegate.signature import detect_optout
 from noisegate.synth import movielens_sized_tables, planted_tables, write_dataset_csvs
 
-from .conftest import ACCEPTANCE_INFO, MINI_DIR, make_table
+from .conftest import ACCEPTANCE_INFO, MINI_DIR, make_table, noisy_flags
 from .test_metrics import _brute_metrics
 from .test_nf2 import _brute_rnd
 from .test_serendipity import _brute as _brute_serendipity
@@ -75,8 +75,7 @@ def test_criterion_1_partition_and_coverage(tmp_path):
     assert sum(consensus_counts.values()) == detect_size
 
     # after Layer 2 no Uncertain remains and every rating carries a label
-    assert set(result.labels) == set(votes.keys())
-    assert all(v in (Verdict.NOISY, Verdict.CLEAN) for v in result.labels.values())
+    assert result.noisy.dtype == bool and result.noisy.shape == (len(votes),)
 
     # Venn region sums plus the untouched complement cover the detect split
     venn = result.report_dict["board"]["venn"]
@@ -200,7 +199,8 @@ def test_criterion_2_formula_oracles():
         threshold = float(rng.choice([0.3, 0.5, 0.7]))
         rows = [(1, j + 1, 3.0, 86400 + j) for j in range(n)]
         labels = {(1, j + 1): Verdict.NOISY if j < k else Verdict.CLEAN for j in range(n)}
-        hits = detect_optout(make_table(rows), labels, threshold=threshold)
+        table = make_table(rows)
+        hits = detect_optout(table, noisy_flags(table, labels), threshold=threshold)
         assert bool(hits) == (k / n > threshold)
         if hits:
             assert hits[0].evidence["ratio"] == pytest.approx(k / n, abs=tol)
@@ -255,7 +255,7 @@ def test_criterion_4_optout_recall_fpr():
             (u, i): Verdict.NOISY if (u, i) in mask.keys else Verdict.CLEAN
             for u, i, _, _ in noisy.rows()
         }
-        flagged = {h.user_id for h in detect_optout(noisy, labels)}
+        flagged = {h.user_id for h in detect_optout(noisy, noisy_flags(noisy, labels))}
         n_users = len(noisy.user_ids())
         recall = len(flagged & selected) / len(selected)
         fpr = len(flagged - selected) / (n_users - len(selected))

@@ -3,7 +3,6 @@ oracles, value for value, message for message and byte for byte."""
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import warnings
@@ -230,9 +229,10 @@ _ODD_FEATURE_CELLS = (
 )
 
 
-def _same_features(got, want) -> None:
-    assert got[0] == want[0]
-    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+def _same_columns(got, want) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=250, deadline=None)
@@ -243,7 +243,7 @@ def test_read_features_matches_row_parser(scratch, text):
     _same_outcome(
         _outcome(read_features, scratch),
         _outcome(features._read_feature_rows, scratch),
-        _same_features,
+        _same_columns,
     )
 
 
@@ -280,10 +280,6 @@ _classification_row = st.tuples(
 _ODD_CLASSIFICATION_CELLS = ("-1", "bogus", "", "uncertain", "Clean", "noisy ", "noisy" + "y" * 12)
 
 
-def _same_labels(got, want) -> None:
-    assert list(got.items()) == list(want.items())
-
-
 @settings(max_examples=250, deadline=None)
 @given(text=_csv_text(
     ",".join(CLASSIFICATION_HEADER), _classification_row, _ODD_CLASSIFICATION_CELLS
@@ -293,9 +289,9 @@ def _same_labels(got, want) -> None:
 def test_read_classification_matches_row_parser(scratch, text):
     _write(scratch, text)
     _same_outcome(
-        _outcome(read_classification, scratch),
-        _outcome(ensemble._read_classification_rows, scratch),
-        _same_labels,
+        _outcome(lambda path: read_classification(path, "EL3"), scratch),
+        _outcome(lambda path: ensemble._read_classification_rows(path, "EL3"), scratch),
+        _same_columns,
     )
 
 
@@ -329,12 +325,12 @@ def test_features_bytes_match_csv_writer_and_round_trip(scratch, keys, data):
     n_cols = len(FEATURES_HEADER) - 2
     cells = data.draw(st.lists(_finite, min_size=len(keys) * n_cols, max_size=len(keys) * n_cols))
     X = np.array(cells, dtype=np.float64).reshape(len(keys), n_cols)
-    write_features(scratch, keys, X)
+    users, items = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    write_features(scratch, users, items, X)
     assert scratch.read_bytes() == oracles.csv_writer_text(
         FEATURES_HEADER, oracles.feature_rows(keys, X)
     ).encode()
-    back_keys, back = read_features(scratch)
-    assert back_keys == keys and back.shape == X.shape and back.tobytes() == X.tobytes()
+    _same_columns(read_features(scratch), (users, items, X))
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,12 +356,14 @@ def test_votes_bytes_match_csv_writer(scratch, keys, data):
     variant=st.sampled_from(["EL1", "EL3", "EL4_2"]),
 )
 def test_classification_bytes_match_csv_writer(scratch, cells, variant):
-    labels = {key: label for key, (label, _) in cells.items()}
-    scores = {key: score for key, (_, score) in cells.items()}
-    write_classification(labels, scores, variant, scratch)
+    users, items = np.array(list(cells), dtype=np.int64).reshape(-1, 2).T
+    noisy = np.array([label is Verdict.NOISY for label, _ in cells.values()], dtype=bool)
+    scores = np.array([score for _, score in cells.values()], dtype=np.float64)
+    write_classification(users, items, noisy, scores, variant, scratch)
     assert scratch.read_bytes() == oracles.csv_writer_text(
-        CLASSIFICATION_HEADER, oracles.classification_rows(labels, scores, variant)
+        CLASSIFICATION_HEADER, oracles.classification_rows(cells, variant)
     ).encode()
+    _same_columns(read_classification(scratch, variant), (users, items, noisy, scores))
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,16 +416,17 @@ def test_mini_artifacts_take_the_array_path_and_match_csv_writer(mini_run, monke
         table = load_ratings(mini_run / "splits" / f"{split}.csv")
         assert len(table)
         matches(f"splits/{split}.csv", RATINGS_HEADER, oracles.ratings_rows(table))
-    keys, X = read_features(mini_run / "features.csv")
+    users, items, X = read_features(mini_run / "features.csv")
+    keys = list(zip(users.tolist(), items.tolist()))
     matches("features.csv", FEATURES_HEADER, oracles.feature_rows(keys, X))
     votes = read_votes(mini_run / "votes.csv")
     matches("votes.csv", VOTES_HEADER, oracles.vote_rows(votes))
-    labels = read_classification(mini_run / "ensemble.csv")
-    with (mini_run / "ensemble.csv").open(newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    scores = {(int(r[0]), int(r[1])): float(r[2]) for r in rows}
-    assert labels and set(labels) == set(scores)
-    matches("ensemble.csv", CLASSIFICATION_HEADER,
-            oracles.classification_rows(labels, scores, rows[0][4]))
+    users, items, noisy, scores = read_classification(mini_run / "ensemble.csv", "EL3")
+    assert len(users)
+    cells = {
+        (u, i): (Verdict.NOISY if f else Verdict.CLEAN, score)
+        for u, i, f, score in zip(users.tolist(), items.tolist(), noisy.tolist(), scores.tolist())
+    }
+    matches("ensemble.csv", CLASSIFICATION_HEADER, oracles.classification_rows(cells, "EL3"))
     hits, action = read_hits(mini_run / "signature.csv")
     matches("signature.csv", HITS_HEADER, oracles.hit_rows(hits, action or SignatureAction.REMOVE_USER))

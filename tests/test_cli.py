@@ -122,10 +122,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
         (["--ensemble-variant", "EL5", "--eif-trees", "0"], "eif_trees"),
         (["--ensemble-variant", "EL4_1", "--ressel-bags", "0"], "ressel_bags"),
         (["--ensemble-variant", "EL5", "--eif-sample-size", "0"], "eif_sample_size"),
+        (["--gbt-rounds", "0"], "gbt_rounds"),
+        (["--gbt-depth", "0"], "gbt_depth"),
+        (["--ensemble-variant", "EL1", "--rf-max-depth", "0"], "rf_max_depth"),
     ],
     ids=[
         "nf3-k", "nf3-significance-cap", "rf-trees", "eif-trees", "ressel-bags",
-        "eif-sample-size",
+        "eif-sample-size", "gbt-rounds", "gbt-depth", "rf-max-depth",
     ],
 )
 def test_out_of_range_learner_keys_exit_2_before_writing(tmp_path, capsys, flags, message):
@@ -174,6 +177,8 @@ def test_int64_overflow_in_ratings_exits_3(tmp_path, capsys, row, message):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and f"{ratings}:5: {message}" in err
+    # nothing is created for a run whose ratings do not load
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_without_movies_exits_2(tmp_path, capsys):
@@ -256,10 +261,10 @@ def staged_run(tmp_path_factory):
     return out / "malformed"
 
 
-def _bogus_cell(column: int):
+def _bogus_cell(column: int, text: str = "bogus"):
     def edit(lines: list[str]) -> None:
         cells = lines[1].rstrip("\r\n").split(",")
-        cells[column] = "bogus"
+        cells[column] = text
         lines[1] = ",".join(cells) + "\r\n"
     return edit
 
@@ -280,6 +285,14 @@ def _empty(lines: list[str]) -> None:
     lines.clear()
 
 
+def _drop_row(lines: list[str]) -> None:
+    del lines[1]
+
+
+def _extra_noisy_row(lines: list[str]) -> None:
+    lines.append("999999,999999,0.9,noisy,EL3\r\n")
+
+
 @pytest.mark.parametrize(
     "artifact, edit, command, message",
     [
@@ -291,10 +304,18 @@ def _empty(lines: list[str]) -> None:
         ("board.json", _bad_header, "evaluate", "Expecting value"),
         ("ensemble.csv", _empty, "signature", "expected header"),
         ("signature.csv", _empty, "evaluate", "expected header"),
+        ("ensemble.csv", _bogus_cell(2), "signature", "could not convert string to float"),
+        ("ensemble.csv", _bogus_cell(4, "EL1"), "signature", "variant 'EL1', expected 'EL3'"),
+        ("ensemble.csv", _drop_row, "signature", "does not list the Uncertain ratings"),
+        ("ensemble.csv", _extra_noisy_row, "evaluate", "does not list the Uncertain ratings"),
+        ("votes.csv", _swap_first_rows, "signature", "does not list the ratings"),
+        ("votes.csv", _bogus_cell(0, "99999999999999999999"), "ensemble", "too large"),
     ],
     ids=[
         "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
         "bad-hits-header", "bad-board-json", "empty-classification", "empty-hits",
+        "bogus-score", "other-variant", "missing-row", "extra-row", "reordered-votes",
+        "wide-vote-id",
     ],
 )
 def test_malformed_artifact_exits_3(

@@ -24,7 +24,6 @@ from noisegate.ensemble.learners import KnnClassifier, LogisticRegression, Margi
 from noisegate.ensemble.ressel import train_bagging, train_ressel
 from noisegate.ensemble.stacking import train_stacking
 from noisegate.ensemble.trees import DecisionTree, RegressionTree, presort
-from noisegate.board.verdict import Verdict
 
 from . import oracles
 
@@ -358,11 +357,9 @@ def test_train_el_all_variants_classify(variant):
         eif_trees=20, eif_sample_size=16,
     )
     model = train_el(X, y, U, cfg, seed=0)
-    keys = [(1, k) for k in range(len(U))]
-    labels, scores = classify_uncertain(model, keys, U)
-    assert set(labels) == set(keys)
-    assert all(v in (Verdict.NOISY, Verdict.CLEAN) for v in labels.values())
-    assert len(scores) == len(keys)
+    noisy, scores = classify_uncertain(model, U)
+    assert noisy.dtype == bool and noisy.shape == (len(U),)
+    assert scores.dtype == np.float64 and scores.shape == (len(U),)
     # the same seed trains the same model, bit for bit
     first = model.classify_with_scores(U)
     again = train_el(X, y, U, cfg, seed=0).classify_with_scores(U)
@@ -389,8 +386,8 @@ def test_classify_uncertain_empty_set():
     model = train_el(
         X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3", gbt_rounds=5), seed=0
     )
-    labels, scores = classify_uncertain(model, [], np.empty((0, 2)))
-    assert labels == {} and scores == {}
+    noisy, scores = classify_uncertain(model, np.empty((0, 2)))
+    assert noisy.shape == scores.shape == (0,) and noisy.dtype == bool
 
 
 def test_classify_matches_stump_hand_evaluation():
@@ -409,12 +406,15 @@ def test_classify_matches_stump_hand_evaluation():
 
 
 def test_classification_csv_roundtrip(tmp_path):
-    labels = {(1, 2): Verdict.NOISY, (1, 3): Verdict.CLEAN, (2, 1): Verdict.NOISY}
-    scores = {k: 0.25 * i for i, k in enumerate(sorted(labels))}
+    users, items = np.array([1, 1, 2]), np.array([2, 3, 1])
+    noisy, scores = np.array([True, False, True]), np.array([0.0, 0.25, 0.5])
     p = tmp_path / "ensemble.csv"
-    write_classification(labels, scores, "EL3", p)
-    back = read_classification(p)
-    assert back == labels
+    write_classification(users, items, noisy, scores, "EL3", p)
+    back = read_classification(p, "EL3")
+    for got, want in zip(back, (users, items, noisy, scores)):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="variant 'EL3', expected 'EL1'"):
+        read_classification(p, "EL1")
 
 
 def test_dimension_mismatch_raises():

@@ -19,7 +19,7 @@ from .conftest import make_genres, make_table
 
 def build_features(rating: Rating, context: RatingsTable, board: BoardResult) -> np.ndarray:
     """Feature vector of one voted rating."""
-    return build_feature_matrix(RatingsTable([rating], context.scale), context, board)[1][0]
+    return build_feature_matrix(RatingsTable([rating], context.scale), context, board)[0]
 
 
 def _board_fixture():
@@ -43,25 +43,24 @@ def _board_fixture():
 
 def test_feature_vector_has_fixed_width():
     test, context, board = _board_fixture()
-    keys, X = build_feature_matrix(test, context, board)
+    X = build_feature_matrix(test, context, board)
     assert X.shape == (len(test), len(FEATURE_NAMES))
-    assert len(keys) == len(test)
     assert np.all(np.isfinite(X))
 
 
 def test_identical_inputs_identical_vectors():
     test, context, board = _board_fixture()
-    _, a = build_feature_matrix(test, context, board)
-    _, b = build_feature_matrix(test, context, board)
+    a = build_feature_matrix(test, context, board)
+    b = build_feature_matrix(test, context, board)
     assert np.array_equal(a, b)
 
 
 def test_vote_features_encode_verdicts():
     test, context, board = _board_fixture()
-    keys, X = build_feature_matrix(test, context, board)
+    X = build_feature_matrix(test, context, board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
-    assert keys == board.votes.keys()
-    for k in range(len(keys)):
+    assert len(X) == len(board.votes)
+    for k in range(len(X)):
         for d, (result, feat) in enumerate(((board.nf1, "vote_nf1"), (board.nf2, "vote_nf2"),
                                             (board.nf3, "vote_nf3"), (board.nf4, "vote_nf4"))):
             want = 1.0 if result.noisy[k] else 0.0
@@ -77,10 +76,10 @@ def test_all_clean_votes_encode_zeros():
     train = make_table([r for r in rows if r[0] != 1], genres=genres)
     board = run_board(train, test, BoardConfig())
     assert not board.votes.noisy.any()
-    keys, X = build_feature_matrix(test, train.merged(test), board)
+    X = build_feature_matrix(test, train.merged(test), board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
     vote_cols = [col[f"vote_nf{d}"] for d in (1, 2, 3, 4)]
-    for k in range(len(keys)):
+    for k in range(len(X)):
         assert tuple(X[k, c] for c in vote_cols) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -89,7 +88,7 @@ def test_deviation_features_zero_when_rating_equals_means():
     genres = make_genres({1: ("Action",)}, ("Action",))
     test = make_table([(1, 1, 3.0, 0)], genres=genres)
     board = run_board(make_table([]), test, BoardConfig())
-    keys, X = build_feature_matrix(test, test, board)
+    X = build_feature_matrix(test, test, board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
     assert X[0, col["abs_dev_user_mean"]] == 0.0
     assert X[0, col["abs_dev_item_mean"]] == 0.0
@@ -106,9 +105,9 @@ def test_unvoted_rating_raises():
 
 def test_nf3_missing_flag_distinguishes_unpredictable():
     test, context, board = _board_fixture()
-    keys, X = build_feature_matrix(test, context, board)
+    X = build_feature_matrix(test, context, board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
-    for k in range(len(keys)):
+    for k in range(len(X)):
         missing = X[k, col["nf3_missing"]]
         cons = board.nf3.consistency[k]
         if np.isnan(cons):
@@ -121,9 +120,9 @@ def test_nf3_missing_flag_distinguishes_unpredictable():
 
 def test_features_csv_roundtrip(tmp_path):
     test, context, board = _board_fixture()
-    keys, X = build_feature_matrix(test, context, board)
+    X = build_feature_matrix(test, context, board)
     p = tmp_path / "features.csv"
-    write_features(p, keys, X)
-    keys2, X2 = read_features(p)
-    assert keys2 == list(keys)
+    write_features(p, test.users, test.items, X)
+    users, items, X2 = read_features(p)
+    assert np.array_equal(users, test.users) and np.array_equal(items, test.items)
     assert np.array_equal(X, X2)

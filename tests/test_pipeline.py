@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from noisegate.board import CONSENSUS
-from noisegate.board.verdict import DETECTOR_IDS, Consensus, Verdict
+from noisegate.board.verdict import DETECTOR_IDS, Consensus
 from noisegate.cli import STAGES, build_parser
 from noisegate.dataset import Scale, load_ratings
+from noisegate.ensemble import read_classification
 from noisegate.pipeline import (
     ConfigError,
     DataError,
@@ -349,14 +350,20 @@ def test_noise_free_dataset_flags_little(framework_run):
 
 def test_labels_cover_detect_split_without_uncertainty(framework_run):
     cfg, result = framework_run
-    by_key = dict(zip(result.votes.keys(), map(CONSENSUS.__getitem__, result.votes.consensus)))
-    assert set(result.labels) == set(by_key)
-    for key, consensus in by_key.items():
-        assert result.labels[key] in (Verdict.NOISY, Verdict.CLEAN)
-        if consensus is Consensus.NOISY:
-            assert result.labels[key] is Verdict.NOISY
-        elif consensus is Consensus.CLEAN:
-            assert result.labels[key] is Verdict.CLEAN
+    assert result.noisy.dtype == bool and result.noisy.shape == (len(result.votes),)
+    for flag, code in zip(result.noisy.tolist(), result.votes.consensus.tolist()):
+        if CONSENSUS[code] is Consensus.NOISY:
+            assert flag
+        elif CONSENSUS[code] is Consensus.CLEAN:
+            assert not flag
+    # the Uncertain rows carry the ensemble's labels, in vote-row order
+    uncertain = result.votes.where(Consensus.UNCERTAIN)
+    users, items, classified, _ = read_classification(
+        result.paths.ensemble_csv, cfg.ensemble_variant
+    )
+    assert np.array_equal(users, result.votes.users[uncertain])
+    assert np.array_equal(items, result.votes.items[uncertain])
+    assert np.array_equal(result.noisy[uncertain], classified)
 
 
 def test_removal_soundness(framework_run):
@@ -365,7 +372,7 @@ def test_removal_soundness(framework_run):
     detect = load_ratings(result.paths.detect_csv, cfg.scale())
     eval_t = load_ratings(result.paths.eval_csv, cfg.scale())
     corpus = train.merged(detect)
-    noisy = {k for k, v in result.labels.items() if v is Verdict.NOISY}
+    noisy = set(result.votes.keys(result.noisy))
     flagged = {h.user_id for h in result.hits}
     keep = [k for k, key in enumerate(corpus.keys()) if key not in noisy]
     expected = corpus.subset_rows(keep).without_users(flagged)
@@ -430,7 +437,7 @@ def test_ground_truth_section_with_mask(tmp_path):
         key for key, c in zip(keys, result.votes.consensus.tolist())
         if CONSENSUS[c] is Consensus.NOISY
     }
-    flagged_by["final_labels"] = {k for k, v in result.labels.items() if v is Verdict.NOISY}
+    flagged_by["final_labels"] = set(result.votes.keys(result.noisy))
     for name, flagged in flagged_by.items():
         section = gt["detectors"][name] if name in DETECTOR_IDS else gt[name]
         tp = len(flagged & positives)
