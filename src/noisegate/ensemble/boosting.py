@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trees import RegressionTree, presort
+from .trees import RegressionTree, root_plan
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,17 +59,23 @@ def train_gbt(
     """Boost depth-limited regression trees on logistic-loss gradients.
 
     Round t fits a tree to the residual y - p and steps each leaf by the
-    Newton estimate sum(g)/sum(p(1-p)).  X is presorted once for all
-    rounds.  With rounds=0 the model is the prior log-odds, so it predicts
-    the majority class; lr=0 freezes the score at that prior.  Training
-    log-loss is recorded per round.
+    Newton estimate sum(g)/sum(p(1-p)).  Every round grows its tree from one
+    root plan of X, sorted once.  A node's plan holds the sorted rows of
+    only the features not constant in the node, and keeps the child plans
+    of the split the latest tree made there: a round builds plans only
+    below a split the previous tree did not make, each round drops the
+    plans its tree did not visit, and all are freed on return.  The leaves
+    write the round's predictions on X.  With rounds=0 the model is the
+    prior log-odds, so it predicts the majority class; lr=0 freezes the
+    score at that prior.  Training log-loss is recorded per round.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     p1 = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
     base = float(np.log(p1 / (1.0 - p1)))
     score = np.full(len(y), base)
-    orders = presort(X)
+    plan = root_plan(X)
+    fitted = np.empty(len(y))
     trees: list[RegressionTree] = []
     losses: list[float] = [_log_loss(y, _sigmoid(score))]
     for _ in range(rounds):
@@ -78,9 +84,7 @@ def train_gbt(
         h = p * (1.0 - p)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
             raise RuntimeError(f"non-finite gradient at round {len(trees)}")
-        tree = RegressionTree(max_depth=depth)
-        tree.fit(X, g, h, orders)
-        trees.append(tree)
-        score = score + lr * tree.predict(X)
+        trees.append(RegressionTree(max_depth=depth).grow(X, g, h, plan, fitted))
+        score = score + lr * fitted
         losses.append(_log_loss(y, _sigmoid(score)))
     return GbtModel(base, trees, lr, losses)

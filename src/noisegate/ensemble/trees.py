@@ -3,10 +3,21 @@
 The classification tree searches Gini-optimal thresholds over a random
 feature subset per split (the forest's source of diversity); the regression
 tree fits squared error and is used as the gradient-boosting base learner
-with Newton leaf values.  A node searches all its candidate features in one
-array pass over their stably sorted rows: presorted once per fit and
-filtered down the tree when every split searches every feature (the SLIQ
-presort, Mehta, Agrawal & Rissanen 1996), else sorted at the node.
+with Newton leaf values.
+
+A node's split search has two halves.  Its plan (_Plan) depends on X and
+the node's rows only: the stably sorted rows of each candidate feature with
+a boundary (two distinct adjacent values) in the node, and each boundary's
+flat position, feature and left size.  Pricing takes cumulative sums of the
+labels or gradients along those orders, prices every boundary in one array
+pass and keeps the first least cost.  When every split searches every
+feature, X is presorted once per fit and each split filters its plan down
+to the children (the SLIQ presort, Mehta, Agrawal & Rissanen 1996); a
+feature constant in a node is constant below it, so it leaves the plan for
+good.  Else each node sorts its own candidates.  A plan keeps the child
+plans of the split last made at it, keyed by (feature, threshold), so
+gradient boosting (Friedman 2001), which grows many trees over one X,
+rebuilds a plan only below a split the previous tree did not make.
 """
 
 from __future__ import annotations
@@ -33,53 +44,99 @@ def _gini(n1: np.ndarray, n: np.ndarray) -> np.ndarray:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """(d, n) row indices: row f lists the rows of X in stable order of feature f."""
-    return np.argsort(X.T, axis=1, kind="stable")
+class _Plan:
+    """The half of a node's split search that depends on X and its rows only.
+
+    rows lists the node's rows ascending.  orders[c] lists them in stable
+    order of feature features[c], for each candidate feature with a boundary
+    in the node; orders is None for a node that sorts its own candidates or
+    is never searched.  Boundary b lies between orders[c[b], nl[b] - 1] and
+    orders[c[b], nl[b]] and has flat index at[b] into arrays of orders'
+    shape.  children maps the split last made here, (feature, threshold),
+    to its (left, right) plans.
+    """
+
+    __slots__ = ("rows", "orders", "features", "at", "c", "nl", "children")
+
+    def __init__(self, rows: np.ndarray, X=None, orders=None, features=None):
+        self.rows = rows
+        self.orders = None
+        self.children: dict = {}
+        if orders is None:
+            return
+        xs = X[orders, features[:, None]]
+        cut = xs[:, :-1] < xs[:, 1:]
+        live = cut.any(axis=1)
+        if not live.all():
+            orders, features, cut = orders[live], features[live], cut[live]
+        self.orders, self.features = orders, features
+        self.c, j = np.nonzero(cut)
+        self.at = self.c * len(rows) + j
+        self.nl = j + 1
+
+    def split(self, X: np.ndarray, feature: int, threshold: float, sorted_children: bool):
+        """(left, right) plans of X[rows, feature] <= threshold; with
+        sorted_children they filter this plan's orders, else hold rows only."""
+        left = X[self.rows, feature] <= threshold
+        rows_l, rows_r = self.rows[left], self.rows[~left]
+        if not sorted_children:
+            return _Plan(rows_l), _Plan(rows_r)
+        goes_left = np.zeros(len(X), dtype=bool)
+        goes_left[rows_l] = True
+        keep = goes_left[self.orders]
+        k = len(self.orders)
+        return (
+            _Plan(rows_l, X, self.orders[keep].reshape(k, -1), self.features),
+            _Plan(rows_r, X, self.orders[~keep].reshape(k, -1), self.features),
+        )
 
 
-def _best_boundary(X, order: np.ndarray, features: np.ndarray, below: float, cost):
-    """(feature, midpoint threshold) of the node's cheapest split if its cost
-    is below `below`.  order[c] lists the node's rows in stable order of
-    features[c]; cost(at, c, nl) prices every place a split can go (flat
-    index into (c, j) arrays, row c, left size nl = j + 1).  The first least
-    cost in row-major order is where a feature-by-feature scan that keeps
-    strict improvements only ends."""
-    xs = X[order, features[:, None]]
-    cut = np.zeros(xs.shape, dtype=bool)
-    cut[:, :-1] = xs[:, :-1] < xs[:, 1:]
-    at = np.flatnonzero(cut)
-    c, j = np.divmod(at, xs.shape[1])
-    costs = cost(at, c, j + 1)
+def root_plan(X: np.ndarray) -> _Plan:
+    """The presorted plan of all of X's rows over every feature."""
+    orders = np.argsort(X.T, axis=1, kind="stable")
+    return _Plan(np.arange(len(X)), X, orders, np.arange(X.shape[1]))
+
+
+def _best_boundary(X, plan: _Plan, below: float, cost):
+    """(feature, midpoint threshold) of the plan's cheapest boundary if its
+    cost is below `below`.  cost(at, c, nl) prices every boundary from
+    plan.at, plan.c and plan.nl.  The first least cost in row-major order is
+    where a feature-by-feature scan that keeps strict improvements only ends."""
+    costs = cost(plan.at, plan.c, plan.nl)
     if len(costs) == 0 or not costs.min() < below:
         return None
-    i = int(np.argmin(costs))
-    return int(features[c[i]]), float((xs[c[i], j[i]] + xs[c[i], j[i] + 1]) / 2.0)
+    b = int(np.argmin(costs))
+    c, j = plan.c[b], plan.nl[b] - 1
+    f = int(plan.features[c])
+    return f, float((X[plan.orders[c, j], f] + X[plan.orders[c, j + 1], f]) / 2.0)
 
 
 class _Tree:
     """Growth and prediction shared by both trees; a subclass's _node returns
-    a leaf, or a node whose feature and threshold split X[rows]."""
+    a leaf, or a node whose feature and threshold split X[plan.rows]."""
 
     root: _Node | None = None
     n_features = 0
+    max_depth: int | None = None
 
-    def _grow(self, X, stats, rows: np.ndarray, orders, depth: int, rng) -> _Node:
-        """The subtree over X[rows], rows ascending; orders holds every
-        feature's sorted rows when the tree is presorted, else None."""
-        node = self._node(X, stats, rows, orders, depth, rng)
+    def _grow(self, X, stats, plan: _Plan, depth: int, rng, out=None) -> _Node:
+        """The subtree over X[plan.rows].  A split reuses the child plans
+        cached under it at plan, and plan then keeps only those; out, when
+        given, receives each row's leaf value."""
+        node = self._node(X, stats, plan, depth, rng)
         if node.feature < 0:
+            plan.children = {}
+            if out is not None:
+                out[plan.rows] = node.value
             return node
-        left = X[rows, node.feature] <= node.threshold
-        left_orders = right_orders = None
-        if orders is not None:
-            goes_left = np.zeros(len(X), dtype=bool)
-            goes_left[rows[left]] = True
-            keep = goes_left[orders]
-            left_orders = orders[keep].reshape(len(orders), -1)
-            right_orders = orders[~keep].reshape(len(orders), -1)
-        node.left = self._grow(X, stats, rows[left], left_orders, depth + 1, rng)
-        node.right = self._grow(X, stats, rows[~left], right_orders, depth + 1, rng)
+        key = (node.feature, node.threshold)
+        pair = plan.children.get(key)
+        if pair is None:
+            deeper = self.max_depth is None or depth + 1 < self.max_depth
+            pair = plan.split(X, *key, plan.orders is not None and deeper)
+        plan.children = {key: pair}
+        node.left = self._grow(X, stats, pair[0], depth + 1, rng, out)
+        node.right = self._grow(X, stats, pair[1], depth + 1, rng, out)
         return node
 
     def _apply(self, node: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray, proba: bool) -> None:
@@ -136,7 +193,8 @@ class DecisionTree(_Tree):
         # With a feature subset per split, sorting every feature up front
         # costs more than sorting each node's few candidates.
         presorted = self.splitter == "best" and not self._draws_subset()
-        self.root = self._grow(X, y, np.arange(len(y)), presort(X) if presorted else None, 0, rng)
+        plan = root_plan(X) if presorted else _Plan(np.arange(len(y)))
+        self.root = self._grow(X, y, plan, 0, rng)
         return self
 
     def _leaf(self, y: np.ndarray) -> _Node:
@@ -154,7 +212,8 @@ class DecisionTree(_Tree):
             return np.arange(self.n_features)
         return rng.permutation(self.n_features)[: self.feature_subset]
 
-    def _node(self, X, y, rows, orders, depth, rng) -> _Node:
+    def _node(self, X, y, plan, depth, rng) -> _Node:
+        rows = plan.rows
         ys = y[rows]
         n = len(rows)
         n1 = int(ys.sum())
@@ -170,15 +229,16 @@ class DecisionTree(_Tree):
         if self.splitter == "random":
             split = self._random_split(X[rows][:, features], ys, features, below, rng)
         else:
-            if orders is None:
+            if plan.orders is None:
                 orders = rows[np.argsort(X[rows][:, features].T, axis=1, kind="stable")]
-            c1 = np.cumsum(y[orders], axis=1)
+                plan = _Plan(rows, X, orders, features)
+            c1 = np.cumsum(y[plan.orders], axis=1)
 
             def weighted_gini(at, c, nl):
                 n1l = c1.take(at)
                 return (nl * _gini(n1l, nl) + (n - nl) * _gini(n1 - n1l, n - nl)) / n
 
-            split = _best_boundary(X, orders, features, below, weighted_gini)
+            split = _best_boundary(X, plan, below, weighted_gini)
         if split is None:
             return self._leaf(ys)
         node = _Node()
@@ -217,6 +277,7 @@ class RegressionTree(_Tree):
 
     fit() takes per-sample gradients g and hessians h; each leaf stores
     sum(g) / (sum(h) + eps), the one-step Newton estimate used by boosting.
+    grow() fits from a given root plan, which boosting keeps across rounds.
     """
 
     def __init__(self, max_depth: int = 3, min_samples_split: int = 2, eps: float = 1e-9):
@@ -224,15 +285,17 @@ class RegressionTree(_Tree):
         self.min_samples_split = min_samples_split
         self.eps = eps
 
-    def fit(
-        self, X: np.ndarray, g: np.ndarray, h: np.ndarray, orders: np.ndarray | None = None
-    ) -> "RegressionTree":
-        """orders: presort(X), passed when many trees are fit on one X."""
+    def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray) -> "RegressionTree":
         X = np.asarray(X, dtype=np.float64)
+        return self.grow(X, g, h, root_plan(X))
+
+    def grow(self, X: np.ndarray, g, h, plan: _Plan, out: np.ndarray | None = None) -> "RegressionTree":
+        """Fit float64 X from root_plan(X), which may still hold the child
+        plans of earlier trees' splits; out, when given, receives every
+        row's leaf value, the tree's prediction on X."""
         self.n_features = X.shape[1]
         stats = (np.asarray(g, dtype=np.float64), np.asarray(h, dtype=np.float64))
-        orders = presort(X) if orders is None else orders
-        self.root = self._grow(X, stats, np.arange(len(X)), orders, 0, None)
+        self.root = self._grow(X, stats, plan, 0, None, out)
         return self
 
     def _leaf(self, g: np.ndarray, h: np.ndarray) -> _Node:
@@ -240,14 +303,15 @@ class RegressionTree(_Tree):
         node.value = float(g.sum() / (h.sum() + self.eps))
         return node
 
-    def _node(self, X, stats, rows, orders, depth, rng) -> _Node:
+    def _node(self, X, stats, plan, depth, rng) -> _Node:
         g, h = stats
+        rows = plan.rows
         gn = g[rows]
         n = len(rows)
         if n < self.min_samples_split or depth >= self.max_depth:
             return self._leaf(gn, h[rows])
         total_sse = float(gn @ gn) - gn.sum() ** 2 / n
-        gs = g[orders]
+        gs = g[plan.orders]
         csum = np.cumsum(gs, axis=1)
         csq = np.cumsum(gs * gs, axis=1)
 
@@ -256,8 +320,7 @@ class RegressionTree(_Tree):
             sr, qr = csum[:, -1][c] - sl, csq[:, -1][c] - ql
             return (ql - sl * sl / nl) + (qr - sr * sr / (n - nl))
 
-        features = np.arange(self.n_features)
-        split = _best_boundary(X, orders, features, total_sse - _MIN_GAIN, sse)
+        split = _best_boundary(X, plan, total_sse - _MIN_GAIN, sse)
         if split is None:
             return self._leaf(gn, h[rows])
         node = _Node()

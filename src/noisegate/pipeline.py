@@ -491,11 +491,12 @@ def stage_split(
 ) -> tuple[RatingsTable, RatingsTable, RatingsTable]:
     fractions = (cfg.train_fraction, cfg.detect_fraction, cfg.eval_fraction)
     train, detect, eval_t = split_three(table, fractions, cfg.seed)
+    if len(detect) == 0 or len(eval_t) == 0:
+        raise DataError("detect or eval split is empty; dataset too small for the fractions")
+    paths.ensure()
     train.to_csv(paths.train_csv)
     detect.to_csv(paths.detect_csv)
     eval_t.to_csv(paths.eval_csv)
-    if len(detect) == 0 or len(eval_t) == 0:
-        raise DataError("detect or eval split is empty; dataset too small for the fractions")
     return train, detect, eval_t
 
 
@@ -878,9 +879,8 @@ def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
     # next stage's check instead of passing with splits of unknown content.
     inputs = _input_digests(cfg)
     table, counts = _stage("ingest", stage_ingest, cfg)
-    paths.ensure()
-    dump_json(counts, paths.ingest)
     _stage("split", stage_split, cfg, table, paths)
+    dump_json(counts, paths.ingest)
     dump_json({**_provenance(cfg), "inputs": inputs}, paths.manifest)
     return counts
 

@@ -81,22 +81,23 @@ class SimilarityMatrix:
         self.cfg = cfg
         self.user_ids = table.user_ids()
         self.index = {u: k for k, u in enumerate(self.user_ids)}
-        item_ids = table.item_ids()
-        item_index = {i: k for k, i in enumerate(item_ids)}
+        item_ids = np.array(table.item_ids(), dtype=np.int64)
+        rows_u = np.searchsorted(np.array(self.user_ids, dtype=np.int64), table.users)
+        rows_i = np.searchsorted(item_ids, table.items)
         nu, ni = len(self.user_ids), len(item_ids)
         R = np.zeros((nu, ni))
         M = np.zeros((nu, ni))
-        rows_u = np.fromiter((self.index[int(u)] for u in table.users), dtype=np.int64, count=len(table))
-        rows_i = np.fromiter((item_index[int(i)] for i in table.items), dtype=np.int64, count=len(table))
         R[rows_u, rows_i] = table.values
         M[rows_u, rows_i] = 1.0
         n = M @ M.T
         sx = R @ M.T
         sxx = (R * R) @ M.T
         sxy = R @ R.T
+        del R, M  # only the products are read below; freeing early lowers peak memory
         with np.errstate(invalid="ignore", divide="ignore"):
             cov = sxy - sx * sx.T / np.where(n > 0, n, 1)
             var_x = sxx - sx * sx / np.where(n > 0, n, 1)
+            del sx, sxx, sxy
             var_y = var_x.T
             denom = np.sqrt(var_x * var_y)
             raw = np.where(

@@ -8,7 +8,8 @@ iteration per rating, neighbor or genre, with row lookups done by a plain
 scan of the table's columns.  Per-rating outputs come back as arrays in
 test row order, as the array code gives them; an unpredictable NF3
 rating's None becomes NaN there.  The kNN oracle argsorts every query's
-distances; the tree oracles argsort every candidate feature at every node.
+distances; the tree oracles argsort every candidate feature at every node,
+and the boosting oracle fits every round's tree from scratch.
 The artifact oracles format one cell at a time and hand the rows to
 csv.writer; dedupe_rows collapses duplicate rating keys through a dict.
 The opt-out signature oracle looks each rating's label up by its
@@ -37,6 +38,7 @@ from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
 from noisegate.board.verdict import DETECTOR_IDS, Verdict
 from noisegate.dataset import RatingsTable
+from noisegate.ensemble.boosting import GbtModel, _log_loss, _sigmoid
 from noisegate.ensemble.learners import KnnClassifier
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
 from noisegate.recsys import KnnConfig, SimilarityMatrix, pearson_similarity
@@ -549,6 +551,29 @@ class ArgsortRegressionTree(RegressionTree):
         node.left = self._grow_sorting(X[mask], g[mask], h[mask], depth + 1)
         node.right = self._grow_sorting(X[~mask], g[~mask], h[~mask], depth + 1)
         return node
+
+
+def train_gbt_refit(X, y, rounds=100, depth=3, lr=0.1, seed=0, tree=RegressionTree) -> GbtModel:
+    """train_gbt as a plain loop: each round fits a fresh tree of class
+    `tree` to X and steps the score by that tree's prediction on X."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    p1 = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
+    base = float(np.log(p1 / (1.0 - p1)))
+    score = np.full(len(y), base)
+    trees: list[RegressionTree] = []
+    losses: list[float] = [_log_loss(y, _sigmoid(score))]
+    for _ in range(rounds):
+        p = _sigmoid(score)
+        g = y - p
+        h = p * (1.0 - p)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            raise RuntimeError(f"non-finite gradient at round {len(trees)}")
+        fitted = tree(max_depth=depth).fit(X, g, h)
+        trees.append(fitted)
+        score = score + lr * fitted.predict(X)
+        losses.append(_log_loss(y, _sigmoid(score)))
+    return GbtModel(base, trees, lr, losses)
 
 
 def tree_structure(node: _Node) -> list[tuple]:

@@ -181,6 +181,20 @@ def test_int64_overflow_in_ratings_exits_3(tmp_path, capsys, row, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_too_small_dataset_exits_3_before_writing(tmp_path, capsys):
+    ratings = tmp_path / "ratings.csv"
+    head = (MINI_DIR / "ratings.csv").read_text().splitlines(keepends=True)[0]
+    ratings.write_text(head + "1,1,3.0,5\n2,1,4.0,5\n3,2,2.0,5\n")
+    code = main(
+        ["ingest", "--ratings-path", str(ratings), "--movies-path", str(MINI_DIR / "movies.csv"),
+         "--out-dir", str(tmp_path / "out"), "--min-activity", "1"]
+    )
+    assert code == EXIT_DATA
+    assert "dataset too small" in capsys.readouterr().err
+    # no run directory is left without a manifest
+    assert not list((tmp_path / "out").glob("run-*"))
+
+
 def test_run_without_movies_exits_2(tmp_path, capsys):
     code = main(
         ["run", "--ratings-path", str(MINI_DIR / "ratings.csv"),

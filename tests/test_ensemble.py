@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from noisegate.ensemble.isolation import ExtendedIsolationForest, c_factor
 from noisegate.ensemble.learners import KnnClassifier, LogisticRegression, MarginClassifier
 from noisegate.ensemble.ressel import train_bagging, train_ressel
 from noisegate.ensemble.stacking import train_stacking
-from noisegate.ensemble.trees import DecisionTree, RegressionTree, presort
+from noisegate.ensemble.trees import DecisionTree, RegressionTree
 
 from . import oracles
 
@@ -161,7 +162,6 @@ def test_regression_tree_equals_per_node_sort(data, depth):
     h = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     want = oracles.tree_structure(oracles.ArgsortRegressionTree(depth).fit(X, g, h).root)
     assert oracles.tree_structure(RegressionTree(depth).fit(X, g, h).root) == want
-    assert oracles.tree_structure(RegressionTree(depth).fit(X, g, h, presort(X)).root) == want
 
 
 # -- random forest ------------------------------------------------------
@@ -254,6 +254,98 @@ def test_gbt_zero_lr_stays_at_prior_log_odds():
     model = train_gbt(X, y, rounds=5, depth=2, lr=0.0, seed=0)
     prior = math.log(y.mean() / (1 - y.mean()))
     assert np.allclose(model.decision_function(X), prior)
+
+
+def _check_plan_cache(X, plan, node, leaves: list) -> None:
+    """plan holds the child plans of node's split and of nothing else, down
+    the whole tree; the plans of its leaves go to `leaves`."""
+    if node.left is None:
+        assert plan.children == {}
+        leaves.append(plan)
+        return
+    key = (node.feature, node.threshold)
+    assert list(plan.children) == [key]
+    left = X[plan.rows, node.feature] <= node.threshold
+    for child, rows, sub in zip(plan.children[key], (plan.rows[left], plan.rows[~left]),
+                                (node.left, node.right)):
+        assert np.array_equal(child.rows, rows)
+        _check_plan_cache(X, child, sub, leaves)
+
+
+def _split_plans(plan) -> list:
+    return [plan] + [p for pair in plan.children.values() for c in pair for p in _split_plans(c)]
+
+
+def _train_gbt_checking_plans(X, y, rounds, depth, lr):
+    """train_gbt, checking after every round that the cached plans are the
+    ones the round's tree visited.  Also returns the number of rounds whose
+    tree made a leaf of a node that the tree before had split."""
+    grow = RegressionTree.grow
+    unsplit = []
+
+    def grow_and_check(tree, X, g, h, plan, out=None):
+        split_before = [p for p in _split_plans(plan) if p.children]
+        grow(tree, X, g, h, plan, out)
+        leaves = []
+        _check_plan_cache(X, plan, tree.root, leaves)
+        unsplit.append(any(p is q for p in split_before for q in leaves))
+        return tree
+
+    with mock.patch.object(RegressionTree, "grow", grow_and_check):
+        model = train_gbt(X, y, rounds=rounds, depth=depth, lr=lr)
+    return model, sum(unsplit)
+
+
+def _assert_same_gbt(got, want, fresh):
+    assert got.base_score == want.base_score
+    assert got.loss_curve == want.loss_curve
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        assert oracles.tree_structure(a.root) == oracles.tree_structure(b.root)
+    assert np.array_equal(got.decision_function(fresh), want.decision_function(fresh))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_train_gbt_equals_per_round_refit(data):
+    n = data.draw(st.integers(1, 30))
+    X = _grid_rows(data.draw, n, 2)
+    columns = [X, -X[:, :1]]  # a mirror of column 0 ties every split on it
+    if data.draw(st.booleans()):
+        columns.append(np.full((n, 1), data.draw(st.sampled_from([0.0, 2.5]))))
+    if data.draw(st.booleans()):
+        # constant on one side of every split of column 0 at 1.5
+        columns.append(np.where(X[:, :1] <= 1, 1.0, _grid_rows(data.draw, n, 1)))
+    X = np.hstack(columns)
+    if data.draw(st.integers(0, 4)) == 0:
+        X = np.full_like(X, 1.0)
+    dup = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+    X = np.vstack([X, X[dup]])
+    if data.draw(st.booleans()):
+        y = np.zeros(len(X))
+        y[data.draw(st.integers(0, len(X) - 1))] = 1.0
+    else:
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    rounds = data.draw(st.integers(0, 15))
+    depth = data.draw(st.integers(1, 4))
+    lr = data.draw(st.sampled_from([0.0, 0.3]))
+    got, _ = _train_gbt_checking_plans(X, y, rounds, depth, lr)
+    assert len(got.trees) == rounds
+    fresh = np.vstack([X, _grid_rows(data.draw, 5, X.shape[1], levels=4) - 0.5])
+    # The refit loop shares the tree code; the per-node sort trees do not.
+    for tree in (RegressionTree, oracles.ArgsortRegressionTree):
+        want = oracles.train_gbt_refit(X, y, rounds=rounds, depth=depth, lr=lr, tree=tree)
+        _assert_same_gbt(got, want, fresh)
+
+
+def test_train_gbt_drops_the_plans_of_a_node_no_longer_split():
+    # Late rounds leave nodes unsplit once the gradients in them are within
+    # the minimum gain of each other; those nodes' child plans must go.
+    X = np.array([[0, 1], [0, 1], [3, 0], [1, 1], [3, 0], [2, 1], [0, 3], [0, 1], [1, 1]], float)
+    y = np.array([0, 0, 0, 0, 1, 1, 0, 0, 1], float)
+    got, unsplit = _train_gbt_checking_plans(X, y, 60, 3, 0.3)
+    assert unsplit > 0
+    _assert_same_gbt(got, oracles.train_gbt_refit(X, y, rounds=60, depth=3, lr=0.3), X)
 
 
 # -- self-training bagging ----------------------------------------------

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import noisegate.ensemble
 from noisegate.board import CONSENSUS
 from noisegate.board.verdict import DETECTOR_IDS, Consensus
 from noisegate.cli import STAGES, build_parser
@@ -43,6 +44,7 @@ from noisegate.pipeline import (
 )
 from noisegate.evaluation.deltas import Quadrant
 
+from . import oracles
 from .conftest import MINI_DIR, make_table
 
 
@@ -389,6 +391,24 @@ def test_rerun_reports_byte_identical(framework_run, tmp_path):
     cfg2 = _fast_config(tmp_path, run_id="replay")
     result2 = run_framework(cfg2)
     assert reports_equal(result.paths.report, result2.paths.report)
+
+
+def test_gbt_run_matches_per_round_refit(framework_run, tmp_path, monkeypatch):
+    # The same EL3 run with train_gbt swapped for the loop that refits every
+    # round's tree from scratch writes the same labels and report.
+    cfg, result = framework_run
+    assert cfg.ensemble_variant == "EL3"
+    calls = []
+
+    def refit(*args, **kwargs):
+        calls.append(args)
+        return oracles.train_gbt_refit(*args, **kwargs)
+
+    monkeypatch.setattr(noisegate.ensemble, "train_gbt", refit)
+    oracle_run = run_framework(_fast_config(tmp_path, run_id="refit"))
+    assert len(calls) == 1 and calls[0][1].sum() > 0
+    assert result.paths.ensemble_csv.read_bytes() == oracle_run.paths.ensemble_csv.read_bytes()
+    assert reports_equal(result.paths.report, oracle_run.paths.report)
 
 
 def test_el5_consumes_only_uncertain(tmp_path):
