@@ -477,9 +477,7 @@ def filter_min_activity(
         raise ValueError(f"by must be 'user' or 'item', got {by!r}")
     col = table.users if by == "user" else table.items
     ids, counts = np.unique(col, return_counts=True)
-    keep_ids = set(ids[counts >= min_count].tolist())
-    keep = np.array([x in keep_ids for x in col.tolist()], dtype=bool)
-    return table.subset_rows(np.flatnonzero(keep))
+    return table.subset_rows(np.flatnonzero(np.isin(col, ids[counts >= min_count])))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,13 @@ class _ConstantModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.full(len(X), float(self.label))
 
+    def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.predict(X), self.predict_proba(X)
+
+    def score(self, X: np.ndarray) -> np.ndarray:
+        """EL5's stand-in anomaly score: the label itself."""
+        return self.predict_proba(X)
+
 
 class ElModel:
     """A trained Layer-2 learner: variant tag, inner model, diagnostics."""
@@ -92,14 +99,13 @@ class ElModel:
 
     def classify_with_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Labels (1 = noisy) and scores: the noisy-class probability
-        (supervised) or the anomaly score (EL5, labeled noisy above score_cut)."""
+        (supervised) or the anomaly score (EL5, labeled noisy above score_cut),
+        from one pass of the inner model."""
         X = self._check(X)
         if self.variant == "EL5":
             scores = self.inner.score(X)
             return (scores > self.score_cut).astype(np.int64), scores
-        if isinstance(self.inner, StackingModel):
-            return self.inner.predict_with_proba(X)
-        return self.inner.predict(X), self.inner.predict_proba(X)
+        return self.inner.predict_with_proba(X)
 
 
 def train_random_forest(

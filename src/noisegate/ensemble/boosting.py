@@ -42,10 +42,15 @@ class GbtModel:
         return score
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0.0).astype(np.int64)
+        return self.predict_with_proba(X)[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
+        return self.predict_with_proba(X)[1]
+
+    def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(X), predict_proba(X)) from one pass of the trees."""
+        score = self.decision_function(X)
+        return (score > 0.0).astype(np.int64), _sigmoid(score)
 
 
 def train_gbt(

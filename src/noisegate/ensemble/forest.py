@@ -94,11 +94,12 @@ class RandomForest:
         return votes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        votes = self._vote_matrix(X)
-        return (votes[:, 1] > votes[:, 0]).astype(np.int64)
+        return self.predict_with_proba(X)[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        votes = self._vote_matrix(X)
-        return votes[:, 1] / votes.sum(axis=1)
+        return self.predict_with_proba(X)[1]
+
+    def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(X), predict_proba(X)) from one vote of the trees."""
+        votes = self._vote_matrix(np.asarray(X, dtype=np.float64))
+        return (votes[:, 1] > votes[:, 0]).astype(np.int64), votes[:, 1] / votes.sum(axis=1)

@@ -23,6 +23,11 @@ class _Standardizer:
         return (X - self.mean) / self.std
 
 
+# Query rows per distance block: bounds the two (rows x train rows) arrays
+# that KnnClassifier.predict_proba holds.
+_KNN_CHUNK = 512
+
+
 class KnnClassifier:
     """Euclidean kNN vote on standardized features; labels are 0 or 1.
 
@@ -39,37 +44,56 @@ class KnnClassifier:
         self.scaler = _Standardizer().fit(X)
         self.X = self.scaler.transform(X)
         self.y = np.asarray(y, dtype=np.int64)
+        self.sq = np.sum(self.X**2, axis=1)
+        self.positive = np.flatnonzero(self.y == 1)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self.scaler.transform(np.asarray(X, dtype=np.float64))
         k = min(self.k, len(self.y))
         out = np.zeros(len(X))
-        for start in range(0, len(X), 512):
-            out[start : start + 512] = self._positives_in_k_nearest(X[start : start + 512], k) / k
+        buf = np.empty((min(_KNN_CHUNK, len(X)), len(self.y)))
+        d2 = np.empty_like(buf)
+        for start in range(0, len(X), _KNN_CHUNK):
+            chunk = X[start : start + _KNN_CHUNK]
+            n = len(chunk)
+            out[start : start + n] = self._positives_in_k_nearest(chunk, k, buf[:n], d2[:n]) / k
         return out
 
-    def _positives_in_k_nearest(self, chunk: np.ndarray, k: int) -> np.ndarray:
-        # d2 = |q|^2 + |x|^2 - 2 q.x, rounded as written; the 2 q.x buffer
-        # then takes the partition, so a chunk holds two arrays of its
-        # distances' size at most.
-        buf = chunk @ self.X.T
+    def _positives_in_k_nearest(
+        self, chunk: np.ndarray, k: int, buf: np.ndarray, d2: np.ndarray
+    ) -> np.ndarray:
+        # d2 = |q|^2 + |x|^2 - 2 q.x, rounded as written; buf, which held
+        # 2 q.x, then takes the partition that finds the k-th distance.
+        np.matmul(chunk, self.X.T, out=buf)
         buf *= 2.0
-        d2 = np.sum(chunk**2, axis=1)[:, None] + np.sum(self.X**2, axis=1)[None, :]
+        np.add(np.sum(chunk**2, axis=1)[:, None], self.sq, out=d2)
         d2 -= buf
         buf[...] = d2
         buf.partition(k - 1, axis=1)
         kth = buf[:, k - 1 : k]
+        near = d2[:, self.positive]
+        hits = np.count_nonzero(near <= kth, axis=1)
+        # A row takes every tie at the k-th distance unless ties also sit
+        # past place k - 1 of its partition; only such a row with a
+        # positive among its ties needs the column-order rule.
+        rows = np.flatnonzero((near == kth).any(axis=1))
+        rows = rows[(buf[rows, k:] == kth[rows]).any(axis=1)]
+        if len(rows):
+            hits[rows] = self._ties_in_column_order(d2[rows], kth[rows], k)
+        return hits
+
+    def _ties_in_column_order(self, d2: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+        """Positives among the k nearest when the ties at the k-th distance
+        fill the places the nearer rows leave in column order; np.nonzero
+        lists each row's ties in that order."""
         below = d2 < kth
-        positive = self.y == 1
         need = k - np.count_nonzero(below, axis=1)
-        hits = np.count_nonzero(below & positive, axis=1)
-        # The ties at the k-th distance fill the remaining `need` places in
-        # column order; np.nonzero lists each row's ties in that order.
+        hits = np.count_nonzero(below[:, self.positive], axis=1)
         rows, cols = np.nonzero(d2 == kth)
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        taken = (rank < need[rows]) & positive[cols]
-        return hits + np.bincount(rows[taken], minlength=len(chunk))
+        taken = (rank < need[rows]) & (self.y[cols] == 1)
+        return hits + np.bincount(rows[taken], minlength=len(d2))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(np.int64)

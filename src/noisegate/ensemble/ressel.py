@@ -68,10 +68,16 @@ class ResselModel:
         return votes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self._votes(X) > len(self.classifiers) / 2.0).astype(np.int64)
+        return self.predict_with_proba(X)[0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self._votes(X) / len(self.classifiers)
+        return self.predict_with_proba(X)[1]
+
+    def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(predict(X), predict_proba(X)) from one vote of the bags."""
+        votes = self._votes(X)
+        n = len(self.classifiers)
+        return (votes > n / 2.0).astype(np.int64), votes / n
 
 
 def _oob_error(clf, X: np.ndarray, y: np.ndarray, oob: np.ndarray) -> float:

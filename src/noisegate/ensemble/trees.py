@@ -12,12 +12,13 @@ flat position, feature and left size.  Pricing takes cumulative sums of the
 labels or gradients along those orders, prices every boundary in one array
 pass and keeps the first least cost.  When every split searches every
 feature, X is presorted once per fit and each split filters its plan down
-to the children (the SLIQ presort, Mehta, Agrawal & Rissanen 1996); a
-feature constant in a node is constant below it, so it leaves the plan for
-good.  Else each node sorts its own candidates.  A plan keeps the child
-plans of the split last made at it, keyed by (feature, threshold), so
-gradient boosting (Friedman 2001), which grows many trees over one X,
-rebuilds a plan only below a split the previous tree did not make.
+to the children that will search (the SLIQ presort, Mehta, Agrawal &
+Rissanen 1996); a feature constant in a node is constant below it, so it
+leaves the plan for good.  Else each node sorts its own candidates.  A
+plan keeps the child plans of the split last made at it, keyed by
+(feature, threshold), so gradient boosting (Friedman 2001), which grows
+many trees over one X, rebuilds a plan only below a split the previous
+tree did not make.
 """
 
 from __future__ import annotations
@@ -74,20 +75,22 @@ class _Plan:
         self.at = self.c * len(rows) + j
         self.nl = j + 1
 
-    def split(self, X: np.ndarray, feature: int, threshold: float, sorted_children: bool):
-        """(left, right) plans of X[rows, feature] <= threshold; with
-        sorted_children they filter this plan's orders, else hold rows only."""
+    def split(self, X: np.ndarray, feature: int, threshold: float, searched):
+        """(left, right) plans of X[rows, feature] <= threshold.  A child
+        filters this plan's orders when this plan has them and
+        searched(child rows) holds; else it holds rows only."""
         left = X[self.rows, feature] <= threshold
-        rows_l, rows_r = self.rows[left], self.rows[~left]
-        if not sorted_children:
-            return _Plan(rows_l), _Plan(rows_r)
+        pair = (self.rows[left], self.rows[~left])
+        if self.orders is None:
+            return tuple(_Plan(rows) for rows in pair)
         goes_left = np.zeros(len(X), dtype=bool)
-        goes_left[rows_l] = True
+        goes_left[pair[0]] = True
         keep = goes_left[self.orders]
         k = len(self.orders)
-        return (
-            _Plan(rows_l, X, self.orders[keep].reshape(k, -1), self.features),
-            _Plan(rows_r, X, self.orders[~keep].reshape(k, -1), self.features),
+        return tuple(
+            _Plan(rows, X, self.orders[side].reshape(k, -1), self.features)
+            if searched(rows) else _Plan(rows)
+            for rows, side in zip(pair, (keep, ~keep))
         )
 
 
@@ -113,7 +116,9 @@ def _best_boundary(X, plan: _Plan, below: float, cost):
 
 class _Tree:
     """Growth and prediction shared by both trees; a subclass's _node returns
-    a leaf, or a node whose feature and threshold split X[plan.rows]."""
+    a leaf, or a node whose feature and threshold split X[plan.rows], and
+    its _searched(stats, rows, depth) tells whether a node over rows at
+    depth searches for a split, so needs a sorted plan."""
 
     root: _Node | None = None
     n_features = 0
@@ -132,8 +137,7 @@ class _Tree:
         key = (node.feature, node.threshold)
         pair = plan.children.get(key)
         if pair is None:
-            deeper = self.max_depth is None or depth + 1 < self.max_depth
-            pair = plan.split(X, *key, plan.orders is not None and deeper)
+            pair = plan.split(X, *key, lambda rows: self._searched(stats, rows, depth + 1))
         plan.children = {key: pair}
         node.left = self._grow(X, stats, pair[0], depth + 1, rng, out)
         node.right = self._grow(X, stats, pair[1], depth + 1, rng, out)
@@ -212,18 +216,21 @@ class DecisionTree(_Tree):
             return np.arange(self.n_features)
         return rng.permutation(self.n_features)[: self.feature_subset]
 
+    def _searched(self, y, rows, depth) -> bool:
+        n, n1 = len(rows), int(y[rows].sum())
+        return (
+            n >= self.min_samples_split
+            and 0 < n1 < n
+            and (self.max_depth is None or depth < self.max_depth)
+        )
+
     def _node(self, X, y, plan, depth, rng) -> _Node:
         rows = plan.rows
         ys = y[rows]
+        if not self._searched(y, rows, depth):
+            return self._leaf(ys)
         n = len(rows)
         n1 = int(ys.sum())
-        if (
-            n < self.min_samples_split
-            or n1 == 0
-            or n1 == n
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return self._leaf(ys)
         below = float(_gini(np.array([n1]), np.array([n]))[0]) - _MIN_GAIN
         features = self._candidate_features(rng)
         if self.splitter == "random":
@@ -303,12 +310,15 @@ class RegressionTree(_Tree):
         node.value = float(g.sum() / (h.sum() + self.eps))
         return node
 
+    def _searched(self, stats, rows, depth) -> bool:
+        return len(rows) >= self.min_samples_split and depth < self.max_depth
+
     def _node(self, X, stats, plan, depth, rng) -> _Node:
         g, h = stats
         rows = plan.rows
         gn = g[rows]
         n = len(rows)
-        if n < self.min_samples_split or depth >= self.max_depth:
+        if not self._searched(stats, rows, depth):
             return self._leaf(gn, h[rows])
         total_sse = float(gn @ gn) - gn.sum() ** 2 / n
         gs = g[plan.orders]

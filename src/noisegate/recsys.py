@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RatingsTable, Scale, sorted_index, split_runs
+from .dataset import RatingsTable, Scale, sorted_index
 from .ioutil import atomic_write_text
 
 CHECKPOINT_FORMAT = "noisegate-mf"
@@ -115,22 +115,28 @@ class SimilarityMatrix:
         return self.matrix[self.index[user]]
 
 
+# Cells per block of knn_predict_rows: bounds the padded (rows x raters)
+# arrays that one block of predictions holds at once.
+_BLOCK_CELLS = 1 << 14
+
+
 def _weighted_neighbors(
     w: np.ndarray, dev: np.ndarray, base: np.ndarray, k: int, scale: Scale
 ) -> np.ndarray:
-    """Predictions for rows of weights over one item's raters; NaN when unpredictable.
+    """Predictions for rows of weights over raters; NaN when unpredictable.
 
     w holds one row per prediction with one column per rater, raters in
-    ascending user id and self-pairs zeroed; dev is each rater's rating
-    minus their mean, and base each row's own user mean.  A stable sort on
-    -|w| keeps the ascending user order among ties, and both sums run left
-    to right over the k chosen neighbors, as a sequential sum would.  When
-    fewer than k raters have a nonzero weight, the zero weights sorted after
-    them add exact zeros; a row with no nonzero weight is unpredictable.
+    ascending user id and self-pairs zeroed; dev holds each rater's rating
+    minus their mean, aligned with w, and base each row's own user mean.
+    Columns past a row's raters carry zero weight.  A stable sort on -|w|
+    keeps the column order among ties, and both sums run left to right over
+    the k chosen neighbors, as a sequential sum would.  When fewer than k
+    columns have a nonzero weight, the zero weights sorted after them add
+    exact zeros; a row with no nonzero weight is unpredictable.
     """
     top = np.argsort(-np.abs(w), axis=1, kind="stable")[:, :k]
     w = np.take_along_axis(w, top, axis=1)
-    num = np.cumsum(w * dev[top], axis=1)[:, -1]
+    num = np.cumsum(w * np.take_along_axis(dev, top, axis=1), axis=1)[:, -1]
     den = np.cumsum(np.abs(w), axis=1)[:, -1]
     out = np.full(len(w), np.nan)
     ok = den != 0.0
@@ -153,8 +159,12 @@ def knn_predict_rows(
     to cfg.k.  The prediction is clamped to the rating scale.  Users absent
     from train are unpredictable.
 
-    Rows are grouped by item, so each item's raters are gathered once, as one
-    block of the similarity matrix (built here when sims is None).
+    Rows are sorted by their item's rater count and predicted in blocks of
+    at most _BLOCK_CELLS padded cells.  A block gathers each row's raters
+    from the train rows in (item, user) order, with their weights from the
+    similarity matrix (built here when sims is None); a row's columns past
+    its item's raters are zero weights, which sort after its real ones and
+    add exact zeros whatever deviation they read.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -166,19 +176,32 @@ def knn_predict_rows(
     ids = np.asarray(sims.user_ids, dtype=np.int64)
     stats = train.user_stats()
     means = np.array([stats[u][0] for u in sims.user_ids])
+    order = np.argsort(train.items, kind="stable")
+    item_ids, starts, counts = np.unique(
+        train.items[order], return_index=True, return_counts=True
+    )
+    raters = np.searchsorted(ids, train.users[order])
+    devs = train.values[order] - means[raters]
     pos = sorted_index(ids, users)
-    todo = np.flatnonzero(pos < len(ids))
-    todo = todo[np.argsort(items[todo], kind="stable")]
-    for item, rows in split_runs(items[todo], todo).items():
-        raters = train.item_rows(item)
-        if len(raters) == 0:
-            continue
-        u = pos[rows]
-        v = np.searchsorted(ids, train.users[raters])
-        w = sims.matrix[np.ix_(u, v)]
-        w[u[:, None] == v[None, :]] = 0.0
-        dev = train.values[raters] - means[v]
-        out[rows] = _weighted_neighbors(w, dev, means[u], cfg.k, train.scale)
+    at = sorted_index(item_ids, items)
+    todo = np.flatnonzero((pos < len(ids)) & (at < len(item_ids)))
+    todo = todo[np.argsort(counts[at[todo]], kind="stable")]
+    widths = counts[at[todo]]
+    lo = 0
+    while lo < len(todo):
+        # widths ascend, so the rows whose block would fit form a prefix
+        fits = np.arange(1, len(todo) - lo + 1) * widths[lo:] <= _BLOCK_CELLS
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        rows = todo[lo:hi]
+        u, a = pos[rows], at[rows]
+        j = np.arange(widths[hi - 1])
+        real = j < counts[a, None]
+        cols = np.where(real, starts[a, None] + j, 0)
+        v = raters[cols]
+        w = sims.matrix[u[:, None], v]
+        w[~real | (v == u[:, None])] = 0.0
+        out[rows] = _weighted_neighbors(w, devs[cols], means[u], cfg.k, train.scale)
+        lo = hi
     return out
 
 
@@ -210,7 +233,7 @@ def knn_predict(
         0.0 if v == user else pearson_similarity(profile, train.user_profile(v), cfg)
         for v in neighbors
     ]])
-    dev = train.values[raters] - np.array([stats[v][0] for v in neighbors])
+    dev = train.values[raters] - np.array([[stats[v][0] for v in neighbors]])
     pred = _weighted_neighbors(w, dev, np.array([stats[user][0]]), cfg.k, train.scale)[0]
     return None if np.isnan(pred) else float(pred)
 

@@ -10,6 +10,7 @@ they must sit in the same places.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from noisegate.board.nf3 import nf3_detect
 from noisegate.board.nf4 import nf4_detect
 from noisegate.dataset import GenreMap, RatingsTable, Scale
 from noisegate.ensemble.features import build_feature_matrix
+from noisegate import recsys
 from noisegate.recsys import KnnConfig, SimilarityMatrix, knn_predict
 
 from . import oracles
@@ -184,6 +186,72 @@ def test_nf3_matches_loop_oracle(case, cfg, th):
             assert knn_predict(train, r.user_id, r.item_id, cfg) == (
                 oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, None)
             )
+
+
+def _self_rater_case():
+    """12 users on 8 items with a third of the cells missing, and a test
+    table of every (user, item) pair plus a user absent from train and an
+    item no train user rated: many test ratings are also train ratings of
+    the same user, whose self-pair must weigh nothing.  Besides, user 100
+    and 24 raters of item 20 rate items 1-4 in one order or its mirror, so
+    the 24 weights of test rating (100, 20) tie at |1|: a row too long for
+    numpy's insertion sort, where only a stable sort keeps user order."""
+    rng = np.random.default_rng(11)
+    pattern = [1.0, 2.0, 3.0, 4.0]
+    clones = [
+        (u, i, pattern[i - 1] if u % 2 else pattern[4 - i], 0)
+        for u in range(21, 45) for i in range(1, 5)
+    ]
+    train = RatingsTable(
+        [(u, i, float(rng.choice(GRID)), 0)
+         for u in range(1, 13) for i in range(1, 9) if rng.random() < 0.65]
+        + clones + [(u, 20, float(rng.choice(GRID)), 0) for u in range(21, 45)]
+        + [(100, i, pattern[i - 1], 0) for i in range(1, 5)],
+        Scale(),
+    )
+    test = RatingsTable(
+        [(u, i, float(rng.choice(GRID)), 0) for u in range(1, 14) for i in range(1, 10)]
+        + [(100, 20, 4.0, 0)],
+        Scale(),
+    )
+    return train, test
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40, 1 << 14])
+def test_nf3_blocks_match_loop_oracle(monkeypatch, cells):
+    """knn_predict_rows with its block cap set to `cells`: one row per block
+    (each row wider than the cap), blocks that pad rows of several widths,
+    and the whole table in one block, all equal to the loop oracle."""
+    train, test = _self_rater_case()
+    cfg = KnnConfig(k=5, min_overlap=3, significance_cap=4)
+    blocks = []
+    weighted = recsys._weighted_neighbors
+
+    def record(w, *args):
+        blocks.append(w.shape)
+        return weighted(w, *args)
+
+    monkeypatch.setattr(recsys, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(recsys, "_weighted_neighbors", record)
+    got = nf3_detect(train, test, cfg, 0.05)
+    want = oracles.nf3_detect_loop(train, test, cfg, 0.05)
+    assert _same(got.predictions, want.predictions)
+    assert _same(got.noisy, want.noisy)
+    assert got.n_unpredictable == want.n_unpredictable
+    assert all(rows * width <= max(cells, width) for rows, width in blocks)
+    assert (len(blocks) > 1) == (cells < 1 << 14)
+    # the case holds what the blocks must get right: self-raters, rows
+    # with fewer than k nonzero weights but some, and unpredictable rows
+    sims = SimilarityMatrix(train, cfg)
+    train_keys = set(train.keys())
+    nonzero = [
+        sum(sims.between(r.user_id, int(v)) != 0.0
+            for v in train.users[train.item_rows(r.item_id)] if v != r.user_id)
+        for r in test if r.user_id in sims.index
+    ]
+    assert any((r.user_id, r.item_id) in train_keys for r in test)
+    assert any(0 < n < cfg.k for n in nonzero)
+    assert 0 < got.n_unpredictable < len(test)
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,7 +24,7 @@ from noisegate.ensemble.isolation import ExtendedIsolationForest, c_factor
 from noisegate.ensemble.learners import KnnClassifier, LogisticRegression, MarginClassifier
 from noisegate.ensemble.ressel import train_bagging, train_ressel
 from noisegate.ensemble.stacking import train_stacking
-from noisegate.ensemble.trees import DecisionTree, RegressionTree
+from noisegate.ensemble.trees import DecisionTree, RegressionTree, _Plan
 
 from . import oracles
 
@@ -125,6 +125,37 @@ def test_knn_proba_equals_stable_argsort_across_chunks():
         assert np.array_equal(model.predict_proba(Q), oracles.knn_proba_argsort(model, Q))
 
 
+def _tie_case(k: int, nearer: list[int], tied: list[int]):
+    """1-D training rows labelled `nearer` at 1.0 and `tied` at 4.0 (equal
+    rows, so their distances tie exactly), with k negatives at 9.0.  The
+    first tied row comes before the others, so column order mixes the
+    groups.  From a query at 0.0 the k-th distance falls in the tied group."""
+    X = [4.0] + [1.0] * len(nearer) + [9.0] * k + [4.0] * (len(tied) - 1)
+    y = tied[:1] + nearer + [0] * k + tied[1:]
+    return np.array(X)[:, None], np.array(y)
+
+
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize(
+    "shape",
+    ["negative first, one place left", "ties past place k-1", "ties fill exactly"],
+)
+def test_knn_ties_at_the_kth_distance(k, shape):
+    if shape == "negative first, one place left":
+        nearer, tied, want = [1] * (k - 1), [0, 1], k - 1
+    elif shape == "ties past place k-1":
+        nearer, tied = [0, 1] + [0] * (k - 5), [0, 1, 0, 1, 1, 1, 0]
+        want = 2  # one nearer positive; the first three ties in column order hold one
+    else:
+        nearer, tied, want = [0] * (k - 2), [1, 1], 2
+    X, y = _tie_case(k, nearer, tied)
+    model = KnnClassifier(k=k).fit(X, y)
+    Q = np.array([[0.0], [0.5], [4.0], [9.0], [20.0]])
+    got = model.predict_proba(Q)
+    assert got[0] == want / k
+    assert np.array_equal(got, oracles.knn_proba_argsort(model, Q))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.data(),
@@ -144,6 +175,27 @@ def test_decision_tree_equals_per_node_sort(data, splitter, subset, depth, boots
     got = DecisionTree(**kw).fit(X, y)
     want = oracles.ArgsortDecisionTree(**kw).fit(X, y)
     assert oracles.tree_structure(got.root) == oracles.tree_structure(want.root)
+
+
+def test_presorted_tree_sorts_only_the_nodes_it_searches():
+    """Below the root, a presorted tree builds a sorted plan only for a
+    child that is mixed, has min_samples_split rows and is above the depth
+    limit: pure, small and depth-limit children keep rows only."""
+    X, y = _xor(200)
+    sorted_rows = []
+    init = _Plan.__init__
+
+    def spy(self, rows, X=None, orders=None, features=None):
+        if orders is not None:
+            sorted_rows.append(rows)
+        init(self, rows, X, orders, features)
+
+    with mock.patch.object(_Plan, "__init__", spy):
+        tree = DecisionTree(max_depth=4, min_samples_split=30).fit(X, y)
+    searched = [len(rows) >= 30 and 0 < y[rows].sum() < len(rows) for rows in sorted_rows]
+    assert len(sorted_rows) > 3 and all(searched)
+    assert len(sorted_rows) <= 1 + 2 + 4 + 8
+    assert tree.predict(X).tolist() != [0] * len(X)
 
 
 @settings(max_examples=100, deadline=None)
@@ -457,6 +509,50 @@ def test_train_el_all_variants_classify(variant):
     again = train_el(X, y, U, cfg, seed=0).classify_with_scores(U)
     assert first[0].tobytes() == again[0].tobytes()
     assert first[1].tobytes() == again[1].tobytes()
+
+
+def _votes_of(members, U):
+    return sum(m.predict(U) for m in members)
+
+
+@pytest.mark.parametrize("variant, scorer", [
+    ("EL1", "_vote_matrix"), ("EL3", "decision_function"), ("EL4_2", "_votes"),
+])
+def test_classify_with_scores_scores_once(variant, scorer):
+    """Labels and scores equal the inner model's predict and predict_proba,
+    and the labels equal the rule applied to the inner model's own members,
+    from one scoring pass."""
+    X, y = _separable(80, seed=16)
+    U = np.random.default_rng(5).normal(0, 2, size=(30, 2))
+    cfg = EnsembleConfig(ensemble_variant=variant, rf_trees=15, gbt_rounds=15, ressel_bags=5)
+    model = train_el(X, y, U, cfg, seed=0)
+    inner = model.inner
+    method = getattr(type(inner), scorer)
+    with mock.patch.object(type(inner), scorer, autospec=True, side_effect=method) as spy:
+        labels, scores = model.classify_with_scores(U)
+    assert spy.call_count == 1
+    assert labels.tobytes() == inner.predict(U).tobytes()
+    assert scores.tobytes() == inner.predict_proba(U).tobytes()
+    if variant == "EL1":
+        votes = _votes_of(inner.trees, U)
+        want = votes > len(inner.trees) - votes
+    elif variant == "EL3":
+        z = np.full(len(U), inner.base_score)
+        for tree in inner.trees:
+            z += inner.lr * tree.predict(U)
+        want = z > 0.0
+    else:
+        want = _votes_of(inner.classifiers, U) > len(inner.classifiers) / 2.0
+    assert np.array_equal(labels, want.astype(np.int64))
+    assert 0 < labels.sum() < len(U)
+
+
+def test_el5_with_one_uncertain_rating_passes_it_as_clean():
+    X, y = _separable(20, seed=16)
+    U = np.ones((1, 2))
+    model = train_el(X, y, U, EnsembleConfig(ensemble_variant="EL5"), seed=0)
+    noisy, scores = classify_uncertain(model, U)
+    assert not noisy.any() and scores.tolist() == [0.0]
 
 
 def test_train_el_single_class_constant_guard():
