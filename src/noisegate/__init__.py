@@ -24,10 +24,10 @@ from .dataset import (
 )
 from .ensemble import EnsembleConfig, classify_uncertain, train_el
 from .evaluation import (
+    ArmEval,
     DeltaPoint,
     DeltaReport,
     Quadrant,
-    UserEval,
     cluster_users,
     critical_groups,
     delta_points,
@@ -51,6 +51,7 @@ from .signature import SignatureAction, SignatureHit, apply_signature_action, de
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArmEval",
     "BoardConfig",
     "BoardResult",
     "Consensus",
@@ -71,7 +72,6 @@ __all__ = [
     "SignatureAction",
     "SignatureHit",
     "SplitSpec",
-    "UserEval",
     "Verdict",
     "apply_signature_action",
     "classify_uncertain",

@@ -37,12 +37,6 @@ class RatingClass(Enum):
     STRONG = "strong"
 
 
-class Nf1Classes(NamedTuple):
-    user_class: UserClass
-    item_class: ItemClass
-    rating_class: RatingClass
-
-
 DEFAULT_CUTS = (2.5, 4.0)
 DEFAULT_MAJORITY = 0.5
 

@@ -13,10 +13,10 @@ from .deltas import (
     BASIS_USERS,
     DEFAULT_PLANE,
     DELTA_HEADER,
+    ArmEval,
     DeltaPoint,
     DeltaReport,
     Quadrant,
-    UserEval,
     critical_groups,
     delta_points,
     percent_positive,
@@ -25,7 +25,7 @@ from .deltas import (
     read_delta_csv,
     write_delta_csv,
 )
-from .metrics import RankingMetrics, mean_or_zero, ranking_metrics
+from .metrics import RankingMetrics, ranking_metrics
 from .serendipity import (
     FORMULA_COMPLEMENT,
     FORMULA_PAPER_LITERAL,
@@ -41,6 +41,7 @@ __all__ = [
     "DEFAULT_MAX_ITER",
     "DEFAULT_PLANE",
     "DELTA_HEADER",
+    "ArmEval",
     "ClusterAssignment",
     "DeltaPoint",
     "DeltaReport",
@@ -48,11 +49,9 @@ __all__ = [
     "FORMULA_PAPER_LITERAL",
     "Quadrant",
     "RankingMetrics",
-    "UserEval",
     "cluster_users",
     "critical_groups",
     "delta_points",
-    "mean_or_zero",
     "percent_positive",
     "plane_positive",
     "quadrant",

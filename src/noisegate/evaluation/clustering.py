@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,7 +14,7 @@ DEFAULT_MAX_ITER = 100
 
 
 class ClusterAssignment(NamedTuple):
-    assignment: dict[int, int]
+    labels: np.ndarray
     centroids: np.ndarray
     k: int
     inertia_curve: list[float]
@@ -37,26 +37,23 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def cluster_users(
-    user_vectors: Mapping[int, np.ndarray] | Mapping[int, Sequence[float]],
+    X: np.ndarray,
     k: int = DEFAULT_K,
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding; deterministic per seed.
 
-    Users are processed in sorted id order, so the result depends only on
-    the vectors and the seed.  Inertia is recorded after every assignment
-    pass and is non-increasing.  If there are fewer users than k, k is
-    lowered with a warning.  Empty clusters keep their previous centroid.
+    X holds one vector per user, in the caller's user order, and labels[i]
+    is row i's cluster; the result depends only on the rows and the seed.
+    Inertia is recorded after every assignment pass and is non-increasing.
+    If there are fewer users than k, k is lowered with a warning.  Empty
+    clusters keep their previous centroid.
     """
-    users = sorted(user_vectors)
-    if not users:
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    if n == 0:
         raise ValueError("no users to cluster")
-    rows = [np.atleast_1d(np.asarray(user_vectors[u], dtype=np.float64)) for u in users]
-    if len({row.shape for row in rows}) != 1 or rows[0].ndim != 1:
-        raise ValueError("user vectors must share one length")
-    X = np.array(rows)
-    n = len(users)
     if k > n:
         logger.warning("k=%d exceeds %d users; lowering k", k, n)
         k = n
@@ -78,6 +75,5 @@ def cluster_users(
             members = X[labels == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    assignment = {u: int(labels[i]) for i, u in enumerate(users)}
-    return ClusterAssignment(assignment, centroids, k, inertia_curve)
+    return ClusterAssignment(labels, centroids, k, inertia_curve)
 

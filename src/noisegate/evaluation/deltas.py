@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from ..ioutil import atomic_write_text
 
@@ -32,16 +34,15 @@ class Quadrant(Enum):
     ORIGIN = "Origin"
 
 
-class UserEval(NamedTuple):
-    """Per-user evaluation snapshot for one arm of a comparison."""
+class ArmEval(NamedTuple):
+    """One arm of a comparison: each metric as an array aligned to the
+    ascending ids of the evaluated users."""
 
-    user_id: int
-    ndcg: float
-    precision: float
-    recall: float
-    f1: float
-    serendipity: float
-    cluster: int
+    ndcg: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+    f1: np.ndarray
+    serendipity: np.ndarray
 
 
 class DeltaPoint(NamedTuple):
@@ -93,113 +94,89 @@ def plane_positive(x: float, y: float, plane: tuple[float, float] = DEFAULT_PLAN
     return na * nx * db * dy + nb * ny * da * dx > 0
 
 
-def critical_groups(cluster_metrics: Mapping[int, float]) -> float:
-    """Percentage of clusters whose mean accuracy falls strictly below
-    the cross-cluster mean."""
-    if not cluster_metrics:
+def _mean(values: np.ndarray) -> float:
+    """Mean summed left to right, as a sequential sum would; 0 when empty."""
+    return float(np.cumsum(values)[-1] / len(values)) if len(values) else 0.0
+
+
+def critical_groups(labels: np.ndarray, values: np.ndarray) -> float:
+    """Percentage of clusters whose mean value falls strictly below the
+    mean of the cluster means.  labels[i] is user i's cluster; clusters
+    without members do not count."""
+    counts = np.bincount(labels)
+    present = counts > 0
+    if not present.any():
         raise ValueError("critical_groups requires at least one cluster")
-    values = list(cluster_metrics.values())
-    mean = sum(values) / len(values)
-    below = sum(1 for v in values if v < mean)
-    return 100.0 * below / len(values)
-
-
-def _global_means(evals: Sequence[UserEval]) -> dict[str, float]:
-    n = len(evals)
-    if n == 0:
-        return {m: 0.0 for m in (*ACCURACY_METRICS, "serendipity")}
-    out: dict[str, float] = {}
-    for m in (*ACCURACY_METRICS, "serendipity"):
-        out[m] = sum(getattr(e, m) for e in evals) / n
-    return out
-
-
-def _cluster_ndcg_means(evals: Sequence[UserEval]) -> dict[int, float]:
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for e in evals:
-        sums[e.cluster] = sums.get(e.cluster, 0.0) + e.ndcg
-        counts[e.cluster] = counts.get(e.cluster, 0) + 1
-    return {c: sums[c] / counts[c] for c in sorted(sums)}
+    means = np.bincount(labels, weights=values)[present] / counts[present]
+    return 100.0 * int(np.count_nonzero(means < _mean(means))) / len(means)
 
 
 def percent_positive(
-    points: Sequence[DeltaPoint],
+    positive: np.ndarray,
     basis: str = BASIS_USERS,
-    weights: Mapping[int, int] | None = None,
+    weights: np.ndarray | None = None,
 ) -> float:
     """Share of points above the plane, either one vote per user or one
-    vote per rating (weighted by the user's rating count)."""
+    vote per rating (weighted by the user's rating count, aligned to positive)."""
     if basis not in (BASIS_USERS, BASIS_RATINGS):
         raise ValueError(f"unknown percent_positive basis {basis!r}")
-    if not points:
+    positive = np.asarray(positive, dtype=bool)
+    if len(positive) == 0:
         return 0.0
     if basis == BASIS_USERS:
-        return 100.0 * sum(1 for p in points if p.positive) / len(points)
+        return 100.0 * int(np.count_nonzero(positive)) / len(positive)
     if weights is None:
         raise ValueError("ratings basis requires per-user rating counts")
-    total = sum(weights.get(p.user_id, 0) for p in points)
+    weights = np.asarray(weights)
+    total = int(np.sum(weights))
     if total == 0:
         return 0.0
-    hit = sum(weights.get(p.user_id, 0) for p in points if p.positive)
-    return 100.0 * hit / total
+    return 100.0 * int(np.sum(weights[positive])) / total
 
 
 def delta_points(
-    before: Sequence[UserEval],
-    after: Sequence[UserEval],
+    users: np.ndarray,
+    labels: np.ndarray,
+    before: ArmEval,
+    after: ArmEval,
     metric: str = "ndcg",
     plane: tuple[float, float] = DEFAULT_PLANE,
     basis: str = BASIS_USERS,
-    weights: Mapping[int, int] | None = None,
+    weights: np.ndarray | None = None,
 ) -> DeltaReport:
-    """Pair up per-user evaluations from two arms and classify each delta.
+    """Classify each user's change from the before arm to the after arm.
 
-    Both arms must cover exactly the same users; callers drop users the
-    cleaning stage removed before evaluating, and account for them
-    separately.  The cluster id reported per point is the one from the
-    `before` arm, which both arms share when clustering runs once on the
-    reference model.
+    users are the ascending ids both arms were evaluated on, labels their
+    clusters (one clustering, on the reference model, serves both arms) and
+    weights their rating counts for the ratings basis; callers drop users
+    the cleaning stage removed before evaluating, and account for them
+    separately.
     """
     if metric not in ACCURACY_METRICS:
         raise ValueError(f"metric must be one of {ACCURACY_METRICS}, got {metric!r}")
-    before_map = {e.user_id: e for e in before}
-    after_map = {e.user_id: e for e in after}
-    if len(before_map) != len(before) or len(after_map) != len(after):
-        raise ValueError("duplicate user ids in evaluation lists")
-    missing = sorted(set(before_map) - set(after_map))
-    extra = sorted(set(after_map) - set(before_map))
-    if missing or extra:
-        raise ValueError(
-            f"user universes differ: only-before={missing[:20]}, only-after={extra[:20]}"
+    x = after.serendipity - before.serendipity
+    y = getattr(after, metric) - getattr(before, metric)
+    points = tuple(
+        DeltaPoint(
+            user_id=user,
+            cluster=cluster,
+            x=dx,
+            y=dy,
+            quadrant=quadrant(dx, dy),
+            positive=plane_positive(dx, dy, plane),
+            boundary=(dx == 0.0 or dy == 0.0),
         )
-    points: list[DeltaPoint] = []
-    for user in sorted(before_map):
-        b = before_map[user]
-        a = after_map[user]
-        x = a.serendipity - b.serendipity
-        y = getattr(a, metric) - getattr(b, metric)
-        points.append(
-            DeltaPoint(
-                user_id=user,
-                cluster=b.cluster,
-                x=x,
-                y=y,
-                quadrant=quadrant(x, y),
-                positive=plane_positive(x, y, plane),
-                boundary=(x == 0.0 or y == 0.0),
-            )
-        )
-    report = DeltaReport(
+        for user, cluster, dx, dy in zip(users.tolist(), labels.tolist(), x.tolist(), y.tolist())
+    )
+    return DeltaReport(
         pair=f"serendipity-{metric}",
         metric=metric,
         plane=(float(plane[0]), float(plane[1])),
-        points=tuple(points),
-        percent_positive=percent_positive(points, basis=basis, weights=weights),
-        global_before=_global_means(before),
-        global_after=_global_means(after),
+        points=points,
+        percent_positive=percent_positive([p.positive for p in points], basis, weights),
+        global_before={m: _mean(v) for m, v in before._asdict().items()},
+        global_after={m: _mean(v) for m, v in after._asdict().items()},
     )
-    return report
 
 
 def write_delta_csv(path: str, points: Iterable[DeltaPoint]) -> None:

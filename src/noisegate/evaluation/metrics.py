@@ -3,40 +3,45 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from ..recsys import TopKList
+import numpy as np
 
 
 class RankingMetrics(NamedTuple):
-    ndcg: float
-    precision: float
-    recall: float
-    f1: float
+    """One array per metric, one value per user."""
+
+    ndcg: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+    f1: np.ndarray
 
 
-def ranking_metrics(recs: TopKList, relevant: set[int], K: int) -> RankingMetrics:
-    """nDCG, precision, recall, F1 over the first K recommended items.
+def ranking_metrics(hit: np.ndarray, n_relevant: np.ndarray, K: int) -> RankingMetrics:
+    """nDCG, precision, recall, F1 of each user's first K recommendations.
 
-    DCG credits a hit at position i (1-based) with 1/log2(i+1); the ideal
-    ranking places min(K, |relevant|) hits first.  Precision divides by K
-    regardless of how many items were actually recommended; recall of an
-    empty relevant set is 0.
+    hit is a (users x K) matrix whose cell [u, j] says whether user u's
+    (j+1)-th recommendation is relevant (False past the end of a short list),
+    and n_relevant[u] counts u's relevant items.  DCG credits a hit at
+    position i (1-based) with 1/log2(i+1); the ideal ranking places
+    min(K, n_relevant) hits first.  Both sums run left to right along the
+    row, as a sequential sum would.  Precision divides by K regardless of
+    how many items were actually recommended; recall of an empty relevant
+    set is 0.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    items = [item for item, _ in recs.items[:K]]
-    hits = sum(1 for item in items if item in relevant)
-    dcg = sum(1.0 / math.log2(i + 1) for i, item in enumerate(items, start=1) if item in relevant)
-    ideal = min(K, len(relevant))
-    idcg = sum(1.0 / math.log2(i + 1) for i in range(1, ideal + 1))
-    ndcg = dcg / idcg if idcg > 0 else 0.0
+    hit = np.asarray(hit, dtype=bool)
+    if hit.ndim != 2 or hit.shape[1] != K:
+        raise ValueError(f"hit must have K={K} columns, got shape {hit.shape}")
+    n_relevant = np.asarray(n_relevant, dtype=np.int64)
+    discount = 1.0 / np.array([math.log2(i + 1) for i in range(1, K + 1)])
+    dcg = np.cumsum(np.where(hit, discount, 0.0), axis=1)[:, -1]
+    idcg = np.concatenate([[0.0], np.cumsum(discount)])[np.minimum(K, n_relevant)]
+    hits = np.count_nonzero(hit, axis=1)
+    ndcg = np.divide(dcg, idcg, out=np.zeros(len(hit)), where=idcg > 0)
     precision = hits / K
-    recall = hits / len(relevant) if relevant else 0.0
-    f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) > 0 else 0.0
+    recall = np.divide(hits, n_relevant, out=np.zeros(len(hit)), where=n_relevant > 0)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros(len(hit)), where=total > 0)
     return RankingMetrics(ndcg, precision, recall, f1)
-
-
-def mean_or_zero(values: Iterable[float]) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

@@ -14,12 +14,13 @@ import hashlib
 import json
 import logging
 import math
+import time
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .evaluation import (
     ACCURACY_METRICS,
     BASIS_RATINGS,
     BASIS_USERS,
+    ArmEval,
     DeltaReport,
-    UserEval,
     cluster_users,
     critical_groups,
     delta_points,
@@ -58,7 +59,6 @@ from .evaluation import (
     write_delta_csv,
     write_scatter_svg,
 )
-from .evaluation.deltas import _cluster_ndcg_means
 from .evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
 from .ioutil import dump_json, read_json
 from .recsys import MfModel, mf_train, recommend_topk, save_model
@@ -398,12 +398,15 @@ def run_paths(cfg: PipelineConfig, mode: str = "run") -> RunPaths:
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    start = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
     except (ConfigError, DataError, StageError):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    logger.info("stage %s: %.3f s", name, time.perf_counter() - start)
+    return result
 
 
 def _require(path: Path, producer: str) -> None:
@@ -590,31 +593,26 @@ def _clean_corpus(
     return cleaned, removal
 
 
+def _rating_counts(table: RatingsTable, users: np.ndarray) -> np.ndarray:
+    """The number of table rows of each user, for users in ascending id."""
+    return np.searchsorted(table.users, users, "right") - np.searchsorted(table.users, users)
+
+
 def _evaluate_arm(
     model: MfModel,
     corpus: RatingsTable,
     eval_t: RatingsTable,
-    universe: Sequence[int],
-    assignment: Mapping[int, int],
+    universe: np.ndarray,
     genres: GenreMap,
     cfg: PipelineConfig,
-) -> list[UserEval]:
-    out: list[UserEval] = []
-    for user in universe:
-        recs = recommend_topk(model, corpus, user, cfg.top_k)
-        rows = eval_t.user_rows(user)
-        relevant = {
-            int(eval_t.items[k])
-            for k in rows
-            if float(eval_t.values[k]) >= cfg.relevance_threshold
-        }
-        rm = ranking_metrics(recs, relevant, cfg.top_k)
-        history = {int(corpus.items[k]) for k in corpus.user_rows(user)}
-        ser = serendipity(recs, history, relevant, genres, cfg.serendipity_formula)
-        out.append(
-            UserEval(user, rm.ndcg, rm.precision, rm.recall, rm.f1, ser, int(assignment[user]))
-        )
-    return out
+) -> ArmEval:
+    """Every metric of one arm for the users of universe, in ascending id."""
+    relevant = eval_t.subset_rows(np.flatnonzero(eval_t.values >= cfg.relevance_threshold))
+    topk = recommend_topk(model, corpus, universe, cfg.top_k)
+    hit = relevant.contains(np.repeat(universe, cfg.top_k), topk.ravel()).reshape(topk.shape)
+    metrics = ranking_metrics(hit, _rating_counts(relevant, universe), cfg.top_k)
+    ser = serendipity(topk, hit, corpus, universe, genres, cfg.serendipity_formula)
+    return ArmEval(*metrics, ser)
 
 
 def stage_evaluate(
@@ -632,26 +630,26 @@ def stage_evaluate(
     save_model(before, paths.before_model)
     save_model(after, paths.after_model)
 
-    before_users = set(corpus.user_ids())
-    after_users = set(cleaned.user_ids())
-    eval_users = eval_t.user_ids()
-    universe = [u for u in eval_users if u in before_users and u in after_users]
-    excluded = sorted(u for u in eval_users if u not in after_users or u not in before_users)
-    if not universe:
+    eval_users = np.unique(eval_t.users)
+    evaluable = np.isin(eval_users, corpus.users) & np.isin(eval_users, cleaned.users)
+    universe = eval_users[evaluable]
+    if not len(universe):
         raise DataError("no users remain evaluable in the held-out fold")
 
-    vectors = {u: before.user_vector(u) for u in universe}
-    assign = cluster_users(vectors, k=cfg.clusters_k, seed=derive_seed(cfg.seed, _SALT_CLUSTER))
-    before_evals = _evaluate_arm(before, corpus, eval_t, universe, assign.assignment, genres, cfg)
-    after_evals = _evaluate_arm(after, cleaned, eval_t, universe, assign.assignment, genres, cfg)
-    weights = {u: len(eval_t.user_rows(u)) for u in universe}
+    X = before.P[np.searchsorted(before.users, universe)]
+    assign = cluster_users(X, k=cfg.clusters_k, seed=derive_seed(cfg.seed, _SALT_CLUSTER))
+    before_eval = _evaluate_arm(before, corpus, eval_t, universe, genres, cfg)
+    after_eval = _evaluate_arm(after, cleaned, eval_t, universe, genres, cfg)
+    weights = _rating_counts(eval_t, universe)
 
     reports: dict[str, DeltaReport] = {}
     pair_sections: dict[str, dict] = {}
     for metric in ACCURACY_METRICS:
         rep = delta_points(
-            before_evals,
-            after_evals,
+            universe,
+            assign.labels,
+            before_eval,
+            after_eval,
             metric,
             (cfg.plane_a, cfg.plane_b),
             basis=cfg.percent_basis,
@@ -674,11 +672,11 @@ def stage_evaluate(
         "top_k": cfg.top_k,
         "plane": [cfg.plane_a, cfg.plane_b],
         "universe_users": len(universe),
-        "excluded_users": excluded,
+        "excluded_users": eval_users[~evaluable].tolist(),
         "global_before": reports["serendipity-ndcg"].global_before,
         "global_after": reports["serendipity-ndcg"].global_after,
-        "critical_group_pct_before": critical_groups(_cluster_ndcg_means(before_evals)),
-        "critical_group_pct_after": critical_groups(_cluster_ndcg_means(after_evals)),
+        "critical_group_pct_before": critical_groups(assign.labels, before_eval.ndcg),
+        "critical_group_pct_after": critical_groups(assign.labels, after_eval.ndcg),
         "pairs": pair_sections,
     }
     return reports, section

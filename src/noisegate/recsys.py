@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -272,14 +271,6 @@ class MfModel:
     def f(self) -> int:
         return self.P.shape[1]
 
-    @property
-    def user_factors(self) -> dict[int, np.ndarray]:
-        return {u: self.P[k] for u, k in self.urow.items()}
-
-    @property
-    def item_factors(self) -> dict[int, np.ndarray]:
-        return {i: self.Q[k] for i, k in self.irow.items()}
-
     def predict(self, user: int, item: int) -> float:
         score = self.global_mean
         ur = self.urow.get(user)
@@ -291,9 +282,6 @@ class MfModel:
         if ur is not None and ir is not None:
             score += float(self.P[ur] @ self.Q[ir])
         return self.scale.clamp(score)
-
-    def user_vector(self, user: int) -> np.ndarray:
-        return self.P[self.urow[user]]
 
 
 # Rows per batched ridge solve: bounds the (rows, d, d) Gram stack a
@@ -396,27 +384,42 @@ def mf_train(
     return MfModel(users, items, P, Q, bu, bi, mu, train.scale, rmse_per_epoch)
 
 
-class TopKList(NamedTuple):
-    user_id: int
-    items: list[tuple[int, float]]
+def recommend_topk(model: MfModel, train: RatingsTable, users: np.ndarray, K: int) -> np.ndarray:
+    """Top-K unrated item ids per user, by predicted score with ties broken
+    by ascending item id: one row per user of the ascending id array users,
+    padded with -1 past the user's last unrated item.
 
-
-def recommend_topk(model: MfModel, train: RatingsTable, user: int, K: int) -> TopKList:
-    """Top-K unrated items by predicted score, ties broken by ascending item id."""
-    if user not in model.urow:
-        raise ValueError(f"user {user} unknown to model")
+    A user's scores are summed as ((mu + b_u) + b_i) + Q p_u, with one
+    matrix-vector product per user, and clipped to the scale, so they keep
+    the bits a one-user call gives them and ties fall the same way.  Rated
+    cells are set to +inf in the negated scores, and one stable argsort per
+    row over the items in ascending id gives (-score, item id) order with
+    the rated items last.
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
-    rated = set(train.user_profile(user))
-    ur = model.urow[user]
-    scores = model.global_mean + model.bu[ur] + model.bi + model.Q @ model.P[ur]
+    users = np.asarray(users, dtype=np.int64)
+    if np.any(users[1:] <= users[:-1]):
+        raise ValueError("users must be ascending and unique")
+    known = np.asarray(model.users, dtype=np.int64)
+    rows = sorted_index(known, users)
+    if np.any(rows == len(known)):
+        raise ValueError(f"user {users[rows == len(known)][0]} unknown to model")
+    scores = (model.global_mean + model.bu[rows])[:, None] + model.bi
+    for k, r in enumerate(rows.tolist()):
+        scores[k] += model.Q @ model.P[r]
     np.clip(scores, model.scale.r_min, model.scale.r_max, out=scores)
-    item_ids = np.array(model.items, dtype=np.int64)
-    keep = np.array([i not in rated for i in model.items], dtype=bool)
-    scores = scores[keep]
-    item_ids = item_ids[keep]
-    order = np.lexsort((item_ids, -scores))[:K]
-    return TopKList(user, [(int(item_ids[k]), float(scores[k])) for k in order])
+    np.negative(scores, out=scores)
+    item_ids = np.asarray(model.items, dtype=np.int64)
+    owner = sorted_index(users, train.users)
+    col = sorted_index(item_ids, train.items)
+    rated = (owner < len(users)) & (col < len(item_ids))
+    scores[owner[rated], col[rated]] = np.inf
+    order = np.argsort(scores, axis=1, kind="stable")[:, :K]
+    out = np.full((len(users), K), -1, dtype=np.int64)
+    out[:, : order.shape[1]] = item_ids[order]
+    out[np.arange(K) >= np.count_nonzero(scores < np.inf, axis=1)[:, None]] = -1
+    return out
 
 
 # -- checkpointing ------------------------------------------------------

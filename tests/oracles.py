@@ -13,7 +13,9 @@ and the boosting oracle fits every round's tree from scratch.
 The artifact oracles format one cell at a time and hand the rows to
 csv.writer; dedupe_rows collapses duplicate rating keys through a dict.
 The opt-out signature oracle looks each rating's label up by its
-(user, item) key and formats every rating's UTC day.
+(user, item) key and formats every rating's UTC day.  The evaluation
+oracles score, rank and measure one user at a time, pair the two arms
+through per-user dicts and sum every mean left to right in a loop.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from noisegate.dataset import RatingsTable
 from noisegate.ensemble.boosting import GbtModel, _log_loss, _sigmoid
 from noisegate.ensemble.learners import KnnClassifier
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
-from noisegate.recsys import KnnConfig, SimilarityMatrix, pearson_similarity
+from noisegate.evaluation.deltas import BASIS_USERS, DeltaPoint, plane_positive, quadrant
+from noisegate.evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
+from noisegate.recsys import KnnConfig, MfModel, SimilarityMatrix, pearson_similarity
 from noisegate.signature import (
     DENOMINATOR_LAST_DAY,
     OPTOUT_SIGNATURE_ID,
@@ -582,6 +586,121 @@ def tree_structure(node: _Node) -> list[tuple]:
     if node.left is not None:
         out += tree_structure(node.left) + tree_structure(node.right)
     return out
+
+
+# -- evaluation ----------------------------------------------------------
+
+ARM_FIELDS = ("ndcg", "precision", "recall", "f1", "serendipity")
+
+
+def _loop_mean(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def recommend_topk_loop(model: MfModel, train: RatingsTable, user: int, K: int) -> list[int]:
+    """One user's top-K unrated item ids: every item scored, then sorted by
+    (-score, item id)."""
+    rated = set(_profile(train, user))
+    ur = model.urow[user]
+    scores = model.global_mean + model.bu[ur] + model.bi + model.Q @ model.P[ur]
+    np.clip(scores, model.scale.r_min, model.scale.r_max, out=scores)
+    ranked = sorted(
+        (-float(scores[k]), item) for k, item in enumerate(model.items) if item not in rated
+    )
+    return [item for _, item in ranked[:K]]
+
+
+def ranking_metrics_loop(items, relevant, K):
+    """nDCG, precision, recall, F1 of one list, re-derived with explicit loops."""
+    top = list(items)[:K]
+    hits = [1.0 if item in relevant else 0.0 for item in top]
+    dcg = 0.0
+    for pos, rel in enumerate(hits, start=1):
+        dcg += rel / math.log2(pos + 1)
+    idcg = 0.0
+    for pos in range(1, min(K, len(relevant)) + 1):
+        idcg += 1.0 / math.log2(pos + 1)
+    ndcg = dcg / idcg if idcg else 0.0
+    precision = sum(hits) / K
+    recall = sum(hits) / len(relevant) if relevant else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return ndcg, precision, recall, f1
+
+
+def serendipity_loop(recs, history, relevant, genres, formula=FORMULA_COMPLEMENT) -> float:
+    """One list's mean over recommended items of u_i * rel_i, re-derived
+    with loops.  Both means are np.mean over a list, as the per-user code
+    took them, so the result compares bit for bit."""
+    hist = []
+    for h in sorted(history):
+        v = np.asarray(genres.vector(h), dtype=float)
+        if np.linalg.norm(v) > 0:
+            hist.append(v)
+    if not recs or not hist:
+        return 0.0
+    contribs = []
+    for item in recs:
+        v = np.asarray(genres.vector(item), dtype=float)
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            continue
+        sims = [float(v @ h) / (nv * float(np.linalg.norm(h))) for h in hist]
+        s = float(np.mean(sims))
+        u = s if formula == FORMULA_PAPER_LITERAL else 1.0 - s
+        contribs.append(u if item in relevant else 0.0)
+    return float(np.mean(contribs)) if contribs else 0.0
+
+
+def evaluate_arm_loop(model, corpus, eval_t, universe, genres, K, threshold, formula):
+    """user -> {field: value} over ARM_FIELDS, one user at a time."""
+    out = {}
+    for user in universe:
+        recs = recommend_topk_loop(model, corpus, user, K)
+        relevant = {
+            int(eval_t.items[k]) for k in _rows(eval_t.users, user)
+            if float(eval_t.values[k]) >= threshold
+        }
+        values = ranking_metrics_loop(recs, relevant, K)
+        ser = serendipity_loop(recs, set(_profile(corpus, user)), relevant, genres, formula)
+        out[user] = dict(zip(ARM_FIELDS, (*values, ser)))
+    return out
+
+
+def critical_groups_loop(arm, clusters) -> float:
+    """Share of clusters whose mean nDCG falls below the mean cluster mean."""
+    members: dict[int, list[float]] = {}
+    for user in sorted(arm):
+        members.setdefault(clusters[user], []).append(arm[user]["ndcg"])
+    means = [_loop_mean(members[c]) for c in sorted(members)]
+    mean = _loop_mean(means)
+    return 100.0 * sum(1 for v in means if v < mean) / len(means)
+
+
+def delta_points_loop(before, after, clusters, metric, plane, basis, weights):
+    """The delta report of two evaluate_arm_loop results over the same users:
+    (points, percent positive, global means before, global means after)."""
+    points = []
+    for user in sorted(before):
+        x = after[user]["serendipity"] - before[user]["serendipity"]
+        y = after[user][metric] - before[user][metric]
+        points.append(DeltaPoint(
+            user, clusters[user], x, y, quadrant(x, y), plane_positive(x, y, plane),
+            x == 0.0 or y == 0.0,
+        ))
+    if basis == BASIS_USERS:
+        pct = 100.0 * sum(1 for p in points if p.positive) / len(points)
+    else:
+        total = sum(weights[p.user_id] for p in points)
+        hit = sum(weights[p.user_id] for p in points if p.positive)
+        pct = 100.0 * hit / total if total else 0.0
+    means = [
+        {f: _loop_mean([arm[u][f] for u in sorted(arm)]) for f in ARM_FIELDS}
+        for arm in (before, after)
+    ]
+    return points, pct, means[0], means[1]
 
 
 # -- artifact CSVs -------------------------------------------------------

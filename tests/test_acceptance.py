@@ -25,8 +25,6 @@ from noisegate.ensemble.isolation import ExtendedIsolationForest
 from noisegate.ensemble.ressel import train_bagging, train_ressel
 from noisegate.evaluation.clustering import cluster_users
 from noisegate.evaluation.deltas import plane_positive, quadrant, Quadrant
-from noisegate.evaluation.metrics import ranking_metrics
-from noisegate.evaluation.serendipity import serendipity
 from noisegate.pipeline import (
     NoiseKind,
     config_from_dict,
@@ -34,19 +32,15 @@ from noisegate.pipeline import (
     reports_equal,
     run_framework,
 )
-from noisegate.recsys import TopKList
 from noisegate.seeding import derive_seed
 from noisegate.signature import detect_optout
 from noisegate.synth import movielens_sized_tables, planted_tables, write_dataset_csvs
 
 from .conftest import ACCEPTANCE_INFO, MINI_DIR, make_table, noisy_flags
-from .test_metrics import _brute_metrics
+from .oracles import ranking_metrics_loop, serendipity_loop
+from .test_metrics import _metrics
 from .test_nf2 import _brute_rnd
-from .test_serendipity import _brute as _brute_serendipity
-
-
-def _recs(items):
-    return TopKList(1, [(item, 1.0 - 0.01 * j) for j, item in enumerate(items)])
+from .test_serendipity import _genre_map, _one
 
 
 # -- criterion 1: partition & coverage on the bundled mini dataset --------
@@ -142,14 +136,14 @@ def test_criterion_2_formula_oracles():
         )
 
     # ranking metrics against the loop oracle
-    m = ranking_metrics(_recs([10, 11, 7, 12, 13]), {7}, K=5)
+    m = _metrics([10, 11, 7, 12, 13], {7}, K=5)
     assert m.ndcg == pytest.approx(0.5, abs=tol)
     for _ in range(12):
         items = list(rng.choice(60, size=int(rng.integers(1, 12)), replace=False))
         relevant = {int(v) for v in rng.choice(60, size=int(rng.integers(0, 9)), replace=False)}
         K = int(rng.integers(1, 10))
-        got = ranking_metrics(_recs(items), relevant, K)
-        want = _brute_metrics(items, relevant, K)
+        got = _metrics(items, relevant, K)
+        want = ranking_metrics_loop(items, relevant, K)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=tol)
 
@@ -157,11 +151,11 @@ def test_criterion_2_formula_oracles():
     for _ in range(12):
         vectors = {item: (rng.random(3) < 0.5).astype(float) for item in range(15)}
         history = {int(v) for v in rng.choice(15, size=int(rng.integers(1, 5)), replace=False)}
-        recs = _recs([int(v) for v in rng.choice(15, size=int(rng.integers(0, 6)), replace=False)])
+        recs = [int(v) for v in rng.choice(15, size=int(rng.integers(0, 6)), replace=False)]
         relevant = {int(v) for v in rng.choice(15, size=int(rng.integers(0, 8)), replace=False)}
-        got = serendipity(recs, history, relevant, vectors)
+        got = _one(recs, history, relevant, vectors)
         assert got == pytest.approx(
-            _brute_serendipity(recs, history, relevant, vectors), abs=tol
+            serendipity_loop(recs, history, relevant, _genre_map(vectors)), abs=tol
         )
 
     # plane classification: strict a*x + b*y > 0
@@ -330,7 +324,7 @@ def test_criterion_6_evaluation_invariants():
     # k-means inertia monotone non-increasing
     rng = np.random.default_rng(17)
     vectors = {u: rng.normal(0, 1, 3) for u in range(40)}
-    curve = cluster_users(vectors, k=6, seed=2).inertia_curve
+    curve = cluster_users(np.array([vectors[u] for u in range(40)]), k=6, seed=2).inertia_curve
     assert len(curve) >= 1
     assert all(b <= a + 1e-9 for a, b in zip(curve, curve[1:]))
 
@@ -353,15 +347,15 @@ def test_criterion_6_evaluation_invariants():
     for _ in range(20):
         items = list(rng.choice(50, size=int(rng.integers(1, 10)), replace=False))
         relevant = {int(v) for v in rng.choice(50, size=int(rng.integers(0, 8)), replace=False)}
-        metrics = ranking_metrics(_recs(items), relevant, int(rng.integers(1, 10)))
+        metrics = _metrics(items, relevant, int(rng.integers(1, 10)))
         for value in metrics:
             assert 0.0 <= value <= 1.0 + 1e-12
 
     # serendipity zero when recommendations duplicate history genres,
     # and zero when nothing recommended is relevant
     vectors = {1: [1.0, 0.0], 2: [1.0, 0.0], 3: [0.0, 1.0]}
-    assert serendipity(_recs([2]), {1}, {2}, vectors) == pytest.approx(0.0, abs=1e-12)
-    assert serendipity(_recs([3, 2]), {1}, set(), vectors) == pytest.approx(0.0, abs=1e-12)
+    assert _one([2], {1}, {2}, vectors) == pytest.approx(0.0, abs=1e-12)
+    assert _one([3, 2], {1}, set(), vectors) == pytest.approx(0.0, abs=1e-12)
 
 
 # -- criterion 7: determinism at MovieLens scale ----------------------------

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from noisegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
 from noisegate.ioutil import read_json
+from noisegate.pipeline import reports_equal
 
-from .conftest import MINI_DIR
+from .conftest import MINI_DIR, REPO_ROOT
+
+SRC_DIR = REPO_ROOT / "src"
 
 FAST_FLAGS = [
     "--min-activity", "5",
@@ -377,3 +383,30 @@ def test_inject_noise_missing_input_exits_3(tmp_path, capsys):
 
 def test_report_on_missing_file_exits_3(tmp_path):
     assert main(["report", str(tmp_path / "nothing.json")]) == EXIT_DATA
+
+
+def _cli_subprocess(args):
+    """The CLI in a fresh process, whose logging is set up by main alone."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "noisegate.cli", *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+
+
+def test_verbose_logs_one_line_per_stage(tmp_path):
+    quiet = _cli_subprocess(["run", *_run_args(tmp_path / "quiet", "v")])
+    loud = _cli_subprocess(["run", "--verbose", *_run_args(tmp_path / "loud", "v")])
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    stages = [re.fullmatch(r"INFO noisegate\.pipeline: stage (\w+): \d+\.\d{3} s", l) for l in lines]
+    assert all(stages), lines
+    assert [m.group(1) for m in stages] == [
+        "ingest", "split", "board", "ensemble", "signature", "evaluate"
+    ]
+    # the flag changes nothing but stderr
+    out_quiet, out_loud = json.loads(quiet.stdout), json.loads(loud.stdout)
+    assert out_quiet.pop("report") != out_loud.pop("report")
+    assert out_quiet == out_loud
+    assert reports_equal(tmp_path / "quiet" / "v" / "report.json", tmp_path / "loud" / "v" / "report.json")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 from noisegate.evaluation.deltas import (
     BASIS_RATINGS,
     DEFAULT_PLANE,
-    DeltaPoint,
+    ArmEval,
     Quadrant,
-    UserEval,
-    _cluster_ndcg_means,
     critical_groups,
     delta_points,
     percent_positive,
@@ -26,7 +25,21 @@ from noisegate.evaluation.deltas import (
 def _eval(user, ndcg=0.5, serendipity=0.5, cluster=0, **kw):
     vals = dict(precision=0.4, recall=0.3, f1=0.34)
     vals.update(kw)
-    return UserEval(user, ndcg, vals["precision"], vals["recall"], vals["f1"], serendipity, cluster)
+    return dict(user=user, ndcg=ndcg, serendipity=serendipity, cluster=cluster, **vals)
+
+
+def _arm(evals) -> ArmEval:
+    return ArmEval(*(np.array([e[f] for e in evals]) for f in ArmEval._fields))
+
+
+def _report(before, after, weights=None, **kw):
+    """delta_points over the users of before, with their clusters; after
+    lists the same users in the same order."""
+    users = np.array([e["user"] for e in before])
+    labels = np.array([e["cluster"] for e in before])
+    if weights is not None:
+        weights = np.array([weights[u] for u in users.tolist()])
+    return delta_points(users, labels, _arm(before), _arm(after), weights=weights, **kw)
 
 
 def test_quadrant_exhaustive_sign_cases():
@@ -79,11 +92,13 @@ def test_plane_scale_invariant(x, y, exponent):
 
 
 def test_critical_groups_examples():
-    assert critical_groups({0: 0.2, 1: 0.4, 2: 0.9}) == pytest.approx(200.0 / 3.0, abs=1e-9)
-    assert critical_groups({0: 0.5, 1: 0.5, 2: 0.5}) == 0.0
-    assert critical_groups({0: 0.7}) == 0.0
+    # one user per cluster, so each cluster's mean is its user's value
+    labels = np.array([0, 1, 2])
+    assert critical_groups(labels, np.array([0.2, 0.4, 0.9])) == pytest.approx(200.0 / 3.0, abs=1e-9)
+    assert critical_groups(labels, np.array([0.5, 0.5, 0.5])) == 0.0
+    assert critical_groups(np.array([0]), np.array([0.7])) == 0.0
     with pytest.raises(ValueError):
-        critical_groups({})
+        critical_groups(np.array([], dtype=np.int64), np.array([]))
 
 
 def _arms():
@@ -102,7 +117,7 @@ def _arms():
 
 def test_delta_points_full_report():
     before, after = _arms()
-    report = delta_points(before, after, metric="ndcg")
+    report = _report(before, after, metric="ndcg")
     assert report.metric == "ndcg"
     assert report.pair == "serendipity-ndcg"
     assert report.plane == DEFAULT_PLANE
@@ -117,24 +132,25 @@ def test_delta_points_full_report():
     # one of three positive
     assert report.percent_positive == pytest.approx(100.0 / 3.0, abs=1e-9)
     # after-arm clusters: 0 -> mean(0.55, 0.60) = 0.575, 1 -> 0.35; one below mean
-    assert critical_groups(_cluster_ndcg_means(after)) == pytest.approx(50.0, abs=1e-9)
+    labels = np.array([e["cluster"] for e in before])
+    assert critical_groups(labels, _arm(after).ndcg) == pytest.approx(50.0, abs=1e-9)
     # cluster id taken from the before arm
     assert p2.cluster == 1
 
 
 def test_global_means_brute_recount():
     before, after = _arms()
-    report = delta_points(before, after)
+    report = _report(before, after)
     for field in ("ndcg", "precision", "recall", "f1", "serendipity"):
-        want_b = sum(getattr(e, field) for e in before) / len(before)
-        want_a = sum(getattr(e, field) for e in after) / len(after)
+        want_b = sum(e[field] for e in before) / len(before)
+        want_a = sum(e[field] for e in after) / len(after)
         assert report.global_before[field] == pytest.approx(want_b, abs=1e-12)
         assert report.global_after[field] == pytest.approx(want_a, abs=1e-12)
 
 
 def test_percent_positive_brute_recount_users():
     before, after = _arms()
-    report = delta_points(before, after)
+    report = _report(before, after)
     brute = 100.0 * sum(1 for p in report.points if p.positive) / len(report.points)
     assert report.percent_positive == pytest.approx(brute, abs=1e-12)
 
@@ -142,7 +158,7 @@ def test_percent_positive_brute_recount_users():
 def test_percent_positive_ratings_basis():
     before, after = _arms()
     weights = {1: 10, 2: 30, 3: 60}
-    report = delta_points(before, after, basis=BASIS_RATINGS, weights=weights)
+    report = _report(before, after, basis=BASIS_RATINGS, weights=weights)
     # only user 1 is positive: 10 of 100 ratings
     assert report.percent_positive == pytest.approx(10.0, abs=1e-9)
     brute_hit = sum(weights[p.user_id] for p in report.points if p.positive)
@@ -152,18 +168,17 @@ def test_percent_positive_ratings_basis():
 
 def test_percent_positive_guards():
     assert percent_positive([]) == 0.0
-    point = DeltaPoint(1, 0, 0.1, 0.1, Quadrant.I, True, False)
     with pytest.raises(ValueError, match="basis"):
-        percent_positive([point], basis="items")
+        percent_positive([True], basis="items")
     with pytest.raises(ValueError, match="rating counts"):
-        percent_positive([point], basis=BASIS_RATINGS)
-    assert percent_positive([point], basis=BASIS_RATINGS, weights={}) == 0.0
+        percent_positive([True], basis=BASIS_RATINGS)
+    assert percent_positive([True], basis=BASIS_RATINGS, weights=np.array([0])) == 0.0
 
 
 def test_alternate_metric_drives_y():
     before = [_eval(1, precision=0.30, serendipity=0.5)]
     after = [_eval(1, precision=0.45, serendipity=0.5)]
-    report = delta_points(before, after, metric="precision")
+    report = _report(before, after, metric="precision")
     assert report.points[0].y == pytest.approx(0.15, abs=1e-12)
     assert report.points[0].x == 0.0
 
@@ -171,26 +186,12 @@ def test_alternate_metric_drives_y():
 def test_unknown_metric_raises():
     before, after = _arms()
     with pytest.raises(ValueError, match="metric"):
-        delta_points(before, after, metric="rmse")
-
-
-def test_mismatched_universes_raise():
-    before, after = _arms()
-    with pytest.raises(ValueError, match="universes differ"):
-        delta_points(before, after[:2])
-    with pytest.raises(ValueError, match="universes differ"):
-        delta_points(before[:2], after)
-
-
-def test_duplicate_users_raise():
-    before, after = _arms()
-    with pytest.raises(ValueError, match="duplicate"):
-        delta_points(before + [before[0]], after + [after[0]])
+        _report(before, after, metric="rmse")
 
 
 def test_all_equal_arms_no_positives():
     before, _ = _arms()
-    report = delta_points(before, list(before))
+    report = _report(before, list(before))
     assert report.percent_positive == 0.0
     assert all(p.quadrant is Quadrant.ORIGIN for p in report.points)
     assert all(not p.positive for p in report.points)
@@ -198,7 +199,7 @@ def test_all_equal_arms_no_positives():
 
 def test_delta_csv_roundtrip(tmp_path):
     before, after = _arms()
-    report = delta_points(before, after)
+    report = _report(before, after)
     path = tmp_path / "points.csv"
     write_delta_csv(str(path), report.points)
     back = read_delta_csv(str(path))

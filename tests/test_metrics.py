@@ -7,43 +7,31 @@ import math
 import numpy as np
 import pytest
 
-from noisegate.evaluation.metrics import mean_or_zero, ranking_metrics
-from noisegate.recsys import TopKList
+from noisegate.evaluation.metrics import RankingMetrics, ranking_metrics
+
+from .oracles import ranking_metrics_loop
 
 
-def _recs(items):
-    return TopKList(1, [(item, 1.0 - 0.01 * j) for j, item in enumerate(items)])
-
-
-def _brute_metrics(items, relevant, K):
-    """Independent re-derivation with explicit loops."""
-    top = list(items)[:K]
-    hits = [1.0 if item in relevant else 0.0 for item in top]
-    dcg = 0.0
-    for pos, rel in enumerate(hits, start=1):
-        dcg += rel / math.log2(pos + 1)
-    idcg = 0.0
-    for pos in range(1, min(K, len(relevant)) + 1):
-        idcg += 1.0 / math.log2(pos + 1)
-    ndcg = dcg / idcg if idcg else 0.0
-    precision = sum(hits) / K
-    recall = sum(hits) / len(relevant) if relevant else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ndcg, precision, recall, f1
+def _metrics(items, relevant, K):
+    """ranking_metrics of one user's list, as a one-row hit matrix."""
+    hit = np.zeros((1, max(K, 0)), dtype=bool)
+    for j, item in enumerate(list(items)[:K]):
+        hit[0, j] = item in relevant
+    return RankingMetrics(*(float(v[0]) for v in ranking_metrics(hit, [len(relevant)], K)))
 
 
 def test_perfect_ranking_any_order():
-    m = ranking_metrics(_recs([3, 1, 4, 2]), {1, 2, 3, 4}, K=4)
+    m = _metrics([3, 1, 4, 2], {1, 2, 3, 4}, K=4)
     assert m == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_zero_hits_all_zero():
-    m = ranking_metrics(_recs([10, 11, 12]), {1, 2}, K=3)
+    m = _metrics([10, 11, 12], {1, 2}, K=3)
     assert m == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_single_hit_at_position_three():
-    m = ranking_metrics(_recs([10, 11, 7, 12, 13]), {7}, K=5)
+    m = _metrics([10, 11, 7, 12, 13], {7}, K=5)
     assert m.precision == pytest.approx(0.2, abs=1e-12)
     assert m.recall == pytest.approx(1.0, abs=1e-12)
     assert m.ndcg == pytest.approx((1.0 / math.log2(4)) / 1.0, abs=1e-12)
@@ -52,19 +40,19 @@ def test_single_hit_at_position_three():
 
 
 def test_empty_relevant_set():
-    m = ranking_metrics(_recs([1, 2, 3]), set(), K=3)
+    m = _metrics([1, 2, 3], set(), K=3)
     assert m == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_only_first_k_positions_count():
     # the hit sits at position K+1, outside the window
-    m = ranking_metrics(_recs([10, 11, 7]), {7}, K=2)
+    m = _metrics([10, 11, 7], {7}, K=2)
     assert m == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_k_larger_than_list():
     # precision divides by K even when fewer items were recommended
-    m = ranking_metrics(_recs([7]), {7}, K=5)
+    m = _metrics([7], {7}, K=5)
     assert m.precision == pytest.approx(0.2, abs=1e-12)
     assert m.recall == pytest.approx(1.0, abs=1e-12)
     assert m.ndcg == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +60,7 @@ def test_k_larger_than_list():
 
 def test_more_relevant_than_k():
     # ideal ranking saturates at K hits
-    m = ranking_metrics(_recs([1, 2]), {1, 2, 3, 4}, K=2)
+    m = _metrics([1, 2], {1, 2, 3, 4}, K=2)
     assert m.ndcg == pytest.approx(1.0, abs=1e-12)
     assert m.precision == pytest.approx(1.0, abs=1e-12)
     assert m.recall == pytest.approx(0.5, abs=1e-12)
@@ -80,7 +68,7 @@ def test_more_relevant_than_k():
 
 def test_invalid_k_raises():
     with pytest.raises(ValueError, match="K"):
-        ranking_metrics(_recs([1]), {1}, K=0)
+        _metrics([1], {1}, K=0)
 
 
 def test_random_fixtures_match_brute_force():
@@ -90,13 +78,8 @@ def test_random_fixtures_match_brute_force():
         items = list(rng.choice(100, size=n_items, replace=False))
         relevant = {int(i) for i in rng.choice(100, size=int(rng.integers(0, 10)), replace=False)}
         K = int(rng.integers(1, 12))
-        got = ranking_metrics(_recs(items), relevant, K)
-        want = _brute_metrics(items, relevant, K)
+        got = _metrics(items, relevant, K)
+        want = ranking_metrics_loop(items, relevant, K)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9)
             assert 0.0 <= g <= 1.0 + 1e-12
-
-
-def test_mean_or_zero():
-    assert mean_or_zero([]) == 0.0
-    assert mean_or_zero([1.0, 2.0, 3.0]) == pytest.approx(2.0, abs=1e-12)

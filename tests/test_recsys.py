@@ -167,8 +167,7 @@ def test_mf_seed_determinism_bitwise():
     t = make_table(rows)
     a = mf_train(t, f=5, epochs=10, seed=13)
     b = mf_train(t, f=5, epochs=10, seed=13)
-    for u in t.user_ids():
-        assert np.array_equal(a.user_vector(u), b.user_vector(u))
+    assert np.array_equal(a.P, b.P)
 
 
 def test_mf_rank_one_pattern_fits():
@@ -276,7 +275,7 @@ def _fixed_score_model(item_scores: dict[int, float], mu: float = 3.0) -> MfMode
 def test_topk_zero_is_empty():
     t = make_table([(1, 1, 3.0, 0)])
     model = _fixed_score_model({2: 4.0, 3: 3.0})
-    assert recommend_topk(model, t, 1, 0).items == []
+    assert recommend_topk(model, t, np.array([1]), 0).shape == (1, 0)
 
 
 def test_topk_orders_by_score_then_item_id():
@@ -285,24 +284,25 @@ def test_topk_orders_by_score_then_item_id():
     model = _fixed_score_model(scores)
     # brute-force oracle: sort candidates by (-score, item)
     oracle = sorted(scores, key=lambda i: (-scores[i], i))[:2]
-    got = recommend_topk(model, t, 1, 2)
-    assert [i for i, _ in got.items] == oracle == [2, 3]
-    assert got.items[0][1] == pytest.approx(4.1)
+    got = recommend_topk(model, t, np.array([1]), 2)
+    assert got.tolist() == [oracle] == [[2, 3]]
+    assert model.predict(1, 2) == pytest.approx(4.1)
 
 
 def test_topk_equal_scores_tie_break_by_item_id():
     t = make_table([(1, 1, 3.0, 0)])
     model = _fixed_score_model({5: 3.3, 4: 3.3, 6: 3.3})
-    got = recommend_topk(model, t, 1, 2)
-    assert [i for i, _ in got.items] == [4, 5]
+    got = recommend_topk(model, t, np.array([1]), 2)
+    assert got.tolist() == [[4, 5]]
 
 
 def test_topk_excludes_already_rated():
     rows = [(1, 1, 3.0, 0), (1, 2, 4.0, 0), (2, 3, 2.0, 0)]
     t = make_table(rows)
     model = mf_train(t, f=2, epochs=5, seed=0)
-    got = recommend_topk(model, t, 1, 10)
-    assert [i for i, _ in got.items] == [3]
+    got = recommend_topk(model, t, np.array([1]), 10)
+    # one unrated item is left, so the row is padded past it
+    assert got.tolist() == [[3] + [-1] * 9]
 
 
 def test_model_save_load_roundtrip(tmp_path):

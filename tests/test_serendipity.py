@@ -7,42 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisegate.dataset import GenreMap
 from noisegate.evaluation.serendipity import (
     FORMULA_COMPLEMENT,
     FORMULA_PAPER_LITERAL,
-    _cosine_rows,
-    _vector_getter,
     serendipity,
 )
-from noisegate.recsys import TopKList
 
-from .conftest import make_genres
-
-
-def _recs(items):
-    return TopKList(1, [(item, 1.0 - 0.01 * j) for j, item in enumerate(items)])
+from .conftest import make_genres, make_table
+from .oracles import serendipity_loop
 
 
-def _brute(recs, history, relevant, vectors, formula=FORMULA_COMPLEMENT):
-    """Loop re-derivation: mean over recommended items of u_i * rel_i."""
-    hist = []
-    for h in sorted(history):
-        v = np.asarray(vectors[h], dtype=float)
-        if np.linalg.norm(v) > 0:
-            hist.append(v)
-    if not recs.items or not hist:
-        return 0.0
-    contribs = []
-    for item, _ in recs.items:
-        v = np.asarray(vectors[item], dtype=float)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        sims = [float(v @ h) / (nv * float(np.linalg.norm(h))) for h in hist]
-        s = sum(sims) / len(sims)
-        u = s if formula == FORMULA_PAPER_LITERAL else 1.0 - s
-        contribs.append(u * (1.0 if item in relevant else 0.0))
-    return sum(contribs) / len(contribs) if contribs else 0.0
+def _genre_map(vectors) -> GenreMap:
+    width = len(next(iter(vectors.values())))
+    return GenreMap(
+        {item: np.asarray(v, dtype=float) for item, v in vectors.items()},
+        tuple(f"g{k}" for k in range(width)),
+    )
+
+
+def _one(recs, history, relevant, vectors, formula=FORMULA_COMPLEMENT):
+    """serendipity of one user's list through the array call."""
+    genres = vectors if isinstance(vectors, GenreMap) else _genre_map(vectors)
+    topk = np.array(recs, dtype=np.int64).reshape(1, len(recs))
+    hit = np.array([item in relevant for item in recs], dtype=bool).reshape(1, len(recs))
+    history = make_table([(1, h, 3.0, 0) for h in sorted(history)])
+    return float(serendipity(topk, hit, history, np.array([1]), genres, formula)[0])
 
 
 ONE_HOT = {
@@ -56,70 +46,70 @@ ONE_HOT = {
 
 
 def test_identical_genres_zero_serendipity():
-    got = serendipity(_recs([2]), {1}, {2}, ONE_HOT)
+    got = _one([2], {1}, {2}, ONE_HOT)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonal_relevant_item_scores_one():
-    got = serendipity(_recs([3]), {1, 2}, {3}, ONE_HOT)
+    got = _one([3], {1, 2}, {3}, ONE_HOT)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_irrelevant_items_contribute_zero():
     # maximal unexpectedness but no relevance
-    got = serendipity(_recs([3, 4]), {1}, set(), ONE_HOT)
+    got = _one([3, 4], {1}, set(), ONE_HOT)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mixed_list_averages_contributions():
     # item 3 orthogonal+relevant -> 1; item 2 identical+relevant -> 0
-    got = serendipity(_recs([3, 2]), {1}, {2, 3}, ONE_HOT)
+    got = _one([3, 2], {1}, {2, 3}, ONE_HOT)
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_paper_literal_inverts_familiarity():
-    same = serendipity(_recs([2]), {1}, {2}, ONE_HOT, formula=FORMULA_PAPER_LITERAL)
+    same = _one([2], {1}, {2}, ONE_HOT, formula=FORMULA_PAPER_LITERAL)
     assert same == pytest.approx(1.0, abs=1e-12)
-    orthogonal = serendipity(_recs([3]), {1}, {3}, ONE_HOT, formula=FORMULA_PAPER_LITERAL)
+    orthogonal = _one([3], {1}, {3}, ONE_HOT, formula=FORMULA_PAPER_LITERAL)
     assert orthogonal == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_vector_recommendation_excluded():
     # item 6 has no genre signal; the average is over item 3 alone
-    got = serendipity(_recs([6, 3]), {1}, {3, 6}, ONE_HOT)
+    got = _one([6, 3], {1}, {3, 6}, ONE_HOT)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_vector_history_excluded():
-    got = serendipity(_recs([3]), {1, 6}, {3}, ONE_HOT)
+    got = _one([3], {1, 6}, {3}, ONE_HOT)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_all_zero_history_scores_zero():
-    assert serendipity(_recs([3]), {6}, {3}, ONE_HOT) == 0.0
+    assert _one([3], {6}, {3}, ONE_HOT) == 0.0
 
 
 def test_all_zero_recommendations_score_zero():
-    assert serendipity(_recs([6]), {1}, {6}, ONE_HOT) == 0.0
+    assert _one([6], {1}, {6}, ONE_HOT) == 0.0
 
 
 def test_empty_recommendations_score_zero():
-    assert serendipity(_recs([]), {1}, {1}, ONE_HOT) == 0.0
+    assert _one([], {1}, {1}, ONE_HOT) == 0.0
 
 
 def test_empty_history_raises():
     with pytest.raises(ValueError, match="history"):
-        serendipity(_recs([3]), set(), {3}, ONE_HOT)
+        _one([3], set(), {3}, ONE_HOT)
 
 
 def test_unknown_formula_raises():
     with pytest.raises(ValueError, match="formula"):
-        serendipity(_recs([3]), {1}, {3}, ONE_HOT, formula="odd")
+        _one([3], {1}, {3}, ONE_HOT, formula="odd")
 
 
 def test_half_overlap_cosine_value():
     # cos((1,1,0),(1,0,0)) = 1/sqrt(2); lone history item, relevant rec
-    got = serendipity(_recs([5]), {1}, {5}, ONE_HOT)
+    got = _one([5], {1}, {5}, ONE_HOT)
     assert got == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-12)
 
 
@@ -128,8 +118,8 @@ def test_genre_map_vectors_accepted():
         {1: ("Action",), 2: ("Action",), 3: ("Comedy",)},
         ("Action", "Comedy"),
     )
-    assert serendipity(_recs([3]), {1, 2}, {3}, genres) == pytest.approx(1.0, abs=1e-12)
-    assert serendipity(_recs([2]), {1}, {2}, genres) == pytest.approx(0.0, abs=1e-12)
+    assert _one([3], {1, 2}, {3}, genres) == pytest.approx(1.0, abs=1e-12)
+    assert _one([2], {1}, {2}, genres) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_random_fixtures_match_brute_force():
@@ -144,28 +134,27 @@ def test_random_fixtures_match_brute_force():
         recs = [int(i) for i in rng.choice(20, size=int(rng.integers(0, 8)), replace=False)]
         relevant = {int(i) for i in rng.choice(20, size=int(rng.integers(0, 10)), replace=False)}
         for formula in (FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL):
-            got = serendipity(_recs(recs), history, relevant, vectors, formula=formula)
-            want = _brute(_recs(recs), history, relevant, vectors, formula=formula)
+            got = _one(recs, history, relevant, vectors, formula=formula)
+            want = serendipity_loop(recs, history, relevant, _genre_map(vectors), formula)
             assert got == pytest.approx(want, abs=1e-9)
             assert -1e-12 <= got <= 1.0 + 1e-12
 
 
-def _all_cosines(recs, history, relevant, item_vectors, formula=FORMULA_COMPLEMENT):
+def _all_cosines(recs, history, relevant, genres, formula=FORMULA_COMPLEMENT):
     """The earlier serendipity body, which took the history cosine of every
     recommended item and multiplied it by the relevance gate."""
-    if not recs.items:
+    if not recs:
         return 0.0
-    vec = _vector_getter(item_vectors)
-    hist = [vec(h) for h in sorted(history)]
+    hist = [genres.vector(h) for h in sorted(history)]
     H = np.array([v for v in hist if np.linalg.norm(v) > 0])
     if len(H) == 0:
         return 0.0
     contributions: list[float] = []
-    for item, _score in recs.items:
-        v = vec(item)
+    for item in recs:
+        v = genres.vector(item)
         if np.linalg.norm(v) == 0:
             continue
-        s = float(np.mean(_cosine_rows(H, v)))
+        s = float(np.mean((H @ v) / (np.linalg.norm(H, axis=1) * np.linalg.norm(v))))
         u = s if formula == FORMULA_PAPER_LITERAL else 1.0 - s
         rel = 1.0 if item in relevant else 0.0
         contributions.append(u * rel)
@@ -186,11 +175,11 @@ def _serendipity_inputs(draw):
     recs = draw(st.lists(items, max_size=12, unique=True))
     relevant = draw(st.sets(items))
     formula = draw(st.sampled_from((FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL)))
-    return _recs(recs), history, relevant, vectors, formula
+    return recs, history, relevant, _genre_map(vectors), formula
 
 
 @settings(max_examples=300, deadline=None)
 @given(_serendipity_inputs())
 def test_relevant_only_cosines_equal_all_cosines(inputs):
     # Irrelevant items add exactly 0.0, so skipping their cosines changes no bit.
-    assert serendipity(*inputs) == _all_cosines(*inputs)
+    assert _one(*inputs) == _all_cosines(*inputs)
