@@ -51,10 +51,7 @@ _GROUPS = tuple(
 def _genre_pairs(table: RatingsTable, genres: GenreMap) -> tuple[np.ndarray, np.ndarray]:
     """(row, genre) index pairs for the genres of each row's item, by row then genre."""
     item_ids, inv = np.unique(table.items, return_inverse=True)
-    member = np.zeros((len(item_ids), genres.n_genres), dtype=bool)
-    for k, item in enumerate(item_ids.tolist()):
-        member[k] = genres.vector(item) != 0
-    return np.nonzero(member[inv])
+    return np.nonzero((genres.vectors(item_ids) != 0)[inv])
 
 
 def _genre_sums(
@@ -93,15 +90,6 @@ def _coherence(table: RatingsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     coherence = np.ones(len(users))
     coherence[had] = 1.0 - segment_means(devs, starts, lengths)
     return users, coherence, had
-
-
-def user_coherence(user: int, table: RatingsTable) -> tuple[float, bool]:
-    """(coherence, had_genres) of one user over their rows of the table; see _coherence."""
-    rows = table.user_rows(user)
-    if len(rows) == 0:
-        raise ValueError(f"user {user} not in table")
-    _, coherence, had = _coherence(table.subset_rows(rows))
-    return float(coherence[0]), bool(had[0])
 
 
 def group_users(

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dataset import RatingsTable, Scale, segment_means
+from ..dataset import RatingsTable, Scale, id_runs, segment_means
 from .verdict import profile_rows
 
 DEFAULT_DELTA1 = 1.0
@@ -61,8 +61,7 @@ def _mean_profiles(
     """Distinct test ids (sorted) and their mean fuzzy profiles, one row each,
     over the rows profile_rows picks; each mean is np.mean of the id's values."""
     ids, values = profile_rows(test_ids, test_values, *ctx)
-    order = np.argsort(ids, kind="stable")
-    uniq, starts, lengths = np.unique(ids[order], return_index=True, return_counts=True)
+    order, uniq, starts, lengths = id_runs(ids)
     profile = [segment_means(col[order], starts, lengths) for col in _fuzzy(values, scale)]
     return uniq, np.column_stack(profile) if len(uniq) else np.zeros((0, 3))
 

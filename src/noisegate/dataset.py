@@ -3,7 +3,9 @@
 Everything downstream (detectors, ensembles, evaluation) consumes the
 :class:`RatingsTable` defined here.  Tables are immutable and canonically
 ordered by ``(user_id, item_id)`` so that every derived computation is
-independent of input row order.
+independent of input row order.  A table holds only its four columns; a
+per-user or per-item value is an array aligned to the ascending distinct
+ids (``user_ids()``, ``id_stats``), looked up with ``sorted_index``.
 """
 
 from __future__ import annotations
@@ -62,33 +64,31 @@ class Rating(NamedTuple):
 
 
 class GenreMap:
-    """item_id -> binary genre vector over a fixed sorted vocabulary."""
+    """Binary genre vectors of items over a fixed sorted vocabulary: one row
+    of ``matrix`` per id of the ascending ``item_ids``."""
 
-    def __init__(self, vectors: dict[int, np.ndarray], vocabulary: tuple[str, ...]):
-        self._vectors = vectors
+    def __init__(self, item_ids, matrix, vocabulary: tuple[str, ...]):
         self.vocabulary = tuple(vocabulary)
-        self._zero = np.zeros(len(self.vocabulary))
+        ids = np.asarray(item_ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        self.item_ids = ids[order]
+        if np.any(self.item_ids[1:] == self.item_ids[:-1]):
+            raise ValueError("repeated item id in genre map")
+        matrix = np.asarray(matrix, dtype=np.float64).reshape(len(ids), len(self.vocabulary))
+        # one all-zero row past the last item, which sorted_index gives unknown ids
+        self._rows = np.vstack([matrix[order], np.zeros((1, len(self.vocabulary)))])
 
     @property
     def n_genres(self) -> int:
         return len(self.vocabulary)
 
-    def __len__(self) -> int:
-        return len(self._vectors)
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._rows[:-1]
 
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._vectors
-
-    def vector(self, item_id: int) -> np.ndarray:
-        """Genre vector for the item; items without a genre row map to zeros."""
-        return self._vectors.get(item_id, self._zero)
-
-    def genres_of(self, item_id: int) -> tuple[str, ...]:
-        vec = self.vector(item_id)
-        return tuple(g for g, bit in zip(self.vocabulary, vec) if bit)
-
-    def items(self) -> Iterator[tuple[int, np.ndarray]]:
-        return iter(self._vectors.items())
+    def vectors(self, items: np.ndarray) -> np.ndarray:
+        """Genre vector per item id, one row each; unknown items map to zeros."""
+        return self._rows[sorted_index(self.item_ids, np.asarray(items, dtype=np.int64))]
 
 
 class RatingsTable:
@@ -143,10 +143,6 @@ class RatingsTable:
                     f"rating value {self._values[k]} outside scale "
                     f"[{scale.r_min}, {scale.r_max}] for user={self._users[k]} item={self._items[k]}"
                 )
-        self._user_rows = split_runs(self._users, np.arange(len(self._users)))
-        self._item_rows: dict[int, np.ndarray] | None = None
-        self._user_stats: dict[int, tuple[float, float, int]] | None = None
-        self._item_stats: dict[int, tuple[float, float, int]] | None = None
 
     # -- basic access -------------------------------------------------
 
@@ -176,30 +172,13 @@ class RatingsTable:
     def timestamps(self) -> np.ndarray:
         return self._timestamps
 
-    def user_ids(self) -> list[int]:
-        return sorted(self._user_rows)
+    def user_ids(self) -> np.ndarray:
+        """Distinct user ids, ascending."""
+        return self._users[run_starts(self._users)]
 
-    def item_ids(self) -> list[int]:
-        return sorted(set(self._items.tolist()))
-
-    def user_rows(self, user_id: int) -> np.ndarray:
-        """Row indices of one user's ratings (empty array if absent)."""
-        return self._user_rows.get(user_id, np.arange(0))
-
-    def item_rows(self, item_id: int) -> np.ndarray:
-        if self._item_rows is None:
-            order = np.argsort(self._items, kind="stable")
-            self._item_rows = split_runs(self._items[order], order)
-        return self._item_rows.get(item_id, np.arange(0))
-
-    def user_profile(self, user_id: int) -> dict[int, float]:
-        """item_id -> value map for one user."""
-        rows = self.user_rows(user_id)
-        return {int(self._items[k]): float(self._values[k]) for k in rows}
-
-    def keys(self) -> list[tuple[int, int]]:
-        """(user_id, item_id) of every row, in row order."""
-        return list(zip(self._users.tolist(), self._items.tolist()))
+    def item_ids(self) -> np.ndarray:
+        """Distinct item ids, ascending."""
+        return np.unique(self._items)
 
     def _key_codes(self, users, items) -> tuple[np.ndarray, np.ndarray]:
         """One integer code per (user, item) key, for this table's rows and for
@@ -215,37 +194,6 @@ class RatingsTable:
         """Whether each (users[k], items[k]) is a key of this table."""
         own, asked = self._key_codes(users, items)
         return sorted_index(own, asked) < len(self)
-
-    def has(self, user_id: int, item_id: int) -> bool:
-        """contains() for one pair; it costs a sort of the table, so batch lookups."""
-        return bool(self.contains(np.array([user_id]), np.array([item_id]))[0])
-
-    def value_of(self, user_id: int, item_id: int) -> float:
-        rows = self.user_rows(user_id)
-        pos = np.searchsorted(self._items[rows], item_id)
-        if pos >= len(rows) or self._items[rows[pos]] != item_id:
-            raise KeyError((user_id, item_id))
-        return float(self._values[rows[pos]])
-
-    def user_stats(self) -> dict[int, tuple[float, float, int]]:
-        """user_id -> (mean, population std, count) over this table."""
-        if self._user_stats is None:
-            self._user_stats = {
-                u: (float(self._values[rows].mean()), float(self._values[rows].std()), len(rows))
-                for u, rows in self._user_rows.items()
-            }
-        return self._user_stats
-
-    def item_stats(self) -> dict[int, tuple[float, float, int]]:
-        """item_id -> (mean, population std, count) over this table."""
-        if self._item_stats is None:
-            self._item_stats = {}
-            for i in self.item_ids():
-                rows = self.item_rows(i)
-                self._item_stats[i] = (
-                    float(self._values[rows].mean()), float(self._values[rows].std()), len(rows)
-                )
-        return self._item_stats
 
     def rows(self) -> list[tuple[int, int, float, int]]:
         return list(zip(self._users.tolist(), self._items.tolist(),
@@ -301,13 +249,34 @@ def _in_key_order(users: np.ndarray, items: np.ndarray) -> bool:
     return bool(later.all())
 
 
-def split_runs(keys: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
-    """key -> its run of rows, for keys[k] labelling rows[k] with equal keys adjacent."""
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
-    return {
-        int(k): block
-        for k, block in zip(keys[starts].tolist(), np.split(rows, starts[1:]))
-    }
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first row of each run of equal adjacent keys."""
+    if not len(keys):
+        return np.arange(0)
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def id_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, distinct ids, starts, lengths): the stable argsort of ids, and
+    each distinct id, ascending, with its run in ids[order].  Within a run the
+    rows keep their order in ids."""
+    order = np.argsort(ids, kind="stable")
+    starts = run_starts(ids[order])
+    return order, ids[order][starts], starts, np.diff(np.r_[starts, len(ids)])
+
+
+def id_stats(
+    ids: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct ids, mean, population std, count) of values per id, ids
+    ascending.  Each mean and std equals np.mean and np.std of that id's
+    values in row order, bit for bit: the std is the square root of the mean
+    squared deviation from the mean, np.std's own steps."""
+    order, uniq, starts, counts = id_runs(ids)
+    values = values[order]
+    mean = segment_means(values, starts, counts)
+    dev = values - np.repeat(mean, counts)
+    return uniq, mean, np.sqrt(segment_means(dev * dev, starts, counts)), counts
 
 
 def sorted_index(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -431,7 +400,9 @@ def load_genres(path: str | Path) -> GenreMap:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    raw: dict[int, tuple[str, ...]] = {}
+    items: list[int] = []
+    names: list[tuple[str, ...]] = []
+    first_line: dict[int, int] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -446,20 +417,27 @@ def load_genres(path: str | Path) -> GenreMap:
                 item = int(row[0])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed movieId {row[0]!r}") from exc
+            if item < 0:
+                raise ValueError(f"{path}:{lineno}: negative movieId {item}")
+            if item > _INT64_MAX:
+                raise ValueError(f"{path}:{lineno}: movieId {item} outside int64")
+            if item in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: repeated movieId {item} (first on line {first_line[item]})"
+                )
+            first_line[item] = lineno
             field = row[2].strip()
+            items.append(item)
             if not field or field == NO_GENRES_TOKEN:
-                raw[item] = ()
+                names.append(())
             else:
-                raw[item] = tuple(g.strip() for g in field.split("|") if g.strip())
-    vocabulary = tuple(sorted({g for gs in raw.values() for g in gs}))
+                names.append(tuple(g.strip() for g in field.split("|") if g.strip()))
+    vocabulary = tuple(sorted({g for gs in names for g in gs}))
     index = {g: k for k, g in enumerate(vocabulary)}
-    vectors: dict[int, np.ndarray] = {}
-    for item, gs in raw.items():
-        vec = np.zeros(len(vocabulary))
-        for g in gs:
-            vec[index[g]] = 1.0
-        vectors[item] = vec
-    return GenreMap(vectors, vocabulary)
+    matrix = np.zeros((len(items), len(vocabulary)))
+    for row, gs in enumerate(names):
+        matrix[row, [index[g] for g in gs]] = 1.0
+    return GenreMap(items, matrix, vocabulary)
 
 
 # -- filtering and splitting ------------------------------------------
@@ -499,16 +477,17 @@ def split_train_test(table: RatingsTable, spec: SplitSpec) -> tuple[RatingsTable
     """
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    for user in table.user_ids():
-        rows = table.user_rows(user)
-        n = len(rows)
+    starts = run_starts(table.users)
+    ends = np.r_[starts[1:], len(table)]
+    for user, lo, hi in zip(table.users[starts].tolist(), starts.tolist(), ends.tolist()):
+        n = hi - lo
         n_train = math.ceil(spec.train_fraction * n)
         if n == 1:
             logger.warning("user %d has a single rating; assigning it to train", user)
         rng = np.random.default_rng([spec.seed, user])
-        perm = rng.permutation(n)
-        train_idx.append(rows[perm[:n_train]])
-        test_idx.append(rows[perm[n_train:]])
+        perm = lo + rng.permutation(n)
+        train_idx.append(perm[:n_train])
+        test_idx.append(perm[n_train:])
     train = table.subset_rows(np.concatenate(train_idx) if train_idx else np.arange(0))
     test = table.subset_rows(np.concatenate(test_idx) if test_idx else np.arange(0))
     return train, test

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..board import BoardResult
 from ..board.nf1 import ItemClass, UserClass
-from ..dataset import RatingsTable
+from ..dataset import RatingsTable, id_stats, sorted_index
 from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
 
 FEATURE_NAMES = (
@@ -54,6 +54,21 @@ def _per_id(ids: np.ndarray, row_of) -> np.ndarray:
     return np.array([row_of(i) for i in uniq.tolist()], dtype=np.float64)[at]
 
 
+def _stats_at(ids: np.ndarray, context_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(mean, std, log count) of the context values of each id, one row per id.
+
+    The logs come from math.log, one call per distinct count: np.log can
+    differ from it in the last bit.
+    """
+    uniq, mean, std, count = id_stats(context_ids, values)
+    at = sorted_index(uniq, ids)
+    if np.any(at == len(uniq)):
+        raise ValueError(f"id {ids[at == len(uniq)][0]} has no rating in the context table")
+    counts, inv = np.unique(count, return_inverse=True)
+    log_count = np.array([math.log(n) for n in counts.tolist()])[inv]
+    return np.column_stack([mean, std, log_count])[at]
+
+
 def build_feature_matrix(
     test: RatingsTable, context: RatingsTable, board: BoardResult
 ) -> np.ndarray:
@@ -68,16 +83,10 @@ def build_feature_matrix(
         raise ValueError(f"the board's votes are not aligned to the {len(test)} rows of this table")
     if not len(test):
         return np.zeros((0, len(FEATURE_NAMES)))
-    user_stats, item_stats = context.user_stats(), context.item_stats()
-    # (mean, std, log count, class code) per user and per item
-    user = _per_id(test.users, lambda u: (
-        *user_stats[u][:2], math.log(user_stats[u][2]),
-        _USER_CLASS_CODE[board.nf1.user_classes[u]],
-    ))
-    item = _per_id(test.items, lambda i: (
-        *item_stats[i][:2], math.log(item_stats[i][2]),
-        _ITEM_CLASS_CODE[board.nf1.item_classes[i]],
-    ))
+    user = _stats_at(test.users, context.users, context.values)
+    item = _stats_at(test.items, context.items, context.values)
+    user_class = _per_id(test.users, lambda u: _USER_CLASS_CODE[board.nf1.user_classes[u]])
+    item_class = _per_id(test.items, lambda i: _ITEM_CLASS_CODE[board.nf1.item_classes[i]])
     value = test.values
     scale = context.scale
     cons = board.nf3.consistency
@@ -90,8 +99,8 @@ def build_feature_matrix(
         np.abs(value - item[:, 0]),
         user[:, 2],
         item[:, 2],
-        user[:, 3],
-        item[:, 3],
+        user_class,
+        item_class,
         board.nf4.noise_degree,
         np.where(missing, 0.0, cons),
         missing,

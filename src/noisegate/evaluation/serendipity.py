@@ -49,8 +49,7 @@ def serendipity(
         raise ValueError("history must be non-empty")
     listed = topk >= 0
     ids, inv = np.unique(np.concatenate([history.items[mine], topk[listed]]), return_inverse=True)
-    G = np.array([genres.vector(i) for i in ids.tolist()], dtype=np.float64)
-    G = G.reshape(len(ids), genres.n_genres)
+    G = genres.vectors(ids)
     norm = np.sqrt(np.einsum("ij,ij->i", G, G))
     # history vectors with a genre signal, grouped by user in ascending item id
     known = inv[: len(mine)]

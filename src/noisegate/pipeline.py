@@ -34,6 +34,7 @@ from .dataset import (
     filter_min_activity,
     load_genres,
     load_ratings,
+    run_starts,
     split_train_test,
 )
 from .ensemble import (
@@ -71,7 +72,6 @@ from .signature import (
     apply_signature_action,
     detect_optout,
     read_hits,
-    utc_day,
     write_hits,
 )
 
@@ -278,11 +278,6 @@ class GroundTruthMask(NamedTuple):
     seed: int
 
 
-def _draw_other(rng: np.random.Generator, grid: np.ndarray, current: float) -> float:
-    others = grid[grid != current]
-    return float(others[rng.integers(len(others))])
-
-
 def inject_noise(
     table: RatingsTable, rate: float, kind: NoiseKind, seed: int = 0
 ) -> tuple[RatingsTable, GroundTruthMask]:
@@ -290,49 +285,35 @@ def inject_noise(
 
     uniform: each selected rating becomes a different grid value drawn
     uniformly.  flip: r -> r_max + r_min - r.  optout: the selection is
-    over users, and every rating on a selected user's last active day is
-    replaced by a fresh uniform grid draw.
+    over users, and every rating on a selected user's last active UTC day
+    is replaced by a fresh uniform grid draw.  Draws are made one rating
+    at a time, in row order.
     """
     if not 0.0 <= rate <= 0.5:
         raise ValueError(f"rate must be in [0, 0.5], got {rate}")
     rng = np.random.default_rng([seed, _SALT_INJECT[kind.value]])
-    grid = table.scale.grid(0.5)
-    rows = table.rows()
-    changed: set[tuple[int, int]] = set()
-
     if kind is NoiseKind.OPTOUT_BURST:
         users = table.user_ids()
-        n_sel = int(round(rate * len(users)))
-        sel_users = sorted(users[i] for i in rng.permutation(len(users))[:n_sel])
-        burst_keys: set[tuple[int, int]] = set()
-        for user in sel_users:
-            idx = table.user_rows(user)
-            days = [utc_day(int(table.timestamps[k])) for k in idx]
-            last = max(days)
-            for k, day in zip(idx, days):
-                if day == last:
-                    burst_keys.add((user, int(table.items[k])))
-        new_rows = []
-        for u, i, v, t in rows:
-            if (u, i) in burst_keys:
-                v = _draw_other(rng, grid, v)
-                changed.add((u, i))
-            new_rows.append((u, i, v, t))
+        chosen = users[rng.permutation(len(users))[: int(round(rate * len(users)))]]
+        starts = run_starts(table.users)
+        days = table.timestamps // 86400
+        last = np.repeat(np.maximum.reduceat(days, starts), np.diff(np.r_[starts, len(table)]))
+        sel = np.flatnonzero(np.isin(table.users, chosen) & (days == last))
     else:
-        n_sel = int(round(rate * len(rows)))
-        sel = set(np.sort(rng.permutation(len(rows))[:n_sel]).tolist())
-        new_rows = []
-        for pos, (u, i, v, t) in enumerate(rows):
-            if pos in sel:
-                if kind is NoiseKind.FLIP:
-                    v = table.scale.r_max + table.scale.r_min - v
-                else:
-                    v = _draw_other(rng, grid, v)
-                changed.add((u, i))
-            new_rows.append((u, i, v, t))
-
-    out = RatingsTable(new_rows, table.scale, genres=table.genres)
-    return out, GroundTruthMask(kind, frozenset(changed), rate, seed)
+        sel = np.sort(rng.permutation(len(table))[: int(round(rate * len(table)))])
+    values = table.values.copy()
+    if kind is NoiseKind.FLIP:
+        values[sel] = table.scale.r_max + table.scale.r_min - values[sel]
+    else:
+        grid = table.scale.grid(0.5)
+        for k in sel.tolist():
+            others = grid[grid != values[k]]
+            values[k] = others[rng.integers(len(others))]
+    out = RatingsTable.from_arrays(
+        table.users, table.items, values, table.timestamps, table.scale, genres=table.genres
+    )
+    keys = frozenset(zip(table.users[sel].tolist(), table.items[sel].tolist()))
+    return out, GroundTruthMask(kind, keys, rate, seed)
 
 
 def write_mask(mask: GroundTruthMask, path: str | Path) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingsTable, Scale, sorted_index
+from .dataset import RatingsTable, Scale, id_runs, id_stats, sorted_index
 from .ioutil import atomic_write_text
 
 CHECKPOINT_FORMAT = "noisegate-mf"
@@ -42,46 +42,21 @@ class KnnConfig:
             raise ValueError("significance_cap must be >= 1")
 
 
-def pearson_similarity(
-    a_ratings: dict[int, float], b_ratings: dict[int, float], cfg: KnnConfig = KnnConfig()
-) -> float:
-    """Significance-weighted Pearson correlation over co-rated items.
-
-    The raw correlation is multiplied by min(n, significance_cap) / significance_cap
-    so that similarities backed by few co-rated items carry less weight.
-    Degenerate cases (overlap below min_overlap, zero variance) return 0.
-    """
-    common = a_ratings.keys() & b_ratings.keys()
-    n = len(common)
-    if n < cfg.min_overlap:
-        return 0.0
-    xs = np.array([a_ratings[i] for i in sorted(common)])
-    ys = np.array([b_ratings[i] for i in sorted(common)])
-    sx = xs.sum()
-    sy = ys.sum()
-    cov = float(xs @ ys) - sx * sy / n
-    var_x = float(xs @ xs) - sx * sx / n
-    var_y = float(ys @ ys) - sy * sy / n
-    if var_x <= _VAR_EPS or var_y <= _VAR_EPS:
-        return 0.0
-    raw = cov / np.sqrt(var_x * var_y)
-    raw = float(np.clip(raw, -1.0, 1.0))
-    return raw * min(n, cfg.significance_cap) / cfg.significance_cap
-
-
 class SimilarityMatrix:
     """All-pairs significance-weighted Pearson similarities for one table.
 
-    Matches pearson_similarity pairwise to floating-point noise while being
-    computed with five dense matrix products instead of per-pair loops.
+    Row and column k belong to user_ids[k], ids ascending.  For users a and
+    b with co-rated items, the raw correlation over those items is scaled by
+    min(n, significance_cap) / significance_cap, so that similarities backed
+    by few co-rated items carry less weight; overlaps below min_overlap and
+    zero variances give 0.  All pairs come from five dense matrix products.
     """
 
     def __init__(self, table: RatingsTable, cfg: KnnConfig = KnnConfig()):
         self.cfg = cfg
         self.user_ids = table.user_ids()
-        self.index = {u: k for k, u in enumerate(self.user_ids)}
-        item_ids = np.array(table.item_ids(), dtype=np.int64)
-        rows_u = np.searchsorted(np.array(self.user_ids, dtype=np.int64), table.users)
+        item_ids = table.item_ids()
+        rows_u = np.searchsorted(self.user_ids, table.users)
         rows_i = np.searchsorted(item_ids, table.items)
         nu, ni = len(self.user_ids), len(item_ids)
         R = np.zeros((nu, ni))
@@ -108,10 +83,8 @@ class SimilarityMatrix:
         self.matrix = raw * np.minimum(n, cfg.significance_cap) / cfg.significance_cap
 
     def between(self, user_a: int, user_b: int) -> float:
-        return float(self.matrix[self.index[user_a], self.index[user_b]])
-
-    def row(self, user: int) -> np.ndarray:
-        return self.matrix[self.index[user]]
+        a, b = sorted_index(self.user_ids, np.array([user_a, user_b]))
+        return float(self.matrix[a, b])
 
 
 # Cells per block of knn_predict_rows: bounds the padded (rows x raters)
@@ -172,13 +145,10 @@ def knn_predict_rows(
         return out
     if sims is None:
         sims = SimilarityMatrix(train, cfg)
-    ids = np.asarray(sims.user_ids, dtype=np.int64)
-    stats = train.user_stats()
-    means = np.array([stats[u][0] for u in sims.user_ids])
-    order = np.argsort(train.items, kind="stable")
-    item_ids, starts, counts = np.unique(
-        train.items[order], return_index=True, return_counts=True
-    )
+    ids, means = id_stats(train.users, train.values)[:2]
+    if not np.array_equal(ids, sims.user_ids):
+        raise ValueError("sims were built over another table's users")
+    order, item_ids, starts, counts = id_runs(train.items)
     raters = np.searchsorted(ids, train.users[order])
     devs = train.values[order] - means[raters]
     pos = sorted_index(ids, users)
@@ -211,29 +181,10 @@ def knn_predict(
     cfg: KnnConfig = KnnConfig(),
     sims: SimilarityMatrix | None = None,
 ) -> float | None:
-    """knn_predict_rows for one rating; None means unpredictable.
-
-    Without sims, only the item's raters are weighted, each by
-    pearson_similarity against the user: O(raters x profile), with no
-    all-pairs matrix.
-    """
-    if len(train.user_rows(user)) == 0:
+    """knn_predict_rows for one rating; None means unpredictable."""
+    if user not in train.users:
         raise ValueError(f"user {user} not in train")
-    if sims is not None:
-        pred = knn_predict_rows(train, np.array([user]), np.array([item]), cfg, sims)[0]
-        return None if np.isnan(pred) else float(pred)
-    raters = train.item_rows(item)
-    if len(raters) == 0:
-        return None
-    stats = train.user_stats()
-    profile = train.user_profile(user)
-    neighbors = train.users[raters].tolist()
-    w = np.array([[
-        0.0 if v == user else pearson_similarity(profile, train.user_profile(v), cfg)
-        for v in neighbors
-    ]])
-    dev = train.values[raters] - np.array([[stats[v][0] for v in neighbors]])
-    pred = _weighted_neighbors(w, dev, np.array([stats[user][0]]), cfg.k, train.scale)[0]
+    pred = knn_predict_rows(train, np.array([user]), np.array([item]), cfg, sims)[0]
     return None if np.isnan(pred) else float(pred)
 
 
@@ -241,12 +192,16 @@ def knn_predict(
 
 
 class MfModel:
-    """Biased MF model: prediction = mu + b_u + b_i + p_u . q_i, clamped to scale."""
+    """Biased MF model: prediction = mu + b_u + b_i + p_u . q_i, clamped to scale.
+
+    Row k of P and bu belongs to users[k], row k of Q and bi to items[k];
+    both id arrays ascend.
+    """
 
     def __init__(
         self,
-        users: list[int],
-        items: list[int],
+        users: np.ndarray,
+        items: np.ndarray,
         P: np.ndarray,
         Q: np.ndarray,
         bu: np.ndarray,
@@ -255,8 +210,8 @@ class MfModel:
         scale: Scale,
         rmse_per_epoch: list[float] | None = None,
     ):
-        self.users = list(users)
-        self.items = list(items)
+        self.users = np.asarray(users, dtype=np.int64)
+        self.items = np.asarray(items, dtype=np.int64)
         self.P = P
         self.Q = Q
         self.bu = bu
@@ -264,8 +219,6 @@ class MfModel:
         self.global_mean = global_mean
         self.scale = scale
         self.rmse_per_epoch = list(rmse_per_epoch or [])
-        self.urow = {u: k for k, u in enumerate(self.users)}
-        self.irow = {i: k for k, i in enumerate(self.items)}
 
     @property
     def f(self) -> int:
@@ -273,13 +226,13 @@ class MfModel:
 
     def predict(self, user: int, item: int) -> float:
         score = self.global_mean
-        ur = self.urow.get(user)
-        ir = self.irow.get(item)
-        if ur is not None:
+        ur = int(sorted_index(self.users, np.array([user]))[0])
+        ir = int(sorted_index(self.items, np.array([item]))[0])
+        if ur < len(self.users):
             score += self.bu[ur]
-        if ir is not None:
+        if ir < len(self.items):
             score += self.bi[ir]
-        if ur is not None and ir is not None:
+        if ur < len(self.users) and ir < len(self.items):
             score += float(self.P[ur] @ self.Q[ir])
         return self.scale.clamp(score)
 
@@ -354,8 +307,8 @@ def mf_train(
         raise ValueError("train table is empty")
     users = train.user_ids()
     items = train.item_ids()
-    urow = np.searchsorted(np.array(users, dtype=np.int64), train.users)
-    irow = np.searchsorted(np.array(items, dtype=np.int64), train.items)
+    urow = np.searchsorted(users, train.users)
+    irow = np.searchsorted(items, train.items)
     values = train.values
     mu = float(values.mean())
     mask = np.zeros((len(users), len(items)))
@@ -401,23 +354,21 @@ def recommend_topk(model: MfModel, train: RatingsTable, users: np.ndarray, K: in
     users = np.asarray(users, dtype=np.int64)
     if np.any(users[1:] <= users[:-1]):
         raise ValueError("users must be ascending and unique")
-    known = np.asarray(model.users, dtype=np.int64)
-    rows = sorted_index(known, users)
-    if np.any(rows == len(known)):
-        raise ValueError(f"user {users[rows == len(known)][0]} unknown to model")
+    rows = sorted_index(model.users, users)
+    if np.any(rows == len(model.users)):
+        raise ValueError(f"user {users[rows == len(model.users)][0]} unknown to model")
     scores = (model.global_mean + model.bu[rows])[:, None] + model.bi
     for k, r in enumerate(rows.tolist()):
         scores[k] += model.Q @ model.P[r]
     np.clip(scores, model.scale.r_min, model.scale.r_max, out=scores)
     np.negative(scores, out=scores)
-    item_ids = np.asarray(model.items, dtype=np.int64)
     owner = sorted_index(users, train.users)
-    col = sorted_index(item_ids, train.items)
-    rated = (owner < len(users)) & (col < len(item_ids))
+    col = sorted_index(model.items, train.items)
+    rated = (owner < len(users)) & (col < len(model.items))
     scores[owner[rated], col[rated]] = np.inf
     order = np.argsort(scores, axis=1, kind="stable")[:, :K]
     out = np.full((len(users), K), -1, dtype=np.int64)
-    out[:, : order.shape[1]] = item_ids[order]
+    out[:, : order.shape[1]] = model.items[order]
     out[np.arange(K) >= np.count_nonzero(scores < np.inf, axis=1)[:, None]] = -1
     return out
 
@@ -432,8 +383,8 @@ def save_model(model: MfModel, path: str | Path) -> None:
         "f": model.f,
         "global_mean": model.global_mean,
         "scale": [model.scale.r_min, model.scale.r_max],
-        "users": model.users,
-        "items": model.items,
+        "users": model.users.tolist(),
+        "items": model.items.tolist(),
         "user_bias": model.bu.tolist(),
         "item_bias": model.bi.tolist(),
         "user_factors": model.P.tolist(),

@@ -7,14 +7,14 @@ history on the way out.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RatingsTable
+from .dataset import RatingsTable, run_starts
 from .ioutil import atomic_write_columns, read_csv_rows
 
 OPTOUT_SIGNATURE_ID = "optout"
@@ -36,6 +36,7 @@ class SignatureHit(NamedTuple):
 
 
 _DAY_SECONDS = 86400
+_EPOCH = date(1970, 1, 1)
 
 
 def utc_day(timestamp: int) -> str:
@@ -66,7 +67,7 @@ def detect_optout(
     if not len(table):
         return []
     users = table.users
-    starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
+    starts = run_starts(users)
     days = table.timestamps // _DAY_SECONDS
     last_day = np.maximum.reduceat(days, starts)
     on_day = days == np.repeat(last_day, np.diff(np.r_[starts, len(users)]))
@@ -99,13 +100,16 @@ def apply_signature_action(
         return table
     if action is SignatureAction.REMOVE_USER:
         return table.without_users({h.user_id for h in hits})
-    rows = [
-        k
-        for h in hits
-        for k in table.user_rows(h.user_id).tolist()
-        if utc_day(int(table.timestamps[k])) == h.evidence["last_day"]
-    ]
-    return table.without_keys(table.users[rows], table.items[rows])
+    # the rows of a hit's user are one run of the table's sorted user column
+    users = np.array([h.user_id for h in hits], dtype=np.int64)
+    lo = np.searchsorted(table.users, users, side="left").tolist()
+    hi = np.searchsorted(table.users, users, side="right").tolist()
+    days = table.timestamps // _DAY_SECONDS
+    flagged = np.zeros(len(table), dtype=bool)
+    for a, b, h in zip(lo, hi, hits):
+        day = (date.fromisoformat(h.evidence["last_day"]) - _EPOCH).days
+        flagged[a:b] |= days[a:b] == day
+    return table.subset_rows(np.flatnonzero(~flagged))
 
 
 HITS_HEADER = ("signatureId", "userId", "lastDay", "noisyCount", "totalCount", "ratio", "action")
@@ -126,6 +130,7 @@ def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | N
     hits: list[SignatureHit] = []
     action: SignatureAction | None = None
     for row in read_csv_rows(path, HITS_HEADER):
+        date.fromisoformat(row[2])  # a calendar day: remove_last_day counts days from it
         hits.append(
             SignatureHit(
                 row[0], int(row[1]),

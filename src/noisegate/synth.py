@@ -57,30 +57,27 @@ def planted_tables(
     bi = rng.normal(0.0, 0.25, size=items)
     mu = 0.5 * (scale.r_min + scale.r_max) + 0.3
 
-    rows: list[tuple[int, int, float, int]] = []
+    columns = []
     base_ts = _EPOCH_DAY * 86400
     for u in range(users):
         count = int(rng.integers(lo, hi + 1))
         chosen = rng.permutation(items)[:count]
         raw = mu + bu[u] + bi[chosen] + Q[chosen] @ P[u]
-        vals = _snap_to_grid(raw, scale)
         days = rng.integers(0, active_days, size=count)
         secs = rng.integers(0, 86400, size=count)
-        for j, it in enumerate(chosen.tolist()):
-            ts = base_ts + int(days[j]) * 86400 + int(secs[j])
-            rows.append((u + 1, it + 1, float(vals[j]), ts))
+        stamps = base_ts + days * 86400 + secs
+        columns.append((np.full(count, u + 1), chosen + 1, _snap_to_grid(raw, scale), stamps))
 
-    vectors: dict[int, np.ndarray] = {}
     width = len(GENRE_VOCABULARY)
-    for it in range(1, items + 1):
-        vec = np.zeros(width)
+    matrix = np.zeros((items, width))
+    for it in range(items):
         if rng.random() >= genreless_share:
             n_g = int(rng.integers(1, 4))
-            for g in rng.choice(width, size=n_g, replace=False):
-                vec[g] = 1.0
-        vectors[it] = vec
-    genres = GenreMap(vectors, tuple(GENRE_VOCABULARY))
-    table = RatingsTable(rows, scale, genres=genres)
+            matrix[it, rng.choice(width, size=n_g, replace=False)] = 1.0
+    genres = GenreMap(np.arange(1, items + 1), matrix, GENRE_VOCABULARY)
+    table = RatingsTable.from_arrays(
+        *(np.concatenate(col) for col in zip(*columns)), scale, genres=genres
+    )
     return table, genres
 
 
@@ -102,7 +99,7 @@ def write_dataset_csvs(table: RatingsTable, genres: GenreMap, out_dir: str | Pat
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "ratings.csv")
     lines = ["movieId,title,genres"]
-    for item, vec in sorted(genres.items()):
+    for item, vec in zip(genres.item_ids.tolist(), genres.matrix):
         names = [genres.vocabulary[k] for k in np.flatnonzero(vec)]
         tag = "|".join(names) if names else "(no genres listed)"
         lines.append(f"{item},Item {item} (2001),{tag}")

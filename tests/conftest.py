@@ -19,6 +19,8 @@ from noisegate.board.verdict import Verdict  # noqa: E402
 from noisegate.dataset import GenreMap, RatingsTable, Scale  # noqa: E402
 from noisegate.synth import planted_tables  # noqa: E402
 
+from .oracles import keys  # noqa: E402
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI_DIR = REPO_ROOT / "data" / "mini"
 
@@ -49,17 +51,21 @@ def make_table(
 
 def by_key(table: RatingsTable, column) -> dict[tuple[int, int], object]:
     """A detector's per-row output over table, looked up by (user, item) key."""
-    return dict(zip(table.keys(), column.tolist()))
+    return dict(zip(keys(table), column.tolist()))
 
 
 def noisy_flags(table: RatingsTable, labels) -> np.ndarray:
     """Noisy flag per table row from a (user, item) -> Verdict mapping."""
-    return np.array([labels[key] is Verdict.NOISY for key in table.keys()], dtype=bool)
+    return np.array([labels[key] is Verdict.NOISY for key in keys(table)], dtype=bool)
+
+
+def genre_map(vectors: dict[int, np.ndarray], vocabulary: tuple[str, ...]) -> GenreMap:
+    """A GenreMap from item id -> genre vector."""
+    matrix = np.array(list(vectors.values()), dtype=np.float64)
+    return GenreMap(list(vectors), matrix.reshape(len(vectors), len(vocabulary)), vocabulary)
 
 
 def make_genres(mapping: dict[int, tuple[str, ...]], vocabulary: tuple[str, ...]) -> GenreMap:
-    import numpy as np
-
     index = {g: i for i, g in enumerate(vocabulary)}
     vectors = {}
     for item, names in mapping.items():
@@ -67,7 +73,7 @@ def make_genres(mapping: dict[int, tuple[str, ...]], vocabulary: tuple[str, ...]
         for name in names:
             v[index[name]] = 1.0
         vectors[item] = v
-    return GenreMap(vectors, vocabulary)
+    return genre_map(vectors, vocabulary)
 
 
 @pytest.fixture(scope="session")

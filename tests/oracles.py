@@ -16,6 +16,9 @@ The opt-out signature oracle looks each rating's label up by its
 (user, item) key and formats every rating's UTC day.  The evaluation
 oracles score, rank and measure one user at a time, pair the two arms
 through per-user dicts and sum every mean left to right in a loop.
+The lookups only tests need (a table's keys and values by key, an item's
+genre vector or genre names by a scan of the map's ids) and the pairwise
+Pearson similarity the similarity matrix is checked against live here too.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from noisegate.ensemble.learners import KnnClassifier
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
 from noisegate.evaluation.deltas import BASIS_USERS, DeltaPoint, plane_positive, quadrant
 from noisegate.evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
-from noisegate.recsys import KnnConfig, MfModel, SimilarityMatrix, pearson_similarity
+from noisegate.recsys import _VAR_EPS, KnnConfig, MfModel, SimilarityMatrix
 from noisegate.signature import (
     DENOMINATOR_LAST_DAY,
     OPTOUT_SIGNATURE_ID,
@@ -64,6 +67,58 @@ def _profile(table: RatingsTable, user: int) -> dict[int, float]:
 
 def _has(table: RatingsTable, user: int, item: int) -> bool:
     return bool(np.any((table.users == user) & (table.items == item)))
+
+
+def keys(table: RatingsTable) -> list[tuple[int, int]]:
+    """(user_id, item_id) of every row, in row order."""
+    return list(zip(table.users.tolist(), table.items.tolist()))
+
+
+def value_of(table: RatingsTable, user: int, item: int) -> float:
+    rows = np.flatnonzero((table.users == user) & (table.items == item))
+    if len(rows) == 0:
+        raise KeyError((user, item))
+    return float(table.values[rows[0]])
+
+
+def genre_vector(genres, item: int) -> np.ndarray:
+    """The item's genre vector by a scan of the map's ids; zeros when absent."""
+    for k, known in enumerate(genres.item_ids.tolist()):
+        if known == item:
+            return genres.matrix[k]
+    return np.zeros(genres.n_genres)
+
+
+def genres_of(genres, item: int) -> tuple[str, ...]:
+    vec = genre_vector(genres, item)
+    return tuple(g for g, bit in zip(genres.vocabulary, vec) if bit)
+
+
+def pearson_similarity(
+    a_ratings: dict[int, float], b_ratings: dict[int, float], cfg: KnnConfig = KnnConfig()
+) -> float:
+    """Significance-weighted Pearson correlation over co-rated items.
+
+    The raw correlation is multiplied by min(n, significance_cap) / significance_cap
+    so that similarities backed by few co-rated items carry less weight.
+    Degenerate cases (overlap below min_overlap, zero variance) return 0.
+    """
+    common = a_ratings.keys() & b_ratings.keys()
+    n = len(common)
+    if n < cfg.min_overlap:
+        return 0.0
+    xs = np.array([a_ratings[i] for i in sorted(common)])
+    ys = np.array([b_ratings[i] for i in sorted(common)])
+    sx = xs.sum()
+    sy = ys.sum()
+    cov = float(xs @ ys) - sx * sy / n
+    var_x = float(xs @ xs) - sx * sx / n
+    var_y = float(ys @ ys) - sy * sy / n
+    if var_x <= _VAR_EPS or var_y <= _VAR_EPS:
+        return 0.0
+    raw = cov / np.sqrt(var_x * var_y)
+    raw = float(np.clip(raw, -1.0, 1.0))
+    return raw * min(n, cfg.significance_cap) / cfg.significance_cap
 
 
 # -- NF1 -----------------------------------------------------------------
@@ -128,7 +183,7 @@ def nf1_detect_loop(test, cuts=(2.5, 4.0), majority=0.5, context=None) -> Nf1Res
 def _genre_matrix(table: RatingsTable, rows: np.ndarray, genres) -> np.ndarray:
     if len(rows) == 0:
         return np.zeros((0, genres.n_genres))
-    return np.array([genres.vector(int(table.items[k])) for k in rows])
+    return np.array([genre_vector(genres, int(table.items[k])) for k in rows])
 
 
 def user_coherence_loop(user: int, table: RatingsTable) -> tuple[float, bool]:
@@ -192,7 +247,7 @@ def nf2_detect_loop(
             G = _genre_matrix(ctx, rows, genres)
             stats[r.user_id] = (ctx.values[rows] @ G, G.sum(axis=0))
         gsum, gcount = stats[r.user_id]
-        gidx = np.flatnonzero(genres.vector(r.item_id))
+        gidx = np.flatnonzero(genre_vector(genres, r.item_id))
         own = _has(ctx, r.user_id, r.item_id)
         means = []
         for g in gidx:
@@ -390,8 +445,8 @@ def detect_optout_loop(
     """detect_optout with labels a (user, item) -> Verdict mapping that
     must cover every rating of the table."""
     hits: list[SignatureHit] = []
-    for user in table.user_ids():
-        rows = table.user_rows(user)
+    for user in table.user_ids().tolist():
+        rows = _rows(table.users, user)
         days = [utc_day(int(table.timestamps[k])) for k in rows]
         verdicts = []
         for k in rows:
@@ -604,11 +659,11 @@ def recommend_topk_loop(model: MfModel, train: RatingsTable, user: int, K: int) 
     """One user's top-K unrated item ids: every item scored, then sorted by
     (-score, item id)."""
     rated = set(_profile(train, user))
-    ur = model.urow[user]
+    ur = int(np.flatnonzero(model.users == user)[0])
     scores = model.global_mean + model.bu[ur] + model.bi + model.Q @ model.P[ur]
     np.clip(scores, model.scale.r_min, model.scale.r_max, out=scores)
     ranked = sorted(
-        (-float(scores[k]), item) for k, item in enumerate(model.items) if item not in rated
+        (-float(scores[k]), item) for k, item in enumerate(model.items.tolist()) if item not in rated
     )
     return [item for _, item in ranked[:K]]
 
@@ -636,14 +691,14 @@ def serendipity_loop(recs, history, relevant, genres, formula=FORMULA_COMPLEMENT
     took them, so the result compares bit for bit."""
     hist = []
     for h in sorted(history):
-        v = np.asarray(genres.vector(h), dtype=float)
+        v = np.asarray(genre_vector(genres, h), dtype=float)
         if np.linalg.norm(v) > 0:
             hist.append(v)
     if not recs or not hist:
         return 0.0
     contribs = []
     for item in recs:
-        v = np.asarray(genres.vector(item), dtype=float)
+        v = np.asarray(genre_vector(genres, item), dtype=float)
         nv = np.linalg.norm(v)
         if nv == 0:
             continue

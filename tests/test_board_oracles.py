@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 
 from noisegate.board import BoardConfig, run_board, venn_counts
 from noisegate.board.nf1 import nf1_detect
-from noisegate.board.nf2 import group_users, nf2_detect, user_coherence
+from noisegate.board.nf2 import _coherence, group_users, nf2_detect
 from noisegate.board.nf3 import nf3_detect
 from noisegate.board.nf4 import nf4_detect
-from noisegate.dataset import GenreMap, RatingsTable, Scale
+from noisegate.dataset import RatingsTable, Scale
 from noisegate.ensemble.features import build_feature_matrix
 from noisegate import recsys
 from noisegate.recsys import KnnConfig, SimilarityMatrix, knn_predict
 
 from . import oracles
+from .conftest import genre_map
 
 
 def _same(got: np.ndarray, want: np.ndarray) -> bool:
@@ -102,7 +103,7 @@ def board_cases(draw):
     for item, b in zip(mapped, bits):  # three genre bits; 0 is an empty vector
         vectors[item] = np.array([b & 1, b >> 1 & 1, b >> 2 & 1, 0], dtype=np.float64)
     vectors[TEST_ONLY_ITEM] = np.array([0.0, 0.0, 0.0, 1.0])
-    genres = GenreMap(vectors, VOCAB)
+    genres = genre_map(vectors, VOCAB)
     train = RatingsTable(train_rows, Scale(), genres=genres)
     test = RatingsTable(test_rows, Scale(), genres=genres)
     context = {
@@ -150,8 +151,9 @@ def test_nf2_matches_loop_oracle(case, thetas, rnd_cut, coherence_cut):
     assert _same(got.rnd, want.rnd)
     assert got.groups == want.groups
     assert group_users(context, coherence_cut) == oracles.group_users_loop(context, coherence_cut)
-    for u in {int(u) for u in context.users}:
-        assert user_coherence(u, context) == oracles.user_coherence_loop(u, context)
+    users, coherence, had = _coherence(context)
+    for u, c, h in zip(users.tolist(), coherence.tolist(), had.tolist()):
+        assert (c, h) == oracles.user_coherence_loop(u, context)
 
 
 def _long_neighbor_case():
@@ -179,13 +181,10 @@ def test_nf3_matches_loop_oracle(case, cfg, th):
     assert got.n_unpredictable == want.n_unpredictable
     sims = SimilarityMatrix(train, cfg)
     for r in test:
-        if r.user_id in train.user_ids():
-            assert knn_predict(train, r.user_id, r.item_id, cfg, sims) == (
-                oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, sims)
-            )
-            assert knn_predict(train, r.user_id, r.item_id, cfg) == (
-                oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, None)
-            )
+        if r.user_id in train.users:
+            want = oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, sims)
+            assert knn_predict(train, r.user_id, r.item_id, cfg, sims) == want
+            assert knn_predict(train, r.user_id, r.item_id, cfg) == want
 
 
 def _self_rater_case():
@@ -243,11 +242,11 @@ def test_nf3_blocks_match_loop_oracle(monkeypatch, cells):
     # the case holds what the blocks must get right: self-raters, rows
     # with fewer than k nonzero weights but some, and unpredictable rows
     sims = SimilarityMatrix(train, cfg)
-    train_keys = set(train.keys())
+    train_keys = set(oracles.keys(train))
     nonzero = [
         sum(sims.between(r.user_id, int(v)) != 0.0
-            for v in train.users[train.item_rows(r.item_id)] if v != r.user_id)
-        for r in test if r.user_id in sims.index
+            for v in train.users[train.items == r.item_id] if v != r.user_id)
+        for r in test if r.user_id in sims.user_ids
     ]
     assert any((r.user_id, r.item_id) in train_keys for r in test)
     assert any(0 < n < cfg.k for n in nonzero)

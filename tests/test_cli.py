@@ -187,6 +187,28 @@ def test_int64_overflow_in_ratings_exits_3(tmp_path, capsys, row, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,A (2001),Drama", "1,B (2001),Comedy"], "3: repeated movieId 1 (first on line 2)"),
+        (["2,A (2001),Drama", "-4,B (2001),Comedy"], "3: negative movieId -4"),
+        (["99999999999999999999,A (2001),Drama"], "2: movieId 99999999999999999999 outside int64"),
+    ],
+    ids=["repeated", "negative", "int64"],
+)
+def test_bad_movie_id_exits_3(tmp_path, capsys, rows, message):
+    movies = tmp_path / "movies.csv"
+    movies.write_text("movieId,title,genres\n" + "\n".join(rows) + "\n")
+    code = main(
+        ["ingest", "--ratings-path", str(MINI_DIR / "ratings.csv"), "--movies-path", str(movies),
+         "--out-dir", str(tmp_path / "out"), "--min-activity", "1"]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{movies}:{message}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_too_small_dataset_exits_3_before_writing(tmp_path, capsys):
     ratings = tmp_path / "ratings.csv"
     head = (MINI_DIR / "ratings.csv").read_text().splitlines(keepends=True)[0]
@@ -330,12 +352,13 @@ def _extra_noisy_row(lines: list[str]) -> None:
         ("ensemble.csv", _extra_noisy_row, "evaluate", "does not list the Uncertain ratings"),
         ("votes.csv", _swap_first_rows, "signature", "does not list the ratings"),
         ("votes.csv", _bogus_cell(0, "99999999999999999999"), "ensemble", "too large"),
+        ("signature.csv", _bogus_cell(2), "evaluate", "Invalid isoformat string: 'bogus'"),
     ],
     ids=[
         "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
         "bad-hits-header", "bad-board-json", "empty-classification", "empty-hits",
         "bogus-score", "other-variant", "missing-row", "extra-row", "reordered-votes",
-        "wide-vote-id",
+        "wide-vote-id", "bogus-hit-day",
     ],
 )
 def test_malformed_artifact_exits_3(

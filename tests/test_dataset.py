@@ -15,12 +15,15 @@ from noisegate.dataset import (
     Scale,
     SplitSpec,
     filter_min_activity,
+    id_stats,
     load_genres,
     load_ratings,
     split_train_test,
 )
+from noisegate.synth import planted_tables
 
 from .conftest import make_genres, make_table
+from .oracles import _has, genres_of, keys, value_of
 
 
 def test_scale_rejects_inverted_bounds():
@@ -38,9 +41,10 @@ def test_scale_span_and_grid():
 def test_table_sorts_rows_and_exposes_keys():
     t = make_table([(2, 7, 3.0, 10), (1, 9, 4.0, 11), (1, 3, 2.0, 12)])
     assert t.rows() == [(1, 3, 2.0, 12), (1, 9, 4.0, 11), (2, 7, 3.0, 10)]
-    assert t.user_ids() == [1, 2]
-    assert t.has(1, 9) and not t.has(9, 1)
-    assert t.value_of(2, 7) == 3.0
+    assert t.user_ids().tolist() == [1, 2]
+    assert t.item_ids().tolist() == [3, 7, 9]
+    assert t.contains(np.array([1, 9]), np.array([9, 1])).tolist() == [True, False]
+    assert value_of(t, 2, 7) == 3.0
 
 
 def test_table_rejects_duplicate_key():
@@ -55,11 +59,12 @@ def test_table_rejects_out_of_scale_value():
 
 def test_user_and_item_stats_population_std():
     t = make_table([(1, 1, 1.0, 0), (1, 2, 3.0, 0), (2, 1, 5.0, 0)])
-    mean, std, count = t.user_stats()[1]
-    assert mean == 2.0 and count == 2
-    assert std == pytest.approx(1.0)  # population, not sample
-    imean, istd, icount = t.item_stats()[1]
-    assert imean == 3.0 and icount == 2 and istd == pytest.approx(2.0)
+    users, mean, std, count = id_stats(t.users, t.values)
+    assert users.tolist() == [1, 2] and mean[0] == 2.0 and count[0] == 2
+    assert std[0] == pytest.approx(1.0)  # population, not sample
+    items, imean, istd, icount = id_stats(t.items, t.values)
+    assert items.tolist() == [1, 2]
+    assert imean[0] == 3.0 and icount[0] == 2 and istd[0] == pytest.approx(2.0)
 
 
 def test_without_keys_and_without_users():
@@ -79,14 +84,14 @@ def test_without_keys_matches_set_filter(cells, dropped):
     t = make_table([(u, i, 3.0, 0) for u, i in sorted(cells)])
     users = np.array([u for u, _ in dropped], dtype=np.int64)
     items = np.array([i for _, i in dropped], dtype=np.int64)
-    assert t.without_keys(users, items).keys() == [k for k in t.keys() if k not in set(dropped)]
+    assert keys(t.without_keys(users, items)) == [k for k in keys(t) if k not in set(dropped)]
 
 
 def test_merged_tables_preserve_rows():
     a = make_table([(1, 1, 1.0, 0)])
     b = make_table([(2, 2, 2.0, 0)])
     m = a.merged(b)
-    assert len(m) == 2 and m.has(1, 1) and m.has(2, 2)
+    assert len(m) == 2 and _has(m, 1, 1) and _has(m, 2, 2)
 
 
 def test_load_ratings_deduplicates_keeping_latest(tmp_path):
@@ -100,7 +105,7 @@ def test_load_ratings_deduplicates_keeping_latest(tmp_path):
     )
     t = load_ratings(p)
     assert len(t) == 3
-    assert t.value_of(1, 10) == 4.5  # latest timestamp wins
+    assert value_of(t, 1, 10) == 4.5  # latest timestamp wins
     assert t.dropped_duplicates == 1
 
 
@@ -136,18 +141,17 @@ def test_load_genres_indicator_vectors(tmp_path):
     )
     g = load_genres(p)
     assert set(g.vocabulary) == {"Adventure", "Comedy", "Drama"}
-    v1 = g.vector(1)
-    assert v1.sum() == 2.0
-    assert g.genres_of(1) == ("Adventure", "Comedy")
-    # absent item -> zero vector, flagged absent via containment
-    assert 99 not in g
-    assert g.vector(99).sum() == 0.0
-    assert g.vector(3).sum() == 0.0
+    assert g.item_ids.tolist() == [1, 2, 3]
+    assert g.vectors([1])[0].sum() == 2.0
+    assert genres_of(g, 1) == ("Adventure", "Comedy")
+    # absent item -> zero vector; it has no id in the map
+    assert 99 not in g.item_ids
+    assert g.vectors([99, 3]).sum() == 0.0
 
 
 def test_identical_genres_have_cosine_one(tmp_path):
     g = make_genres({1: ("A", "B"), 2: ("A", "B")}, ("A", "B", "C"))
-    a, b = g.vector(1), g.vector(2)
+    a, b = g.vectors([1, 2])
     cos = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
     assert cos == pytest.approx(1.0)
 
@@ -158,14 +162,14 @@ def test_filter_min_activity_thresholds():
         rows.extend((u, i, 3.0, 0) for i in range(n))
     t = make_table(rows)
     kept = filter_min_activity(t, min_count=50, by="user")
-    assert kept.user_ids() == [1, 3]
+    assert kept.user_ids().tolist() == [1, 3]
     assert len(filter_min_activity(t, min_count=0, by="user")) == len(t)
 
 
 def test_filter_min_activity_removes_user_with_49():
     rows = [(1, i, 3.0, 0) for i in range(49)] + [(2, i, 3.0, 0) for i in range(50)]
     t = make_table(rows)
-    assert filter_min_activity(t, min_count=50).user_ids() == [2]
+    assert filter_min_activity(t, min_count=50).user_ids().tolist() == [2]
 
 
 def test_split_fraction_arithmetic():
@@ -189,7 +193,7 @@ def test_split_partitions_every_user():
     te = set((r[0], r[1]) for r in test.rows())
     assert tr | te == keys and not (tr & te)
     for u in (1, 2, 3):
-        assert len(train.user_rows(u)) == math.ceil(0.7 * 7)
+        assert np.count_nonzero(train.users == u) == math.ceil(0.7 * 7)
 
 
 def test_split_same_seed_identical():
@@ -203,7 +207,7 @@ def test_split_single_rating_user_goes_to_train(caplog):
     t = make_table([(1, 1, 3.0, 0), (2, 1, 3.0, 0), (2, 2, 3.0, 0), (2, 3, 4.0, 0)])
     with caplog.at_level("WARNING"):
         train, test = split_train_test(t, SplitSpec(0.5, 0))
-    assert train.has(1, 1) and not test.has(1, 1)
+    assert _has(train, 1, 1) and not _has(test, 1, 1)
     assert any("single rating" in r.message for r in caplog.records)
 
 
@@ -223,4 +227,93 @@ def test_split_partition_property(n_users, n_items, frac, seed):
     te = set((r[0], r[1]) for r in test.rows())
     assert not (tr & te)
     for u in range(1, n_users + 1):
-        assert len(train.user_rows(u)) == math.ceil(frac * n_items)
+        assert np.count_nonzero(train.users == u) == math.ceil(frac * n_items)
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _assert_stats_equal_loop(ids: np.ndarray, values: np.ndarray) -> None:
+    """id_stats against np.mean, np.std and len over each id's values in row order."""
+    got_ids, mean, std, count = id_stats(ids, values)
+    want = sorted(set(ids.tolist()))
+    assert got_ids.tolist() == want
+    per_id = [values[ids == i] for i in want]
+    assert _hexes(mean) == _hexes(np.mean(v) for v in per_id)
+    assert _hexes(std) == _hexes(np.std(v) for v in per_id)
+    assert count.tolist() == [len(v) for v in per_id]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([0, 1, 7, 60, 700]),
+    n_ids=st.sampled_from([1, 3, 40, 700]),
+    on_grid=st.booleans(),
+)
+def test_id_stats_equal_per_id_loop(seed, n, n_ids, on_grid):
+    """Ids in any order, from one value each to hundreds (past numpy's
+    pairwise-summation block), on the rating grid or anywhere in the scale."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, n_ids, n)
+    values = rng.choice(Scale().grid(), n) if on_grid else rng.uniform(0.5, 5.0, n)
+    _assert_stats_equal_loop(ids, values)
+    _assert_stats_equal_loop(np.sort(ids), values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), on_grid=st.booleans())
+def test_id_stats_equal_loop_on_table_columns(seed, on_grid):
+    """Both columns of a table, shuffled, and of the detect split and the
+    train + detect context the board profiles on; some users and items
+    have a single rating."""
+    table, _ = planted_tables(users=25, items=60, ratings_per_user=(1, 40), seed=seed)
+    table = table.merged(make_table([(1000, 1000, 2.5, 0)]))  # one rating for both ids
+    rng = np.random.default_rng(seed)
+    if not on_grid:
+        table = RatingsTable.from_arrays(
+            table.users, table.items, rng.uniform(0.5, 5.0, len(table)), table.timestamps, Scale()
+        )
+    train, detect = split_train_test(table, SplitSpec(0.7, seed))
+    shuffled = rng.permutation(len(table))
+    for t in (table, detect, train.merged(detect)):
+        for column in (t.users, t.items):
+            _assert_stats_equal_loop(column, t.values)
+    for column in (table.users, table.items):
+        _assert_stats_equal_loop(column[shuffled], table.values[shuffled])
+    assert id_stats(table.users, table.values)[3][-1] == 1
+    assert id_stats(table.items, table.values)[3][-1] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 5),
+    n_items=st.integers(0, 30),
+)
+def test_genre_rows_equal_per_item_vectors(tmp_path_factory, seed, width, n_items):
+    """GenreMap's row lookup, built from ids in any order and read back from
+    a movies.csv, against a per-item dict: unknown and genre-less items
+    give zeros, repeated queries repeat rows."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(100, n_items, replace=False)
+    vocabulary = tuple(f"g{k}" for k in range(width))
+    vectors = {int(i): (rng.random(width) < 0.4).astype(float) for i in ids}
+    matrix = np.array([vectors[int(i)] for i in ids]).reshape(n_items, width)
+    query = rng.integers(-5, 110, 40)
+    want = [vectors.get(int(i), np.zeros(width)).tolist() for i in query]
+    g = GenreMap(ids, matrix, vocabulary)
+    assert g.item_ids.tolist() == sorted(vectors)
+    assert g.vectors(query).tolist() == want
+    movies = tmp_path_factory.mktemp("genres") / "movies.csv"
+    lines = ["movieId,title,genres"]
+    for i in ids.tolist():
+        names = [vocabulary[k] for k in np.flatnonzero(vectors[i])]
+        lines.append(f"{i},Item {i},{'|'.join(names) or '(no genres listed)'}")
+    movies.write_text("\n".join(lines) + "\n")
+    loaded = load_genres(movies)
+    named = [genres_of(g, int(i)) for i in query]
+    assert [genres_of(loaded, int(i)) for i in query] == named
+    used = [k for k, name in enumerate(vocabulary) if name in loaded.vocabulary]
+    assert loaded.vectors(query).tolist() == [[w[k] for k in used] for w in want]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisegate.dataset import GenreMap, Scale
+from noisegate.dataset import Scale
 from noisegate.evaluation import (
     ACCURACY_METRICS,
     BASIS_RATINGS,
@@ -30,7 +30,7 @@ from noisegate.pipeline import _evaluate_arm, _rating_counts
 from noisegate.recsys import MfModel, recommend_topk
 
 from . import oracles
-from .conftest import make_table
+from .conftest import genre_map, make_table
 
 GRID = [0.5 * k for k in range(1, 11)]
 # Items 90-92 are rated in the held-out fold only, so no model has seen them.
@@ -87,7 +87,7 @@ def _worlds(draw):
         cleaned=cleaned,
         eval_t=eval_t,
         universe=np.array(users, dtype=np.int64),
-        genres=GenreMap(vectors, tuple(f"g{k}" for k in range(width))),
+        genres=genre_map(vectors, tuple(f"g{k}" for k in range(width))),
         before=_model(rng, f, corpus),
         after=_model(rng, f, cleaned),
         K=draw(st.integers(1, 24)),

@@ -11,10 +11,10 @@ from noisegate.board.nf2 import (
     Nf2Group,
     Quality,
     Quantity,
+    _coherence,
     group_users,
     nf2_detect,
     nf2_rnd,
-    user_coherence,
 )
 from noisegate.dataset import RatingsTable
 
@@ -30,6 +30,13 @@ def nf2_group_user(
     if group is None:
         raise ValueError(f"user {user} not in table")
     return group
+
+
+def user_coherence(user: int, table: RatingsTable) -> tuple[float, bool]:
+    """(coherence, had_genres) of one user, from the pass over the whole table."""
+    users, coherence, had = _coherence(table)
+    k = users.tolist().index(user)
+    return float(coherence[k]), bool(had[k])
 
 
 def _population_table():

@@ -376,7 +376,7 @@ def test_removal_soundness(framework_run):
     corpus = train.merged(detect)
     noisy = set(result.votes.keys(result.noisy))
     flagged = {h.user_id for h in result.hits}
-    keep = [k for k, key in enumerate(corpus.keys()) if key not in noisy]
+    keep = [k for k, key in enumerate(oracles.keys(corpus)) if key not in noisy]
     expected = corpus.subset_rows(keep).without_users(flagged)
     rm = result.report_dict["removal"]
     assert rm["corpus_size"] == len(corpus)

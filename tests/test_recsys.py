@@ -18,12 +18,12 @@ from noisegate.recsys import (
     knn_predict,
     load_model,
     mf_train,
-    pearson_similarity,
     recommend_topk,
     save_model,
 )
 
 from .conftest import MINI_DIR, make_table
+from .oracles import _profile, pearson_similarity
 
 
 def _brute_pearson(a: dict[int, float], b: dict[int, float], cfg: KnnConfig) -> float:
@@ -43,28 +43,34 @@ def _brute_pearson(a: dict[int, float], b: dict[int, float], cfg: KnnConfig) -> 
     return (num / (dx * dy)) * min(len(common), cfg.significance_cap) / cfg.significance_cap
 
 
+def _pair_similarity(a: dict[int, float], b: dict[int, float], cfg: KnnConfig) -> float:
+    """SimilarityMatrix's weight between a user with profile a and one with profile b."""
+    t = make_table([(1, i, v, 0) for i, v in a.items()] + [(2, i, v, 0) for i, v in b.items()])
+    return SimilarityMatrix(t, cfg).between(1, 2)
+
+
 def test_pearson_identical_long_profiles_is_one():
     prof = {i: float(1 + (i % 9) * 0.5) for i in range(60)}
     cfg = KnnConfig(significance_cap=50)
-    assert pearson_similarity(prof, dict(prof), cfg) == pytest.approx(1.0, abs=1e-9)
+    assert _pair_similarity(prof, dict(prof), cfg) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pearson_overlap_below_min_is_zero():
     cfg = KnnConfig(min_overlap=2)
-    assert pearson_similarity({1: 4.0}, {1: 2.0}, cfg) == 0.0
+    assert _pair_similarity({1: 4.0}, {1: 2.0}, cfg) == 0.0
 
 
 def test_pearson_reversed_triple_weighted():
     a = {1: 1.0, 2: 2.0, 3: 3.0}
     b = {1: 3.0, 2: 2.0, 3: 1.0}
     cfg = KnnConfig(significance_cap=50)
-    assert pearson_similarity(a, b, cfg) == pytest.approx(-0.06, abs=1e-9)
+    assert _pair_similarity(a, b, cfg) == pytest.approx(-0.06, abs=1e-9)
 
 
 def test_pearson_zero_variance_is_zero():
     a = {1: 3.0, 2: 3.0, 3: 3.0}
     b = {1: 1.0, 2: 2.0, 3: 5.0}
-    assert pearson_similarity(a, b, KnnConfig()) == 0.0
+    assert _pair_similarity(a, b, KnnConfig()) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,9 +84,9 @@ def test_pearson_matches_brute_force_and_is_symmetric(values, cap):
     a = {i: round(v[0] * 2) / 2 for i, v in enumerate(values)}
     b = {i: round(v[1] * 2) / 2 for i, v in enumerate(values)}
     cfg = KnnConfig(min_overlap=2, significance_cap=cap)
-    got = pearson_similarity(a, b, cfg)
+    got = _pair_similarity(a, b, cfg)
     assert got == pytest.approx(_brute_pearson(a, b, cfg), abs=1e-9)
-    assert got == pytest.approx(pearson_similarity(b, a, cfg), abs=1e-9)
+    assert got == pytest.approx(_pair_similarity(b, a, cfg), abs=1e-9)
 
 
 def test_similarity_matrix_agrees_with_pairwise():
@@ -95,7 +101,7 @@ def test_similarity_matrix_agrees_with_pairwise():
     sims = SimilarityMatrix(t, cfg)
     for u in t.user_ids():
         for v in t.user_ids():
-            direct = pearson_similarity(t.user_profile(u), t.user_profile(v), cfg)
+            direct = pearson_similarity(_profile(t, u), _profile(t, v), cfg)
             assert sims.between(u, v) == pytest.approx(direct, abs=1e-9)
 
 
@@ -119,7 +125,7 @@ def test_knn_single_perfect_neighbor_deviation():
     t = _neighbor_fixture()
     cfg = KnnConfig(k=5, min_overlap=2, significance_cap=3)
     # neighbor similarity: identical over 3 co-rated items with variance -> 1.0
-    assert pearson_similarity(t.user_profile(1), t.user_profile(2), cfg) == pytest.approx(1.0)
+    assert SimilarityMatrix(t, cfg).between(1, 2) == pytest.approx(1.0)
     # neighbor mean = (2+3+4+2.5+3.5)/5 = 3.0, deviation on item 99 = +0.5
     pred = knn_predict(t, 1, 99, cfg)
     assert pred == pytest.approx(3.5, abs=1e-9)
@@ -194,16 +200,15 @@ def test_mf_items_are_exact_ridge_minimizers():
     t = make_table(rows)
     reg = 0.05
     model = mf_train(t, f=3, epochs=6, reg=reg, seed=2)
-    grads = {i: np.zeros(model.f + 1) for i in model.items}
-    counts = dict.fromkeys(model.items, 0)
+    grads = {i: np.zeros(model.f + 1) for i in model.items.tolist()}
+    counts = dict.fromkeys(model.items.tolist(), 0)
     for r in t:
-        ur, ir = model.urow[r.user_id], model.irow[r.item_id]
+        ur, ir = np.searchsorted(model.users, r.user_id), np.searchsorted(model.items, r.item_id)
         p, q = model.P[ur], model.Q[ir]
         e = r.value - (model.global_mean + model.bu[ur] + model.bi[ir] + float(p @ q))
         grads[r.item_id] -= 2.0 * e * np.append(p, 1.0)
         counts[r.item_id] += 1
-    for i in model.items:
-        k = model.irow[i]
+    for k, i in enumerate(model.items.tolist()):
         grads[i] += 2.0 * reg * counts[i] * np.append(model.Q[k], model.bi[k])
     assert max(float(np.abs(g).max()) for g in grads.values()) < 1e-8
 

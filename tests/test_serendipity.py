@@ -14,16 +14,13 @@ from noisegate.evaluation.serendipity import (
     serendipity,
 )
 
-from .conftest import make_genres, make_table
-from .oracles import serendipity_loop
+from .conftest import genre_map, make_genres, make_table
+from .oracles import genre_vector, serendipity_loop
 
 
 def _genre_map(vectors) -> GenreMap:
     width = len(next(iter(vectors.values())))
-    return GenreMap(
-        {item: np.asarray(v, dtype=float) for item, v in vectors.items()},
-        tuple(f"g{k}" for k in range(width)),
-    )
+    return genre_map(vectors, tuple(f"g{k}" for k in range(width)))
 
 
 def _one(recs, history, relevant, vectors, formula=FORMULA_COMPLEMENT):
@@ -145,13 +142,13 @@ def _all_cosines(recs, history, relevant, genres, formula=FORMULA_COMPLEMENT):
     recommended item and multiplied it by the relevance gate."""
     if not recs:
         return 0.0
-    hist = [genres.vector(h) for h in sorted(history)]
+    hist = [genre_vector(genres, h) for h in sorted(history)]
     H = np.array([v for v in hist if np.linalg.norm(v) > 0])
     if len(H) == 0:
         return 0.0
     contributions: list[float] = []
     for item in recs:
-        v = genres.vector(item)
+        v = genre_vector(genres, item)
         if np.linalg.norm(v) == 0:
             continue
         s = float(np.mean((H @ v) / (np.linalg.norm(H, axis=1) * np.linalg.norm(v))))

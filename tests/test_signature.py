@@ -139,7 +139,7 @@ def test_remove_user_drops_all_ratings():
     assert [h.user_id for h in hits] == [1]
     out = apply_signature_action(table, hits, SignatureAction.REMOVE_USER)
     assert len(table) - len(out) == 80
-    assert out.user_ids() == [2]
+    assert out.user_ids().tolist() == [2]
 
 
 def test_no_hits_leaves_table_unchanged():
