@@ -1,0 +1,77 @@
+"""Time Layer 2's variants on the MovieLens-sized stand-in's features.
+
+    PYTHONPATH=src python scripts/layer2_standin.py [OUT_DIR]
+
+Builds the stand-in (noisegate.synth.movielens_sized_tables(seed=0)), runs
+the staged `ingest` and `detect` commands on it with the default config,
+then trains EL3, EL2, EL4_1 and EL4_2 on the board's unanimous ratings with
+seed 11 and classifies its Uncertain ones.  Prints one line per variant:
+train and classify seconds (perf_counter), Noisy labels, and the sha256 of
+the variant's classification CSV, so two checkouts' labels and scores can be
+compared byte for byte.  With OUT_DIR the run directory and the CSVs
+(<variant>.csv) are kept there; else they go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from noisegate.board import Consensus, read_votes
+from noisegate.ensemble import classify_uncertain, train_el, write_classification
+from noisegate.ensemble.features import read_features
+from noisegate.pipeline import PipelineConfig, cli_detect, cli_ingest, run_paths
+from noisegate.synth import movielens_sized_tables, write_dataset_csvs
+
+VARIANTS = ("EL3", "EL2", "EL4_1", "EL4_2")
+SEED = 11
+
+
+def main(out: Path) -> None:
+    table, genres = movielens_sized_tables(seed=0)
+    write_dataset_csvs(table, genres, out / "inputs")
+    cfg = PipelineConfig(
+        ratings_path=str(out / "inputs" / "ratings.csv"),
+        movies_path=str(out / "inputs" / "movies.csv"),
+        out_dir=str(out / "runs"),
+    )
+    paths = run_paths(cfg)
+    cli_ingest(cfg, paths)
+    cli_detect(cfg, paths)
+    votes = read_votes(paths.votes)
+    X = read_features(paths.features)[2]
+    uncertain = votes.where(Consensus.UNCERTAIN)
+    y = votes.where(Consensus.NOISY)[~uncertain].astype(np.int64)
+    X_lab, X_unc = X[~uncertain], X[uncertain]
+    print(f"labeled {len(y)} ({int(y.sum())} noisy), uncertain {len(X_unc)}")
+    for variant in VARIANTS:
+        start = time.perf_counter()
+        model = train_el(X_lab, y, X_unc, PipelineConfig(ensemble_variant=variant), SEED)
+        trained = time.perf_counter()
+        noisy, scores = classify_uncertain(model, X_unc)
+        done = time.perf_counter()
+        csv = out / f"{variant}.csv"
+        write_classification(
+            votes.users[uncertain], votes.items[uncertain], noisy, scores, variant, csv
+        )
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest()[:16]
+        print(
+            f"{variant:6s} train {trained - start:8.3f} s  classify {done - trained:7.3f} s  "
+            f"noisy {int(noisy.sum()):5d}  sha256 {digest}",
+            flush=True,
+        )
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit(__doc__)
+    if len(sys.argv) == 2:
+        main(Path(sys.argv[1]))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            main(Path(tmp))

@@ -70,8 +70,11 @@ def train_gbt(
     of the split the latest tree made there: a round builds plans only
     below a split the previous tree did not make, each round drops the
     plans its tree did not visit, and all are freed on return.  The leaves
-    write the round's predictions on X.  With rounds=0 the model is the
-    prior log-odds, so it predicts the majority class; lr=0 freezes the
+    write the round's predictions on X.  Each round's sigmoid of the score
+    gives both that round's loss and the next round's gradients, the same
+    array either would compute.  A node whose gradients are all one value
+    is priced from one sequence (see trees).  With rounds=0 the model is
+    the prior log-odds, so it predicts the majority class; lr=0 freezes the
     score at that prior.  Training log-loss is recorded per round.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -82,14 +85,15 @@ def train_gbt(
     plan = root_plan(X)
     fitted = np.empty(len(y))
     trees: list[RegressionTree] = []
-    losses: list[float] = [_log_loss(y, _sigmoid(score))]
+    p = _sigmoid(score)
+    losses: list[float] = [_log_loss(y, p)]
     for _ in range(rounds):
-        p = _sigmoid(score)
         g = y - p
         h = p * (1.0 - p)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
             raise RuntimeError(f"non-finite gradient at round {len(trees)}")
         trees.append(RegressionTree(max_depth=depth).grow(X, g, h, plan, fitted))
         score = score + lr * fitted
-        losses.append(_log_loss(y, _sigmoid(score)))
+        p = _sigmoid(score)
+        losses.append(_log_loss(y, p))
     return GbtModel(base, trees, lr, losses)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..seeding import derive_seed
-from .learners import GaussianNB, KnnClassifier, LogisticRegression, MarginClassifier
+from .learners import _KNN_CHUNK, GaussianNB, KnnClassifier, LogisticRegression, MarginClassifier
 from .trees import DecisionTree
 
 logger = logging.getLogger("noisegate.ensemble.ressel")
@@ -105,6 +105,46 @@ def train_bagging(
     return ResselModel(classifiers, [], "bagging")
 
 
+# Learners whose probability for a row does not depend on the other rows of
+# the call, as long as a KnnClassifier gets its rows in its own chunks,
+# counted from the first row it would be given.
+_ROW_WISE = (KnnClassifier, DecisionTree, GaussianNB)
+
+
+def _confident_batch(
+    clf, X_unlabeled: np.ndarray, pool: np.ndarray, take: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions into pool, predicted labels) of a round's batch: for each
+    class c, the take[c] rows predicted c with the highest confidence
+    |p - 0.5|, ties to the lowest position; positions ascend.
+
+    Confidence cannot exceed 0.5, so once each class has take[c] rows at
+    exactly 0.5, no row further on can enter the batch.  A row-wise learner
+    therefore predicts the pool a chunk at a time and stops there; a chunk
+    is _KNN_CHUNK rows from the start of the pool, so every row keeps the
+    bits the whole-pool call gives it.  Any other learner predicts the
+    whole pool in one call.
+    """
+    step = _KNN_CHUNK if isinstance(clf, _ROW_WISE) else len(pool)
+    parts = []
+    sure = np.zeros(2, dtype=np.int64)
+    for start in range(0, len(pool), step):
+        p = clf.predict_proba(X_unlabeled[pool[start : start + step]])
+        parts.append(p)
+        sure += np.bincount(p[np.abs(p - 0.5) == 0.5] > 0.5, minlength=2)
+        if sure[0] >= take[0] and sure[1] >= take[1]:
+            break
+    proba = np.concatenate(parts)
+    pred = (proba > 0.5).astype(np.int64)
+    conf = np.abs(proba - 0.5)
+    chosen = []
+    for c in (0, 1):
+        cand = np.flatnonzero(pred == c)
+        chosen.append(cand[np.lexsort((cand, -conf[cand]))[: take[c]]])
+    batch = np.sort(np.concatenate(chosen))
+    return batch, pred[batch]
+
+
 def train_ressel(
     X_labeled: np.ndarray,
     y: np.ndarray,
@@ -120,7 +160,9 @@ def train_ressel(
     Per round a bag adds its add_per_round most confident unlabeled points,
     class-balanced by predicted label; the candidate step is kept only when
     the bag's OOB error does not increase.  max_rounds caps the number of
-    self-training rounds per bag.
+    self-training rounds per bag.  A round reads the pool only up to the
+    point where its batch is settled (_confident_batch), which picks the
+    batch a whole-pool prediction would.
     """
     X_labeled = np.asarray(X_labeled, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -134,7 +176,7 @@ def train_ressel(
     classifiers = []
     sequences: list[list[float]] = []
     n_half = add_per_round // 2
-    take = {0: n_half, 1: add_per_round - n_half}
+    take = (n_half, add_per_round - n_half)
     for b in range(bags):
         rng = np.random.default_rng(derive_seed(seed, b))
         idx = rng.integers(0, n, size=n)
@@ -155,19 +197,10 @@ def train_ressel(
         rounds = 0
         while len(pool) and rounds < max_rounds:
             rounds += 1
-            proba = clf.predict_proba(X_unlabeled[pool])
-            pred = (proba > 0.5).astype(np.int64)
-            conf = np.abs(proba - 0.5)
-            batch_positions: list[int] = []
-            for c in (0, 1):
-                cand = np.flatnonzero(pred == c)
-                order = np.lexsort((pool[cand], -conf[cand]))
-                batch_positions.extend(cand[order[: take[c]]].tolist())
-            if not batch_positions:
+            batch, by = _confident_batch(clf, X_unlabeled, pool, take)
+            if not len(batch):
                 break
-            batch = np.array(sorted(batch_positions))
             bx = X_unlabeled[pool[batch]]
-            by = pred[batch]
             trial_X = np.vstack([X_labeled[idx]] + accepted_X + [bx])
             trial_y = np.concatenate([y[idx]] + accepted_y + [by])
             clf2 = factory(clf_seed).fit(trial_X, trial_y)

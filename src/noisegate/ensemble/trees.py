@@ -10,15 +10,18 @@ the node's rows only: the stably sorted rows of each candidate feature with
 a boundary (two distinct adjacent values) in the node, and each boundary's
 flat position, feature and left size.  Pricing takes cumulative sums of the
 labels or gradients along those orders, prices every boundary in one array
-pass and keeps the first least cost.  When every split searches every
-feature, X is presorted once per fit and each split filters its plan down
-to the children that will search (the SLIQ presort, Mehta, Agrawal &
-Rissanen 1996); a feature constant in a node is constant below it, so it
-leaves the plan for good.  Else each node sorts its own candidates.  A
-plan keeps the child plans of the split last made at it, keyed by
-(feature, threshold), so gradient boosting (Friedman 2001), which grows
-many trees over one X, rebuilds a plan only below a split the previous
-tree did not make.
+pass and keeps the first least cost.  A regression node whose gradients
+share one bit pattern reads the same sequence along every order, so one
+pair of prefix sums over its rows, looked up by left size, gives every
+order's sums bit for bit; boosting's nodes past a clean cut are such
+nodes.  When every split searches every feature, X is presorted once per
+fit and each split filters its plan down to the children that will search
+(the SLIQ presort, Mehta, Agrawal & Rissanen 1996); a feature constant in
+a node is constant below it, so it leaves the plan for good.  Else each
+node sorts its own candidates.  A plan keeps the child plans of the split
+last made at it, keyed by (feature, threshold), so gradient boosting
+(Friedman 2001), which grows many trees over one X, rebuilds a plan only
+below a split the previous tree did not make.
 """
 
 from __future__ import annotations
@@ -321,13 +324,25 @@ class RegressionTree(_Tree):
         if not self._searched(stats, rows, depth):
             return self._leaf(gn, h[rows])
         total_sse = float(gn @ gn) - gn.sum() ** 2 / n
-        gs = g[plan.orders]
-        csum = np.cumsum(gs, axis=1)
-        csq = np.cumsum(gs * gs, axis=1)
+        bits = gn.view(np.int64)
+        if (bits == bits[0]).all():
+            # Every order reads the same sequence, so one pair of prefix
+            # sums, indexed by left size, gives every order's sums.
+            by_nl, sq_nl = np.cumsum(gn), np.cumsum(gn * gn)
+
+            def sums(at, c, nl):
+                return by_nl[nl - 1], sq_nl[nl - 1], by_nl[-1], sq_nl[-1]
+        else:
+            gs = g[plan.orders]
+            csum = np.cumsum(gs, axis=1)
+            csq = np.cumsum(gs * gs, axis=1)
+
+            def sums(at, c, nl):
+                return csum.take(at), csq.take(at), csum[:, -1][c], csq[:, -1][c]
 
         def sse(at, c, nl):
-            sl, ql = csum.take(at), csq.take(at)
-            sr, qr = csum[:, -1][c] - sl, csq[:, -1][c] - ql
+            sl, ql, s, q = sums(at, c, nl)
+            sr, qr = s - sl, q - ql
             return (ql - sl * sl / nl) + (qr - sr * sr / (n - nl))
 
         split = _best_boundary(X, plan, total_sse - _MIN_GAIN, sse)

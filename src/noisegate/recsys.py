@@ -50,6 +50,14 @@ class SimilarityMatrix:
     min(n, significance_cap) / significance_cap, so that similarities backed
     by few co-rated items carry less weight; overlaps below min_overlap and
     zero variances give 0.  All pairs come from five dense matrix products.
+
+    The build holds at most two users x items matrices, then five users x
+    users ones: each rating matrix is freed after its last product, R is
+    squared in place, and the rest is taken with in-place ufuncs into the
+    product buffers and one scratch matrix, the result landing in the
+    buffer of R @ R.T.  Each step rounds as the expression it replaces:
+    t / n under where=(n > 0) leaves t as t / 1 would, and the division by
+    the denominator likewise.
     """
 
     def __init__(self, table: RatingsTable, cfg: KnnConfig = KnnConfig()):
@@ -63,24 +71,30 @@ class SimilarityMatrix:
         M = np.zeros((nu, ni))
         R[rows_u, rows_i] = table.values
         M[rows_u, rows_i] = 1.0
-        n = M @ M.T
-        sx = R @ M.T
-        sxx = (R * R) @ M.T
         sxy = R @ R.T
-        del R, M  # only the products are read below; freeing early lowers peak memory
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cov = sxy - sx * sx.T / np.where(n > 0, n, 1)
-            var_x = sxx - sx * sx / np.where(n > 0, n, 1)
-            del sx, sxx, sxy
-            var_y = var_x.T
-            denom = np.sqrt(var_x * var_y)
-            raw = np.where(
-                (var_x > _VAR_EPS) & (var_y > _VAR_EPS) & (n >= cfg.min_overlap),
-                cov / np.where(denom > 0, denom, 1),
-                0.0,
-            )
-        raw = np.clip(raw, -1.0, 1.0)
-        self.matrix = raw * np.minimum(n, cfg.significance_cap) / cfg.significance_cap
+        sx = R @ M.T
+        np.multiply(R, R, out=R)
+        sxx = R @ M.T
+        del R
+        n = M @ M.T
+        del M
+        counted = n > 0
+        t = np.multiply(sx, sx.T)
+        with np.errstate(invalid="ignore"):
+            np.divide(t, n, out=t, where=counted)
+            cov = np.subtract(sxy, t, out=sxy)
+            np.multiply(sx, sx, out=t)
+            np.divide(t, n, out=t, where=counted)
+            var_x = np.subtract(sxx, t, out=sxx)
+            del sx, counted
+            np.multiply(var_x, var_x.T, out=t)
+            denom = np.sqrt(t, out=t)
+            np.divide(cov, denom, out=cov, where=denom > 0)
+        varies = var_x > _VAR_EPS
+        np.copyto(cov, 0.0, where=~(varies & varies.T & (n >= cfg.min_overlap)))
+        np.clip(cov, -1.0, 1.0, out=cov)
+        np.multiply(cov, np.minimum(n, cfg.significance_cap, out=n), out=cov)
+        self.matrix = np.divide(cov, cfg.significance_cap, out=cov)
 
     def between(self, user_a: int, user_b: int) -> float:
         a, b = sorted_index(self.user_ids, np.array([user_a, user_b]))
@@ -224,18 +238,6 @@ class MfModel:
     def f(self) -> int:
         return self.P.shape[1]
 
-    def predict(self, user: int, item: int) -> float:
-        score = self.global_mean
-        ur = int(sorted_index(self.users, np.array([user]))[0])
-        ir = int(sorted_index(self.items, np.array([item]))[0])
-        if ur < len(self.users):
-            score += self.bu[ur]
-        if ir < len(self.items):
-            score += self.bi[ir]
-        if ur < len(self.users) and ir < len(self.items):
-            score += float(self.P[ur] @ self.Q[ir])
-        return self.scale.clamp(score)
-
 
 # Rows per batched ridge solve: bounds the (rows, d, d) Gram stack a
 # half-sweep holds at once, d = factors + 1.
@@ -345,9 +347,12 @@ def recommend_topk(model: MfModel, train: RatingsTable, users: np.ndarray, K: in
     A user's scores are summed as ((mu + b_u) + b_i) + Q p_u, with one
     matrix-vector product per user, and clipped to the scale, so they keep
     the bits a one-user call gives them and ties fall the same way.  Rated
-    cells are set to +inf in the negated scores, and one stable argsort per
-    row over the items in ascending id gives (-score, item id) order with
-    the rated items last.
+    cells are set to +inf in the negated scores.  A partition per row finds
+    its K-th smallest negated score; every cell at or below it is a
+    candidate, so items tied with the K-th score all compete, and one sort
+    of the candidates by (row, negated score, item id) ranks them, as a
+    stable argsort of the whole row would.  Rated items rank last and are
+    never listed.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -366,10 +371,18 @@ def recommend_topk(model: MfModel, train: RatingsTable, users: np.ndarray, K: in
     col = sorted_index(model.items, train.items)
     rated = (owner < len(users)) & (col < len(model.items))
     scores[owner[rated], col[rated]] = np.inf
-    order = np.argsort(scores, axis=1, kind="stable")[:, :K]
     out = np.full((len(users), K), -1, dtype=np.int64)
-    out[:, : order.shape[1]] = model.items[order]
-    out[np.arange(K) >= np.count_nonzero(scores < np.inf, axis=1)[:, None]] = -1
+    kk = min(K, len(model.items))
+    if kk == 0:
+        return out
+    kth = np.partition(scores, kk - 1, axis=1)[:, kk - 1 : kk]
+    rows, cols = np.nonzero(scores <= kth)
+    neg = scores[rows, cols]
+    order = np.lexsort((cols, neg, rows))
+    rows, cols, neg = rows[order], cols[order], neg[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    keep = (rank < kk) & (neg < np.inf)
+    out[rows[keep], rank[keep]] = model.items[cols[keep]]
     return out
 
 

@@ -9,7 +9,8 @@ scan of the table's columns.  Per-rating outputs come back as arrays in
 test row order, as the array code gives them; an unpredictable NF3
 rating's None becomes NaN there.  The kNN oracle argsorts every query's
 distances; the tree oracles argsort every candidate feature at every node,
-and the boosting oracle fits every round's tree from scratch.
+the boosting oracle fits every round's tree from scratch, and RESSEL's
+batch oracle predicts the whole pool in one call before it chooses.
 The artifact oracles format one cell at a time and hand the rows to
 csv.writer; dedupe_rows collapses duplicate rating keys through a dict.
 The opt-out signature oracle looks each rating's label up by its
@@ -18,7 +19,9 @@ oracles score, rank and measure one user at a time, pair the two arms
 through per-user dicts and sum every mean left to right in a loop.
 The lookups only tests need (a table's keys and values by key, an item's
 genre vector or genre names by a scan of the map's ids) and the pairwise
-Pearson similarity the similarity matrix is checked against live here too.
+Pearson similarity and the similarity matrix built from whole-array
+expressions, which the matrix is checked against, live here too, as does
+the one-pair MF prediction.
 """
 
 from __future__ import annotations
@@ -119,6 +122,34 @@ def pearson_similarity(
     raw = cov / np.sqrt(var_x * var_y)
     raw = float(np.clip(raw, -1.0, 1.0))
     return raw * min(n, cfg.significance_cap) / cfg.significance_cap
+
+
+def similarity_matrix_products(table: RatingsTable, cfg: KnnConfig = KnnConfig()) -> np.ndarray:
+    """SimilarityMatrix(table, cfg).matrix as whole-array expressions, each
+    product and quotient in a new array."""
+    user_ids, item_ids = table.user_ids(), table.item_ids()
+    rows_u = np.searchsorted(user_ids, table.users)
+    rows_i = np.searchsorted(item_ids, table.items)
+    R = np.zeros((len(user_ids), len(item_ids)))
+    M = np.zeros_like(R)
+    R[rows_u, rows_i] = table.values
+    M[rows_u, rows_i] = 1.0
+    n = M @ M.T
+    sx = R @ M.T
+    sxx = (R * R) @ M.T
+    sxy = R @ R.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cov = sxy - sx * sx.T / np.where(n > 0, n, 1)
+        var_x = sxx - sx * sx / np.where(n > 0, n, 1)
+        var_y = var_x.T
+        denom = np.sqrt(var_x * var_y)
+        raw = np.where(
+            (var_x > _VAR_EPS) & (var_y > _VAR_EPS) & (n >= cfg.min_overlap),
+            cov / np.where(denom > 0, denom, 1),
+            0.0,
+        )
+    raw = np.clip(raw, -1.0, 1.0)
+    return raw * np.minimum(n, cfg.significance_cap) / cfg.significance_cap
 
 
 # -- NF1 -----------------------------------------------------------------
@@ -635,6 +666,21 @@ def train_gbt_refit(X, y, rounds=100, depth=3, lr=0.1, seed=0, tree=RegressionTr
     return GbtModel(base, trees, lr, losses)
 
 
+def ressel_batch_full_pool(clf, X_unlabeled, pool, take) -> tuple[np.ndarray, np.ndarray]:
+    """RESSEL's batch choice from one prediction of the whole pool: per
+    class c, a lexsort on (-confidence, pool id) and its first take[c] rows."""
+    proba = clf.predict_proba(X_unlabeled[pool])
+    pred = (proba > 0.5).astype(np.int64)
+    conf = np.abs(proba - 0.5)
+    batch_positions: list[int] = []
+    for c in (0, 1):
+        cand = np.flatnonzero(pred == c)
+        order = np.lexsort((pool[cand], -conf[cand]))
+        batch_positions.extend(cand[order[: take[c]]].tolist())
+    batch = np.array(sorted(batch_positions), dtype=np.int64)
+    return batch, pred[batch]
+
+
 def tree_structure(node: _Node) -> list[tuple]:
     """Pre-order (feature, threshold, counts, value) of every node."""
     out = [(node.feature, node.threshold, node.counts, node.value)]
@@ -653,6 +699,21 @@ def _loop_mean(values) -> float:
     for v in values:
         total += v
     return total / len(values)
+
+
+def mf_predict(model: MfModel, user: int, item: int) -> float:
+    """One MF prediction, mu + b_u + b_i + p_u . q_i clamped to the scale;
+    an id the model does not know adds nothing."""
+    score = model.global_mean
+    ur = np.flatnonzero(model.users == user)
+    ir = np.flatnonzero(model.items == item)
+    if len(ur):
+        score += model.bu[ur[0]]
+    if len(ir):
+        score += model.bi[ir[0]]
+    if len(ur) and len(ir):
+        score += float(model.P[ur[0]] @ model.Q[ir[0]])
+    return model.scale.clamp(score)
 
 
 def recommend_topk_loop(model: MfModel, train: RatingsTable, user: int, K: int) -> list[int]:

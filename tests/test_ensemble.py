@@ -15,13 +15,19 @@ from noisegate.ensemble import (
     EnsembleConfig,
     classify_uncertain,
     read_classification,
+    ressel,
     train_el,
     write_classification,
 )
 from noisegate.ensemble.boosting import train_gbt
 from noisegate.ensemble.forest import RandomForest
 from noisegate.ensemble.isolation import ExtendedIsolationForest, c_factor
-from noisegate.ensemble.learners import KnnClassifier, LogisticRegression, MarginClassifier
+from noisegate.ensemble.learners import (
+    GaussianNB,
+    KnnClassifier,
+    LogisticRegression,
+    MarginClassifier,
+)
 from noisegate.ensemble.ressel import train_bagging, train_ressel
 from noisegate.ensemble.stacking import train_stacking
 from noisegate.ensemble.trees import DecisionTree, RegressionTree, _Plan
@@ -216,6 +222,47 @@ def test_regression_tree_equals_per_node_sort(data, depth):
     assert oracles.tree_structure(RegressionTree(depth).fit(X, g, h).root) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([1, 2, 3]))
+def test_regression_tree_prices_single_valued_nodes_as_per_node_sort(data, depth):
+    # g takes one value on each side of a cut on column 0, so the children
+    # of that cut are single-valued, and the whole node when both values
+    # are one; nodes run from 2 rows to many.
+    n = data.draw(st.integers(2, 80))
+    X = _grid_rows(data.draw, n, 2)
+    X = np.column_stack([X, -X[:, 0]])
+    values = st.sampled_from([0.0, -0.0, 0.1, -2.9, 1e16, -3e150, 5e-324])
+    g = np.where(X[:, 0] <= data.draw(st.integers(0, 3)), data.draw(values), data.draw(values))
+    h = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    want = oracles.tree_structure(oracles.ArgsortRegressionTree(depth).fit(X, g, h).root)
+    assert oracles.tree_structure(RegressionTree(depth).fit(X, g, h).root) == want
+
+
+def test_regression_tree_takes_one_sequence_only_for_one_bit_pattern():
+    # 0.0 and -0.0 are equal but not one bit pattern: a node mixing them
+    # takes the per-order prefix sums, whose 2-d cumsums show in the spy.
+    X = np.array([[0, 1], [2, 0], [1, 1], [3, 2], [0, 2], [2, 2]], float)
+    h = np.full(len(X), 0.25)
+    cumsum = np.cumsum
+    for g, single in (
+        (np.full(len(X), -0.0), True),
+        (np.full(len(X), 0.0), True),
+        (np.full(len(X), 7.5), True),
+        (np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0]), False),
+    ):
+        dims = []
+
+        def spy(a, *args, **kwargs):
+            dims.append(np.ndim(a))
+            return cumsum(a, *args, **kwargs)
+
+        with mock.patch.object(np, "cumsum", spy):
+            got = RegressionTree(2).fit(X, g, h)
+        assert dims[:2] == ([1, 1] if single else [2, 2])
+        want = oracles.ArgsortRegressionTree(2).fit(X, g, h)
+        assert oracles.tree_structure(got.root) == oracles.tree_structure(want.root)
+
+
 # -- random forest ------------------------------------------------------
 
 
@@ -390,6 +437,27 @@ def test_train_gbt_equals_per_round_refit(data):
         _assert_same_gbt(got, want, fresh)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_train_gbt_with_a_separating_vote_equals_per_round_refit(data):
+    # Like Layer 2's labeled set: one 0/1 column is the label, so each tree
+    # cuts it at the root into two children of one gradient each, of 1 to
+    # many rows; an all-negative y makes the root itself single-valued.
+    n = data.draw(st.integers(2, 120))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
+    if data.draw(st.integers(0, 4)) == 0:
+        y[:] = 0.0
+    X = np.column_stack([_grid_rows(data.draw, n, 2, levels=6), y, 1.0 - y])
+    rounds = data.draw(st.integers(1, 12))
+    depth = data.draw(st.integers(1, 3))
+    lr = data.draw(st.sampled_from([0.1, 0.3, 1.0]))
+    got, _ = _train_gbt_checking_plans(X, y, rounds, depth, lr)
+    fresh = np.vstack([X, _grid_rows(data.draw, 5, X.shape[1], levels=4) - 0.5])
+    for tree in (RegressionTree, oracles.ArgsortRegressionTree):
+        want = oracles.train_gbt_refit(X, y, rounds=rounds, depth=depth, lr=lr, tree=tree)
+        _assert_same_gbt(got, want, fresh)
+
+
 def test_train_gbt_drops_the_plans_of_a_node_no_longer_split():
     # Late rounds leave nodes unsplit once the gradients in them are within
     # the minimum gain of each other; those nodes' child plans must go.
@@ -440,6 +508,111 @@ def test_ressel_el4_2_roster_trains():
     U = np.random.default_rng(2).normal(0, 2, size=(40, 2))
     model = train_ressel(X, y, U, base="EL4_2", bags=5, seed=0)
     assert float(np.mean(model.predict(X) == y)) >= 0.9
+
+
+def _ressel_both_ways(X, y, U, base, add_per_round, max_rounds):
+    """(model, batches) of train_ressel as it is, checking every round's
+    batch against the whole-pool choice on the same pool, and of
+    train_ressel choosing with the whole-pool oracle."""
+    runs = []
+    for choose in (ressel._confident_batch, oracles.ressel_batch_full_pool):
+        batches = []
+
+        def record(clf, X_unlabeled, pool, take, choose=choose):
+            got = choose(clf, X_unlabeled, pool, take)
+            want = oracles.ressel_batch_full_pool(clf, X_unlabeled, pool, take)
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+            batches.append((pool[got[0]].tolist(), got[1].tolist()))
+            return got
+
+        with mock.patch.object(ressel, "_confident_batch", record):
+            model = train_ressel(X, y, U, base=base, bags=5, add_per_round=add_per_round,
+                                 seed=4, max_rounds=max_rounds)
+        runs.append((model, batches))
+    return runs
+
+
+def _assert_same_ressel(runs, probe):
+    (got, got_batches), (want, want_batches) = runs
+    assert got_batches == want_batches
+    assert got.oob_sequences == want.oob_sequences
+    assert got.variant == want.variant
+    for a, b in zip(got.predict_with_proba(probe), want.predict_with_proba(probe)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _band(rng, n):
+    """n rows in the band between _separable's two blobs."""
+    return np.column_stack([rng.uniform(-0.5, 0.5, n), rng.normal(0.0, 1.0, n)])
+
+
+def _ressel_data(rng, n_mixed, n_sure, classes, at):
+    """(X, y, U): _separable's blobs plus a band between them labeled at
+    random, and a pool of n_mixed band rows, which few learners call with
+    confidence 0.5, with n_sure rows far past the blobs of the given
+    classes inserted at position at."""
+    X, y = _separable(40, seed=int(rng.integers(1 << 16)))
+    X = np.vstack([X, _band(rng, 30)])
+    y = np.concatenate([y, rng.integers(0, 2, 30)])
+    mixed = _band(rng, n_mixed)
+    side = np.asarray(classes)[rng.integers(0, len(classes), n_sure)] * 2.0 - 1.0
+    sure = np.column_stack([side * rng.uniform(20.0, 30.0, n_sure), rng.normal(0.0, 1.0, n_sure)])
+    at = min(at, n_mixed)
+    return X, y, np.vstack([mixed[:at], sure, mixed[at:]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(["EL4_1", "EL4_2", "custom"]),
+    st.sampled_from([1, 2, 10]),
+)
+def test_ressel_settled_scan_equals_full_pool(data, roster, add_per_round):
+    # The sure rows sit anywhere in the pool, so a scan can settle in the
+    # first chunk, across a 512-row boundary or never (no sure rows, or
+    # sure rows of one class only).
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n_mixed = data.draw(st.sampled_from([0, 3, 505, 515, 1030]))
+    n_sure = data.draw(st.integers(0 if n_mixed else 1, 30))
+    classes = data.draw(st.sampled_from([(0, 1), (0,), (1,)]))
+    at = data.draw(st.sampled_from([0, 500, 508, 520, 1030]))
+    X, y, U = _ressel_data(rng, n_mixed, n_sure, classes, at)
+    base = roster if roster != "custom" else [
+        lambda s: KnnClassifier(k=3, seed=s),
+        lambda s: GaussianNB(seed=s),
+        lambda s: DecisionTree(max_depth=2, seed=s),
+        lambda s: MarginClassifier(seed=s),
+    ]
+    runs = _ressel_both_ways(X, y, U, base, add_per_round, data.draw(st.integers(1, 4)))
+    _assert_same_ressel(runs, np.vstack([U, X]))
+
+
+def test_ressel_scan_settles_across_a_chunk_boundary():
+    # Sure rows of both classes start at pool position 508, so a kNN bag's
+    # first scan reads two of the pool's four chunks and stops there; its
+    # later scans, after 10 rows leave the pool per round, settle in the
+    # first chunk or across the boundary.  No scan reads the last chunk.
+    X, y, U = _ressel_data(np.random.default_rng(21), 2000, 30, (0, 1), 508)
+    base = [lambda s: KnnClassifier(k=10, seed=s)]
+    _assert_same_ressel(_ressel_both_ways(X, y, U, base, 10, 3), np.vstack([U, X]))
+    reads, scans = [], []
+    predict_proba, choose = KnnClassifier.predict_proba, ressel._confident_batch
+
+    def reading(clf, X):
+        reads.append(len(X))
+        return predict_proba(clf, X)
+
+    def scanning(*args):
+        scans.append(len(reads))
+        return choose(*args)
+
+    with mock.patch.object(KnnClassifier, "predict_proba", reading), \
+            mock.patch.object(ressel, "_confident_batch", scanning):
+        train_ressel(X, y, U, base=base, bags=5, add_per_round=10, seed=4, max_rounds=3)
+    chunks = [n for n in reads if n >= 512]  # OOB checks predict under 40 rows
+    assert all(n == 512 for n in chunks)
+    assert len(scans) < len(chunks) < 2 * len(scans)
 
 
 # -- extended isolation forest -------------------------------------------

@@ -41,14 +41,18 @@ def _hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def _model(rng, f, table) -> MfModel:
+def _model(rng, f, table, crowded) -> MfModel:
     """A model over the table's users and items whose scores often clip to
-    either end of the scale and often tie."""
+    either end of the scale and often tie.  A crowded model clips most
+    items' scores to r_max for every user, so more than K unrated items
+    can tie at the K-th score."""
     users, items = table.user_ids(), table.item_ids()
     P = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(len(users), f))
     Q = rng.choice([-0.5, 0.0, 0.25, 3.0], size=(len(items), f))
     bu = rng.choice([-1.0, 0.0, 2.0], size=len(users))
     bi = rng.choice([-10.0, -1.0, 0.0, 0.3, 1.0, 10.0], size=len(items))
+    if crowded:
+        bi[rng.random(len(items)) < 0.8] = 20.0
     return MfModel(users, items, P, Q, bu, bi, rng.choice([2.75, 3.0]), Scale())
 
 
@@ -82,14 +86,15 @@ def _worlds(draw):
         for i in items + UNSEEN if rng.random() < 0.9
     }
     f = draw(st.integers(1, 3))
+    crowded = draw(st.integers(0, 3)) == 0
     return SimpleNamespace(
         corpus=corpus,
         cleaned=cleaned,
         eval_t=eval_t,
         universe=np.array(users, dtype=np.int64),
         genres=genre_map(vectors, tuple(f"g{k}" for k in range(width))),
-        before=_model(rng, f, corpus),
-        after=_model(rng, f, cleaned),
+        before=_model(rng, f, corpus, crowded),
+        after=_model(rng, f, cleaned, crowded),
         K=draw(st.integers(1, 24)),
         threshold=draw(st.sampled_from([0.5, 3.0, 4.5, 5.0])),
         formula=draw(st.sampled_from([FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL])),

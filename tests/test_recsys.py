@@ -22,6 +22,7 @@ from noisegate.recsys import (
     save_model,
 )
 
+from . import oracles
 from .conftest import MINI_DIR, make_table
 from .oracles import _profile, pearson_similarity
 
@@ -105,6 +106,31 @@ def test_similarity_matrix_agrees_with_pairwise():
             assert sims.between(u, v) == pytest.approx(direct, abs=1e-9)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 60))
+def test_similarity_matrix_equals_whole_array_build(data, min_overlap, cap):
+    # Users rate a random subset of few items, so some share fewer than
+    # min_overlap of them; a constant user has zero variance.  Off-grid
+    # values round differently in every product.
+    n_users = data.draw(st.integers(1, 9))
+    n_items = data.draw(st.integers(1, 12))
+    grid = data.draw(st.booleans())
+    values = st.sampled_from([0.5, 1.0, 2.5, 3.0, 4.5, 5.0]) if grid else st.floats(0.5, 5.0)
+    rows = []
+    for u in range(1, n_users + 1):
+        items = data.draw(st.lists(st.integers(1, n_items), min_size=1, max_size=n_items,
+                                   unique=True))
+        constant = data.draw(values) if data.draw(st.integers(0, 3)) == 0 else None
+        rows += [(u * 7, i * 3, constant if constant is not None else data.draw(values), 0)
+                 for i in items]
+    t = make_table(rows)
+    cfg = KnnConfig(min_overlap=min_overlap, significance_cap=cap)
+    got = SimilarityMatrix(t, cfg).matrix
+    want = oracles.similarity_matrix_products(t, cfg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _neighbor_fixture():
     # user 1: mean 3.0; neighbor 2 rates like user 1 on shared items and has
     # deviation +0.5 on the target item 99 (its own mean is 3.0 as well).
@@ -163,7 +189,7 @@ def test_mf_constant_dataset_converges_to_mean():
     t = make_table(rows)
     model = mf_train(t, f=4, epochs=20, reg=0.02, seed=0)
     assert model.global_mean == pytest.approx(3.0)
-    preds = [model.predict(u, i) for u in range(1, 6) for i in range(1, 9)]
+    preds = [oracles.mf_predict(model, u, i) for u in range(1, 6) for i in range(1, 9)]
     rmse = float(np.sqrt(np.mean((np.array(preds) - 3.0) ** 2)))
     assert rmse < 1e-2
 
@@ -181,7 +207,7 @@ def test_mf_rank_one_pattern_fits():
     rows = [(1, 1, 1.0, 0), (1, 2, 2.0, 0), (2, 1, 2.0, 0), (2, 2, 4.0, 0)]
     t = make_table(rows)
     model = mf_train(t, f=2, epochs=200, reg=0.0, seed=3)
-    preds = np.array([model.predict(r.user_id, r.item_id) for r in t])
+    preds = np.array([oracles.mf_predict(model, r.user_id, r.item_id) for r in t])
     rmse = float(np.sqrt(np.mean((preds - t.values) ** 2)))
     assert rmse < 0.1
 
@@ -240,7 +266,7 @@ def test_mf_beats_bias_only_on_held_out(planted_small):
         errs = [predict(r.user_id, r.item_id) - r.value for r in held]
         return float(np.sqrt(np.mean(np.square(errs))))
 
-    assert rmse(model.predict) < rmse(baseline)
+    assert rmse(lambda u, i: oracles.mf_predict(model, u, i)) < rmse(baseline)
 
 
 def test_config_with_mf_lr_exits_2(tmp_path, capsys):
@@ -291,7 +317,7 @@ def test_topk_orders_by_score_then_item_id():
     oracle = sorted(scores, key=lambda i: (-scores[i], i))[:2]
     got = recommend_topk(model, t, np.array([1]), 2)
     assert got.tolist() == [oracle] == [[2, 3]]
-    assert model.predict(1, 2) == pytest.approx(4.1)
+    assert oracles.mf_predict(model, 1, 2) == pytest.approx(4.1)
 
 
 def test_topk_equal_scores_tie_break_by_item_id():
@@ -299,6 +325,16 @@ def test_topk_equal_scores_tie_break_by_item_id():
     model = _fixed_score_model({5: 3.3, 4: 3.3, 6: 3.3})
     got = recommend_topk(model, t, np.array([1]), 2)
     assert got.tolist() == [[4, 5]]
+
+
+def test_topk_keeps_the_lowest_ids_among_items_tied_past_k():
+    # Six unrated items clip to r_max and one scores below; K = 3 keeps the
+    # three lowest ids of the six, whatever order a partition leaves them in.
+    t = make_table([(1, 1, 3.0, 0)])
+    model = _fixed_score_model({9: 7.0, 4: 5.5, 8: 5.0, 2: 9.0, 6: 4.9, 3: 6.0, 7: 5.0})
+    got = recommend_topk(model, t, np.array([1]), 3)
+    assert got.tolist() == [[2, 3, 4]]
+    assert recommend_topk(model, t, np.array([1]), 7).tolist() == [[2, 3, 4, 7, 8, 9, 6]]
 
 
 def test_topk_excludes_already_rated():
@@ -319,4 +355,6 @@ def test_model_save_load_roundtrip(tmp_path):
     back = load_model(p)
     for u in t.user_ids():
         for i in t.item_ids():
-            assert back.predict(u, i) == pytest.approx(model.predict(u, i), abs=1e-12)
+            assert oracles.mf_predict(back, u, i) == pytest.approx(
+                oracles.mf_predict(model, u, i), abs=1e-12
+            )
