@@ -111,8 +111,8 @@ def nf1_classify_item(
 
 class Nf1Result(NamedTuple):
     noisy: np.ndarray  # per test row
-    user_classes: dict[int, UserClass]
-    item_classes: dict[int, ItemClass]
+    user_class: np.ndarray  # per test row: the index of its user's class in _USER_CLASSES
+    item_class: np.ndarray  # per test row: the index of its item's class in _ITEM_CLASSES
 
 
 def nf1_detect(
@@ -124,8 +124,9 @@ def nf1_detect(
     """Flag ratings that contradict a homologous user/item class pair.
 
     Classes are computed over `context` (all available evidence, defaulting
-    to the test table itself); the noisy flags cover the test rows, in order.
-    Ratings whose (user, item) classes form no homologous pair are Clean.
+    to the test table itself); the noisy flags and the class codes (3 is
+    Variable) cover the test rows, in order.  Ratings whose (user, item)
+    classes form no homologous pair are Clean.
     """
     ctx = context if context is not None else test
     users, user_codes = _majority_codes(
@@ -137,8 +138,4 @@ def nf1_detect(
     u = user_codes[np.searchsorted(users, test.users)]
     i = item_codes[np.searchsorted(items, test.items)]
     # HOMOLOGOUS pairs user class k with item class k and expects rating class k.
-    return Nf1Result(
-        (u == i) & (u < 3) & (_class_codes(test.values, cuts) != u),
-        dict(zip(users.tolist(), map(_USER_CLASSES.__getitem__, user_codes.tolist()))),
-        dict(zip(items.tolist(), map(_ITEM_CLASSES.__getitem__, item_codes.tolist()))),
-    )
+    return Nf1Result((u == i) & (u < 3) & (_class_codes(test.values, cuts) != u), u, i)

@@ -31,21 +31,8 @@ class Quantity(Enum):
     LIGHT = "light"
 
 
-class Quality(Enum):
-    EASY = "easy"
-    DIFFICULT = "difficult"
-
-
-class Nf2Group(NamedTuple):
-    quantity: Quantity
-    quality: Quality
-
-
-# group codes: quantity 0 heavy, 1 medium, 2 light; quality 0 difficult, 1 easy
-_QUANTITIES = (Quantity.HEAVY, Quantity.MEDIUM, Quantity.LIGHT)
-_GROUPS = tuple(
-    (Nf2Group(q, Quality.DIFFICULT), Nf2Group(q, Quality.EASY)) for q in _QUANTITIES
-)
+# A quantity code indexes Quantity's members in order: 0 heavy, 1 medium, 2 light.
+_MEDIUM, _LIGHT = 1, 2
 
 
 def _genre_pairs(table: RatingsTable, genres: GenreMap) -> tuple[np.ndarray, np.ndarray]:
@@ -94,20 +81,18 @@ def _coherence(table: RatingsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def group_users(
     table: RatingsTable, coherence_cut: float = DEFAULT_COHERENCE_CUT
-) -> dict[int, Nf2Group]:
-    """Assign every user a (quantity, quality) group over this table."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group every user of this table: the ascending user ids, their
+    quantity codes (rating-count terciles) and whether their quality is
+    easy (coherent) rather than difficult."""
     users, coherence, had = _coherence(table)
     counts = np.unique(table.users, return_counts=True)[1].astype(np.float64)
     q1 = float(np.quantile(counts, 1 / 3))
     q2 = float(np.quantile(counts, 2 / 3))
-    quantity = np.where(counts > q2, 0, np.where(counts <= q1, 2, 1))
+    quantity = np.where(counts > q2, 0, np.where(counts <= q1, _LIGHT, _MEDIUM))
     for u in users[~had].tolist():
         logger.warning("user %d rated only genre-less items; quality defaults to easy", u)
-    easy = ~had | (coherence >= coherence_cut)
-    return {
-        u: _GROUPS[q][e]
-        for u, q, e in zip(users.tolist(), quantity.tolist(), easy.astype(int).tolist())
-    }
+    return users, quantity, ~had | (coherence >= coherence_cut)
 
 
 def nf2_rnd(
@@ -132,7 +117,8 @@ def nf2_rnd(
 
 class Nf2Result(NamedTuple):
     noisy: np.ndarray  # per test row
-    groups: dict[int, Nf2Group]
+    quantity: np.ndarray  # per test row: its user's quantity code
+    easy: np.ndarray  # per test row: whether its user's quality is easy
     rnd: np.ndarray  # per test row
 
 
@@ -155,24 +141,27 @@ def nf2_detect(
     ctx = context if context is not None else test
     if ctx.genres is None:
         raise ValueError("genre vectors unavailable")
-    groups = group_users(ctx, coherence_cut)
-    missing = set(test.users.tolist()) - groups.keys()
-    if missing:
-        test_groups = group_users(test, coherence_cut)
-        groups.update((u, test_groups[u]) for u in sorted(missing))
-    test_users, at = np.unique(test.users, return_inverse=True)
-    group = [groups[u] for u in test_users.tolist()]
-    light = np.array([g.quantity is Quantity.LIGHT for g in group], dtype=bool)[at]
-    exempt = np.array([g == (Quantity.MEDIUM, Quality.EASY) for g in group], dtype=bool)[at]
-    theta = np.where(light, theta_light, theta_heavy_medium)
+    # Per test row, its user's group; a user the context lacks is grouped
+    # over the test table instead.
+    users, quantity, easy = group_users(ctx, coherence_cut)
+    at = sorted_index(users, test.users)
+    quantity, easy = np.append(quantity, 0)[at], np.append(easy, False)[at]
+    lacking = at == len(users)
+    if lacking.any():
+        test_users, test_quantity, test_easy = group_users(test, coherence_cut)
+        k = sorted_index(test_users, test.users[lacking])
+        quantity[lacking], easy[lacking] = test_quantity[k], test_easy[k]
+    theta = np.where(quantity == _LIGHT, theta_light, theta_heavy_medium)
 
     # Leave-one-out genre means over the context: the user's per-genre sums
-    # and counts, minus the rating itself when the context holds it.
+    # and counts, minus the rating itself when the context holds it.  The
+    # sums' rows follow the same user ids as the groups, plus an all-zero
+    # row at len(users) for the users the context lacks.
     ctx_rows, ctx_genres = _genre_pairs(ctx, ctx.genres)
-    users, sums, counts = _genre_sums(ctx, ctx_rows, ctx_genres, ctx.genres.n_genres)
+    _, sums, counts = _genre_sums(ctx, ctx_rows, ctx_genres, ctx.genres.n_genres)
     own = ctx.contains(test.users, test.items)
     rows, genres = _genre_pairs(test, ctx.genres)
-    user = sorted_index(users, test.users)[rows]
+    user = at[rows]
     cnt = counts[user, genres] - own[rows]
     ok = cnt >= 1
     rows, genres, user, cnt = rows[ok], genres[ok], user[ok], cnt[ok]
@@ -183,4 +172,5 @@ def nf2_detect(
     n_deviant = np.bincount(rows[deviant], minlength=len(test))
     rnd = np.zeros(len(test))
     np.divide(n_deviant, n_means, out=rnd, where=n_means > 0)
-    return Nf2Result(~exempt & (rnd > rnd_cut), groups, rnd)
+    exempt = (quantity == _MEDIUM) & easy
+    return Nf2Result(~exempt & (rnd > rnd_cut), quantity, easy, rnd)

@@ -73,8 +73,8 @@ def _manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Nf4Result(NamedTuple):
     noisy: np.ndarray  # per test row
     noise_degree: np.ndarray  # per test row
-    user_profiles: dict[int, FuzzyProfile]
-    item_profiles: dict[int, FuzzyProfile]
+    user_profile: np.ndarray  # per test row: its user's (low, medium, high) profile
+    item_profile: np.ndarray  # per test row: its item's (low, medium, high) profile
     n_prefiltered: int
 
 
@@ -103,10 +103,4 @@ def nf4_detect(
         np.maximum(0.0, _manhattan(up, rp) - 1.0), np.maximum(0.0, _manhattan(ip, rp) - 1.0)
     )
     degree[prefiltered] = 0.0
-    return Nf4Result(
-        (degree > delta2) & ~prefiltered,
-        degree,
-        dict(zip(users.tolist(), map(FuzzyProfile._make, user_p.tolist()))),
-        dict(zip(items.tolist(), map(FuzzyProfile._make, item_p.tolist()))),
-        int(prefiltered.sum()),
-    )
+    return Nf4Result((degree > delta2) & ~prefiltered, degree, up, ip, int(prefiltered.sum()))

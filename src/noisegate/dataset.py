@@ -47,9 +47,6 @@ class Scale:
     def contains(self, value: float) -> bool:
         return self.r_min <= value <= self.r_max
 
-    def clamp(self, value: float) -> float:
-        return min(self.r_max, max(self.r_min, value))
-
     def grid(self, step: float = 0.5) -> np.ndarray:
         """All attainable values r_min, r_min+step, ..., r_max."""
         n = int(round(self.span / step)) + 1

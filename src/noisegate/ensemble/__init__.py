@@ -15,11 +15,10 @@ import numpy as np
 
 from ..board.verdict import Verdict
 from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
-from ..seeding import derive_seed
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
 from .forest import RandomForest
-from .isolation import ExtendedIsolationForest, score_isolation_forest
+from .isolation import ExtendedIsolationForest
 from .ressel import ResselModel, train_bagging, train_ressel
 from .stacking import StackingModel, train_stacking
 from .trees import DecisionTree, RegressionTree
@@ -30,8 +29,7 @@ VARIANTS = ("EL1", "EL2", "EL2_2", "EL3", "EL4_1", "EL4_2", "EL5")
 
 __all__ = [
     "VARIANTS", "ElModel", "EnsembleConfig", "train_el", "classify_uncertain",
-    "train_random_forest", "train_stacking", "train_gbt", "train_ressel",
-    "train_bagging", "score_isolation_forest",
+    "train_stacking", "train_gbt", "train_ressel", "train_bagging",
     "build_feature_matrix", "FEATURE_NAMES",
     "RandomForest", "DecisionTree", "RegressionTree", "ExtendedIsolationForest",
     "StackingModel", "GbtModel", "ResselModel",
@@ -78,14 +76,12 @@ class _ConstantModel:
 
 
 class ElModel:
-    """A trained Layer-2 learner: variant tag, inner model, diagnostics."""
+    """A trained Layer-2 learner: variant tag and inner model."""
 
-    def __init__(self, variant: str, inner, n_features: int, diagnostics: dict,
-                 score_cut: float | None = None):
+    def __init__(self, variant: str, inner, n_features: int, score_cut: float | None = None):
         self.variant = variant
         self.inner = inner
         self.n_features = n_features
-        self.diagnostics = diagnostics
         self.score_cut = score_cut
 
     def _check(self, X: np.ndarray) -> np.ndarray:
@@ -106,21 +102,6 @@ class ElModel:
             scores = self.inner.score(X)
             return (scores > self.score_cut).astype(np.int64), scores
         return self.inner.predict_with_proba(X)
-
-
-def train_random_forest(
-    X: np.ndarray, y: np.ndarray, trees: int = 100, max_depth: int = 8,
-    feature_subset: int | None = None, seed: int = 0,
-) -> ElModel:
-    """EL1: bootstrap CART forest with OOB error tracking."""
-    y = np.asarray(y, dtype=np.int64)
-    constant = _single_class_guard(y, "EL1")
-    if constant is not None:
-        return ElModel("EL1", constant, np.asarray(X).shape[1], {"constant": True})
-    forest = RandomForest(trees, max_depth, feature_subset, seed)
-    forest.fit(X, y)
-    diag = {"oob_error": forest.oob_error, "oob_curve": forest.oob_curve}
-    return ElModel("EL1", forest, np.asarray(X).shape[1], diag)
 
 
 def _single_class_guard(y: np.ndarray, variant: str) -> _ConstantModel | None:
@@ -156,30 +137,25 @@ def train_el(
         )
         if len(X_unlabeled) < 2:
             logger.warning("EL5: fewer than 2 uncertain points; everything passes as clean")
-            return ElModel("EL5", _ConstantModel(0), n_features, {"degenerate": True},
-                           score_cut=config.eif_score_cut)
+            return ElModel("EL5", _ConstantModel(0), n_features, config.eif_score_cut)
         forest.fit(X_unlabeled)
-        return ElModel("EL5", forest, n_features, {"trees": config.eif_trees},
-                       score_cut=config.eif_score_cut)
+        return ElModel("EL5", forest, n_features, config.eif_score_cut)
     constant = _single_class_guard(y, v)
     if constant is not None:
-        return ElModel(v, constant, n_features, {"constant": True})
+        return ElModel(v, constant, n_features)
     if v == "EL1":
-        return train_random_forest(
-            X_labeled, y, config.rf_trees, config.rf_max_depth, config.rf_feature_subset, seed
-        )
-    if v in ("EL2", "EL2_2"):
+        model = RandomForest(config.rf_trees, config.rf_max_depth, config.rf_feature_subset, seed)
+        model.fit(X_labeled, y)
+    elif v in ("EL2", "EL2_2"):
         model = train_stacking(X_labeled, y, v, seed)
-        return ElModel(v, model, n_features, {"bases": model.base_names})
-    if v == "EL3":
-        model = train_gbt(X_labeled, y, config.gbt_rounds, config.gbt_depth, config.gbt_lr, seed)
-        return ElModel(v, model, n_features, {"loss_curve": model.loss_curve})
-    # EL4_1 and EL4_2
-    model = train_ressel(
-        X_labeled, y, X_unlabeled, v, config.ressel_bags,
-        config.ressel_add_per_round, seed, config.ressel_max_rounds,
-    )
-    return ElModel(v, model, n_features, {"oob_sequences": model.oob_sequences})
+    elif v == "EL3":
+        model = train_gbt(X_labeled, y, config.gbt_rounds, config.gbt_depth, config.gbt_lr)
+    else:  # EL4_1 and EL4_2
+        model = train_ressel(
+            X_labeled, y, X_unlabeled, v, config.ressel_bags,
+            config.ressel_add_per_round, seed, config.ressel_max_rounds,
+        )
+    return ElModel(v, model, n_features)
 
 
 def classify_uncertain(model: ElModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,7 +59,6 @@ def train_gbt(
     rounds: int = 100,
     depth: int = 3,
     lr: float = 0.1,
-    seed: int = 0,
 ) -> GbtModel:
     """Boost depth-limited regression trees on logistic-loss gradients.
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from ..board import BoardResult
-from ..board.nf1 import ItemClass, UserClass
 from ..dataset import RatingsTable, id_stats, sorted_index
 from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
 
@@ -33,25 +32,6 @@ FEATURE_NAMES = (
     "vote_nf3",
     "vote_nf4",
 )
-
-_USER_CLASS_CODE = {
-    UserClass.CRITICAL: 0.0,
-    UserClass.AVERAGE: 1.0,
-    UserClass.BENEVOLENT: 2.0,
-    UserClass.VARIABLE: 3.0,
-}
-_ITEM_CLASS_CODE = {
-    ItemClass.WEAKLY_PREFERRED: 0.0,
-    ItemClass.AVERAGELY_PREFERRED: 1.0,
-    ItemClass.STRONGLY_PREFERRED: 2.0,
-    ItemClass.VARIABLY_PREFERRED: 3.0,
-}
-
-
-def _per_id(ids: np.ndarray, row_of) -> np.ndarray:
-    """row_of(id) for each id, computed once per distinct id."""
-    uniq, at = np.unique(ids, return_inverse=True)
-    return np.array([row_of(i) for i in uniq.tolist()], dtype=np.float64)[at]
 
 
 def _stats_at(ids: np.ndarray, context_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -85,8 +65,6 @@ def build_feature_matrix(
         return np.zeros((0, len(FEATURE_NAMES)))
     user = _stats_at(test.users, context.users, context.values)
     item = _stats_at(test.items, context.items, context.values)
-    user_class = _per_id(test.users, lambda u: _USER_CLASS_CODE[board.nf1.user_classes[u]])
-    item_class = _per_id(test.items, lambda i: _ITEM_CLASS_CODE[board.nf1.item_classes[i]])
     value = test.values
     scale = context.scale
     cons = board.nf3.consistency
@@ -99,8 +77,8 @@ def build_feature_matrix(
         np.abs(value - item[:, 0]),
         user[:, 2],
         item[:, 2],
-        user_class,
-        item_class,
+        board.nf1.user_class,
+        board.nf1.item_class,
         board.nf4.noise_degree,
         np.where(missing, 0.0, cons),
         missing,

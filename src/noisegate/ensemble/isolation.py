@@ -130,15 +130,3 @@ class ExtendedIsolationForest:
         mean_depth = total / len(self.trees)
         return np.power(2.0, -mean_depth / self._c_norm)
 
-
-def score_isolation_forest(
-    X: np.ndarray,
-    trees: int = 100,
-    sample_size: int = 256,
-    extension_level: int | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """Fit on the given points and return their anomaly scores."""
-    forest = ExtendedIsolationForest(trees, sample_size, extension_level, seed)
-    forest.fit(X)
-    return forest.score(np.asarray(X, dtype=np.float64))

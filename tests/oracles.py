@@ -18,10 +18,10 @@ The opt-out signature oracle looks each rating's label up by its
 oracles score, rank and measure one user at a time, pair the two arms
 through per-user dicts and sum every mean left to right in a loop.
 The lookups only tests need (a table's keys and values by key, an item's
-genre vector or genre names by a scan of the map's ids) and the pairwise
-Pearson similarity and the similarity matrix built from whole-array
-expressions, which the matrix is checked against, live here too, as does
-the one-pair MF prediction.
+genre vector or genre names by a scan of the map's ids), the clip of a
+value to a rating scale, and the pairwise Pearson similarity and the
+similarity matrix built from whole-array expressions, which the matrix is
+checked against, live here too, as does the one-pair MF prediction.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from noisegate.board.nf1 import (
     UserClass,
     classify_rating,
 )
-from noisegate.board.nf2 import Nf2Group, Nf2Result, Quality, Quantity, nf2_rnd
+from noisegate.board.nf2 import Nf2Result, Quantity, nf2_rnd
 from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
 from noisegate.board.verdict import DETECTOR_IDS, Verdict
@@ -82,6 +82,11 @@ def value_of(table: RatingsTable, user: int, item: int) -> float:
     if len(rows) == 0:
         raise KeyError((user, item))
     return float(table.values[rows[0]])
+
+
+def clamp(scale, value: float) -> float:
+    """value clipped to the scale's closed interval."""
+    return min(scale.r_max, max(scale.r_min, value))
 
 
 def genre_vector(genres, item: int) -> np.ndarray:
@@ -198,14 +203,19 @@ def nf1_detect_loop(test, cuts=(2.5, 4.0), majority=0.5, context=None) -> Nf1Res
         i: _ITEM_CLASSES[_set_class(_profile_values(test, ctx, "items", i), cuts, majority)]
         for i in {int(i) for i in test.items}
     }
-    noisy = []
+    noisy, user_class, item_class = [], [], []
     for r in test:
         expected = HOMOLOGOUS.get((user_classes[r.user_id], item_classes[r.item_id]))
         if expected is not None and classify_rating(r.value, cuts) is not expected:
             noisy.append(True)
         else:
             noisy.append(False)
-    return Nf1Result(np.array(noisy, dtype=bool), user_classes, item_classes)
+        user_class.append(_USER_CLASSES.index(user_classes[r.user_id]))
+        item_class.append(_ITEM_CLASSES.index(item_classes[r.item_id]))
+    return Nf1Result(
+        np.array(noisy, dtype=bool),
+        np.array(user_class, dtype=np.int64), np.array(item_class, dtype=np.int64),
+    )
 
 
 # -- NF2 -----------------------------------------------------------------
@@ -236,7 +246,8 @@ def user_coherence_loop(user: int, table: RatingsTable) -> tuple[float, bool]:
     return 1.0 - float(np.mean(devs)), True
 
 
-def group_users_loop(table: RatingsTable, coherence_cut: float = 0.8) -> dict[int, Nf2Group]:
+def _groups_loop(table: RatingsTable, coherence_cut: float) -> dict[int, tuple[Quantity, bool]]:
+    """Each user's (quantity, whether the quality is easy), one user at a time."""
     users = sorted({int(u) for u in table.users})
     counts = np.array([len(_rows(table.users, u)) for u in users], dtype=np.float64)
     q1 = float(np.quantile(counts, 1 / 3))
@@ -251,11 +262,24 @@ def group_users_loop(table: RatingsTable, coherence_cut: float = 0.8) -> dict[in
             quantity = Quantity.MEDIUM
         coherence, had_genres = user_coherence_loop(u, table)
         if not had_genres:
-            quality = Quality.EASY
+            easy = True
         else:
-            quality = Quality.EASY if coherence >= coherence_cut else Quality.DIFFICULT
-        groups[u] = Nf2Group(quantity, quality)
+            easy = coherence >= coherence_cut
+        groups[u] = (quantity, easy)
     return groups
+
+
+def group_users_loop(
+    table: RatingsTable, coherence_cut: float = 0.8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ascending user ids, quantity codes, easy flags), as group_users gives them."""
+    groups = _groups_loop(table, coherence_cut)
+    users = sorted(groups)
+    return (
+        np.array(users, dtype=np.int64),
+        np.array([list(Quantity).index(groups[u][0]) for u in users], dtype=np.int64),
+        np.array([groups[u][1] for u in users], dtype=bool),
+    )
 
 
 def nf2_detect_loop(
@@ -263,16 +287,17 @@ def nf2_detect_loop(
     coherence_cut=0.8,
 ) -> Nf2Result:
     ctx = context if context is not None else test
-    groups = group_users_loop(ctx, coherence_cut)
+    groups = _groups_loop(ctx, coherence_cut)
     genres = ctx.genres
     stats = {}
-    noisy = []
+    noisy, quantities, easy_flags = [], [], []
     rnd_values = []
     for r in test:
-        group = groups.get(r.user_id)
-        if group is None:
-            group = group_users_loop(test, coherence_cut)[r.user_id]
-            groups[r.user_id] = group
+        if r.user_id not in groups:
+            groups[r.user_id] = _groups_loop(test, coherence_cut)[r.user_id]
+        quantity, easy = groups[r.user_id]
+        quantities.append(list(Quantity).index(quantity))
+        easy_flags.append(easy)
         if r.user_id not in stats:
             rows = _rows(ctx.users, r.user_id)
             G = _genre_matrix(ctx, rows, genres)
@@ -285,14 +310,17 @@ def nf2_detect_loop(
             cnt = gcount[g] - (1 if own else 0)
             if cnt >= 1:
                 means.append(float((gsum[g] - (r.value if own else 0.0)) / cnt))
-        theta = theta_light if group.quantity is Quantity.LIGHT else theta_heavy_medium
+        theta = theta_light if quantity is Quantity.LIGHT else theta_heavy_medium
         rnd = nf2_rnd(r.value, means, theta)
         rnd_values.append(rnd)
-        if group.quantity is Quantity.MEDIUM and group.quality is Quality.EASY:
+        if quantity is Quantity.MEDIUM and easy:
             noisy.append(False)
         else:
             noisy.append(rnd > rnd_cut)
-    return Nf2Result(np.array(noisy, dtype=bool), groups, np.array(rnd_values))
+    return Nf2Result(
+        np.array(noisy, dtype=bool), np.array(quantities, dtype=np.int64),
+        np.array(easy_flags, dtype=bool), np.array(rnd_values),
+    )
 
 
 # -- NF3 -----------------------------------------------------------------
@@ -325,7 +353,7 @@ def knn_predict_loop(
     chosen = candidates[: cfg.k]
     num = sum(w * (r - mean[v]) for w, v, r in chosen)
     den = sum(abs(w) for w, _, _ in chosen)
-    return train.scale.clamp(mean[user] + num / den)
+    return clamp(train.scale, mean[user] + num / den)
 
 
 def nf3_detect_loop(train, test, cfg=KnnConfig(), th=0.05) -> Nf3Result:
@@ -375,11 +403,13 @@ def nf4_detect_loop(test, delta1=1.0, delta2=0.25, context=None) -> Nf4Result:
         i: _mean_profile(_profile_values(test, ctx, "items", i), scale)
         for i in {int(x) for x in test.items}
     }
-    noisy, degrees = [], []
+    noisy, degrees, ups, ips = [], [], [], []
     prefiltered = 0
     for r in test:
         up = user_profiles[r.user_id]
         ip = item_profiles[r.item_id]
+        ups.append(up)
+        ips.append(ip)
         if manhattan(up, ip) >= delta1:
             prefiltered += 1
             degrees.append(0.0)
@@ -391,7 +421,8 @@ def nf4_detect_loop(test, delta1=1.0, delta2=0.25, context=None) -> Nf4Result:
         noisy.append(degree > delta2)
     return Nf4Result(
         np.array(noisy, dtype=bool), np.array(degrees, dtype=np.float64),
-        user_profiles, item_profiles, prefiltered,
+        np.array(ups, dtype=np.float64).reshape(-1, 3),
+        np.array(ips, dtype=np.float64).reshape(-1, 3), prefiltered,
     )
 
 
@@ -432,14 +463,14 @@ def venn_loop(votes: Votes) -> dict[str, int]:
     return counts
 
 
-_USER_CODE = {c: float(k) for k, c in enumerate(_USER_CLASSES)}
-_ITEM_CODE = {c: float(k) for k, c in enumerate(_ITEM_CLASSES)}
-
-
 def feature_matrix_loop(
     test: RatingsTable, context: RatingsTable, board: BoardResult
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The feature rows, with the NF1 classes from nf1_detect_loop at its
+    default cuts and majority over the context, and the other detector
+    columns from the board."""
     scale = context.scale
+    nf1 = nf1_detect_loop(test, context=context)
     keys, rows = [], []
     for k, r in enumerate(test):
         key = (r.user_id, r.item_id)
@@ -455,8 +486,8 @@ def feature_matrix_loop(
                 u_mean, u_std, i_mean, i_std,
                 abs(r.value - u_mean), abs(r.value - i_mean),
                 math.log(len(u_vals)), math.log(len(i_vals)),
-                _USER_CODE[board.nf1.user_classes[r.user_id]],
-                _ITEM_CODE[board.nf1.item_classes[r.item_id]],
+                float(nf1.user_class[k]),
+                float(nf1.item_class[k]),
                 board.nf4.noise_degree[k],
                 0.0 if math.isnan(c) else c,
                 1.0 if math.isnan(c) else 0.0,
@@ -643,7 +674,7 @@ class ArgsortRegressionTree(RegressionTree):
         return node
 
 
-def train_gbt_refit(X, y, rounds=100, depth=3, lr=0.1, seed=0, tree=RegressionTree) -> GbtModel:
+def train_gbt_refit(X, y, rounds=100, depth=3, lr=0.1, tree=RegressionTree) -> GbtModel:
     """train_gbt as a plain loop: each round fits a fresh tree of class
     `tree` to X and steps the score by that tree's prediction on X."""
     X = np.asarray(X, dtype=np.float64)
@@ -713,7 +744,7 @@ def mf_predict(model: MfModel, user: int, item: int) -> float:
         score += model.bi[ir[0]]
     if len(ur) and len(ir):
         score += float(model.P[ur[0]] @ model.Q[ir[0]])
-    return model.scale.clamp(score)
+    return clamp(model.scale, score)
 
 
 def recommend_topk_loop(model: MfModel, train: RatingsTable, user: int, K: int) -> list[int]:

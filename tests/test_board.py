@@ -150,6 +150,20 @@ def test_run_board_deterministic():
     assert a.venn == b.venn
 
 
+def test_detector_results_are_row_aligned():
+    """Every field of a detector result is an array whose first axis is the
+    test rows, or an int count: no result keeps a side map keyed by id."""
+    train, test = _board_tables()
+    res = run_board(train, test, BoardConfig())
+    for result in (res.nf1, res.nf2, res.nf3, res.nf4):
+        for name, value in result._asdict().items():
+            where = f"{type(result).__name__}.{name}"
+            if isinstance(value, int):
+                continue
+            assert isinstance(value, np.ndarray), where
+            assert value.shape[:1] == (len(test),), where
+
+
 def test_votes_csv_roundtrip(tmp_path):
     train, test = _board_tables()
     res = run_board(train, test, BoardConfig())

@@ -334,7 +334,7 @@ def test_stacking_el2_2_variant_trains():
 
 def test_gbt_loss_strictly_decreasing_first_rounds():
     X, y = _separable(120, seed=9)
-    model = train_gbt(X, y, rounds=10, depth=2, lr=0.3, seed=0)
+    model = train_gbt(X, y, rounds=10, depth=2, lr=0.3)
     losses = model.loss_curve
     assert len(losses) == 11
     for a, b in zip(losses, losses[1:]):
@@ -344,13 +344,13 @@ def test_gbt_loss_strictly_decreasing_first_rounds():
 def test_gbt_zero_rounds_predicts_majority():
     X, y = _separable(60, seed=10)
     y[:40] = 1
-    model = train_gbt(X, y, rounds=0, depth=2, lr=0.1, seed=0)
+    model = train_gbt(X, y, rounds=0, depth=2, lr=0.1)
     assert np.all(model.predict(X) == 1)
 
 
 def test_gbt_zero_lr_stays_at_prior_log_odds():
     X, y = _separable(60, seed=11)
-    model = train_gbt(X, y, rounds=5, depth=2, lr=0.0, seed=0)
+    model = train_gbt(X, y, rounds=5, depth=2, lr=0.0)
     prior = math.log(y.mean() / (1 - y.mean()))
     assert np.allclose(model.decision_function(X), prior)
 

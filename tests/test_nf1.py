@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisegate.board.nf1 import (
+    _ITEM_CLASSES,
+    _USER_CLASSES,
     HOMOLOGOUS,
     ItemClass,
     RatingClass,
@@ -18,6 +20,14 @@ from noisegate.board.nf1 import (
 )
 
 from .conftest import by_key, make_table
+
+
+def _classes(table, res) -> tuple[dict[int, UserClass], dict[int, ItemClass]]:
+    """Each user's and item's class, read from the per-row class codes."""
+    return (
+        {u: _USER_CLASSES[c] for u, c in zip(table.users.tolist(), res.user_class.tolist())},
+        {i: _ITEM_CLASSES[c] for i, c in zip(table.items.tolist(), res.item_class.tolist())},
+    )
 
 
 def test_rating_class_boundaries():
@@ -106,27 +116,30 @@ def _homologous_fixture():
 def test_detect_benevolent_strong_item_strong_rating_clean():
     t = _homologous_fixture()
     res = nf1_detect(t)
-    assert res.user_classes[1] is UserClass.BENEVOLENT
-    assert res.item_classes[1] is ItemClass.STRONGLY_PREFERRED
+    user_classes, item_classes = _classes(t, res)
+    assert user_classes[1] is UserClass.BENEVOLENT
+    assert item_classes[1] is ItemClass.STRONGLY_PREFERRED
     assert not by_key(t, res.noisy)[(1, 1)]
 
 
 def test_detect_critical_weak_item_strong_rating_noisy():
     t = _homologous_fixture()
     res = nf1_detect(t)
-    assert res.user_classes[2] is UserClass.CRITICAL
-    assert res.item_classes[2] is ItemClass.WEAKLY_PREFERRED
+    user_classes, item_classes = _classes(t, res)
+    assert user_classes[2] is UserClass.CRITICAL
+    assert item_classes[2] is ItemClass.WEAKLY_PREFERRED
     noisy = by_key(t, res.noisy)
     # 4.5 is Strong where the homologous group expects Weak
     assert noisy[(2, 2)]
     # the conforming weak rating from a critical user stays clean
-    assert not noisy[(3, 2)] or res.user_classes[3] is not UserClass.CRITICAL
+    assert not noisy[(3, 2)] or user_classes[3] is not UserClass.CRITICAL
 
 
 def test_detect_variable_user_always_clean():
     t = _homologous_fixture()
     res = nf1_detect(t)
-    assert res.user_classes[3] is UserClass.VARIABLE
+    user_classes, _ = _classes(t, res)
+    assert user_classes[3] is UserClass.VARIABLE
     for (u, i), noisy in by_key(t, res.noisy).items():
         if u == 3:
             assert not noisy
@@ -136,8 +149,9 @@ def test_detect_flags_exactly_homologous_violations():
     """Brute-force oracle over the whole fixture."""
     t = _homologous_fixture()
     res = nf1_detect(t)
+    user_classes, item_classes = _classes(t, res)
     for r, noisy in zip(t, res.noisy.tolist()):
-        pair = (res.user_classes[r.user_id], res.item_classes[r.item_id])
+        pair = (user_classes[r.user_id], item_classes[r.item_id])
         expected = HOMOLOGOUS.get(pair)
         assert noisy == (expected is not None and classify_rating(r.value) is not expected)
 

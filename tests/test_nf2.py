@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from noisegate.board.nf2 import (
     DEFAULT_COHERENCE_CUT,
-    Nf2Group,
-    Quality,
     Quantity,
     _coherence,
     group_users,
@@ -25,11 +23,20 @@ VOCAB = ("Action", "Comedy", "Drama")
 
 def nf2_group_user(
     user: int, table: RatingsTable, coherence_cut: float = DEFAULT_COHERENCE_CUT
-) -> Nf2Group:
-    group = group_users(table, coherence_cut).get(user)
-    if group is None:
-        raise ValueError(f"user {user} not in table")
-    return group
+) -> tuple[Quantity, bool]:
+    """(quantity, whether the quality is easy) of one user, from the pass over the whole table."""
+    users, quantity, easy = group_users(table, coherence_cut)
+    k = users.tolist().index(user)
+    return list(Quantity)[quantity[k]], bool(easy[k])
+
+
+def _row_group(res, table: RatingsTable, user: int) -> tuple[Quantity, bool]:
+    """(quantity, easy) that nf2_detect gave every row of one user."""
+    rows = table.users == user
+    groups = set(zip(res.quantity[rows].tolist(), res.easy[rows].tolist()))
+    assert len(groups) == 1
+    quantity, easy = groups.pop()
+    return list(Quantity)[quantity], easy
 
 
 def user_coherence(user: int, table: RatingsTable) -> tuple[float, bool]:
@@ -51,10 +58,9 @@ def _population_table():
 
 def test_quantity_terciles():
     t = _population_table()
-    groups = group_users(t)
-    assert groups[3].quantity is Quantity.HEAVY
-    assert groups[1].quantity is Quantity.LIGHT
-    assert groups[2].quantity is Quantity.MEDIUM
+    assert nf2_group_user(3, t)[0] is Quantity.HEAVY
+    assert nf2_group_user(1, t)[0] is Quantity.LIGHT
+    assert nf2_group_user(2, t)[0] is Quantity.MEDIUM
 
 
 def test_constant_rater_has_coherence_one_easy():
@@ -63,7 +69,7 @@ def test_constant_rater_has_coherence_one_easy():
     t = make_table(rows, genres=genres)
     coherence, had = user_coherence(1, t)
     assert had and coherence == pytest.approx(1.0)
-    assert nf2_group_user(1, t).quality is Quality.EASY
+    assert nf2_group_user(1, t)[1]  # easy
 
 
 def test_alternating_extremes_is_difficult():
@@ -76,7 +82,7 @@ def test_alternating_extremes_is_difficult():
     # independent oracle: every item deviates |r-3| = 2, normalized by span 4.5
     assert coherence == pytest.approx(1.0 - 2.0 / 4.5, abs=1e-9)
     assert coherence < 0.8
-    assert nf2_group_user(1, t).quality is Quality.DIFFICULT
+    assert not nf2_group_user(1, t)[1]  # difficult
 
 
 def test_genreless_user_defaults_easy(caplog):
@@ -84,8 +90,8 @@ def test_genreless_user_defaults_easy(caplog):
     rows = [(1, 1, 1.0, 0), (1, 2, 5.0, 0)]
     t = make_table(rows, genres=genres)
     with caplog.at_level("WARNING"):
-        group = nf2_group_user(1, t)
-    assert group.quality is Quality.EASY
+        _, easy = nf2_group_user(1, t)
+    assert easy
 
 
 def _brute_rnd(value, means, theta, eps=1e-12):
@@ -139,7 +145,7 @@ def _detect_fixture():
 def test_detect_medium_easy_always_clean():
     t = _detect_fixture()
     res = nf2_detect(t)
-    assert res.groups[2] == (Quantity.MEDIUM, Quality.EASY)
+    assert _row_group(res, t, 2) == (Quantity.MEDIUM, True)
     for (u, i), noisy in by_key(t, res.noisy).items():
         if u == 2:
             assert not noisy
@@ -148,7 +154,7 @@ def test_detect_medium_easy_always_clean():
 def test_detect_heavy_deviant_rating_noisy():
     t = _detect_fixture()
     res = nf2_detect(t)
-    assert res.groups[3].quantity is Quantity.HEAVY
+    assert _row_group(res, t, 3)[0] is Quantity.HEAVY
     # leave-one-out genre mean stays ~4.0; |0.5-4|/4 = 0.875 >= theta -> RND 1
     assert by_key(t, res.rnd)[(3, 1000)] == pytest.approx(1.0)
     assert by_key(t, res.noisy)[(3, 1000)]

@@ -115,8 +115,8 @@ def test_detect_opposed_rating_noisy():
     ctx = make_table(rows)
     test = make_table([(1, 1, 0.5, 0)])
     res = nf4_detect(test, context=ctx)
-    up = res.user_profiles[1]
-    ip = res.item_profiles[1]
+    up = FuzzyProfile(*res.user_profile[0])
+    ip = FuzzyProfile(*res.item_profile[0])
     assert up == (0.0, 0.0, 1.0) and ip == (0.0, 0.0, 1.0)
     # manhattan(user,item)=0 < delta1; rating profile (1,0,0): d=2 -> dissim 1
     assert by_key(test, res.noise_degree)[(1, 1)] == pytest.approx(1.0, abs=1e-9)
@@ -133,8 +133,8 @@ def test_detect_prefilter_dissimilar_profiles_clean():
     ctx = make_table(rows)
     test = make_table([(1, 1, 5.0, 0)])
     res = nf4_detect(test, context=ctx)
-    assert res.user_profiles[1] == (1.0, 0.0, 0.0)
-    assert res.item_profiles[1] == (0.0, 0.0, 1.0)
+    assert res.user_profile.tolist() == [[1.0, 0.0, 0.0]]
+    assert res.item_profile.tolist() == [[0.0, 0.0, 1.0]]
     assert res.n_prefiltered == 1
     assert not by_key(test, res.noisy)[(1, 1)]
     assert by_key(test, res.noise_degree)[(1, 1)] == 0.0
@@ -154,8 +154,8 @@ def test_detect_noise_degree_is_min_tnorm():
     ctx = make_table(rows)
     test = make_table([(1, 3, 0.5, 0)])
     res = nf4_detect(test, context=ctx)
-    up = res.user_profiles[1]
-    ip = res.item_profiles[3]
+    up = FuzzyProfile(*res.user_profile[0])
+    ip = FuzzyProfile(*res.item_profile[0])
     assert up == pytest.approx((1 / 3, 0.0, 2 / 3), abs=1e-12)
     assert ip == pytest.approx((0.5, 0.25, 0.25), abs=1e-12)
     assert manhattan(up, ip) < 1.0  # not prefiltered

@@ -253,7 +253,7 @@ def _bias_only(train, lam: float = 1.0, sweeps: int = 20):
         for r in train:
             acc.setdefault(r.user_id, []).append(r.value - mu - bi[r.item_id])
         bu = {u: sum(v) / (len(v) + lam) for u, v in acc.items()}
-    return lambda u, i: train.scale.clamp(mu + bu.get(u, 0.0) + bi.get(i, 0.0))
+    return lambda u, i: oracles.clamp(train.scale, mu + bu.get(u, 0.0) + bi.get(i, 0.0))
 
 
 def test_mf_beats_bias_only_on_held_out(planted_small):
