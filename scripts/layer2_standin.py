@@ -1,15 +1,17 @@
 """Time Layer 2's variants on the MovieLens-sized stand-in's features.
 
-    PYTHONPATH=src python scripts/layer2_standin.py [OUT_DIR]
+    PYTHONPATH=src python scripts/layer2_standin.py [OUT_DIR [BASELINE_DIR]]
 
 Builds the stand-in (noisegate.synth.movielens_sized_tables(seed=0)), runs
 the staged `ingest` and `detect` commands on it with the default config,
-then trains EL3, EL2, EL4_1 and EL4_2 on the board's unanimous ratings with
-seed 11 and classifies its Uncertain ones.  Prints one line per variant:
-train and classify seconds (perf_counter), Noisy labels, and the sha256 of
-the variant's classification CSV, so two checkouts' labels and scores can be
-compared byte for byte.  With OUT_DIR the run directory and the CSVs
+then trains all seven variants on the board's unanimous ratings with seed
+11 and classifies its Uncertain ones.  Prints one line per variant: train
+and classify seconds (perf_counter), Noisy labels, and the sha256 of the
+variant's classification CSV.  With OUT_DIR the run directory and the CSVs
 (<variant>.csv) are kept there; else they go to a temporary directory.
+With BASELINE_DIR, the OUT_DIR of a run on another checkout, each line
+also says whether the CSV differs from the one there, and in how many
+score and label cells, so one command lists every CSV that changes.
 """
 
 from __future__ import annotations
@@ -23,16 +25,34 @@ from pathlib import Path
 import numpy as np
 
 from noisegate.board import Consensus, read_votes
-from noisegate.ensemble import classify_uncertain, train_el, write_classification
+from noisegate.ensemble import (
+    VARIANTS,
+    classify_uncertain,
+    read_classification,
+    train_el,
+    write_classification,
+)
 from noisegate.ensemble.features import read_features
 from noisegate.pipeline import PipelineConfig, cli_detect, cli_ingest, run_paths
 from noisegate.synth import movielens_sized_tables, write_dataset_csvs
 
-VARIANTS = ("EL3", "EL2", "EL4_1", "EL4_2")
 SEED = 11
 
 
-def main(out: Path) -> None:
+def compare(csv: Path, baseline: Path, variant: str) -> str:
+    """How csv differs from the baseline CSV of the same name."""
+    if csv.read_bytes() == baseline.read_bytes():
+        return "same"
+    got, want = read_classification(csv, variant), read_classification(baseline, variant)
+    if any(not np.array_equal(a, b) for a, b in zip(got[:2], want[:2])):
+        return "CHANGED: other ratings"
+    scores = np.count_nonzero(got[3].view(np.int64) != want[3].view(np.int64))
+    drift = float(np.max(np.abs(got[3] - want[3]), initial=0.0))
+    labels = np.count_nonzero(got[2] != want[2])
+    return f"CHANGED: {scores} scores (max |diff| {drift:.3g}), {labels} labels"
+
+
+def main(out: Path, baseline: Path | None = None) -> None:
     table, genres = movielens_sized_tables(seed=0)
     write_dataset_csvs(table, genres, out / "inputs")
     cfg = PipelineConfig(
@@ -60,18 +80,19 @@ def main(out: Path) -> None:
             votes.users[uncertain], votes.items[uncertain], noisy, scores, variant, csv
         )
         digest = hashlib.sha256(csv.read_bytes()).hexdigest()[:16]
+        against = f"  {compare(csv, baseline / csv.name, variant)}" if baseline else ""
         print(
             f"{variant:6s} train {trained - start:8.3f} s  classify {done - trained:7.3f} s  "
-            f"noisy {int(noisy.sum()):5d}  sha256 {digest}",
+            f"noisy {int(noisy.sum()):5d}  sha256 {digest}{against}",
             flush=True,
         )
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 2:
+    if len(sys.argv) > 3:
         sys.exit(__doc__)
-    if len(sys.argv) == 2:
-        main(Path(sys.argv[1]))
+    if len(sys.argv) >= 2:
+        main(Path(sys.argv[1]), Path(sys.argv[2]) if len(sys.argv) == 3 else None)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             main(Path(tmp))

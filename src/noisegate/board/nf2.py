@@ -55,8 +55,9 @@ def _genre_sums(
     return users, sums, np.bincount(flat, minlength=size).reshape(shape)
 
 
-def _coherence(table: RatingsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted user ids with their coherence and whether they rated any item with genres.
+def _coherence(table: RatingsTable) -> tuple[np.ndarray, ...]:
+    """Sorted user ids with their coherence and whether they rated any item
+    with genres, and the table's genre sums and counts (_genre_sums).
 
     Coherence is 1 - the mean normalized within-genre deviation: for each
     rated item with at least one genre, the mean over the item's genres g of
@@ -76,7 +77,7 @@ def _coherence(table: RatingsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     had = np.isin(users, owners)
     coherence = np.ones(len(users))
     coherence[had] = 1.0 - segment_means(devs, starts, lengths)
-    return users, coherence, had
+    return users, coherence, had, sums, counts
 
 
 def group_users(
@@ -85,14 +86,19 @@ def group_users(
     """Group every user of this table: the ascending user ids, their
     quantity codes (rating-count terciles) and whether their quality is
     easy (coherent) rather than difficult."""
-    users, coherence, had = _coherence(table)
+    return _groups(table, coherence_cut)[:3]
+
+
+def _groups(table: RatingsTable, coherence_cut: float) -> tuple[np.ndarray, ...]:
+    """group_users' three arrays, then the table's genre sums and counts."""
+    users, coherence, had, *genre_sums = _coherence(table)
     counts = np.unique(table.users, return_counts=True)[1].astype(np.float64)
     q1 = float(np.quantile(counts, 1 / 3))
     q2 = float(np.quantile(counts, 2 / 3))
     quantity = np.where(counts > q2, 0, np.where(counts <= q1, _LIGHT, _MEDIUM))
     for u in users[~had].tolist():
         logger.warning("user %d rated only genre-less items; quality defaults to easy", u)
-    return users, quantity, ~had | (coherence >= coherence_cut)
+    return users, quantity, ~had | (coherence >= coherence_cut), *genre_sums
 
 
 def nf2_rnd(
@@ -143,7 +149,7 @@ def nf2_detect(
         raise ValueError("genre vectors unavailable")
     # Per test row, its user's group; a user the context lacks is grouped
     # over the test table instead.
-    users, quantity, easy = group_users(ctx, coherence_cut)
+    users, quantity, easy, sums, counts = _groups(ctx, coherence_cut)
     at = sorted_index(users, test.users)
     quantity, easy = np.append(quantity, 0)[at], np.append(easy, False)[at]
     lacking = at == len(users)
@@ -157,8 +163,6 @@ def nf2_detect(
     # and counts, minus the rating itself when the context holds it.  The
     # sums' rows follow the same user ids as the groups, plus an all-zero
     # row at len(users) for the users the context lacks.
-    ctx_rows, ctx_genres = _genre_pairs(ctx, ctx.genres)
-    _, sums, counts = _genre_sums(ctx, ctx_rows, ctx_genres, ctx.genres.n_genres)
     own = ctx.contains(test.users, test.items)
     rows, genres = _genre_pairs(test, ctx.genres)
     user = at[rows]

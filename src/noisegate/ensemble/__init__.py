@@ -19,7 +19,7 @@ from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
 from .forest import RandomForest
 from .isolation import ExtendedIsolationForest
-from .ressel import ResselModel, train_bagging, train_ressel
+from .ressel import ResselModel, train_ressel
 from .stacking import StackingModel, train_stacking
 from .trees import DecisionTree, RegressionTree
 
@@ -29,7 +29,7 @@ VARIANTS = ("EL1", "EL2", "EL2_2", "EL3", "EL4_1", "EL4_2", "EL5")
 
 __all__ = [
     "VARIANTS", "ElModel", "EnsembleConfig", "train_el", "classify_uncertain",
-    "train_stacking", "train_gbt", "train_ressel", "train_bagging",
+    "train_stacking", "train_gbt", "train_ressel",
     "build_feature_matrix", "FEATURE_NAMES",
     "RandomForest", "DecisionTree", "RegressionTree", "ExtendedIsolationForest",
     "StackingModel", "GbtModel", "ResselModel",
@@ -61,18 +61,12 @@ class _ConstantModel:
     def __init__(self, label: int):
         self.label = label
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.full(len(X), self.label, dtype=np.int64)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.full(len(X), float(self.label))
-
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.predict(X), self.predict_proba(X)
+        return np.full(len(X), self.label, dtype=np.int64), self.score(X)
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        """EL5's stand-in anomaly score: the label itself."""
-        return self.predict_proba(X)
+        """The label itself, as probability and as EL5's anomaly score."""
+        return np.full(len(X), float(self.label))
 
 
 class ElModel:
@@ -89,9 +83,6 @@ class ElModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
         return X
-
-    def classify(self, X: np.ndarray) -> np.ndarray:
-        return self.classify_with_scores(X)[0]
 
     def classify_with_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Labels (1 = noisy) and scores: the noisy-class probability

@@ -41,14 +41,9 @@ class GbtModel:
             score += self.lr * tree.predict(X)
         return score
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[0]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[1]
-
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(predict(X), predict_proba(X)) from one pass of the trees."""
+        """The raw score's sign as labels, and its sigmoid, from one pass of
+        the trees."""
         score = self.decision_function(X)
         return (score > 0.0).astype(np.int64), _sigmoid(score)
 

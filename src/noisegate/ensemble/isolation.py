@@ -110,12 +110,15 @@ class ExtendedIsolationForest:
         if node.normal is None:
             out[idx] = depth + c_factor(node.size)
             return
-        mask = X[idx] @ node.normal < node.pdotn
+        # A row-by-row sum, not a BLAS product, so that a row's projection
+        # does not depend on the other rows of the call.
+        mask = (X[idx] * node.normal).sum(axis=1) < node.pdotn
         self._path_lengths(node.left, X, idx[mask], depth + 1, out)
         self._path_lengths(node.right, X, idx[~mask], depth + 1, out)
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        """Anomaly scores in (0, 1); higher isolates faster."""
+        """Anomaly scores in (0, 1); higher isolates faster.  A row's score
+        depends on that row alone."""
         X = np.asarray(X, dtype=np.float64)
         if not self.trees:
             raise RuntimeError("forest not fitted")

@@ -1,8 +1,9 @@
 """Small base classifiers used by the stacking and self-training ensembles.
 
 All of them expose fit(X, y), predict(X) -> {0,1}, and predict_proba(X) ->
-probability of class 1, and all are deterministic for a fixed seed.
-Feature standardization, where used, is learned from the training data.
+probability of class 1, and none draws a random number.  A row's score
+depends only on the row, except KnnClassifier's (see there).  Feature
+standardization, where used, is learned from the training data.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class _Standardizer:
 
 
 # Query rows per distance block: bounds the two (rows x train rows) arrays
-# that KnnClassifier.predict_proba holds.
+# that KnnClassifier.predict_proba holds.  RESSEL reads its pools in chunks
+# of the same size, so that kNN rows keep their whole-pool bits.
 _KNN_CHUNK = 512
 
 
@@ -32,12 +34,14 @@ class KnnClassifier:
     """Euclidean kNN vote on standardized features; labels are 0 or 1.
 
     Distance ties at the k-th neighbour go to the lowest training row, the
-    rows a stable argsort would put first.
+    rows a stable argsort would put first.  The distances come from a BLAS
+    product, which can round a row differently at another place in its
+    _KNN_CHUNK-row chunk, so a row's probability may depend on the other
+    rows of the call.
     """
 
-    def __init__(self, k: int = 5, seed: int = 0):
+    def __init__(self, k: int = 5):
         self.k = k
-        self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -103,9 +107,6 @@ class GaussianNB:
     """Diagonal Gaussian class-conditional model with variance smoothing."""
 
     VAR_SMOOTHING = 1e-9
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNB":
         X = np.asarray(X, dtype=np.float64)
@@ -208,9 +209,8 @@ def _newton(Z: np.ndarray, y: np.ndarray, loss, reg: float) -> tuple[np.ndarray,
 class _LinearModel:
     """Linear score on standardized features; the subclass names the loss."""
 
-    def __init__(self, reg: float = 1e-3, seed: int = 0):
+    def __init__(self, reg: float = 1e-3):
         self.reg = reg
-        self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearModel":
         X = np.asarray(X, dtype=np.float64)
@@ -220,8 +220,10 @@ class _LinearModel:
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """Z w + b per row, summed row by row: a BLAS product would round a
+        row differently by the rows it is called with."""
         Z = self.scaler.transform(np.asarray(X, dtype=np.float64))
-        return Z @ self.w + self.b
+        return (Z * self.w).sum(axis=1) + self.b
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))

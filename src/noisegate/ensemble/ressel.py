@@ -4,13 +4,12 @@ Each bag bootstraps the labeled set, trains a base classifier, then
 repeatedly pseudo-labels its most confident unlabeled points and retrains.
 A bag stops growing the moment its out-of-bag error would increase, so the
 accepted-step OOB sequence is non-increasing by construction.  With no
-unlabeled data the procedure is exactly plain bagging.
+unlabeled data no round runs, and the procedure is exactly plain bagging.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,31 +19,27 @@ from .trees import DecisionTree
 
 logger = logging.getLogger("noisegate.ensemble.ressel")
 
-Factory = Callable[[int], object]
-
 DEFAULT_BAGS = 25
 DEFAULT_ADD_PER_ROUND = 10
 DEFAULT_MAX_ROUNDS = 20
 
 
-def base_roster(spec: str | Sequence[Factory]) -> list[Factory]:
-    """Resolve a base-classifier spec into a list of seed -> classifier factories."""
-    if not isinstance(spec, str):
-        return list(spec)
-    if spec == "EL4_1":
+def base_roster(variant: str) -> list:
+    """The variant's base classifiers, as seed -> classifier factories."""
+    if variant == "EL4_1":
         return [
             lambda s: _SqrtTree(max_depth=4, seed=s),
-            lambda s: LogisticRegression(reg=1e-4, seed=s),
+            lambda s: LogisticRegression(reg=1e-4),
         ]
-    if spec == "EL4_2":
+    if variant == "EL4_2":
         return [
             lambda s: _SqrtTree(max_depth=4, seed=s),
-            lambda s: LogisticRegression(reg=1e-4, seed=s),
-            lambda s: GaussianNB(seed=s),
-            lambda s: MarginClassifier(seed=s),
-            lambda s: KnnClassifier(k=10, seed=s),
+            lambda s: LogisticRegression(reg=1e-4),
+            lambda s: GaussianNB(),
+            lambda s: MarginClassifier(),
+            lambda s: KnnClassifier(k=10),
         ]
-    raise ValueError(f"unknown base roster {spec!r}")
+    raise ValueError(f"unknown base roster {variant!r}")
 
 
 class _SqrtTree(DecisionTree):
@@ -56,10 +51,9 @@ class _SqrtTree(DecisionTree):
 
 
 class ResselModel:
-    def __init__(self, classifiers: list, oob_sequences: list[list[float]], variant: str):
+    def __init__(self, classifiers: list, oob_sequences: list[list[float]]):
         self.classifiers = classifiers
         self.oob_sequences = oob_sequences
-        self.variant = variant
 
     def _votes(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(len(X))
@@ -67,14 +61,9 @@ class ResselModel:
             votes += clf.predict(X)
         return votes
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[0]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[1]
-
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(predict(X), predict_proba(X)) from one vote of the bags."""
+        """Majority labels and the share of bags voting noisy, from one vote
+        of the bags."""
         votes = self._votes(X)
         n = len(self.classifiers)
         return (votes > n / 2.0).astype(np.int64), votes / n
@@ -85,32 +74,6 @@ def _oob_error(clf, X: np.ndarray, y: np.ndarray, oob: np.ndarray) -> float:
     return float(np.mean(pred != y[oob]))
 
 
-def train_bagging(
-    X: np.ndarray,
-    y: np.ndarray,
-    base: str | Sequence[Factory] = "EL4_1",
-    bags: int = DEFAULT_BAGS,
-    seed: int = 0,
-) -> ResselModel:
-    """Plain bagging of the base roster; the no-unlabeled reference model."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    roster = base_roster(base)
-    classifiers = []
-    for b in range(bags):
-        rng = np.random.default_rng(derive_seed(seed, b))
-        idx = rng.integers(0, len(y), size=len(y))
-        clf = roster[b % len(roster)](derive_seed(seed, b, 1)).fit(X[idx], y[idx])
-        classifiers.append(clf)
-    return ResselModel(classifiers, [], "bagging")
-
-
-# Learners whose probability for a row does not depend on the other rows of
-# the call, as long as a KnnClassifier gets its rows in its own chunks,
-# counted from the first row it would be given.
-_ROW_WISE = (KnnClassifier, DecisionTree, GaussianNB)
-
-
 def _confident_batch(
     clf, X_unlabeled: np.ndarray, pool: np.ndarray, take: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,17 +82,16 @@ def _confident_batch(
     |p - 0.5|, ties to the lowest position; positions ascend.
 
     Confidence cannot exceed 0.5, so once each class has take[c] rows at
-    exactly 0.5, no row further on can enter the batch.  A row-wise learner
-    therefore predicts the pool a chunk at a time and stops there; a chunk
-    is _KNN_CHUNK rows from the start of the pool, so every row keeps the
-    bits the whole-pool call gives it.  Any other learner predicts the
-    whole pool in one call.
+    exactly 0.5, no row further on can enter the batch.  The pool is
+    therefore predicted a _KNN_CHUNK-row chunk at a time from its start, and
+    the scan stops there.  Every learner's score of a row is row-local but
+    kNN's, and a chunk is the call a whole-pool kNN prediction would make,
+    so every row keeps the bits a whole-pool call gives it.
     """
-    step = _KNN_CHUNK if isinstance(clf, _ROW_WISE) else len(pool)
     parts = []
     sure = np.zeros(2, dtype=np.int64)
-    for start in range(0, len(pool), step):
-        p = clf.predict_proba(X_unlabeled[pool[start : start + step]])
+    for start in range(0, len(pool), _KNN_CHUNK):
+        p = clf.predict_proba(X_unlabeled[pool[start : start + _KNN_CHUNK]])
         parts.append(p)
         sure += np.bincount(p[np.abs(p - 0.5) == 0.5] > 0.5, minlength=2)
         if sure[0] >= take[0] and sure[1] >= take[1]:
@@ -149,7 +111,7 @@ def train_ressel(
     X_labeled: np.ndarray,
     y: np.ndarray,
     X_unlabeled: np.ndarray,
-    base: str | Sequence[Factory] = "EL4_1",
+    variant: str = "EL4_1",
     bags: int = DEFAULT_BAGS,
     add_per_round: int = DEFAULT_ADD_PER_ROUND,
     seed: int = 0,
@@ -167,11 +129,7 @@ def train_ressel(
     X_labeled = np.asarray(X_labeled, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     X_unlabeled = np.asarray(X_unlabeled, dtype=np.float64)
-    if len(X_unlabeled) == 0:
-        logger.warning("empty unlabeled set: self-training reduces to plain bagging")
-        model = train_bagging(X_labeled, y, base, bags, seed)
-        return ResselModel(model.classifiers, [], _variant_tag(base))
-    roster = base_roster(base)
+    roster = base_roster(variant)
     n = len(y)
     classifiers = []
     sequences: list[list[float]] = []
@@ -215,8 +173,4 @@ def train_ressel(
             pool = np.delete(pool, batch)
         classifiers.append(clf)
         sequences.append(seq)
-    return ResselModel(classifiers, sequences, _variant_tag(base))
-
-
-def _variant_tag(base: str | Sequence[Factory]) -> str:
-    return base if isinstance(base, str) else "EL4_custom"
+    return ResselModel(classifiers, sequences)

@@ -20,19 +20,19 @@ def _base_factories(variant: str):
     """Base-learner rosters per stacking variant; each entry is seed -> classifier."""
     if variant == "EL2":
         return [
-            ("knn", lambda s: KnnClassifier(k=5, seed=s)),
-            ("cart", lambda s: DecisionTree(max_depth=8, seed=s)),
-            ("margin", lambda s: MarginClassifier(seed=s)),
-            ("gnb", lambda s: GaussianNB(seed=s)),
+            lambda s: KnnClassifier(k=5),
+            lambda s: DecisionTree(max_depth=8, seed=s),
+            lambda s: MarginClassifier(),
+            lambda s: GaussianNB(),
         ]
     if variant == "EL2_2":
         return [
-            ("rf", lambda s: RandomForest(trees=50, max_depth=8, seed=s)),
-            ("extra", lambda s: RandomForest(trees=50, max_depth=8, splitter="random",
-                                             bootstrap=False, seed=s)),
-            ("logreg", lambda s: LogisticRegression(seed=s)),
-            ("cart", lambda s: DecisionTree(max_depth=8, seed=s)),
-            ("gnb", lambda s: GaussianNB(seed=s)),
+            lambda s: RandomForest(trees=50, max_depth=8, seed=s),
+            lambda s: RandomForest(trees=50, max_depth=8, splitter="random", bootstrap=False,
+                                   seed=s),
+            lambda s: LogisticRegression(),
+            lambda s: DecisionTree(max_depth=8, seed=s),
+            lambda s: GaussianNB(),
         ]
     raise ValueError(f"unknown stacking variant {variant!r}")
 
@@ -66,23 +66,16 @@ def _merge_degenerate_folds(folds: list[np.ndarray], y: np.ndarray) -> list[np.n
 
 
 class StackingModel:
-    def __init__(self, variant: str, bases, meta: LogisticRegression, base_names: list[str]):
-        self.variant = variant
+    def __init__(self, bases, meta: LogisticRegression):
         self.bases = bases
         self.meta = meta
-        self.base_names = base_names
 
     def _base_matrix(self, X: np.ndarray) -> np.ndarray:
         return np.column_stack([b.predict_proba(X) for b in self.bases])
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[0]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[1]
-
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(predict(X), predict_proba(X)) from one pass of the base learners."""
+        """The meta-learner's labels and noisy-class probabilities, from one
+        pass of the base learners."""
         Z = self._base_matrix(X)
         return self.meta.predict(Z), self.meta.predict_proba(Z)
 
@@ -103,24 +96,14 @@ def train_stacking(X: np.ndarray, y: np.ndarray, variant: str = "EL2", seed: int
     Z = np.zeros((len(y), len(factories)))
     if len(folds) < 2:
         logger.warning("too few valid folds; meta-features fall back to in-sample predictions")
-        for b, (name, make) in enumerate(factories):
-            clf = make(derive_seed(seed, 7, b))
-            clf.fit(X, y)
-            Z[:, b] = clf.predict_proba(X)
+        for b, make in enumerate(factories):
+            Z[:, b] = make(derive_seed(seed, 7, b)).fit(X, y).predict_proba(X)
     else:
         for f, fold in enumerate(folds):
             rest = np.concatenate([folds[g] for g in range(len(folds)) if g != f])
-            for b, (name, make) in enumerate(factories):
-                clf = make(derive_seed(seed, 7, b))
-                clf.fit(X[rest], y[rest])
+            for b, make in enumerate(factories):
+                clf = make(derive_seed(seed, 7, b)).fit(X[rest], y[rest])
                 Z[fold, b] = clf.predict_proba(X[fold])
-    meta = LogisticRegression(seed=derive_seed(seed, 999))
-    meta.fit(Z, y)
-    bases = []
-    names = []
-    for b, (name, make) in enumerate(factories):
-        clf = make(derive_seed(seed, 7, b))
-        clf.fit(X, y)
-        bases.append(clf)
-        names.append(name)
-    return StackingModel(variant, bases, meta, names)
+    meta = LogisticRegression().fit(Z, y)
+    bases = [make(derive_seed(seed, 7, b)).fit(X, y) for b, make in enumerate(factories)]
+    return StackingModel(bases, meta)

@@ -45,7 +45,7 @@ from .ensemble import (
     train_el,
     write_classification,
 )
-from .ensemble.features import build_feature_matrix, read_features, write_features
+from .ensemble.features import FEATURE_NAMES, build_feature_matrix, read_features, write_features
 from .evaluation import (
     ACCURACY_METRICS,
     BASIS_RATINGS,
@@ -158,6 +158,10 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
             raise ConfigError("movies_path is required: NF2 and serendipity need item genres")
         if not self.scale_min < self.scale_max:
             raise ConfigError("scale_min must be less than scale_max")
+        if not self.nf1_cut_low < self.nf1_cut_high:
+            raise ConfigError("nf1_cut_low must be less than nf1_cut_high")
+        if not 0.0 <= self.nf1_majority < 1.0:
+            raise ConfigError("nf1_majority must be in [0, 1): no class holds more than all")
         fr = (self.train_fraction, self.detect_fraction, self.eval_fraction)
         if any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must be positive and sum to 1, got {fr}")
@@ -180,6 +184,15 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
             raise ConfigError("gbt_rounds, gbt_depth and rf_max_depth must be >= 1")
         if self.eif_sample_size < 2:
             raise ConfigError("eif_sample_size must be >= 2: one point has no isolation depth")
+        d = len(FEATURE_NAMES)
+        if self.rf_feature_subset is not None and not 1 <= self.rf_feature_subset <= d:
+            raise ConfigError(f"rf_feature_subset must be in [1, {d}], the feature count")
+        if self.eif_extension_level is not None and not 0 <= self.eif_extension_level < d:
+            raise ConfigError(f"eif_extension_level must be in [0, {d - 1}]")
+        if self.ressel_add_per_round < 1 or self.ressel_max_rounds < 0:
+            raise ConfigError("ressel_add_per_round must be >= 1 and ressel_max_rounds >= 0")
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.gbt_lr, self.mf_reg)):
+            raise ConfigError("gbt_lr and mf_reg must be finite and >= 0")
         try:
             SignatureAction(self.signature_action)
         except ValueError:

@@ -48,10 +48,12 @@ from noisegate.board.verdict import DETECTOR_IDS, Verdict
 from noisegate.dataset import RatingsTable
 from noisegate.ensemble.boosting import GbtModel, _log_loss, _sigmoid
 from noisegate.ensemble.learners import KnnClassifier
+from noisegate.ensemble.ressel import ResselModel, base_roster
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
 from noisegate.evaluation.deltas import BASIS_USERS, DeltaPoint, plane_positive, quadrant
 from noisegate.evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
 from noisegate.recsys import _VAR_EPS, KnnConfig, MfModel, SimilarityMatrix
+from noisegate.seeding import derive_seed
 from noisegate.signature import (
     DENOMINATOR_LAST_DAY,
     OPTOUT_SIGNATURE_ID,
@@ -695,6 +697,17 @@ def train_gbt_refit(X, y, rounds=100, depth=3, lr=0.1, tree=RegressionTree) -> G
         score = score + lr * fitted.predict(X)
         losses.append(_log_loss(y, _sigmoid(score)))
     return GbtModel(base, trees, lr, losses)
+
+
+def train_bagging(X, y, variant="EL4_1", bags=25, seed=0) -> ResselModel:
+    """Plain bagging of RESSEL's base roster: bag b fits the classifier
+    train_ressel starts bag b from, on the same bootstrap, and stops."""
+    roster = base_roster(variant)
+    classifiers = []
+    for b in range(bags):
+        idx = np.random.default_rng(derive_seed(seed, b)).integers(0, len(y), size=len(y))
+        classifiers.append(roster[b % len(roster)](derive_seed(seed, b, 1)).fit(X[idx], y[idx]))
+    return ResselModel(classifiers, [])
 
 
 def ressel_batch_full_pool(clf, X_unlabeled, pool, take) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from noisegate.dataset import Scale, SplitSpec, split_train_test
 from noisegate.ensemble.boosting import train_gbt
 from noisegate.ensemble.forest import RandomForest
 from noisegate.ensemble.isolation import ExtendedIsolationForest
-from noisegate.ensemble.ressel import train_bagging, train_ressel
+from noisegate.ensemble.ressel import train_ressel
 from noisegate.evaluation.clustering import cluster_users
 from noisegate.evaluation.deltas import plane_positive, quadrant, Quadrant
 from noisegate.pipeline import (
@@ -37,7 +37,7 @@ from noisegate.signature import detect_optout
 from noisegate.synth import movielens_sized_tables, planted_tables, write_dataset_csvs
 
 from .conftest import ACCEPTANCE_INFO, MINI_DIR, make_table, noisy_flags
-from .oracles import ranking_metrics_loop, serendipity_loop
+from .oracles import ranking_metrics_loop, serendipity_loop, train_bagging
 from .test_metrics import _metrics
 from .test_nf2 import _brute_rnd
 from .test_serendipity import _genre_map, _one
@@ -283,7 +283,7 @@ def test_criterion_5_ensemble_contracts():
     # RF OOB error within 0.15 of held-out error
     X, y = _separable(400, seed=2, gap=0.9)
     rf = RandomForest(trees=60, max_depth=6, seed=5).fit(X[:300], y[:300])
-    held = float(np.mean(rf.predict(X[300:]) != y[300:]))
+    held = float(np.mean(rf.predict_with_proba(X[300:])[0] != y[300:]))
     assert rf.oob_error is not None
     assert abs(rf.oob_error - held) <= 0.15
 
@@ -292,7 +292,8 @@ def test_criterion_5_ensemble_contracts():
     probe, _ = _separable(50, seed=4, gap=1.5)
     ressel = train_ressel(Xl, yl, np.zeros((0, Xl.shape[1])), bags=8, seed=9)
     bagging = train_bagging(Xl, yl, bags=8, seed=9)
-    assert np.array_equal(ressel.predict(probe), bagging.predict(probe))
+    for got, want in zip(ressel.predict_with_proba(probe), bagging.predict_with_proba(probe)):
+        assert got.tobytes() == want.tobytes()
 
     # accepted self-training steps never raise a bag's OOB error
     Xl2, yl2 = _separable(80, seed=6, gap=0.8)

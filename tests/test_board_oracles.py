@@ -153,7 +153,7 @@ def test_nf2_matches_loop_oracle(case, thetas, rnd_cut, coherence_cut):
     assert _same(got.easy, want.easy)
     groups = group_users(context, coherence_cut)
     assert all(map(_same, groups, oracles.group_users_loop(context, coherence_cut)))
-    users, coherence, had = _coherence(context)
+    users, coherence, had = _coherence(context)[:3]
     for u, c, h in zip(users.tolist(), coherence.tolist(), had.tolist()):
         assert (c, h) == oracles.user_coherence_loop(u, context)
 

@@ -131,10 +131,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
         (["--gbt-rounds", "0"], "gbt_rounds"),
         (["--gbt-depth", "0"], "gbt_depth"),
         (["--ensemble-variant", "EL1", "--rf-max-depth", "0"], "rf_max_depth"),
+        (["--ensemble-variant", "EL5", "--eif-extension-level", "99"], "eif_extension_level"),
+        (["--ensemble-variant", "EL5", "--eif-extension-level", "19"], "[0, 18]"),
+        (["--ensemble-variant", "EL1", "--rf-feature-subset", "0"], "rf_feature_subset"),
+        (["--ensemble-variant", "EL1", "--rf-feature-subset", "-2"], "rf_feature_subset"),
+        (["--ensemble-variant", "EL1", "--rf-feature-subset", "20"], "[1, 19]"),
+        (["--ensemble-variant", "EL4_1", "--ressel-add-per-round", "0"], "ressel_add_per_round"),
+        (["--ensemble-variant", "EL4_1", "--ressel-max-rounds", "-3"], "ressel_max_rounds"),
+        (["--gbt-lr", "-5"], "gbt_lr"),
+        (["--mf-reg", "-1"], "mf_reg"),
+        (["--nf1-cut-low", "4", "--nf1-cut-high", "2"], "nf1_cut_low"),
+        (["--nf1-majority", "2"], "nf1_majority"),
+        (["--nf1-majority", "1"], "nf1_majority"),
     ],
     ids=[
         "nf3-k", "nf3-significance-cap", "rf-trees", "eif-trees", "ressel-bags",
         "eif-sample-size", "gbt-rounds", "gbt-depth", "rf-max-depth",
+        "eif-extension-level-99", "eif-extension-level-19", "rf-feature-subset-0",
+        "rf-feature-subset-negative", "rf-feature-subset-20", "ressel-add-per-round-0",
+        "ressel-max-rounds-negative", "gbt-lr-negative", "mf-reg-negative", "nf1-cuts-reversed",
+        "nf1-majority-2", "nf1-majority-1",
     ],
 )
 def test_out_of_range_learner_keys_exit_2_before_writing(tmp_path, capsys, flags, message):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from unittest import mock
 
@@ -19,7 +21,7 @@ from noisegate.ensemble import (
     train_el,
     write_classification,
 )
-from noisegate.ensemble.boosting import train_gbt
+from noisegate.ensemble.boosting import _sigmoid, train_gbt
 from noisegate.ensemble.forest import RandomForest
 from noisegate.ensemble.isolation import ExtendedIsolationForest, c_factor
 from noisegate.ensemble.learners import (
@@ -28,7 +30,7 @@ from noisegate.ensemble.learners import (
     LogisticRegression,
     MarginClassifier,
 )
-from noisegate.ensemble.ressel import train_bagging, train_ressel
+from noisegate.ensemble.ressel import train_ressel
 from noisegate.ensemble.stacking import train_stacking
 from noisegate.ensemble.trees import DecisionTree, RegressionTree, _Plan
 
@@ -90,9 +92,9 @@ def _linear_cases():
 def test_linear_learners_stop_at_a_stationary_point(learner, case):
     X, y = _linear_cases()[case]
     for reg in (1e-3, 1e-4):
-        model = learner(reg=reg, seed=3).fit(X, y)
+        model = learner(reg=reg).fit(X, y)
         assert np.linalg.norm(_objective_gradient(model, X, y)) < 1e-8
-        again = learner(reg=reg, seed=3).fit(X, y)
+        again = learner(reg=reg).fit(X, y)
         assert again.w.tobytes() == model.w.tobytes() and again.b == model.b
 
 
@@ -307,7 +309,7 @@ def test_forest_seed_determinism():
 def test_stacking_beats_or_matches_bases_when_all_correct():
     X, y = _separable(100, seed=6)
     model = train_stacking(X, y, "EL2", seed=0)
-    acc = float(np.mean(model.predict(X) == y))
+    acc = float(np.mean(model.predict_with_proba(X)[0] == y))
     base_accs = [float(np.mean(b.predict(X) == y)) for b in model.bases]
     assert acc >= max(base_accs) - 0.05
 
@@ -317,7 +319,7 @@ def test_stacking_xor_tracks_cart():
     cart = DecisionTree(max_depth=4).fit(X, y)
     cart_acc = float(np.mean(cart.predict(X) == y))
     model = train_stacking(X, y, "EL2", seed=0)
-    stack_acc = float(np.mean(model.predict(X) == y))
+    stack_acc = float(np.mean(model.predict_with_proba(X)[0] == y))
     assert cart_acc >= 0.9  # CART solves XOR; linear bases cannot
     assert stack_acc >= cart_acc - 0.05
 
@@ -325,7 +327,7 @@ def test_stacking_xor_tracks_cart():
 def test_stacking_el2_2_variant_trains():
     X, y = _separable(90, seed=8)
     model = train_stacking(X, y, "EL2_2", seed=0)
-    assert float(np.mean(model.predict(X) == y)) >= 0.9
+    assert float(np.mean(model.predict_with_proba(X)[0] == y)) >= 0.9
     assert len(model.bases) == 5
 
 
@@ -345,7 +347,7 @@ def test_gbt_zero_rounds_predicts_majority():
     X, y = _separable(60, seed=10)
     y[:40] = 1
     model = train_gbt(X, y, rounds=0, depth=2, lr=0.1)
-    assert np.all(model.predict(X) == 1)
+    assert np.all(model.predict_with_proba(X)[0] == 1)
 
 
 def test_gbt_zero_lr_stays_at_prior_log_odds():
@@ -474,15 +476,16 @@ def test_train_gbt_drops_the_plans_of_a_node_no_longer_split():
 def test_ressel_empty_unlabeled_equals_bagging():
     X, y = _separable(80, seed=12)
     probe = np.random.default_rng(0).normal(0, 2, size=(50, 2))
-    ressel = train_ressel(X, y, np.empty((0, 2)), base="EL4_1", bags=7, seed=5)
-    bagging = train_bagging(X, y, base="EL4_1", bags=7, seed=5)
-    assert np.array_equal(ressel.predict(probe), bagging.predict(probe))
+    ressel = train_ressel(X, y, np.empty((0, 2)), "EL4_1", bags=7, seed=5)
+    bagging = oracles.train_bagging(X, y, "EL4_1", bags=7, seed=5)
+    for a, b in zip(ressel.predict_with_proba(probe), bagging.predict_with_proba(probe)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_ressel_oob_sequences_non_increasing():
     X, y = _separable(40, seed=13, gap=0.8)
     U = np.random.default_rng(1).normal(0, 1.5, size=(150, 2))
-    model = train_ressel(X, y, U, base="EL4_1", bags=5, add_per_round=10, seed=2)
+    model = train_ressel(X, y, U, "EL4_1", bags=5, add_per_round=10, seed=2)
     assert model.oob_sequences  # self-training actually ran
     for seq in model.oob_sequences:
         for a, b in zip(seq, seq[1:]):
@@ -496,21 +499,27 @@ def test_ressel_unlabeled_does_not_hurt():
     X_unl = np.vstack([rng.normal(-1.5, 0.4, (100, 2)), rng.normal(1.5, 0.4, (100, 2))])
     X_te = np.vstack([rng.normal(-1.5, 0.4, (100, 2)), rng.normal(1.5, 0.4, (100, 2))])
     y_te = np.array([0] * 100 + [1] * 100, np.int64)
-    ressel = train_ressel(X_lab, y_lab, X_unl, base="EL4_1", bags=9, add_per_round=10, seed=3)
-    bagging = train_bagging(X_lab, y_lab, base="EL4_1", bags=9, seed=3)
-    acc_r = float(np.mean(ressel.predict(X_te) == y_te))
-    acc_b = float(np.mean(bagging.predict(X_te) == y_te))
+    ressel = train_ressel(X_lab, y_lab, X_unl, "EL4_1", bags=9, add_per_round=10, seed=3)
+    bagging = oracles.train_bagging(X_lab, y_lab, "EL4_1", bags=9, seed=3)
+    acc_r = float(np.mean(ressel.predict_with_proba(X_te)[0] == y_te))
+    acc_b = float(np.mean(bagging.predict_with_proba(X_te)[0] == y_te))
     assert acc_r >= acc_b - 0.02
 
 
 def test_ressel_el4_2_roster_trains():
     X, y = _separable(60, seed=15)
     U = np.random.default_rng(2).normal(0, 2, size=(40, 2))
-    model = train_ressel(X, y, U, base="EL4_2", bags=5, seed=0)
-    assert float(np.mean(model.predict(X) == y)) >= 0.9
+    model = train_ressel(X, y, U, "EL4_2", bags=5, seed=0)
+    assert float(np.mean(model.predict_with_proba(X)[0] == y)) >= 0.9
 
 
-def _ressel_both_ways(X, y, U, base, add_per_round, max_rounds):
+def _roster(factories):
+    """A patch that gives train_ressel these base classifiers, whatever
+    variant it is asked for."""
+    return mock.patch.object(ressel, "base_roster", lambda variant: factories)
+
+
+def _ressel_both_ways(X, y, U, variant, add_per_round, max_rounds):
     """(model, batches) of train_ressel as it is, checking every round's
     batch against the whole-pool choice on the same pool, and of
     train_ressel choosing with the whole-pool oracle."""
@@ -527,7 +536,7 @@ def _ressel_both_ways(X, y, U, base, add_per_round, max_rounds):
             return got
 
         with mock.patch.object(ressel, "_confident_batch", record):
-            model = train_ressel(X, y, U, base=base, bags=5, add_per_round=add_per_round,
+            model = train_ressel(X, y, U, variant, bags=5, add_per_round=add_per_round,
                                  seed=4, max_rounds=max_rounds)
         runs.append((model, batches))
     return runs
@@ -537,7 +546,6 @@ def _assert_same_ressel(runs, probe):
     (got, got_batches), (want, want_batches) = runs
     assert got_batches == want_batches
     assert got.oob_sequences == want.oob_sequences
-    assert got.variant == want.variant
     for a, b in zip(got.predict_with_proba(probe), want.predict_with_proba(probe)):
         assert a.tobytes() == b.tobytes()
 
@@ -578,13 +586,14 @@ def test_ressel_settled_scan_equals_full_pool(data, roster, add_per_round):
     classes = data.draw(st.sampled_from([(0, 1), (0,), (1,)]))
     at = data.draw(st.sampled_from([0, 500, 508, 520, 1030]))
     X, y, U = _ressel_data(rng, n_mixed, n_sure, classes, at)
-    base = roster if roster != "custom" else [
-        lambda s: KnnClassifier(k=3, seed=s),
-        lambda s: GaussianNB(seed=s),
+    custom = [
+        lambda s: KnnClassifier(k=3),
+        lambda s: GaussianNB(),
         lambda s: DecisionTree(max_depth=2, seed=s),
-        lambda s: MarginClassifier(seed=s),
+        lambda s: MarginClassifier(),
     ]
-    runs = _ressel_both_ways(X, y, U, base, add_per_round, data.draw(st.integers(1, 4)))
+    with _roster(custom) if roster == "custom" else contextlib.nullcontext():
+        runs = _ressel_both_ways(X, y, U, roster, add_per_round, data.draw(st.integers(1, 4)))
     _assert_same_ressel(runs, np.vstack([U, X]))
 
 
@@ -594,8 +603,9 @@ def test_ressel_scan_settles_across_a_chunk_boundary():
     # later scans, after 10 rows leave the pool per round, settle in the
     # first chunk or across the boundary.  No scan reads the last chunk.
     X, y, U = _ressel_data(np.random.default_rng(21), 2000, 30, (0, 1), 508)
-    base = [lambda s: KnnClassifier(k=10, seed=s)]
-    _assert_same_ressel(_ressel_both_ways(X, y, U, base, 10, 3), np.vstack([U, X]))
+    knn = _roster([lambda s: KnnClassifier(k=10)])
+    with knn:
+        _assert_same_ressel(_ressel_both_ways(X, y, U, "kNN", 10, 3), np.vstack([U, X]))
     reads, scans = [], []
     predict_proba, choose = KnnClassifier.predict_proba, ressel._confident_batch
 
@@ -607,9 +617,9 @@ def test_ressel_scan_settles_across_a_chunk_boundary():
         scans.append(len(reads))
         return choose(*args)
 
-    with mock.patch.object(KnnClassifier, "predict_proba", reading), \
+    with knn, mock.patch.object(KnnClassifier, "predict_proba", reading), \
             mock.patch.object(ressel, "_confident_batch", scanning):
-        train_ressel(X, y, U, base=base, bags=5, add_per_round=10, seed=4, max_rounds=3)
+        train_ressel(X, y, U, "kNN", bags=5, add_per_round=10, seed=4, max_rounds=3)
     chunks = [n for n in reads if n >= 512]  # OOB checks predict under 40 rows
     assert all(n == 512 for n in chunks)
     assert len(scans) < len(chunks) < 2 * len(scans)
@@ -662,6 +672,59 @@ def test_eif_extension_level_zero_accepted():
     assert forest.score(X).shape == (40,)
 
 
+# -- row-local scores ----------------------------------------------------
+
+# Every learner and variant whose score of a row depends on that row alone;
+# kNN's BLAS distances, and with them EL2's and EL4_2's, are left out.
+_ROW_LOCAL = (
+    "GaussianNB", "LogisticRegression", "MarginClassifier", "DecisionTree", "RandomForest",
+    "ExtendedIsolationForest", "EL1", "EL2_2", "EL3", "EL4_1", "EL5",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_local_case(name: str, seed: int):
+    """(pool, scorer): a pool of unlabeled rows and a function from rows to
+    the named learner's or variant's labels and scores, fitted on labeled
+    rows of 19 features (as Layer 2's) or 4, of mixed magnitudes."""
+    rng = np.random.default_rng(seed)
+    d = 19 if seed % 2 == 0 else 4
+    scale = 10.0 ** rng.uniform(-3, 3, size=d)
+    X = rng.normal(size=(120, d)) * scale
+    y = (X[:, 0] / scale[0] + rng.normal(0, 0.7, size=120) > 0.5).astype(np.int64)
+    U = rng.normal(size=(300, d)) * scale * rng.uniform(0.5, 2.0, size=d)
+    if name in VARIANTS:
+        cfg = EnsembleConfig(
+            ensemble_variant=name, rf_trees=10, gbt_rounds=10, ressel_bags=4,
+            ressel_max_rounds=3, eif_trees=10, eif_sample_size=64,
+        )
+        return U, train_el(X, y, U, cfg, seed=seed).classify_with_scores
+    if name == "ExtendedIsolationForest":
+        forest = ExtendedIsolationForest(trees=10, sample_size=64, seed=seed).fit(U)
+        return U, lambda Q: (forest.score(Q),)
+    kinds = {
+        "GaussianNB": GaussianNB, "LogisticRegression": LogisticRegression,
+        "MarginClassifier": MarginClassifier, "DecisionTree": DecisionTree,
+        "RandomForest": lambda: RandomForest(trees=10, seed=seed),
+    }
+    model = kinds[name]().fit(X, y)
+    return U, lambda Q: (model.predict(Q), model.predict_proba(Q))
+
+
+@pytest.mark.parametrize("name", _ROW_LOCAL)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_scores_are_row_local(name, data):
+    # A rating's label and score must not depend on which other ratings
+    # were scored with it: any subset of the pool, in any order, single
+    # rows included, gets the bits the whole pool's call gives those rows.
+    U, scorer = _row_local_case(name, data.draw(st.integers(0, 3)))
+    order = data.draw(st.permutations(range(len(U))))
+    rows = np.array(order[: data.draw(st.one_of(st.just(1), st.integers(1, len(U))))])
+    for got, want in zip(scorer(U[rows]), scorer(U)):
+        assert got.tobytes() == want[rows].tobytes()
+
+
 # -- variant driver and persistence --------------------------------------
 
 
@@ -692,9 +755,8 @@ def _votes_of(members, U):
     ("EL1", "_vote_matrix"), ("EL3", "decision_function"), ("EL4_2", "_votes"),
 ])
 def test_classify_with_scores_scores_once(variant, scorer):
-    """Labels and scores equal the inner model's predict and predict_proba,
-    and the labels equal the rule applied to the inner model's own members,
-    from one scoring pass."""
+    """Labels and scores equal the rule applied to the inner model's own
+    members, from one scoring pass."""
     X, y = _separable(80, seed=16)
     U = np.random.default_rng(5).normal(0, 2, size=(30, 2))
     cfg = EnsembleConfig(ensemble_variant=variant, rf_trees=15, gbt_rounds=15, ressel_bags=5)
@@ -704,19 +766,19 @@ def test_classify_with_scores_scores_once(variant, scorer):
     with mock.patch.object(type(inner), scorer, autospec=True, side_effect=method) as spy:
         labels, scores = model.classify_with_scores(U)
     assert spy.call_count == 1
-    assert labels.tobytes() == inner.predict(U).tobytes()
-    assert scores.tobytes() == inner.predict_proba(U).tobytes()
     if variant == "EL1":
         votes = _votes_of(inner.trees, U)
-        want = votes > len(inner.trees) - votes
+        want, proba = votes > len(inner.trees) - votes, votes / len(inner.trees)
     elif variant == "EL3":
         z = np.full(len(U), inner.base_score)
         for tree in inner.trees:
             z += inner.lr * tree.predict(U)
-        want = z > 0.0
+        want, proba = z > 0.0, _sigmoid(z)
     else:
-        want = _votes_of(inner.classifiers, U) > len(inner.classifiers) / 2.0
-    assert np.array_equal(labels, want.astype(np.int64))
+        votes = _votes_of(inner.classifiers, U)
+        want, proba = votes > len(inner.classifiers) / 2.0, votes / len(inner.classifiers)
+    assert labels.tobytes() == want.astype(np.int64).tobytes()
+    assert scores.tobytes() == proba.tobytes()
     assert 0 < labels.sum() < len(U)
 
 
@@ -733,7 +795,7 @@ def test_train_el_single_class_constant_guard():
     y = np.ones(20, np.int64)
     model = train_el(X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3"), seed=0)
     probe = np.random.default_rng(7).normal(0, 1, size=(5, 2))
-    assert np.all(model.classify(probe) == 1)
+    assert np.all(model.classify_with_scores(probe)[0] == 1)
 
 
 def test_train_el_rejects_unknown_variant_before_single_class_guard():
@@ -784,4 +846,4 @@ def test_dimension_mismatch_raises():
         X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3", gbt_rounds=5), seed=0
     )
     with pytest.raises(ValueError):
-        model.classify(np.zeros((3, 5)))
+        model.classify_with_scores(np.zeros((3, 5)))

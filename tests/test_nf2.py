@@ -41,7 +41,7 @@ def _row_group(res, table: RatingsTable, user: int) -> tuple[Quantity, bool]:
 
 def user_coherence(user: int, table: RatingsTable) -> tuple[float, bool]:
     """(coherence, had_genres) of one user, from the pass over the whole table."""
-    users, coherence, had = _coherence(table)
+    users, coherence, had = _coherence(table)[:3]
     k = users.tolist().index(user)
     return float(coherence[k]), bool(had[k])
 

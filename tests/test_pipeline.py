@@ -128,6 +128,16 @@ def test_config_bad_values_rejected():
         config_from_dict({})
 
 
+def test_config_keeps_the_zero_values_the_learners_define():
+    # lr 0 freezes GBT at the prior, reg 0 is the unregularized ALS solve
+    # and 0 rounds is plain bagging; the bounds are the feature count's.
+    config_from_dict({
+        "ratings_path": "r.csv", "movies_path": "m.csv", "gbt_lr": 0, "mf_reg": 0,
+        "ressel_max_rounds": 0, "rf_feature_subset": 19, "eif_extension_level": 18,
+        "nf1_majority": 0,
+    })
+
+
 def test_config_hash_ignores_output_location():
     a = PipelineConfig(ratings_path="r.csv", out_dir="x", run_id="1")
     b = PipelineConfig(ratings_path="r.csv", out_dir="y", run_id="2")
