@@ -93,13 +93,11 @@ class RandomForest:
             votes[:, 1] += pred == 1
         return votes
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_with_proba(X)[0]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.predict_with_proba(X)[1]
 
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(predict(X), predict_proba(X)) from one vote of the trees."""
+        """(majority labels, share of trees voting 1) from one vote of the
+        trees."""
         votes = self._vote_matrix(np.asarray(X, dtype=np.float64))
         return (votes[:, 1] > votes[:, 0]).astype(np.int64), votes[:, 1] / votes.sum(axis=1)

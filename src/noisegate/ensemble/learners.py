@@ -2,8 +2,9 @@
 
 All of them expose fit(X, y), predict(X) -> {0,1}, and predict_proba(X) ->
 probability of class 1, and none draws a random number.  A row's score
-depends only on the row, except KnnClassifier's (see there).  Feature
-standardization, where used, is learned from the training data.
+depends only on the row and the fitted model, never on the other rows of
+the call.  Feature standardization, where used, is learned from the
+training data.
 """
 
 from __future__ import annotations
@@ -24,20 +25,33 @@ class _Standardizer:
         return (X - self.mean) / self.std
 
 
-# Query rows per distance block: bounds the two (rows x train rows) arrays
-# that KnnClassifier.predict_proba holds.  RESSEL reads its pools in chunks
-# of the same size, so that kNN rows keep their whole-pool bits.
-_KNN_CHUNK = 512
+# Cells (query rows x training rows) per distance block: bounds the two
+# block arrays that KnnClassifier.predict_proba holds.
+_BLOCK_CELLS = 2**16
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_f a[:, f] * b[:, f] per row, summed left to right over the
+    features, so a row's sum does not depend on the other rows."""
+    out = np.zeros(len(a))
+    for f in range(a.shape[1]):
+        out += a[:, f] * b[:, f]
+    return out
 
 
 class KnnClassifier:
     """Euclidean kNN vote on standardized features; labels are 0 or 1.
 
-    Distance ties at the k-th neighbour go to the lowest training row, the
-    rows a stable argsort would put first.  The distances come from a BLAS
-    product, which can round a row differently at another place in its
-    _KNN_CHUNK-row chunk, so a row's probability may depend on the other
-    rows of the call.
+    The distance from query q to training row x is (|q|^2 + |x|^2) - 2 q.x,
+    with every sum taken left to right over the features; the k nearest
+    are the k smallest by (distance, training row).  A BLAS product finds
+    candidates a block of queries at a time: BLAS and this fixed order
+    differ by at most E_r = 2 gamma_{F+3} (|q|^2 + max |x|^2) for query row
+    r of F features, so the k nearest lie within 2 E_r of the k-th BLAS
+    distance.  A row with k such candidates, or with more of one label,
+    counts its positives directly; only a row with more of both labels
+    (ties or near-ties) computes their fixed-order distances.  A row's
+    probability therefore depends on the row alone.
     """
 
     def __init__(self, k: int = 5):
@@ -48,56 +62,71 @@ class KnnClassifier:
         self.scaler = _Standardizer().fit(X)
         self.X = self.scaler.transform(X)
         self.y = np.asarray(y, dtype=np.int64)
-        self.sq = np.sum(self.X**2, axis=1)
+        self.sq = _row_dots(self.X, self.X)
         self.positive = np.flatnonzero(self.y == 1)
+        # E_r / (|q|^2 + max |x|^2) = 2 gamma_{F+3}, where gamma_n = n u /
+        # (1 - n u) bounds an n-term inner product in any order, u = 2^-53
+        # (Higham).  F + 3 in place of F + 2 covers the rounding of the
+        # norms and of the window's edge.
+        nu = (self.X.shape[1] + 3) * 2.0**-53
+        self.slack = 2.0 * nu / (1.0 - nu)
+        self.sq_max = float(self.sq.max(initial=0.0))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self.scaler.transform(np.asarray(X, dtype=np.float64))
+        sq = _row_dots(X, X)
         k = min(self.k, len(self.y))
+        step = max(1, _BLOCK_CELLS // len(self.y))
         out = np.zeros(len(X))
-        buf = np.empty((min(_KNN_CHUNK, len(X)), len(self.y)))
-        d2 = np.empty_like(buf)
-        for start in range(0, len(X), _KNN_CHUNK):
-            chunk = X[start : start + _KNN_CHUNK]
-            n = len(chunk)
-            out[start : start + n] = self._positives_in_k_nearest(chunk, k, buf[:n], d2[:n]) / k
+        d2 = np.empty((min(step, len(X)), len(self.y)))
+        work = np.empty_like(d2)
+        for start in range(0, len(X), step):
+            block = slice(start, start + step)
+            n = len(X[block])
+            hits = self._positives_in_k_nearest(X[block], sq[block], k, d2[:n], work[:n])
+            out[block] = hits / k
         return out
 
     def _positives_in_k_nearest(
-        self, chunk: np.ndarray, k: int, buf: np.ndarray, d2: np.ndarray
+        self, q: np.ndarray, sq: np.ndarray, k: int, d2: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
-        # d2 = |q|^2 + |x|^2 - 2 q.x, rounded as written; buf, which held
+        # d2 = (|q|^2 + |x|^2) - 2 q.x with a BLAS q.x; work, which held
         # 2 q.x, then takes the partition that finds the k-th distance.
-        np.matmul(chunk, self.X.T, out=buf)
-        buf *= 2.0
-        np.add(np.sum(chunk**2, axis=1)[:, None], self.sq, out=d2)
-        d2 -= buf
-        buf[...] = d2
-        buf.partition(k - 1, axis=1)
-        kth = buf[:, k - 1 : k]
-        near = d2[:, self.positive]
-        hits = np.count_nonzero(near <= kth, axis=1)
-        # A row takes every tie at the k-th distance unless ties also sit
-        # past place k - 1 of its partition; only such a row with a
-        # positive among its ties needs the column-order rule.
-        rows = np.flatnonzero((near == kth).any(axis=1))
-        rows = rows[(buf[rows, k:] == kth[rows]).any(axis=1)]
-        if len(rows):
-            hits[rows] = self._ties_in_column_order(d2[rows], kth[rows], k)
+        np.matmul(q, self.X.T, out=work)
+        work *= 2.0
+        np.add(sq[:, None], self.sq, out=d2)
+        d2 -= work
+        work[...] = d2
+        work.partition(k - 1, axis=1)
+        reach = (work[:, k - 1] + 2.0 * self.slack * (sq + self.sq_max))[:, None]
+        positives = np.count_nonzero(d2[:, self.positive] <= reach, axis=1)
+        hits = np.minimum(positives, k)
+        # Over k candidates need an order only when they hold both labels.
+        rows = np.flatnonzero(positives)
+        near = d2[rows] <= reach[rows]
+        count = np.count_nonzero(near, axis=1)
+        tied = (count > k) & (positives[rows] < count)
+        if tied.any():
+            rows = rows[tied]
+            hits[rows] = self._positives_by_exact_distance(q[rows], sq[rows], near[tied], k)
         return hits
 
-    def _ties_in_column_order(self, d2: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
-        """Positives among the k nearest when the ties at the k-th distance
-        fill the places the nearer rows leave in column order; np.nonzero
-        lists each row's ties in that order."""
-        below = d2 < kth
-        need = k - np.count_nonzero(below, axis=1)
-        hits = np.count_nonzero(below[:, self.positive], axis=1)
-        rows, cols = np.nonzero(d2 == kth)
+    def _positives_by_exact_distance(
+        self, q: np.ndarray, sq: np.ndarray, near: np.ndarray, k: int
+    ) -> np.ndarray:
+        """Positives among each row's k candidates smallest by (fixed-order
+        distance, training row); np.nonzero lists candidates in row order."""
+        rows, cols = np.nonzero(near)
+        dot = np.zeros(len(rows))
+        for f in range(q.shape[1]):
+            dot += q[rows, f] * self.X[cols, f]
+        dist = (sq[rows] + self.sq[cols]) - 2.0 * dot
+        order = np.lexsort((cols, dist, rows))
+        cols = cols[order]
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        taken = (rank < need[rows]) & (self.y[cols] == 1)
-        return hits + np.bincount(rows[taken], minlength=len(d2))
+        taken = (rank < k) & (self.y[cols] == 1)
+        return np.bincount(rows[taken], minlength=len(q))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(np.int64)

@@ -14,7 +14,7 @@ import logging
 import numpy as np
 
 from ..seeding import derive_seed
-from .learners import _KNN_CHUNK, GaussianNB, KnnClassifier, LogisticRegression, MarginClassifier
+from .learners import GaussianNB, KnnClassifier, LogisticRegression, MarginClassifier
 from .trees import DecisionTree
 
 logger = logging.getLogger("noisegate.ensemble.ressel")
@@ -22,6 +22,10 @@ logger = logging.getLogger("noisegate.ensemble.ressel")
 DEFAULT_BAGS = 25
 DEFAULT_ADD_PER_ROUND = 10
 DEFAULT_MAX_ROUNDS = 20
+
+# Pool rows a round predicts per read before it checks whether its batch
+# is settled.
+_SCAN_ROWS = 512
 
 
 def base_roster(variant: str) -> list:
@@ -83,15 +87,14 @@ def _confident_batch(
 
     Confidence cannot exceed 0.5, so once each class has take[c] rows at
     exactly 0.5, no row further on can enter the batch.  The pool is
-    therefore predicted a _KNN_CHUNK-row chunk at a time from its start, and
-    the scan stops there.  Every learner's score of a row is row-local but
-    kNN's, and a chunk is the call a whole-pool kNN prediction would make,
-    so every row keeps the bits a whole-pool call gives it.
+    therefore predicted _SCAN_ROWS rows at a time from its start, and the
+    scan stops there.  Every learner scores a row alone, so the rows read
+    get the bits a whole-pool prediction would give them.
     """
     parts = []
     sure = np.zeros(2, dtype=np.int64)
-    for start in range(0, len(pool), _KNN_CHUNK):
-        p = clf.predict_proba(X_unlabeled[pool[start : start + _KNN_CHUNK]])
+    for start in range(0, len(pool), _SCAN_ROWS):
+        p = clf.predict_proba(X_unlabeled[pool[start : start + _SCAN_ROWS]])
         parts.append(p)
         sure += np.bincount(p[np.abs(p - 0.5) == 0.5] > 0.5, minlength=2)
         if sure[0] >= take[0] and sure[1] >= take[1]:

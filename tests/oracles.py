@@ -545,16 +545,23 @@ def detect_optout_loop(
 
 
 def knn_proba_argsort(model: KnnClassifier, X: np.ndarray) -> np.ndarray:
-    """A fitted KnnClassifier's probabilities from a stable argsort per query."""
+    """A fitted KnnClassifier's probabilities, one query at a time.  Each
+    distance is (|q|^2 + |x|^2) - 2 q.x with every sum taken left to right
+    over the features, and a stable argsort picks the k nearest."""
     X = model.scaler.transform(np.asarray(X, dtype=np.float64))
     k = min(model.k, len(model.y))
+    train_sq = np.zeros(len(model.X))
+    for f in range(model.X.shape[1]):
+        train_sq += model.X[:, f] * model.X[:, f]
     out = np.zeros(len(X))
-    train_sq = np.sum(model.X**2, axis=1)
-    for start in range(0, len(X), 512):
-        chunk = X[start : start + 512]
-        d2 = np.sum(chunk**2, axis=1)[:, None] + train_sq[None, :] - 2.0 * chunk @ model.X.T
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + 512] = model.y[nearest].mean(axis=1)
+    for i, q in enumerate(X):
+        q_sq = 0.0
+        dot = np.zeros(len(model.X))
+        for f, value in enumerate(q):
+            q_sq += value * value
+            dot += value * model.X[:, f]
+        d2 = (q_sq + train_sq) - 2.0 * dot
+        out[i] = model.y[np.argsort(d2, kind="stable")[:k]].mean()
     return out
 
 

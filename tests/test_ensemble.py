@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from noisegate.ensemble import (
     VARIANTS,
     EnsembleConfig,
     classify_uncertain,
+    learners,
     read_classification,
     ressel,
     train_el,
@@ -164,6 +166,45 @@ def test_knn_ties_at_the_kth_distance(k, shape):
     assert np.array_equal(got, oracles.knn_proba_argsort(model, Q))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_knn_near_ties_at_a_block_boundary(data):
+    # Training rows repeat exactly, and some repeats sit one ulp away in
+    # one feature, so distances tie exactly and within about an ulp at the
+    # k-th place.  Each query appears on both sides of a block boundary,
+    # and must get the fixed-order, one-query-at-a-time answer there.
+    d = data.draw(st.integers(1, 3))
+    base = _grid_rows(data.draw, data.draw(st.integers(1, 6)), d)
+    X = base[data.draw(st.lists(st.integers(0, len(base) - 1), min_size=200, max_size=400))]
+    nudged = data.draw(st.lists(st.integers(0, len(X) - 1), max_size=30, unique=True))
+    for row in nudged:
+        f = data.draw(st.integers(0, d - 1))
+        X[row, f] = np.nextafter(X[row, f], data.draw(st.sampled_from([-np.inf, np.inf])))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    k = data.draw(st.integers(1, 12))
+    queries = np.vstack([_grid_rows(data.draw, data.draw(st.integers(1, 5)), d), X[nudged[:3]]])
+    model = KnnClassifier(k=k).fit(X, y)
+    step = max(1, learners._BLOCK_CELLS // len(X))
+    Q = np.resize(queries, (step + len(queries), d))
+    want = np.resize(oracles.knn_proba_argsort(model, queries), len(Q))
+    assert model.predict_proba(Q).tobytes() == want.tobytes()
+
+
+def test_knn_memory_stays_within_a_few_blocks():
+    # 5,000 queries over 2,000 training rows of Layer 2's 19 features: the
+    # distances are held one block of at most 2^16 cells at a time.
+    rng = np.random.default_rng(8)
+    model = KnnClassifier(k=10).fit(rng.normal(size=(2000, 19)), rng.integers(0, 2, 2000))
+    Q = rng.normal(size=(5000, 19))
+    tracemalloc.start()
+    try:
+        model.predict_proba(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.data(),
@@ -283,7 +324,7 @@ def test_forest_oob_close_to_held_out():
     X_tr, y_tr = X[:100], y[:100]
     X_te, y_te = X[100:], y[100:]
     forest = RandomForest(trees=50, max_depth=5, seed=1).fit(X_tr, y_tr)
-    held_out = float(np.mean(forest.predict(X_te) != y_te))
+    held_out = float(np.mean(forest.predict_with_proba(X_te)[0] != y_te))
     assert abs(forest.oob_error - held_out) <= 0.15
 
 
@@ -292,14 +333,14 @@ def test_forest_depth_zero_stump_is_majority():
     y[:40] = 1  # make class 1 the clear majority
     forest = RandomForest(trees=1, max_depth=0, seed=0, bootstrap=False).fit(X, y)
     majority = int(np.bincount(y).argmax())
-    assert np.all(forest.predict(X) == majority)
+    assert np.all(forest.predict_with_proba(X)[0] == majority)
 
 
 def test_forest_seed_determinism():
     X, y = _separable(80, seed=5)
     a = RandomForest(trees=20, max_depth=4, seed=9).fit(X, y)
     b = RandomForest(trees=20, max_depth=4, seed=9).fit(X, y)
-    assert np.array_equal(a.predict(X), b.predict(X))
+    assert np.array_equal(a.predict_with_proba(X)[0], b.predict_with_proba(X)[0])
     assert a.oob_curve == b.oob_curve
 
 
@@ -620,8 +661,8 @@ def test_ressel_scan_settles_across_a_chunk_boundary():
     with knn, mock.patch.object(KnnClassifier, "predict_proba", reading), \
             mock.patch.object(ressel, "_confident_batch", scanning):
         train_ressel(X, y, U, "kNN", bags=5, add_per_round=10, seed=4, max_rounds=3)
-    chunks = [n for n in reads if n >= 512]  # OOB checks predict under 40 rows
-    assert all(n == 512 for n in chunks)
+    chunks = [n for n in reads if n >= ressel._SCAN_ROWS]  # OOB checks predict under 40 rows
+    assert all(n == ressel._SCAN_ROWS for n in chunks)
     assert len(scans) < len(chunks) < 2 * len(scans)
 
 
@@ -674,11 +715,11 @@ def test_eif_extension_level_zero_accepted():
 
 # -- row-local scores ----------------------------------------------------
 
-# Every learner and variant whose score of a row depends on that row alone;
-# kNN's BLAS distances, and with them EL2's and EL4_2's, are left out.
+# Every learner and variant: a row's score must depend on that row alone.
 _ROW_LOCAL = (
-    "GaussianNB", "LogisticRegression", "MarginClassifier", "DecisionTree", "RandomForest",
-    "ExtendedIsolationForest", "EL1", "EL2_2", "EL3", "EL4_1", "EL5",
+    "KnnClassifier", "GaussianNB", "LogisticRegression", "MarginClassifier", "DecisionTree",
+    "RandomForest", "ExtendedIsolationForest", "EL1", "EL2", "EL2_2", "EL3", "EL4_1", "EL4_2",
+    "EL5",
 )
 
 
@@ -703,11 +744,14 @@ def _row_local_case(name: str, seed: int):
         forest = ExtendedIsolationForest(trees=10, sample_size=64, seed=seed).fit(U)
         return U, lambda Q: (forest.score(Q),)
     kinds = {
-        "GaussianNB": GaussianNB, "LogisticRegression": LogisticRegression,
-        "MarginClassifier": MarginClassifier, "DecisionTree": DecisionTree,
+        "KnnClassifier": KnnClassifier, "GaussianNB": GaussianNB,
+        "LogisticRegression": LogisticRegression, "MarginClassifier": MarginClassifier,
+        "DecisionTree": DecisionTree,
         "RandomForest": lambda: RandomForest(trees=10, seed=seed),
     }
     model = kinds[name]().fit(X, y)
+    if name == "RandomForest":
+        return U, model.predict_with_proba
     return U, lambda Q: (model.predict(Q), model.predict_proba(Q))
 
 
