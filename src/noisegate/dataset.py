@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .ioutil import atomic_write_columns, format_floats, read_columns
+from .ioutil import atomic_write_columns, read_columns
 
 logger = logging.getLogger("noisegate.dataset")
 
@@ -235,7 +235,7 @@ class RatingsTable:
     def to_csv(self, path: str | Path) -> None:
         atomic_write_columns(
             path, RATINGS_HEADER,
-            (self._users, self._items, format_floats(self._values), self._timestamps),
+            (self._users, self._items, self._values, self._timestamps),
         )
 
 

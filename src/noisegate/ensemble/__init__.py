@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..board.verdict import Verdict
-from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
+from ..ioutil import atomic_write_columns, read_columns, read_csv_rows
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
 from .forest import RandomForest
@@ -150,11 +150,21 @@ def train_el(
 
 
 def classify_uncertain(model: ElModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy flags and scores of the uncertain ratings, one per row of X."""
+    """Noisy flags and scores of the uncertain ratings, one per row of X.
+
+    EL5 labels by a fixed cut on its anomaly scores, so when none of them
+    passes the cut it logs a WARNING with the highest score and the cut.
+    """
     if len(X) == 0:
         return np.zeros(0, dtype=bool), np.zeros(0)
     labels, scores = model.classify_with_scores(X)
-    return labels == 1, np.asarray(scores, dtype=np.float64)
+    noisy, scores = labels == 1, np.asarray(scores, dtype=np.float64)
+    if model.variant == "EL5" and not noisy.any():
+        logger.warning(
+            "EL5 labels none of %d Uncertain ratings Noisy: highest score %.3f, "
+            "eif_score_cut %s", len(scores), scores.max(), model.score_cut,
+        )
+    return noisy, scores
 
 
 # -- persistence --------------------------------------------------------
@@ -178,7 +188,7 @@ def write_classification(
     labels = _LABELS[np.asarray(noisy, dtype=np.intp)]
     atomic_write_columns(
         path, CLASSIFICATION_HEADER,
-        (users, items, format_floats(scores), labels, np.full(len(users), variant, dtype=object)),
+        (users, items, scores, labels, np.full(len(users), variant, dtype=object)),
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..board import BoardResult
 from ..dataset import RatingsTable, id_stats, sorted_index
-from ..ioutil import atomic_write_columns, format_floats, read_columns, read_csv_rows
+from ..ioutil import atomic_write_columns, read_columns, read_csv_rows
 
 FEATURE_NAMES = (
     "rating_norm",
@@ -101,7 +101,7 @@ _FEATURES_DTYPE = np.dtype(
 def write_features(path: str | Path, users: np.ndarray, items: np.ndarray, X: np.ndarray) -> None:
     """Persist the feature matrix so later stages can run without
     recomputing the detector board."""
-    atomic_write_columns(path, FEATURES_HEADER, (users, items, format_floats(X)))
+    atomic_write_columns(path, FEATURES_HEADER, (users, items, X))
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

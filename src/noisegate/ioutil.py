@@ -7,8 +7,9 @@ import json
 import os
 import secrets
 import warnings
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,13 +20,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     The file gets the permissions a plain open() would give it (0o666
     less the umask), not the owner-only mode of tempfile.mkstemp.
     """
+    _atomic_write_chunks(path, (text,))
+
+
+def _atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """atomic_write_text of the concatenated chunks, each written as it is made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,16 +50,38 @@ def format_floats(values: np.ndarray) -> np.ndarray:
     return text[at].reshape(values.shape)
 
 
+# Cells per chunk of atomic_write_columns: bounds the float strings, the
+# row tuple and the text that one chunk of rows holds.
+_WRITE_CELLS = 1 << 15
+
+
 def atomic_write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV of the header and the rows of the column-stacked columns,
     atomically, in the bytes csv.writer would give: fields joined by ','
-    and '\r\n' after every line.  Cells are ints or strings that need no
-    quoting (no ',', '"' or line break); format floats with format_floats.
+    and '\r\n' after every line.  Cells are ints, floats (written as
+    format_floats writes them) or strings that need no quoting (no ',', '"'
+    or line break).
+
+    Rows are formatted, stacked and written in chunks of at most
+    _WRITE_CELLS cells through one temp file, so neither the text nor the
+    float strings of the whole file are held at once.  np.column_stack
+    promotes by dtype alone, so a chunk's cells format as the whole
+    stack's would.
     """
-    cells = np.column_stack(columns)
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     line = ",".join(["%s"] * len(header)) + "\r\n"
-    body = (line * len(cells)) % tuple(cells.ravel().tolist())
-    atomic_write_text(path, ",".join(header) + "\r\n" + body)
+    step = max(1, _WRITE_CELLS // len(header))
+
+    def rows(lo: int) -> str:
+        parts = [np.asarray(column[lo : lo + step]) for column in columns]
+        cells = np.column_stack([format_floats(p) if p.dtype.kind == "f" else p for p in parts])
+        return (line * len(cells)) % tuple(cells.ravel().tolist())
+
+    header_line = ",".join(header) + "\r\n"
+    _atomic_write_chunks(path, chain([header_line], map(rows, range(0, n, step))))
 
 
 def read_csv_rows(path: str | Path, header: Sequence[str]) -> list[list[str]]:

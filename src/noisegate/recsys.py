@@ -42,6 +42,12 @@ class KnnConfig:
             raise ValueError("significance_cap must be >= 1")
 
 
+# Cells per block of SimilarityMatrix: bounds the users x items rows of a
+# block and, through a cap of sqrt(_TILE_CELLS) rows, the users x users
+# tile of a pair of blocks.
+_TILE_CELLS = 1 << 16
+
+
 class SimilarityMatrix:
     """All-pairs significance-weighted Pearson similarities for one table.
 
@@ -49,15 +55,28 @@ class SimilarityMatrix:
     b with co-rated items, the raw correlation over those items is scaled by
     min(n, significance_cap) / significance_cap, so that similarities backed
     by few co-rated items carry less weight; overlaps below min_overlap and
-    zero variances give 0.  All pairs come from five dense matrix products.
+    zero variances give 0.
 
-    The build holds at most two users x items matrices, then five users x
-    users ones: each rating matrix is freed after its last product, R is
-    squared in place, and the rest is taken with in-place ufuncs into the
-    product buffers and one scratch matrix, the result landing in the
-    buffer of R @ R.T.  Each step rounds as the expression it replaces:
-    t / n under where=(n > 0) leaves t as t / 1 would, and the division by
-    the denominator likewise.
+    The build is tiled (Goto & van de Geijn 2008).  Users are cut into
+    blocks of b = min(_TILE_CELLS // I, sqrt(_TILE_CELLS)) rows, at least
+    one.  For every pair of blocks A <= B, the dense ratings R, the 0/1
+    mask M and R^2 of both blocks are built from the table's sorted rows,
+    and the sums of the pair are tile products of them: R_A R_B^T,
+    R_A M_B^T, R^2_A M_B^T and M_A M_B^T, plus M_A R_B^T and M_A R^2_B^T
+    for the transposed sums when A != B.  The tile lands at matrix[A, B]
+    and, transposed, at matrix[B, A].  So the build holds the result, two
+    int64 row indices over the N ratings, six blocks and a few tiles:
+    about 8 * (U^2 + 2 N + 6 b I + 7 b^2) bytes.
+
+    A table of one block runs the four products of the whole-array build
+    on the same operands, and every elementwise step rounds as the
+    expression it replaces (t / n under where=(n > 0) leaves t as t / 1
+    would), so the matrix keeps its bits.  Products of other shapes may
+    sum in another order, which changes nothing while every product and
+    partial sum is exact, as on a half-point rating grid; off the grid a
+    cell can move in its last bits.  Either way the matrix is exactly
+    symmetric: a diagonal tile is, as the whole build is, and an
+    off-diagonal tile is mirrored.
     """
 
     def __init__(self, table: RatingsTable, cfg: KnnConfig = KnnConfig()):
@@ -67,38 +86,69 @@ class SimilarityMatrix:
         rows_u = np.searchsorted(self.user_ids, table.users)
         rows_i = np.searchsorted(item_ids, table.items)
         nu, ni = len(self.user_ids), len(item_ids)
-        R = np.zeros((nu, ni))
-        M = np.zeros((nu, ni))
-        R[rows_u, rows_i] = table.values
-        M[rows_u, rows_i] = 1.0
-        sxy = R @ R.T
-        sx = R @ M.T
-        np.multiply(R, R, out=R)
-        sxx = R @ M.T
-        del R
-        n = M @ M.T
-        del M
-        counted = n > 0
-        t = np.multiply(sx, sx.T)
-        with np.errstate(invalid="ignore"):
-            np.divide(t, n, out=t, where=counted)
-            cov = np.subtract(sxy, t, out=sxy)
-            np.multiply(sx, sx, out=t)
-            np.divide(t, n, out=t, where=counted)
-            var_x = np.subtract(sxx, t, out=sxx)
-            del sx, counted
-            np.multiply(var_x, var_x.T, out=t)
-            denom = np.sqrt(t, out=t)
-            np.divide(cov, denom, out=cov, where=denom > 0)
-        varies = var_x > _VAR_EPS
-        np.copyto(cov, 0.0, where=~(varies & varies.T & (n >= cfg.min_overlap)))
-        np.clip(cov, -1.0, 1.0, out=cov)
-        np.multiply(cov, np.minimum(n, cfg.significance_cap, out=n), out=cov)
-        self.matrix = np.divide(cov, cfg.significance_cap, out=cov)
+        step = max(1, min(_TILE_CELLS // max(ni, 1), math.isqrt(_TILE_CELLS)))
+        starts = list(range(0, nu, step))
+        bounds = np.searchsorted(rows_u, starts + [nu]).tolist()
+
+        def block(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            rows = slice(bounds[k], bounds[k + 1])
+            R = np.zeros((min(step, nu - starts[k]), ni))
+            M = np.zeros_like(R)
+            at = (rows_u[rows] - starts[k], rows_i[rows])
+            R[at] = table.values[rows]
+            M[at] = 1.0
+            return R, M, np.multiply(R, R)
+
+        self.matrix = np.empty((nu, nu))
+        for a, lo in enumerate(starts):
+            A = block(a)
+            for b in range(a, len(starts)):
+                tile = _similarity_tile(A, A if b == a else block(b), cfg)
+                rows, cols = slice(lo, lo + len(tile)), slice(starts[b], starts[b] + tile.shape[1])
+                self.matrix[rows, cols] = tile
+                if b != a:
+                    self.matrix[cols, rows] = tile.T
 
     def between(self, user_a: int, user_b: int) -> float:
         a, b = sorted_index(self.user_ids, np.array([user_a, user_b]))
         return float(self.matrix[a, b])
+
+
+def _centered_square(s2: np.ndarray, s: np.ndarray, n: np.ndarray, counted: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
+    """s2 - s * s / n into s2, through the scratch t; cells with n == 0 are
+    s2 - s * s."""
+    np.multiply(s, s, out=t)
+    np.divide(t, n, out=t, where=counted)
+    return np.subtract(s2, t, out=s2)
+
+
+def _similarity_tile(A: tuple, B: tuple, cfg: KnnConfig) -> np.ndarray:
+    """SimilarityMatrix's cells between the users of block A and those of
+    block B, each an (R, M, R^2) triple of dense rows; B is A on a diagonal
+    tile.  Every step after the products runs in place on the tile buffers
+    and one scratch tile, the result landing in the buffer of R_A R_B^T."""
+    (RA, MA, SA), (RB, MB, SB) = A, B
+    sxy = RA @ RB.T
+    sx = RA @ MB.T
+    sxx = SA @ MB.T
+    n = MA @ MB.T
+    sx_t = sx.T if B is A else MA @ RB.T
+    counted = n > 0
+    t = np.multiply(sx, sx_t)
+    with np.errstate(invalid="ignore"):
+        np.divide(t, n, out=t, where=counted)
+        cov = np.subtract(sxy, t, out=sxy)
+        var_x = _centered_square(sxx, sx, n, counted, t)
+        var_y = var_x.T if B is A else _centered_square(MA @ SB.T, sx_t, n, counted, t)
+        np.multiply(var_x, var_y, out=t)
+        denom = np.sqrt(t, out=t)
+        np.divide(cov, denom, out=cov, where=denom > 0)
+    keep = (var_x > _VAR_EPS) & (var_y > _VAR_EPS) & (n >= cfg.min_overlap)
+    np.copyto(cov, 0.0, where=~keep)
+    np.clip(cov, -1.0, 1.0, out=cov)
+    np.multiply(cov, np.minimum(n, cfg.significance_cap, out=n), out=cov)
+    return np.divide(cov, cfg.significance_cap, out=cov)
 
 
 # Cells per block of knn_predict_rows: bounds the padded (rows x raters)

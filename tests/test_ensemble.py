@@ -834,6 +834,27 @@ def test_el5_with_one_uncertain_rating_passes_it_as_clean():
     assert not noisy.any() and scores.tolist() == [0.0]
 
 
+def test_el5_warns_when_it_labels_nothing_noisy(caplog):
+    # The default cut of 0.8 can sit above every anomaly score of a small
+    # Uncertain set; the warning names the highest score and the cut.
+    U = np.random.default_rng(18).normal(size=(60, 2))
+    for cut in (0.99, 0.0):
+        cfg = EnsembleConfig(ensemble_variant="EL5", eif_trees=10, eif_score_cut=cut)
+        model = train_el(np.empty((0, 2)), np.empty(0), U, cfg, seed=0)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="noisegate.ensemble"):
+            noisy, scores = classify_uncertain(model, U)
+        warned = [r.getMessage() for r in caplog.records if r.name == "noisegate.ensemble"]
+        if cut:
+            assert not noisy.any()
+            assert warned == [
+                f"EL5 labels none of 60 Uncertain ratings Noisy: highest score "
+                f"{scores.max():.3f}, eif_score_cut {cut}"
+            ]
+        else:
+            assert noisy.all() and warned == []
+
+
 def test_train_el_single_class_constant_guard():
     X = np.random.default_rng(6).normal(0, 1, size=(20, 2))
     y = np.ones(20, np.int64)

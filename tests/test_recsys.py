@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisegate import recsys, synth
 from noisegate.cli import EXIT_CONFIG, main
 from noisegate.dataset import Scale, SplitSpec, split_train_test
+from noisegate.pipeline import split_three
 from noisegate.recsys import (
     KnnConfig,
     MfModel,
@@ -129,6 +132,60 @@ def test_similarity_matrix_equals_whole_array_build(data, min_overlap, cap):
     want = oracles.similarity_matrix_products(t, cfg)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 60), st.sampled_from([1, 4, 9, 20, 45, 100]))
+def test_tiled_similarity_matrix_matches_oracles(data, min_overlap, cap, cells):
+    # A tile bound of a few cells cuts up to 40 users into blocks of
+    # max(1, min(cells // items, isqrt(cells))) users: one-user blocks when
+    # cells < items, and a ragged last block when the block rows do not
+    # divide the users.  On the half-point grid every tile sum is exact, so
+    # the whole-array build holds byte for byte; tenths round differently
+    # across tiles, but stay exactly symmetric and within 1e-9 of the pair
+    # formula (tenths are far apart, so no variance is ill-conditioned).
+    n_users = data.draw(st.integers(1, 40))
+    n_items = data.draw(st.integers(1, 15))
+    grid = data.draw(st.booleans())
+    values = st.integers(1, 10).map(lambda k: k / 2) if grid else st.integers(5, 50).map(
+        lambda k: k / 10
+    )
+    rows = []
+    for u in range(1, n_users + 1):
+        items = data.draw(st.lists(st.integers(1, n_items), min_size=1, max_size=n_items,
+                                   unique=True))
+        constant = data.draw(values) if data.draw(st.integers(0, 3)) == 0 else None
+        rows += [(u * 7, i * 3, constant if constant is not None else data.draw(values), 0)
+                 for i in items]
+    t = make_table(rows)
+    cfg = KnnConfig(min_overlap=min_overlap, significance_cap=cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recsys, "_TILE_CELLS", cells)
+        got = SimilarityMatrix(t, cfg).matrix
+    if grid:
+        assert got.tobytes() == oracles.similarity_matrix_products(t, cfg).tobytes()
+    else:
+        assert got.tobytes() == got.T.copy().tobytes()
+        profiles = [_profile(t, u) for u in t.user_ids()]
+        want = [[pearson_similarity(a, b, cfg) for b in profiles] for a in profiles]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_similarity_build_memory_stays_within_its_tiles():
+    # detect-dense's train split, 700 users x 560 items: the 3.9 MB result
+    # plus six blocks of at most 2^16 cells, their tiles and the row indices
+    # (9.9 MB traced as a process's first build), where the whole-array
+    # build peaked at 22 MB.
+    table = synth.planted_tables(users=700, items=560, ratings_per_user=(80, 120), seed=0)[0]
+    train = split_three(table, (0.7, 0.15, 0.15), seed=0)[0]
+    assert (len(train.user_ids()), len(train.item_ids())) == (700, 560)
+    tracemalloc.start()
+    try:
+        SimilarityMatrix(train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def _neighbor_fixture():
