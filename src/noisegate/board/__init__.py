@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dataset import RatingsTable
-from ..ioutil import atomic_write_columns, read_columns, read_csv_rows
+from ..ioutil import atomic_write_columns, read_columns
 from ..recsys import KnnConfig
 from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
 from .nf2 import Nf2Result, nf2_detect, nf2_rnd
@@ -166,36 +166,20 @@ def write_votes(votes: Votes, path: str | Path) -> None:
 
 
 def read_votes(path: str | Path) -> Votes:
-    """Votes from a votes.csv.  A malformed row raises ValueError, and so
-    does a consensus cell other than the unanimity of the row's votes."""
+    """Votes from a votes.csv, read by read_columns, whose ValueError names
+    a row that does not parse.  The first row whose vote cells are not four
+    Verdicts, or whose consensus cell is not their unanimity, raises
+    ValueError with its line number (blank lines not counted)."""
     rows = read_columns(path, VOTES_HEADER, _VOTES_DTYPE)
-    if rows is not None:
-        noisy, codes, bad = _check_votes(rows["cells"])
-        if not bad.any():
-            users, items = (np.ascontiguousarray(rows[name]) for name in ("user", "item"))
-            return Votes(users, items, noisy, codes)
-    return _read_vote_rows(path)
-
-
-def _check_votes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(noisy, consensus codes, bad-row mask) of an (n, 5) array of the
-    four vote cells and the consensus cell of each row."""
+    cells = rows["cells"]
     votes = cells[:, :4]
     noisy = votes == Verdict.NOISY.value
     codes = consensus(noisy)
     bad = (~noisy & (votes != Verdict.CLEAN.value)).any(axis=1) | (cells[:, 4] != _OUTCOME[codes])
-    return noisy, codes, bad
-
-
-def _read_vote_rows(path: str | Path) -> Votes:
-    """read_votes through csv.reader, for a file read_columns does not take:
-    it reads the file or raises the error of its first bad row."""
-    rows = read_csv_rows(path, VOTES_HEADER)
-    cells = np.array(rows, dtype=str).reshape(-1, len(VOTES_HEADER))
-    noisy, codes, bad = _check_votes(cells[:, 2:])
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(
-            f"{path}:{k + 2}: {cells[k, 2:].tolist()} are not four Verdicts and their unanimity"
+            f"{path}:{k + 2}: {cells[k].tolist()} are not four Verdicts and their unanimity"
         )
-    return Votes(cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64), noisy, codes)
+    users, items = (np.ascontiguousarray(rows[name]) for name in ("user", "item"))
+    return Votes(users, items, noisy, codes)

@@ -344,17 +344,23 @@ _RATINGS_DTYPE = np.dtype(
 
 
 def _read_ratings_columns(path: Path, scale: Scale) -> list[np.ndarray]:
-    """The four columns of a ratings CSV, in file order."""
-    rows = read_columns(path, RATINGS_HEADER, _RATINGS_DTYPE)
-    if rows is not None:
+    """The four columns of a ratings CSV, in file order.
+
+    The file comes from outside the program, so a file read_columns does
+    not take, or one with a row out of range, goes to the row parser,
+    which reads it or raises the message that names its first bad row.
+    """
+    try:
+        rows = read_columns(path, RATINGS_HEADER, _RATINGS_DTYPE)
+    except ValueError:
+        pass
+    else:
         users, items, values, stamps = (rows[name] for name in _RATINGS_DTYPE.names)
         if (
             (users >= 0).all() and (items >= 0).all() and (stamps >= 0).all()
             and ((values >= scale.r_min) & (values <= scale.r_max)).all()
         ):
             return [users, items, values, stamps]
-    # Not plain, or some row out of range: the row parser reads it or
-    # raises the message that names the first bad row.
     parsed = _parse_ratings_rows(path, scale)
     return [np.array([r[k] for r in parsed]) for k in range(4)]
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..board.verdict import Verdict
-from ..ioutil import atomic_write_columns, read_columns, read_csv_rows
+from ..ioutil import atomic_write_columns, read_columns
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
 from .forest import RandomForest
@@ -195,32 +195,20 @@ def write_classification(
 def read_classification(
     path: str | Path, variant: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(users, items, noisy, scores) of an ensemble.csv in file order.  A
-    malformed row raises ValueError, and so does a variant cell other than
-    variant."""
+    """(users, items, noisy, scores) of an ensemble.csv in file order, read
+    by read_columns, whose ValueError names a row that does not parse.  The
+    first row whose label is not a Verdict, or whose variant cell is not
+    variant, raises ValueError with its line number (blank lines not
+    counted)."""
     rows = read_columns(path, CLASSIFICATION_HEADER, _CLASSIFICATION_DTYPE)
-    if rows is not None:
-        label = rows["label"]
-        noisy = label == Verdict.NOISY.value
-        if ((noisy | (label == Verdict.CLEAN.value)) & (rows["variant"] == variant)).all():
-            users, items, scores = (
-                np.ascontiguousarray(rows[name]) for name in ("user", "item", "score")
-            )
-            return users, items, noisy, scores
-    return _read_classification_rows(path, variant)
-
-
-def _read_classification_rows(
-    path: str | Path, variant: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """read_classification through csv.reader, for a file read_columns does
-    not take: it reads the file or raises the error of its first bad row."""
-    ids, noisy, scores = [], [], []
-    for lineno, row in enumerate(read_csv_rows(path, CLASSIFICATION_HEADER), start=2):
-        ids.append((int(row[0]), int(row[1])))
-        scores.append(float(row[2]))
-        noisy.append(Verdict(row[3]) is Verdict.NOISY)
-        if row[4] != variant:
-            raise ValueError(f"{path}:{lineno}: variant {row[4]!r}, expected {variant!r}")
-    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
-    return users, items, np.array(noisy, dtype=bool), np.array(scores, dtype=np.float64)
+    label, cell = rows["label"], rows["variant"]
+    noisy = label == Verdict.NOISY.value
+    bad_label = ~noisy & (label != Verdict.CLEAN.value)
+    bad = bad_label | (cell != variant)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_label[k]:
+            raise ValueError(f"{path}:{k + 2}: {str(label[k])!r} is not a valid Verdict")
+        raise ValueError(f"{path}:{k + 2}: variant {str(cell[k])!r}, expected {variant!r}")
+    users, items, scores = (np.ascontiguousarray(rows[name]) for name in ("user", "item", "score"))
+    return users, items, noisy, scores

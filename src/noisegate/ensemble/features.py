@@ -9,7 +9,7 @@ import numpy as np
 
 from ..board import BoardResult
 from ..dataset import RatingsTable, id_stats, sorted_index
-from ..ioutil import atomic_write_columns, read_columns, read_csv_rows
+from ..ioutil import atomic_write_columns, read_columns
 
 FEATURE_NAMES = (
     "rating_norm",
@@ -105,18 +105,7 @@ def write_features(path: str | Path, users: np.ndarray, items: np.ndarray, X: np
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(users, items, X) of a features.csv, in file order."""
+    """(users, items, X) of a features.csv in file order, read by
+    read_columns, whose ValueError names a row that does not parse."""
     rows = read_columns(path, FEATURES_HEADER, _FEATURES_DTYPE)
-    if rows is None:
-        return _read_feature_rows(Path(path))
     return tuple(np.ascontiguousarray(rows[name]) for name in ("user", "item", "x"))
-
-
-def _read_feature_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """read_features one row at a time, for a file read_columns does not
-    take: it reads the file or raises the error of its first bad row."""
-    rows = read_csv_rows(path, FEATURES_HEADER)
-    ids = [(int(row[0]), int(row[1])) for row in rows]
-    X = np.array([[float(v) for v in row[2:]] for row in rows]).reshape(-1, len(FEATURE_NAMES))
-    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
-    return users, items, X

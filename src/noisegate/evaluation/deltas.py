@@ -8,13 +8,12 @@ sign pattern of (x, y) places the point in a quadrant.
 
 from __future__ import annotations
 
-import csv
 from enum import Enum
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, read_columns
 
 DEFAULT_PLANE = (0.07, 0.17)
 
@@ -196,25 +195,18 @@ def write_delta_csv(path: str, points: Iterable[DeltaPoint]) -> None:
     atomic_write_text(path, text)
 
 
+# Text cells are read whole, as Python strings.
+_DELTA_DTYPE = np.dtype([
+    ("user", np.int64), ("cluster", np.int64), ("x", np.float64), ("y", np.float64),
+    ("quadrant", object), ("positive", object),
+])
+
+
 def read_delta_csv(path: str) -> list[DeltaPoint]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != DELTA_HEADER:
-            raise ValueError(f"unexpected delta CSV header: {header}")
-        out: list[DeltaPoint] = []
-        for row in reader:
-            x = float(row[2])
-            y = float(row[3])
-            out.append(
-                DeltaPoint(
-                    user_id=int(row[0]),
-                    cluster=int(row[1]),
-                    x=x,
-                    y=y,
-                    quadrant=Quadrant(row[4]),
-                    positive=row[5] == "true",
-                    boundary=(x == 0.0 or y == 0.0),
-                )
-            )
-        return out
+    """The points of a delta CSV in file order, read by read_columns."""
+    return [
+        DeltaPoint(user, cluster, x, y, Quadrant(quadrant), positive == "true", x == 0.0 or y == 0.0)
+        for user, cluster, x, y, quadrant, positive in read_columns(
+            path, DELTA_HEADER, _DELTA_DTYPE
+        ).tolist()
+    ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import secrets
@@ -84,55 +83,29 @@ def atomic_write_columns(path: str | Path, header: Sequence[str], columns: Seque
     _atomic_write_chunks(path, chain([header_line], map(rows, range(0, n, step))))
 
 
-def read_csv_rows(path: str | Path, header: Sequence[str]) -> list[list[str]]:
-    """The rows under the header of a CSV, through csv.reader.  ValueError
-    unless the first row is exactly the header and every row has one field
-    per column."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != tuple(header):
-            raise ValueError(f"{path}: expected header {','.join(header)}")
-        rows = list(reader)
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: expected {len(header)} fields in every row")
-    return rows
+def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
+    """The rows of a CSV under the given header as one structured array.
 
-
-def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray | None:
-    """The rows of a CSV under the given header as one structured array, or
-    None where the file is not plain.
-
-    Plain means: the first line is exactly the header, no field holds a
-    quote, no line is blank, and every field parses as its dtype field.
-    numpy's parser accepts a subset of what int() and float() accept, gives
-    the same values and rejects a '\r' that does not end a line, so on a
-    plain file the caller's row-by-row parser would read the same rows; on
-    any other file the caller runs that parser, which reads the file or
-    raises its own error.
+    The first line must be exactly the header.  The lines after it go from
+    the open file to one np.loadtxt call, which skips blank lines and
+    parses every field as its dtype field: no quoting and no comments, so
+    a '"' is an ordinary character, and a number cell with a quote, a '_'
+    separator or a non-ASCII digit fails.  A header-only file gives an
+    empty array.  ValueError names the path, and for a bad row numpy's
+    message names it, counting the rows under the header from 0 for a bad
+    cell and from 1 for a wrong number of fields.
     """
-    try:
-        with Path(path).open(newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    head, _, body = text.partition("\n")
-    if head.removesuffix("\r") != ",".join(header) or '"' in body:
-        return None
-    if not body:
-        return np.empty(0, dtype)
-    try:
-        # numpy warns of a body of blank lines, and older numpy of an int
-        # read through float; neither file is plain.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(
-                body.split("\n"), dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                ndmin=1,
-            )
-    except (ValueError, Warning):
-        return None
-    # numpy skips blank lines, which the row parsers do not all accept.
-    return rows if len(rows) == body.count("\n") + (not body.endswith("\n")) else None
+    with Path(path).open(newline="") as fh:
+        try:
+            if fh.readline().rstrip("\r\n") != ",".join(header):
+                raise ValueError(f"expected header {','.join(header)}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def dump_json(obj: object, path: str | Path) -> None:

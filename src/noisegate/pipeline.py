@@ -409,11 +409,11 @@ def _require(path: Path, producer: str) -> None:
 
 
 def _read(reader, path: Path, *args):
-    """reader(path, *args), with the error of a malformed artifact raised as
-    DataError: ValueError, or OverflowError for an id outside int64."""
+    """reader(path, *args), with the ValueError of a malformed input or
+    artifact raised as DataError that names the path."""
     try:
         return reader(path, *args)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         message = str(exc)
         raise DataError(message if str(path) in message else f"{path}: {message}") from exc
 
@@ -425,17 +425,11 @@ def _load_genres(cfg: PipelineConfig) -> GenreMap:
     path = Path(cfg.movies_path)
     if not path.exists():
         raise DataError(f"movies file not found: {path}")
-    try:
-        return load_genres(path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    return _read(load_genres, path)
 
 
 def _load_split(cfg: PipelineConfig, path: Path, genres: GenreMap | None = None) -> RatingsTable:
-    try:
-        table = load_ratings(path, cfg.scale())
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    table = _read(load_ratings, path, cfg.scale())
     return table if genres is None else table.with_genres(genres)
 
 
@@ -444,10 +438,7 @@ def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, dict]:
     path = Path(cfg.ratings_path)
     if not path.exists():
         raise DataError(f"ratings file not found: {path}")
-    try:
-        table = load_ratings(path, cfg.scale())
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    table = _read(load_ratings, path, cfg.scale())
     genres = _load_genres(cfg)
     loaded = len(table)
     dropped = table.dropped_duplicates

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import RatingsTable, run_starts
-from .ioutil import atomic_write_columns, read_csv_rows
+from .ioutil import atomic_write_columns, read_columns
 
 OPTOUT_SIGNATURE_ID = "optout"
 DEFAULT_THRESHOLD = 0.5
@@ -126,17 +126,27 @@ def write_hits(hits: list[SignatureHit], action: SignatureAction, path: str | Pa
     )
 
 
+# Text cells are read whole, as Python strings.
+_HITS_DTYPE = np.dtype([
+    ("signature", object), ("user", np.int64), ("day", object), ("noisy", np.int64),
+    ("total", np.int64), ("ratio", np.float64), ("action", object),
+])
+
+
 def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | None]:
+    """The hits of a signature.csv in file order, and the action of its last
+    row (None for no rows), read by read_columns, whose ValueError names a
+    row that does not parse.  Every lastDay must be a calendar day and
+    every action a SignatureAction, or ValueError."""
     hits: list[SignatureHit] = []
     action: SignatureAction | None = None
-    for row in read_csv_rows(path, HITS_HEADER):
-        date.fromisoformat(row[2])  # a calendar day: remove_last_day counts days from it
-        hits.append(
-            SignatureHit(
-                row[0], int(row[1]),
-                {"last_day": row[2], "noisy_count": int(row[3]),
-                 "total_count": int(row[4]), "ratio": float(row[5])},
-            )
-        )
-        action = SignatureAction(row[6])
+    for signature, user, day, noisy, total, ratio, cell in read_columns(
+        path, HITS_HEADER, _HITS_DTYPE
+    ).tolist():
+        date.fromisoformat(day)  # a calendar day: remove_last_day counts days from it
+        action = SignatureAction(cell)
+        hits.append(SignatureHit(
+            signature, user,
+            {"last_day": day, "noisy_count": noisy, "total_count": total, "ratio": ratio},
+        ))
     return hits, action

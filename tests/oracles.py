@@ -12,7 +12,8 @@ distances; the tree oracles argsort every candidate feature at every node,
 the boosting oracle fits every round's tree from scratch, and RESSEL's
 batch oracle predicts the whole pool in one call before it chooses.
 The artifact oracles format one cell at a time and hand the rows to
-csv.writer; dedupe_rows collapses duplicate rating keys through a dict.
+csv.writer, or read a file's rows through csv.reader and parse one cell
+at a time; dedupe_rows collapses duplicate rating keys through a dict.
 The opt-out signature oracle looks each rating's label up by its
 (user, item) key and formats every rating's UTC day.  The evaluation
 oracles score, rank and measure one user at a time, pair the two arms
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from noisegate.board import CONSENSUS, BoardResult, Consensus, Votes
+from noisegate.board import CONSENSUS, VOTES_HEADER, BoardResult, Consensus, Votes
 from noisegate.board.nf1 import (
     HOMOLOGOUS,
     ItemClass,
@@ -46,7 +47,9 @@ from noisegate.board.nf3 import Nf3Result, consistency
 from noisegate.board.nf4 import FuzzyProfile, Nf4Result, dissim, manhattan, nf4_fuzzify
 from noisegate.board.verdict import DETECTOR_IDS, Verdict
 from noisegate.dataset import RatingsTable
+from noisegate.ensemble import CLASSIFICATION_HEADER
 from noisegate.ensemble.boosting import GbtModel, _log_loss, _sigmoid
+from noisegate.ensemble.features import FEATURES_HEADER
 from noisegate.ensemble.learners import KnnClassifier
 from noisegate.ensemble.ressel import ResselModel, base_roster
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
@@ -890,6 +893,64 @@ def dedupe_rows(rows):
             if row[3] >= prev[3]:
                 best[key] = row
     return list(best.values()), dropped
+
+
+def csv_rows(path, header) -> list[list[str]]:
+    """The rows under the header of a CSV, through csv.reader.  ValueError
+    unless the first row is exactly the header and every row has one field
+    per column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != tuple(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        rows = list(reader)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: expected {len(header)} fields in every row")
+    return rows
+
+
+def read_feature_rows(path):
+    """read_features through csv.reader, int() and float()."""
+    rows = csv_rows(path, FEATURES_HEADER)
+    ids = [(int(row[0]), int(row[1])) for row in rows]
+    X = np.array([[float(v) for v in row[2:]] for row in rows])
+    X = X.reshape(-1, len(FEATURES_HEADER) - 2)
+    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    return users, items, X
+
+
+def read_vote_rows(path) -> Votes:
+    """read_votes through csv.reader, one row at a time: four Verdicts and
+    the Consensus of their unanimity."""
+    ids, noisy, codes = [], [], []
+    for lineno, row in enumerate(csv_rows(path, VOTES_HEADER), start=2):
+        flags = [Verdict(v) is Verdict.NOISY for v in row[2:6]]
+        if all(flags):
+            code = CONSENSUS.index(Consensus.NOISY)
+        else:
+            code = CONSENSUS.index(Consensus.UNCERTAIN if any(flags) else Consensus.CLEAN)
+        if row[6] != CONSENSUS[code].value:
+            raise ValueError(f"{path}:{lineno}: consensus {row[6]!r} of votes {row[2:6]}")
+        ids.append((int(row[0]), int(row[1])))
+        noisy.append(flags)
+        codes.append(code)
+    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    return Votes(
+        users, items, np.array(noisy, dtype=bool).reshape(-1, 4), np.array(codes, dtype=np.int8)
+    )
+
+
+def read_classification_rows(path, variant: str):
+    """read_classification through csv.reader, one row at a time."""
+    ids, noisy, scores = [], [], []
+    for lineno, row in enumerate(csv_rows(path, CLASSIFICATION_HEADER), start=2):
+        ids.append((int(row[0]), int(row[1])))
+        scores.append(float(row[2]))
+        noisy.append(Verdict(row[3]) is Verdict.NOISY)
+        if row[4] != variant:
+            raise ValueError(f"{path}:{lineno}: variant {row[4]!r}, expected {variant!r}")
+    users, items = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+    return users, items, np.array(noisy, dtype=bool), np.array(scores, dtype=np.float64)
 
 
 def csv_writer_text(header, rows) -> str:

@@ -1,8 +1,10 @@
 """Artifact CSV I/O: the array readers and writers against their row-by-row
-oracles, value for value, message for message and byte for byte."""
+oracles, value for value and byte for byte, and the ratings loader against
+its row parser message for message."""
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import warnings
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisegate import board, dataset, ensemble
+from noisegate import board, dataset
 from noisegate.board import VOTES_HEADER, Votes, consensus, read_votes, write_votes
 from noisegate.board.verdict import Verdict
 from noisegate.cli import EXIT_OK, main
@@ -22,7 +24,6 @@ from noisegate.ensemble import (
     read_classification,
     write_classification,
 )
-from noisegate.ensemble import features
 from noisegate.ensemble.features import FEATURES_HEADER, read_features, write_features
 from noisegate.ioutil import format_floats
 from noisegate.signature import (
@@ -63,6 +64,30 @@ def _same_outcome(got, want, same_value) -> None:
     else:
         assert got[2] == want[2]
         same_value(got[1], want[1])
+
+
+def _without_blank_lines(text: str) -> str:
+    """text less its blank lines, split into lines as a file opened with
+    newline="" splits them."""
+    return "".join(line for line in io.StringIO(text, newline="") if line.strip("\r\n"))
+
+
+def _matches_row_parser(path, text: str, read, oracle, same_value) -> None:
+    """read reads text as the oracle reads it less its blank lines: the same
+    bits where read returns, a ValueError naming the path where the oracle
+    raises, and where only read raises, the text holds a quote, a '_' digit
+    separator or a non-ASCII character."""
+    _write(path, text)
+    got = _outcome(read, path)
+    _write(path, _without_blank_lines(text))
+    want = _outcome(oracle, path)
+    if got[0] == "ok":
+        assert want[0] == "ok", (got, want)
+        assert got[2] == want[2]
+        same_value(got[1], want[1])
+    else:
+        assert issubclass(got[1], ValueError) and str(path) in got[2], got
+        assert want[0] == "raised" or any(c in '"_' or not c.isascii() for c in text), (got, want)
 
 
 # -- the float formatter -------------------------------------------------
@@ -239,12 +264,7 @@ def _same_columns(got, want) -> None:
 @given(text=_csv_text(",".join(FEATURES_HEADER), _feature_row, _ODD_FEATURE_CELLS,
                       alt_headers=[",".join(FEATURES_HEADER[::-1])]))
 def test_read_features_matches_row_parser(scratch, text):
-    _write(scratch, text)
-    _same_outcome(
-        _outcome(read_features, scratch),
-        _outcome(features._read_feature_rows, scratch),
-        _same_columns,
-    )
+    _matches_row_parser(scratch, text, read_features, oracles.read_feature_rows, _same_columns)
 
 
 @st.composite
@@ -267,10 +287,7 @@ def _same_votes(got, want) -> None:
 @settings(max_examples=250, deadline=None)
 @given(text=_csv_text(",".join(VOTES_HEADER), _vote_row(), _ODD_VOTE_CELLS))
 def test_read_votes_matches_row_parser(scratch, text):
-    _write(scratch, text)
-    _same_outcome(
-        _outcome(read_votes, scratch), _outcome(board._read_vote_rows, scratch), _same_votes
-    )
+    _matches_row_parser(scratch, text, read_votes, oracles.read_vote_rows, _same_votes)
 
 
 _classification_row = st.tuples(
@@ -287,10 +304,10 @@ _ODD_CLASSIFICATION_CELLS = ("-1", "bogus", "", "uncertain", "Clean", "noisy ", 
 # csv.reader reads the quote as opening a field that runs to the end of the file
 @example(text='userId,itemId,score,label,variant\n1,2,0.5,clean,"\n3,4,0.5,noisy,EL3\n')
 def test_read_classification_matches_row_parser(scratch, text):
-    _write(scratch, text)
-    _same_outcome(
-        _outcome(lambda path: read_classification(path, "EL3"), scratch),
-        _outcome(lambda path: ensemble._read_classification_rows(path, "EL3"), scratch),
+    _matches_row_parser(
+        scratch, text,
+        lambda path: read_classification(path, "EL3"),
+        lambda path: oracles.read_classification_rows(path, "EL3"),
         _same_columns,
     )
 
@@ -344,6 +361,7 @@ def test_votes_bytes_match_csv_writer(scratch, keys, data):
     assert scratch.read_bytes() == oracles.csv_writer_text(
         VOTES_HEADER, oracles.vote_rows(votes)
     ).encode()
+    _same_votes(read_votes(scratch), votes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -398,15 +416,11 @@ def mini_run(tmp_path_factory):
 
 
 def _no_row_parser(*args):
-    raise AssertionError("a plain artifact fell back to the row parser")
+    raise AssertionError("a split written by the program fell back to the row parser")
 
 
 def test_mini_artifacts_take_the_array_path_and_match_csv_writer(mini_run, monkeypatch):
-    for module, name in [
-        (dataset, "_parse_ratings_rows"), (features, "_read_feature_rows"),
-        (board, "_read_vote_rows"), (ensemble, "_read_classification_rows"),
-    ]:
-        monkeypatch.setattr(module, name, _no_row_parser)
+    monkeypatch.setattr(dataset, "_parse_ratings_rows", _no_row_parser)
 
     def matches(name, header, rows):
         text = oracles.csv_writer_text(header, rows)

@@ -197,8 +197,15 @@ def test_write_votes_failure_leaves_old_file(tmp_path):
     [
         ("1,2,noisy,bogus,clean,clean,uncertain", "Verdict"),
         ("1,2,noisy,noisy,noisy,clean,noisy", "unanimity"),
-        ("1,x,clean,clean,clean,clean,clean", "invalid literal"),
-        ("1,2,clean,clean,clean,clean", "fields"),
+        ("1,x,clean,clean,clean,clean,clean", "could not convert string 'x' to int64"),
+        ("1,2,clean,clean,clean,clean", "requires 7 columns but 6 were found"),
+    ],
+    # ids name the malformed row, not numpy's wording of the error
+    ids=[
+        "1,2,noisy,bogus,clean,clean,uncertain-Verdict",
+        "1,2,noisy,noisy,noisy,clean,noisy-unanimity",
+        "1,x,clean,clean,clean,clean,clean-invalid literal",
+        "1,2,clean,clean,clean,clean-fields",
     ],
 )
 def test_read_votes_rejects_malformed_rows(tmp_path, row, message):

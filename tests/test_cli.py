@@ -357,17 +357,20 @@ def _extra_noisy_row(lines: list[str]) -> None:
         ("votes.csv", _bogus_cell(3), "ensemble", "are not four Verdicts"),
         ("features.csv", _swap_first_rows, "ensemble", "does not list the ratings"),
         ("ensemble.csv", _bogus_cell(3), "signature", "'bogus' is not a valid Verdict"),
-        ("features.csv", _short_row, "ensemble", "expected 21 fields in every row"),
+        ("features.csv", _short_row, "ensemble", "requires 21 columns but 1 were found"),
         ("signature.csv", _bad_header, "evaluate", "expected header"),
         ("board.json", _bad_header, "evaluate", "Expecting value"),
         ("ensemble.csv", _empty, "signature", "expected header"),
         ("signature.csv", _empty, "evaluate", "expected header"),
-        ("ensemble.csv", _bogus_cell(2), "signature", "could not convert string to float"),
+        ("ensemble.csv", _bogus_cell(2), "signature", "could not convert string 'bogus' to float64"),
         ("ensemble.csv", _bogus_cell(4, "EL1"), "signature", "variant 'EL1', expected 'EL3'"),
         ("ensemble.csv", _drop_row, "signature", "does not list the Uncertain ratings"),
         ("ensemble.csv", _extra_noisy_row, "evaluate", "does not list the Uncertain ratings"),
         ("votes.csv", _swap_first_rows, "signature", "does not list the ratings"),
-        ("votes.csv", _bogus_cell(0, "99999999999999999999"), "ensemble", "too large"),
+        (
+            "votes.csv", _bogus_cell(0, "99999999999999999999"), "ensemble",
+            "could not convert string '99999999999999999999' to int64",
+        ),
         ("signature.csv", _bogus_cell(2), "evaluate", "Invalid isoformat string: 'bogus'"),
     ],
     ids=[

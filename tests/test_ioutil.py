@@ -1,4 +1,4 @@
-"""Atomic artifact writes."""
+"""Atomic artifact writes and the memory of artifact reads."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from noisegate import ioutil
+from noisegate.ensemble.features import read_features, write_features
 from noisegate.ioutil import atomic_write_columns, atomic_write_text
 
 
@@ -66,4 +67,24 @@ def test_column_write_memory_stays_within_a_few_chunks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_feature_read_memory_stays_near_its_columns(tmp_path):
+    # A features.csv of 10,000 rows of 21 cells with every float distinct
+    # (3.8 MB of text) goes from the open file to np.loadtxt: the
+    # structured array and the three contiguous columns cut from it, 3.4 MB
+    # traced, against 14.0 MB for the whole text and one string per line.
+    rng = np.random.default_rng(5)
+    users, items = rng.integers(1, 700, 10_000), rng.integers(1, 560, 10_000)
+    X = rng.normal(size=(10_000, 19))
+    path = tmp_path / "features.csv"
+    write_features(path, users, items, X)
+    tracemalloc.start()
+    try:
+        got = read_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in (users, items, X)]
     assert peak < 5 * 2**20
