@@ -25,7 +25,6 @@ from .dataset import (
 from .ensemble import EnsembleConfig, classify_uncertain, train_el
 from .evaluation import (
     ArmEval,
-    DeltaPoint,
     DeltaReport,
     Quadrant,
     cluster_users,
@@ -46,7 +45,7 @@ from .pipeline import (
     run_framework,
 )
 from .recsys import KnnConfig, MfModel, knn_predict, mf_train, recommend_topk
-from .signature import SignatureAction, SignatureHit, apply_signature_action, detect_optout
+from .signature import Hits, SignatureAction, apply_signature_action, detect_optout
 
 __version__ = "0.1.0"
 
@@ -55,11 +54,11 @@ __all__ = [
     "BoardConfig",
     "BoardResult",
     "Consensus",
-    "DeltaPoint",
     "DeltaReport",
     "EnsembleConfig",
     "GenreMap",
     "GroundTruthMask",
+    "Hits",
     "KnnConfig",
     "MfModel",
     "NoiseKind",
@@ -70,7 +69,6 @@ __all__ = [
     "RunResult",
     "Scale",
     "SignatureAction",
-    "SignatureHit",
     "SplitSpec",
     "Verdict",
     "apply_signature_action",

@@ -228,7 +228,7 @@ def _baseline(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
 
 def _signature(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
     hits = cli_signature(cfg, run_paths(cfg))
-    return {"flagged_users": sorted(h.user_id for h in hits), "count": len(hits)}
+    return {"flagged_users": hits.users.tolist(), "count": len(hits)}
 
 
 def _evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> dict:

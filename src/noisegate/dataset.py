@@ -110,7 +110,9 @@ class RatingsTable:
         cls, users, items, values, timestamps, scale: Scale,
         genres: GenreMap | None = None, dropped_duplicates: int = 0,
     ) -> "RatingsTable":
-        """Table over parallel column arrays, in any row order."""
+        """Table over parallel column arrays, in any row order.  Arrays of the
+        column dtypes already in key order are kept, not copied, so they
+        must not change afterwards."""
         out = cls.__new__(cls)
         out._set_arrays(users, items, values, timestamps, scale, genres, dropped_duplicates)
         return out
@@ -118,11 +120,10 @@ class RatingsTable:
     def _set_arrays(self, users, items, values, stamps, scale, genres, dropped_duplicates) -> None:
         users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
         values = np.asarray(values, dtype=np.float64)
-        order = np.arange(len(users)) if _in_key_order(users, items) else np.lexsort((items, users))
-        self._users = users[order]
-        self._items = items[order]
-        self._values = values[order]
-        self._timestamps = stamps[order]
+        if not _in_key_order(users, items):
+            order = np.lexsort((items, users))
+            users, items, values, stamps = (a[order] for a in (users, items, values, stamps))
+        self._users, self._items, self._values, self._timestamps = users, items, values, stamps
         self.scale = scale
         self.genres = genres
         self.dropped_duplicates = dropped_duplicates
@@ -211,10 +212,6 @@ class RatingsTable:
         """The table less every row keyed by some (users[k], items[k])."""
         own, dropped = self._key_codes(users, items)
         return self._take(np.flatnonzero(~np.isin(own, dropped)))
-
-    def without_users(self, users: set[int]) -> "RatingsTable":
-        keep = ~np.isin(self._users, sorted(users))
-        return self._take(np.flatnonzero(keep))
 
     def merged(self, other: "RatingsTable") -> "RatingsTable":
         """Union of two tables with disjoint keys."""
@@ -344,7 +341,8 @@ _RATINGS_DTYPE = np.dtype(
 
 
 def _read_ratings_columns(path: Path, scale: Scale) -> list[np.ndarray]:
-    """The four columns of a ratings CSV, in file order.
+    """The four columns of a ratings CSV, in file order, each one
+    contiguous array.
 
     The file comes from outside the program, so a file read_columns does
     not take, or one with a row out of range, goes to the row parser,
@@ -360,7 +358,7 @@ def _read_ratings_columns(path: Path, scale: Scale) -> list[np.ndarray]:
             (users >= 0).all() and (items >= 0).all() and (stamps >= 0).all()
             and ((values >= scale.r_min) & (values <= scale.r_max)).all()
         ):
-            return [users, items, values, stamps]
+            return [np.ascontiguousarray(a) for a in (users, items, values, stamps)]
     parsed = _parse_ratings_rows(path, scale)
     return [np.array([r[k] for r in parsed]) for k in range(4)]
 
@@ -376,9 +374,8 @@ def load_ratings(path: str | Path, scale: Scale = Scale()) -> RatingsTable:
         raise FileNotFoundError(path)
     users, items, values, stamps = _read_ratings_columns(path, scale)
     users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
-    if _in_key_order(users, items):
-        keep = np.arange(len(users))
-    else:
+    n_rows = len(users)
+    if not _in_key_order(users, items):
         # lexsort is stable, so rows of one (user, item, timestamp) stay in
         # file order, and the last row of each key is the one to keep.
         order = np.lexsort((stamps, items, users))
@@ -386,12 +383,11 @@ def load_ratings(path: str | Path, scale: Scale = Scale()) -> RatingsTable:
         last = np.ones(len(order), dtype=bool)
         last[:-1] = (u[1:] != u[:-1]) | (i[1:] != i[:-1])
         keep = order[last]
-    dropped = len(users) - len(keep)
+        users, items, values, stamps = (a[keep] for a in (users, items, values, stamps))
+    dropped = n_rows - len(users)
     if dropped:
         logger.warning("%s: dropped %d duplicate rating(s), keeping latest timestamp", path, dropped)
-    return RatingsTable.from_arrays(
-        users[keep], items[keep], values[keep], stamps[keep], scale, dropped_duplicates=dropped
-    )
+    return RatingsTable.from_arrays(users, items, values, stamps, scale, dropped_duplicates=dropped)
 
 
 def load_genres(path: str | Path) -> GenreMap:

@@ -13,8 +13,8 @@ from .deltas import (
     BASIS_USERS,
     DEFAULT_PLANE,
     DELTA_HEADER,
+    QUADRANTS,
     ArmEval,
-    DeltaPoint,
     DeltaReport,
     Quadrant,
     critical_groups,
@@ -41,9 +41,9 @@ __all__ = [
     "DEFAULT_MAX_ITER",
     "DEFAULT_PLANE",
     "DELTA_HEADER",
+    "QUADRANTS",
     "ArmEval",
     "ClusterAssignment",
-    "DeltaPoint",
     "DeltaReport",
     "FORMULA_COMPLEMENT",
     "FORMULA_PAPER_LITERAL",

@@ -9,11 +9,12 @@ sign pattern of (x, y) places the point in a quadrant.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ..ioutil import atomic_write_text, read_columns
+from ..ioutil import atomic_write_columns, read_columns
 
 DEFAULT_PLANE = (0.07, 0.17)
 
@@ -44,43 +45,45 @@ class ArmEval(NamedTuple):
     serendipity: np.ndarray
 
 
-class DeltaPoint(NamedTuple):
-    user_id: int
-    cluster: int
-    x: float
-    y: float
-    quadrant: Quadrant
-    positive: bool
-    boundary: bool
+# DeltaReport.quadrant holds each point's quadrant as an int8 index into QUADRANTS.
+QUADRANTS = tuple(Quadrant)
+# QUADRANTS code by 2 * (x >= 0) + (y >= 0): III, II, IV, I.
+_BY_SIGNS = np.array([2, 1, 3, 0], dtype=np.int8)
 
 
 class DeltaReport(NamedTuple):
+    """Each evaluated user's change as one point, every per-point field an
+    array aligned to the ascending user ids."""
+
     pair: str
     metric: str
     plane: tuple[float, float]
-    points: tuple[DeltaPoint, ...]
+    users: np.ndarray
+    clusters: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    quadrant: np.ndarray
+    positive: np.ndarray
     percent_positive: float
     global_before: dict[str, float]
     global_after: dict[str, float]
 
+    @property
+    def boundary(self) -> np.ndarray:
+        """Points with a zero coordinate."""
+        return (self.x == 0.0) | (self.y == 0.0)
 
-def quadrant(x: float, y: float) -> Quadrant:
-    """Quadrant from the signs of (x, y).
+
+def quadrant(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """QUADRANTS code of each point (x[k], y[k]) from the signs of its coordinates.
 
     Zero coordinates take the positive-sign convention, except the exact
     origin which gets its own label.
     """
-    if x == 0.0 and y == 0.0:
-        return Quadrant.ORIGIN
-    px = x >= 0.0
-    py = y >= 0.0
-    if px and py:
-        return Quadrant.I
-    if not px and py:
-        return Quadrant.II
-    if not px and not py:
-        return Quadrant.III
-    return Quadrant.IV
+    x, y = np.asarray(x), np.asarray(y)
+    codes = _BY_SIGNS[2 * (x >= 0.0) + (y >= 0.0)]
+    origin = QUADRANTS.index(Quadrant.ORIGIN)
+    return np.where((x == 0.0) & (y == 0.0), origin, codes).astype(np.int8)
 
 
 def plane_positive(x: float, y: float, plane: tuple[float, float] = DEFAULT_PLANE) -> bool:
@@ -155,58 +158,56 @@ def delta_points(
         raise ValueError(f"metric must be one of {ACCURACY_METRICS}, got {metric!r}")
     x = after.serendipity - before.serendipity
     y = getattr(after, metric) - getattr(before, metric)
-    points = tuple(
-        DeltaPoint(
-            user_id=user,
-            cluster=cluster,
-            x=dx,
-            y=dy,
-            quadrant=quadrant(dx, dy),
-            positive=plane_positive(dx, dy, plane),
-            boundary=(dx == 0.0 or dy == 0.0),
-        )
-        for user, cluster, dx, dy in zip(users.tolist(), labels.tolist(), x.tolist(), y.tolist())
+    positive = np.array(
+        [plane_positive(dx, dy, plane) for dx, dy in zip(x.tolist(), y.tolist())], dtype=bool
     )
     return DeltaReport(
         pair=f"serendipity-{metric}",
         metric=metric,
         plane=(float(plane[0]), float(plane[1])),
-        points=points,
-        percent_positive=percent_positive([p.positive for p in points], basis, weights),
+        users=users,
+        clusters=labels,
+        x=x,
+        y=y,
+        quadrant=quadrant(x, y),
+        positive=positive,
+        percent_positive=percent_positive(positive, basis, weights),
         global_before={m: _mean(v) for m, v in before._asdict().items()},
         global_after={m: _mean(v) for m, v in after._asdict().items()},
     )
 
 
-def write_delta_csv(path: str, points: Iterable[DeltaPoint]) -> None:
-    rows = [DELTA_HEADER]
-    for p in points:
-        rows.append(
-            (
-                str(p.user_id),
-                str(p.cluster),
-                repr(float(p.x)),
-                repr(float(p.y)),
-                p.quadrant.value,
-                "true" if p.positive else "false",
-            )
-        )
-    text = "\r\n".join(",".join(row) for row in rows) + "\r\n"
-    atomic_write_text(path, text)
+_QUADRANT_CELLS = np.array([q.value for q in QUADRANTS], dtype=object)  # by QUADRANTS code
+_POSITIVE_CELLS = np.array(["false", "true"], dtype=object)  # by positive flag
 
 
-# Text cells are read whole, as Python strings.
+def write_delta_csv(path: str | Path, report: DeltaReport) -> None:
+    atomic_write_columns(path, DELTA_HEADER, (
+        report.users, report.clusters, report.x, report.y,
+        _QUADRANT_CELLS[report.quadrant], _POSITIVE_CELLS[report.positive.astype(np.intp)],
+    ))
+
+
+# Text cells are read wider than any valid one, so a longer cell cannot be cut down to one.
 _DELTA_DTYPE = np.dtype([
     ("user", np.int64), ("cluster", np.int64), ("x", np.float64), ("y", np.float64),
-    ("quadrant", object), ("positive", object),
+    ("quadrant", "U16"), ("positive", "U16"),
 ])
 
 
-def read_delta_csv(path: str) -> list[DeltaPoint]:
-    """The points of a delta CSV in file order, read by read_columns."""
-    return [
-        DeltaPoint(user, cluster, x, y, Quadrant(quadrant), positive == "true", x == 0.0 or y == 0.0)
-        for user, cluster, x, y, quadrant, positive in read_columns(
-            path, DELTA_HEADER, _DELTA_DTYPE
-        ).tolist()
-    ]
+def read_delta_csv(path: str | Path) -> tuple[np.ndarray, ...]:
+    """(users, clusters, x, y, quadrant codes, positive flags) of a delta CSV
+    in file order, read by read_columns, whose ValueError names a row that
+    does not parse.  The first row whose quadrant is not a Quadrant value,
+    or whose positive cell is not true or false, raises ValueError with its
+    line number (blank lines not counted)."""
+    rows = read_columns(path, DELTA_HEADER, _DELTA_DTYPE)
+    match = rows["quadrant"][:, None] == _QUADRANT_CELLS
+    positive = rows["positive"] == "true"
+    bad = ~match.any(axis=1) | (~positive & (rows["positive"] != "false"))
+    if bad.any():
+        k = int(np.argmax(bad))
+        cells = (str(rows["quadrant"][k]), str(rows["positive"][k]))
+        raise ValueError(f"{path}:{k + 2}: {cells} are not a Quadrant value and true or false")
+    columns = (np.ascontiguousarray(rows[name]) for name in ("user", "cluster", "x", "y"))
+    return (*columns, np.argmax(match, axis=1).astype(np.int8), positive)

@@ -6,10 +6,9 @@ plotting library, no timestamps, fixed decimal formatting.
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
 from ..ioutil import atomic_write_text
-from .deltas import DeltaPoint
 
 WIDTH = 640
 HEIGHT = 480
@@ -23,29 +22,31 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _bounds(points: Sequence[DeltaPoint]) -> tuple[float, float]:
+def _span(values: np.ndarray) -> float:
     # Symmetric bounds around the origin keep all four quadrants visible.
-    span_x = max((abs(p.x) for p in points), default=0.0)
-    span_y = max((abs(p.y) for p in points), default=0.0)
-    return max(span_x, 1e-3) * 1.1, max(span_y, 1e-3) * 1.1
+    return max(float(np.max(np.abs(values), initial=0.0)), 1e-3) * 1.1
 
 
 def scatter_svg(
-    points: Sequence[DeltaPoint],
+    x: np.ndarray,
+    y: np.ndarray,
+    positive: np.ndarray,
     plane: tuple[float, float],
     title: str,
     x_label: str = "delta serendipity",
     y_label: str = "delta accuracy",
 ) -> str:
-    span_x, span_y = _bounds(points)
+    """The points (x[k], y[k]) in the order given, colored by positive[k],
+    over the axes, the plane a*x + b*y = 0 and the quadrant labels."""
+    span_x, span_y = _span(x), _span(y)
     inner_w = WIDTH - 2 * MARGIN
     inner_h = HEIGHT - 2 * MARGIN
 
-    def sx(x: float) -> float:
-        return MARGIN + (x + span_x) / (2 * span_x) * inner_w
+    def sx(v: float) -> float:
+        return MARGIN + (v + span_x) / (2 * span_x) * inner_w
 
-    def sy(y: float) -> float:
-        return HEIGHT - MARGIN - (y + span_y) / (2 * span_y) * inner_h
+    def sy(v: float) -> float:
+        return HEIGHT - MARGIN - (v + span_y) / (2 * span_y) * inner_h
 
     parts: list[str] = []
     parts.append(
@@ -119,11 +120,11 @@ def scatter_svg(
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 14 {HEIGHT // 2})">{y_label}</text>'
     )
-    # Points, ordered by user id for stable output.
-    for p in sorted(points, key=lambda q: q.user_id):
-        color = POSITIVE_COLOR if p.positive else NEGATIVE_COLOR
+    # Points, in the order given.
+    for px, py, up in zip(x.tolist(), y.tolist(), positive.tolist()):
+        color = POSITIVE_COLOR if up else NEGATIVE_COLOR
         parts.append(
-            f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" r="3" '
+            f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="3" '
             f'fill="{color}" fill-opacity="0.7"/>'
         )
     parts.append("</svg>")
@@ -132,8 +133,10 @@ def scatter_svg(
 
 def write_scatter_svg(
     path: str,
-    points: Sequence[DeltaPoint],
+    x: np.ndarray,
+    y: np.ndarray,
+    positive: np.ndarray,
     plane: tuple[float, float],
     title: str,
 ) -> None:
-    atomic_write_text(path, scatter_svg(points, plane, title))
+    atomic_write_text(path, scatter_svg(x, y, positive, plane, title))

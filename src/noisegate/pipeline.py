@@ -50,6 +50,7 @@ from .evaluation import (
     ACCURACY_METRICS,
     BASIS_RATINGS,
     BASIS_USERS,
+    QUADRANTS,
     ArmEval,
     DeltaReport,
     cluster_users,
@@ -67,8 +68,8 @@ from .seeding import derive_seed
 from .signature import (
     DENOMINATOR_GLOBAL_NOISE,
     DENOMINATOR_LAST_DAY,
+    Hits,
     SignatureAction,
-    SignatureHit,
     apply_signature_action,
     detect_optout,
     read_hits,
@@ -554,7 +555,7 @@ def _final_noisy(votes: Votes, classified: np.ndarray) -> np.ndarray:
 
 def stage_signature(
     cfg: PipelineConfig, detect: RatingsTable, noisy: np.ndarray, paths: RunPaths
-) -> list[SignatureHit]:
+) -> Hits:
     hits = detect_optout(detect, noisy, cfg.signature_threshold, cfg.signature_denominator)
     write_hits(hits, cfg.action(), paths.signature_csv)
     return hits
@@ -564,7 +565,7 @@ def _clean_corpus(
     corpus: RatingsTable,
     votes: Votes,
     noisy: np.ndarray,
-    hits: list[SignatureHit],
+    hits: Hits,
     action: SignatureAction,
 ) -> tuple[RatingsTable, dict]:
     after_noise = corpus.without_keys(votes.users[noisy], votes.items[noisy])
@@ -641,15 +642,13 @@ def stage_evaluate(
             weights=weights,
         )
         reports[rep.pair] = rep
-        write_delta_csv(paths.deltas(rep.pair), rep.points)
-        write_scatter_svg(paths.scatter(rep.pair), rep.points, rep.plane, rep.pair)
-        q_counts: dict[str, int] = {"I": 0, "II": 0, "III": 0, "IV": 0, "Origin": 0}
-        for p in rep.points:
-            q_counts[p.quadrant.value] += 1
+        write_delta_csv(paths.deltas(rep.pair), rep)
+        write_scatter_svg(paths.scatter(rep.pair), rep.x, rep.y, rep.positive, rep.plane, rep.pair)
+        q_counts = np.bincount(rep.quadrant, minlength=len(QUADRANTS)).tolist()
         pair_sections[rep.pair] = {
             "percent_positive": rep.percent_positive,
-            "quadrant_counts": q_counts,
-            "boundary_points": sum(1 for p in rep.points if p.boundary),
+            "quadrant_counts": {q.value: n for q, n in zip(QUADRANTS, q_counts)},
+            "boundary_points": int(np.count_nonzero(rep.boundary)),
         }
 
     section = {
@@ -721,7 +720,7 @@ def _assemble_report(
     split_sizes: dict,
     board_section: dict,
     ens_info: dict,
-    hits: list[SignatureHit],
+    hits: Hits,
     removal: dict,
     eval_section: dict,
     ground_truth: dict | None,
@@ -735,7 +734,7 @@ def _assemble_report(
         "board": board_section,
         "ensemble": ens_info,
         "signature": {
-            "flagged_users": sorted(h.user_id for h in hits),
+            "flagged_users": hits.users.tolist(),
             "count": len(hits),
             "threshold": cfg.signature_threshold,
             "denominator": cfg.signature_denominator,
@@ -804,13 +803,12 @@ def _load_mask_if_configured(cfg: PipelineConfig) -> GroundTruthMask | None:
 
 
 class RunResult(NamedTuple):
-    report: DeltaReport
     reports: dict[str, DeltaReport]
     report_dict: dict
     paths: RunPaths
     votes: Votes
     noisy: np.ndarray
-    hits: list[SignatureHit]
+    hits: Hits
 
 
 _INPUT_FILES = ("ratings_path", "movies_path")
@@ -908,7 +906,7 @@ def _read_labels(
     return votes, classified
 
 
-def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> list[SignatureHit]:
+def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> Hits:
     _resume(
         cfg, paths,
         {paths.detect_csv: "ingest", paths.votes: "detect", paths.ensemble_csv: "ensemble"},
@@ -962,9 +960,7 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
         board_section, ens_info, hits, removal, eval_section, gt,
     )
     dump_json(_jsonable(report_dict), paths.report)
-    return RunResult(
-        reports["serendipity-ndcg"], reports, report_dict, paths, votes, noisy, hits
-    )
+    return RunResult(reports, report_dict, paths, votes, noisy, hits)
 
 
 def run_framework(cfg: PipelineConfig) -> RunResult:
@@ -986,7 +982,7 @@ def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
     cli_detect(cfg, paths)
     none = np.zeros(0, dtype=np.int64)
     write_classification(none, none, none, none, cfg.ensemble_variant, paths.ensemble_csv)
-    write_hits([], cfg.action(), paths.signature_csv)
+    write_hits(Hits(none, none, none, none, none), cfg.action(), paths.signature_csv)
     return cli_evaluate(cfg, paths, detector)
 
 

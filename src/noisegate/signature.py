@@ -7,14 +7,14 @@ history on the way out.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RatingsTable, run_starts
+from .dataset import RatingsTable, run_starts, sorted_index
 from .ioutil import atomic_write_columns, read_columns
 
 OPTOUT_SIGNATURE_ID = "optout"
@@ -29,10 +29,21 @@ class SignatureAction(Enum):
     REMOVE_LAST_DAY = "remove_last_day"
 
 
-class SignatureHit(NamedTuple):
-    signature_id: str
-    user_id: int
-    evidence: dict
+@dataclass(frozen=True, eq=False)
+class Hits:
+    """The users the opt-out signature flags, one row per user in ascending
+    id: days[k] is the UTC day (days since the epoch) of user k's last
+    activity, noisy_count[k] the Noisy ratings on it, total_count[k] the
+    denominator and ratio[k] their quotient."""
+
+    users: np.ndarray
+    days: np.ndarray
+    noisy_count: np.ndarray
+    total_count: np.ndarray
+    ratio: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
 _DAY_SECONDS = 86400
@@ -49,7 +60,7 @@ def detect_optout(
     noisy: np.ndarray,
     threshold: float = DEFAULT_THRESHOLD,
     denominator: str = DENOMINATOR_LAST_DAY,
-) -> list[SignatureHit]:
+) -> Hits:
     """Flag users whose last active day is mostly noise.
 
     noisy[k] is the final Noisy label of table row k.  The last active day
@@ -64,8 +75,6 @@ def detect_optout(
     noisy = np.asarray(noisy, dtype=bool)
     if noisy.shape != (len(table),):
         raise ValueError(f"expected {len(table)} noisy flags, one per table row, got {noisy.shape}")
-    if not len(table):
-        return []
     users = table.users
     starts = run_starts(users)
     days = table.timestamps // _DAY_SECONDS
@@ -76,54 +85,34 @@ def detect_optout(
     total = np.add.reduceat(counted.astype(np.int64), starts)
     ratio = noisy_on_day / np.maximum(total, 1)
     fire = np.flatnonzero((total > 0) & (ratio > threshold))
-    return [
-        SignatureHit(
-            OPTOUT_SIGNATURE_ID,
-            user,
-            {"last_day": utc_day(day * _DAY_SECONDS), "noisy_count": n, "total_count": t,
-             "ratio": r},
-        )
-        for user, day, n, t, r in zip(
-            users[starts[fire]].tolist(), last_day[fire].tolist(),
-            noisy_on_day[fire].tolist(), total[fire].tolist(), ratio[fire].tolist(),
-        )
-    ]
+    return Hits(users[starts[fire]], last_day[fire], noisy_on_day[fire], total[fire], ratio[fire])
 
 
 def apply_signature_action(
     table: RatingsTable,
-    hits: list[SignatureHit],
+    hits: Hits,
     action: SignatureAction = SignatureAction.REMOVE_USER,
 ) -> RatingsTable:
-    """Drop flagged users entirely, or only their flagged day's ratings."""
-    if not hits:
+    """Drop flagged users entirely, or only their ratings on the flagged day."""
+    if not len(hits):
         return table
-    if action is SignatureAction.REMOVE_USER:
-        return table.without_users({h.user_id for h in hits})
-    # the rows of a hit's user are one run of the table's sorted user column
-    users = np.array([h.user_id for h in hits], dtype=np.int64)
-    lo = np.searchsorted(table.users, users, side="left").tolist()
-    hi = np.searchsorted(table.users, users, side="right").tolist()
-    days = table.timestamps // _DAY_SECONDS
-    flagged = np.zeros(len(table), dtype=bool)
-    for a, b, h in zip(lo, hi, hits):
-        day = (date.fromisoformat(h.evidence["last_day"]) - _EPOCH).days
-        flagged[a:b] |= days[a:b] == day
+    at = sorted_index(hits.users, table.users)
+    flagged = at < len(hits)
+    if action is SignatureAction.REMOVE_LAST_DAY:
+        flagged[flagged] = table.timestamps[flagged] // _DAY_SECONDS == hits.days[at[flagged]]
     return table.subset_rows(np.flatnonzero(~flagged))
 
 
 HITS_HEADER = ("signatureId", "userId", "lastDay", "noisyCount", "totalCount", "ratio", "action")
 
 
-def write_hits(hits: list[SignatureHit], action: SignatureAction, path: str | Path) -> None:
-    rows = [
-        [h.signature_id, h.user_id, h.evidence["last_day"], h.evidence["noisy_count"],
-         h.evidence["total_count"], repr(float(h.evidence["ratio"])), action.value]
-        for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id))
-    ]
-    atomic_write_columns(
-        path, HITS_HEADER, (np.array(rows, dtype=object).reshape(-1, len(HITS_HEADER)),)
-    )
+def write_hits(hits: Hits, action: SignatureAction, path: str | Path) -> None:
+    n = len(hits)
+    days = [utc_day(day * _DAY_SECONDS) for day in hits.days.tolist()]
+    atomic_write_columns(path, HITS_HEADER, (
+        np.full(n, OPTOUT_SIGNATURE_ID, dtype=object), hits.users, np.array(days, dtype=object),
+        hits.noisy_count, hits.total_count, hits.ratio, np.full(n, action.value, dtype=object),
+    ))
 
 
 # Text cells are read whole, as Python strings.
@@ -133,20 +122,26 @@ _HITS_DTYPE = np.dtype([
 ])
 
 
-def read_hits(path: str | Path) -> tuple[list[SignatureHit], SignatureAction | None]:
-    """The hits of a signature.csv in file order, and the action of its last
-    row (None for no rows), read by read_columns, whose ValueError names a
-    row that does not parse.  Every lastDay must be a calendar day and
-    every action a SignatureAction, or ValueError."""
-    hits: list[SignatureHit] = []
-    action: SignatureAction | None = None
-    for signature, user, day, noisy, total, ratio, cell in read_columns(
-        path, HITS_HEADER, _HITS_DTYPE
-    ).tolist():
-        date.fromisoformat(day)  # a calendar day: remove_last_day counts days from it
-        action = SignatureAction(cell)
-        hits.append(SignatureHit(
-            signature, user,
-            {"last_day": day, "noisy_count": noisy, "total_count": total, "ratio": ratio},
-        ))
-    return hits, action
+def read_hits(path: str | Path) -> tuple[Hits, SignatureAction | None]:
+    """The hits of a signature.csv and the action of its last row (None for
+    no rows), read by read_columns, whose ValueError names a row that does
+    not parse.  Every signatureId must be optout, the userIds must strictly
+    ascend, every lastDay must be a calendar day and every action a
+    SignatureAction, or ValueError."""
+    rows = read_columns(path, HITS_HEADER, _HITS_DTYPE)
+    users = np.ascontiguousarray(rows["user"])
+    other = np.flatnonzero(rows["signature"] != OPTOUT_SIGNATURE_ID)
+    if len(other):
+        k = int(other[0])
+        raise ValueError(f"{path}:{k + 2}: signatureId {rows['signature'][k]!r} is not optout")
+    repeated = np.flatnonzero(users[1:] <= users[:-1])
+    if len(repeated):
+        k = int(repeated[0]) + 1
+        raise ValueError(f"{path}:{k + 2}: userId {users[k]} does not ascend")
+    days = [(date.fromisoformat(day) - _EPOCH).days for day in rows["day"].tolist()]
+    actions = [SignatureAction(cell) for cell in rows["action"].tolist()]
+    hits = Hits(
+        users, np.array(days, dtype=np.int64),
+        *(np.ascontiguousarray(rows[name]) for name in ("noisy", "total", "ratio")),
+    )
+    return hits, actions[-1] if actions else None

@@ -17,7 +17,10 @@ at a time; dedupe_rows collapses duplicate rating keys through a dict.
 The opt-out signature oracle looks each rating's label up by its
 (user, item) key and formats every rating's UTC day.  The evaluation
 oracles score, rank and measure one user at a time, pair the two arms
-through per-user dicts and sum every mean left to right in a loop.
+through per-user dicts and sum every mean left to right in a loop.  The
+signature and delta oracles give one record per user, a SignatureHit or
+a DeltaPoint; hit_records and delta_records turn the array results into
+the same records for comparison.
 The lookups only tests need (a table's keys and values by key, an item's
 genre vector or genre names by a scan of the map's ids), the clip of a
 value to a rating scale, and the pairwise Pearson similarity and the
@@ -30,6 +33,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,16 +58,17 @@ from noisegate.ensemble.features import FEATURES_HEADER
 from noisegate.ensemble.learners import KnnClassifier
 from noisegate.ensemble.ressel import ResselModel, base_roster
 from noisegate.ensemble.trees import _MIN_GAIN, DecisionTree, RegressionTree, _gini, _Node
-from noisegate.evaluation.deltas import BASIS_USERS, DeltaPoint, plane_positive, quadrant
+from noisegate.evaluation.deltas import (
+    BASIS_USERS,
+    QUADRANTS,
+    DeltaReport,
+    Quadrant,
+    plane_positive,
+)
 from noisegate.evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
 from noisegate.recsys import _VAR_EPS, KnnConfig, MfModel, SimilarityMatrix
 from noisegate.seeding import derive_seed
-from noisegate.signature import (
-    DENOMINATOR_LAST_DAY,
-    OPTOUT_SIGNATURE_ID,
-    SignatureHit,
-    utc_day,
-)
+from noisegate.signature import DENOMINATOR_LAST_DAY, OPTOUT_SIGNATURE_ID, Hits, utc_day
 
 
 def _rows(column: np.ndarray, key: int) -> np.ndarray:
@@ -506,6 +512,28 @@ def feature_matrix_loop(
 # -- Layer 3: the opt-out signature --------------------------------------
 
 
+class SignatureHit(NamedTuple):
+    signature_id: str
+    user_id: int
+    evidence: dict
+
+
+def hit_records(hits: Hits) -> list[SignatureHit]:
+    """The hits as the loop oracle's records, in row order."""
+    return [
+        SignatureHit(
+            OPTOUT_SIGNATURE_ID,
+            user,
+            {"last_day": (date(1970, 1, 1) + timedelta(days=day)).isoformat(), "noisy_count": n,
+             "total_count": t, "ratio": r},
+        )
+        for user, day, n, t, r in zip(
+            hits.users.tolist(), hits.days.tolist(), hits.noisy_count.tolist(),
+            hits.total_count.tolist(), hits.ratio.tolist(),
+        )
+    ]
+
+
 def detect_optout_loop(
     table: RatingsTable, labels, threshold: float = 0.5, denominator: str = DENOMINATOR_LAST_DAY
 ) -> list[SignatureHit]:
@@ -849,6 +877,47 @@ def critical_groups_loop(arm, clusters) -> float:
     return 100.0 * sum(1 for v in means if v < mean) / len(means)
 
 
+class DeltaPoint(NamedTuple):
+    user_id: int
+    cluster: int
+    x: float
+    y: float
+    quadrant: Quadrant
+    positive: bool
+    boundary: bool
+
+
+def quadrant(x: float, y: float) -> Quadrant:
+    """Quadrant from the signs of (x, y).
+
+    Zero coordinates take the positive-sign convention, except the exact
+    origin which gets its own label.
+    """
+    if x == 0.0 and y == 0.0:
+        return Quadrant.ORIGIN
+    px = x >= 0.0
+    py = y >= 0.0
+    if px and py:
+        return Quadrant.I
+    if not px and py:
+        return Quadrant.II
+    if not px and not py:
+        return Quadrant.III
+    return Quadrant.IV
+
+
+def delta_records(report: DeltaReport) -> list[DeltaPoint]:
+    """The report's points as the loop oracle's records, in row order."""
+    return [
+        DeltaPoint(user, cluster, x, y, QUADRANTS[q], positive, boundary)
+        for user, cluster, x, y, q, positive, boundary in zip(
+            report.users.tolist(), report.clusters.tolist(), report.x.tolist(),
+            report.y.tolist(), report.quadrant.tolist(), report.positive.tolist(),
+            report.boundary.tolist(),
+        )
+    ]
+
+
 def delta_points_loop(before, after, clusters, metric, plane, basis, weights):
     """The delta report of two evaluate_arm_loop results over the same users:
     (points, percent positive, global means before, global means after)."""
@@ -990,4 +1059,13 @@ def hit_rows(hits, action):
         [h.signature_id, h.user_id, h.evidence["last_day"], h.evidence["noisy_count"],
          h.evidence["total_count"], repr(float(h.evidence["ratio"])), action.value]
         for h in sorted(hits, key=lambda h: (h.signature_id, h.user_id))
+    )
+
+
+def delta_rows(points):
+    """Rows of DeltaPoint records, in their order."""
+    return (
+        [p.user_id, p.cluster, repr(float(p.x)), repr(float(p.y)), p.quadrant.value,
+         "true" if p.positive else "false"]
+        for p in points
     )

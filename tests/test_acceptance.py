@@ -24,7 +24,7 @@ from noisegate.ensemble.forest import RandomForest
 from noisegate.ensemble.isolation import ExtendedIsolationForest
 from noisegate.ensemble.ressel import train_ressel
 from noisegate.evaluation.clustering import cluster_users
-from noisegate.evaluation.deltas import plane_positive, quadrant, Quadrant
+from noisegate.evaluation.deltas import QUADRANTS, Quadrant, plane_positive, quadrant
 from noisegate.pipeline import (
     NoiseKind,
     config_from_dict,
@@ -173,10 +173,10 @@ def test_criterion_2_formula_oracles():
         (-1, -1): Quadrant.III, (0, -1): Quadrant.IV, (1, -1): Quadrant.IV,
     }
     for (sx, sy), want in sign_cases.items():
-        assert quadrant(float(sx) * 0.3, float(sy) * 0.2) is want
+        assert QUADRANTS[quadrant(float(sx) * 0.3, float(sy) * 0.2)] is want
     for _ in range(12):
         x, y = (float(v) for v in rng.normal(0, 1, 2))
-        got = quadrant(x, y)
+        got = QUADRANTS[quadrant(x, y)]
         if x >= 0 and y >= 0:
             assert got in (Quadrant.I, Quadrant.ORIGIN)
         elif x < 0 and y >= 0:
@@ -197,7 +197,7 @@ def test_criterion_2_formula_oracles():
         hits = detect_optout(table, noisy_flags(table, labels), threshold=threshold)
         assert bool(hits) == (k / n > threshold)
         if hits:
-            assert hits[0].evidence["ratio"] == pytest.approx(k / n, abs=tol)
+            assert hits.ratio[0] == pytest.approx(k / n, abs=tol)
 
 
 # -- criterion 3: synthetic-noise recovery over 5 seeds --------------------
@@ -249,7 +249,7 @@ def test_criterion_4_optout_recall_fpr():
             (u, i): Verdict.NOISY if (u, i) in mask.keys else Verdict.CLEAN
             for u, i, _, _ in noisy.rows()
         }
-        flagged = {h.user_id for h in detect_optout(noisy, noisy_flags(noisy, labels))}
+        flagged = set(detect_optout(noisy, noisy_flags(noisy, labels)).users.tolist())
         n_users = len(noisy.user_ids())
         recall = len(flagged & selected) / len(selected)
         fpr = len(flagged - selected) / (n_users - len(selected))

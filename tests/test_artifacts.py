@@ -25,14 +25,10 @@ from noisegate.ensemble import (
     write_classification,
 )
 from noisegate.ensemble.features import FEATURES_HEADER, read_features, write_features
+from noisegate.evaluation import ACCURACY_METRICS, DELTA_HEADER, DeltaReport, read_delta_csv
+from noisegate.evaluation.deltas import QUADRANTS, write_delta_csv
 from noisegate.ioutil import format_floats
-from noisegate.signature import (
-    HITS_HEADER,
-    SignatureAction,
-    SignatureHit,
-    read_hits,
-    write_hits,
-)
+from noisegate.signature import HITS_HEADER, Hits, SignatureAction, read_hits, write_hits
 
 from . import oracles
 from .test_cli import _run_args
@@ -386,23 +382,52 @@ def test_classification_bytes_match_csv_writer(scratch, cells, variant):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    hits=st.lists(
-        st.builds(
-            lambda user, day, noisy, extra: SignatureHit(
-                "optout", user, {"last_day": f"2020-01-{day:02d}", "noisy_count": noisy,
-                                 "total_count": noisy + extra, "ratio": noisy / (noisy + extra)},
-            ),
-            st.integers(0, 2**40), st.integers(1, 28), st.integers(1, 50), st.integers(0, 50),
-        ),
-        unique_by=lambda h: h.user_id, max_size=6,
+    cells=st.dictionaries(
+        st.integers(0, 2**40),
+        # lastDay from 1970-01-01 to 9999-12-31, noisy count and the rest of the total
+        st.tuples(st.integers(0, 2932896), st.integers(1, 50), st.integers(0, 50)),
+        max_size=6,
     ),
     action=st.sampled_from(list(SignatureAction)),
 )
-def test_hits_bytes_match_csv_writer(scratch, hits, action):
+def test_hits_bytes_match_csv_writer(scratch, cells, action):
+    users = np.array(sorted(cells), dtype=np.int64)
+    columns = np.array([cells[u] for u in users.tolist()], dtype=np.int64).reshape(-1, 3)
+    days, noisy, extra = columns.T
+    hits = Hits(users, days, noisy, noisy + extra, noisy / (noisy + extra))
     write_hits(hits, action, scratch)
     assert scratch.read_bytes() == oracles.csv_writer_text(
-        HITS_HEADER, oracles.hit_rows(hits, action)
+        HITS_HEADER, oracles.hit_rows(oracles.hit_records(hits), action)
     ).encode()
+    back, read_action = read_hits(scratch)
+    assert read_action is (action if len(hits) else None)
+    fields = ("users", "days", "noisy_count", "total_count", "ratio")
+    _same_columns([getattr(back, f) for f in fields], [getattr(hits, f) for f in fields])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    users=st.lists(st.integers(0, 2**40), unique=True, max_size=8).map(sorted),
+    data=st.data(),
+)
+def test_deltas_bytes_match_csv_writer(scratch, users, data):
+    def column(elements, dtype):
+        return np.array(data.draw(st.lists(elements, min_size=len(users), max_size=len(users))),
+                        dtype=dtype)
+
+    report = DeltaReport(
+        "serendipity-ndcg", "ndcg", (0.07, 0.17), np.array(users, dtype=np.int64),
+        column(st.integers(0, 9), np.int64), column(_finite, np.float64),
+        column(_finite, np.float64), column(st.integers(0, len(QUADRANTS) - 1), np.int8),
+        column(st.booleans(), bool), 0.0, {}, {},
+    )
+    write_delta_csv(scratch, report)
+    assert scratch.read_bytes() == oracles.csv_writer_text(
+        DELTA_HEADER, oracles.delta_rows(oracles.delta_records(report))
+    ).encode()
+    _same_columns(read_delta_csv(scratch), (
+        report.users, report.clusters, report.x, report.y, report.quadrant, report.positive
+    ))
 
 
 # -- the artifacts of a data/mini run ---------------------------------------
@@ -443,4 +468,16 @@ def test_mini_artifacts_take_the_array_path_and_match_csv_writer(mini_run, monke
     }
     matches("ensemble.csv", CLASSIFICATION_HEADER, oracles.classification_rows(cells, "EL3"))
     hits, action = read_hits(mini_run / "signature.csv")
-    matches("signature.csv", HITS_HEADER, oracles.hit_rows(hits, action or SignatureAction.REMOVE_USER))
+    assert len(hits)
+    records = oracles.hit_records(hits)
+    matches("signature.csv", HITS_HEADER, oracles.hit_rows(records, action))
+    for metric in ACCURACY_METRICS:
+        users, clusters, x, y, quadrant, positive = read_delta_csv(
+            mini_run / f"deltas-serendipity-{metric}.csv"
+        )
+        assert len(users)
+        report = DeltaReport(
+            "", metric, (0.0, 0.0), users, clusters, x, y, quadrant, positive, 0.0, {}, {}
+        )
+        points = oracles.delta_records(report)
+        matches(f"deltas-serendipity-{metric}.csv", DELTA_HEADER, oracles.delta_rows(points))

@@ -351,6 +351,10 @@ def _extra_noisy_row(lines: list[str]) -> None:
     lines.append("999999,999999,0.9,noisy,EL3\r\n")
 
 
+def _earlier_hit_row(lines: list[str]) -> None:
+    lines.append("optout,0,2022-05-30,1,1,1.0,remove_user\r\n")
+
+
 @pytest.mark.parametrize(
     "artifact, edit, command, message",
     [
@@ -372,12 +376,16 @@ def _extra_noisy_row(lines: list[str]) -> None:
             "could not convert string '99999999999999999999' to int64",
         ),
         ("signature.csv", _bogus_cell(2), "evaluate", "Invalid isoformat string: 'bogus'"),
+        ("signature.csv", _bogus_cell(0), "evaluate", "signatureId 'bogus' is not optout"),
+        ("signature.csv", _earlier_hit_row, "evaluate", "userId 0 does not ascend"),
+        ("signature.csv", _bogus_cell(6), "evaluate", "'bogus' is not a valid SignatureAction"),
     ],
     ids=[
         "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
         "bad-hits-header", "bad-board-json", "empty-classification", "empty-hits",
         "bogus-score", "other-variant", "missing-row", "extra-row", "reordered-votes",
-        "wide-vote-id", "bogus-hit-day",
+        "wide-vote-id", "bogus-hit-day", "other-signature", "descending-hit-user",
+        "bogus-hit-action",
     ],
 )
 def test_malformed_artifact_exits_3(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,11 +68,9 @@ def test_user_and_item_stats_population_std():
     assert imean[0] == 3.0 and icount[0] == 2 and istd[0] == pytest.approx(2.0)
 
 
-def test_without_keys_and_without_users():
+def test_without_keys():
     t = make_table([(1, 1, 1.0, 0), (1, 2, 2.0, 0), (2, 1, 3.0, 0)])
-    assert len(t.without_keys(np.array([1]), np.array([2]))) == 2
-    assert len(t.without_users({1})) == 1
-    assert t.without_users({1}).rows() == [(2, 1, 3.0, 0)]
+    assert t.without_keys(np.array([1]), np.array([2])).rows() == [(1, 1, 1.0, 0), (2, 1, 3.0, 0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,6 +106,34 @@ def test_load_ratings_deduplicates_keeping_latest(tmp_path):
     assert len(t) == 3
     assert value_of(t, 1, 10) == 4.5  # latest timestamp wins
     assert t.dropped_duplicates == 1
+
+
+def test_load_ratings_in_key_order_copies_each_column_once(tmp_path):
+    # A split as the program writes it, in key order: 20,000 rows, 0.64 MB
+    # of columns.  The structured array np.loadtxt fills and one contiguous
+    # copy of each column make 1.28 MB traced, against 2.32 MB when every
+    # column is also gathered through an identity index, twice.
+    rng = np.random.default_rng(6)
+    n = 20_000
+    table = RatingsTable.from_arrays(
+        np.repeat(np.arange(n // 50), 50), np.tile(np.arange(1, 351, 7), n // 50),
+        rng.integers(1, 11, n) / 2.0, rng.integers(0, 2**31, n), Scale(0.5, 5.0),
+    )
+    path = tmp_path / "split.csv"
+    table.to_csv(path)
+    tracemalloc.start()
+    try:
+        got = load_ratings(path, table.scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.rows() == table.rows()
+    assert peak < 2.5 * 32 * n
+    # from_arrays keeps columns of the column dtypes already in key order
+    columns = (got.users, got.items, got.values, got.timestamps)
+    again = RatingsTable.from_arrays(*columns, got.scale)
+    kept = (again.users, again.items, again.values, again.timestamps)
+    assert all(a is b for a, b in zip(kept, columns))
 
 
 def test_load_ratings_empty_file_is_empty_table(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from noisegate.evaluation.deltas import (
     BASIS_RATINGS,
     DEFAULT_PLANE,
+    DELTA_HEADER,
+    QUADRANTS,
     ArmEval,
     Quadrant,
     critical_groups,
@@ -20,6 +24,8 @@ from noisegate.evaluation.deltas import (
     read_delta_csv,
     write_delta_csv,
 )
+
+from . import oracles
 
 
 def _eval(user, ndcg=0.5, serendipity=0.5, cluster=0, **kw):
@@ -56,19 +62,24 @@ def test_quadrant_exhaustive_sign_cases():
         (1.0, -1.0): Quadrant.IV,
     }
     for (x, y), want in cases.items():
-        assert quadrant(x, y) is want, (x, y)
+        assert QUADRANTS[quadrant(x, y)] is want, (x, y)
+    xs, ys = np.array(list(cases)).T
+    assert [QUADRANTS[q] for q in quadrant(xs, ys).tolist()] == list(cases.values())
+    assert [QUADRANTS[q] for q in quadrant(-xs * 0.0, ys).tolist()] == [
+        QUADRANTS[quadrant(0.0, y)] for y in ys.tolist()
+    ]
 
 
 def test_plane_example_positive():
     # 0.07*0 + 0.17*0.01 = 0.0017 > 0
     assert plane_positive(0.0, 0.01, DEFAULT_PLANE)
-    assert quadrant(0.0, 0.01) is Quadrant.I
+    assert QUADRANTS[quadrant(0.0, 0.01)] is Quadrant.I
 
 
 def test_plane_example_negative():
     # 0.07*0.1 + 0.17*(-0.05) = -0.0015 <= 0
     assert not plane_positive(0.1, -0.05, DEFAULT_PLANE)
-    assert quadrant(0.1, -0.05) is Quadrant.IV
+    assert QUADRANTS[quadrant(0.1, -0.05)] is Quadrant.IV
 
 
 def test_plane_boundary_not_positive():
@@ -121,7 +132,7 @@ def test_delta_points_full_report():
     assert report.metric == "ndcg"
     assert report.pair == "serendipity-ndcg"
     assert report.plane == DEFAULT_PLANE
-    by_user = {p.user_id: p for p in report.points}
+    by_user = {p.user_id: p for p in oracles.delta_records(report)}
     p1, p2, p3 = by_user[1], by_user[2], by_user[3]
     assert p1.x == pytest.approx(0.0, abs=1e-12) and p1.y == pytest.approx(0.05, abs=1e-12)
     assert p1.positive and p1.quadrant is Quadrant.I and p1.boundary
@@ -151,7 +162,8 @@ def test_global_means_brute_recount():
 def test_percent_positive_brute_recount_users():
     before, after = _arms()
     report = _report(before, after)
-    brute = 100.0 * sum(1 for p in report.points if p.positive) / len(report.points)
+    points = oracles.delta_records(report)
+    brute = 100.0 * sum(1 for p in points if p.positive) / len(points)
     assert report.percent_positive == pytest.approx(brute, abs=1e-12)
 
 
@@ -161,8 +173,9 @@ def test_percent_positive_ratings_basis():
     report = _report(before, after, basis=BASIS_RATINGS, weights=weights)
     # only user 1 is positive: 10 of 100 ratings
     assert report.percent_positive == pytest.approx(10.0, abs=1e-9)
-    brute_hit = sum(weights[p.user_id] for p in report.points if p.positive)
-    brute_total = sum(weights[p.user_id] for p in report.points)
+    points = oracles.delta_records(report)
+    brute_hit = sum(weights[p.user_id] for p in points if p.positive)
+    brute_total = sum(weights[p.user_id] for p in points)
     assert report.percent_positive == pytest.approx(100.0 * brute_hit / brute_total, abs=1e-12)
 
 
@@ -179,8 +192,8 @@ def test_alternate_metric_drives_y():
     before = [_eval(1, precision=0.30, serendipity=0.5)]
     after = [_eval(1, precision=0.45, serendipity=0.5)]
     report = _report(before, after, metric="precision")
-    assert report.points[0].y == pytest.approx(0.15, abs=1e-12)
-    assert report.points[0].x == 0.0
+    assert report.y[0] == pytest.approx(0.15, abs=1e-12)
+    assert report.x[0] == 0.0
 
 
 def test_unknown_metric_raises():
@@ -193,17 +206,18 @@ def test_all_equal_arms_no_positives():
     before, _ = _arms()
     report = _report(before, list(before))
     assert report.percent_positive == 0.0
-    assert all(p.quadrant is Quadrant.ORIGIN for p in report.points)
-    assert all(not p.positive for p in report.points)
+    assert (report.quadrant == QUADRANTS.index(Quadrant.ORIGIN)).all()
+    assert not report.positive.any()
 
 
 def test_delta_csv_roundtrip(tmp_path):
     before, after = _arms()
     report = _report(before, after)
     path = tmp_path / "points.csv"
-    write_delta_csv(str(path), report.points)
-    back = read_delta_csv(str(path))
-    assert back == list(report.points)
+    write_delta_csv(path, report)
+    back = read_delta_csv(path)
+    columns = (report.users, report.clusters, report.x, report.y, report.quadrant, report.positive)
+    assert [(a.dtype, a.tolist()) for a in back] == [(a.dtype, a.tolist()) for a in columns]
 
 
 def test_delta_csv_rejects_wrong_header(tmp_path):
@@ -211,3 +225,18 @@ def test_delta_csv_rejects_wrong_header(tmp_path):
     path.write_text("userId,cluster\n1,0\n")
     with pytest.raises(ValueError, match="header"):
         read_delta_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,0,0.5,0.5,V,true", "('V', 'true') are not a Quadrant value"),
+        ("1,0,0.5,0.5,Origin,True", "('Origin', 'True') are not a Quadrant value"),
+    ],
+    ids=["other-quadrant", "other-positive"],
+)
+def test_delta_csv_rejects_malformed_cells(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(DELTA_HEADER) + "\r\n0,0,0.0,0.0,Origin,false\r\n" + row + "\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+        read_delta_csv(path)

@@ -139,7 +139,7 @@ def test_array_evaluation_equals_per_user_oracles(w):
             loops[0], loops[1], clusters, metric, DEFAULT_PLANE, w.basis,
             dict(zip(users, weights.tolist())),
         )
-        assert [p._replace(x=p.x.hex(), y=p.y.hex()) for p in rep.points] == [
+        assert [p._replace(x=p.x.hex(), y=p.y.hex()) for p in oracles.delta_records(rep)] == [
             p._replace(x=p.x.hex(), y=p.y.hex()) for p in points
         ]
         assert rep.percent_positive.hex() == pct.hex()

@@ -1,10 +1,12 @@
 """The benchmark's span wrappers still time evaluation.
 
-perfbench/spans.py wraps program functions by module attribute name and
-counts evaluated users from the first argument of cluster_users, so a
-renamed function or a changed call shape would silently empty a per-layer
-metric.  This runs the bundled mini dataset under the benchmark's Tracer,
-which it imports read-only.
+perfbench/spans.py wraps program functions by module attribute name,
+counts evaluated users from the first argument of cluster_users, and
+counts signature hits and removed ratings from what detect_optout and
+apply_signature_action return, so a renamed function or a changed call or
+return shape would silently empty a per-layer metric.  This runs the
+bundled mini dataset under the benchmark's Tracer, which it imports
+read-only.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ def test_benchmark_spans_cover_evaluation(tmp_path):
         tracer.uninstall()
     universe = result.report_dict["evaluation"]["universe_users"]
     assert tracer.counts["evaluation.universe_users"] == universe > 0
+    # the signature counters read the hits and the table that Layer 3 returns
+    assert tracer.counts["signature.hits"] == result.report_dict["signature"]["count"] > 0
+    removed = result.report_dict["removal"]["signature_ratings_removed"]
+    assert tracer.counts["signature.ratings_removed"] == removed > 0
     calls: dict[str, int] = {}
     for name, *_ in tracer.spans:
         calls[name] = calls.get(name, 0) + 1

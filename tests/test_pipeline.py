@@ -357,7 +357,7 @@ def test_noise_free_dataset_flags_little(framework_run):
     r = result.report_dict
     noisy = r["board"]["consensus"]["noisy"]
     assert noisy <= 0.05 * r["counts"]["detect"]
-    assert 0.0 <= result.report.percent_positive <= 100.0
+    assert 0.0 <= result.reports["serendipity-ndcg"].percent_positive <= 100.0
 
 
 def test_labels_cover_detect_split_without_uncertainty(framework_run):
@@ -385,9 +385,9 @@ def test_removal_soundness(framework_run):
     eval_t = load_ratings(result.paths.eval_csv, cfg.scale())
     corpus = train.merged(detect)
     noisy = set(result.votes.keys(result.noisy))
-    flagged = {h.user_id for h in result.hits}
+    flagged = set(result.hits.users.tolist())
     keep = [k for k, key in enumerate(oracles.keys(corpus)) if key not in noisy]
-    expected = corpus.subset_rows(keep).without_users(flagged)
+    expected = [k for k in keep if int(corpus.users[k]) not in flagged]
     rm = result.report_dict["removal"]
     assert rm["corpus_size"] == len(corpus)
     assert rm["cleaned_size"] == len(expected)
@@ -489,8 +489,9 @@ def test_inert_baseline_all_deltas_zero(tmp_path):
     r = result.report_dict
     assert r["mode"] == "baseline" and r["detector"] == "NF3"
     assert r["removal"]["cleaned_size"] == r["removal"]["corpus_size"]
-    assert result.report.percent_positive == 0.0
-    assert all(p.quadrant is Quadrant.ORIGIN for p in result.report.points)
+    report = result.reports["serendipity-ndcg"]
+    assert report.percent_positive == 0.0
+    assert all(p.quadrant is Quadrant.ORIGIN for p in oracles.delta_records(report))
 
 
 def test_baseline_removes_exactly_detector_verdicts(tmp_path):

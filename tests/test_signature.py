@@ -11,9 +11,9 @@ from noisegate.board.verdict import Verdict
 from noisegate.signature import (
     DENOMINATOR_GLOBAL_NOISE,
     DENOMINATOR_LAST_DAY,
-    OPTOUT_SIGNATURE_ID,
+    HITS_HEADER,
+    Hits,
     SignatureAction,
-    SignatureHit,
     apply_signature_action,
     detect_optout,
     read_hits,
@@ -25,6 +25,8 @@ from . import oracles
 from .conftest import make_table, noisy_flags
 
 DAY = 86400
+_NONE = np.zeros(0, dtype=np.int64)
+NO_HITS = Hits(_NONE, _NONE, _NONE, _NONE, np.zeros(0))
 
 
 def _optout(table, labels, **kwargs):
@@ -58,25 +60,24 @@ def test_six_of_ten_noisy_fires():
     rows, labels = _last_day_user(1, n_day=10, n_noisy=6, n_earlier=2)
     hits = _optout(make_table(rows), labels)
     assert len(hits) == 1
-    hit = hits[0]
-    assert hit.signature_id == OPTOUT_SIGNATURE_ID
-    assert hit.user_id == 1
-    assert hit.evidence["noisy_count"] == 6
-    assert hit.evidence["total_count"] == 10
-    assert hit.evidence["ratio"] == pytest.approx(0.6, abs=1e-12)
-    assert hit.evidence["last_day"] == "1970-01-02"
+    assert hits.users.tolist() == [1]
+    assert hits.noisy_count.tolist() == [6]
+    assert hits.total_count.tolist() == [10]
+    assert hits.ratio[0] == pytest.approx(0.6, abs=1e-12)
+    assert hits.days.tolist() == [1]
+    assert utc_day(int(hits.days[0]) * DAY) == "1970-01-02"
 
 
 def test_half_noisy_is_strictly_below():
     rows, labels = _last_day_user(1, n_day=10, n_noisy=5)
-    assert _optout(make_table(rows), labels) == []
+    assert len(_optout(make_table(rows), labels)) == 0
 
 
 def test_zero_noisy_never_fires():
     rows, labels = _last_day_user(1, n_day=7, n_noisy=0, n_earlier=3)
     table = make_table(rows)
-    assert _optout(table, labels) == []
-    assert _optout(table, labels, denominator=DENOMINATOR_GLOBAL_NOISE) == []
+    assert len(_optout(table, labels)) == 0
+    assert len(_optout(table, labels, denominator=DENOMINATOR_GLOBAL_NOISE)) == 0
 
 
 def test_denominator_variants_disagree():
@@ -86,11 +87,11 @@ def test_denominator_variants_disagree():
     labels = {(1, i): Verdict.NOISY for i in range(1, 11)}
     table = make_table(rows)
     by_day = _optout(table, labels, denominator=DENOMINATOR_LAST_DAY)
-    assert [h.user_id for h in by_day] == [1]
-    assert by_day[0].evidence["ratio"] == 1.0
+    assert by_day.users.tolist() == [1]
+    assert by_day.ratio[0] == 1.0
     by_global = _optout(table, labels, denominator=DENOMINATOR_GLOBAL_NOISE)
     # 1 noisy on the day over 10 noisy overall
-    assert by_global == []
+    assert len(by_global) == 0
 
 
 def test_global_denominator_counts_all_noise():
@@ -106,7 +107,7 @@ def test_global_denominator_counts_all_noise():
     }
     hits = _optout(make_table(rows), labels, denominator=DENOMINATOR_GLOBAL_NOISE)
     assert len(hits) == 1
-    assert hits[0].evidence["ratio"] == pytest.approx(0.75, abs=1e-12)
+    assert hits.ratio[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_unknown_denominator_raises():
@@ -128,7 +129,7 @@ def test_multiple_users_independent():
     rows1, labels1 = _last_day_user(1, n_day=4, n_noisy=4)
     rows2, labels2 = _last_day_user(2, n_day=4, n_noisy=1, base_item=100)
     hits = _optout(make_table(rows1 + rows2), {**labels1, **labels2})
-    assert [h.user_id for h in hits] == [1]
+    assert hits.users.tolist() == [1]
 
 
 def test_remove_user_drops_all_ratings():
@@ -136,7 +137,7 @@ def test_remove_user_drops_all_ratings():
     other = [(2, 500 + i, 4.0, i) for i in range(5)]
     table = make_table(rows + other)
     hits = _optout(table, {**labels, **{(2, 500 + i): Verdict.CLEAN for i in range(5)}})
-    assert [h.user_id for h in hits] == [1]
+    assert hits.users.tolist() == [1]
     out = apply_signature_action(table, hits, SignatureAction.REMOVE_USER)
     assert len(table) - len(out) == 80
     assert out.user_ids().tolist() == [2]
@@ -145,7 +146,7 @@ def test_remove_user_drops_all_ratings():
 def test_no_hits_leaves_table_unchanged():
     rows, labels = _last_day_user(1, n_day=10, n_noisy=0)
     table = make_table(rows)
-    out = apply_signature_action(table, [], SignatureAction.REMOVE_USER)
+    out = apply_signature_action(table, NO_HITS, SignatureAction.REMOVE_USER)
     assert out.rows() == table.rows()
 
 
@@ -180,14 +181,14 @@ def test_label_monotone_under_default_denominator():
     # flipping any Clean label to Noisy never removes a hit
     rows, labels = _last_day_user(1, n_day=6, n_noisy=4, n_earlier=4)
     table = make_table(rows)
-    base = {h.user_id for h in _optout(table, labels)}
+    base = set(_optout(table, labels).users.tolist())
     assert base == {1}
     for key, verdict in labels.items():
         if verdict is Verdict.NOISY:
             continue
         bumped = dict(labels)
         bumped[key] = Verdict.NOISY
-        now = {h.user_id for h in _optout(table, bumped)}
+        now = set(_optout(table, bumped).users.tolist())
         assert base <= now
 
 
@@ -197,7 +198,7 @@ def test_ratio_at_threshold_never_fires(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     rows, labels = _last_day_user(1, n_day=n, n_noisy=k)
     hits = _optout(make_table(rows), labels, threshold=k / n)
-    assert hits == []
+    assert len(hits) == 0
 
 
 @st.composite
@@ -230,12 +231,28 @@ def test_detect_optout_matches_loop_oracle(case, denominator, data):
     every = oracles.detect_optout_loop(table, labels, -1.0, denominator)
     ratios = [h.evidence["ratio"] for h in every]
     threshold = 0.5 if data is None else data.draw(st.sampled_from([0.0, 0.5, 1.0, *ratios]))
-    got = detect_optout(table, noisy_flags(table, labels), threshold, denominator)
+    hits = detect_optout(table, noisy_flags(table, labels), threshold, denominator)
+    got = oracles.hit_records(hits)
     want = oracles.detect_optout_loop(table, labels, threshold, denominator)
     assert got == want
     assert [h.evidence["ratio"].hex() for h in got] == [h.evidence["ratio"].hex() for h in want]
     assert all(type(v) is type(w) for a, b in zip(got, want)
                for v, w in zip(a.evidence.values(), b.evidence.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_labeled_tables(), threshold=st.sampled_from([-1.0, 0.0, 0.5]),
+       action=st.sampled_from(list(SignatureAction)))
+def test_apply_signature_action_matches_loop(case, threshold, action):
+    table, labels = case
+    hits = detect_optout(table, noisy_flags(table, labels), threshold)
+    last_day = {h.user_id: h.evidence["last_day"] for h in oracles.hit_records(hits)}
+    want = [
+        row for row in table.rows()
+        if row[0] not in last_day
+        or (action is SignatureAction.REMOVE_LAST_DAY and utc_day(row[3]) != last_day[row[0]])
+    ]
+    assert apply_signature_action(table, hits, action).rows() == want
 
 
 def test_hits_csv_roundtrip(tmp_path):
@@ -248,7 +265,7 @@ def test_hits_csv_roundtrip(tmp_path):
     write_hits(hits, SignatureAction.REMOVE_LAST_DAY, path)
     back, action = read_hits(path)
     assert action is SignatureAction.REMOVE_LAST_DAY
-    assert back == sorted(hits, key=lambda h: (h.signature_id, h.user_id))
+    assert oracles.hit_records(back) == oracles.hit_records(hits)
 
 
 def test_read_hits_rejects_wrong_header(tmp_path):
@@ -258,9 +275,28 @@ def test_read_hits_rejects_wrong_header(tmp_path):
         read_hits(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("other,1,1970-01-02,1,1,1.0,remove_user", "signatureId 'other' is not optout"),
+        ("optout,1,1970-01-02,1,1,1.0,remove_user", "userId 1 does not ascend"),
+        ("optout,3,1970-02-30,1,1,1.0,remove_user", "day is out of range for month"),
+        ("optout,3,1970-01-02,1,1,1.0,drop_all", "'drop_all' is not a valid SignatureAction"),
+    ],
+    ids=["other-signature", "repeated-user", "no-such-day", "other-action"],
+)
+def test_read_hits_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "hits.csv"
+    path.write_text(
+        ",".join(HITS_HEADER) + "\r\noptout,1,1970-01-02,1,1,1.0,remove_user\r\n" + row + "\r\n"
+    )
+    with pytest.raises(ValueError, match=message):
+        read_hits(path)
+
+
 def test_empty_hits_roundtrip(tmp_path):
     path = tmp_path / "none.csv"
-    write_hits([], SignatureAction.REMOVE_USER, path)
+    write_hits(NO_HITS, SignatureAction.REMOVE_USER, path)
     back, action = read_hits(path)
-    assert back == []
+    assert len(back) == 0
     assert action is None
