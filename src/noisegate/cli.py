@@ -17,17 +17,13 @@ from pathlib import Path
 from .dataset import Scale, load_ratings
 from .ioutil import read_json
 from .pipeline import (
+    STAGES,
     ConfigError,
     DataError,
     NoiseKind,
     PipelineConfig,
     RunResult,
     StageError,
-    cli_detect,
-    cli_ensemble,
-    cli_evaluate,
-    cli_ingest,
-    cli_signature,
     config_from_dict,
     inject_noise,
     load_config,
@@ -85,16 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ingest", parents=[common, config],
-                   help="load, dedupe, filter, and write the three splits")
-    sub.add_parser("detect", parents=[common, config],
-                   help="run the four-detector board on the detect split")
-    sub.add_parser("ensemble", parents=[common, config],
-                   help="classify the Uncertain set with the configured learner")
-    sub.add_parser("signature", parents=[common, config],
-                   help="scan labeled ratings for opt-out obfuscation")
-    sub.add_parser("evaluate", parents=[common, config],
-                   help="retrain before/after and write the delta report")
+    for name, stage in STAGES.items():
+        sub.add_parser(name, parents=[common, config], help=stage.help)
     sub.add_parser("run", parents=[common, config],
                    help="all stages end to end")
 
@@ -202,51 +190,32 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _percent_positive(result: RunResult) -> dict:
+def _evaluated(result: RunResult) -> dict:
+    """The summary an evaluation prints: its report path and percent positive per pair."""
     pairs = result.report_dict["evaluation"]["pairs"]
-    return {pair: sec["percent_positive"] for pair, sec in pairs.items()}
+    return {
+        "report": str(result.paths.report),
+        "percent_positive": {pair: sec["percent_positive"] for pair, sec in pairs.items()},
+    }
 
 
 def _run(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
     result = run_framework(cfg)
     return {
-        "report": str(result.paths.report),
-        "percent_positive": _percent_positive(result),
+        **_evaluated(result),
         "critical_group_pct_after": result.report_dict["evaluation"]["critical_group_pct_after"],
         "flagged_users": result.report_dict["signature"]["flagged_users"],
     }
 
 
 def _baseline(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
-    result = run_baseline(cfg, args.detector)
-    return {
-        "report": str(result.paths.report),
-        "detector": args.detector,
-        "percent_positive": _percent_positive(result),
-    }
+    return {**_evaluated(run_baseline(cfg, args.detector)), "detector": args.detector}
 
 
-def _signature(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
-    hits = cli_signature(cfg, run_paths(cfg))
-    return {"flagged_users": hits.users.tolist(), "count": len(hits)}
-
-
-def _evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
-    result = cli_evaluate(cfg, run_paths(cfg))
-    return {"report": str(result.paths.report), "percent_positive": _percent_positive(result)}
-
-
-# Pipeline subcommand -> function of (config, parsed args) returning the
-# JSON summary it prints.
-STAGES = {
-    "ingest": lambda cfg, args: cli_ingest(cfg, run_paths(cfg)),
-    "detect": lambda cfg, args: cli_detect(cfg, run_paths(cfg)),
-    "ensemble": lambda cfg, args: cli_ensemble(cfg, run_paths(cfg)),
-    "signature": _signature,
-    "evaluate": _evaluate,
-    "run": _run,
-    "baseline": _baseline,
-}
+def _staged(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
+    """Run one stage of STAGES; evaluate's RunResult prints as _evaluated."""
+    result = STAGES[args.command].body(cfg, run_paths(cfg))
+    return _evaluated(result) if isinstance(result, RunResult) else result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -261,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_inject(args)
         if args.command == "report":
             return _cmd_report(args)
-        _print_json(STAGES[args.command](_resolve_config(args), args))
+        command = {"run": _run, "baseline": _baseline}.get(args.command, _staged)
+        _print_json(command(_resolve_config(args), args))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

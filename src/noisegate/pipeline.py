@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -404,11 +404,6 @@ def _stage(name: str, fn, *args, **kwargs):
     return result
 
 
-def _require(path: Path, producer: str) -> None:
-    if not path.exists():
-        raise DataError(f"missing artifact {path}; run the {producer} stage first")
-
-
 def _read(reader, path: Path, *args):
     """reader(path, *args), with the ValueError of a malformed input or
     artifact raised as DataError that names the path."""
@@ -669,20 +664,6 @@ def stage_evaluate(
 # -- report assembly ----------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, Enum):
-        return obj.value
-    return obj
-
-
 _REPORT_GLOSSARY = {
     "quadrants": (
         "x is the serendipity delta and y the accuracy delta; sign patterns "
@@ -710,44 +691,6 @@ def _provenance(cfg: PipelineConfig) -> dict:
         },
         "config_hash": config_hash(cfg),
     }
-
-
-def _assemble_report(
-    cfg: PipelineConfig,
-    mode: str,
-    detector: str | None,
-    counts: dict,
-    split_sizes: dict,
-    board_section: dict,
-    ens_info: dict,
-    hits: Hits,
-    removal: dict,
-    eval_section: dict,
-    ground_truth: dict | None,
-) -> dict:
-    report = {
-        **_provenance(cfg),
-        "mode": mode,
-        "detector": detector,
-        "seed": cfg.seed,
-        "counts": {**counts, **split_sizes},
-        "board": board_section,
-        "ensemble": ens_info,
-        "signature": {
-            "flagged_users": hits.users.tolist(),
-            "count": len(hits),
-            "threshold": cfg.signature_threshold,
-            "denominator": cfg.signature_denominator,
-            "action": cfg.signature_action,
-        },
-        "removal": removal,
-        "evaluation": eval_section,
-        "glossary": _REPORT_GLOSSARY,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    if ground_truth is not None:
-        report["ground_truth"] = ground_truth
-    return report
 
 
 def _precision_recall(flagged: np.ndarray, positive: np.ndarray) -> dict:
@@ -843,12 +786,15 @@ def _check_manifest(cfg: PipelineConfig, paths: RunPaths) -> None:
             )
 
 
-def _resume(cfg: PipelineConfig, paths: RunPaths, needs: Mapping[Path, str]) -> None:
-    """Check that a stage's input artifacts exist (needs maps each to the
-    stage producing it) and that the run directory was built with cfg."""
-    for path, producer in needs.items():
-        _require(path, producer)
-    _require(paths.manifest, "ingest")
+def _resume(cfg: PipelineConfig, paths: RunPaths, stage: str) -> None:
+    """Check that the artifacts the stage reads and the manifest exist, a
+    missing one naming the stage that writes it, and that the run directory
+    was built with cfg."""
+    for name in (*STAGES[stage].reads, "manifest"):
+        path = getattr(paths, name)
+        if not path.exists():
+            producer = next(p for p, s in STAGES.items() if name in s.writes)
+            raise DataError(f"missing artifact {path}; run the {producer} stage first")
     _check_manifest(cfg, paths)
 
 
@@ -867,7 +813,7 @@ def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _resume(cfg, paths, {paths.train_csv: "ingest", paths.detect_csv: "ingest"})
+    _resume(cfg, paths, "detect")
     genres = _load_genres(cfg)
     train = _load_split(cfg, paths.train_csv, genres)
     detect = _load_split(cfg, paths.detect_csv, genres)
@@ -875,7 +821,7 @@ def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
 
 
 def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _resume(cfg, paths, {paths.votes: "detect", paths.features: "detect"})
+    _resume(cfg, paths, "ensemble")
     votes = _read(read_votes, paths.votes)
     users, items, X = _read(read_features, paths.features)
     if not (np.array_equal(users, votes.users) and np.array_equal(items, votes.items)):
@@ -906,28 +852,19 @@ def _read_labels(
     return votes, classified
 
 
-def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> Hits:
-    _resume(
-        cfg, paths,
-        {paths.detect_csv: "ingest", paths.votes: "detect", paths.ensemble_csv: "ensemble"},
-    )
+def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> dict:
+    _resume(cfg, paths, "signature")
     detect = _load_split(cfg, paths.detect_csv)
     votes, classified = _read_labels(cfg, paths, detect)
     noisy = _final_noisy(votes, classified)
-    return _stage("signature", stage_signature, cfg, detect, noisy, paths)
+    hits = _stage("signature", stage_signature, cfg, detect, noisy, paths)
+    return {"flagged_users": hits.users.tolist(), "count": len(hits)}
 
 
 def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = None) -> RunResult:
     """Remove, retrain, evaluate and write the report.  With a detector,
     that detector's verdicts alone are the labels (a baseline run)."""
-    _resume(
-        cfg, paths,
-        {
-            paths.train_csv: "ingest", paths.detect_csv: "ingest", paths.eval_csv: "ingest",
-            paths.ingest: "ingest", paths.board_json: "detect", paths.votes: "detect",
-            paths.ensemble_csv: "ensemble", paths.signature_csv: "signature",
-        },
-    )
+    _resume(cfg, paths, "evaluate")
     genres = _load_genres(cfg)
     train = _load_split(cfg, paths.train_csv)
     detect = _load_split(cfg, paths.detect_csv)
@@ -935,7 +872,7 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
     counts = _read(read_json, paths.ingest)
     board_section = _read(read_json, paths.board_json)
     votes, classified = _read_labels(cfg, paths, detect, detector)
-    hits, action = _read(read_hits, paths.signature_csv)
+    hits = _read(read_hits, paths.signature_csv, cfg.action())
     if detector is None:
         noisy = _final_noisy(votes, classified)
         ens_info = _ensemble_info(cfg.ensemble_variant, classified)
@@ -944,32 +881,95 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
         ens_info = _ensemble_info(None, classified)
 
     corpus = train.merged(detect)
-    cleaned, removal = _clean_corpus(corpus, votes, noisy, hits, action or cfg.action())
+    cleaned, removal = _clean_corpus(corpus, votes, noisy, hits, cfg.action())
     reports, eval_section = _stage(
         "evaluate", stage_evaluate, cfg, corpus, cleaned, eval_t, genres, paths
     )
+    report_dict = {
+        **_provenance(cfg),
+        "mode": "run" if detector is None else "baseline",
+        "detector": detector,
+        "seed": cfg.seed,
+        "counts": {**counts, "train": len(train), "detect": len(detect), "eval": len(eval_t)},
+        "board": board_section,
+        "ensemble": ens_info,
+        "signature": {
+            "flagged_users": hits.users.tolist(),
+            "count": len(hits),
+            "threshold": cfg.signature_threshold,
+            "denominator": cfg.signature_denominator,
+            "action": cfg.signature_action,
+        },
+        "removal": removal,
+        "evaluation": eval_section,
+        "glossary": _REPORT_GLOSSARY,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
     mask = _load_mask_if_configured(cfg)
-    gt = None
     if mask is not None:
         # ground_truth_section keeps (user, item)-keyed labels: perfbench's noise_quality passes them.
         labels = {k: Verdict.NOISY if f else Verdict.CLEAN for k, f in zip(votes.keys(), noisy)}
-        gt = ground_truth_section(mask, votes, labels)
-    split_sizes = {"train": len(train), "detect": len(detect), "eval": len(eval_t)}
-    report_dict = _assemble_report(
-        cfg, "run" if detector is None else "baseline", detector, counts, split_sizes,
-        board_section, ens_info, hits, removal, eval_section, gt,
-    )
-    dump_json(_jsonable(report_dict), paths.report)
+        report_dict["ground_truth"] = ground_truth_section(mask, votes, labels)
+    dump_json(report_dict, paths.report)
     return RunResult(reports, report_dict, paths, votes, noisy, hits)
+
+
+class Stage(NamedTuple):
+    """A staged command: its help line, the RunPaths attributes of the
+    artifacts it reads and writes (deltas and scatter name one file per
+    metric pair), and its body, which returns the JSON summary the command
+    prints or, for evaluate, the RunResult that summary is taken from."""
+
+    help: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    body: Callable[[PipelineConfig, RunPaths], object]
+
+
+# The stage graph, in run order: `run` is these commands chained, and a
+# stage that resumes from a run directory also reads its manifest.
+STAGES: dict[str, Stage] = {
+    "ingest": Stage(
+        "load, dedupe, filter, and write the three splits",
+        (),
+        ("train_csv", "detect_csv", "eval_csv", "ingest", "manifest"),
+        cli_ingest,
+    ),
+    "detect": Stage(
+        "run the four-detector board on the detect split",
+        ("train_csv", "detect_csv"),
+        ("votes", "venn", "features", "board_json"),
+        cli_detect,
+    ),
+    "ensemble": Stage(
+        "classify the Uncertain set with the configured learner",
+        ("votes", "features"),
+        ("ensemble_csv",),
+        cli_ensemble,
+    ),
+    "signature": Stage(
+        "scan labeled ratings for opt-out obfuscation",
+        ("detect_csv", "votes", "ensemble_csv"),
+        ("signature_csv",),
+        cli_signature,
+    ),
+    "evaluate": Stage(
+        "retrain before/after and write the delta report",
+        ("train_csv", "detect_csv", "eval_csv", "ingest", "board_json", "votes",
+         "ensemble_csv", "signature_csv"),
+        ("before_model", "after_model", "deltas", "scatter", "report"),
+        cli_evaluate,
+    ),
+}
 
 
 def run_framework(cfg: PipelineConfig) -> RunResult:
     """Full three-layer run: board consensus, ensemble arbitration of the
     Uncertain set, opt-out signature, removal, retrain, evaluate."""
     paths = run_paths(cfg)
-    for stage in (cli_ingest, cli_detect, cli_ensemble, cli_signature):
-        stage(cfg, paths)
-    return cli_evaluate(cfg, paths)
+    for stage in STAGES.values():
+        result = stage.body(cfg, paths)
+    return result
 
 
 def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:

@@ -122,12 +122,12 @@ _HITS_DTYPE = np.dtype([
 ])
 
 
-def read_hits(path: str | Path) -> tuple[Hits, SignatureAction | None]:
-    """The hits of a signature.csv and the action of its last row (None for
-    no rows), read by read_columns, whose ValueError names a row that does
-    not parse.  Every signatureId must be optout, the userIds must strictly
-    ascend, every lastDay must be a calendar day and every action a
-    SignatureAction, or ValueError."""
+def read_hits(path: str | Path, action: SignatureAction) -> Hits:
+    """The hits of a signature.csv written under action, read by
+    read_columns, whose ValueError names a row that does not parse.  Every
+    signatureId must be optout, the userIds must strictly ascend, every
+    lastDay must be a calendar day written YYYY-MM-DD and every action
+    cell must be action, or ValueError."""
     rows = read_columns(path, HITS_HEADER, _HITS_DTYPE)
     users = np.ascontiguousarray(rows["user"])
     other = np.flatnonzero(rows["signature"] != OPTOUT_SIGNATURE_ID)
@@ -138,10 +138,16 @@ def read_hits(path: str | Path) -> tuple[Hits, SignatureAction | None]:
     if len(repeated):
         k = int(repeated[0]) + 1
         raise ValueError(f"{path}:{k + 2}: userId {users[k]} does not ascend")
-    days = [(date.fromisoformat(day) - _EPOCH).days for day in rows["day"].tolist()]
-    actions = [SignatureAction(cell) for cell in rows["action"].tolist()]
-    hits = Hits(
+    days = []
+    for k, cell in enumerate(rows["day"].tolist()):
+        day = date.fromisoformat(cell)
+        if day.isoformat() != cell:
+            raise ValueError(f"{path}:{k + 2}: lastDay {cell!r} is not written YYYY-MM-DD")
+        days.append((day - _EPOCH).days)
+    for k, cell in enumerate(rows["action"].tolist()):
+        if SignatureAction(cell) is not action:
+            raise ValueError(f"{path}:{k + 2}: action {cell!r}, expected {action.value!r}")
+    return Hits(
         users, np.array(days, dtype=np.int64),
         *(np.ascontiguousarray(rows[name]) for name in ("noisy", "total", "ratio")),
     )
-    return hits, actions[-1] if actions else None

@@ -13,7 +13,7 @@ import pytest
 
 from noisegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
 from noisegate.ioutil import read_json
-from noisegate.pipeline import reports_equal
+from noisegate.pipeline import STAGES, reports_equal
 
 from .conftest import MINI_DIR, REPO_ROOT
 
@@ -305,9 +305,14 @@ def test_stage_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_missing_artifacts_exit_3(tmp_path, capsys):
-    code = main(["ensemble", *_run_args(tmp_path, "cold")])
-    assert code == EXIT_DATA
-    assert "run the detect stage first" in capsys.readouterr().err
+    """Each resuming stage, run after every stage but the one before it,
+    exits 3 and names that one."""
+    args = _run_args(tmp_path, "cold")
+    for producer, stage in zip(STAGES, list(STAGES)[1:]):
+        capsys.readouterr()
+        assert main([stage, *args]) == EXIT_DATA, stage
+        assert f"run the {producer} stage first" in capsys.readouterr().err, stage
+        assert main([producer, *args]) == EXIT_OK, producer
 
 
 @pytest.fixture(scope="module")
@@ -379,13 +384,19 @@ def _earlier_hit_row(lines: list[str]) -> None:
         ("signature.csv", _bogus_cell(0), "evaluate", "signatureId 'bogus' is not optout"),
         ("signature.csv", _earlier_hit_row, "evaluate", "userId 0 does not ascend"),
         ("signature.csv", _bogus_cell(6), "evaluate", "'bogus' is not a valid SignatureAction"),
+        (
+            "signature.csv", _bogus_cell(6, "remove_last_day"), "evaluate",
+            "action 'remove_last_day', expected 'remove_user'",
+        ),
+        ("signature.csv", _bogus_cell(2, "20220629"), "evaluate", "'20220629' is not written"),
+        ("signature.csv", _bogus_cell(2, "2022-W22-1"), "evaluate", "'2022-W22-1' is not written"),
     ],
     ids=[
         "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
         "bad-hits-header", "bad-board-json", "empty-classification", "empty-hits",
         "bogus-score", "other-variant", "missing-row", "extra-row", "reordered-votes",
         "wide-vote-id", "bogus-hit-day", "other-signature", "descending-hit-user",
-        "bogus-hit-action",
+        "bogus-hit-action", "other-hit-action", "basic-hit-day", "week-hit-day",
     ],
 )
 def test_malformed_artifact_exits_3(

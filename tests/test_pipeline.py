@@ -12,15 +12,17 @@ import pytest
 import noisegate.ensemble
 from noisegate.board import CONSENSUS
 from noisegate.board.verdict import DETECTOR_IDS, Consensus
-from noisegate.cli import STAGES, build_parser
+from noisegate.cli import build_parser
 from noisegate.dataset import Scale, load_ratings
 from noisegate.ensemble import read_classification
 from noisegate.pipeline import (
+    STAGES,
     ConfigError,
     DataError,
     GroundTruthMask,
     NoiseKind,
     PipelineConfig,
+    RunPaths,
     StageError,
     _stage,
     cli_detect,
@@ -178,7 +180,7 @@ def test_config_surface_is_frozen():
     (commands,) = (
         a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for command in STAGES:
+    for command in [*STAGES, "run", "baseline"]:
         flags = [(a.dest, a.option_strings) for a in commands[command]._actions if a.dest in keys]
         assert sorted(flags) == sorted((k, ["--" + k.replace("_", "-")]) for k in keys), command
 
@@ -533,13 +535,28 @@ def test_staged_run_matches_end_to_end(framework_run, tmp_path):
             assert path.read_bytes() == staged[name].read_bytes(), name
 
 
+def test_stage_table_reads_only_earlier_writes():
+    paths = RunPaths("out", "run")
+    written = set()
+    for name, stage in STAGES.items():
+        assert set(stage.reads) <= written, name
+        assert not set(stage.writes) & written, name
+        assert all(hasattr(paths, attr) for attr in stage.reads + stage.writes), name
+        written |= set(stage.writes)
+    assert "manifest" in STAGES["ingest"].writes
+
+
 def test_stage_resume_requires_artifacts(tmp_path):
+    """Each resuming stage, run after every stage but the one before it,
+    names that one; its cli_* function is the table's body."""
     cfg = _fast_config(tmp_path, run_id="cold")
     paths = run_paths(cfg)
-    with pytest.raises(DataError, match="ingest"):
-        cli_detect(cfg, paths)
-    with pytest.raises(DataError, match="detect"):
-        cli_ensemble(cfg, paths)
+    bodies = [cli_ingest, cli_detect, cli_ensemble, cli_signature, cli_evaluate]
+    assert [stage.body for stage in STAGES.values()] == bodies
+    for producer, body in zip(STAGES, bodies[1:]):
+        with pytest.raises(DataError, match=f"run the {producer} stage first"):
+            body(cfg, paths)
+        STAGES[producer].body(cfg, paths)
 
 
 def test_missing_ratings_is_data_error(tmp_path):

@@ -263,16 +263,17 @@ def test_hits_csv_roundtrip(tmp_path):
     assert len(hits) == 2
     path = tmp_path / "hits.csv"
     write_hits(hits, SignatureAction.REMOVE_LAST_DAY, path)
-    back, action = read_hits(path)
-    assert action is SignatureAction.REMOVE_LAST_DAY
+    back = read_hits(path, SignatureAction.REMOVE_LAST_DAY)
     assert oracles.hit_records(back) == oracles.hit_records(hits)
+    with pytest.raises(ValueError, match="hits.csv:2: action 'remove_last_day', expected "):
+        read_hits(path, SignatureAction.REMOVE_USER)
 
 
 def test_read_hits_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("userId,ratio\n1,0.6\n")
     with pytest.raises(ValueError, match="header"):
-        read_hits(path)
+        read_hits(path, SignatureAction.REMOVE_USER)
 
 
 @pytest.mark.parametrize(
@@ -281,9 +282,18 @@ def test_read_hits_rejects_wrong_header(tmp_path):
         ("other,1,1970-01-02,1,1,1.0,remove_user", "signatureId 'other' is not optout"),
         ("optout,1,1970-01-02,1,1,1.0,remove_user", "userId 1 does not ascend"),
         ("optout,3,1970-02-30,1,1,1.0,remove_user", "day is out of range for month"),
+        ("optout,3,19700102,1,1,1.0,remove_user", ":3: lastDay '19700102' is not written"),
+        ("optout,3,1970-W01-5,1,1,1.0,remove_user", ":3: lastDay '1970-W01-5' is not written"),
         ("optout,3,1970-01-02,1,1,1.0,drop_all", "'drop_all' is not a valid SignatureAction"),
+        (
+            "optout,3,1970-01-02,1,1,1.0,remove_last_day",
+            ":3: action 'remove_last_day', expected 'remove_user'",
+        ),
     ],
-    ids=["other-signature", "repeated-user", "no-such-day", "other-action"],
+    ids=[
+        "other-signature", "repeated-user", "no-such-day", "basic-day", "week-day",
+        "other-action", "mixed-action",
+    ],
 )
 def test_read_hits_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "hits.csv"
@@ -291,12 +301,10 @@ def test_read_hits_rejects_malformed_rows(tmp_path, row, message):
         ",".join(HITS_HEADER) + "\r\noptout,1,1970-01-02,1,1,1.0,remove_user\r\n" + row + "\r\n"
     )
     with pytest.raises(ValueError, match=message):
-        read_hits(path)
+        read_hits(path, SignatureAction.REMOVE_USER)
 
 
 def test_empty_hits_roundtrip(tmp_path):
     path = tmp_path / "none.csv"
     write_hits(NO_HITS, SignatureAction.REMOVE_USER, path)
-    back, action = read_hits(path)
-    assert len(back) == 0
-    assert action is None
+    assert len(read_hits(path, SignatureAction.REMOVE_USER)) == 0
