@@ -33,7 +33,7 @@ from noisegate.ensemble import (
     write_classification,
 )
 from noisegate.ensemble.features import read_features
-from noisegate.pipeline import PipelineConfig, cli_detect, cli_ingest, run_paths
+from noisegate.pipeline import STAGES, PipelineConfig, run_paths
 from noisegate.synth import movielens_sized_tables, write_dataset_csvs
 
 SEED = 11
@@ -61,8 +61,8 @@ def main(out: Path, baseline: Path | None = None) -> None:
         out_dir=str(out / "runs"),
     )
     paths = run_paths(cfg)
-    cli_ingest(cfg, paths)
-    cli_detect(cfg, paths)
+    for stage in ("ingest", "detect"):
+        STAGES[stage].body(cfg, paths)
     votes = read_votes(paths.votes)
     X = read_features(paths.features)[2]
     uncertain = votes.where(Consensus.UNCERTAIN)

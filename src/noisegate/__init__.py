@@ -13,7 +13,6 @@ from .board import BoardConfig, BoardResult, run_board
 from .board.verdict import Consensus, Verdict
 from .dataset import (
     GenreMap,
-    Rating,
     RatingsTable,
     Scale,
     SplitSpec,
@@ -64,7 +63,6 @@ __all__ = [
     "NoiseKind",
     "PipelineConfig",
     "Quadrant",
-    "Rating",
     "RatingsTable",
     "RunResult",
     "Scale",

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dataset import RatingsTable
-from ..ioutil import atomic_write_columns, read_columns
+from ..dataset import GenreMap, RatingsTable
+from ..ioutil import atomic_write_columns, read_columns, row_error
 from ..recsys import KnnConfig
 from .nf1 import Nf1Result, nf1_classify_item, nf1_classify_user, nf1_detect
 from .nf2 import Nf2Result, nf2_detect, nf2_rnd
@@ -121,6 +121,7 @@ class BoardResult(NamedTuple):
 def run_board(
     train: RatingsTable,
     test: RatingsTable,
+    genres: GenreMap,
     config: BoardConfig = BoardConfig(),
     context: RatingsTable | None = None,
 ) -> BoardResult:
@@ -129,6 +130,7 @@ def run_board(
     Detector profiles (classes, groups, fuzzy aggregates) are computed over
     `context`, train + test unless given, so every verdict uses all evidence
     available at detection time; the kNN detector predicts strictly from train.
+    Only NF2 reads the item genres.
     """
     if context is None:
         context = train.merged(test) if len(train) else test
@@ -137,6 +139,7 @@ def run_board(
     )
     r2 = nf2_detect(
         test,
+        genres,
         config.nf2_theta_heavy_medium,
         config.nf2_theta_light,
         config.nf2_rnd_cut,
@@ -169,7 +172,7 @@ def read_votes(path: str | Path) -> Votes:
     """Votes from a votes.csv, read by read_columns, whose ValueError names
     a row that does not parse.  The first row whose vote cells are not four
     Verdicts, or whose consensus cell is not their unanimity, raises
-    ValueError with its line number (blank lines not counted)."""
+    ValueError with its line (row_error)."""
     rows = read_columns(path, VOTES_HEADER, _VOTES_DTYPE)
     cells = rows["cells"]
     votes = cells[:, :4]
@@ -178,8 +181,6 @@ def read_votes(path: str | Path) -> Votes:
     bad = (~noisy & (votes != Verdict.CLEAN.value)).any(axis=1) | (cells[:, 4] != _OUTCOME[codes])
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(
-            f"{path}:{k + 2}: {cells[k].tolist()} are not four Verdicts and their unanimity"
-        )
+        raise row_error(path, k, f"{cells[k].tolist()} are not four Verdicts and their unanimity")
     users, items = (np.ascontiguousarray(rows[name]) for name in ("user", "item"))
     return Votes(users, items, noisy, codes)

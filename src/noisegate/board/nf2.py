@@ -3,7 +3,8 @@
 Users are grouped by how much they rate (population terciles) and how
 coherent their ratings are within genres.  For the groups worth processing,
 a rating's noisy degree is the share of the item's genres on which the
-rating deviates relatively from the user's own genre means.
+rating deviates relatively from the user's own genre means.  The item
+genres come as a GenreMap argument; this is the one detector that reads them.
 """
 
 from __future__ import annotations
@@ -42,20 +43,20 @@ def _genre_pairs(table: RatingsTable, genres: GenreMap) -> tuple[np.ndarray, np.
 
 
 def _genre_sums(
-    table: RatingsTable, rows: np.ndarray, genres: np.ndarray, n_genres: int
+    table: RatingsTable, rows: np.ndarray, genre: np.ndarray, n_genres: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted user ids, and per (user, genre) the sum and count of the
     ratings over the (row, genre) pairs, with one more all-zero user row for
     users the table lacks.  On the rating grid the sums are exact in any order."""
     users, inv = np.unique(table.users, return_inverse=True)
     shape = (len(users) + 1, n_genres)
-    flat = inv[rows] * n_genres + genres
+    flat = inv[rows] * n_genres + genre
     size = shape[0] * shape[1]
     sums = np.bincount(flat, weights=table.values[rows], minlength=size).reshape(shape)
     return users, sums, np.bincount(flat, minlength=size).reshape(shape)
 
 
-def _coherence(table: RatingsTable) -> tuple[np.ndarray, ...]:
+def _coherence(table: RatingsTable, genres: GenreMap) -> tuple[np.ndarray, ...]:
     """Sorted user ids with their coherence and whether they rated any item
     with genres, and the table's genre sums and counts (_genre_sums).
 
@@ -65,12 +66,10 @@ def _coherence(table: RatingsTable) -> tuple[np.ndarray, ...]:
     g.  Items without genres are skipped; a user with only genre-less items
     gets coherence 1.0.
     """
-    if table.genres is None:
-        raise ValueError("genre vectors unavailable")
-    rows, genres = _genre_pairs(table, table.genres)
-    users, sums, counts = _genre_sums(table, rows, genres, table.genres.n_genres)
+    rows, genre = _genre_pairs(table, genres)
+    users, sums, counts = _genre_sums(table, rows, genre, len(genres.vocabulary))
     user = sorted_index(users, table.users[rows])
-    abs_dev = np.abs(table.values[rows] - sums[user, genres] / counts[user, genres])
+    abs_dev = np.abs(table.values[rows] - sums[user, genre] / counts[user, genre])
     rated, starts, lengths = np.unique(rows, return_index=True, return_counts=True)
     devs = segment_means(abs_dev, starts, lengths) / table.scale.span
     owners, starts, lengths = np.unique(table.users[rated], return_index=True, return_counts=True)
@@ -81,17 +80,17 @@ def _coherence(table: RatingsTable) -> tuple[np.ndarray, ...]:
 
 
 def group_users(
-    table: RatingsTable, coherence_cut: float = DEFAULT_COHERENCE_CUT
+    table: RatingsTable, genres: GenreMap, coherence_cut: float = DEFAULT_COHERENCE_CUT
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group every user of this table: the ascending user ids, their
     quantity codes (rating-count terciles) and whether their quality is
-    easy (coherent) rather than difficult."""
-    return _groups(table, coherence_cut)[:3]
+    easy (coherent over the items' genres) rather than difficult."""
+    return _groups(table, genres, coherence_cut)[:3]
 
 
-def _groups(table: RatingsTable, coherence_cut: float) -> tuple[np.ndarray, ...]:
+def _groups(table: RatingsTable, genres: GenreMap, coherence_cut: float) -> tuple[np.ndarray, ...]:
     """group_users' three arrays, then the table's genre sums and counts."""
-    users, coherence, had, *genre_sums = _coherence(table)
+    users, coherence, had, *genre_sums = _coherence(table, genres)
     counts = np.unique(table.users, return_counts=True)[1].astype(np.float64)
     q1 = float(np.quantile(counts, 1 / 3))
     q2 = float(np.quantile(counts, 2 / 3))
@@ -130,13 +129,14 @@ class Nf2Result(NamedTuple):
 
 def nf2_detect(
     test: RatingsTable,
+    genres: GenreMap,
     theta_heavy_medium: float = DEFAULT_THETA_HEAVY_MEDIUM,
     theta_light: float = DEFAULT_THETA_LIGHT,
     rnd_cut: float = DEFAULT_RND_CUT,
     context: RatingsTable | None = None,
     coherence_cut: float = DEFAULT_COHERENCE_CUT,
 ) -> Nf2Result:
-    """Group-aware noisy-degree detector.
+    """Group-aware noisy-degree detector over the items' genres.
 
     Groups and genre means come from `context` (defaults to the test table).
     Genre means are leave-one-out: the rating under scrutiny is removed from
@@ -145,16 +145,14 @@ def nf2_detect(
     are never flagged; everyone else is flagged when RND exceeds rnd_cut.
     """
     ctx = context if context is not None else test
-    if ctx.genres is None:
-        raise ValueError("genre vectors unavailable")
     # Per test row, its user's group; a user the context lacks is grouped
     # over the test table instead.
-    users, quantity, easy, sums, counts = _groups(ctx, coherence_cut)
+    users, quantity, easy, sums, counts = _groups(ctx, genres, coherence_cut)
     at = sorted_index(users, test.users)
     quantity, easy = np.append(quantity, 0)[at], np.append(easy, False)[at]
     lacking = at == len(users)
     if lacking.any():
-        test_users, test_quantity, test_easy = group_users(test, coherence_cut)
+        test_users, test_quantity, test_easy = group_users(test, genres, coherence_cut)
         k = sorted_index(test_users, test.users[lacking])
         quantity[lacking], easy[lacking] = test_quantity[k], test_easy[k]
     theta = np.where(quantity == _LIGHT, theta_light, theta_heavy_medium)
@@ -164,13 +162,13 @@ def nf2_detect(
     # sums' rows follow the same user ids as the groups, plus an all-zero
     # row at len(users) for the users the context lacks.
     own = ctx.contains(test.users, test.items)
-    rows, genres = _genre_pairs(test, ctx.genres)
+    rows, genre = _genre_pairs(test, genres)
     user = at[rows]
-    cnt = counts[user, genres] - own[rows]
+    cnt = counts[user, genre] - own[rows]
     ok = cnt >= 1
-    rows, genres, user, cnt = rows[ok], genres[ok], user[ok], cnt[ok]
+    rows, genre, user, cnt = rows[ok], genre[ok], user[ok], cnt[ok]
     value = test.values[rows]
-    mean = (sums[user, genres] - np.where(own[rows], value, 0.0)) / cnt
+    mean = (sums[user, genre] - np.where(own[rows], value, 0.0)) / cnt
     deviant = np.abs(value - mean) / np.maximum(mean, _EPS) >= theta[rows]
     n_means = np.bincount(rows, minlength=len(test))
     n_deviant = np.bincount(rows[deviant], minlength=len(test))

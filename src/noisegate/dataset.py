@@ -3,20 +3,21 @@
 Everything downstream (detectors, ensembles, evaluation) consumes the
 :class:`RatingsTable` defined here.  Tables are immutable and canonically
 ordered by ``(user_id, item_id)`` so that every derived computation is
-independent of input row order.  A table holds only its four columns; a
-per-user or per-item value is an array aligned to the ascending distinct
-ids (``user_ids()``, ``id_stats``), looked up with ``sorted_index``.
+independent of input row order.  A table holds only its four columns and
+its scale, and is built from column arrays alone.  Item genres are a
+separate :class:`GenreMap`, passed to the code that reads them (NF2 and
+serendipity).  A per-user or per-item value is an array aligned to the
+ascending distinct ids (``user_ids()``, ``id_stats``), looked up with
+``sorted_index``.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,13 +54,6 @@ class Scale:
         return self.r_min + step * np.arange(n)
 
 
-class Rating(NamedTuple):
-    user_id: int
-    item_id: int
-    value: float
-    timestamp: int
-
-
 class GenreMap:
     """Binary genre vectors of items over a fixed sorted vocabulary: one row
     of ``matrix`` per id of the ascending ``item_ids``."""
@@ -76,10 +70,6 @@ class GenreMap:
         self._rows = np.vstack([matrix[order], np.zeros((1, len(self.vocabulary)))])
 
     @property
-    def n_genres(self) -> int:
-        return len(self.vocabulary)
-
-    @property
     def matrix(self) -> np.ndarray:
         return self._rows[:-1]
 
@@ -89,70 +79,41 @@ class GenreMap:
 
 
 class RatingsTable:
-    """Immutable set of ratings with unique (user, item) keys.
+    """Immutable set of ratings with unique (user, item) keys, stored as
+    parallel numpy arrays sorted by (user_id, item_id).
 
-    Rows are stored as parallel numpy arrays sorted by (user_id, item_id).
+    Built from the column arrays in any row order.  Arrays of the column
+    dtypes already in key order are kept, not copied, so they must not
+    change afterwards.
     """
 
     def __init__(
-        self,
-        rows: Iterable[tuple[int, int, float, int]],
-        scale: Scale,
-        genres: GenreMap | None = None,
-        dropped_duplicates: int = 0,
+        self, users, items, values, timestamps, scale: Scale, dropped_duplicates: int = 0
     ):
-        rows = list(rows)
-        columns = (np.array([r[k] for r in rows]) for k in range(4))
-        self._set_arrays(*columns, scale, genres, dropped_duplicates)
-
-    @classmethod
-    def from_arrays(
-        cls, users, items, values, timestamps, scale: Scale,
-        genres: GenreMap | None = None, dropped_duplicates: int = 0,
-    ) -> "RatingsTable":
-        """Table over parallel column arrays, in any row order.  Arrays of the
-        column dtypes already in key order are kept, not copied, so they
-        must not change afterwards."""
-        out = cls.__new__(cls)
-        out._set_arrays(users, items, values, timestamps, scale, genres, dropped_duplicates)
-        return out
-
-    def _set_arrays(self, users, items, values, stamps, scale, genres, dropped_duplicates) -> None:
-        users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
+        users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, timestamps))
         values = np.asarray(values, dtype=np.float64)
         if not _in_key_order(users, items):
             order = np.lexsort((items, users))
             users, items, values, stamps = (a[order] for a in (users, items, values, stamps))
         self._users, self._items, self._values, self._timestamps = users, items, values, stamps
         self.scale = scale
-        self.genres = genres
         self.dropped_duplicates = dropped_duplicates
-        if len(self._users):
-            same = (self._users[1:] == self._users[:-1]) & (self._items[1:] == self._items[:-1])
-            if same.any():
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(
-                    f"duplicate rating key (user={self._users[k]}, item={self._items[k]})"
-                )
-            bad = ~((self._values >= scale.r_min) & (self._values <= scale.r_max))
-            if bad.any():
-                k = int(np.flatnonzero(bad)[0])
-                raise ValueError(
-                    f"rating value {self._values[k]} outside scale "
-                    f"[{scale.r_min}, {scale.r_max}] for user={self._users[k]} item={self._items[k]}"
-                )
+        same = (users[1:] == users[:-1]) & (items[1:] == items[:-1])
+        if same.any():
+            k = int(np.flatnonzero(same)[0])
+            raise ValueError(f"duplicate rating key (user={users[k]}, item={items[k]})")
+        bad = ~((values >= scale.r_min) & (values <= scale.r_max))
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"rating value {values[k]} outside scale "
+                f"[{scale.r_min}, {scale.r_max}] for user={users[k]} item={items[k]}"
+            )
 
     # -- basic access -------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._users)
-
-    def __iter__(self) -> Iterator[Rating]:
-        for k in range(len(self._users)):
-            yield Rating(
-                int(self._users[k]), int(self._items[k]),
-                float(self._values[k]), int(self._timestamps[k]),
-            )
 
     @property
     def users(self) -> np.ndarray:
@@ -193,47 +154,28 @@ class RatingsTable:
         own, asked = self._key_codes(users, items)
         return sorted_index(own, asked) < len(self)
 
-    def rows(self) -> list[tuple[int, int, float, int]]:
-        return list(zip(self._users.tolist(), self._items.tolist(),
-                        self._values.tolist(), self._timestamps.tolist()))
-
     # -- derived tables -----------------------------------------------
 
-    def _take(self, idx: np.ndarray) -> "RatingsTable":
-        return RatingsTable.from_arrays(
-            self._users[idx], self._items[idx], self._values[idx], self._timestamps[idx],
-            self.scale, self.genres,
-        )
-
     def subset_rows(self, idx: np.ndarray) -> "RatingsTable":
-        return self._take(np.asarray(idx, dtype=np.int64))
+        """The rows at the integer indices idx."""
+        return RatingsTable(*(a[idx] for a in self._columns()), self.scale)
 
     def without_keys(self, users: np.ndarray, items: np.ndarray) -> "RatingsTable":
         """The table less every row keyed by some (users[k], items[k])."""
         own, dropped = self._key_codes(users, items)
-        return self._take(np.flatnonzero(~np.isin(own, dropped)))
+        return self.subset_rows(np.flatnonzero(~np.isin(own, dropped)))
 
     def merged(self, other: "RatingsTable") -> "RatingsTable":
         """Union of two tables with disjoint keys."""
-        return RatingsTable.from_arrays(
-            *(np.concatenate([a, b]) for a, b in zip(self._columns(), other._columns())),
-            self.scale, self.genres,
+        return RatingsTable(
+            *(np.concatenate([a, b]) for a, b in zip(self._columns(), other._columns())), self.scale
         )
-
-    def with_genres(self, genres: GenreMap) -> "RatingsTable":
-        """The same rows with another genre map; the row arrays are shared."""
-        out = copy.copy(self)
-        out.genres = genres
-        return out
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self._users, self._items, self._values, self._timestamps
 
     def to_csv(self, path: str | Path) -> None:
-        atomic_write_columns(
-            path, RATINGS_HEADER,
-            (self._users, self._items, self._values, self._timestamps),
-        )
+        atomic_write_columns(path, RATINGS_HEADER, self._columns())
 
 
 def _in_key_order(users: np.ndarray, items: np.ndarray) -> bool:
@@ -373,7 +315,6 @@ def load_ratings(path: str | Path, scale: Scale = Scale()) -> RatingsTable:
     if not path.exists():
         raise FileNotFoundError(path)
     users, items, values, stamps = _read_ratings_columns(path, scale)
-    users, items, stamps = (np.asarray(a, dtype=np.int64) for a in (users, items, stamps))
     n_rows = len(users)
     if not _in_key_order(users, items):
         # lexsort is stable, so rows of one (user, item, timestamp) stay in
@@ -387,7 +328,7 @@ def load_ratings(path: str | Path, scale: Scale = Scale()) -> RatingsTable:
     dropped = n_rows - len(users)
     if dropped:
         logger.warning("%s: dropped %d duplicate rating(s), keeping latest timestamp", path, dropped)
-    return RatingsTable.from_arrays(users, items, values, stamps, scale, dropped_duplicates=dropped)
+    return RatingsTable(users, items, values, stamps, scale, dropped_duplicates=dropped)
 
 
 def load_genres(path: str | Path) -> GenreMap:

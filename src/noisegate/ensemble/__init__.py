@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..board.verdict import Verdict
-from ..ioutil import atomic_write_columns, read_columns
+from ..ioutil import atomic_write_columns, read_columns, row_error
 from .boosting import GbtModel, train_gbt
 from .features import FEATURE_NAMES, build_feature_matrix
 from .forest import RandomForest
@@ -198,8 +198,7 @@ def read_classification(
     """(users, items, noisy, scores) of an ensemble.csv in file order, read
     by read_columns, whose ValueError names a row that does not parse.  The
     first row whose label is not a Verdict, or whose variant cell is not
-    variant, raises ValueError with its line number (blank lines not
-    counted)."""
+    variant, raises ValueError with its line (row_error)."""
     rows = read_columns(path, CLASSIFICATION_HEADER, _CLASSIFICATION_DTYPE)
     label, cell = rows["label"], rows["variant"]
     noisy = label == Verdict.NOISY.value
@@ -208,7 +207,7 @@ def read_classification(
     if bad.any():
         k = int(np.argmax(bad))
         if bad_label[k]:
-            raise ValueError(f"{path}:{k + 2}: {str(label[k])!r} is not a valid Verdict")
-        raise ValueError(f"{path}:{k + 2}: variant {str(cell[k])!r}, expected {variant!r}")
+            raise row_error(path, k, f"{str(label[k])!r} is not a valid Verdict")
+        raise row_error(path, k, f"variant {str(cell[k])!r}, expected {variant!r}")
     users, items, scores = (np.ascontiguousarray(rows[name]) for name in ("user", "item", "score"))
     return users, items, noisy, scores

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..ioutil import atomic_write_columns, read_columns
+from ..ioutil import atomic_write_columns, read_columns, row_error
 
 DEFAULT_PLANE = (0.07, 0.17)
 
@@ -200,7 +200,7 @@ def read_delta_csv(path: str | Path) -> tuple[np.ndarray, ...]:
     in file order, read by read_columns, whose ValueError names a row that
     does not parse.  The first row whose quadrant is not a Quadrant value,
     or whose positive cell is not true or false, raises ValueError with its
-    line number (blank lines not counted)."""
+    line (row_error)."""
     rows = read_columns(path, DELTA_HEADER, _DELTA_DTYPE)
     match = rows["quadrant"][:, None] == _QUADRANT_CELLS
     positive = rows["positive"] == "true"
@@ -208,6 +208,6 @@ def read_delta_csv(path: str | Path) -> tuple[np.ndarray, ...]:
     if bad.any():
         k = int(np.argmax(bad))
         cells = (str(rows["quadrant"][k]), str(rows["positive"][k]))
-        raise ValueError(f"{path}:{k + 2}: {cells} are not a Quadrant value and true or false")
+        raise row_error(path, k, f"{cells} are not a Quadrant value and true or false")
     columns = (np.ascontiguousarray(rows[name]) for name in ("user", "cluster", "x", "y"))
     return (*columns, np.argmax(match, axis=1).astype(np.int8), positive)

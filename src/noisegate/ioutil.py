@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 import warnings
 from itertools import chain
@@ -83,6 +84,12 @@ def atomic_write_columns(path: str | Path, header: Sequence[str], columns: Seque
     _atomic_write_chunks(path, chain([header_line], map(rows, range(0, n, step))))
 
 
+def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
 def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
     """The rows of a CSV under the given header as one structured array.
 
@@ -91,21 +98,44 @@ def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np
     parses every field as its dtype field: no quoting and no comments, so
     a '"' is an ordinary character, and a number cell with a quote, a '_'
     separator or a non-ASCII digit fails.  A header-only file gives an
-    empty array.  ValueError names the path, and for a bad row numpy's
-    message names it, counting the rows under the header from 0 for a bad
-    cell and from 1 for a wrong number of fields.
+    empty array.  ValueError names the path, and for a bad row its line
+    (as row_error does) with numpy's message for that row alone.
     """
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", errors="replace") as fh:
+        if fh.readline().rstrip("\r\n") != ",".join(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}")
         try:
-            if fh.readline().rstrip("\r\n") != ",".join(header):
-                raise ValueError(f"expected header {','.join(header)}")
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                return np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-                )
+            return _loadtxt(fh, dtype)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            failure = exc
+    # np.loadtxt checks each row on its own, so a run of rows fails iff one
+    # of them does: halving the failing run finds the first bad row.
+    rows = _data_lines(path)
+    while len(rows) > 1:
+        half = len(rows) // 2
+        rows = rows[:half] if _parse_error(rows[:half], dtype) else rows[half:]
+    message = _parse_error(rows, dtype)
+    raise ValueError(f"{path}:{rows[0][0]}: {message}" if message else f"{path}: {failure}")
+
+
+def _parse_error(rows: list[tuple[int, str]], dtype: np.dtype) -> str | None:
+    """numpy's message for the (line number, text) rows, less its row count, or None."""
+    try:
+        _loadtxt([line for _, line in rows], dtype)
+    except ValueError as exc:
+        return re.sub(r" at row [0-9]+(?=[^']*$)", "", str(exc))
+    return None
+
+
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line under the header, which is line 1."""
+    with Path(path).open(newline="", errors="replace") as fh:
+        return [(n, line) for n, line in enumerate(fh, start=1) if n > 1 and line.rstrip("\r\n")]
+
+
+def row_error(path: str | Path, row: int, message: str) -> ValueError:
+    """ValueError naming path and the line of the row-th row (from 0) under the header."""
+    return ValueError(f"{path}:{_data_lines(path)[row][0]}: {message}")
 
 
 def dump_json(obj: object, path: str | Path) -> None:

@@ -323,9 +323,7 @@ def inject_noise(
         for k in sel.tolist():
             others = grid[grid != values[k]]
             values[k] = others[rng.integers(len(others))]
-    out = RatingsTable.from_arrays(
-        table.users, table.items, values, table.timestamps, table.scale, genres=table.genres
-    )
+    out = RatingsTable(table.users, table.items, values, table.timestamps, table.scale)
     keys = frozenset(zip(table.users[sel].tolist(), table.items[sel].tolist()))
     return out, GroundTruthMask(kind, keys, rate, seed)
 
@@ -424,18 +422,19 @@ def _load_genres(cfg: PipelineConfig) -> GenreMap:
     return _read(load_genres, path)
 
 
-def _load_split(cfg: PipelineConfig, path: Path, genres: GenreMap | None = None) -> RatingsTable:
-    table = _read(load_ratings, path, cfg.scale())
-    return table if genres is None else table.with_genres(genres)
+def _load_split(cfg: PipelineConfig, path: Path) -> RatingsTable:
+    return _read(load_ratings, path, cfg.scale())
 
 
 def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, dict]:
-    """Load, dedupe, activity-filter, and attach genres."""
+    """Load, dedupe and activity-filter the ratings."""
     path = Path(cfg.ratings_path)
     if not path.exists():
         raise DataError(f"ratings file not found: {path}")
     table = _read(load_ratings, path, cfg.scale())
-    genres = _load_genres(cfg)
+    # Read only to check it: a bad movies file fails here, at ingest, not
+    # in the detect or evaluate stage that uses the genres.
+    _load_genres(cfg)
     loaded = len(table)
     dropped = table.dropped_duplicates
     table = filter_min_activity(table, cfg.min_activity, cfg.activity_by)
@@ -443,7 +442,6 @@ def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, dict]:
         raise DataError(
             f"no ratings left after min_activity={cfg.min_activity} filter on {cfg.activity_by}s"
         )
-    table = table.with_genres(genres)
     counts = {
         "ratings_loaded": loaded,
         "dropped_duplicates": dropped,
@@ -488,12 +486,13 @@ def stage_board(
     cfg: PipelineConfig,
     train: RatingsTable,
     detect: RatingsTable,
+    genres: GenreMap,
     paths: RunPaths,
 ) -> dict:
     """Layer 1 plus the feature matrix Layer 2 will consume; everything
     persisted so the ensemble stage can run without recomputation."""
     context = train.merged(detect) if len(train) else detect
-    board = run_board(train, detect, cfg, context=context)
+    board = run_board(train, detect, genres, cfg, context=context)
     X = build_feature_matrix(detect, context, board)
     write_votes(board.votes, paths.votes)
     dump_json(board.venn, paths.venn)
@@ -815,9 +814,9 @@ def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
 def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
     _resume(cfg, paths, "detect")
     genres = _load_genres(cfg)
-    train = _load_split(cfg, paths.train_csv, genres)
-    detect = _load_split(cfg, paths.detect_csv, genres)
-    return _stage("board", stage_board, cfg, train, detect, paths)
+    train = _load_split(cfg, paths.train_csv)
+    detect = _load_split(cfg, paths.detect_csv)
+    return _stage("board", stage_board, cfg, train, detect, genres, paths)
 
 
 def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
@@ -978,8 +977,8 @@ def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
     if detector not in DETECTOR_IDS:
         raise ConfigError(f"detector must be one of {DETECTOR_IDS}, got {detector!r}")
     paths = run_paths(cfg, f"baseline-{detector.lower()}")
-    cli_ingest(cfg, paths)
-    cli_detect(cfg, paths)
+    for stage in ("ingest", "detect"):
+        STAGES[stage].body(cfg, paths)
     none = np.zeros(0, dtype=np.int64)
     write_classification(none, none, none, none, cfg.ensemble_variant, paths.ensemble_csv)
     write_hits(Hits(none, none, none, none, none), cfg.action(), paths.signature_csv)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import RatingsTable, run_starts, sorted_index
-from .ioutil import atomic_write_columns, read_columns
+from .ioutil import atomic_write_columns, read_columns, row_error
 
 OPTOUT_SIGNATURE_ID = "optout"
 DEFAULT_THRESHOLD = 0.5
@@ -127,26 +127,28 @@ def read_hits(path: str | Path, action: SignatureAction) -> Hits:
     read_columns, whose ValueError names a row that does not parse.  Every
     signatureId must be optout, the userIds must strictly ascend, every
     lastDay must be a calendar day written YYYY-MM-DD and every action
-    cell must be action, or ValueError."""
+    cell must be action, or ValueError naming the row's line (row_error)."""
     rows = read_columns(path, HITS_HEADER, _HITS_DTYPE)
     users = np.ascontiguousarray(rows["user"])
     other = np.flatnonzero(rows["signature"] != OPTOUT_SIGNATURE_ID)
     if len(other):
         k = int(other[0])
-        raise ValueError(f"{path}:{k + 2}: signatureId {rows['signature'][k]!r} is not optout")
+        raise row_error(path, k, f"signatureId {rows['signature'][k]!r} is not optout")
     repeated = np.flatnonzero(users[1:] <= users[:-1])
     if len(repeated):
         k = int(repeated[0]) + 1
-        raise ValueError(f"{path}:{k + 2}: userId {users[k]} does not ascend")
+        raise row_error(path, k, f"userId {users[k]} does not ascend")
     days = []
-    for k, cell in enumerate(rows["day"].tolist()):
-        day = date.fromisoformat(cell)
-        if day.isoformat() != cell:
-            raise ValueError(f"{path}:{k + 2}: lastDay {cell!r} is not written YYYY-MM-DD")
+    for k, (cell, named) in enumerate(zip(rows["day"].tolist(), rows["action"].tolist())):
+        try:
+            day = date.fromisoformat(cell)
+            if day.isoformat() != cell:
+                raise ValueError(f"lastDay {cell!r} is not written YYYY-MM-DD")
+            if SignatureAction(named) is not action:
+                raise ValueError(f"action {named!r}, expected {action.value!r}")
+        except ValueError as exc:
+            raise row_error(path, k, str(exc)) from exc
         days.append((day - _EPOCH).days)
-    for k, cell in enumerate(rows["action"].tolist()):
-        if SignatureAction(cell) is not action:
-            raise ValueError(f"{path}:{k + 2}: action {cell!r}, expected {action.value!r}")
     return Hits(
         users, np.array(days, dtype=np.int64),
         *(np.ascontiguousarray(rows[name]) for name in ("noisy", "total", "ratio")),

@@ -75,10 +75,7 @@ def planted_tables(
             n_g = int(rng.integers(1, 4))
             matrix[it, rng.choice(width, size=n_g, replace=False)] = 1.0
     genres = GenreMap(np.arange(1, items + 1), matrix, GENRE_VOCABULARY)
-    table = RatingsTable.from_arrays(
-        *(np.concatenate(col) for col in zip(*columns)), scale, genres=genres
-    )
-    return table, genres
+    return RatingsTable(*(np.concatenate(col) for col in zip(*columns)), scale), genres
 
 
 def movielens_sized_tables(seed: int = 0) -> tuple[RatingsTable, GenreMap]:

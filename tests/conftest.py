@@ -41,12 +41,11 @@ ACCEPTANCE_INFO: dict[int, str] = {}
 
 
 def make_table(
-    rows: list[tuple[int, int, float, int]],
-    genres: GenreMap | None = None,
-    scale: Scale = Scale(),
+    rows: list[tuple[int, int, float, int]], scale: Scale = Scale(), dropped_duplicates: int = 0
 ) -> RatingsTable:
-    """Hand-built table helper for small fixtures."""
-    return RatingsTable(rows, scale, genres=genres)
+    """A table of (user, item, value, timestamp) rows, for small fixtures."""
+    columns = ([row[k] for row in rows] for k in range(4))
+    return RatingsTable(*columns, scale, dropped_duplicates=dropped_duplicates)
 
 
 def by_key(table: RatingsTable, column) -> dict[tuple[int, int], object]:
@@ -85,10 +84,7 @@ def mini_dir() -> Path:
 @pytest.fixture(scope="session")
 def planted_small():
     """Small planted dataset shared by integration tests (table, genres)."""
-    table, genres = planted_tables(
-        users=60, items=120, factors=6, seed=2024, ratings_per_user=(25, 50)
-    )
-    return table.with_genres(genres), genres
+    return planted_tables(users=60, items=120, factors=6, seed=2024, ratings_per_user=(25, 50))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

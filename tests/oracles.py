@@ -21,11 +21,12 @@ through per-user dicts and sum every mean left to right in a loop.  The
 signature and delta oracles give one record per user, a SignatureHit or
 a DeltaPoint; hit_records and delta_records turn the array results into
 the same records for comparison.
-The lookups only tests need (a table's keys and values by key, an item's
-genre vector or genre names by a scan of the map's ids), the clip of a
-value to a rating scale, and the pairwise Pearson similarity and the
-similarity matrix built from whole-array expressions, which the matrix is
-checked against, live here too, as does the one-pair MF prediction.
+The lookups only tests need (a table's rows as Rating records, its keys
+and values by key, an item's genre vector or genre names by a scan of the
+map's ids), the clip of a value to a rating scale, and the pairwise
+Pearson similarity and the similarity matrix built from whole-array
+expressions, which the matrix is checked against, live here too, as does
+the one-pair MF prediction.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ def _has(table: RatingsTable, user: int, item: int) -> bool:
     return bool(np.any((table.users == user) & (table.items == item)))
 
 
+class Rating(NamedTuple):
+    user_id: int
+    item_id: int
+    value: float
+    timestamp: int
+
+
+def ratings(table: RatingsTable) -> list[Rating]:
+    """Every row as a Rating of Python numbers, in row order."""
+    columns = (table.users, table.items, table.values, table.timestamps)
+    return [Rating(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def keys(table: RatingsTable) -> list[tuple[int, int]]:
     """(user_id, item_id) of every row, in row order."""
     return list(zip(table.users.tolist(), table.items.tolist()))
@@ -105,7 +119,7 @@ def genre_vector(genres, item: int) -> np.ndarray:
     for k, known in enumerate(genres.item_ids.tolist()):
         if known == item:
             return genres.matrix[k]
-    return np.zeros(genres.n_genres)
+    return np.zeros(len(genres.vocabulary))
 
 
 def genres_of(genres, item: int) -> tuple[str, ...]:
@@ -215,7 +229,7 @@ def nf1_detect_loop(test, cuts=(2.5, 4.0), majority=0.5, context=None) -> Nf1Res
         for i in {int(i) for i in test.items}
     }
     noisy, user_class, item_class = [], [], []
-    for r in test:
+    for r in ratings(test):
         expected = HOMOLOGOUS.get((user_classes[r.user_id], item_classes[r.item_id]))
         if expected is not None and classify_rating(r.value, cuts) is not expected:
             noisy.append(True)
@@ -234,13 +248,13 @@ def nf1_detect_loop(test, cuts=(2.5, 4.0), majority=0.5, context=None) -> Nf1Res
 
 def _genre_matrix(table: RatingsTable, rows: np.ndarray, genres) -> np.ndarray:
     if len(rows) == 0:
-        return np.zeros((0, genres.n_genres))
+        return np.zeros((0, len(genres.vocabulary)))
     return np.array([genre_vector(genres, int(table.items[k])) for k in rows])
 
 
-def user_coherence_loop(user: int, table: RatingsTable) -> tuple[float, bool]:
+def user_coherence_loop(user: int, table: RatingsTable, genres) -> tuple[float, bool]:
     rows = _rows(table.users, user)
-    G = _genre_matrix(table, rows, table.genres)
+    G = _genre_matrix(table, rows, genres)
     values = table.values[rows]
     counts = G.sum(axis=0)
     sums = values @ G
@@ -257,7 +271,9 @@ def user_coherence_loop(user: int, table: RatingsTable) -> tuple[float, bool]:
     return 1.0 - float(np.mean(devs)), True
 
 
-def _groups_loop(table: RatingsTable, coherence_cut: float) -> dict[int, tuple[Quantity, bool]]:
+def _groups_loop(
+    table: RatingsTable, genres, coherence_cut: float
+) -> dict[int, tuple[Quantity, bool]]:
     """Each user's (quantity, whether the quality is easy), one user at a time."""
     users = sorted({int(u) for u in table.users})
     counts = np.array([len(_rows(table.users, u)) for u in users], dtype=np.float64)
@@ -271,7 +287,7 @@ def _groups_loop(table: RatingsTable, coherence_cut: float) -> dict[int, tuple[Q
             quantity = Quantity.LIGHT
         else:
             quantity = Quantity.MEDIUM
-        coherence, had_genres = user_coherence_loop(u, table)
+        coherence, had_genres = user_coherence_loop(u, table, genres)
         if not had_genres:
             easy = True
         else:
@@ -281,10 +297,10 @@ def _groups_loop(table: RatingsTable, coherence_cut: float) -> dict[int, tuple[Q
 
 
 def group_users_loop(
-    table: RatingsTable, coherence_cut: float = 0.8
+    table: RatingsTable, genres, coherence_cut: float = 0.8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ascending user ids, quantity codes, easy flags), as group_users gives them."""
-    groups = _groups_loop(table, coherence_cut)
+    groups = _groups_loop(table, genres, coherence_cut)
     users = sorted(groups)
     return (
         np.array(users, dtype=np.int64),
@@ -294,18 +310,17 @@ def group_users_loop(
 
 
 def nf2_detect_loop(
-    test, theta_heavy_medium=0.075, theta_light=0.05, rnd_cut=0.5, context=None,
+    test, genres, theta_heavy_medium=0.075, theta_light=0.05, rnd_cut=0.5, context=None,
     coherence_cut=0.8,
 ) -> Nf2Result:
     ctx = context if context is not None else test
-    groups = _groups_loop(ctx, coherence_cut)
-    genres = ctx.genres
+    groups = _groups_loop(ctx, genres, coherence_cut)
     stats = {}
     noisy, quantities, easy_flags = [], [], []
     rnd_values = []
-    for r in test:
+    for r in ratings(test):
         if r.user_id not in groups:
-            groups[r.user_id] = _groups_loop(test, coherence_cut)[r.user_id]
+            groups[r.user_id] = _groups_loop(test, genres, coherence_cut)[r.user_id]
         quantity, easy = groups[r.user_id]
         quantities.append(list(Quantity).index(quantity))
         easy_flags.append(easy)
@@ -371,7 +386,7 @@ def nf3_detect_loop(train, test, cfg=KnnConfig(), th=0.05) -> Nf3Result:
     sims = SimilarityMatrix(train, cfg) if len(train) else None
     noisy, cons, preds = [], [], []
     unpredictable = 0
-    for r in test:
+    for r in ratings(test):
         if sims is None or len(_rows(train.users, r.user_id)) == 0:
             pred = None
         else:
@@ -416,7 +431,7 @@ def nf4_detect_loop(test, delta1=1.0, delta2=0.25, context=None) -> Nf4Result:
     }
     noisy, degrees, ups, ips = [], [], [], []
     prefiltered = 0
-    for r in test:
+    for r in ratings(test):
         up = user_profiles[r.user_id]
         ip = item_profiles[r.item_id]
         ups.append(up)
@@ -483,7 +498,7 @@ def feature_matrix_loop(
     scale = context.scale
     nf1 = nf1_detect_loop(test, context=context)
     keys, rows = [], []
-    for k, r in enumerate(test):
+    for k, r in enumerate(ratings(test)):
         key = (r.user_id, r.item_id)
         u_vals = context.values[_rows(context.users, r.user_id)]
         i_vals = context.values[_rows(context.items, r.item_id)]
@@ -1032,7 +1047,7 @@ def csv_writer_text(header, rows) -> str:
 
 
 def ratings_rows(table: RatingsTable):
-    return ([u, i, repr(float(v)), t] for u, i, v, t in table.rows())
+    return ([u, i, repr(float(v)), t] for u, i, v, t in ratings(table))
 
 
 def feature_rows(keys, X: np.ndarray):

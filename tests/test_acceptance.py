@@ -207,10 +207,10 @@ def test_criterion_3_consensus_precision():
     t0 = time.monotonic()
     outcomes = []
     for seed in range(5):
-        table, _genres = planted_tables(users=500, items=800, seed=seed)
+        table, genres = planted_tables(users=500, items=800, seed=seed)
         train, detect = split_train_test(table, SplitSpec(0.8, derive_seed(seed, 101)))
         noisy_detect, mask = inject_noise(detect, 0.10, NoiseKind.UNIFORM_REPLACE, seed=seed)
-        board = run_board(train, noisy_detect, BoardConfig())
+        board = run_board(train, noisy_detect, genres, BoardConfig())
         positives = set(mask.keys)
 
         def precision(flagged: set) -> float:
@@ -247,7 +247,7 @@ def test_criterion_4_optout_recall_fpr():
         assert len(selected) == 20
         labels = {
             (u, i): Verdict.NOISY if (u, i) in mask.keys else Verdict.CLEAN
-            for u, i, _, _ in noisy.rows()
+            for u, i in zip(noisy.users.tolist(), noisy.items.tolist())
         }
         flagged = set(detect_optout(noisy, noisy_flags(noisy, labels)).users.tolist())
         n_users = len(noisy.user_ids())

@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from noisegate import board, dataset
 from noisegate.board import VOTES_HEADER, Votes, consensus, read_votes, write_votes
 from noisegate.board.verdict import Verdict
 from noisegate.cli import EXIT_OK, main
-from noisegate.dataset import RATINGS_HEADER, RatingsTable, Scale, load_ratings
+from noisegate.dataset import RATINGS_HEADER, Scale, load_ratings
 from noisegate.ensemble import (
     CLASSIFICATION_HEADER,
     read_classification,
@@ -27,10 +28,11 @@ from noisegate.ensemble import (
 from noisegate.ensemble.features import FEATURES_HEADER, read_features, write_features
 from noisegate.evaluation import ACCURACY_METRICS, DELTA_HEADER, DeltaReport, read_delta_csv
 from noisegate.evaluation.deltas import QUADRANTS, write_delta_csv
-from noisegate.ioutil import format_floats
+from noisegate.ioutil import format_floats, read_columns
 from noisegate.signature import HITS_HEADER, Hits, SignatureAction, read_hits, write_hits
 
 from . import oracles
+from .conftest import make_table
 from .test_cli import _run_args
 
 SCALE = Scale(0.5, 5.0)
@@ -198,7 +200,7 @@ def _load_oracle(path):
     warned = [
         f"{path}: dropped {dropped} duplicate rating(s), keeping latest timestamp"
     ] if dropped else []
-    return RatingsTable(rows, SCALE, dropped_duplicates=dropped), warned
+    return make_table(rows, SCALE, dropped_duplicates=dropped), warned
 
 
 def _same_table(got, want) -> None:
@@ -308,6 +310,77 @@ def test_read_classification_matches_row_parser(scratch, text):
     )
 
 
+# -- the line a rejected row is named by ------------------------------------
+
+_PAIR_DTYPE = np.dtype([("a", np.int64), ("b", np.float64)])
+
+
+@pytest.mark.parametrize(
+    "n_rows, bad",
+    [(1, [0]), (2, [1]), (300, [0]), (300, [299]), (300, [17, 18, 250]), (257, [128, 3])],
+)
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("3,x", "could not convert string 'x' to float64, column 2."),
+        ("3,4,5", "the dtype passed requires 2 columns but 3 were found;"),
+        (" ", "the dtype passed requires 2 columns but 1 were found;"),
+    ],
+    ids=["bad-cell", "extra-field", "space-only"],
+)
+def test_read_columns_names_the_first_bad_row_by_file_line(scratch, n_rows, bad, row, message):
+    """Rows n_rows long with every seventh line blank (LF or CRLF) and the
+    given rows bad: the error names the first bad row's line, counting the
+    header as line 1 and the blank lines, and numpy's message for that row
+    without its row count."""
+    lines = ["a,b"]
+    for k in range(n_rows):
+        if len(lines) % 7 == 6:
+            lines.append("" if k % 2 else "\r")
+        lines.append(row if k in bad else f"{k},{k}.5")
+    _write(scratch, "\n".join(lines) + "\n")
+    line = 1 + lines.index(row)
+    with pytest.raises(ValueError) as caught:
+        read_columns(scratch, ("a", "b"), _PAIR_DTYPE)
+    assert str(caught.value).startswith(f"{scratch}:{line}: {message}")
+
+
+# One reader each: its header, the reader, a row it takes, the index of an
+# integer cell in that row, and a row that parses but that it rejects.
+_READERS = {
+    "votes": (
+        VOTES_HEADER, read_votes, "1,1,clean,clean,clean,clean,clean", 0,
+        "1,2,noisy,noisy,noisy,clean,noisy",
+    ),
+    "classification": (
+        CLASSIFICATION_HEADER, lambda path: read_classification(path, "EL3"),
+        "1,1,0.5,clean,EL3", 0, "1,2,0.5,noisy,EL1",
+    ),
+    "hits": (
+        HITS_HEADER, lambda path: read_hits(path, SignatureAction.REMOVE_USER),
+        "optout,1,1970-01-02,1,1,1.0,remove_user", 1,
+        "optout,2,1970-01-02,1,1,1.0,remove_last_day",
+    ),
+    "deltas": (
+        DELTA_HEADER, read_delta_csv, "0,0,0.0,0.0,Origin,false", 0, "1,0,0.5,0.5,V,true",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["bad-cell", "extra-field", "rejected"])
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_readers_name_the_line_of_a_rejected_row(scratch, reader, fault):
+    """A bad row under a good row and a blank line is on line 4, whether
+    np.loadtxt or the reader's own check rejects it."""
+    header, read, good, int_cell, rejected = _READERS[reader]
+    cells = good.split(",")
+    cells[int_cell] = "x"
+    bad = {"bad-cell": ",".join(cells), "extra-field": good + ",0", "rejected": rejected}[fault]
+    _write(scratch, ",".join(header) + "\r\n" + good + "\r\n\r\n" + bad + "\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{scratch}:4: ")):
+        read(scratch)
+
+
 # -- writers against csv.writer ---------------------------------------------
 
 _finite = st.floats(width=64, allow_nan=False)
@@ -323,13 +396,13 @@ _keys = st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), unique
     )
 )
 def test_to_csv_bytes_match_csv_writer(scratch, rows):
-    table = RatingsTable(rows, SCALE)
+    table = make_table(rows, SCALE)
     table.to_csv(scratch)
     assert scratch.read_bytes() == oracles.csv_writer_text(
         RATINGS_HEADER, oracles.ratings_rows(table)
     ).encode()
     back = load_ratings(scratch, SCALE)
-    assert back.rows() == table.rows()
+    assert oracles.ratings(back) == oracles.ratings(table)
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,6 +22,7 @@ from noisegate.board import (
 from noisegate.board.verdict import DETECTOR_IDS, Consensus, Verdict
 from noisegate.dataset import SplitSpec, split_train_test
 
+from . import oracles
 from .conftest import make_table
 
 
@@ -112,23 +113,22 @@ def _board_tables():
         {i: ("Action",) if i % 2 else ("Action", "Comedy") for i in range(1, 26)},
         ("Action", "Comedy", "Drama"),
     )
-    table = make_table(rows, genres=genres)
-    return split_train_test(table, SplitSpec(0.8, 7))
+    return (*split_train_test(make_table(rows), SplitSpec(0.8, 7)), genres)
 
 
 def test_run_board_partitions_test_split():
-    train, test = _board_tables()
-    res = run_board(train, test, BoardConfig())
+    train, test, genres = _board_tables()
+    res = run_board(train, test, genres, BoardConfig())
     keys = set(res.votes.keys())
-    assert keys == {(r.user_id, r.item_id) for r in test}
+    assert keys == set(oracles.keys(test))
     n = len(test)
     by = {c: int(res.votes.where(c).sum()) for c in Consensus}
     assert sum(by.values()) == n
 
 
 def test_run_board_consensus_subset_of_each_detector():
-    train, test = _board_tables()
-    res = run_board(train, test, BoardConfig())
+    train, test, genres = _board_tables()
+    res = run_board(train, test, genres, BoardConfig())
     consensus_noisy = res.votes.where(Consensus.NOISY)
     for flags, noisy in zip(res.votes.noisy.tolist(), consensus_noisy.tolist()):
         if noisy:
@@ -136,15 +136,15 @@ def test_run_board_consensus_subset_of_each_detector():
 
 
 def test_run_board_venn_sums_to_test_size():
-    train, test = _board_tables()
-    res = run_board(train, test, BoardConfig())
+    train, test, genres = _board_tables()
+    res = run_board(train, test, genres, BoardConfig())
     assert sum(res.venn.values()) == len(test)
 
 
 def test_run_board_deterministic():
-    train, test = _board_tables()
-    a = run_board(train, test, BoardConfig())
-    b = run_board(train, test, BoardConfig())
+    train, test, genres = _board_tables()
+    a = run_board(train, test, genres, BoardConfig())
+    b = run_board(train, test, genres, BoardConfig())
     assert a.votes.keys() == b.votes.keys()
     assert a.votes.consensus.tolist() == b.votes.consensus.tolist()
     assert a.venn == b.venn
@@ -153,8 +153,8 @@ def test_run_board_deterministic():
 def test_detector_results_are_row_aligned():
     """Every field of a detector result is an array whose first axis is the
     test rows, or an int count: no result keeps a side map keyed by id."""
-    train, test = _board_tables()
-    res = run_board(train, test, BoardConfig())
+    train, test, genres = _board_tables()
+    res = run_board(train, test, genres, BoardConfig())
     for result in (res.nf1, res.nf2, res.nf3, res.nf4):
         for name, value in result._asdict().items():
             where = f"{type(result).__name__}.{name}"
@@ -165,8 +165,8 @@ def test_detector_results_are_row_aligned():
 
 
 def test_votes_csv_roundtrip(tmp_path):
-    train, test = _board_tables()
-    res = run_board(train, test, BoardConfig())
+    train, test, genres = _board_tables()
+    res = run_board(train, test, genres, BoardConfig())
     p = tmp_path / "votes.csv"
     write_votes(res.votes, p)
     back = read_votes(p)

@@ -19,13 +19,12 @@ from noisegate.board.nf1 import nf1_detect
 from noisegate.board.nf2 import _coherence, group_users, nf2_detect
 from noisegate.board.nf3 import nf3_detect
 from noisegate.board.nf4 import nf4_detect
-from noisegate.dataset import RatingsTable, Scale
 from noisegate.ensemble.features import build_feature_matrix
 from noisegate import recsys
 from noisegate.recsys import KnnConfig, SimilarityMatrix, knn_predict
 
 from . import oracles
-from .conftest import genre_map
+from .conftest import genre_map, make_table
 
 
 def _same(got: np.ndarray, want: np.ndarray) -> bool:
@@ -103,13 +102,11 @@ def board_cases(draw):
     for item, b in zip(mapped, bits):  # three genre bits; 0 is an empty vector
         vectors[item] = np.array([b & 1, b >> 1 & 1, b >> 2 & 1, 0], dtype=np.float64)
     vectors[TEST_ONLY_ITEM] = np.array([0.0, 0.0, 0.0, 1.0])
-    genres = genre_map(vectors, VOCAB)
-    train = RatingsTable(train_rows, Scale(), genres=genres)
-    test = RatingsTable(test_rows, Scale(), genres=genres)
+    train, test = make_table(train_rows), make_table(test_rows)
     context = {
         "merged": train.merged(test), "test": test, "train": train,
     }[draw(st.sampled_from(("merged", "test", "train")))]
-    return train, test, context
+    return train, test, context, genre_map(vectors, VOCAB)
 
 
 # Small k and significance caps make |w| ties and k truncation common: with
@@ -126,7 +123,7 @@ knn_configs = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(case=board_cases(), majority=st.sampled_from([0.34, 0.5, 0.7]))
 def test_nf1_matches_loop_oracle(case, majority):
-    _, test, context = case
+    _, test, context, _ = case
     got = nf1_detect(test, (2.5, 4.0), majority, context=context)
     want = oracles.nf1_detect_loop(test, (2.5, 4.0), majority, context=context)
     assert _same(got.noisy, want.noisy)
@@ -142,20 +139,20 @@ def test_nf1_matches_loop_oracle(case, majority):
     coherence_cut=st.sampled_from([0.8, 0.9, 0.95]),
 )
 def test_nf2_matches_loop_oracle(case, thetas, rnd_cut, coherence_cut):
-    _, test, context = case
-    got = nf2_detect(test, *thetas, rnd_cut, context=context, coherence_cut=coherence_cut)
+    _, test, context, genres = case
+    got = nf2_detect(test, genres, *thetas, rnd_cut, context=context, coherence_cut=coherence_cut)
     want = oracles.nf2_detect_loop(
-        test, *thetas, rnd_cut, context=context, coherence_cut=coherence_cut
+        test, genres, *thetas, rnd_cut, context=context, coherence_cut=coherence_cut
     )
     assert _same(got.noisy, want.noisy)
     assert _same(got.rnd, want.rnd)
     assert _same(got.quantity, want.quantity)
     assert _same(got.easy, want.easy)
-    groups = group_users(context, coherence_cut)
-    assert all(map(_same, groups, oracles.group_users_loop(context, coherence_cut)))
-    users, coherence, had = _coherence(context)[:3]
+    groups = group_users(context, genres, coherence_cut)
+    assert all(map(_same, groups, oracles.group_users_loop(context, genres, coherence_cut)))
+    users, coherence, had = _coherence(context, genres)[:3]
     for u, c, h in zip(users.tolist(), coherence.tolist(), had.tolist()):
-        assert (c, h) == oracles.user_coherence_loop(u, context)
+        assert (c, h) == oracles.user_coherence_loop(u, context, genres)
 
 
 def _long_neighbor_case():
@@ -165,8 +162,8 @@ def _long_neighbor_case():
     rng = np.random.default_rng(5)
     cells = [(u, i, float(rng.choice(GRID)), 0) for u in range(1, 41) for i in range(1, 9)]
     held = {(u, 1 + u % 8) for u in range(1, 41)}
-    train = RatingsTable([c for c in cells if c[:2] not in held], Scale())
-    test = RatingsTable([c for c in cells if c[:2] in held], Scale())
+    train = make_table([c for c in cells if c[:2] not in held])
+    test = make_table([c for c in cells if c[:2] in held])
     return train, test, train.merged(test)
 
 
@@ -174,7 +171,7 @@ def _long_neighbor_case():
 @given(case=board_cases(), cfg=knn_configs, th=st.sampled_from([0.0, 0.05, 0.2]))
 @example(case=_long_neighbor_case(), cfg=KnnConfig(k=35), th=0.05)
 def test_nf3_matches_loop_oracle(case, cfg, th):
-    train, test, _ = case
+    train, test, *_ = case
     got = nf3_detect(train, test, cfg, th)
     want = oracles.nf3_detect_loop(train, test, cfg, th)
     assert _same(got.predictions, want.predictions)
@@ -182,7 +179,7 @@ def test_nf3_matches_loop_oracle(case, cfg, th):
     assert _same(got.noisy, want.noisy)
     assert got.n_unpredictable == want.n_unpredictable
     sims = SimilarityMatrix(train, cfg)
-    for r in test:
+    for r in oracles.ratings(test):
         if r.user_id in train.users:
             want = oracles.knn_predict_loop(train, r.user_id, r.item_id, cfg, sims)
             assert knn_predict(train, r.user_id, r.item_id, cfg, sims) == want
@@ -203,17 +200,15 @@ def _self_rater_case():
         (u, i, pattern[i - 1] if u % 2 else pattern[4 - i], 0)
         for u in range(21, 45) for i in range(1, 5)
     ]
-    train = RatingsTable(
+    train = make_table(
         [(u, i, float(rng.choice(GRID)), 0)
          for u in range(1, 13) for i in range(1, 9) if rng.random() < 0.65]
         + clones + [(u, 20, float(rng.choice(GRID)), 0) for u in range(21, 45)]
-        + [(100, i, pattern[i - 1], 0) for i in range(1, 5)],
-        Scale(),
+        + [(100, i, pattern[i - 1], 0) for i in range(1, 5)]
     )
-    test = RatingsTable(
+    test = make_table(
         [(u, i, float(rng.choice(GRID)), 0) for u in range(1, 14) for i in range(1, 10)]
-        + [(100, 20, 4.0, 0)],
-        Scale(),
+        + [(100, 20, 4.0, 0)]
     )
     return train, test
 
@@ -248,9 +243,9 @@ def test_nf3_blocks_match_loop_oracle(monkeypatch, cells):
     nonzero = [
         sum(sims.between(r.user_id, int(v)) != 0.0
             for v in train.users[train.items == r.item_id] if v != r.user_id)
-        for r in test if r.user_id in sims.user_ids
+        for r in oracles.ratings(test) if r.user_id in sims.user_ids
     ]
-    assert any((r.user_id, r.item_id) in train_keys for r in test)
+    assert any(key in train_keys for key in oracles.keys(test))
     assert any(0 < n < cfg.k for n in nonzero)
     assert 0 < got.n_unpredictable < len(test)
 
@@ -261,7 +256,7 @@ def test_nf3_blocks_match_loop_oracle(monkeypatch, cells):
     deltas=st.sampled_from([(1.0, 0.25), (0.5, 0.0), (2.1, -0.1), (1.5, 0.1)]),
 )
 def test_nf4_matches_loop_oracle(case, deltas):
-    _, test, context = case
+    _, test, context, _ = case
     got = nf4_detect(test, *deltas, context=context)
     want = oracles.nf4_detect_loop(test, *deltas, context=context)
     assert _same(got.noisy, want.noisy)
@@ -274,12 +269,12 @@ def test_nf4_matches_loop_oracle(case, deltas):
 @settings(max_examples=60, deadline=None)
 @given(case=board_cases(), cfg=knn_configs)
 def test_board_and_features_match_loop_oracles(case, cfg):
-    train, test, _ = case
+    train, test, _, genres = case
     context = train.merged(test)
     board_cfg = BoardConfig(
         nf3_k=cfg.k, nf3_min_overlap=cfg.min_overlap, nf3_significance_cap=cfg.significance_cap
     )
-    board = run_board(train, test, board_cfg)
+    board = run_board(train, test, genres, board_cfg)
     votes = oracles.votes_loop(test, (board.nf1, board.nf2, board.nf3, board.nf4))
     assert _same_votes(board.votes, votes)
     assert list(board.venn.items()) == list(oracles.venn_loop(votes).items())

@@ -360,36 +360,61 @@ def _earlier_hit_row(lines: list[str]) -> None:
     lines.append("optout,0,2022-05-30,1,1,1.0,remove_user\r\n")
 
 
+def _below_blank(edit):
+    """edit, then a blank line above the row it edited, which moves to line 3."""
+    def below(lines: list[str]) -> None:
+        edit(lines)
+        lines.insert(1, "\r\n")
+    return below
+
+
+LAST = -1  # the line of a row appended at the end of the file
+
+
 @pytest.mark.parametrize(
-    "artifact, edit, command, message",
+    "artifact, edit, command, message, line",
     [
-        ("votes.csv", _bogus_cell(3), "ensemble", "are not four Verdicts"),
-        ("features.csv", _swap_first_rows, "ensemble", "does not list the ratings"),
-        ("ensemble.csv", _bogus_cell(3), "signature", "'bogus' is not a valid Verdict"),
-        ("features.csv", _short_row, "ensemble", "requires 21 columns but 1 were found"),
-        ("signature.csv", _bad_header, "evaluate", "expected header"),
-        ("board.json", _bad_header, "evaluate", "Expecting value"),
-        ("ensemble.csv", _empty, "signature", "expected header"),
-        ("signature.csv", _empty, "evaluate", "expected header"),
-        ("ensemble.csv", _bogus_cell(2), "signature", "could not convert string 'bogus' to float64"),
-        ("ensemble.csv", _bogus_cell(4, "EL1"), "signature", "variant 'EL1', expected 'EL3'"),
-        ("ensemble.csv", _drop_row, "signature", "does not list the Uncertain ratings"),
-        ("ensemble.csv", _extra_noisy_row, "evaluate", "does not list the Uncertain ratings"),
-        ("votes.csv", _swap_first_rows, "signature", "does not list the ratings"),
+        ("votes.csv", _bogus_cell(3), "ensemble", "are not four Verdicts", 2),
+        ("features.csv", _swap_first_rows, "ensemble", "does not list the ratings", None),
+        ("ensemble.csv", _bogus_cell(3), "signature", "'bogus' is not a valid Verdict", 2),
+        ("features.csv", _short_row, "ensemble", "requires 21 columns but 1 were found", LAST),
+        ("signature.csv", _bad_header, "evaluate", "expected header", None),
+        ("board.json", _bad_header, "evaluate", "Expecting value", None),
+        ("ensemble.csv", _empty, "signature", "expected header", None),
+        ("signature.csv", _empty, "evaluate", "expected header", None),
+        (
+            "ensemble.csv", _bogus_cell(2), "signature",
+            "could not convert string 'bogus' to float64", 2,
+        ),
+        ("ensemble.csv", _bogus_cell(4, "EL1"), "signature", "variant 'EL1', expected 'EL3'", 2),
+        ("ensemble.csv", _drop_row, "signature", "does not list the Uncertain ratings", None),
+        ("ensemble.csv", _extra_noisy_row, "evaluate", "does not list the Uncertain ratings", None),
+        ("votes.csv", _swap_first_rows, "signature", "does not list the ratings", None),
         (
             "votes.csv", _bogus_cell(0, "99999999999999999999"), "ensemble",
-            "could not convert string '99999999999999999999' to int64",
+            "could not convert string '99999999999999999999' to int64", 2,
         ),
-        ("signature.csv", _bogus_cell(2), "evaluate", "Invalid isoformat string: 'bogus'"),
-        ("signature.csv", _bogus_cell(0), "evaluate", "signatureId 'bogus' is not optout"),
-        ("signature.csv", _earlier_hit_row, "evaluate", "userId 0 does not ascend"),
-        ("signature.csv", _bogus_cell(6), "evaluate", "'bogus' is not a valid SignatureAction"),
+        ("signature.csv", _bogus_cell(2), "evaluate", "Invalid isoformat string: 'bogus'", 2),
+        ("signature.csv", _bogus_cell(0), "evaluate", "signatureId 'bogus' is not optout", 2),
+        ("signature.csv", _earlier_hit_row, "evaluate", "userId 0 does not ascend", LAST),
+        ("signature.csv", _bogus_cell(6), "evaluate", "'bogus' is not a valid SignatureAction", 2),
         (
             "signature.csv", _bogus_cell(6, "remove_last_day"), "evaluate",
-            "action 'remove_last_day', expected 'remove_user'",
+            "action 'remove_last_day', expected 'remove_user'", 2,
         ),
-        ("signature.csv", _bogus_cell(2, "20220629"), "evaluate", "'20220629' is not written"),
-        ("signature.csv", _bogus_cell(2, "2022-W22-1"), "evaluate", "'2022-W22-1' is not written"),
+        ("signature.csv", _bogus_cell(2, "20220629"), "evaluate", "'20220629' is not written", 2),
+        (
+            "signature.csv", _bogus_cell(2, "2022-W22-1"), "evaluate",
+            "'2022-W22-1' is not written", 2,
+        ),
+        (
+            "ensemble.csv", _below_blank(_bogus_cell(3)), "signature",
+            "'bogus' is not a valid Verdict", 3,
+        ),
+        (
+            "ensemble.csv", _below_blank(_bogus_cell(2)), "signature",
+            "could not convert string 'bogus' to float64", 3,
+        ),
     ],
     ids=[
         "bogus-vote", "reordered-features", "bogus-label", "short-features-row",
@@ -397,11 +422,15 @@ def _earlier_hit_row(lines: list[str]) -> None:
         "bogus-score", "other-variant", "missing-row", "extra-row", "reordered-votes",
         "wide-vote-id", "bogus-hit-day", "other-signature", "descending-hit-user",
         "bogus-hit-action", "other-hit-action", "basic-hit-day", "week-hit-day",
+        "bogus-label-below-blank", "bogus-score-below-blank",
     ],
 )
 def test_malformed_artifact_exits_3(
-    staged_run, tmp_path, capsys, artifact, edit, command, message
+    staged_run, tmp_path, capsys, artifact, edit, command, message, line
 ):
+    """evaluate and the stages before it exit 3 on a malformed artifact,
+    and name the file, and the line (the header is line 1, blank lines
+    count) where one row is at fault."""
     run_dir = tmp_path / "malformed"
     shutil.copytree(staged_run, run_dir)
     path = run_dir / artifact
@@ -412,6 +441,8 @@ def test_malformed_artifact_exits_3(
     assert main([command, *_run_args(tmp_path, "malformed")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and artifact in err and message in err
+    if line is not None:
+        assert f"{path}:{len(lines) if line == LAST else line}: " in err, err
 
 
 def test_inject_noise_subcommand(tmp_path, capsys):

@@ -24,7 +24,7 @@ from noisegate.dataset import (
 from noisegate.synth import planted_tables
 
 from .conftest import make_genres, make_table
-from .oracles import _has, genres_of, keys, value_of
+from .oracles import _has, genres_of, keys, ratings, value_of
 
 
 def test_scale_rejects_inverted_bounds():
@@ -41,7 +41,7 @@ def test_scale_span_and_grid():
 
 def test_table_sorts_rows_and_exposes_keys():
     t = make_table([(2, 7, 3.0, 10), (1, 9, 4.0, 11), (1, 3, 2.0, 12)])
-    assert t.rows() == [(1, 3, 2.0, 12), (1, 9, 4.0, 11), (2, 7, 3.0, 10)]
+    assert ratings(t) == [(1, 3, 2.0, 12), (1, 9, 4.0, 11), (2, 7, 3.0, 10)]
     assert t.user_ids().tolist() == [1, 2]
     assert t.item_ids().tolist() == [3, 7, 9]
     assert t.contains(np.array([1, 9]), np.array([9, 1])).tolist() == [True, False]
@@ -70,7 +70,8 @@ def test_user_and_item_stats_population_std():
 
 def test_without_keys():
     t = make_table([(1, 1, 1.0, 0), (1, 2, 2.0, 0), (2, 1, 3.0, 0)])
-    assert t.without_keys(np.array([1]), np.array([2])).rows() == [(1, 1, 1.0, 0), (2, 1, 3.0, 0)]
+    left = t.without_keys(np.array([1]), np.array([2]))
+    assert ratings(left) == [(1, 1, 1.0, 0), (2, 1, 3.0, 0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,7 +116,7 @@ def test_load_ratings_in_key_order_copies_each_column_once(tmp_path):
     # column is also gathered through an identity index, twice.
     rng = np.random.default_rng(6)
     n = 20_000
-    table = RatingsTable.from_arrays(
+    table = RatingsTable(
         np.repeat(np.arange(n // 50), 50), np.tile(np.arange(1, 351, 7), n // 50),
         rng.integers(1, 11, n) / 2.0, rng.integers(0, 2**31, n), Scale(0.5, 5.0),
     )
@@ -127,11 +128,11 @@ def test_load_ratings_in_key_order_copies_each_column_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.rows() == table.rows()
+    assert ratings(got) == ratings(table)
     assert peak < 2.5 * 32 * n
-    # from_arrays keeps columns of the column dtypes already in key order
+    # the constructor keeps columns of the column dtypes already in key order
     columns = (got.users, got.items, got.values, got.timestamps)
-    again = RatingsTable.from_arrays(*columns, got.scale)
+    again = RatingsTable(*columns, got.scale)
     kept = (again.users, again.items, again.values, again.timestamps)
     assert all(a is b for a, b in zip(kept, columns))
 
@@ -155,7 +156,7 @@ def test_csv_roundtrip(tmp_path):
     p = tmp_path / "t.csv"
     t.to_csv(p)
     back = load_ratings(p)
-    assert back.rows() == t.rows()
+    assert ratings(back) == ratings(t)
 
 
 def test_load_genres_indicator_vectors(tmp_path):
@@ -215,9 +216,9 @@ def test_split_partitions_every_user():
     rows = [(u, i, 3.0, i) for u in (1, 2, 3) for i in range(7)]
     t = make_table(rows)
     train, test = split_train_test(t, SplitSpec(0.7, 42))
-    keys = set((r[0], r[1]) for r in t.rows())
-    tr = set((r[0], r[1]) for r in train.rows())
-    te = set((r[0], r[1]) for r in test.rows())
+    keys = set((r[0], r[1]) for r in ratings(t))
+    tr = set((r[0], r[1]) for r in ratings(train))
+    te = set((r[0], r[1]) for r in ratings(test))
     assert tr | te == keys and not (tr & te)
     for u in (1, 2, 3):
         assert np.count_nonzero(train.users == u) == math.ceil(0.7 * 7)
@@ -227,7 +228,7 @@ def test_split_same_seed_identical():
     t = make_table([(u, i, 3.0, i) for u in (1, 2) for i in range(9)])
     a = split_train_test(t, SplitSpec(0.8, 5))
     b = split_train_test(t, SplitSpec(0.8, 5))
-    assert a[0].rows() == b[0].rows() and a[1].rows() == b[1].rows()
+    assert ratings(a[0]) == ratings(b[0]) and ratings(a[1]) == ratings(b[1])
 
 
 def test_split_single_rating_user_goes_to_train(caplog):
@@ -250,8 +251,8 @@ def test_split_partition_property(n_users, n_items, frac, seed):
     t = make_table(rows)
     train, test = split_train_test(t, SplitSpec(frac, seed))
     assert len(train) + len(test) == len(t)
-    tr = set((r[0], r[1]) for r in train.rows())
-    te = set((r[0], r[1]) for r in test.rows())
+    tr = set((r[0], r[1]) for r in ratings(train))
+    te = set((r[0], r[1]) for r in ratings(test))
     assert not (tr & te)
     for u in range(1, n_users + 1):
         assert np.count_nonzero(train.users == u) == math.ceil(frac * n_items)
@@ -299,7 +300,7 @@ def test_id_stats_equal_loop_on_table_columns(seed, on_grid):
     table = table.merged(make_table([(1000, 1000, 2.5, 0)]))  # one rating for both ids
     rng = np.random.default_rng(seed)
     if not on_grid:
-        table = RatingsTable.from_arrays(
+        table = RatingsTable(
             table.users, table.items, rng.uniform(0.5, 5.0, len(table)), table.timestamps, Scale()
         )
     train, detect = split_train_test(table, SplitSpec(0.7, seed))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from noisegate.board import BoardConfig, BoardResult, run_board
-from noisegate.dataset import Rating, RatingsTable, SplitSpec, split_train_test
+from noisegate.dataset import RatingsTable, SplitSpec, split_train_test
 from noisegate.ensemble.features import (
     FEATURE_NAMES,
     build_feature_matrix,
@@ -15,11 +15,12 @@ from noisegate.ensemble.features import (
 )
 
 from .conftest import make_genres, make_table
+from .oracles import Rating
 
 
 def build_features(rating: Rating, context: RatingsTable, board: BoardResult) -> np.ndarray:
     """Feature vector of one voted rating."""
-    return build_feature_matrix(RatingsTable([rating], context.scale), context, board)[0]
+    return build_feature_matrix(make_table([rating], context.scale), context, board)[0]
 
 
 def _board_fixture():
@@ -34,10 +35,10 @@ def _board_fixture():
         {i: ("Action",) if i % 3 else ("Comedy", "Drama") for i in range(1, 21)},
         ("Action", "Comedy", "Drama"),
     )
-    table = make_table(rows, genres=genres)
+    table = make_table(rows)
     train, test = split_train_test(table, SplitSpec(0.8, 11))
     context = train.merged(test)
-    board = run_board(train, test, BoardConfig())
+    board = run_board(train, test, genres, BoardConfig())
     return test, context, board
 
 
@@ -72,9 +73,9 @@ def test_all_clean_votes_encode_zeros():
     # unanimous raters: every detector must vote Clean on every test rating
     genres = make_genres({i: ("Action",) for i in range(1, 6)}, ("Action",))
     rows = [(u, i, 5.0, u * 10 + i) for u in range(1, 6) for i in range(1, 6)]
-    test = make_table([r for r in rows if r[0] == 1], genres=genres)
-    train = make_table([r for r in rows if r[0] != 1], genres=genres)
-    board = run_board(train, test, BoardConfig())
+    test = make_table([r for r in rows if r[0] == 1])
+    train = make_table([r for r in rows if r[0] != 1])
+    board = run_board(train, test, genres, BoardConfig())
     assert not board.votes.noisy.any()
     X = build_feature_matrix(test, train.merged(test), board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
@@ -86,8 +87,8 @@ def test_all_clean_votes_encode_zeros():
 def test_deviation_features_zero_when_rating_equals_means():
     # single user, single item context: user mean = item mean = r
     genres = make_genres({1: ("Action",)}, ("Action",))
-    test = make_table([(1, 1, 3.0, 0)], genres=genres)
-    board = run_board(make_table([]), test, BoardConfig())
+    test = make_table([(1, 1, 3.0, 0)])
+    board = run_board(make_table([]), test, genres, BoardConfig())
     X = build_feature_matrix(test, test, board)
     col = {name: k for k, name in enumerate(FEATURE_NAMES)}
     assert X[0, col["abs_dev_user_mean"]] == 0.0
@@ -96,8 +97,6 @@ def test_deviation_features_zero_when_rating_equals_means():
 
 def test_unvoted_rating_raises():
     test, context, board = _board_fixture()
-    from noisegate.dataset import Rating
-
     orphan = Rating(9999, 9999, 3.0, 0)
     with pytest.raises(ValueError):
         build_features(orphan, context, board)

@@ -215,14 +215,14 @@ def test_inject_rate_zero_is_identity():
     table = _inject_table(200)
     out, mask = inject_noise(table, 0.0, NoiseKind.UNIFORM_REPLACE, seed=1)
     assert mask.keys == frozenset()
-    assert out.rows() == table.rows()
+    assert oracles.ratings(out) == oracles.ratings(table)
 
 
 def test_inject_flip_endpoint():
     rows = [(1, i, 5.0, i) for i in range(1, 11)]
     out, mask = inject_noise(make_table(rows), 0.5, NoiseKind.FLIP, seed=2)
     assert len(mask.keys) == 5
-    flipped = dict(((u, i), v) for u, i, v, _ in out.rows())
+    flipped = dict(((u, i), v) for u, i, v, _ in oracles.ratings(out))
     for key in mask.keys:
         assert flipped[key] == 0.5
 
@@ -231,15 +231,15 @@ def test_inject_exact_count_and_mask_consistency():
     table = _inject_table(1000)
     out, mask = inject_noise(table, 0.1, NoiseKind.UNIFORM_REPLACE, seed=3)
     assert len(mask.keys) == 100
-    before = {(u, i): v for u, i, v, _ in table.rows()}
-    after = {(u, i): v for u, i, v, _ in out.rows()}
+    before = {(u, i): v for u, i, v, _ in oracles.ratings(table)}
+    after = {(u, i): v for u, i, v, _ in oracles.ratings(out)}
     changed = {k for k in before if before[k] != after[k]}
     assert changed == set(mask.keys)
     grid = set(table.scale.grid(0.5).tolist())
     for k in mask.keys:
         assert after[k] in grid and after[k] != before[k]
     # timestamps and untouched rows identical
-    assert [r[3] for r in out.rows()] == [r[3] for r in table.rows()]
+    assert [r[3] for r in oracles.ratings(out)] == [r[3] for r in oracles.ratings(table)]
 
 
 def test_inject_optout_burst_hits_whole_last_day():
@@ -256,8 +256,8 @@ def test_inject_optout_burst_hits_whole_last_day():
     for u in users:
         assert {(u, 8), (u, 9)} <= set(mask.keys)
     assert len(mask.keys) == 4
-    before = {(u, i): v for u, i, v, _ in table.rows()}
-    after = {(u, i): v for u, i, v, _ in out.rows()}
+    before = {(u, i): v for u, i, v, _ in oracles.ratings(table)}
+    after = {(u, i): v for u, i, v, _ in oracles.ratings(out)}
     for k in mask.keys:
         assert after[k] != before[k]
 
@@ -267,8 +267,8 @@ def test_inject_deterministic_and_seed_sensitive():
     a1, m1 = inject_noise(table, 0.1, NoiseKind.UNIFORM_REPLACE, seed=11)
     a2, m2 = inject_noise(table, 0.1, NoiseKind.UNIFORM_REPLACE, seed=11)
     b, m3 = inject_noise(table, 0.1, NoiseKind.UNIFORM_REPLACE, seed=12)
-    assert a1.rows() == a2.rows() and m1 == m2
-    assert m1.keys != m3.keys or a1.rows() != b.rows()
+    assert oracles.ratings(a1) == oracles.ratings(a2) and m1 == m2
+    assert m1.keys != m3.keys or oracles.ratings(a1) != oracles.ratings(b)
 
 
 def test_inject_rate_bounds():
@@ -294,7 +294,7 @@ def test_mask_roundtrip(tmp_path):
 def test_split_three_partitions(planted_small):
     table, _ = planted_small
     train, detect, eval_t = split_three(table, (0.7, 0.15, 0.15), seed=3)
-    keys = lambda t: {(u, i) for u, i, _, _ in t.rows()}
+    keys = lambda t: {(u, i) for u, i, _, _ in oracles.ratings(t)}
     kt, kd, ke = keys(train), keys(detect), keys(eval_t)
     assert kt | kd | ke == keys(table)
     assert not (kt & kd) and not (kt & ke) and not (kd & ke)
@@ -302,7 +302,7 @@ def test_split_three_partitions(planted_small):
     assert len(train) / n == pytest.approx(0.7, abs=0.05)
     assert len(eval_t) / n == pytest.approx(0.15, abs=0.05)
     again = split_three(table, (0.7, 0.15, 0.15), seed=3)
-    assert [t.rows() for t in again] == [train.rows(), detect.rows(), eval_t.rows()]
+    assert [oracles.ratings(t) for t in again] == [oracles.ratings(train), oracles.ratings(detect), oracles.ratings(eval_t)]
 
 
 # -- stage error wrapper -------------------------------------------------

@@ -264,7 +264,7 @@ def test_mf_rank_one_pattern_fits():
     rows = [(1, 1, 1.0, 0), (1, 2, 2.0, 0), (2, 1, 2.0, 0), (2, 2, 4.0, 0)]
     t = make_table(rows)
     model = mf_train(t, f=2, epochs=200, reg=0.0, seed=3)
-    preds = np.array([oracles.mf_predict(model, r.user_id, r.item_id) for r in t])
+    preds = np.array([oracles.mf_predict(model, r.user_id, r.item_id) for r in oracles.ratings(t)])
     rmse = float(np.sqrt(np.mean((preds - t.values) ** 2)))
     assert rmse < 0.1
 
@@ -285,7 +285,7 @@ def test_mf_items_are_exact_ridge_minimizers():
     model = mf_train(t, f=3, epochs=6, reg=reg, seed=2)
     grads = {i: np.zeros(model.f + 1) for i in model.items.tolist()}
     counts = dict.fromkeys(model.items.tolist(), 0)
-    for r in t:
+    for r in oracles.ratings(t):
         ur, ir = np.searchsorted(model.users, r.user_id), np.searchsorted(model.items, r.item_id)
         p, q = model.P[ur], model.Q[ir]
         e = r.value - (model.global_mean + model.bu[ur] + model.bi[ir] + float(p @ q))
@@ -303,11 +303,11 @@ def _bias_only(train, lam: float = 1.0, sweeps: int = 20):
     bi: dict[int, float] = {}
     for _ in range(sweeps):
         acc: dict[int, list[float]] = {}
-        for r in train:
+        for r in oracles.ratings(train):
             acc.setdefault(r.item_id, []).append(r.value - mu - bu.get(r.user_id, 0.0))
         bi = {i: sum(v) / (len(v) + lam) for i, v in acc.items()}
         acc = {}
-        for r in train:
+        for r in oracles.ratings(train):
             acc.setdefault(r.user_id, []).append(r.value - mu - bi[r.item_id])
         bu = {u: sum(v) / (len(v) + lam) for u, v in acc.items()}
     return lambda u, i: oracles.clamp(train.scale, mu + bu.get(u, 0.0) + bi.get(i, 0.0))
@@ -320,7 +320,7 @@ def test_mf_beats_bias_only_on_held_out(planted_small):
     baseline = _bias_only(train)
 
     def rmse(predict) -> float:
-        errs = [predict(r.user_id, r.item_id) - r.value for r in held]
+        errs = [predict(r.user_id, r.item_id) - r.value for r in oracles.ratings(held)]
         return float(np.sqrt(np.mean(np.square(errs))))
 
     assert rmse(lambda u, i: oracles.mf_predict(model, u, i)) < rmse(baseline)

@@ -147,7 +147,7 @@ def test_no_hits_leaves_table_unchanged():
     rows, labels = _last_day_user(1, n_day=10, n_noisy=0)
     table = make_table(rows)
     out = apply_signature_action(table, NO_HITS, SignatureAction.REMOVE_USER)
-    assert out.rows() == table.rows()
+    assert oracles.ratings(out) == oracles.ratings(table)
 
 
 def test_remove_last_day_keeps_earlier_ratings():
@@ -156,7 +156,7 @@ def test_remove_last_day_keeps_earlier_ratings():
     hits = _optout(table, labels)
     out = apply_signature_action(table, hits, SignatureAction.REMOVE_LAST_DAY)
     assert len(out) == 70
-    assert all(utc_day(t) == "1970-01-01" for _, _, _, t in out.rows())
+    assert all(utc_day(t) == "1970-01-01" for _, _, _, t in oracles.ratings(out))
 
 
 def test_default_action_is_remove_user():
@@ -174,7 +174,7 @@ def test_removal_idempotent():
     for action in SignatureAction:
         once = apply_signature_action(table, hits, action)
         twice = apply_signature_action(once, hits, action)
-        assert twice.rows() == once.rows()
+        assert oracles.ratings(twice) == oracles.ratings(once)
 
 
 def test_label_monotone_under_default_denominator():
@@ -248,11 +248,11 @@ def test_apply_signature_action_matches_loop(case, threshold, action):
     hits = detect_optout(table, noisy_flags(table, labels), threshold)
     last_day = {h.user_id: h.evidence["last_day"] for h in oracles.hit_records(hits)}
     want = [
-        row for row in table.rows()
+        row for row in oracles.ratings(table)
         if row[0] not in last_day
         or (action is SignatureAction.REMOVE_LAST_DAY and utc_day(row[3]) != last_day[row[0]])
     ]
-    assert apply_signature_action(table, hits, action).rows() == want
+    assert oracles.ratings(apply_signature_action(table, hits, action)) == want
 
 
 def test_hits_csv_roundtrip(tmp_path):
