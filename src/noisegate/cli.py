@@ -111,11 +111,17 @@ def _print_json(data: dict) -> None:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.rate <= 0.5:
+        raise ConfigError(f"rate must be in [0, 0.5], got {args.rate}")
+    try:
+        scale = Scale(args.scale_min, args.scale_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     path = Path(args.ratings)
     if not path.exists():
         raise DataError(f"ratings file not found: {path}")
     try:
-        table = load_ratings(path, Scale(args.scale_min, args.scale_max))
+        table = load_ratings(path, scale)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     noisy, mask = inject_noise(table, args.rate, NoiseKind(args.kind), args.seed)
@@ -137,7 +143,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if not path.exists():
         raise DataError(f"report file not found: {path}")
-    r = read_json(path)
+    try:
+        r = read_json(path)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not isinstance(r, dict):
+        raise DataError(f"{path}: expected a JSON object")
     lines: list[str] = []
     lines.append(f"mode: {r.get('mode')}"
                  + (f" (detector {r['detector']})" if r.get("detector") else ""))

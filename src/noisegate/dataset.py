@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_columns, read_columns
+from .ioutil import atomic_write_columns, parse_columns
 
 logger = logging.getLogger("noisegate.dataset")
 
@@ -286,12 +286,12 @@ def _read_ratings_columns(path: Path, scale: Scale) -> list[np.ndarray]:
     """The four columns of a ratings CSV, in file order, each one
     contiguous array.
 
-    The file comes from outside the program, so a file read_columns does
+    The file comes from outside the program, so a file parse_columns does
     not take, or one with a row out of range, goes to the row parser,
     which reads it or raises the message that names its first bad row.
     """
     try:
-        rows = read_columns(path, RATINGS_HEADER, _RATINGS_DTYPE)
+        rows = parse_columns(path, RATINGS_HEADER, _RATINGS_DTYPE)
     except ValueError:
         pass
     else:

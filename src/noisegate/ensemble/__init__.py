@@ -3,6 +3,9 @@
 Variants: EL1 bagging random forest, EL2 / EL2_2 stacking, EL3 gradient
 boosting (default), EL4_1 / EL4_2 bagged self-training, EL5 extended
 isolation forest (unsupervised, scores the uncertain set directly).
+train_el returns the fitted learner, whose predict_with_proba(X) gives
+int64 labels (1 = noisy) and float64 scores: the noisy-class probability,
+or EL5's anomaly score, labeled noisy above eif_score_cut.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ logger = logging.getLogger("noisegate.ensemble")
 VARIANTS = ("EL1", "EL2", "EL2_2", "EL3", "EL4_1", "EL4_2", "EL5")
 
 __all__ = [
-    "VARIANTS", "ElModel", "EnsembleConfig", "train_el", "classify_uncertain",
+    "VARIANTS", "EnsembleConfig", "train_el", "classify_uncertain",
     "train_stacking", "train_gbt", "train_ressel",
     "build_feature_matrix", "FEATURE_NAMES",
     "RandomForest", "DecisionTree", "RegressionTree", "ExtendedIsolationForest",
@@ -58,50 +61,17 @@ class EnsembleConfig:
 
 
 class _ConstantModel:
-    def __init__(self, label: int):
+    """One label for every row, with the label itself as the score."""
+
+    def __init__(self, label: int, n_features: int):
         self.label = label
+        self.n_features = n_features
 
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.full(len(X), self.label, dtype=np.int64), self.score(X)
-
-    def score(self, X: np.ndarray) -> np.ndarray:
-        """The label itself, as probability and as EL5's anomaly score."""
-        return np.full(len(X), float(self.label))
-
-
-class ElModel:
-    """A trained Layer-2 learner: variant tag and inner model."""
-
-    def __init__(self, variant: str, inner, n_features: int, score_cut: float | None = None):
-        self.variant = variant
-        self.inner = inner
-        self.n_features = n_features
-        self.score_cut = score_cut
-
-    def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
-        return X
-
-    def classify_with_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Labels (1 = noisy) and scores: the noisy-class probability
-        (supervised) or the anomaly score (EL5, labeled noisy above score_cut),
-        from one pass of the inner model."""
-        X = self._check(X)
-        if self.variant == "EL5":
-            scores = self.inner.score(X)
-            return (scores > self.score_cut).astype(np.int64), scores
-        return self.inner.predict_with_proba(X)
-
-
-def _single_class_guard(y: np.ndarray, variant: str) -> _ConstantModel | None:
-    classes = np.unique(y)
-    if len(classes) < 2:
-        label = int(classes[0]) if len(classes) else 0
-        logger.warning("%s: single-class training set; using constant classifier %d", variant, label)
-        return _ConstantModel(label)
-    return None
+        return np.full(len(X), self.label, dtype=np.int64), np.full(len(X), float(self.label))
 
 
 def train_el(
@@ -110,10 +80,12 @@ def train_el(
     X_unlabeled: np.ndarray,
     config: EnsembleConfig = EnsembleConfig(),
     seed: int = 0,
-) -> ElModel:
-    """Train the configured variant on consensus labels (1 = noisy).
+):
+    """The configured variant's learner, trained on consensus labels (1 = noisy).
 
     EL5 ignores the labeled set and isolates within the unlabeled features.
+    A single-class training set, or EL5 with fewer than 2 unlabeled rows,
+    gives a constant model.
     """
     X_labeled = np.asarray(X_labeled, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -123,33 +95,33 @@ def train_el(
         raise ValueError(f"unknown variant {v!r}")
     n_features = X_labeled.shape[1] if X_labeled.size else X_unlabeled.shape[1]
     if v == "EL5":
-        forest = ExtendedIsolationForest(
-            config.eif_trees, config.eif_sample_size, config.eif_extension_level, seed
-        )
         if len(X_unlabeled) < 2:
             logger.warning("EL5: fewer than 2 uncertain points; everything passes as clean")
-            return ElModel("EL5", _ConstantModel(0), n_features, config.eif_score_cut)
-        forest.fit(X_unlabeled)
-        return ElModel("EL5", forest, n_features, config.eif_score_cut)
-    constant = _single_class_guard(y, v)
-    if constant is not None:
-        return ElModel(v, constant, n_features)
+            return _ConstantModel(0, n_features)
+        return ExtendedIsolationForest(
+            config.eif_trees, config.eif_sample_size, config.eif_extension_level, seed,
+            config.eif_score_cut,
+        ).fit(X_unlabeled)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        label = int(classes[0]) if len(classes) else 0
+        logger.warning("%s: single-class training set; using constant classifier %d", v, label)
+        return _ConstantModel(label, n_features)
     if v == "EL1":
-        model = RandomForest(config.rf_trees, config.rf_max_depth, config.rf_feature_subset, seed)
-        model.fit(X_labeled, y)
-    elif v in ("EL2", "EL2_2"):
-        model = train_stacking(X_labeled, y, v, seed)
-    elif v == "EL3":
-        model = train_gbt(X_labeled, y, config.gbt_rounds, config.gbt_depth, config.gbt_lr)
-    else:  # EL4_1 and EL4_2
-        model = train_ressel(
-            X_labeled, y, X_unlabeled, v, config.ressel_bags,
-            config.ressel_add_per_round, seed, config.ressel_max_rounds,
-        )
-    return ElModel(v, model, n_features)
+        return RandomForest(
+            config.rf_trees, config.rf_max_depth, config.rf_feature_subset, seed
+        ).fit(X_labeled, y)
+    if v in ("EL2", "EL2_2"):
+        return train_stacking(X_labeled, y, v, seed)
+    if v == "EL3":
+        return train_gbt(X_labeled, y, config.gbt_rounds, config.gbt_depth, config.gbt_lr)
+    return train_ressel(  # EL4_1 and EL4_2
+        X_labeled, y, X_unlabeled, v, config.ressel_bags,
+        config.ressel_add_per_round, seed, config.ressel_max_rounds,
+    )
 
 
-def classify_uncertain(model: ElModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def classify_uncertain(model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Noisy flags and scores of the uncertain ratings, one per row of X.
 
     EL5 labels by a fixed cut on its anomaly scores, so when none of them
@@ -157,9 +129,9 @@ def classify_uncertain(model: ElModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     if len(X) == 0:
         return np.zeros(0, dtype=bool), np.zeros(0)
-    labels, scores = model.classify_with_scores(X)
-    noisy, scores = labels == 1, np.asarray(scores, dtype=np.float64)
-    if model.variant == "EL5" and not noisy.any():
+    labels, scores = model.predict_with_proba(X)
+    noisy = labels == 1
+    if isinstance(model, ExtendedIsolationForest) and not noisy.any():
         logger.warning(
             "EL5 labels none of %d Uncertain ratings Noisy: highest score %.3f, "
             "eif_score_cut %s", len(scores), scores.max(), model.score_cut,

@@ -39,6 +39,7 @@ class ExtendedIsolationForest:
     extension_level counts the extra degrees of freedom of each split
     normal: 0 keeps exactly one nonzero coordinate (classic axis-aligned
     behavior), d-1 uses fully random normals.  None means full extension.
+    predict_with_proba labels a row noisy when its score is above score_cut.
     """
 
     def __init__(
@@ -47,11 +48,13 @@ class ExtendedIsolationForest:
         sample_size: int = 256,
         extension_level: int | None = None,
         seed: int = 0,
+        score_cut: float = 0.8,
     ):
         self.n_trees = trees
         self.sample_size = sample_size
         self.extension_level = extension_level
         self.seed = seed
+        self.score_cut = score_cut
         self.trees: list[_IsoNode] = []
         self.n_features = 0
         self._c_norm = 1.0
@@ -133,3 +136,7 @@ class ExtendedIsolationForest:
         mean_depth = total / len(self.trees)
         return np.power(2.0, -mean_depth / self._c_norm)
 
+    def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(score > score_cut as int64 labels, the scores), from one scoring pass."""
+        scores = self.score(X)
+        return (scores > self.score_cut).astype(np.int64), scores

@@ -90,7 +90,11 @@ def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
 
 
-def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
+class _HeaderError(ValueError):
+    """A CSV whose first line is not the expected header."""
+
+
+def parse_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
     """The rows of a CSV under the given header as one structured array.
 
     The first line must be exactly the header.  The lines after it go from
@@ -98,16 +102,24 @@ def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np
     parses every field as its dtype field: no quoting and no comments, so
     a '"' is an ordinary character, and a number cell with a quote, a '_'
     separator or a non-ASCII digit fails.  A header-only file gives an
-    empty array.  ValueError names the path, and for a bad row its line
-    (as row_error does) with numpy's message for that row alone.
+    empty array.  A wrong header raises ValueError naming the path; a bad
+    row, numpy's ValueError, which names no line (read_columns finds it).
     """
     with Path(path).open(newline="", errors="replace") as fh:
         if fh.readline().rstrip("\r\n") != ",".join(header):
-            raise ValueError(f"{path}: expected header {','.join(header)}")
-        try:
-            return _loadtxt(fh, dtype)
-        except ValueError as exc:
-            failure = exc
+            raise _HeaderError(f"{path}: expected header {','.join(header)}")
+        return _loadtxt(fh, dtype)
+
+
+def read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
+    """parse_columns, whose ValueError for a bad row names the path and its
+    line (as row_error does) with numpy's message for that row alone."""
+    try:
+        return parse_columns(path, header, dtype)
+    except _HeaderError:
+        raise
+    except ValueError as exc:
+        failure = exc
     # np.loadtxt checks each row on its own, so a run of rows fails iff one
     # of them does: halving the failing run finds the first bad row.
     rows = _data_lines(path)

@@ -340,13 +340,28 @@ def write_mask(mask: GroundTruthMask, path: str | Path) -> None:
     )
 
 
+# The type of each write_mask entry, and how an error names it.
+_MASK_ENTRIES = {
+    "kind": (str, "a string"), "rate": ((int, float), "a number"),
+    "seed": (int, "an integer"), "keys": (list, "a list"),
+}
+
+
 def read_mask(path: str | Path) -> GroundTruthMask:
+    """The mask write_mask wrote.  ValueError when the file is not a JSON
+    object, an entry is missing or has the wrong type, or a key is not a
+    [userId, itemId] pair of integers."""
     raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object")
+    for name, (types, what) in _MASK_ENTRIES.items():
+        if not isinstance(raw.get(name), types) or isinstance(raw[name], bool):
+            raise ValueError(f"mask entry {name!r} is missing or not {what}")
+    keys = raw["keys"]
+    if not all(isinstance(k, list) and len(k) == 2 and all(type(x) is int for x in k) for k in keys):
+        raise ValueError("mask entry 'keys' must list [userId, itemId] pairs of integers")
     return GroundTruthMask(
-        NoiseKind(raw["kind"]),
-        frozenset((int(u), int(i)) for u, i in raw["keys"]),
-        float(raw["rate"]),
-        int(raw["seed"]),
+        NoiseKind(raw["kind"]), frozenset(map(tuple, keys)), float(raw["rate"]), raw["seed"]
     )
 
 
@@ -432,9 +447,10 @@ def stage_ingest(cfg: PipelineConfig) -> tuple[RatingsTable, dict]:
     if not path.exists():
         raise DataError(f"ratings file not found: {path}")
     table = _read(load_ratings, path, cfg.scale())
-    # Read only to check it: a bad movies file fails here, at ingest, not
-    # in the detect or evaluate stage that uses the genres.
+    # Read only to check them: a bad movies or mask file fails here, at
+    # ingest, not in the detect or evaluate stage that uses it.
     _load_genres(cfg)
+    _load_mask_if_configured(cfg)
     loaded = len(table)
     dropped = table.dropped_duplicates
     table = filter_min_activity(table, cfg.min_activity, cfg.activity_by)
@@ -733,7 +749,7 @@ def _load_mask_if_configured(cfg: PipelineConfig) -> GroundTruthMask | None:
     mpath = Path(cfg.mask_path)
     if not mpath.exists():
         raise DataError(f"mask file not found: {mpath}")
-    return read_mask(mpath)
+    return _read(read_mask, mpath)
 
 
 # -- stages ---------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisegate import board, dataset
+from noisegate import board, dataset, ioutil
 from noisegate.board import VOTES_HEADER, Votes, consensus, read_votes, write_votes
 from noisegate.board.verdict import Verdict
 from noisegate.cli import EXIT_OK, main
@@ -230,6 +230,20 @@ def test_load_ratings_matches_row_parser(scratch, text):
     _same_outcome(
         _outcome(_load_with_warnings, scratch), _outcome(_load_oracle, scratch), _same_table
     )
+
+
+def test_ratings_loader_parses_a_rejected_file_once(tmp_path, monkeypatch):
+    """A ratings file np.loadtxt rejects goes to the row parser after one
+    np.loadtxt call: the loader runs no search for the bad row."""
+    path = tmp_path / "ratings.csv"
+    rows = [f"{k // 50},{k % 50},3.0,5" for k in range(99_999)]
+    path.write_text("\n".join([",".join(RATINGS_HEADER), *rows, '2000,7,3.0,"1000"']) + "\n")
+    calls = []
+    loadtxt = ioutil._loadtxt
+    monkeypatch.setattr(ioutil, "_loadtxt", lambda *a: calls.append(1) or loadtxt(*a))
+    table = load_ratings(path, SCALE)
+    assert len(calls) == 1
+    assert len(table) == 100_000 and table.timestamps.max() == 1000
 
 
 def test_header_only_ratings_file_is_empty_without_warnings(tmp_path):

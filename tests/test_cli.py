@@ -477,13 +477,66 @@ def test_report_on_missing_file_exits_3(tmp_path):
     assert main(["report", str(tmp_path / "nothing.json")]) == EXIT_DATA
 
 
-def _cli_subprocess(args):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "uniform"}', "mask entry 'rate' is missing or not a number"),
+        ("not json", "Expecting value"),
+        ("[]", "expected a JSON object"),
+        ('{"kind": "flip", "rate": 0.1, "seed": 0, "keys": [["1", 2]]}',
+         "mask entry 'keys' must list [userId, itemId] pairs of integers"),
+        ('{"kind": "flip", "rate": 0.1, "seed": true, "keys": []}',
+         "mask entry 'seed' is missing or not an integer"),
+    ],
+    ids=["kind-only", "not-json", "list", "string-key", "bool-seed"],
+)
+def test_malformed_mask_exits_3_at_ingest(tmp_path, capsys, text, message):
+    mask = tmp_path / "mask.json"
+    mask.write_text(text)
+    code = main(["run", *_run_args(tmp_path / "out", "m"), "--mask-path", str(mask)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {mask}: " in err and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        pytest.param(case, code, message, id=case)
+        for case, code, message in [
+            ("rate-above", EXIT_CONFIG, "rate must be in [0, 0.5], got 0.7"),
+            ("rate-below", EXIT_CONFIG, "rate must be in [0, 0.5], got -0.1"),
+            ("scale-reversed", EXIT_CONFIG, "scale requires r_min < r_max, got (5.0, 1.0)"),
+            ("report-not-json", EXIT_DATA, "report.json: Expecting value"),
+            ("report-list", EXIT_DATA, "report.json: expected a JSON object"),
+        ]
+    ],
+)
+def test_bad_flag_or_file_exits_without_traceback(tmp_path, case, code, message):
+    out = [str(tmp_path / "o.csv"), "--out-mask", str(tmp_path / "m.json")]
+    inject = ["inject-noise", "--ratings", str(MINI_DIR / "ratings.csv"), "--kind", "flip",
+              "--out-ratings", *out]
+    report = tmp_path / "report.json"
+    report.write_text("not json" if case == "report-not-json" else "[1, 2]")
+    args = {
+        "rate-above": [*inject, "--rate", "0.7"],
+        "rate-below": [*inject, "--rate", "-0.1"],
+        "scale-reversed": [*inject, "--rate", "0.1", "--scale-min", "5", "--scale-max", "1"],
+    }.get(case, ["report", str(report)])
+    done = _cli_subprocess(args, check=False)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr and message in done.stderr, done.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _cli_subprocess(args, check=True):
     """The CLI in a fresh process, whose logging is set up by main alone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "noisegate.cli", *args],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True, check=check,
     )
 
 

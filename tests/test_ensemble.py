@@ -739,7 +739,7 @@ def _row_local_case(name: str, seed: int):
             ensemble_variant=name, rf_trees=10, gbt_rounds=10, ressel_bags=4,
             ressel_max_rounds=3, eif_trees=10, eif_sample_size=64,
         )
-        return U, train_el(X, y, U, cfg, seed=seed).classify_with_scores
+        return U, train_el(X, y, U, cfg, seed=seed).predict_with_proba
     if name == "ExtendedIsolationForest":
         forest = ExtendedIsolationForest(trees=10, sample_size=64, seed=seed).fit(U)
         return U, lambda Q: (forest.score(Q),)
@@ -785,8 +785,8 @@ def test_train_el_all_variants_classify(variant):
     assert noisy.dtype == bool and noisy.shape == (len(U),)
     assert scores.dtype == np.float64 and scores.shape == (len(U),)
     # the same seed trains the same model, bit for bit
-    first = model.classify_with_scores(U)
-    again = train_el(X, y, U, cfg, seed=0).classify_with_scores(U)
+    first = model.predict_with_proba(U)
+    again = train_el(X, y, U, cfg, seed=0).predict_with_proba(U)
     assert first[0].tobytes() == again[0].tobytes()
     assert first[1].tobytes() == again[1].tobytes()
 
@@ -799,16 +799,15 @@ def _votes_of(members, U):
     ("EL1", "_vote_matrix"), ("EL3", "decision_function"), ("EL4_2", "_votes"),
 ])
 def test_classify_with_scores_scores_once(variant, scorer):
-    """Labels and scores equal the rule applied to the inner model's own
-    members, from one scoring pass."""
+    """Labels and scores equal the rule applied to the model's own members,
+    from one scoring pass."""
     X, y = _separable(80, seed=16)
     U = np.random.default_rng(5).normal(0, 2, size=(30, 2))
     cfg = EnsembleConfig(ensemble_variant=variant, rf_trees=15, gbt_rounds=15, ressel_bags=5)
-    model = train_el(X, y, U, cfg, seed=0)
-    inner = model.inner
+    inner = train_el(X, y, U, cfg, seed=0)
     method = getattr(type(inner), scorer)
     with mock.patch.object(type(inner), scorer, autospec=True, side_effect=method) as spy:
-        labels, scores = model.classify_with_scores(U)
+        labels, scores = inner.predict_with_proba(U)
     assert spy.call_count == 1
     if variant == "EL1":
         votes = _votes_of(inner.trees, U)
@@ -860,7 +859,7 @@ def test_train_el_single_class_constant_guard():
     y = np.ones(20, np.int64)
     model = train_el(X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3"), seed=0)
     probe = np.random.default_rng(7).normal(0, 1, size=(5, 2))
-    assert np.all(model.classify_with_scores(probe)[0] == 1)
+    assert np.all(model.predict_with_proba(probe)[0] == 1)
 
 
 def test_train_el_rejects_unknown_variant_before_single_class_guard():
@@ -905,10 +904,54 @@ def test_classification_csv_roundtrip(tmp_path):
         read_classification(p, "EL1")
 
 
-def test_dimension_mismatch_raises():
-    X, y = _separable(40, seed=19)
-    model = train_el(
-        X, y, np.empty((0, 2)), EnsembleConfig(ensemble_variant="EL3", gbt_rounds=5), seed=0
+_CONTRACT_CASES = (*VARIANTS, "single-class", "EL5-one-row")
+
+
+def _contract_case(case: str):
+    """(model, U): case's learner from train_el, with the Uncertain rows it
+    is scored on.  The two constant cases are a single-class training set
+    (under EL3) and EL5 with one Uncertain row."""
+    X, y = _separable(80, seed=19)
+    U = np.random.default_rng(9).normal(0, 2, size=(30, 2))
+    if case == "single-class":
+        case, y = "EL3", np.ones(len(y), np.int64)
+    elif case == "EL5-one-row":
+        case, U = "EL5", U[:1]
+    cfg = EnsembleConfig(
+        ensemble_variant=case, rf_trees=15, gbt_rounds=15, ressel_bags=5,
+        eif_trees=20, eif_sample_size=16, eif_score_cut=0.5,
     )
-    with pytest.raises(ValueError):
-        model.classify_with_scores(np.zeros((3, 5)))
+    return train_el(X, y, U, cfg, seed=0), U
+
+
+@pytest.mark.parametrize("case", _CONTRACT_CASES)
+def test_predict_with_proba_is_the_layer2_contract(case):
+    """Every learner train_el returns labels and scores each row in one
+    predict_with_proba call: int64 labels in {0, 1} and float64 scores,
+    exactly what classify_uncertain makes of them."""
+    model, U = _contract_case(case)
+    labels, scores = model.predict_with_proba(U)
+    assert labels.dtype == np.int64 and labels.shape == (len(U),)
+    assert scores.dtype == np.float64 and scores.shape == (len(U),)
+    assert set(labels.tolist()) <= {0, 1}
+    noisy, got = classify_uncertain(model, U)
+    assert noisy.tobytes() == (labels == 1).tobytes()
+    assert got.tobytes() == scores.tobytes()
+
+
+def test_el5_labels_noisy_strictly_above_its_cut():
+    model, U = _contract_case("EL5")
+    scores = model.score(U)
+    model.score_cut = float(np.sort(scores)[len(U) // 2])
+    labels, got = model.predict_with_proba(U)
+    assert got.tobytes() == scores.tobytes()
+    assert labels.tolist() == (scores > model.score_cut).astype(np.int64).tolist()
+    assert 0 < labels.sum() < len(U) // 2 + 1
+
+
+@pytest.mark.parametrize("case", _CONTRACT_CASES)
+def test_dimension_mismatch_raises(case):
+    model, _ = _contract_case(case)
+    for shape in ((3, 5), (3, 1), (0, 3), (3,), (3, 2, 1)):
+        with pytest.raises(ValueError):
+            model.predict_with_proba(np.zeros(shape))
