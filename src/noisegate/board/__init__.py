@@ -2,7 +2,8 @@
 
 Each detector is a pure function of immutable tables.  The board collects
 one vote per detector per test rating and reduces them to a unanimous
-consensus: all-noisy, all-clean, or uncertain.
+consensus: all-noisy, all-clean, or uncertain.  NF1, NF2 and NF4 profile
+over a context that must hold every test user and item: train + test.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class BoardResult(NamedTuple):
     nf2: Nf2Result
     nf3: Nf3Result
     nf4: Nf4Result
+    context: RatingsTable  # train + test, which NF1, NF2 and NF4 profiled over
 
 
 def run_board(
@@ -123,17 +125,15 @@ def run_board(
     test: RatingsTable,
     genres: GenreMap,
     config: BoardConfig = BoardConfig(),
-    context: RatingsTable | None = None,
 ) -> BoardResult:
     """Run all four detectors on the test table and reduce votes to consensus.
 
-    Detector profiles (classes, groups, fuzzy aggregates) are computed over
-    `context`, train + test unless given, so every verdict uses all evidence
-    available at detection time; the kNN detector predicts strictly from train.
-    Only NF2 reads the item genres.
+    NF1, NF2 and NF4 profile (classes, groups, fuzzy aggregates) over
+    train + test, all the ratings known at detection time, which holds every
+    test user and item; the kNN detector predicts from train alone.  Only
+    NF2 reads the item genres.
     """
-    if context is None:
-        context = train.merged(test) if len(train) else test
+    context = train.merged(test)
     r1 = nf1_detect(
         test, (config.nf1_cut_low, config.nf1_cut_high), config.nf1_majority, context=context
     )
@@ -150,7 +150,7 @@ def run_board(
     r4 = nf4_detect(test, config.nf4_delta1, config.nf4_delta2, context=context)
     noisy = np.column_stack([r1.noisy, r2.noisy, r3.noisy, r4.noisy])
     votes = Votes(test.users, test.items, noisy, consensus(noisy))
-    return BoardResult(votes, venn_counts(noisy), r1, r2, r3, r4)
+    return BoardResult(votes, venn_counts(noisy), r1, r2, r3, r4, context)
 
 
 VOTES_HEADER = ("userId", "itemId", "nf1", "nf2", "nf3", "nf4", "consensus")

@@ -13,8 +13,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ..dataset import RatingsTable
-from .verdict import profile_rows
+from ..dataset import RatingsTable, context_index
 
 
 class UserClass(Enum):
@@ -123,19 +122,16 @@ def nf1_detect(
 ) -> Nf1Result:
     """Flag ratings that contradict a homologous user/item class pair.
 
-    Classes are computed over `context` (all available evidence, defaulting
-    to the test table itself); the noisy flags and the class codes (3 is
+    Classes are computed over `context` (the board's train + test; the test
+    table by default), which must hold every test user and item: ValueError
+    names the first it lacks.  The noisy flags and the class codes (3 is
     Variable) cover the test rows, in order.  Ratings whose (user, item)
     classes form no homologous pair are Clean.
     """
     ctx = context if context is not None else test
-    users, user_codes = _majority_codes(
-        *profile_rows(test.users, test.values, ctx.users, ctx.values), cuts, majority
-    )
-    items, item_codes = _majority_codes(
-        *profile_rows(test.items, test.values, ctx.items, ctx.values), cuts, majority
-    )
-    u = user_codes[np.searchsorted(users, test.users)]
-    i = item_codes[np.searchsorted(items, test.items)]
+    users, user_codes = _majority_codes(ctx.users, ctx.values, cuts, majority)
+    items, item_codes = _majority_codes(ctx.items, ctx.values, cuts, majority)
+    u = user_codes[context_index(users, test.users, "user")]
+    i = item_codes[context_index(items, test.items, "item")]
     # HOMOLOGOUS pairs user class k with item class k and expects rating class k.
     return Nf1Result((u == i) & (u < 3) & (_class_codes(test.values, cuts) != u), u, i)

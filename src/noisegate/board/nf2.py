@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..dataset import GenreMap, RatingsTable, segment_means, sorted_index
+from ..dataset import GenreMap, RatingsTable, context_index, segment_means, sorted_index
 
 logger = logging.getLogger("noisegate.board.nf2")
 
@@ -46,10 +46,10 @@ def _genre_sums(
     table: RatingsTable, rows: np.ndarray, genre: np.ndarray, n_genres: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted user ids, and per (user, genre) the sum and count of the
-    ratings over the (row, genre) pairs, with one more all-zero user row for
-    users the table lacks.  On the rating grid the sums are exact in any order."""
+    ratings over the (row, genre) pairs.  On the rating grid the sums are
+    exact in any order."""
     users, inv = np.unique(table.users, return_inverse=True)
-    shape = (len(users) + 1, n_genres)
+    shape = (len(users), n_genres)
     flat = inv[rows] * n_genres + genre
     size = shape[0] * shape[1]
     sums = np.bincount(flat, weights=table.values[rows], minlength=size).reshape(shape)
@@ -79,17 +79,10 @@ def _coherence(table: RatingsTable, genres: GenreMap) -> tuple[np.ndarray, ...]:
     return users, coherence, had, sums, counts
 
 
-def group_users(
-    table: RatingsTable, genres: GenreMap, coherence_cut: float = DEFAULT_COHERENCE_CUT
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group every user of this table: the ascending user ids, their
-    quantity codes (rating-count terciles) and whether their quality is
-    easy (coherent over the items' genres) rather than difficult."""
-    return _groups(table, genres, coherence_cut)[:3]
-
-
 def _groups(table: RatingsTable, genres: GenreMap, coherence_cut: float) -> tuple[np.ndarray, ...]:
-    """group_users' three arrays, then the table's genre sums and counts."""
+    """Every user of this table, ascending, with their quantity code (rating-count
+    tercile) and whether their quality is easy (coherent over the items' genres)
+    rather than difficult; then the table's genre sums and counts."""
     users, coherence, had, *genre_sums = _coherence(table, genres)
     counts = np.unique(table.users, return_counts=True)[1].astype(np.float64)
     q1 = float(np.quantile(counts, 1 / 3))
@@ -138,29 +131,22 @@ def nf2_detect(
 ) -> Nf2Result:
     """Group-aware noisy-degree detector over the items' genres.
 
-    Groups and genre means come from `context` (defaults to the test table).
-    Genre means are leave-one-out: the rating under scrutiny is removed from
-    its own genre means, and genres the user only knows through this very
-    rating are skipped.  Medium-quantity users with easy (coherent) profiles
-    are never flagged; everyone else is flagged when RND exceeds rnd_cut.
+    Groups and genre means come from `context` (the board's train + test;
+    the test table by default), which must hold every test user: ValueError
+    names the first it lacks.  Genre means are leave-one-out: the rating
+    under scrutiny is removed from its own genre means, and genres the user
+    only knows through this very rating are skipped.  Medium-quantity users
+    with easy (coherent) profiles are never flagged; everyone else is
+    flagged when RND exceeds rnd_cut.
     """
     ctx = context if context is not None else test
-    # Per test row, its user's group; a user the context lacks is grouped
-    # over the test table instead.
     users, quantity, easy, sums, counts = _groups(ctx, genres, coherence_cut)
-    at = sorted_index(users, test.users)
-    quantity, easy = np.append(quantity, 0)[at], np.append(easy, False)[at]
-    lacking = at == len(users)
-    if lacking.any():
-        test_users, test_quantity, test_easy = group_users(test, genres, coherence_cut)
-        k = sorted_index(test_users, test.users[lacking])
-        quantity[lacking], easy[lacking] = test_quantity[k], test_easy[k]
+    at = context_index(users, test.users, "user")
+    quantity, easy = quantity[at], easy[at]
     theta = np.where(quantity == _LIGHT, theta_light, theta_heavy_medium)
 
-    # Leave-one-out genre means over the context: the user's per-genre sums
-    # and counts, minus the rating itself when the context holds it.  The
-    # sums' rows follow the same user ids as the groups, plus an all-zero
-    # row at len(users) for the users the context lacks.
+    # Leave-one-out genre means: the user's per-genre sums and counts over
+    # the context, minus the rating itself when the context holds it.
     own = ctx.contains(test.users, test.items)
     rows, genre = _genre_pairs(test, genres)
     user = at[rows]

@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dataset import RatingsTable, Scale, id_runs, segment_means
-from .verdict import profile_rows
+from ..dataset import RatingsTable, Scale, context_index, id_runs, segment_means
 
 DEFAULT_DELTA1 = 1.0
 DEFAULT_DELTA2 = 0.25
@@ -56,14 +55,13 @@ def _fuzzy(values: np.ndarray, scale: Scale) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _mean_profiles(
-    test_ids: np.ndarray, test_values: np.ndarray, ctx: tuple[np.ndarray, np.ndarray], scale: Scale
+    ids: np.ndarray, values: np.ndarray, scale: Scale
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct test ids (sorted) and their mean fuzzy profiles, one row each,
-    over the rows profile_rows picks; each mean is np.mean of the id's values."""
-    ids, values = profile_rows(test_ids, test_values, *ctx)
+    """Distinct ids (sorted) and their mean fuzzy profiles, one row each;
+    each mean is np.mean of the id's values in row order."""
     order, uniq, starts, lengths = id_runs(ids)
     profile = [segment_means(col[order], starts, lengths) for col in _fuzzy(values, scale)]
-    return uniq, np.column_stack(profile) if len(uniq) else np.zeros((0, 3))
+    return uniq, np.column_stack(profile)
 
 
 def _manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,17 +84,18 @@ def nf4_detect(
 ) -> Nf4Result:
     """Flag ratings far from both their user's and their item's fuzzy profile.
 
-    Profiles are arithmetic means of fuzzified ratings over `context`
-    (defaults to the test table).  Pairs with d(user, item) >= delta1 are prefiltered Clean; otherwise the
-    noise degree is min(dissim(user, rating), dissim(item, rating)) and the
-    rating is Noisy iff it exceeds delta2.
+    Profiles are arithmetic means of fuzzified ratings over `context` (the
+    board's train + test; the test table by default), which must hold every
+    test user and item: ValueError names the first it lacks.  Pairs with
+    d(user, item) >= delta1 are prefiltered Clean; otherwise the noise degree
+    is min(dissim(user, rating), dissim(item, rating)), Noisy above delta2.
     """
     ctx = context if context is not None else test
     scale = test.scale
-    users, user_p = _mean_profiles(test.users, test.values, (ctx.users, ctx.values), scale)
-    items, item_p = _mean_profiles(test.items, test.values, (ctx.items, ctx.values), scale)
-    up = user_p[np.searchsorted(users, test.users)]
-    ip = item_p[np.searchsorted(items, test.items)]
+    users, user_p = _mean_profiles(ctx.users, ctx.values, scale)
+    items, item_p = _mean_profiles(ctx.items, ctx.values, scale)
+    up = user_p[context_index(users, test.users, "user")]
+    ip = item_p[context_index(items, test.items, "item")]
     rp = np.column_stack(_fuzzy(test.values, scale))
     prefiltered = _manhattan(up, ip) >= delta1
     degree = np.minimum(

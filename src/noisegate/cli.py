@@ -113,6 +113,8 @@ def _print_json(data: dict) -> None:
 def _cmd_inject(args: argparse.Namespace) -> int:
     if not 0.0 <= args.rate <= 0.5:
         raise ConfigError(f"rate must be in [0, 0.5], got {args.rate}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     try:
         scale = Scale(args.scale_min, args.scale_max)
     except ValueError as exc:
@@ -139,6 +141,10 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_NUMBER = (int, float)
+_KINDS = {dict: "an object", list: "a list", _NUMBER: "a number"}
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if not path.exists():
@@ -149,53 +155,62 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise DataError(f"{path}: {exc}") from exc
     if not isinstance(r, dict):
         raise DataError(f"{path}: expected a JSON object")
+
+    def entry(name: str, kind: type | tuple = dict):
+        """The entry at a dotted name, which must be a kind of _KINDS."""
+        value = r
+        for key in name.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataError(f"{path}: report entry {name!r} is missing or not {_KINDS[kind]}")
+        return value
+
     lines: list[str] = []
     lines.append(f"mode: {r.get('mode')}"
                  + (f" (detector {r['detector']})" if r.get("detector") else ""))
-    c = r.get("counts", {})
+    c = entry("counts")
     lines.append(
         f"ratings: {c.get('ratings_after_filter')} "
         f"(train {c.get('train')} / detect {c.get('detect')} / eval {c.get('eval')})"
     )
-    b = r.get("board", {}).get("consensus", {})
+    b = entry("board.consensus")
     lines.append(
         f"consensus: noisy {b.get('noisy')}, clean {b.get('clean')}, "
         f"uncertain {b.get('uncertain')}"
     )
-    pd = r.get("board", {}).get("per_detector_noisy", {})
+    pd = entry("board.per_detector_noisy")
     lines.append("per-detector noisy: " + ", ".join(f"{d} {pd[d]}" for d in sorted(pd)))
-    e = r.get("ensemble", {})
+    e = entry("ensemble")
     if e.get("variant"):
         lines.append(
             f"ensemble {e['variant']}: {e.get('classified_noisy')} noisy / "
             f"{e.get('classified_clean')} clean of {e.get('uncertain_total')} uncertain"
         )
-    s = r.get("signature", {})
+    s = entry("signature")
     lines.append(f"signature hits: {s.get('count')} user(s) {s.get('flagged_users')}")
-    rm = r.get("removal", {})
+    rm = entry("removal")
     lines.append(
         f"removal: {rm.get('noisy_ratings_removed')} noisy + "
         f"{rm.get('signature_ratings_removed')} signature ratings; "
         f"corpus {rm.get('corpus_size')} -> {rm.get('cleaned_size')}"
     )
-    ev = r.get("evaluation", {})
-    lines.append(
-        f"evaluated users: {ev.get('universe_users')} "
-        f"(excluded: {len(ev.get('excluded_users', []))})"
-    )
-    for pair, sec in sorted(ev.get("pairs", {}).items()):
-        lines.append(f"  {pair}: percent positive {sec.get('percent_positive'):.2f} "
-                     f"quadrants {sec.get('quadrant_counts')}")
-    lines.append(
-        f"critical groups: before {ev.get('critical_group_pct_before'):.2f}% "
-        f"-> after {ev.get('critical_group_pct_after'):.2f}%"
-    )
-    gt = r.get("ground_truth")
-    if gt:
+    ev = entry("evaluation")
+    excluded = entry("evaluation.excluded_users", list)
+    lines.append(f"evaluated users: {ev.get('universe_users')} (excluded: {len(excluded)})")
+    for pair in sorted(entry("evaluation.pairs")):
+        pct = entry(f"evaluation.pairs.{pair}.percent_positive", _NUMBER)
+        lines.append(f"  {pair}: percent positive {pct:.2f} "
+                     f"quadrants {ev['pairs'][pair].get('quadrant_counts')}")
+    before = entry("evaluation.critical_group_pct_before", _NUMBER)
+    after = entry("evaluation.critical_group_pct_after", _NUMBER)
+    lines.append(f"critical groups: before {before:.2f}% -> after {after:.2f}%")
+    if r.get("ground_truth"):
+        gt = entry("ground_truth")
+        precision = entry("ground_truth.consensus.precision", _NUMBER)
+        recall = entry("ground_truth.consensus.recall", _NUMBER)
         lines.append(
             f"ground truth ({gt.get('kind')}, rate {gt.get('rate')}): "
-            f"consensus precision {gt['consensus']['precision']:.3f} "
-            f"recall {gt['consensus']['recall']:.3f}"
+            f"consensus precision {precision:.3f} recall {recall:.3f}"
         )
     print("\n".join(lines))
     return EXIT_OK

@@ -223,6 +223,15 @@ def sorted_index(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(found, at, len(keys))
 
 
+def context_index(keys: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
+    """sorted_index where keys, a context table's sorted ids, must hold every
+    id: ValueError names the first absent one, a `what` ("user" or "item")."""
+    at = sorted_index(keys, ids)
+    if (at == len(keys)).any():
+        raise ValueError(f"{what} {ids[at == len(keys)][0]} has no rating in the context table")
+    return at
+
+
 def segment_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """np.mean of each slice values[s : s + n], equal bit for bit to one call per slice.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..board import BoardResult
-from ..dataset import RatingsTable, id_stats, sorted_index
+from ..dataset import RatingsTable, context_index, id_stats
 from ..ioutil import atomic_write_columns, read_columns
 
 FEATURE_NAMES = (
@@ -34,16 +34,14 @@ FEATURE_NAMES = (
 )
 
 
-def _stats_at(ids: np.ndarray, context_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(mean, std, log count) of the context values of each id, one row per id.
+def _stats_at(ids: np.ndarray, ctx_ids: np.ndarray, values: np.ndarray, what: str) -> np.ndarray:
+    """(mean, std, log count) of the context values of each id (a `what`), one row per id.
 
     The logs come from math.log, one call per distinct count: np.log can
     differ from it in the last bit.
     """
-    uniq, mean, std, count = id_stats(context_ids, values)
-    at = sorted_index(uniq, ids)
-    if np.any(at == len(uniq)):
-        raise ValueError(f"id {ids[at == len(uniq)][0]} has no rating in the context table")
+    uniq, mean, std, count = id_stats(ctx_ids, values)
+    at = context_index(uniq, ids, what)
     counts, inv = np.unique(count, return_inverse=True)
     log_count = np.array([math.log(n) for n in counts.tolist()])[inv]
     return np.column_stack([mean, std, log_count])[at]
@@ -54,7 +52,8 @@ def build_feature_matrix(
 ) -> np.ndarray:
     """Feature matrix for the test ratings the board voted on, one row per vote row.
 
-    Statistics come from the same context table the detectors profiled on.
+    Statistics come from the context table the detectors profiled on
+    (BoardResult.context): ValueError names a test user or item it lacks.
     An unpredictable kNN rating encodes consistency 0 alongside a raised
     missing flag so the learners can tell it apart from a perfect match.
     """
@@ -63,8 +62,8 @@ def build_feature_matrix(
         raise ValueError(f"the board's votes are not aligned to the {len(test)} rows of this table")
     if not len(test):
         return np.zeros((0, len(FEATURE_NAMES)))
-    user = _stats_at(test.users, context.users, context.values)
-    item = _stats_at(test.items, context.items, context.values)
+    user = _stats_at(test.users, context.users, context.values, "user")
+    item = _stats_at(test.items, context.items, context.values, "item")
     value = test.values
     scale = context.scale
     cons = board.nf3.consistency

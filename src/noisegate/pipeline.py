@@ -210,6 +210,8 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
             raise ConfigError("mf_factors and mf_epochs must be >= 1")
         if not all(math.isfinite(v) for v in (self.plane_a, self.plane_b)):
             raise ConfigError("plane_a and plane_b must be finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _coerce(name: str, value, kind: type):
@@ -349,20 +351,25 @@ _MASK_ENTRIES = {
 
 def read_mask(path: str | Path) -> GroundTruthMask:
     """The mask write_mask wrote.  ValueError when the file is not a JSON
-    object, an entry is missing or has the wrong type, or a key is not a
-    [userId, itemId] pair of integers."""
+    object, an entry is missing or has the wrong type, the rate is outside
+    [0, 0.5], or a key is not a [userId, itemId] pair of integers >= 0 or repeats."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("expected a JSON object")
     for name, (types, what) in _MASK_ENTRIES.items():
         if not isinstance(raw.get(name), types) or isinstance(raw[name], bool):
             raise ValueError(f"mask entry {name!r} is missing or not {what}")
+    if not 0.0 <= raw["rate"] <= 0.5:
+        raise ValueError(f"mask entry 'rate' must be in [0, 0.5], got {raw['rate']}")
     keys = raw["keys"]
     if not all(isinstance(k, list) and len(k) == 2 and all(type(x) is int for x in k) for k in keys):
         raise ValueError("mask entry 'keys' must list [userId, itemId] pairs of integers")
-    return GroundTruthMask(
-        NoiseKind(raw["kind"]), frozenset(map(tuple, keys)), float(raw["rate"]), raw["seed"]
-    )
+    if any(min(k) < 0 for k in keys):
+        raise ValueError("mask entry 'keys' holds a negative id")
+    pairs = frozenset(map(tuple, keys))
+    if len(pairs) < len(keys):
+        raise ValueError("mask entry 'keys' repeats a [userId, itemId] pair")
+    return GroundTruthMask(NoiseKind(raw["kind"]), pairs, float(raw["rate"]), raw["seed"])
 
 
 # -- artifact layout ----------------------------------------------------
@@ -507,9 +514,8 @@ def stage_board(
 ) -> dict:
     """Layer 1 plus the feature matrix Layer 2 will consume; everything
     persisted so the ensemble stage can run without recomputation."""
-    context = train.merged(detect) if len(train) else detect
-    board = run_board(train, detect, genres, cfg, context=context)
-    X = build_feature_matrix(detect, context, board)
+    board = run_board(train, detect, genres, cfg)
+    X = build_feature_matrix(detect, board.context, board)
     write_votes(board.votes, paths.votes)
     dump_json(board.venn, paths.venn)
     write_features(paths.features, board.votes.users, board.votes.items, X)

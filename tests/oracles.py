@@ -211,21 +211,18 @@ _ITEM_CLASSES = (
 )
 
 
-def _profile_values(test, ctx, column: str, key: int) -> np.ndarray:
-    rows = _rows(getattr(ctx, column), key)
-    if len(rows):
-        return ctx.values[rows]
-    return test.values[_rows(getattr(test, column), key)]
+def _profile_values(ctx, column: str, key: int) -> np.ndarray:
+    return ctx.values[_rows(getattr(ctx, column), key)]
 
 
 def nf1_detect_loop(test, cuts=(2.5, 4.0), majority=0.5, context=None) -> Nf1Result:
     ctx = context if context is not None else test
     user_classes = {
-        u: _USER_CLASSES[_set_class(_profile_values(test, ctx, "users", u), cuts, majority)]
+        u: _USER_CLASSES[_set_class(_profile_values(ctx, "users", u), cuts, majority)]
         for u in {int(u) for u in test.users}
     }
     item_classes = {
-        i: _ITEM_CLASSES[_set_class(_profile_values(test, ctx, "items", i), cuts, majority)]
+        i: _ITEM_CLASSES[_set_class(_profile_values(ctx, "items", i), cuts, majority)]
         for i in {int(i) for i in test.items}
     }
     noisy, user_class, item_class = [], [], []
@@ -299,7 +296,7 @@ def _groups_loop(
 def group_users_loop(
     table: RatingsTable, genres, coherence_cut: float = 0.8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ascending user ids, quantity codes, easy flags), as group_users gives them."""
+    """(ascending user ids, quantity codes, easy flags), as nf2._groups gives them first."""
     groups = _groups_loop(table, genres, coherence_cut)
     users = sorted(groups)
     return (
@@ -319,8 +316,6 @@ def nf2_detect_loop(
     noisy, quantities, easy_flags = [], [], []
     rnd_values = []
     for r in ratings(test):
-        if r.user_id not in groups:
-            groups[r.user_id] = _groups_loop(test, genres, coherence_cut)[r.user_id]
         quantity, easy = groups[r.user_id]
         quantities.append(list(Quantity).index(quantity))
         easy_flags.append(easy)
@@ -422,11 +417,11 @@ def nf4_detect_loop(test, delta1=1.0, delta2=0.25, context=None) -> Nf4Result:
     ctx = context if context is not None else test
     scale = test.scale
     user_profiles = {
-        u: _mean_profile(_profile_values(test, ctx, "users", u), scale)
+        u: _mean_profile(_profile_values(ctx, "users", u), scale)
         for u in {int(x) for x in test.users}
     }
     item_profiles = {
-        i: _mean_profile(_profile_values(test, ctx, "items", i), scale)
+        i: _mean_profile(_profile_values(ctx, "items", i), scale)
         for i in {int(x) for x in test.items}
     }
     noisy, degrees, ups, ips = [], [], [], []

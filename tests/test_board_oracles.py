@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from noisegate.board import BoardConfig, run_board, venn_counts
 from noisegate.board.nf1 import nf1_detect
-from noisegate.board.nf2 import _coherence, group_users, nf2_detect
+from noisegate.board.nf2 import _coherence, _groups, nf2_detect
 from noisegate.board.nf3 import nf3_detect
 from noisegate.board.nf4 import nf4_detect
 from noisegate.ensemble.features import build_feature_matrix
@@ -58,9 +58,8 @@ def board_cases(draw):
     rating, a genre-less item rated in train, and a test rating whose
     neighbors tie on |similarity| with both signs, a test rating with ten
     weighted neighbors, and a test rating that deviates from its genre mean
-    by exactly 0.2.  The context is the train + test union the board uses,
-    the test table alone, or train alone (which lacks the test-only user and
-    every held-out rating).
+    by exactly 0.2.  The context is the train + test union the board uses
+    or the test table alone: either holds every test user and item.
     """
     n_users = draw(st.integers(2, 8))
     n_items = draw(st.integers(2, 6))
@@ -103,9 +102,9 @@ def board_cases(draw):
         vectors[item] = np.array([b & 1, b >> 1 & 1, b >> 2 & 1, 0], dtype=np.float64)
     vectors[TEST_ONLY_ITEM] = np.array([0.0, 0.0, 0.0, 1.0])
     train, test = make_table(train_rows), make_table(test_rows)
-    context = {
-        "merged": train.merged(test), "test": test, "train": train,
-    }[draw(st.sampled_from(("merged", "test", "train")))]
+    context = {"merged": train.merged(test), "test": test}[
+        draw(st.sampled_from(("merged", "test")))
+    ]
     return train, test, context, genre_map(vectors, VOCAB)
 
 
@@ -148,7 +147,7 @@ def test_nf2_matches_loop_oracle(case, thetas, rnd_cut, coherence_cut):
     assert _same(got.rnd, want.rnd)
     assert _same(got.quantity, want.quantity)
     assert _same(got.easy, want.easy)
-    groups = group_users(context, genres, coherence_cut)
+    groups = _groups(context, genres, coherence_cut)[:3]
     assert all(map(_same, groups, oracles.group_users_loop(context, genres, coherence_cut)))
     users, coherence, had = _coherence(context, genres)[:3]
     for u, c, h in zip(users.tolist(), coherence.tolist(), had.tolist()):
@@ -250,6 +249,26 @@ def test_nf3_blocks_match_loop_oracle(monkeypatch, cells):
     assert 0 < got.n_unpredictable < len(test)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=board_cases())
+def test_detectors_match_loop_oracles_over_a_context_without_some_ratings(case):
+    """A context that holds every test user and item but not every test
+    rating: train plus the test rows of the users and items train lacks.
+    NF2's leave-one-out means then leave out only the ratings the context
+    holds."""
+    train, test, _, genres = case
+    lacking = ~np.isin(test.users, train.users) | ~np.isin(test.items, train.items)
+    context = train.merged(test.subset_rows(np.flatnonzero(lacking)))
+    assert not context.contains(test.users, test.items).all()
+    for detect, loop, args in [
+        (nf1_detect, oracles.nf1_detect_loop, ()),
+        (nf2_detect, oracles.nf2_detect_loop, (genres,)),
+        (nf4_detect, oracles.nf4_detect_loop, ()),
+    ]:
+        got, want = detect(test, *args, context=context), loop(test, *args, context=context)
+        assert all(_same(a, b) for a, b in zip(got[:4], want[:4]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     case=board_cases(),
@@ -270,11 +289,12 @@ def test_nf4_matches_loop_oracle(case, deltas):
 @given(case=board_cases(), cfg=knn_configs)
 def test_board_and_features_match_loop_oracles(case, cfg):
     train, test, _, genres = case
-    context = train.merged(test)
     board_cfg = BoardConfig(
         nf3_k=cfg.k, nf3_min_overlap=cfg.min_overlap, nf3_significance_cap=cfg.significance_cap
     )
     board = run_board(train, test, genres, board_cfg)
+    context = board.context
+    assert oracles.keys(context) == sorted(oracles.keys(train) + oracles.keys(test))
     votes = oracles.votes_loop(test, (board.nf1, board.nf2, board.nf3, board.nf4))
     assert _same_votes(board.votes, votes)
     assert list(board.venn.items()) == list(oracles.venn_loop(votes).items())
@@ -286,3 +306,43 @@ def test_board_and_features_match_loop_oracles(case, cfg):
     want_keys, want_X = oracles.feature_matrix_loop(test, context, board)
     assert want_keys == board.votes.keys()
     assert np.array_equal(X, want_X)
+
+
+def _train_lacking(missing: str):
+    """(train, test, genres): train holds every user and item of test but
+    TEST_ONLY_USER (missing "user") or TEST_ONLY_ITEM (missing "item")."""
+    train = make_table(
+        [(u, i, 0.5 * (u + 2 * i), 0) for u in (1, 2, 3) for i in (1, 2, 3) if u != i]
+    )
+    lone = (TEST_ONLY_USER, 1, 3.0, 0) if missing == "user" else (1, TEST_ONLY_ITEM, 3.0, 0)
+    test = make_table([(1, 1, 4.0, 0), (2, 2, 1.0, 0), lone])
+    vectors = {i: np.array([1.0, 0.0, 0.0, 0.0]) for i in (1, 2, 3)}
+    vectors[TEST_ONLY_ITEM] = np.array([0.0, 0.0, 0.0, 1.0])
+    return train, test, genre_map(vectors, VOCAB)
+
+
+# Each takes (train, test, genres, context) and profiles test over context.
+_PROFILERS = {
+    "nf1": lambda train, test, genres, context: nf1_detect(test, context=context),
+    "nf2": lambda train, test, genres, context: nf2_detect(test, genres, context=context),
+    "nf4": lambda train, test, genres, context: nf4_detect(test, context=context),
+    "features": lambda train, test, genres, context: build_feature_matrix(
+        test, context, run_board(train, test, genres)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "profiler, missing",
+    [(name, "user") for name in _PROFILERS]
+    + [(name, "item") for name in _PROFILERS if name != "nf2"],
+)
+def test_context_lacking_a_test_id_raises_naming_it(profiler, missing):
+    """A context without some test user or item is an error naming that id,
+    not a silent profile over the test table.  NF2 profiles users only."""
+    train, test, genres = _train_lacking(missing)
+    lone = TEST_ONLY_USER if missing == "user" else TEST_ONLY_ITEM
+    with pytest.raises(ValueError, match=f"^{missing} {lone} has no rating in the context table$"):
+        _PROFILERS[profiler](train, test, genres, train)
+    # The board's own context, train + test, holds it.
+    _PROFILERS[profiler](train, test, genres, train.merged(test))

@@ -487,8 +487,21 @@ def test_report_on_missing_file_exits_3(tmp_path):
          "mask entry 'keys' must list [userId, itemId] pairs of integers"),
         ('{"kind": "flip", "rate": 0.1, "seed": true, "keys": []}',
          "mask entry 'seed' is missing or not an integer"),
+        ('{"kind": "flip", "rate": 7.0, "seed": 0, "keys": []}',
+         "mask entry 'rate' must be in [0, 0.5], got 7.0"),
+        ('{"kind": "flip", "rate": -0.1, "seed": 0, "keys": []}',
+         "mask entry 'rate' must be in [0, 0.5], got -0.1"),
+        ('{"kind": "flip", "rate": 0.1, "seed": 0, "keys": [[1, 2], [3, 4], [1, 2]]}',
+         "mask entry 'keys' repeats a [userId, itemId] pair"),
+        ('{"kind": "flip", "rate": 0.1, "seed": 0, "keys": [[1, 2], [-1, 2]]}',
+         "mask entry 'keys' holds a negative id"),
+        ('{"kind": "flip", "rate": 0.1, "seed": 0, "keys": [[1, -2]]}',
+         "mask entry 'keys' holds a negative id"),
     ],
-    ids=["kind-only", "not-json", "list", "string-key", "bool-seed"],
+    ids=[
+        "kind-only", "not-json", "list", "string-key", "bool-seed", "rate-above", "rate-below",
+        "repeated-key", "negative-user", "negative-item",
+    ],
 )
 def test_malformed_mask_exits_3_at_ingest(tmp_path, capsys, text, message):
     mask = tmp_path / "mask.json"
@@ -508,8 +521,14 @@ def test_malformed_mask_exits_3_at_ingest(tmp_path, capsys, text, message):
             ("rate-above", EXIT_CONFIG, "rate must be in [0, 0.5], got 0.7"),
             ("rate-below", EXIT_CONFIG, "rate must be in [0, 0.5], got -0.1"),
             ("scale-reversed", EXIT_CONFIG, "scale requires r_min < r_max, got (5.0, 1.0)"),
+            ("inject-seed-negative", EXIT_CONFIG, "config error: seed must be >= 0, got -1"),
+            ("ingest-seed-negative", EXIT_CONFIG, "config error: seed must be >= 0, got -3"),
             ("report-not-json", EXIT_DATA, "report.json: Expecting value"),
             ("report-list", EXIT_DATA, "report.json: expected a JSON object"),
+            ("report-empty", EXIT_DATA,
+             "report.json: report entry 'counts' is missing or not an object"),
+            ("report-counts-list", EXIT_DATA,
+             "report.json: report entry 'counts' is missing or not an object"),
         ]
     ],
 )
@@ -518,16 +537,86 @@ def test_bad_flag_or_file_exits_without_traceback(tmp_path, case, code, message)
     inject = ["inject-noise", "--ratings", str(MINI_DIR / "ratings.csv"), "--kind", "flip",
               "--out-ratings", *out]
     report = tmp_path / "report.json"
-    report.write_text("not json" if case == "report-not-json" else "[1, 2]")
+    report.write_text({
+        "report-not-json": "not json", "report-empty": "{}", "report-counts-list": '{"counts": []}',
+    }.get(case, "[1, 2]"))
     args = {
         "rate-above": [*inject, "--rate", "0.7"],
         "rate-below": [*inject, "--rate", "-0.1"],
         "scale-reversed": [*inject, "--rate", "0.1", "--scale-min", "5", "--scale-max", "1"],
+        "inject-seed-negative": [*inject, "--rate", "0.1", "--seed", "-1"],
+        "ingest-seed-negative": ["ingest", *_run_args(tmp_path / "out", "s"), "--seed", "-3"],
     }.get(case, ["report", str(report)])
     done = _cli_subprocess(args, check=False)
     assert done.returncode == code
     assert "Traceback" not in done.stderr and message in done.stderr, done.stderr
-    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def _report_with(cli_run, tmp_path, name: str, value) -> str:
+    """The path of a copy of cli_run's report with the dotted entry name set to value."""
+    report = read_json(cli_run / "report.json")
+    *parents, last = name.split(".")
+    section = report
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("board", None, "'board.consensus' is missing or not an object"),
+        ("board.per_detector_noisy", [], "'board.per_detector_noisy' is missing or not an object"),
+        ("ensemble", "EL3", "'ensemble' is missing or not an object"),
+        ("evaluation.excluded_users", 3, "'evaluation.excluded_users' is missing or not a list"),
+        ("evaluation.pairs.serendipity-f1.percent_positive", None,
+         "'evaluation.pairs.serendipity-f1.percent_positive' is missing or not a number"),
+        ("evaluation.critical_group_pct_after", "60",
+         "'evaluation.critical_group_pct_after' is missing or not a number"),
+        ("ground_truth", {"kind": "flip", "consensus": {"precision": 1.0}},
+         "'ground_truth.consensus.recall' is missing or not a number"),
+    ],
+    ids=["board", "per-detector", "ensemble", "excluded", "percent", "critical", "ground-truth"],
+)
+def test_report_names_a_missing_or_mistyped_entry(cli_run, tmp_path, capsys, name, value, message):
+    path = _report_with(cli_run, tmp_path, name, value)
+    assert main(["report", path]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {path}: report entry {message}\n"
+
+
+# `report` on the cli_run fixture's report.json.
+MINI_REPORT_TEXT = """\
+mode: run
+ratings: 2321 (train 1671 / detect 331 / eval 319)
+consensus: noisy 3, clean 86, uncertain 242
+per-detector noisy: NF1 56, NF2 152, NF3 194, NF4 3
+ensemble EL3: 17 noisy / 225 clean of 242 uncertain
+signature hits: 1 user(s) [28]
+removal: 20 noisy + 36 signature ratings; corpus 2002 -> 1946
+evaluated users: 59 (excluded: 1)
+  serendipity-f1: percent positive 10.17 quadrants {'I': 6, 'II': 1, 'III': 1, 'IV': 0, 'Origin': 51}
+  serendipity-ndcg: percent positive 11.86 quadrants {'I': 7, 'II': 1, 'III': 1, 'IV': 2, 'Origin': 48}
+  serendipity-precision: percent positive 10.17 quadrants {'I': 6, 'II': 1, 'III': 1, 'IV': 0, 'Origin': 51}
+  serendipity-recall: percent positive 10.17 quadrants {'I': 6, 'II': 1, 'III': 1, 'IV': 0, 'Origin': 51}
+critical groups: before 60.00% -> after 40.00%
+"""
+
+
+def test_report_prints_a_mini_report_as_before(cli_run, tmp_path, capsys):
+    """The text of a data/mini report, pinned; a ground-truth section adds one line."""
+    assert main(["report", str(cli_run / "report.json")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == MINI_REPORT_TEXT
+    truth = {"kind": "flip", "rate": 0.1, "consensus": {"precision": 0.5, "recall": 0.25}}
+    assert main(["report", _report_with(cli_run, tmp_path, "ground_truth", truth)]) == EXIT_OK
+    assert capsys.readouterr().out == out + (
+        "ground truth (flip, rate 0.1): consensus precision 0.500 recall 0.250\n"
+    )
 
 
 def _cli_subprocess(args, check=True):

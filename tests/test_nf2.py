@@ -10,7 +10,7 @@ from noisegate.board.nf2 import (
     DEFAULT_COHERENCE_CUT,
     Quantity,
     _coherence,
-    group_users,
+    _groups,
     nf2_detect,
     nf2_rnd,
 )
@@ -25,7 +25,7 @@ def nf2_group_user(
     user: int, table: RatingsTable, genres: GenreMap, coherence_cut: float = DEFAULT_COHERENCE_CUT
 ) -> tuple[Quantity, bool]:
     """(quantity, whether the quality is easy) of one user, from the pass over the whole table."""
-    users, quantity, easy = group_users(table, genres, coherence_cut)
+    users, quantity, easy = _groups(table, genres, coherence_cut)[:3]
     k = users.tolist().index(user)
     return list(Quantity)[quantity[k]], bool(easy[k])
 

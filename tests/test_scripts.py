@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 
 from noisegate.synth import planted_tables
 
@@ -30,3 +31,19 @@ def test_layer2_standin_runs_on_a_small_stand_in(tmp_path, monkeypatch, capsys):
     second = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in second[1:]] == list(script.VARIANTS)
     assert all(line.endswith("  same") for line in second[1:]), second
+
+
+def test_same_outputs_finds_none_on_one_tree_and_a_changed_file(tmp_path, capsys):
+    """The script with this src/ tree on both sides, on two of its cases:
+    nothing differs; then a changed byte in one side's votes.csv, and a
+    report.json that differs only in its timestamp, are told apart."""
+    script = _load_script("same_outputs")
+    src = REPO_ROOT / "src"
+    cases = {name: script.CASES[name] for name in ("run-EL3", "baseline-NF2")}
+    assert script.main(src, src, tmp_path, cases) == 0
+    assert capsys.readouterr().out.endswith(" files: 0 differ\n")
+    votes = tmp_path / "b" / "run-EL3" / "votes.csv"
+    votes.write_bytes(votes.read_bytes().replace(b"clean", b"noisy", 1))
+    report = tmp_path / "b" / "baseline-NF2" / "report.json"
+    report.write_text(json.dumps({**json.loads(report.read_text()), "timestamp": "then"}))
+    assert script.differing(tmp_path / "a", tmp_path / "b")[0] == ["run-EL3/votes.csv"]
