@@ -9,8 +9,9 @@ subprocess's PYTHONPATH.  Both sides write to the same directory,
 OUT/work, which is then renamed to OUT/a or OUT/b, so the paths the
 artifacts and stdout hold agree.  Every file is compared byte for byte but
 report.json, which goes through reports_equal (it drops the timestamp);
-so are each command's stdout, stderr and exit code.  Prints the files and
-commands that differ and exits 1 if any do.
+so are each command's stdout, stderr and exit code.  Prints each file
+that differs (DIFFERS:) or that only one side wrote (ONLY IN A: or ONLY IN
+B:), and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -56,29 +57,32 @@ def run_cases(src: Path, out: Path, cases: dict[str, tuple[str, ...]]) -> None:
 
 
 def differing(a: Path, b: Path) -> tuple[list[str], int]:
-    """The relative paths of the files that differ between trees a and b,
-    or that only one holds, and how many files were compared."""
+    """One line per file that differs between trees a and b or that only
+    one holds, in order of relative path, and how many files were compared."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
-    differ = [str(p) for p in sorted(files_a ^ files_b)]
-    for rel in sorted(files_a & files_b):
-        if rel.name == "report.json":
-            same = reports_equal(a / rel, b / rel)
-        else:
-            same = (a / rel).read_bytes() == (b / rel).read_bytes()
-        if not same:
-            differ.append(str(rel))
-    return sorted(differ), len(files_a | files_b)
+    lines = []
+    for rel in sorted(files_a | files_b):
+        if rel not in files_b:
+            lines.append(f"ONLY IN A: {rel}")
+        elif rel not in files_a:
+            lines.append(f"ONLY IN B: {rel}")
+        elif rel.name == "report.json":
+            if not reports_equal(a / rel, b / rel):
+                lines.append(f"DIFFERS: {rel}")
+        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+            lines.append(f"DIFFERS: {rel}")
+    return lines, len(files_a | files_b)
 
 
 def main(src_a: Path, src_b: Path, out: Path, cases: dict = CASES) -> int:
     run_cases(src_a, out / "a", cases)
     run_cases(src_b, out / "b", cases)
-    differ, n_files = differing(out / "a", out / "b")
-    for rel in differ:
-        print(f"DIFFERS: {rel}")
-    print(f"{len(cases)} commands, {n_files} files: {len(differ)} differ")
-    return 1 if differ else 0
+    lines, n_files = differing(out / "a", out / "b")
+    for line in lines:
+        print(line)
+    print(f"{len(cases)} commands, {n_files} files: {len(lines)} differ")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

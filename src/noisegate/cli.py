@@ -14,6 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .board.verdict import DETECTOR_IDS
 from .dataset import Scale, load_ratings
 from .ioutil import read_json
 from .pipeline import (
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("baseline", parents=[common, config],
                         help="single-detector removal with the identical protocol")
-    pb.add_argument("--detector", required=True, choices=["NF1", "NF2", "NF3", "NF4"])
+    pb.add_argument("--detector", required=True, choices=DETECTOR_IDS)
 
     pi = sub.add_parser("inject-noise", parents=[common],
                         help="perturb a seeded share of ratings and write the mask")

@@ -18,7 +18,8 @@ class RandomForest:
     Every tree t derives its own generator from (seed, t), so the forest
     is reproducible and trees could equally be trained in parallel.
     OOB votes accumulate tree by tree; oob_curve[t] is the OOB error with
-    the first t+1 trees, and oob_error is the final entry.
+    the first t+1 trees, and oob_error is the final entry.  Without
+    bootstrap no row is out of bag: oob_curve stays empty, oob_error None.
     """
 
     def __init__(
@@ -52,9 +53,8 @@ class RandomForest:
         votes = np.zeros((n, 2), dtype=np.int64)
         covered = np.zeros(n, dtype=bool)
         for t in range(self.n_trees):
-            rng = np.random.default_rng([self.seed, t])
             if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
+                idx = np.random.default_rng([self.seed, t]).integers(0, n, size=n)
             else:
                 idx = np.arange(n)
             tree = DecisionTree(
@@ -65,12 +65,14 @@ class RandomForest:
             )
             tree.fit(X[idx], y[idx])
             self.trees.append(tree)
-            oob = np.setdiff1d(np.arange(n), idx, assume_unique=False)
+            if not self.bootstrap:
+                continue
+            oob = np.setdiff1d(np.arange(n), idx)
             if len(oob):
                 pred = tree.predict(X[oob])
                 votes[oob, 0] += pred == 0
                 votes[oob, 1] += pred == 1
-                covered |= np.isin(np.arange(n), oob)
+                covered[oob] = True
             if covered.any():
                 maj = (votes[:, 1] > votes[:, 0]).astype(np.int64)
                 err = float(np.mean(maj[covered] != y[covered]))
@@ -78,20 +80,7 @@ class RandomForest:
                 err = float("nan")
             self.oob_curve.append(err)
         self.oob_error = self.oob_curve[-1] if self.oob_curve else None
-        if not self.bootstrap:
-            self.oob_error = None
-            self.oob_curve = []
         return self
-
-    def _vote_matrix(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees:
-            raise RuntimeError("forest not fitted")
-        votes = np.zeros((len(X), 2), dtype=np.int64)
-        for tree in self.trees:
-            pred = tree.predict(X)
-            votes[:, 0] += pred == 0
-            votes[:, 1] += pred == 1
-        return votes
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.predict_with_proba(X)[1]
@@ -99,5 +88,16 @@ class RandomForest:
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(majority labels, share of trees voting 1) from one vote of the
         trees."""
-        votes = self._vote_matrix(np.asarray(X, dtype=np.float64))
-        return (votes[:, 1] > votes[:, 0]).astype(np.int64), votes[:, 1] / votes.sum(axis=1)
+        if not self.trees:
+            raise RuntimeError("forest not fitted")
+        return majority_vote(self.trees, np.asarray(X, dtype=np.float64))
+
+
+def majority_vote(members: list, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) of a bag of fitted binary classifiers: a row is
+    labeled 1 when more than half of the members predict 1, and its score
+    is the share of members that do."""
+    ones = np.zeros(len(X), dtype=np.int64)
+    for member in members:
+        ones += member.predict(X) == 1
+    return (2 * ones > len(members)).astype(np.int64), ones / len(members)

@@ -14,6 +14,7 @@ import logging
 import numpy as np
 
 from ..seeding import derive_seed
+from .forest import majority_vote
 from .learners import GaussianNB, KnnClassifier, LogisticRegression, MarginClassifier
 from .trees import DecisionTree
 
@@ -59,18 +60,10 @@ class ResselModel:
         self.classifiers = classifiers
         self.oob_sequences = oob_sequences
 
-    def _votes(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(len(X))
-        for clf in self.classifiers:
-            votes += clf.predict(X)
-        return votes
-
     def predict_with_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Majority labels and the share of bags voting noisy, from one vote
         of the bags."""
-        votes = self._votes(X)
-        n = len(self.classifiers)
-        return (votes > n / 2.0).astype(np.int64), votes / n
+        return majority_vote(self.classifiers, X)
 
 
 def _oob_error(clf, X: np.ndarray, y: np.ndarray, oob: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Two-dimensional evaluation: group-validated ranking accuracy against
-serendipity, with per-user improvement deltas."""
+serendipity, with per-user improvement deltas.  ranking_metrics and
+serendipity give one arm's arrays (an ArmEval, aligned to the ascending
+user ids), delta_points pairs two arms, global_means averages one."""
 
 from .clustering import (
     DEFAULT_K,
@@ -19,13 +21,14 @@ from .deltas import (
     Quadrant,
     critical_groups,
     delta_points,
+    global_means,
     percent_positive,
     plane_positive,
     quadrant,
     read_delta_csv,
     write_delta_csv,
 )
-from .metrics import RankingMetrics, ranking_metrics
+from .metrics import ranking_metrics
 from .serendipity import (
     FORMULA_COMPLEMENT,
     FORMULA_PAPER_LITERAL,
@@ -48,10 +51,10 @@ __all__ = [
     "FORMULA_COMPLEMENT",
     "FORMULA_PAPER_LITERAL",
     "Quadrant",
-    "RankingMetrics",
     "cluster_users",
     "critical_groups",
     "delta_points",
+    "global_means",
     "percent_positive",
     "plane_positive",
     "quadrant",

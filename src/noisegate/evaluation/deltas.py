@@ -3,7 +3,9 @@
 Each evaluated user becomes one point: x is the serendipity change and y
 the accuracy change for a chosen ranking metric.  A fixed plane
 a*x + b*y = 0 separates net-positive from net-negative outcomes, and the
-sign pattern of (x, y) places the point in a quadrant.
+sign pattern of (x, y) places the point in a quadrant.  A DeltaReport
+holds the points of one metric pair; the plane it was classified by is
+the caller's, and the means over all users are global_means of each arm.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ class DeltaReport(NamedTuple):
     array aligned to the ascending user ids."""
 
     pair: str
-    metric: str
-    plane: tuple[float, float]
     users: np.ndarray
     clusters: np.ndarray
     x: np.ndarray
@@ -65,8 +65,6 @@ class DeltaReport(NamedTuple):
     quadrant: np.ndarray
     positive: np.ndarray
     percent_positive: float
-    global_before: dict[str, float]
-    global_after: dict[str, float]
 
     @property
     def boundary(self) -> np.ndarray:
@@ -99,6 +97,11 @@ def plane_positive(x: float, y: float, plane: tuple[float, float] = DEFAULT_PLAN
 def _mean(values: np.ndarray) -> float:
     """Mean summed left to right, as a sequential sum would; 0 when empty."""
     return float(np.cumsum(values)[-1] / len(values)) if len(values) else 0.0
+
+
+def global_means(arm: ArmEval) -> dict[str, float]:
+    """Each metric's mean over the arm's users, keyed by ArmEval field."""
+    return {m: _mean(v) for m, v in arm._asdict().items()}
 
 
 def critical_groups(labels: np.ndarray, values: np.ndarray) -> float:
@@ -163,8 +166,6 @@ def delta_points(
     )
     return DeltaReport(
         pair=f"serendipity-{metric}",
-        metric=metric,
-        plane=(float(plane[0]), float(plane[1])),
         users=users,
         clusters=labels,
         x=x,
@@ -172,8 +173,6 @@ def delta_points(
         quadrant=quadrant(x, y),
         positive=positive,
         percent_positive=percent_positive(positive, basis, weights),
-        global_before={m: _mean(v) for m, v in before._asdict().items()},
-        global_after={m: _mean(v) for m, v in after._asdict().items()},
     )
 
 

@@ -3,22 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 
-class RankingMetrics(NamedTuple):
-    """One array per metric, one value per user."""
-
-    ndcg: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-
-
-def ranking_metrics(hit: np.ndarray, n_relevant: np.ndarray, K: int) -> RankingMetrics:
-    """nDCG, precision, recall, F1 of each user's first K recommendations.
+def ranking_metrics(hit: np.ndarray, n_relevant: np.ndarray, K: int) -> tuple[np.ndarray, ...]:
+    """nDCG, precision, recall, F1 of each user's first K recommendations,
+    one array each with one value per user, in ArmEval's field order.
 
     hit is a (users x K) matrix whose cell [u, j] says whether user u's
     (j+1)-th recommendation is relevant (False past the end of a short list),
@@ -44,4 +35,4 @@ def ranking_metrics(hit: np.ndarray, n_relevant: np.ndarray, K: int) -> RankingM
     recall = np.divide(hits, n_relevant, out=np.zeros(len(hit)), where=n_relevant > 0)
     total = precision + recall
     f1 = np.divide(2 * precision * recall, total, out=np.zeros(len(hit)), where=total > 0)
-    return RankingMetrics(ndcg, precision, recall, f1)
+    return ndcg, precision, recall, f1

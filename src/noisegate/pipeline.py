@@ -56,6 +56,7 @@ from .evaluation import (
     cluster_users,
     critical_groups,
     delta_points,
+    global_means,
     ranking_metrics,
     serendipity,
     write_delta_csv,
@@ -153,6 +154,9 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
         return SignatureAction(self.signature_action)
 
     def validate(self) -> None:
+        for name, kind in typing.get_type_hints(PipelineConfig).items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
         if not self.ratings_path:
             raise ConfigError("ratings_path is required")
         if not self.movies_path:
@@ -192,8 +196,8 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
             raise ConfigError(f"eif_extension_level must be in [0, {d - 1}]")
         if self.ressel_add_per_round < 1 or self.ressel_max_rounds < 0:
             raise ConfigError("ressel_add_per_round must be >= 1 and ressel_max_rounds >= 0")
-        if not all(math.isfinite(v) and v >= 0.0 for v in (self.gbt_lr, self.mf_reg)):
-            raise ConfigError("gbt_lr and mf_reg must be finite and >= 0")
+        if min(self.gbt_lr, self.mf_reg) < 0.0:
+            raise ConfigError("gbt_lr and mf_reg must be >= 0")
         try:
             SignatureAction(self.signature_action)
         except ValueError:
@@ -208,8 +212,6 @@ class PipelineConfig(BoardConfig, EnsembleConfig):
             raise ConfigError("clusters_k and top_k must be >= 1")
         if self.mf_factors < 1 or self.mf_epochs < 1:
             raise ConfigError("mf_factors and mf_epochs must be >= 1")
-        if not all(math.isfinite(v) for v in (self.plane_a, self.plane_b)):
-            raise ConfigError("plane_a and plane_b must be finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -387,7 +389,6 @@ class RunPaths:
         self.detect_csv = self.splits / "detect.csv"
         self.eval_csv = self.splits / "eval.csv"
         self.votes = self.base / "votes.csv"
-        self.venn = self.base / "venn.json"
         self.board_json = self.base / "board.json"
         self.features = self.base / "features.csv"
         self.ensemble_csv = self.base / "ensemble.csv"
@@ -517,7 +518,6 @@ def stage_board(
     board = run_board(train, detect, genres, cfg)
     X = build_feature_matrix(detect, board.context, board)
     write_votes(board.votes, paths.votes)
-    dump_json(board.venn, paths.venn)
     write_features(paths.features, board.votes.users, board.votes.items, X)
     tally = np.bincount(board.votes.consensus, minlength=len(CONSENSUS))
     section = {
@@ -600,16 +600,21 @@ def _rating_counts(table: RatingsTable, users: np.ndarray) -> np.ndarray:
     return np.searchsorted(table.users, users, "right") - np.searchsorted(table.users, users)
 
 
+def _relevant(eval_t: RatingsTable, cfg: PipelineConfig) -> RatingsTable:
+    """The held-out ratings at or above relevance_threshold: the hits of both arms."""
+    return eval_t.subset_rows(np.flatnonzero(eval_t.values >= cfg.relevance_threshold))
+
+
 def _evaluate_arm(
     model: MfModel,
     corpus: RatingsTable,
-    eval_t: RatingsTable,
+    relevant: RatingsTable,
     universe: np.ndarray,
     genres: GenreMap,
     cfg: PipelineConfig,
 ) -> ArmEval:
-    """Every metric of one arm for the users of universe, in ascending id."""
-    relevant = eval_t.subset_rows(np.flatnonzero(eval_t.values >= cfg.relevance_threshold))
+    """Every metric of one arm for the users of universe, in ascending id;
+    relevant is _relevant of the held-out fold."""
     topk = recommend_topk(model, corpus, universe, cfg.top_k)
     hit = relevant.contains(np.repeat(universe, cfg.top_k), topk.ravel()).reshape(topk.shape)
     metrics = ranking_metrics(hit, _rating_counts(relevant, universe), cfg.top_k)
@@ -640,26 +645,22 @@ def stage_evaluate(
 
     X = before.P[np.searchsorted(before.users, universe)]
     assign = cluster_users(X, k=cfg.clusters_k, seed=derive_seed(cfg.seed, _SALT_CLUSTER))
-    before_eval = _evaluate_arm(before, corpus, eval_t, universe, genres, cfg)
-    after_eval = _evaluate_arm(after, cleaned, eval_t, universe, genres, cfg)
+    relevant = _relevant(eval_t, cfg)
+    before_eval = _evaluate_arm(before, corpus, relevant, universe, genres, cfg)
+    after_eval = _evaluate_arm(after, cleaned, relevant, universe, genres, cfg)
     weights = _rating_counts(eval_t, universe)
+    plane = (cfg.plane_a, cfg.plane_b)
 
     reports: dict[str, DeltaReport] = {}
     pair_sections: dict[str, dict] = {}
     for metric in ACCURACY_METRICS:
         rep = delta_points(
-            universe,
-            assign.labels,
-            before_eval,
-            after_eval,
-            metric,
-            (cfg.plane_a, cfg.plane_b),
-            basis=cfg.percent_basis,
-            weights=weights,
+            universe, assign.labels, before_eval, after_eval, metric, plane,
+            basis=cfg.percent_basis, weights=weights,
         )
         reports[rep.pair] = rep
         write_delta_csv(paths.deltas(rep.pair), rep)
-        write_scatter_svg(paths.scatter(rep.pair), rep.x, rep.y, rep.positive, rep.plane, rep.pair)
+        write_scatter_svg(paths.scatter(rep.pair), rep.x, rep.y, rep.positive, plane, rep.pair)
         q_counts = np.bincount(rep.quadrant, minlength=len(QUADRANTS)).tolist()
         pair_sections[rep.pair] = {
             "percent_positive": rep.percent_positive,
@@ -670,11 +671,11 @@ def stage_evaluate(
     section = {
         "clusters_k": assign.k,
         "top_k": cfg.top_k,
-        "plane": [cfg.plane_a, cfg.plane_b],
+        "plane": list(plane),
         "universe_users": len(universe),
         "excluded_users": eval_users[~evaluable].tolist(),
-        "global_before": reports["serendipity-ndcg"].global_before,
-        "global_after": reports["serendipity-ndcg"].global_after,
+        "global_before": global_means(before_eval),
+        "global_after": global_means(after_eval),
         "critical_group_pct_before": critical_groups(assign.labels, before_eval.ndcg),
         "critical_group_pct_after": critical_groups(assign.labels, after_eval.ndcg),
         "pairs": pair_sections,
@@ -851,20 +852,17 @@ def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
     return _ensemble_info(cfg.ensemble_variant, classified)
 
 
-def _read_labels(
-    cfg: PipelineConfig, paths: RunPaths, detect: RatingsTable, detector: str | None = None
-) -> tuple[Votes, np.ndarray]:
+def _read_labels(cfg: PipelineConfig, paths: RunPaths, detect: RatingsTable) -> tuple[Votes, np.ndarray]:
     """The votes and the ensemble's Noisy flags, checked to line up: votes.csv
     lists the detect split's ratings row for row, and ensemble.csv the
-    Uncertain ones under this run's variant (none in a baseline run, which
-    classifies nothing)."""
+    Uncertain ones under this run's variant."""
     votes = _read(read_votes, paths.votes)
     users, items, classified, _ = _read(
         read_classification, paths.ensemble_csv, cfg.ensemble_variant
     )
     if not (np.array_equal(votes.users, detect.users) and np.array_equal(votes.items, detect.items)):
         raise DataError(f"{paths.votes} does not list the ratings of {paths.detect_csv} row for row")
-    uncertain = votes.where(Consensus.UNCERTAIN) & (detector is None)
+    uncertain = votes.where(Consensus.UNCERTAIN)
     if not (np.array_equal(users, votes.users[uncertain])
             and np.array_equal(items, votes.items[uncertain])):
         raise DataError(
@@ -882,25 +880,31 @@ def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> dict:
     return {"flagged_users": hits.users.tolist(), "count": len(hits)}
 
 
-def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = None) -> RunResult:
-    """Remove, retrain, evaluate and write the report.  With a detector,
-    that detector's verdicts alone are the labels (a baseline run)."""
+def cli_evaluate(cfg: PipelineConfig, paths: RunPaths) -> RunResult:
+    """Remove the ratings the board and the ensemble label Noisy and the
+    signature's hits, retrain, evaluate and write the report."""
     _resume(cfg, paths, "evaluate")
+    detect = _load_split(cfg, paths.detect_csv)
+    votes, classified = _read_labels(cfg, paths, detect)
+    hits = _read(read_hits, paths.signature_csv, cfg.action())
+    return _evaluate_labels(
+        cfg, paths, detect, votes, _final_noisy(votes, classified), hits,
+        _ensemble_info(cfg.ensemble_variant, classified),
+    )
+
+
+def _evaluate_labels(
+    cfg: PipelineConfig, paths: RunPaths, detect: RatingsTable, votes: Votes,
+    noisy: np.ndarray, hits: Hits, ensemble: dict, detector: str | None = None,
+) -> RunResult:
+    """Remove the detect ratings flagged noisy (one per vote row) and the
+    hits' ratings from train and detect, retrain, evaluate and write the
+    report.  A detector names the single detector of a baseline run."""
     genres = _load_genres(cfg)
     train = _load_split(cfg, paths.train_csv)
-    detect = _load_split(cfg, paths.detect_csv)
     eval_t = _load_split(cfg, paths.eval_csv)
     counts = _read(read_json, paths.ingest)
     board_section = _read(read_json, paths.board_json)
-    votes, classified = _read_labels(cfg, paths, detect, detector)
-    hits = _read(read_hits, paths.signature_csv, cfg.action())
-    if detector is None:
-        noisy = _final_noisy(votes, classified)
-        ens_info = _ensemble_info(cfg.ensemble_variant, classified)
-    else:
-        noisy = votes.noisy[:, DETECTOR_IDS.index(detector)]
-        ens_info = _ensemble_info(None, classified)
-
     corpus = train.merged(detect)
     cleaned, removal = _clean_corpus(corpus, votes, noisy, hits, cfg.action())
     reports, eval_section = _stage(
@@ -913,7 +917,7 @@ def cli_evaluate(cfg: PipelineConfig, paths: RunPaths, detector: str | None = No
         "seed": cfg.seed,
         "counts": {**counts, "train": len(train), "detect": len(detect), "eval": len(eval_t)},
         "board": board_section,
-        "ensemble": ens_info,
+        "ensemble": ensemble,
         "signature": {
             "flagged_users": hits.users.tolist(),
             "count": len(hits),
@@ -959,7 +963,7 @@ STAGES: dict[str, Stage] = {
     "detect": Stage(
         "run the four-detector board on the detect split",
         ("train_csv", "detect_csv"),
-        ("votes", "venn", "features", "board_json"),
+        ("votes", "features", "board_json"),
         cli_detect,
     ),
     "ensemble": Stage(
@@ -1001,10 +1005,13 @@ def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
     paths = run_paths(cfg, f"baseline-{detector.lower()}")
     for stage in ("ingest", "detect"):
         STAGES[stage].body(cfg, paths)
+    votes = _read(read_votes, paths.votes)
     none = np.zeros(0, dtype=np.int64)
-    write_classification(none, none, none, none, cfg.ensemble_variant, paths.ensemble_csv)
-    write_hits(Hits(none, none, none, none, none), cfg.action(), paths.signature_csv)
-    return cli_evaluate(cfg, paths, detector)
+    return _evaluate_labels(
+        cfg, paths, _load_split(cfg, paths.detect_csv), votes,
+        votes.noisy[:, DETECTOR_IDS.index(detector)], Hits(none, none, none, none, none),
+        _ensemble_info(None, none), detector,
+    )
 
 
 # -- report comparison ----------------------------------------------------

@@ -136,8 +136,8 @@ def test_criterion_2_formula_oracles():
         )
 
     # ranking metrics against the loop oracle
-    m = _metrics([10, 11, 7, 12, 13], {7}, K=5)
-    assert m.ndcg == pytest.approx(0.5, abs=tol)
+    ndcg, *_ = _metrics([10, 11, 7, 12, 13], {7}, K=5)
+    assert ndcg == pytest.approx(0.5, abs=tol)
     for _ in range(12):
         items = list(rng.choice(60, size=int(rng.integers(1, 12)), replace=False))
         relevant = {int(v) for v in rng.choice(60, size=int(rng.integers(0, 9)), replace=False)}

@@ -502,10 +502,10 @@ def test_deltas_bytes_match_csv_writer(scratch, users, data):
                         dtype=dtype)
 
     report = DeltaReport(
-        "serendipity-ndcg", "ndcg", (0.07, 0.17), np.array(users, dtype=np.int64),
+        "serendipity-ndcg", np.array(users, dtype=np.int64),
         column(st.integers(0, 9), np.int64), column(_finite, np.float64),
         column(_finite, np.float64), column(st.integers(0, len(QUADRANTS) - 1), np.int8),
-        column(st.booleans(), bool), 0.0, {}, {},
+        column(st.booleans(), bool), 0.0,
     )
     write_delta_csv(scratch, report)
     assert scratch.read_bytes() == oracles.csv_writer_text(
@@ -563,8 +563,6 @@ def test_mini_artifacts_take_the_array_path_and_match_csv_writer(mini_run, monke
             mini_run / f"deltas-serendipity-{metric}.csv"
         )
         assert len(users)
-        report = DeltaReport(
-            "", metric, (0.0, 0.0), users, clusters, x, y, quadrant, positive, 0.0, {}, {}
-        )
+        report = DeltaReport("", users, clusters, x, y, quadrant, positive, 0.0)
         points = oracles.delta_records(report)
         matches(f"deltas-serendipity-{metric}.csv", DELTA_HEADER, oracles.delta_rows(points))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from noisegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
 from noisegate.ioutil import read_json
-from noisegate.pipeline import STAGES, reports_equal
+from noisegate.pipeline import STAGES, PipelineConfig, reports_equal
 
 from .conftest import MINI_DIR, REPO_ROOT
 
@@ -162,6 +163,27 @@ def test_out_of_range_learner_keys_exit_2_before_writing(tmp_path, capsys, flags
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# Every config key declared as a float.
+_FLOAT_KEYS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_key_exits_2_before_writing(tmp_path, capsys, key, value):
+    """A NaN or infinite float is a config error that names its key, even
+    where no range check would catch it (a NaN threshold compares False)."""
+    code = main(
+        ["run", "--ratings-path", str(MINI_DIR / "ratings.csv"),
+         "--movies-path", str(MINI_DIR / "movies.csv"), "--out-dir", str(tmp_path / "out"),
+         "--min-activity", "5", "--clusters-k", "5", "--top-k", "5", "--seed", "7",
+         "--" + key.replace("_", "-"), value]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be a finite number, got {value}" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,6 +18,7 @@ from noisegate.evaluation.deltas import (
     Quadrant,
     critical_groups,
     delta_points,
+    global_means,
     percent_positive,
     plane_positive,
     quadrant,
@@ -129,9 +130,10 @@ def _arms():
 def test_delta_points_full_report():
     before, after = _arms()
     report = _report(before, after, metric="ndcg")
-    assert report.metric == "ndcg"
     assert report.pair == "serendipity-ndcg"
-    assert report.plane == DEFAULT_PLANE
+    assert report.positive.tolist() == [
+        plane_positive(x, y, DEFAULT_PLANE) for x, y in zip(report.x.tolist(), report.y.tolist())
+    ]
     by_user = {p.user_id: p for p in oracles.delta_records(report)}
     p1, p2, p3 = by_user[1], by_user[2], by_user[3]
     assert p1.x == pytest.approx(0.0, abs=1e-12) and p1.y == pytest.approx(0.05, abs=1e-12)
@@ -151,12 +153,13 @@ def test_delta_points_full_report():
 
 def test_global_means_brute_recount():
     before, after = _arms()
-    report = _report(before, after)
+    global_before, global_after = global_means(_arm(before)), global_means(_arm(after))
+    assert list(global_before) == list(global_after) == list(ArmEval._fields)
     for field in ("ndcg", "precision", "recall", "f1", "serendipity"):
         want_b = sum(e[field] for e in before) / len(before)
         want_a = sum(e[field] for e in after) / len(after)
-        assert report.global_before[field] == pytest.approx(want_b, abs=1e-12)
-        assert report.global_after[field] == pytest.approx(want_a, abs=1e-12)
+        assert global_before[field] == pytest.approx(want_b, abs=1e-12)
+        assert global_after[field] == pytest.approx(want_a, abs=1e-12)
 
 
 def test_percent_positive_brute_recount_users():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -334,6 +335,8 @@ def test_forest_depth_zero_stump_is_majority():
     forest = RandomForest(trees=1, max_depth=0, seed=0, bootstrap=False).fit(X, y)
     majority = int(np.bincount(y).argmax())
     assert np.all(forest.predict_with_proba(X)[0] == majority)
+    # every row is in every tree's sample, so none is out of bag
+    assert forest.oob_curve == [] and forest.oob_error is None
 
 
 def test_forest_seed_determinism():
@@ -796,17 +799,19 @@ def _votes_of(members, U):
 
 
 @pytest.mark.parametrize("variant, scorer", [
-    ("EL1", "_vote_matrix"), ("EL3", "decision_function"), ("EL4_2", "_votes"),
+    ("EL1", "majority_vote"), ("EL3", "decision_function"), ("EL4_2", "majority_vote"),
 ])
 def test_classify_with_scores_scores_once(variant, scorer):
     """Labels and scores equal the rule applied to the model's own members,
-    from one scoring pass."""
+    from one scoring pass: a method of the model, or the function of its
+    module that the bagged models share."""
     X, y = _separable(80, seed=16)
     U = np.random.default_rng(5).normal(0, 2, size=(30, 2))
     cfg = EnsembleConfig(ensemble_variant=variant, rf_trees=15, gbt_rounds=15, ressel_bags=5)
     inner = train_el(X, y, U, cfg, seed=0)
-    method = getattr(type(inner), scorer)
-    with mock.patch.object(type(inner), scorer, autospec=True, side_effect=method) as spy:
+    owner = type(inner) if hasattr(type(inner), scorer) else sys.modules[type(inner).__module__]
+    method = getattr(owner, scorer)
+    with mock.patch.object(owner, scorer, autospec=True, side_effect=method) as spy:
         labels, scores = inner.predict_with_proba(U)
     assert spy.call_count == 1
     if variant == "EL1":

@@ -24,9 +24,10 @@ from noisegate.evaluation import (
     cluster_users,
     critical_groups,
     delta_points,
+    global_means,
 )
 from noisegate.evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
-from noisegate.pipeline import _evaluate_arm, _rating_counts
+from noisegate.pipeline import _evaluate_arm, _rating_counts, _relevant
 from noisegate.recsys import MfModel, recommend_topk
 
 from . import oracles
@@ -116,7 +117,7 @@ def test_array_evaluation_equals_per_user_oracles(w):
         for user, row in zip(users, topk.tolist()):
             want = oracles.recommend_topk_loop(model, table, user, w.K)
             assert row == want + [-1] * (w.K - len(want))
-        arm = _evaluate_arm(model, table, w.eval_t, w.universe, w.genres, cfg)
+        arm = _evaluate_arm(model, table, _relevant(w.eval_t, cfg), w.universe, w.genres, cfg)
         loop = oracles.evaluate_arm_loop(
             model, table, w.eval_t, users, w.genres, w.K, w.threshold, w.formula
         )
@@ -143,10 +144,10 @@ def test_array_evaluation_equals_per_user_oracles(w):
             p._replace(x=p.x.hex(), y=p.y.hex()) for p in points
         ]
         assert rep.percent_positive.hex() == pct.hex()
-        assert {m: v.hex() for m, v in rep.global_before.items()} == {
+        assert {m: v.hex() for m, v in global_means(arms[0]).items()} == {
             m: v.hex() for m, v in mean_before.items()
         }
-        assert {m: v.hex() for m, v in rep.global_after.items()} == {
+        assert {m: v.hex() for m, v in global_means(arms[1]).items()} == {
             m: v.hex() for m, v in mean_after.items()
         }
     for arm, loop in zip(arms, loops):

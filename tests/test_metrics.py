@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from noisegate.evaluation.metrics import RankingMetrics, ranking_metrics
+from noisegate.evaluation.metrics import ranking_metrics
 
 from .oracles import ranking_metrics_loop
 
 
 def _metrics(items, relevant, K):
-    """ranking_metrics of one user's list, as a one-row hit matrix."""
+    """(nDCG, precision, recall, F1) of one user's list, from ranking_metrics
+    of a one-row hit matrix."""
     hit = np.zeros((1, max(K, 0)), dtype=bool)
     for j, item in enumerate(list(items)[:K]):
         hit[0, j] = item in relevant
-    return RankingMetrics(*(float(v[0]) for v in ranking_metrics(hit, [len(relevant)], K)))
+    return tuple(float(v[0]) for v in ranking_metrics(hit, [len(relevant)], K))
 
 
 def test_perfect_ranking_any_order():
@@ -32,11 +33,8 @@ def test_zero_hits_all_zero():
 
 def test_single_hit_at_position_three():
     m = _metrics([10, 11, 7, 12, 13], {7}, K=5)
-    assert m.precision == pytest.approx(0.2, abs=1e-12)
-    assert m.recall == pytest.approx(1.0, abs=1e-12)
-    assert m.ndcg == pytest.approx((1.0 / math.log2(4)) / 1.0, abs=1e-12)
-    assert m.ndcg == pytest.approx(0.5, abs=1e-12)
-    assert m.f1 == pytest.approx(2 * 0.2 * 1.0 / 1.2, abs=1e-12)
+    assert m == pytest.approx(((1.0 / math.log2(4)) / 1.0, 0.2, 1.0, 2 * 0.2 * 1.0 / 1.2), abs=1e-12)
+    assert m[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_empty_relevant_set():
@@ -53,17 +51,13 @@ def test_only_first_k_positions_count():
 def test_k_larger_than_list():
     # precision divides by K even when fewer items were recommended
     m = _metrics([7], {7}, K=5)
-    assert m.precision == pytest.approx(0.2, abs=1e-12)
-    assert m.recall == pytest.approx(1.0, abs=1e-12)
-    assert m.ndcg == pytest.approx(1.0, abs=1e-12)
+    assert m[:3] == pytest.approx((1.0, 0.2, 1.0), abs=1e-12)
 
 
 def test_more_relevant_than_k():
     # ideal ranking saturates at K hits
     m = _metrics([1, 2], {1, 2, 3, 4}, K=2)
-    assert m.ndcg == pytest.approx(1.0, abs=1e-12)
-    assert m.precision == pytest.approx(1.0, abs=1e-12)
-    assert m.recall == pytest.approx(0.5, abs=1e-12)
+    assert m[:3] == pytest.approx((1.0, 1.0, 0.5), abs=1e-12)
 
 
 def test_invalid_k_raises():

@@ -124,7 +124,7 @@ def test_config_bad_values_rejected():
         config_from_dict({**base, "ensemble_variant": "EL9"})
     with pytest.raises(ConfigError, match="signature_action"):
         config_from_dict({**base, "signature_action": "shadowban"})
-    with pytest.raises(ConfigError, match="plane_a and plane_b"):
+    with pytest.raises(ConfigError, match="plane_b must be a finite number"):
         config_from_dict({**base, "plane_b": float("inf")})
     with pytest.raises(ConfigError, match="ratings_path"):
         config_from_dict({})
@@ -325,7 +325,7 @@ def test_run_artifacts_exist(framework_run):
     cfg, result = framework_run
     p = result.paths
     for path in (
-        p.ingest, p.train_csv, p.detect_csv, p.eval_csv, p.votes, p.venn,
+        p.ingest, p.train_csv, p.detect_csv, p.eval_csv, p.votes,
         p.board_json, p.features, p.ensemble_csv, p.signature_csv, p.report,
         p.before_model, p.after_model,
     ):
@@ -333,6 +333,8 @@ def test_run_artifacts_exist(framework_run):
     for pair in result.reports:
         assert p.deltas(pair).exists()
         assert p.scatter(pair).exists()
+    # the board's venn counts live in board.json only
+    assert not (p.base / "venn.json").exists()
 
 
 def test_run_report_is_complete(framework_run):
@@ -484,6 +486,19 @@ def test_ground_truth_section_with_mask(tmp_path):
 # -- baselines -----------------------------------------------------------
 
 
+def _assert_baseline_classifies_and_signs_nothing(result):
+    """A baseline run writes no classification and no signature file, and
+    its report says that nothing was classified or flagged."""
+    r = result.report_dict
+    assert not result.paths.ensemble_csv.exists()
+    assert not result.paths.signature_csv.exists()
+    assert r["ensemble"] == {
+        "variant": None, "uncertain_total": 0, "classified_noisy": 0, "classified_clean": 0,
+    }
+    assert r["signature"]["flagged_users"] == [] and r["signature"]["count"] == 0
+    assert len(result.hits) == 0
+
+
 def test_inert_baseline_all_deltas_zero(tmp_path):
     # NF3 with an unreachable threshold removes nothing, so before == after
     cfg = _fast_config(tmp_path, run_id="inert", nf3_th=1.0)
@@ -491,6 +506,7 @@ def test_inert_baseline_all_deltas_zero(tmp_path):
     r = result.report_dict
     assert r["mode"] == "baseline" and r["detector"] == "NF3"
     assert r["removal"]["cleaned_size"] == r["removal"]["corpus_size"]
+    _assert_baseline_classifies_and_signs_nothing(result)
     report = result.reports["serendipity-ndcg"]
     assert report.percent_positive == 0.0
     assert all(p.quadrant is Quadrant.ORIGIN for p in oracles.delta_records(report))
@@ -502,7 +518,7 @@ def test_baseline_removes_exactly_detector_verdicts(tmp_path):
     r = result.report_dict
     assert r["removal"]["noisy_ratings_removed"] == r["board"]["per_detector_noisy"]["NF1"]
     assert r["removal"]["signature_ratings_removed"] == 0
-    assert r["ensemble"]["variant"] is None
+    _assert_baseline_classifies_and_signs_nothing(result)
 
 
 def test_unknown_baseline_detector_rejected(tmp_path):

@@ -36,7 +36,8 @@ def test_layer2_standin_runs_on_a_small_stand_in(tmp_path, monkeypatch, capsys):
 def test_same_outputs_finds_none_on_one_tree_and_a_changed_file(tmp_path, capsys):
     """The script with this src/ tree on both sides, on two of its cases:
     nothing differs; then a changed byte in one side's votes.csv, and a
-    report.json that differs only in its timestamp, are told apart."""
+    report.json that differs only in its timestamp, are told apart; and a
+    file that one side lacks is named as only in the other."""
     script = _load_script("same_outputs")
     src = REPO_ROOT / "src"
     cases = {name: script.CASES[name] for name in ("run-EL3", "baseline-NF2")}
@@ -46,4 +47,16 @@ def test_same_outputs_finds_none_on_one_tree_and_a_changed_file(tmp_path, capsys
     votes.write_bytes(votes.read_bytes().replace(b"clean", b"noisy", 1))
     report = tmp_path / "b" / "baseline-NF2" / "report.json"
     report.write_text(json.dumps({**json.loads(report.read_text()), "timestamp": "then"}))
-    assert script.differing(tmp_path / "a", tmp_path / "b")[0] == ["run-EL3/votes.csv"]
+    assert script.differing(tmp_path / "a", tmp_path / "b")[0] == ["DIFFERS: run-EL3/votes.csv"]
+    (tmp_path / "a" / "run-EL3" / "board.json").unlink()
+    (tmp_path / "b" / "baseline-NF2" / "votes.csv").unlink()
+    assert script.differing(tmp_path / "a", tmp_path / "b")[0] == [
+        "ONLY IN A: baseline-NF2/votes.csv",
+        "ONLY IN B: run-EL3/board.json",
+        "DIFFERS: run-EL3/votes.csv",
+    ]
+    assert script.differing(tmp_path / "b", tmp_path / "a")[0] == [
+        "ONLY IN B: baseline-NF2/votes.csv",
+        "ONLY IN A: run-EL3/board.json",
+        "DIFFERS: run-EL3/votes.csv",
+    ]

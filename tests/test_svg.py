@@ -42,5 +42,5 @@ _NDCG = [0.0625, 0.25, -0.1875, -0.125, 0.0, 0.03125]
 )
 def test_scatter_svg_bytes_are_pinned(serendipity, ndcg, plane, digest):
     report = _report(serendipity, ndcg, plane)
-    svg = scatter_svg(report.x, report.y, report.positive, report.plane, report.pair)
+    svg = scatter_svg(report.x, report.y, report.positive, plane, report.pair)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
