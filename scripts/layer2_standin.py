@@ -33,7 +33,7 @@ from noisegate.ensemble import (
     write_classification,
 )
 from noisegate.ensemble.features import read_features
-from noisegate.pipeline import STAGES, PipelineConfig, run_paths
+from noisegate.pipeline import PipelineConfig, run_paths, run_stage
 from noisegate.synth import movielens_sized_tables, write_dataset_csvs
 
 SEED = 11
@@ -62,7 +62,7 @@ def main(out: Path, baseline: Path | None = None) -> None:
     )
     paths = run_paths(cfg)
     for stage in ("ingest", "detect"):
-        STAGES[stage].body(cfg, paths)
+        run_stage(stage, cfg, paths)
     votes = read_votes(paths.votes)
     X = read_features(paths.features)[2]
     uncertain = votes.where(Consensus.UNCERTAIN)

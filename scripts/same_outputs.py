@@ -3,9 +3,10 @@
     PYTHONPATH=src python scripts/same_outputs.py SRC_A SRC_B OUT
 
 Runs `noisegate run --min-activity 5 --clusters-k 5 --top-k 5 --seed 7` on
-data/mini under each of the seven ensemble variants, and `baseline
---detector NF2` with the same flags, once with each src/ tree on the
-subprocess's PYTHONPATH.  Both sides write to the same directory,
+data/mini under each of the seven ensemble variants, `baseline --detector
+NF2` with the same flags, and the five stage commands (`ingest` to
+`evaluate`) as five processes on one run id, once with each src/ tree on
+the subprocess's PYTHONPATH.  Both sides write to the same directory,
 OUT/work, which is then renamed to OUT/a or OUT/b, so the paths the
 artifacts and stdout hold agree.  Every file is compared byte for byte but
 report.json, which goes through reports_equal (it drops the timestamp);
@@ -27,30 +28,35 @@ from noisegate.pipeline import reports_equal
 
 REPO = Path(__file__).resolve().parent.parent
 FLAGS = ("--min-activity", "5", "--clusters-k", "5", "--top-k", "5", "--seed", "7")
-# run id -> the command's arguments before the shared flags
+# run id -> its commands in order, each as its arguments before the shared flags
 CASES = {
-    **{f"run-{v}": ("run", "--ensemble-variant", v) for v in VARIANTS},
-    "baseline-NF2": ("baseline", "--detector", "NF2"),
+    **{f"run-{v}": (("run", "--ensemble-variant", v),) for v in VARIANTS},
+    "baseline-NF2": (("baseline", "--detector", "NF2"),),
+    "staged": tuple((stage,) for stage in ("ingest", "detect", "ensemble", "signature",
+                                           "evaluate")),
 }
 
 
-def run_cases(src: Path, out: Path, cases: dict[str, tuple[str, ...]]) -> None:
-    """Each case's command with src on PYTHONPATH, writing under out/work,
-    which becomes out; each command's stdout, stderr and exit code go to
-    out/<run id>.log."""
+def run_cases(src: Path, out: Path, cases: dict[str, tuple[tuple[str, ...], ...]]) -> None:
+    """Each case's commands with src on PYTHONPATH, one process each,
+    writing under out/work, which becomes out; each command's stdout,
+    stderr and exit code go to out/<run id>.log, in order."""
     work = out.parent / "work"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    for run_id, command in cases.items():
-        done = subprocess.run(
-            [sys.executable, "-m", "noisegate.cli", *command,
-             "--ratings-path", str(REPO / "data" / "mini" / "ratings.csv"),
-             "--movies-path", str(REPO / "data" / "mini" / "movies.csv"),
-             "--out-dir", str(work), "--run-id", run_id, *FLAGS],
-            env=env, capture_output=True, text=True,
-        )
-        log = f"exit {done.returncode}\n-- stdout\n{done.stdout}-- stderr\n{done.stderr}"
+    for run_id, commands in cases.items():
+        log = ""
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "noisegate.cli", *command,
+                 "--ratings-path", str(REPO / "data" / "mini" / "ratings.csv"),
+                 "--movies-path", str(REPO / "data" / "mini" / "movies.csv"),
+                 "--out-dir", str(work), "--run-id", run_id, *FLAGS],
+                env=env, capture_output=True, text=True,
+            )
+            log += (f"$ {' '.join(command)}\nexit {done.returncode}\n"
+                    f"-- stdout\n{done.stdout}-- stderr\n{done.stderr}")
         (work / f"{run_id}.log").write_text(log)
     shutil.rmtree(out, ignore_errors=True)
     work.rename(out)
@@ -81,7 +87,7 @@ def main(src_a: Path, src_b: Path, out: Path, cases: dict = CASES) -> int:
     lines, n_files = differing(out / "a", out / "b")
     for line in lines:
         print(line)
-    print(f"{len(cases)} commands, {n_files} files: {len(lines)} differ")
+    print(f"{sum(map(len, cases.values()))} commands, {n_files} files: {len(lines)} differ")
     return 1 if lines else 0
 
 

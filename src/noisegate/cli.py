@@ -31,6 +31,7 @@ from .pipeline import (
     run_baseline,
     run_framework,
     run_paths,
+    run_stage,
     write_mask,
 )
 
@@ -241,7 +242,7 @@ def _baseline(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
 
 def _staged(cfg: PipelineConfig, args: argparse.Namespace) -> dict:
     """Run one stage of STAGES; evaluate's RunResult prints as _evaluated."""
-    result = STAGES[args.command].body(cfg, run_paths(cfg))
+    result = run_stage(args.command, cfg, run_paths(cfg))
     return _evaluated(result) if isinstance(result, RunResult) else result
 
 

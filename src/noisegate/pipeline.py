@@ -344,23 +344,31 @@ def write_mask(mask: GroundTruthMask, path: str | Path) -> None:
     )
 
 
-# The type of each write_mask entry, and how an error names it.
-_MASK_ENTRIES = {
-    "kind": (str, "a string"), "rate": ((int, float), "a number"),
-    "seed": (int, "an integer"), "keys": (list, "a list"),
-}
+# The types a JSON entry may have, and how an error names them.
+_INT, _NUMBER, _STR = (int, "an integer"), ((int, float), "a number"), (str, "a string")
+_LIST, _OBJECT = (list, "a list"), (dict, "an object")
+
+# The type of each write_mask entry.
+_MASK_ENTRIES = {"kind": _STR, "rate": _NUMBER, "seed": _INT, "keys": _LIST}
+
+
+def _checked_json(path: str | Path, what: str, entries: Mapping[str, tuple]) -> dict:
+    """The JSON object at path; ValueError unless it holds each of entries
+    (name: (types, description)) with one of its types, a bool no number."""
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object")
+    for name, (types, kind) in entries.items():
+        if not isinstance(raw.get(name), types) or isinstance(raw[name], bool):
+            raise ValueError(f"{what} entry {name!r} is missing or not {kind}")
+    return raw
 
 
 def read_mask(path: str | Path) -> GroundTruthMask:
     """The mask write_mask wrote.  ValueError when the file is not a JSON
     object, an entry is missing or has the wrong type, the rate is outside
     [0, 0.5], or a key is not a [userId, itemId] pair of integers >= 0 or repeats."""
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError("expected a JSON object")
-    for name, (types, what) in _MASK_ENTRIES.items():
-        if not isinstance(raw.get(name), types) or isinstance(raw[name], bool):
-            raise ValueError(f"mask entry {name!r} is missing or not {what}")
+    raw = _checked_json(path, "mask", _MASK_ENTRIES)
     if not 0.0 <= raw["rate"] <= 0.5:
         raise ValueError(f"mask entry 'rate' must be in [0, 0.5], got {raw['rate']}")
     keys = raw["keys"]
@@ -396,10 +404,6 @@ class RunPaths:
         self.report = self.base / "report.json"
         self.before_model = self.models / "before.json"
         self.after_model = self.models / "after.json"
-
-    def ensure(self) -> None:
-        self.splits.mkdir(parents=True, exist_ok=True)
-        self.models.mkdir(parents=True, exist_ok=True)
 
     def scatter(self, pair: str) -> Path:
         return self.base / f"scatter-{pair}.svg"
@@ -492,31 +496,21 @@ def split_three(
     return train, detect, eval_t
 
 
-def stage_split(
-    cfg: PipelineConfig, table: RatingsTable, paths: RunPaths
-) -> tuple[RatingsTable, RatingsTable, RatingsTable]:
+def stage_split(cfg: PipelineConfig, table: RatingsTable, paths: RunPaths) -> None:
     fractions = (cfg.train_fraction, cfg.detect_fraction, cfg.eval_fraction)
     train, detect, eval_t = split_three(table, fractions, cfg.seed)
     if len(detect) == 0 or len(eval_t) == 0:
         raise DataError("detect or eval split is empty; dataset too small for the fractions")
-    paths.ensure()
     train.to_csv(paths.train_csv)
     detect.to_csv(paths.detect_csv)
     eval_t.to_csv(paths.eval_csv)
-    return train, detect, eval_t
 
 
-def stage_board(
-    cfg: PipelineConfig,
-    train: RatingsTable,
-    detect: RatingsTable,
-    genres: GenreMap,
-    paths: RunPaths,
-) -> dict:
+def stage_board(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> dict:
     """Layer 1 plus the feature matrix Layer 2 will consume; everything
     persisted so the ensemble stage can run without recomputation."""
-    board = run_board(train, detect, genres, cfg)
-    X = build_feature_matrix(detect, board.context, board)
+    board = run_board(inputs["train_csv"], inputs["detect_csv"], _load_genres(cfg), cfg)
+    X = build_feature_matrix(inputs["detect_csv"], board.context, board)
     write_votes(board.votes, paths.votes)
     write_features(paths.features, board.votes.users, board.votes.items, X)
     tally = np.bincount(board.votes.consensus, minlength=len(CONSENSUS))
@@ -531,12 +525,11 @@ def stage_board(
     return section
 
 
-def stage_ensemble(
-    cfg: PipelineConfig, votes: Votes, X: np.ndarray, paths: RunPaths
-) -> np.ndarray:
+def stage_ensemble(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> dict:
     """Layer 2: arbitrate every Uncertain rating with the configured
-    learner, trained on the unanimous ratings; X holds one feature row per
-    vote row.  Returns the Noisy flags of the Uncertain rows, in row order."""
+    learner, trained on the unanimous ratings; features.csv holds one
+    feature row per vote row."""
+    votes, (_, _, X) = inputs["votes"], inputs["features"]
     uncertain = votes.where(Consensus.UNCERTAIN)
     classified, scores = np.zeros(0, dtype=bool), np.zeros(0)
     if uncertain.any():
@@ -548,7 +541,7 @@ def stage_ensemble(
         votes.users[uncertain], votes.items[uncertain], classified, scores,
         cfg.ensemble_variant, paths.ensemble_csv,
     )
-    return classified
+    return _ensemble_info(cfg.ensemble_variant, classified)
 
 
 def _ensemble_info(variant: str | None, classified: np.ndarray) -> dict:
@@ -569,12 +562,13 @@ def _final_noisy(votes: Votes, classified: np.ndarray) -> np.ndarray:
     return noisy
 
 
-def stage_signature(
-    cfg: PipelineConfig, detect: RatingsTable, noisy: np.ndarray, paths: RunPaths
-) -> Hits:
-    hits = detect_optout(detect, noisy, cfg.signature_threshold, cfg.signature_denominator)
+def stage_signature(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> dict:
+    noisy = _final_noisy(inputs["votes"], inputs["ensemble_csv"][2])
+    hits = detect_optout(
+        inputs["detect_csv"], noisy, cfg.signature_threshold, cfg.signature_denominator
+    )
     write_hits(hits, cfg.action(), paths.signature_csv)
-    return hits
+    return {"flagged_users": hits.users.tolist(), "count": len(hits)}
 
 
 def _clean_corpus(
@@ -609,15 +603,16 @@ def _evaluate_arm(
     model: MfModel,
     corpus: RatingsTable,
     relevant: RatingsTable,
+    n_relevant: np.ndarray,
     universe: np.ndarray,
     genres: GenreMap,
     cfg: PipelineConfig,
 ) -> ArmEval:
     """Every metric of one arm for the users of universe, in ascending id;
-    relevant is _relevant of the held-out fold."""
+    relevant is _relevant of the held-out fold, n_relevant its _rating_counts."""
     topk = recommend_topk(model, corpus, universe, cfg.top_k)
     hit = relevant.contains(np.repeat(universe, cfg.top_k), topk.ravel()).reshape(topk.shape)
-    metrics = ranking_metrics(hit, _rating_counts(relevant, universe), cfg.top_k)
+    metrics = ranking_metrics(hit, n_relevant, cfg.top_k)
     ser = serendipity(topk, hit, corpus, universe, genres, cfg.serendipity_formula)
     return ArmEval(*metrics, ser)
 
@@ -646,8 +641,9 @@ def stage_evaluate(
     X = before.P[np.searchsorted(before.users, universe)]
     assign = cluster_users(X, k=cfg.clusters_k, seed=derive_seed(cfg.seed, _SALT_CLUSTER))
     relevant = _relevant(eval_t, cfg)
-    before_eval = _evaluate_arm(before, corpus, relevant, universe, genres, cfg)
-    after_eval = _evaluate_arm(after, cleaned, relevant, universe, genres, cfg)
+    n_relevant = _rating_counts(relevant, universe)
+    before_eval = _evaluate_arm(before, corpus, relevant, n_relevant, universe, genres, cfg)
+    after_eval = _evaluate_arm(after, cleaned, relevant, n_relevant, universe, genres, cfg)
     weights = _rating_counts(eval_t, universe)
     plane = (cfg.plane_a, cfg.plane_b)
 
@@ -761,10 +757,9 @@ def _load_mask_if_configured(cfg: PipelineConfig) -> GroundTruthMask | None:
 
 # -- stages ---------------------------------------------------------------
 #
-# Each stage reads only artifacts persisted by earlier stages, so a run
-# executes end to end (`run_framework`) or one stage per command against the
-# same run directory, and both give bit-identical artifacts.  The manifest
-# written by ingest pins the run directory to one config.
+# run_stage runs every stage, end to end (`run_framework`) or one per command
+# on the same run directory, with bit-identical artifacts.  A stage reads the
+# artifacts STAGES declares, and a manifest pins the directory to one config.
 
 
 class RunResult(NamedTuple):
@@ -776,13 +771,37 @@ class RunResult(NamedTuple):
     hits: Hits
 
 
-_INPUT_FILES = ("ratings_path", "movies_path")
+# The type of each entry that _ingest, stage_ingest and stage_board write.
+_MANIFEST_ENTRIES = {"config": _OBJECT, "config_hash": _STR, "inputs": _OBJECT}
+_INGEST_ENTRIES = dict.fromkeys(
+    ("ratings_loaded", "dropped_duplicates", "ratings_after_filter", "users", "items"), _INT
+)
+_BOARD_ENTRIES = {"consensus": _OBJECT, "per_detector_noisy": _OBJECT, "venn": _OBJECT,
+                  "nf3_unpredictable": _INT, "nf4_prefiltered": _INT}
+
+# The reader of each artifact, by its RunPaths name.  Each looks its functions
+# up when it runs, so a wrapper set on a module attribute sees every read.
+_READERS: dict[str, Callable[[PipelineConfig, Path], object]] = {
+    **dict.fromkeys(("train_csv", "detect_csv", "eval_csv"), lambda cfg, p: _load_split(cfg, p)),
+    "manifest": lambda cfg, p: _read(_checked_json, p, "manifest", _MANIFEST_ENTRIES),
+    "ingest": lambda cfg, p: _read(_checked_json, p, "ingest", _INGEST_ENTRIES),
+    "board_json": lambda cfg, p: _read(_checked_json, p, "board", _BOARD_ENTRIES),
+    "votes": lambda cfg, p: _read(read_votes, p),
+    "features": lambda cfg, p: _read(read_features, p),
+    "ensemble_csv": lambda cfg, p: _read(read_classification, p, cfg.ensemble_variant),
+    "signature_csv": lambda cfg, p: _read(read_hits, p, cfg.action()),
+}
+
+# Artifacts that list the ratings of another row for row: (artifact, the
+# one it follows, whether it lists only that one's Uncertain ratings).
+_FOLLOWS = (("features", "votes", False), ("votes", "detect_csv", False),
+            ("ensemble_csv", "votes", True))
 
 
 def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
     """sha256 of each input file the run reads, keyed by its config key."""
     digests = {}
-    for key in _INPUT_FILES:
+    for key in ("ratings_path", "movies_path"):
         path = Path(getattr(cfg, key))
         if not path.exists():
             raise DataError(f"{key} file not found: {path}")
@@ -790,15 +809,23 @@ def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
     return digests
 
 
-def _check_manifest(cfg: PipelineConfig, paths: RunPaths) -> None:
-    manifest = _read(read_json, paths.manifest)
+def _resume(cfg: PipelineConfig, paths: RunPaths, stage: str) -> None:
+    """Check that the artifacts the stage reads and the manifest exist, a
+    missing one naming the stage that writes it, and that the run directory
+    was built with cfg and the same input files."""
+    for name in (*STAGES[stage].reads, "manifest"):
+        path = getattr(paths, name)
+        if not path.exists():
+            producer = next(p for p, s in STAGES.items() if name in s.writes)
+            raise DataError(f"missing artifact {path}; run the {producer} stage first")
+    manifest = _READERS["manifest"](cfg, paths.manifest)
     built = manifest["config_hash"]
     if built != config_hash(cfg):
         raise ConfigError(
             f"run directory {paths.base} was built with config_hash {built}, but this "
             f"config has config_hash {config_hash(cfg)}; changed settings need a new run_id"
         )
-    recorded = manifest.get("inputs", {})
+    recorded = manifest["inputs"]
     for key, digest in _input_digests(cfg).items():
         if recorded.get(key) != digest:
             raise ConfigError(
@@ -808,103 +835,57 @@ def _check_manifest(cfg: PipelineConfig, paths: RunPaths) -> None:
             )
 
 
-def _resume(cfg: PipelineConfig, paths: RunPaths, stage: str) -> None:
-    """Check that the artifacts the stage reads and the manifest exist, a
-    missing one naming the stage that writes it, and that the run directory
-    was built with cfg."""
-    for name in (*STAGES[stage].reads, "manifest"):
-        path = getattr(paths, name)
-        if not path.exists():
-            producer = next(p for p, s in STAGES.items() if name in s.writes)
-            raise DataError(f"missing artifact {path}; run the {producer} stage first")
-    _check_manifest(cfg, paths)
+def _read_inputs(cfg: PipelineConfig, paths: RunPaths, names: typing.Iterable[str]) -> dict:
+    """The named artifacts, read through _READERS; a DataError unless each
+    pair of _FOLLOWS among them lines up row for row."""
+    inputs = {name: _READERS[name](cfg, getattr(paths, name)) for name in names}
+    for name, ref, uncertain in _FOLLOWS:
+        if name not in inputs or ref not in inputs:
+            continue
+        artifact, other = inputs[name], inputs[ref]
+        # features.csv and ensemble.csv read as tuples that start (users, items)
+        keys = artifact[:2] if isinstance(artifact, tuple) else (artifact.users, artifact.items)
+        rows = other.where(Consensus.UNCERTAIN) if uncertain else slice(None)
+        if not all(map(np.array_equal, keys, (other.users[rows], other.items[rows]))):
+            listed = "Uncertain ratings" if uncertain else "ratings"
+            raise DataError(
+                f"{getattr(paths, name)} does not list the {listed} of "
+                f"{getattr(paths, ref)} row for row"
+            )
+    return inputs
 
 
-def cli_ingest(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    cfg.validate()
-    if paths.manifest.exists():
-        _check_manifest(cfg, paths)
+def _ingest(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> dict:
     # Hashed before reading: an input edited during ingest then fails the
     # next stage's check instead of passing with splits of unknown content.
-    inputs = _input_digests(cfg)
+    digests = _input_digests(cfg)
     table, counts = _stage("ingest", stage_ingest, cfg)
     _stage("split", stage_split, cfg, table, paths)
     dump_json(counts, paths.ingest)
-    dump_json({**_provenance(cfg), "inputs": inputs}, paths.manifest)
+    dump_json({**_provenance(cfg), "inputs": digests}, paths.manifest)
     return counts
 
 
-def cli_detect(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _resume(cfg, paths, "detect")
-    genres = _load_genres(cfg)
-    train = _load_split(cfg, paths.train_csv)
-    detect = _load_split(cfg, paths.detect_csv)
-    return _stage("board", stage_board, cfg, train, detect, genres, paths)
-
-
-def cli_ensemble(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _resume(cfg, paths, "ensemble")
-    votes = _read(read_votes, paths.votes)
-    users, items, X = _read(read_features, paths.features)
-    if not (np.array_equal(users, votes.users) and np.array_equal(items, votes.items)):
-        raise DataError(f"{paths.features} does not list the ratings of {paths.votes} row for row")
-    classified = _stage("ensemble", stage_ensemble, cfg, votes, X, paths)
-    return _ensemble_info(cfg.ensemble_variant, classified)
-
-
-def _read_labels(cfg: PipelineConfig, paths: RunPaths, detect: RatingsTable) -> tuple[Votes, np.ndarray]:
-    """The votes and the ensemble's Noisy flags, checked to line up: votes.csv
-    lists the detect split's ratings row for row, and ensemble.csv the
-    Uncertain ones under this run's variant."""
-    votes = _read(read_votes, paths.votes)
-    users, items, classified, _ = _read(
-        read_classification, paths.ensemble_csv, cfg.ensemble_variant
-    )
-    if not (np.array_equal(votes.users, detect.users) and np.array_equal(votes.items, detect.items)):
-        raise DataError(f"{paths.votes} does not list the ratings of {paths.detect_csv} row for row")
-    uncertain = votes.where(Consensus.UNCERTAIN)
-    if not (np.array_equal(users, votes.users[uncertain])
-            and np.array_equal(items, votes.items[uncertain])):
-        raise DataError(
-            f"{paths.ensemble_csv} does not list the Uncertain ratings of {paths.votes} row for row"
-        )
-    return votes, classified
-
-
-def cli_signature(cfg: PipelineConfig, paths: RunPaths) -> dict:
-    _resume(cfg, paths, "signature")
-    detect = _load_split(cfg, paths.detect_csv)
-    votes, classified = _read_labels(cfg, paths, detect)
-    noisy = _final_noisy(votes, classified)
-    hits = _stage("signature", stage_signature, cfg, detect, noisy, paths)
-    return {"flagged_users": hits.users.tolist(), "count": len(hits)}
-
-
-def cli_evaluate(cfg: PipelineConfig, paths: RunPaths) -> RunResult:
-    """Remove the ratings the board and the ensemble label Noisy and the
-    signature's hits, retrain, evaluate and write the report."""
-    _resume(cfg, paths, "evaluate")
-    detect = _load_split(cfg, paths.detect_csv)
-    votes, classified = _read_labels(cfg, paths, detect)
-    hits = _read(read_hits, paths.signature_csv, cfg.action())
+def _evaluate(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> RunResult:
+    """_evaluate_labels with the board's, the ensemble's and the signature's labels."""
+    classified = inputs["ensemble_csv"][2]
     return _evaluate_labels(
-        cfg, paths, detect, votes, _final_noisy(votes, classified), hits,
+        cfg, paths, inputs, _final_noisy(inputs["votes"], classified), inputs["signature_csv"],
         _ensemble_info(cfg.ensemble_variant, classified),
     )
 
 
 def _evaluate_labels(
-    cfg: PipelineConfig, paths: RunPaths, detect: RatingsTable, votes: Votes,
+    cfg: PipelineConfig, paths: RunPaths, inputs: Mapping,
     noisy: np.ndarray, hits: Hits, ensemble: dict, detector: str | None = None,
 ) -> RunResult:
     """Remove the detect ratings flagged noisy (one per vote row) and the
     hits' ratings from train and detect, retrain, evaluate and write the
-    report.  A detector names the single detector of a baseline run."""
+    report; inputs holds the splits, the votes, ingest.json and board.json
+    as read.  A detector names the single detector of a baseline run."""
     genres = _load_genres(cfg)
-    train = _load_split(cfg, paths.train_csv)
-    eval_t = _load_split(cfg, paths.eval_csv)
-    counts = _read(read_json, paths.ingest)
-    board_section = _read(read_json, paths.board_json)
+    train, detect, eval_t = inputs["train_csv"], inputs["detect_csv"], inputs["eval_csv"]
+    votes = inputs["votes"]
     corpus = train.merged(detect)
     cleaned, removal = _clean_corpus(corpus, votes, noisy, hits, cfg.action())
     reports, eval_section = _stage(
@@ -915,8 +896,9 @@ def _evaluate_labels(
         "mode": "run" if detector is None else "baseline",
         "detector": detector,
         "seed": cfg.seed,
-        "counts": {**counts, "train": len(train), "detect": len(detect), "eval": len(eval_t)},
-        "board": board_section,
+        "counts": {**inputs["ingest"], "train": len(train), "detect": len(detect),
+                   "eval": len(eval_t)},
+        "board": inputs["board_json"],
         "ensemble": ensemble,
         "signature": {
             "flagged_users": hits.users.tolist(),
@@ -942,58 +924,72 @@ def _evaluate_labels(
 class Stage(NamedTuple):
     """A staged command: its help line, the RunPaths attributes of the
     artifacts it reads and writes (deltas and scatter name one file per
-    metric pair), and its body, which returns the JSON summary the command
+    metric pair), and its body.  The body takes the config, the paths and
+    the artifacts read, by name, and returns the JSON summary the command
     prints or, for evaluate, the RunResult that summary is taken from."""
 
     help: str
     reads: tuple[str, ...]
     writes: tuple[str, ...]
-    body: Callable[[PipelineConfig, RunPaths], object]
+    body: Callable[[PipelineConfig, RunPaths, Mapping], object]
 
 
 # The stage graph, in run order: `run` is these commands chained, and a
-# stage that resumes from a run directory also reads its manifest.
+# stage that resumes from a run directory also reads its manifest.  A body
+# names its stage_* function, looked up when it runs, in a _stage span.
 STAGES: dict[str, Stage] = {
     "ingest": Stage(
         "load, dedupe, filter, and write the three splits",
         (),
         ("train_csv", "detect_csv", "eval_csv", "ingest", "manifest"),
-        cli_ingest,
+        _ingest,
     ),
     "detect": Stage(
         "run the four-detector board on the detect split",
         ("train_csv", "detect_csv"),
         ("votes", "features", "board_json"),
-        cli_detect,
+        lambda cfg, paths, inputs: _stage("board", stage_board, cfg, paths, inputs),
     ),
     "ensemble": Stage(
         "classify the Uncertain set with the configured learner",
         ("votes", "features"),
         ("ensemble_csv",),
-        cli_ensemble,
+        lambda cfg, paths, inputs: _stage("ensemble", stage_ensemble, cfg, paths, inputs),
     ),
     "signature": Stage(
         "scan labeled ratings for opt-out obfuscation",
         ("detect_csv", "votes", "ensemble_csv"),
         ("signature_csv",),
-        cli_signature,
+        lambda cfg, paths, inputs: _stage("signature", stage_signature, cfg, paths, inputs),
     ),
     "evaluate": Stage(
         "retrain before/after and write the delta report",
         ("train_csv", "detect_csv", "eval_csv", "ingest", "board_json", "votes",
          "ensemble_csv", "signature_csv"),
         ("before_model", "after_model", "deltas", "scatter", "report"),
-        cli_evaluate,
+        _evaluate,
     ),
 }
+
+
+def run_stage(name: str, cfg: PipelineConfig, paths: RunPaths):
+    """Run the stage of STAGES called name in the run directory paths and
+    return what its body returns.  A stage that reads artifacts, or ingest
+    into a directory that has a manifest, resumes: it checks the directory
+    (_resume), then reads the artifacts (_read_inputs)."""
+    cfg.validate()
+    stage = STAGES[name]
+    if stage.reads or paths.manifest.exists():
+        _resume(cfg, paths, name)
+    return stage.body(cfg, paths, _read_inputs(cfg, paths, stage.reads))
 
 
 def run_framework(cfg: PipelineConfig) -> RunResult:
     """Full three-layer run: board consensus, ensemble arbitration of the
     Uncertain set, opt-out signature, removal, retrain, evaluate."""
     paths = run_paths(cfg)
-    for stage in STAGES.values():
-        result = stage.body(cfg, paths)
+    for name in STAGES:
+        result = run_stage(name, cfg, paths)
     return result
 
 
@@ -1003,14 +999,15 @@ def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
     if detector not in DETECTOR_IDS:
         raise ConfigError(f"detector must be one of {DETECTOR_IDS}, got {detector!r}")
     paths = run_paths(cfg, f"baseline-{detector.lower()}")
-    for stage in ("ingest", "detect"):
-        STAGES[stage].body(cfg, paths)
-    votes = _read(read_votes, paths.votes)
+    for name in ("ingest", "detect"):
+        run_stage(name, cfg, paths)
+    # What evaluate reads but the labels of Layers 2 and 3, which a baseline does not make.
+    labels = STAGES["ensemble"].writes + STAGES["signature"].writes
+    inputs = _read_inputs(cfg, paths, [n for n in STAGES["evaluate"].reads if n not in labels])
     none = np.zeros(0, dtype=np.int64)
     return _evaluate_labels(
-        cfg, paths, _load_split(cfg, paths.detect_csv), votes,
-        votes.noisy[:, DETECTOR_IDS.index(detector)], Hits(none, none, none, none, none),
-        _ensemble_info(None, none), detector,
+        cfg, paths, inputs, inputs["votes"].noisy[:, DETECTOR_IDS.index(detector)],
+        Hits(none, none, none, none, none), _ensemble_info(None, none), detector,
     )
 
 

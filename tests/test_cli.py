@@ -467,6 +467,43 @@ def test_malformed_artifact_exits_3(
         assert f"{path}:{len(lines) if line == LAST else line}: " in err, err
 
 
+@pytest.mark.parametrize(
+    "artifact, edit, message",
+    [
+        ("manifest.json", "{}", "manifest entry 'config' is missing or not an object"),
+        ("manifest.json", "[]", "expected a JSON object"),
+        (
+            "manifest.json", {"config_hash": 7},
+            "manifest entry 'config_hash' is missing or not a string",
+        ),
+        ("ingest.json", "[]", "expected a JSON object"),
+        ("ingest.json", '{"x": 1}', "ingest entry 'ratings_loaded' is missing or not an integer"),
+        ("ingest.json", {"users": True}, "ingest entry 'users' is missing or not an integer"),
+        ("board.json", "[]", "expected a JSON object"),
+        ("board.json", "{}", "board entry 'consensus' is missing or not an object"),
+        ("board.json", {"venn": [1]}, "board entry 'venn' is missing or not an object"),
+    ],
+    ids=[
+        "manifest-empty", "manifest-list", "manifest-hash-int", "ingest-list", "ingest-other-key",
+        "ingest-users-bool", "board-list", "board-empty", "board-venn-list",
+    ],
+)
+def test_malformed_json_artifact_exits_3_without_a_report(
+    staged_run, tmp_path, capsys, artifact, edit, message
+):
+    """evaluate exits 3 on a JSON artifact that is not an object holding
+    the entries its writer writes (edit is the new text, or entries laid
+    over the written ones), names the file and the entry, and writes no report."""
+    run_dir = tmp_path / "malformed"
+    shutil.copytree(staged_run, run_dir)
+    path = run_dir / artifact
+    path.write_text(edit if isinstance(edit, str) else json.dumps({**read_json(path), **edit}))
+    capsys.readouterr()
+    assert main(["evaluate", *_run_args(tmp_path, "malformed")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+    assert not (run_dir / "report.json").exists()
+
+
 def test_inject_noise_subcommand(tmp_path, capsys):
     out_ratings = tmp_path / "noisy.csv"
     out_mask = tmp_path / "mask.json"

@@ -117,7 +117,9 @@ def test_array_evaluation_equals_per_user_oracles(w):
         for user, row in zip(users, topk.tolist()):
             want = oracles.recommend_topk_loop(model, table, user, w.K)
             assert row == want + [-1] * (w.K - len(want))
-        arm = _evaluate_arm(model, table, _relevant(w.eval_t, cfg), w.universe, w.genres, cfg)
+        relevant = _relevant(w.eval_t, cfg)
+        n_relevant = _rating_counts(relevant, w.universe)
+        arm = _evaluate_arm(model, table, relevant, n_relevant, w.universe, w.genres, cfg)
         loop = oracles.evaluate_arm_loop(
             model, table, w.eval_t, users, w.genres, w.K, w.threshold, w.formula
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from perfbench.spans import Tracer, _targets
 
-from noisegate.pipeline import config_from_dict, run_framework
+from noisegate.pipeline import STAGES, config_from_dict, run_framework
 
 from .conftest import MINI_DIR
 
@@ -50,3 +50,9 @@ def test_benchmark_spans_cover_evaluation(tmp_path):
     # each is called once per arm
     for name in ("recsys.topk", "evaluation.metrics", "evaluation.serendipity"):
         assert calls.get(name) == 2, name
+    # the stage driver looks _stage and every reader up when it calls them
+    for stage in ("ingest", "split", "board", "ensemble", "signature", "evaluate"):
+        assert calls.get(f"pipeline.{stage}") == 1, stage
+    resumed = [stage for stage in STAGES.values() if stage.reads]
+    assert calls.get("pipeline.artifact_read") == sum(len(s.reads) + 1 for s in resumed)
+    assert calls.get("pipeline.artifact_write", 0) > 0

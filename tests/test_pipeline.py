@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import noisegate.ensemble
+import noisegate.pipeline as pipeline
 from noisegate.board import CONSENSUS
 from noisegate.board.verdict import DETECTOR_IDS, Consensus
 from noisegate.cli import build_parser
@@ -25,11 +27,6 @@ from noisegate.pipeline import (
     RunPaths,
     StageError,
     _stage,
-    cli_detect,
-    cli_ensemble,
-    cli_evaluate,
-    cli_ingest,
-    cli_signature,
     config_from_dict,
     config_hash,
     inject_noise,
@@ -39,6 +36,7 @@ from noisegate.pipeline import (
     run_baseline,
     run_framework,
     run_paths,
+    run_stage,
     split_three,
     stage_ingest,
     strip_timestamp,
@@ -538,11 +536,8 @@ def test_staged_run_matches_end_to_end(framework_run, tmp_path):
     cfg_full, result = framework_run
     cfg = _fast_config(tmp_path, run_id="staged")
     paths = run_paths(cfg)
-    cli_ingest(cfg, paths)
-    cli_detect(cfg, paths)
-    cli_ensemble(cfg, paths)
-    cli_signature(cfg, paths)
-    cli_evaluate(cfg, paths)
+    for name in ("ingest", "detect", "ensemble", "signature", "evaluate"):
+        run_stage(name, cfg, paths)
     assert reports_equal(result.paths.report, paths.report)
     full, staged = _artifact_files(result.paths.base), _artifact_files(paths.base)
     assert sorted(full) == sorted(staged)
@@ -564,15 +559,53 @@ def test_stage_table_reads_only_earlier_writes():
 
 def test_stage_resume_requires_artifacts(tmp_path):
     """Each resuming stage, run after every stage but the one before it,
-    names that one; its cli_* function is the table's body."""
+    names that one; the table lists the stages in the order they run."""
     cfg = _fast_config(tmp_path, run_id="cold")
     paths = run_paths(cfg)
-    bodies = [cli_ingest, cli_detect, cli_ensemble, cli_signature, cli_evaluate]
-    assert [stage.body for stage in STAGES.values()] == bodies
-    for producer, body in zip(STAGES, bodies[1:]):
+    names = ["ingest", "detect", "ensemble", "signature", "evaluate"]
+    assert list(STAGES) == names
+    for producer, stage in zip(names, names[1:]):
         with pytest.raises(DataError, match=f"run the {producer} stage first"):
-            body(cfg, paths)
-        STAGES[producer].body(cfg, paths)
+            run_stage(stage, cfg, paths)
+        run_stage(producer, cfg, paths)
+
+
+def test_each_stage_reads_only_its_declared_artifacts(tmp_path, monkeypatch):
+    """Every file a stage reads goes through _read, once: the artifacts
+    STAGES declares, the manifest of a resuming stage, and the configured
+    input files the stage uses."""
+    mask = tmp_path / "mask.json"
+    write_mask(GroundTruthMask(NoiseKind.FLIP, frozenset({(1, 38)}), 0.1, 0), mask)
+    cfg = _fast_config(tmp_path, run_id="spied", mask_path=str(mask))
+    paths = run_paths(cfg)
+    stage_of_read: list[str] = []
+    reads: dict[str, list[Path]] = {}
+    read, run_one = pipeline._read, pipeline.run_stage
+
+    def spy_read(reader, path, *args):
+        reads[stage_of_read[-1]].append(Path(path))
+        return read(reader, path, *args)
+
+    def spy_stage(name, *args):
+        stage_of_read.append(name)
+        reads[name] = []
+        return run_one(name, *args)
+
+    monkeypatch.setattr(pipeline, "_read", spy_read)
+    monkeypatch.setattr(pipeline, "run_stage", spy_stage)
+    run_framework(cfg)
+    inputs = {
+        "ingest": ("ratings_path", "movies_path", "mask_path"),
+        "detect": ("movies_path",),
+        "evaluate": ("movies_path", "mask_path"),
+    }
+    assert list(reads) == list(STAGES)
+    for name, stage in STAGES.items():
+        declared = [*stage.reads, *(("manifest",) if stage.reads else ())]
+        want = {getattr(paths, a) for a in declared}
+        want |= {Path(getattr(cfg, key)) for key in inputs.get(name, ())}
+        assert set(reads[name]) == want, name
+        assert len(reads[name]) == len(want), name
 
 
 def test_missing_ratings_is_data_error(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 
 from noisegate.synth import planted_tables
 
@@ -34,15 +35,23 @@ def test_layer2_standin_runs_on_a_small_stand_in(tmp_path, monkeypatch, capsys):
 
 
 def test_same_outputs_finds_none_on_one_tree_and_a_changed_file(tmp_path, capsys):
-    """The script with this src/ tree on both sides, on two of its cases:
-    nothing differs; then a changed byte in one side's votes.csv, and a
-    report.json that differs only in its timestamp, are told apart; and a
-    file that one side lacks is named as only in the other."""
+    """The script with this src/ tree on both sides, on three of its cases:
+    nothing differs, and the staged case's five commands exit 0 and write
+    the files of `run`; then a changed byte in one side's votes.csv, and a report.json that
+    differs only in its timestamp, are told apart; and a file that one side
+    lacks is named as only in the other."""
     script = _load_script("same_outputs")
     src = REPO_ROOT / "src"
-    cases = {name: script.CASES[name] for name in ("run-EL3", "baseline-NF2")}
+    cases = {name: script.CASES[name] for name in ("run-EL3", "baseline-NF2", "staged")}
     assert script.main(src, src, tmp_path, cases) == 0
     assert capsys.readouterr().out.endswith(" files: 0 differ\n")
+    log = (tmp_path / "a" / "staged.log").read_text()
+    assert re.findall(r"^\$ (\w+)\nexit (\d+)$", log, re.M) == [
+        (stage, "0") for stage in ("ingest", "detect", "ensemble", "signature", "evaluate")
+    ]
+    # EL3 is the default variant, so the five commands wrote what `run` wrote
+    assert (tmp_path / "a" / "staged" / "report.json").exists()
+    assert script.differing(tmp_path / "a" / "run-EL3", tmp_path / "a" / "staged")[0] == []
     votes = tmp_path / "b" / "run-EL3" / "votes.csv"
     votes.write_bytes(votes.read_bytes().replace(b"clean", b"noisy", 1))
     report = tmp_path / "b" / "baseline-NF2" / "report.json"
