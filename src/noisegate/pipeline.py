@@ -935,8 +935,8 @@ class Stage(NamedTuple):
 
 
 # The stage graph, in run order: `run` is these commands chained, and a
-# stage that resumes from a run directory also reads its manifest.  A body
-# names its stage_* function, looked up when it runs, in a _stage span.
+# stage that resumes from a run directory also reads its manifest.  The
+# lambdas look their stage_* function up when they run, in a _stage span.
 STAGES: dict[str, Stage] = {
     "ingest": Stage(
         "load, dedupe, filter, and write the three splits",

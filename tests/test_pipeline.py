@@ -571,23 +571,21 @@ def test_stage_resume_requires_artifacts(tmp_path):
 
 
 def test_each_stage_reads_only_its_declared_artifacts(tmp_path, monkeypatch):
-    """Every file a stage reads goes through _read, once: the artifacts
+    """The files a stage parses, each through _read and once: the artifacts
     STAGES declares, the manifest of a resuming stage, and the configured
-    input files the stage uses."""
+    input files the stage uses (the digests of the inputs are not parsed)."""
     mask = tmp_path / "mask.json"
     write_mask(GroundTruthMask(NoiseKind.FLIP, frozenset({(1, 38)}), 0.1, 0), mask)
     cfg = _fast_config(tmp_path, run_id="spied", mask_path=str(mask))
     paths = run_paths(cfg)
-    stage_of_read: list[str] = []
-    reads: dict[str, list[Path]] = {}
+    reads: dict[str, list[Path]] = {}  # by stage, in run order
     read, run_one = pipeline._read, pipeline.run_stage
 
     def spy_read(reader, path, *args):
-        reads[stage_of_read[-1]].append(Path(path))
+        reads[list(reads)[-1]].append(Path(path))
         return read(reader, path, *args)
 
     def spy_stage(name, *args):
-        stage_of_read.append(name)
         reads[name] = []
         return run_one(name, *args)
 
