@@ -6,7 +6,8 @@ Runs `noisegate run --min-activity 5 --clusters-k 5 --top-k 5 --seed 7` on
 data/mini under each of the seven ensemble variants, `baseline --detector
 NF2` with the same flags, and the five stage commands (`ingest` to
 `evaluate`) as five processes on one run id, once with each src/ tree on
-the subprocess's PYTHONPATH.  Both sides write to the same directory,
+the subprocess's PYTHONPATH; after each case, `noisegate report` prints
+the case's report.json.  Both sides write to the same directory,
 OUT/work, which is then renamed to OUT/a or OUT/b, so the paths the
 artifacts and stdout hold agree.  Every file is compared byte for byte but
 report.json, which goes through reports_equal (it drops the timestamp);
@@ -38,23 +39,23 @@ CASES = {
 
 
 def run_cases(src: Path, out: Path, cases: dict[str, tuple[tuple[str, ...], ...]]) -> None:
-    """Each case's commands with src on PYTHONPATH, one process each,
-    writing under out/work, which becomes out; each command's stdout,
-    stderr and exit code go to out/<run id>.log, in order."""
+    """Each case's commands, then `report <run id>/report.json`, with src
+    on PYTHONPATH, one process each in out/work, which becomes out; each
+    command's stdout, stderr and exit code go to out/<run id>.log, in order."""
     work = out.parent / "work"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
     for run_id, commands in cases.items():
         log = ""
-        for command in commands:
-            done = subprocess.run(
-                [sys.executable, "-m", "noisegate.cli", *command,
-                 "--ratings-path", str(REPO / "data" / "mini" / "ratings.csv"),
-                 "--movies-path", str(REPO / "data" / "mini" / "movies.csv"),
-                 "--out-dir", str(work), "--run-id", run_id, *FLAGS],
-                env=env, capture_output=True, text=True,
-            )
+        run_flags = ("--ratings-path", str(REPO / "data" / "mini" / "ratings.csv"),
+                     "--movies-path", str(REPO / "data" / "mini" / "movies.csv"),
+                     "--out-dir", str(work), "--run-id", run_id, *FLAGS)
+        report = ("report", f"{run_id}/report.json")
+        for command in (*commands, report):
+            args = command if command is report else (*command, *run_flags)
+            done = subprocess.run([sys.executable, "-m", "noisegate.cli", *args], cwd=work,
+                                  env=env, capture_output=True, text=True)
             log += (f"$ {' '.join(command)}\nexit {done.returncode}\n"
                     f"-- stdout\n{done.stdout}-- stderr\n{done.stderr}")
         (work / f"{run_id}.log").write_text(log)
@@ -87,7 +88,8 @@ def main(src_a: Path, src_b: Path, out: Path, cases: dict = CASES) -> int:
     lines, n_files = differing(out / "a", out / "b")
     for line in lines:
         print(line)
-    print(f"{sum(map(len, cases.values()))} commands, {n_files} files: {len(lines)} differ")
+    n_commands = sum(len(commands) + 1 for commands in cases.values())
+    print(f"{n_commands} commands, {n_files} files: {len(lines)} differ")
     return 1 if lines else 0
 
 

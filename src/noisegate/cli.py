@@ -11,20 +11,23 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
-from .board.verdict import DETECTOR_IDS
+from .board import CONSENSUS, DETECTOR_IDS
 from .dataset import Scale, load_ratings
-from .ioutil import read_json
 from .pipeline import (
     STAGES,
+    _REPORT_ENTRIES,
     ConfigError,
     DataError,
     NoiseKind,
     PipelineConfig,
     RunResult,
     StageError,
+    _checked_json,
+    _read,
     config_from_dict,
     inject_noise,
     load_config,
@@ -36,6 +39,7 @@ from .pipeline import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_STAGE = 4
@@ -112,7 +116,7 @@ def _print_json(data: dict) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _cmd_inject(args: argparse.Namespace) -> int:
+def _cmd_inject(args: argparse.Namespace) -> None:
     if not 0.0 <= args.rate <= 0.5:
         raise ConfigError(f"rate must be in [0, 0.5], got {args.rate}")
     if args.seed < 0:
@@ -124,10 +128,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     path = Path(args.ratings)
     if not path.exists():
         raise DataError(f"ratings file not found: {path}")
-    try:
-        table = load_ratings(path, scale)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    table = _read(load_ratings, path, scale)
     noisy, mask = inject_noise(table, args.rate, NoiseKind(args.kind), args.seed)
     noisy.to_csv(args.out_ratings)
     write_mask(mask, args.out_mask)
@@ -140,82 +141,36 @@ def _cmd_inject(args: argparse.Namespace) -> int:
             "mask": str(args.out_mask),
         }
     )
-    return EXIT_OK
 
 
-_NUMBER = (int, float)
-_KINDS = {dict: "an object", list: "a list", _NUMBER: "a number"}
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> None:
     path = Path(args.path)
     if not path.exists():
         raise DataError(f"report file not found: {path}")
-    try:
-        r = read_json(path)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if not isinstance(r, dict):
-        raise DataError(f"{path}: expected a JSON object")
-
-    def entry(name: str, kind: type | tuple = dict):
-        """The entry at a dotted name, which must be a kind of _KINDS."""
-        value = r
-        for key in name.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise DataError(f"{path}: report entry {name!r} is missing or not {_KINDS[kind]}")
-        return value
-
-    lines: list[str] = []
-    lines.append(f"mode: {r.get('mode')}"
-                 + (f" (detector {r['detector']})" if r.get("detector") else ""))
-    c = entry("counts")
-    lines.append(
-        f"ratings: {c.get('ratings_after_filter')} "
-        f"(train {c.get('train')} / detect {c.get('detect')} / eval {c.get('eval')})"
-    )
-    b = entry("board.consensus")
-    lines.append(
-        f"consensus: noisy {b.get('noisy')}, clean {b.get('clean')}, "
-        f"uncertain {b.get('uncertain')}"
-    )
-    pd = entry("board.per_detector_noisy")
-    lines.append("per-detector noisy: " + ", ".join(f"{d} {pd[d]}" for d in sorted(pd)))
-    e = entry("ensemble")
-    if e.get("variant"):
-        lines.append(
-            f"ensemble {e['variant']}: {e.get('classified_noisy')} noisy / "
-            f"{e.get('classified_clean')} clean of {e.get('uncertain_total')} uncertain"
-        )
-    s = entry("signature")
-    lines.append(f"signature hits: {s.get('count')} user(s) {s.get('flagged_users')}")
-    rm = entry("removal")
-    lines.append(
-        f"removal: {rm.get('noisy_ratings_removed')} noisy + "
-        f"{rm.get('signature_ratings_removed')} signature ratings; "
-        f"corpus {rm.get('corpus_size')} -> {rm.get('cleaned_size')}"
-    )
-    ev = entry("evaluation")
-    excluded = entry("evaluation.excluded_users", list)
-    lines.append(f"evaluated users: {ev.get('universe_users')} (excluded: {len(excluded)})")
-    for pair in sorted(entry("evaluation.pairs")):
-        pct = entry(f"evaluation.pairs.{pair}.percent_positive", _NUMBER)
-        lines.append(f"  {pair}: percent positive {pct:.2f} "
-                     f"quadrants {ev['pairs'][pair].get('quadrant_counts')}")
-    before = entry("evaluation.critical_group_pct_before", _NUMBER)
-    after = entry("evaluation.critical_group_pct_after", _NUMBER)
-    lines.append(f"critical groups: before {before:.2f}% -> after {after:.2f}%")
-    if r.get("ground_truth"):
-        gt = entry("ground_truth")
-        precision = entry("ground_truth.consensus.precision", _NUMBER)
-        recall = entry("ground_truth.consensus.recall", _NUMBER)
-        lines.append(
-            f"ground truth ({gt.get('kind')}, rate {gt.get('rate')}): "
-            f"consensus precision {precision:.3f} recall {recall:.3f}"
-        )
-    print("\n".join(lines))
-    return EXIT_OK
+    r = _read(_checked_json, path, "report", _REPORT_ENTRIES)
+    c, b, e, rm, ev = r["counts"], r["board"], r["ensemble"], r["removal"], r["evaluation"]
+    print(f"mode: {r['mode']}" + (f" (detector {r['detector']})" if r["detector"] else ""))
+    print(f"ratings: {c['ratings_after_filter']} "
+          f"(train {c['train']} / detect {c['detect']} / eval {c['eval']})")
+    print("consensus:", ", ".join(f"{k.value} {b['consensus'][k.value]}" for k in CONSENSUS))
+    print("per-detector noisy:",
+          ", ".join(f"{d} {b['per_detector_noisy'][d]}" for d in DETECTOR_IDS))
+    if e["variant"]:
+        print(f"ensemble {e['variant']}: {e['classified_noisy']} noisy / "
+              f"{e['classified_clean']} clean of {e['uncertain_total']} uncertain")
+    print(f"signature hits: {r['signature']['count']} user(s) {r['signature']['flagged_users']}")
+    print(f"removal: {rm['noisy_ratings_removed']} noisy + {rm['signature_ratings_removed']} "
+          f"signature ratings; corpus {rm['corpus_size']} -> {rm['cleaned_size']}")
+    print(f"evaluated users: {ev['universe_users']} (excluded: {len(ev['excluded_users'])})")
+    for pair, sec in sorted(ev["pairs"].items()):
+        print(f"  {pair}: percent positive {sec['percent_positive']:.2f} "
+              f"quadrants {sec['quadrant_counts']}")
+    print(f"critical groups: before {ev['critical_group_pct_before']:.2f}% "
+          f"-> after {ev['critical_group_pct_after']:.2f}%")
+    if "ground_truth" in r:
+        gt = r["ground_truth"]
+        print(f"ground truth ({gt['kind']}, rate {gt['rate']}): consensus precision "
+              f"{gt['consensus']['precision']:.3f} recall {gt['consensus']['recall']:.3f}")
 
 
 def _evaluated(result: RunResult) -> dict:
@@ -255,12 +210,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if args.command == "inject-noise":
-            return _cmd_inject(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        command = {"run": _run, "baseline": _baseline}.get(args.command, _staged)
-        _print_json(command(_resolve_config(args), args))
+            _cmd_inject(args)
+        elif args.command == "report":
+            _cmd_report(args)
+        else:
+            command = {"run": _run, "baseline": _baseline}.get(args.command, _staged)
+            _print_json(command(_resolve_config(args), args))
+        sys.stdout.flush()
         return EXIT_OK
+    except BrokenPipeError:
+        # The reader closed stdout: send the rest of the output to devnull,
+        # as the signal module's documentation advises, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

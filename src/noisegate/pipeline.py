@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .board import CONSENSUS, BoardConfig, Votes, read_votes, run_board, write_votes
+from .board import CONSENSUS, BoardConfig, Votes, read_votes, run_board, venn_counts, write_votes
 from .board.verdict import DETECTOR_IDS, Consensus, Verdict
 from .dataset import (
     GenreMap,
@@ -261,13 +261,15 @@ def config_to_dict(cfg: PipelineConfig) -> dict[str, object]:
 def load_config(path: str | Path, overrides: Mapping[str, object] = {}) -> PipelineConfig:
     """Read a flat JSON object of config keys; overrides win over its values."""
     try:
-        raw = read_json(path)
+        raw = _checked_json(path, "config", {})
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object of key-value pairs")
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} must hold key-value pairs: {exc}") from exc
     return config_from_dict({**raw, **overrides})
 
 
@@ -347,20 +349,37 @@ def write_mask(mask: GroundTruthMask, path: str | Path) -> None:
 # The types a JSON entry may have, and how an error names them.
 _INT, _NUMBER, _STR = (int, "an integer"), ((int, float), "a number"), (str, "a string")
 _LIST, _OBJECT = (list, "a list"), (dict, "an object")
+_STR_OR_NULL = ((str, type(None)), "a string or null")
+_MISSING = object()  # the value of an entry that is not there
 
 # The type of each write_mask entry.
 _MASK_ENTRIES = {"kind": _STR, "rate": _NUMBER, "seed": _INT, "keys": _LIST}
 
 
+def _found(value, keys: list[str], at: tuple[str, ...] = ()) -> list[tuple[str, object]]:
+    """(dotted name, value or _MISSING) of each entry that keys name below value."""
+    if not keys:
+        return [(".".join(at), value)]
+    key, *rest = keys
+    value = value if isinstance(value, dict) else {}
+    if key.endswith("?") and key[:-1] not in value:
+        return []
+    names = sorted(value) if key == "*" else [key.removesuffix("?")]
+    return [e for k in names for e in _found(value.get(k, _MISSING), rest, (*at, k))]
+
+
 def _checked_json(path: str | Path, what: str, entries: Mapping[str, tuple]) -> dict:
     """The JSON object at path; ValueError unless it holds each of entries
-    (name: (types, description)) with one of its types, a bool no number."""
+    (dotted name: (types, description)), in order, with one of its types, a
+    bool no number.  A `*` key stands for each key of the object above it,
+    in sorted order, and a key that ends in `?` for nothing when absent."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("expected a JSON object")
     for name, (types, kind) in entries.items():
-        if not isinstance(raw.get(name), types) or isinstance(raw[name], bool):
-            raise ValueError(f"{what} entry {name!r} is missing or not {kind}")
+        for at, value in _found(raw, name.split(".")):
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(f"{what} entry {at!r} is missing or not {kind}")
     return raw
 
 
@@ -431,12 +450,15 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def _read(reader, path: Path, *args):
     """reader(path, *args), with the ValueError of a malformed input or
-    artifact raised as DataError that names the path."""
+    artifact, or the OSError of an unreadable one, raised as DataError that
+    names the path."""
     try:
         return reader(path, *args)
     except ValueError as exc:
         message = str(exc)
         raise DataError(message if str(path) in message else f"{path}: {message}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
 
 
 # -- stage bodies -------------------------------------------------------
@@ -771,13 +793,45 @@ class RunResult(NamedTuple):
     hits: Hits
 
 
-# The type of each entry that _ingest, stage_ingest and stage_board write.
-_MANIFEST_ENTRIES = {"config": _OBJECT, "config_hash": _STR, "inputs": _OBJECT}
+# The config keys of the input files whose sha256 the manifest records.
+_INPUT_KEYS = ("ratings_path", "movies_path")
+
+# The type of each entry that _ingest, stage_ingest and stage_board write, an
+# object before the entries within it.
+_MANIFEST_ENTRIES = {"config": _OBJECT, "config_hash": _STR, "inputs": _OBJECT,
+                     **{f"inputs.{key}": _STR for key in _INPUT_KEYS}}
 _INGEST_ENTRIES = dict.fromkeys(
     ("ratings_loaded", "dropped_duplicates", "ratings_after_filter", "users", "items"), _INT
 )
-_BOARD_ENTRIES = {"consensus": _OBJECT, "per_detector_noisy": _OBJECT, "venn": _OBJECT,
-                  "nf3_unpredictable": _INT, "nf4_prefiltered": _INT}
+_BOARD_ENTRIES = {
+    "consensus": _OBJECT, **{f"consensus.{c.value}": _INT for c in CONSENSUS},
+    "per_detector_noisy": _OBJECT, **{f"per_detector_noisy.{d}": _INT for d in DETECTOR_IDS},
+    "venn": _OBJECT,
+    **{f"venn.{region}": _INT for region in venn_counts(np.zeros((0, len(DETECTOR_IDS))))},
+    "nf3_unpredictable": _INT, "nf4_prefiltered": _INT,
+}
+
+# The type of each report entry `noisegate report` prints: board is board.json,
+# counts adds the split sizes to ingest.json, ground_truth is there with a mask.
+_REPORT_ENTRIES = {
+    "counts": _OBJECT,
+    **{f"counts.{name}": _INT for name in (*_INGEST_ENTRIES, "train", "detect", "eval")},
+    "mode": _STR, "detector": _STR_OR_NULL,
+    **{f"board.{name}": kind for name, kind in _BOARD_ENTRIES.items()},
+    "ensemble": _OBJECT, "ensemble.variant": _STR_OR_NULL, "signature": _OBJECT,
+    "signature.flagged_users": _LIST, "removal": _OBJECT, "evaluation": _OBJECT,
+    **dict.fromkeys((
+        "ensemble.uncertain_total", "ensemble.classified_noisy", "ensemble.classified_clean",
+        "signature.count", "removal.corpus_size", "removal.noisy_ratings_removed",
+        "removal.signature_ratings_removed", "removal.cleaned_size", "evaluation.universe_users",
+    ), _INT),
+    "evaluation.excluded_users": _LIST, "evaluation.pairs": _OBJECT,
+    "evaluation.pairs.*.percent_positive": _NUMBER, "evaluation.pairs.*.quadrant_counts": _OBJECT,
+    "evaluation.critical_group_pct_before": _NUMBER, "evaluation.critical_group_pct_after": _NUMBER,
+    "ground_truth?": _OBJECT, "ground_truth?.consensus": _OBJECT,
+    "ground_truth?.consensus.precision": _NUMBER, "ground_truth?.consensus.recall": _NUMBER,
+    "ground_truth?.kind": _STR, "ground_truth?.rate": _NUMBER,
+}
 
 # The reader of each artifact, by its RunPaths name.  Each looks its functions
 # up when it runs, so a wrapper set on a module attribute sees every read.
@@ -801,11 +855,14 @@ _FOLLOWS = (("features", "votes", False), ("votes", "detect_csv", False),
 def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
     """sha256 of each input file the run reads, keyed by its config key."""
     digests = {}
-    for key in ("ratings_path", "movies_path"):
+    for key in _INPUT_KEYS:
         path = Path(getattr(cfg, key))
         if not path.exists():
             raise DataError(f"{key} file not found: {path}")
-        digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+        try:
+            digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError as exc:
+            raise DataError(f"{path}: {exc.strerror or exc}") from exc
     return digests
 
 
@@ -827,10 +884,10 @@ def _resume(cfg: PipelineConfig, paths: RunPaths, stage: str) -> None:
         )
     recorded = manifest["inputs"]
     for key, digest in _input_digests(cfg).items():
-        if recorded.get(key) != digest:
+        if recorded[key] != digest:
             raise ConfigError(
                 f"{key} file {getattr(cfg, key)} changed since run directory {paths.base} "
-                f"was built (sha256 {recorded.get(key)}, now {digest}); "
+                f"was built (sha256 {recorded[key]}, now {digest}); "
                 "changed inputs need a new run_id"
             )
 

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from noisegate import pipeline
 from noisegate.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_STAGE, main
 from noisegate.ioutil import read_json
 from noisegate.pipeline import STAGES, PipelineConfig, reports_equal
@@ -476,16 +477,25 @@ def test_malformed_artifact_exits_3(
             "manifest.json", {"config_hash": 7},
             "manifest entry 'config_hash' is missing or not a string",
         ),
+        (
+            "manifest.json", {"inputs": {}},
+            "manifest entry 'inputs.ratings_path' is missing or not a string",
+        ),
         ("ingest.json", "[]", "expected a JSON object"),
         ("ingest.json", '{"x": 1}', "ingest entry 'ratings_loaded' is missing or not an integer"),
         ("ingest.json", {"users": True}, "ingest entry 'users' is missing or not an integer"),
         ("board.json", "[]", "expected a JSON object"),
         ("board.json", "{}", "board entry 'consensus' is missing or not an object"),
         ("board.json", {"venn": [1]}, "board entry 'venn' is missing or not an object"),
+        (
+            "board.json", {"consensus": {"noisy": "many"}},
+            "board entry 'consensus.noisy' is missing or not an integer",
+        ),
     ],
     ids=[
-        "manifest-empty", "manifest-list", "manifest-hash-int", "ingest-list", "ingest-other-key",
-        "ingest-users-bool", "board-list", "board-empty", "board-venn-list",
+        "manifest-empty", "manifest-list", "manifest-hash-int", "manifest-no-digest",
+        "ingest-list", "ingest-other-key", "ingest-users-bool", "board-list", "board-empty",
+        "board-venn-list", "board-consensus-string",
     ],
 )
 def test_malformed_json_artifact_exits_3_without_a_report(
@@ -502,6 +512,150 @@ def test_malformed_json_artifact_exits_3_without_a_report(
     assert main(["evaluate", *_run_args(tmp_path, "malformed")]) == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {path}: {message}\n"
     assert not (run_dir / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def masked_run(tmp_path_factory):
+    """A data/mini run on ratings with 10% uniform noise, given its mask:
+    its report has a ground_truth section."""
+    out = tmp_path_factory.mktemp("masked")
+    ratings, mask = out / "noisy.csv", out / "mask.json"
+    assert main(["inject-noise", "--ratings", str(MINI_DIR / "ratings.csv"), "--rate", "0.1",
+                 "--kind", "uniform", "--seed", "3", "--out-ratings", str(ratings),
+                 "--out-mask", str(mask)]) == EXIT_OK
+    args = _run_args(out, "masked")
+    args[args.index("--ratings-path") + 1] = str(ratings)
+    assert main(["run", *args, "--mask-path", str(mask)]) == EXIT_OK
+    return out / "masked"
+
+
+def test_report_prints_a_report_with_ground_truth(masked_run, capsys):
+    capsys.readouterr()
+    assert main(["report", str(masked_run / "report.json")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    # the lines of a report without ground truth, then the ground-truth line
+    assert lines[0] == "mode: run" and len(lines) == len(MINI_REPORT_TEXT.splitlines()) + 1
+    assert re.fullmatch(
+        r"ground truth \(uniform, rate 0\.1\): consensus precision \d\.\d{3} recall \d\.\d{3}",
+        lines[-1],
+    ), lines[-1]
+
+
+def _declared(name: str, data: dict) -> list[str]:
+    """The dotted names an entry name of an entry table stands for in data,
+    which holds every optional section: a `*` key, one per key there, sorted."""
+    head, star, tail = name.replace("?", "").partition(".*.")
+    if not star:
+        return [head]
+    section = data
+    for key in head.split("."):
+        section = section[key]
+    return [f"{head}.{key}.{tail}" for key in sorted(section)]
+
+
+def _mutations(text: str, entries) -> list[tuple[str, str]]:
+    """(case, new text) of each mutation of a JSON file that holds entries:
+    the file empty, null, a list, an empty object, cut in half, and each
+    declared entry removed (but an optional section) or retyped in turn."""
+    cases = [("empty", ""), ("null", "null"), ("list", "[]"), ("object", "{}"),
+             ("half", text[: len(text) // 2])]
+    for name in entries:
+        for dotted in _declared(name, json.loads(text)):
+            for how in ("retyped",) if name.endswith("?") else ("removed", "retyped"):
+                data = json.loads(text)
+                *parents, last = dotted.split(".")
+                section = data
+                for key in parents:
+                    section = section[key]
+                if how == "removed":
+                    del section[last]
+                else:
+                    section[last] = [] if isinstance(section[last], dict) else {}
+                cases.append((f"{dotted} {how}", json.dumps(data)))
+    return cases
+
+
+def _files(run_dir) -> dict:
+    return {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "artifact, entries",
+    [
+        ("manifest.json", pipeline._MANIFEST_ENTRIES),
+        ("ingest.json", pipeline._INGEST_ENTRIES),
+        ("board.json", pipeline._BOARD_ENTRIES),
+        ("report.json", pipeline._REPORT_ENTRIES),
+    ],
+    ids=["manifest", "ingest", "board", "report"],
+)
+def test_mutated_json_file_exits_3_and_changes_nothing(
+    staged_run, masked_run, tmp_path, capsys, artifact, entries
+):
+    """evaluate, or report for report.json, exits 3 on every mutation of
+    the file, names it, and leaves every file of the run directory as it was."""
+    run_dir = tmp_path / "malformed"
+    shutil.copytree(masked_run if artifact == "report.json" else staged_run, run_dir)
+    path = run_dir / artifact
+    command = (["report", str(path)] if artifact == "report.json"
+               else ["evaluate", *_run_args(tmp_path, "malformed")])
+    for case, text in _mutations(path.read_text(), entries):
+        path.write_text(text)
+        before = _files(run_dir)
+        capsys.readouterr()
+        assert main(command) == EXIT_DATA, case
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and "Traceback" not in err, (case, err)
+        assert _files(run_dir) == before, case
+
+
+@pytest.mark.parametrize("case", ["ratings", "movies", "mask", "config", "board", "report"])
+def test_directory_in_place_of_a_file_exits_without_traceback(staged_run, tmp_path, capsys, case):
+    """A directory where a file is read is a data error that names it, or
+    a config error for the config file; nothing is written."""
+    out, ratings, movies = tmp_path / "out", MINI_DIR / "ratings.csv", MINI_DIR / "movies.csv"
+
+    def run(ratings_path, movies_path):
+        return ["run", "--ratings-path", str(ratings_path), "--movies-path", str(movies_path),
+                "--out-dir", str(out), *FAST_FLAGS]
+
+    run_dir = tmp_path / "run"
+    shutil.copytree(staged_run, run_dir)
+    board = run_dir / "board.json"
+    board.unlink()
+    board.mkdir()
+    argv = {
+        "ratings": run(MINI_DIR, movies),
+        "movies": run(ratings, MINI_DIR),
+        "mask": [*run(ratings, movies), "--mask-path", str(MINI_DIR)],
+        "config": ["run", "--config", str(MINI_DIR), "--out-dir", str(out)],
+        "board": ["evaluate", *_run_args(tmp_path, "run")],
+        "report": ["report", str(MINI_DIR)],
+    }[case]
+    code, error = (
+        (EXIT_CONFIG, "config error: config file") if case == "config" else (EXIT_DATA, "data error:")
+    )
+    capsys.readouterr()
+    assert main(argv) == code
+    named = board if case == "board" else MINI_DIR
+    assert capsys.readouterr().err == f"{error} {named}: Is a directory\n"
+    assert not out.exists() and not (run_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_closed_stdout_exits_1_without_traceback(cli_run, tmp_path, command):
+    """A reader that closes stdout at once: the command exits 1, and
+    prints nothing on stderr."""
+    args = (["report", str(cli_run / "report.json")] if command == "report"
+            else ["run", *_run_args(tmp_path, "closed")])
+    child = subprocess.Popen([sys.executable, "-m", "noisegate.cli", *args], env=_cli_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == 1
+    assert err == b""
+    # run wrote its run directory before it printed the summary
+    assert command == "report" or (tmp_path / "closed" / "report.json").exists()
 
 
 def test_inject_noise_subcommand(tmp_path, capsys):
@@ -678,13 +832,18 @@ def test_report_prints_a_mini_report_as_before(cli_run, tmp_path, capsys):
     )
 
 
-def _cli_subprocess(args, check=True):
-    """The CLI in a fresh process, whose logging is set up by main alone."""
+def _cli_env() -> dict:
+    """The environment, with this src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_subprocess(args, check=True):
+    """The CLI in a fresh process, whose logging is set up by main alone."""
     return subprocess.run(
         [sys.executable, "-m", "noisegate.cli", *args],
-        env=env, capture_output=True, text=True, check=check,
+        env=_cli_env(), capture_output=True, text=True, check=check,
     )
 
 

@@ -36,10 +36,11 @@ def test_layer2_standin_runs_on_a_small_stand_in(tmp_path, monkeypatch, capsys):
 
 def test_same_outputs_finds_none_on_one_tree_and_a_changed_file(tmp_path, capsys):
     """The script with this src/ tree on both sides, on three of its cases:
-    nothing differs, and the staged case's five commands exit 0 and write
-    the files of `run`; then a changed byte in one side's votes.csv, and a report.json that
-    differs only in its timestamp, are told apart; and a file that one side
-    lacks is named as only in the other."""
+    nothing differs, the staged case's five commands exit 0 and write the
+    files of `run`, and `report` accepts each case's report; then a changed
+    byte in one side's votes.csv, and a report.json that differs only in its
+    timestamp, are told apart; and a file that one side lacks is named as
+    only in the other."""
     script = _load_script("same_outputs")
     src = REPO_ROOT / "src"
     cases = {name: script.CASES[name] for name in ("run-EL3", "baseline-NF2", "staged")}
@@ -49,6 +50,10 @@ def test_same_outputs_finds_none_on_one_tree_and_a_changed_file(tmp_path, capsys
     assert re.findall(r"^\$ (\w+)\nexit (\d+)$", log, re.M) == [
         (stage, "0") for stage in ("ingest", "detect", "ensemble", "signature", "evaluate")
     ]
+    # each case ends with `report` on its report.json, which accepts it
+    for name in cases:
+        log = (tmp_path / "a" / f"{name}.log").read_text()
+        assert f"$ report {name}/report.json\nexit 0\n-- stdout\nmode: " in log, log
     # EL3 is the default variant, so the five commands wrote what `run` wrote
     assert (tmp_path / "a" / "staged" / "report.json").exists()
     assert script.differing(tmp_path / "a" / "run-EL3", tmp_path / "a" / "staged")[0] == []
