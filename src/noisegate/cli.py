@@ -130,8 +130,15 @@ def _cmd_inject(args: argparse.Namespace) -> None:
         raise DataError(f"ratings file not found: {path}")
     table = _read(load_ratings, path, scale)
     noisy, mask = inject_noise(table, args.rate, NoiseKind(args.kind), args.seed)
-    noisy.to_csv(args.out_ratings)
-    write_mask(mask, args.out_mask)
+    # A failed write removes the outputs written before it: no ratings without their mask.
+    writes = ((args.out_ratings, noisy.to_csv), (args.out_mask, lambda p: write_mask(mask, p)))
+    for k, (path, write) in enumerate(writes):
+        try:
+            write(path)
+        except OSError as exc:
+            for written, _ in writes[:k]:
+                os.unlink(written)
+            raise DataError(f"{path}: {exc.strerror or exc}") from exc
     _print_json(
         {
             "perturbed": len(mask.keys),

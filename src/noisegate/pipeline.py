@@ -64,7 +64,8 @@ from .evaluation import (
 )
 from .evaluation.serendipity import FORMULA_COMPLEMENT, FORMULA_PAPER_LITERAL
 from .ioutil import dump_json, read_json
-from .recsys import MfModel, mf_train, recommend_topk, save_model
+# save_model is unused here but stays importable: perfbench/spans.py wraps pipeline.save_model.
+from .recsys import MfModel, mf_train, recommend_topk, save_model  # noqa: F401
 from .seeding import derive_seed
 from .signature import (
     DENOMINATOR_GLOBAL_NOISE,
@@ -409,7 +410,6 @@ class RunPaths:
         self.run_id = run_id
         self.base = Path(out_dir) / run_id
         self.splits = self.base / "splits"
-        self.models = self.base / "models"
         self.manifest = self.base / "manifest.json"
         self.ingest = self.base / "ingest.json"
         self.train_csv = self.splits / "train.csv"
@@ -421,8 +421,6 @@ class RunPaths:
         self.ensemble_csv = self.base / "ensemble.csv"
         self.signature_csv = self.base / "signature.csv"
         self.report = self.base / "report.json"
-        self.before_model = self.models / "before.json"
-        self.after_model = self.models / "after.json"
 
     def scatter(self, pair: str) -> Path:
         return self.base / f"scatter-{pair}.svg"
@@ -518,7 +516,8 @@ def split_three(
     return train, detect, eval_t
 
 
-def stage_split(cfg: PipelineConfig, table: RatingsTable, paths: RunPaths) -> None:
+def stage_split(cfg: PipelineConfig, table: RatingsTable, counts: dict, paths: RunPaths) -> None:
+    """Write the three splits, then ingest's counts to ingest.json."""
     fractions = (cfg.train_fraction, cfg.detect_fraction, cfg.eval_fraction)
     train, detect, eval_t = split_three(table, fractions, cfg.seed)
     if len(detect) == 0 or len(eval_t) == 0:
@@ -526,6 +525,7 @@ def stage_split(cfg: PipelineConfig, table: RatingsTable, paths: RunPaths) -> No
     train.to_csv(paths.train_csv)
     detect.to_csv(paths.detect_csv)
     eval_t.to_csv(paths.eval_csv)
+    dump_json(counts, paths.ingest)
 
 
 def stage_board(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> dict:
@@ -651,8 +651,9 @@ def stage_evaluate(
     mf_seed = derive_seed(cfg.seed, _SALT_MF)
     before = mf_train(corpus, f=cfg.mf_factors, epochs=cfg.mf_epochs, reg=cfg.mf_reg, seed=mf_seed)
     after = mf_train(cleaned, f=cfg.mf_factors, epochs=cfg.mf_epochs, reg=cfg.mf_reg, seed=mf_seed)
-    save_model(before, paths.before_model)
-    save_model(after, paths.after_model)
+    for arm, model in (("before", before), ("after", after)):
+        sweeps = " ".join(f"{r:.6g}" for r in model.rmse_per_epoch)
+        logger.info("mf %s: rmse per sweep %s", arm, sweeps)
 
     eval_users = np.unique(eval_t.users)
     evaluable = np.isin(eval_users, corpus.users) & np.isin(eval_users, cleaned.users)
@@ -917,17 +918,18 @@ def _ingest(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> dict:
     # next stage's check instead of passing with splits of unknown content.
     digests = _input_digests(cfg)
     table, counts = _stage("ingest", stage_ingest, cfg)
-    _stage("split", stage_split, cfg, table, paths)
-    dump_json(counts, paths.ingest)
+    _stage("split", stage_split, cfg, table, counts, paths)
     dump_json({**_provenance(cfg), "inputs": digests}, paths.manifest)
     return counts
 
 
 def _evaluate(cfg: PipelineConfig, paths: RunPaths, inputs: Mapping) -> RunResult:
-    """_evaluate_labels with the board's, the ensemble's and the signature's labels."""
+    """_evaluate_labels, in the evaluate span, with the board's, the
+    ensemble's and the signature's labels."""
     classified = inputs["ensemble_csv"][2]
-    return _evaluate_labels(
-        cfg, paths, inputs, _final_noisy(inputs["votes"], classified), inputs["signature_csv"],
+    return _stage(
+        "evaluate", _evaluate_labels, cfg, paths, inputs,
+        _final_noisy(inputs["votes"], classified), inputs["signature_csv"],
         _ensemble_info(cfg.ensemble_variant, classified),
     )
 
@@ -945,9 +947,7 @@ def _evaluate_labels(
     votes = inputs["votes"]
     corpus = train.merged(detect)
     cleaned, removal = _clean_corpus(corpus, votes, noisy, hits, cfg.action())
-    reports, eval_section = _stage(
-        "evaluate", stage_evaluate, cfg, corpus, cleaned, eval_t, genres, paths
-    )
+    reports, eval_section = stage_evaluate(cfg, corpus, cleaned, eval_t, genres, paths)
     report_dict = {
         **_provenance(cfg),
         "mode": "run" if detector is None else "baseline",
@@ -1023,7 +1023,7 @@ STAGES: dict[str, Stage] = {
         "retrain before/after and write the delta report",
         ("train_csv", "detect_csv", "eval_csv", "ingest", "board_json", "votes",
          "ensemble_csv", "signature_csv"),
-        ("before_model", "after_model", "deltas", "scatter", "report"),
+        ("deltas", "scatter", "report"),
         _evaluate,
     ),
 }
@@ -1062,8 +1062,9 @@ def run_baseline(cfg: PipelineConfig, detector: str) -> RunResult:
     labels = STAGES["ensemble"].writes + STAGES["signature"].writes
     inputs = _read_inputs(cfg, paths, [n for n in STAGES["evaluate"].reads if n not in labels])
     none = np.zeros(0, dtype=np.int64)
-    return _evaluate_labels(
-        cfg, paths, inputs, inputs["votes"].noisy[:, DETECTOR_IDS.index(detector)],
+    return _stage(
+        "evaluate", _evaluate_labels, cfg, paths, inputs,
+        inputs["votes"].noisy[:, DETECTOR_IDS.index(detector)],
         Hits(none, none, none, none, none), _ensemble_info(None, none), detector,
     )
 

@@ -455,23 +455,3 @@ def save_model(model: MfModel, path: str | Path) -> None:
         "rmse_per_epoch": model.rmse_per_epoch,
     }
     atomic_write_text(path, json.dumps(blob, sort_keys=True) + "\n")
-
-
-def load_model(path: str | Path) -> MfModel:
-    with Path(path).open() as fh:
-        blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {blob.get('version')}")
-    return MfModel(
-        blob["users"],
-        blob["items"],
-        np.array(blob["user_factors"], dtype=np.float64).reshape(len(blob["users"]), blob["f"]),
-        np.array(blob["item_factors"], dtype=np.float64).reshape(len(blob["items"]), blob["f"]),
-        np.array(blob["user_bias"], dtype=np.float64),
-        np.array(blob["item_bias"], dtype=np.float64),
-        float(blob["global_mean"]),
-        Scale(*blob["scale"]),
-        [float(x) for x in blob.get("rmse_per_epoch", [])],
-    )

@@ -327,6 +327,20 @@ def test_stage_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "stage error" in err and "board" in err
 
 
+@pytest.mark.parametrize("name, stage", [("ingest.json", "split"), ("report.json", "evaluate")])
+def test_unwritable_run_artifact_fails_its_stage(tmp_path, capsys, name, stage):
+    """A directory where run writes ingest.json or report.json fails the
+    stage that writes it (exit 4), and the message names the path, as
+    for every other artifact."""
+    taken = tmp_path / "taken" / name
+    taken.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["run", *_run_args(tmp_path, "taken")]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"stage error: stage {stage!r} failed: ") and f"'{taken}'" in err, err
+    assert "Traceback" not in err and not list(taken.parent.glob("*.tmp"))
+
+
 def test_missing_artifacts_exit_3(tmp_path, capsys):
     """Each resuming stage, run after every stage but the one before it,
     exits 3 and names that one."""
@@ -609,6 +623,50 @@ def test_mutated_json_file_exits_3_and_changes_nothing(
         assert _files(run_dir) == before, case
 
 
+def _csv_mutations(text: str) -> list[tuple[str, str]]:
+    """(case, new text) of each mutation of a CSV file: the file empty, the
+    first two header names swapped, the first column removed from every
+    line, each cell of the first data row replaced by x in turn, and one
+    extra cell, a copy of the last, on that row."""
+    header, first, *rest = text.splitlines(keepends=True)
+    end = first[len(first.rstrip("\r\n")):]
+    names, cells = header.rstrip("\r\n").split(","), first.rstrip("\r\n").split(",")
+    swapped = ",".join([names[1], names[0], *names[2:]]) + end
+    narrowed = "".join(line.split(",", 1)[1] for line in (header, first, *rest))
+    cases = [("empty", ""), ("header swapped", "".join([swapped, first, *rest])),
+             ("first column removed", narrowed)]
+    for k in range(len(cells)):
+        row = ",".join("x" if j == k else cell for j, cell in enumerate(cells)) + end
+        cases.append((f"cell {k} x", "".join([header, row, *rest])))
+    extra = ",".join([*cells, cells[-1]]) + end
+    return [*cases, ("extra cell", "".join([header, extra, *rest]))]
+
+
+# Each staged command and each CSV artifact it reads.
+_CSV_READS = [(command, name) for command, stage in STAGES.items() for name in stage.reads
+              if getattr(pipeline.RunPaths("", ""), name).suffix == ".csv"]
+
+
+@pytest.mark.parametrize("command, name", _CSV_READS, ids=[f"{c}-{n}" for c, n in _CSV_READS])
+def test_mutated_csv_artifact_exits_3_and_changes_nothing(
+    staged_run, tmp_path, capsys, command, name
+):
+    """Each staged command exits 3 on every mutation of each CSV artifact
+    it reads, names the file, and leaves every file of the run directory
+    as it was."""
+    run_dir = tmp_path / "malformed"
+    shutil.copytree(staged_run, run_dir)
+    path = getattr(pipeline.RunPaths(tmp_path, "malformed"), name)
+    for case, text in _csv_mutations(path.read_bytes().decode()):
+        path.write_bytes(text.encode())
+        before = _files(run_dir)
+        capsys.readouterr()
+        assert main([command, *_run_args(tmp_path, "malformed")]) == EXIT_DATA, case
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}") and "Traceback" not in err, (case, err)
+        assert _files(run_dir) == before, case
+
+
 @pytest.mark.parametrize("case", ["ratings", "movies", "mask", "config", "board", "report"])
 def test_directory_in_place_of_a_file_exits_without_traceback(staged_run, tmp_path, capsys, case):
     """A directory where a file is read is a data error that names it, or
@@ -742,11 +800,18 @@ def test_malformed_mask_exits_3_at_ingest(tmp_path, capsys, text, message):
              "report.json: report entry 'counts' is missing or not an object"),
             ("report-counts-list", EXIT_DATA,
              "report.json: report entry 'counts' is missing or not an object"),
+            ("out-mask-directory", EXIT_DATA, "taken: Is a directory"),
+            ("out-ratings-directory", EXIT_DATA, "taken: Is a directory"),
         ]
     ],
 )
 def test_bad_flag_or_file_exits_without_traceback(tmp_path, case, code, message):
-    out = [str(tmp_path / "o.csv"), "--out-mask", str(tmp_path / "m.json")]
+    taken = tmp_path / "taken"  # a directory where inject-noise writes a file
+    taken.mkdir()
+    out = {
+        "out-mask-directory": [str(tmp_path / "o.csv"), "--out-mask", str(taken)],
+        "out-ratings-directory": [str(taken), "--out-mask", str(tmp_path / "m.json")],
+    }.get(case, [str(tmp_path / "o.csv"), "--out-mask", str(tmp_path / "m.json")])
     inject = ["inject-noise", "--ratings", str(MINI_DIR / "ratings.csv"), "--kind", "flip",
               "--out-ratings", *out]
     report = tmp_path / "report.json"
@@ -759,11 +824,14 @@ def test_bad_flag_or_file_exits_without_traceback(tmp_path, case, code, message)
         "scale-reversed": [*inject, "--rate", "0.1", "--scale-min", "5", "--scale-max", "1"],
         "inject-seed-negative": [*inject, "--rate", "0.1", "--seed", "-1"],
         "ingest-seed-negative": ["ingest", *_run_args(tmp_path / "out", "s"), "--seed", "-3"],
+        "out-mask-directory": [*inject, "--rate", "0.1"],
+        "out-ratings-directory": [*inject, "--rate", "0.1"],
     }.get(case, ["report", str(report)])
     done = _cli_subprocess(args, check=False)
     assert done.returncode == code
     assert "Traceback" not in done.stderr and message in done.stderr, done.stderr
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "m.json").exists()
+    assert list(taken.iterdir()) == []
     assert not (tmp_path / "out").exists()
 
 
@@ -852,7 +920,17 @@ def test_verbose_logs_one_line_per_stage(tmp_path):
     loud = _cli_subprocess(["run", "--verbose", *_run_args(tmp_path / "loud", "v")])
     assert quiet.stderr == ""
     lines = loud.stderr.splitlines()
-    stages = [re.fullmatch(r"INFO noisegate\.pipeline: stage (\w+): \d+\.\d{3} s", l) for l in lines]
+    # evaluate logs the RMSE per sweep of each MF arm, before then after, ahead of its stage line
+    arm = re.compile(r"INFO noisegate\.pipeline: mf (\w+): rmse per sweep (.*)")
+    arms = [arm.fullmatch(l) for l in lines]
+    assert [m.group(1) for m in arms if m] == ["before", "after"], lines
+    assert [m is not None for m in arms[-3:]] == [True, True, False], lines
+    epochs = int(FAST_FLAGS[FAST_FLAGS.index("--mf-epochs") + 1])
+    for m in filter(None, arms):
+        rmse = [float(x) for x in m.group(2).split(" ")]
+        assert len(rmse) == epochs and all(r > 0 for r in rmse), m.group(0)
+    stages = [re.fullmatch(r"INFO noisegate\.pipeline: stage (\w+): \d+\.\d{3} s", l)
+              for l, m in zip(lines, arms) if m is None]
     assert all(stages), lines
     assert [m.group(1) for m in stages] == [
         "ingest", "split", "board", "ensemble", "signature", "evaluate"

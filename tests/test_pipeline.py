@@ -325,7 +325,6 @@ def test_run_artifacts_exist(framework_run):
     for path in (
         p.ingest, p.train_csv, p.detect_csv, p.eval_csv, p.votes,
         p.board_json, p.features, p.ensemble_csv, p.signature_csv, p.report,
-        p.before_model, p.after_model,
     ):
         assert path.exists(), path
     for pair in result.reports:
@@ -333,6 +332,8 @@ def test_run_artifacts_exist(framework_run):
         assert p.scatter(pair).exists()
     # the board's venn counts live in board.json only
     assert not (p.base / "venn.json").exists()
+    # the two MF models stay in memory
+    assert not (p.base / "models").exists()
 
 
 def test_run_report_is_complete(framework_run):

@@ -19,7 +19,6 @@ from noisegate.recsys import (
     MfModel,
     SimilarityMatrix,
     knn_predict,
-    load_model,
     mf_train,
     recommend_topk,
     save_model,
@@ -404,14 +403,19 @@ def test_topk_excludes_already_rated():
 
 
 def test_model_save_load_roundtrip(tmp_path):
+    """save_model's JSON holds every array and number of the model, exactly."""
     rows = [(u, i, float((u + i) % 9) / 2 + 0.5, 0) for u in range(1, 5) for i in range(1, 9)]
     t = make_table(rows)
     model = mf_train(t, f=3, epochs=8, seed=5)
     p = tmp_path / "model.json"
     save_model(model, p)
-    back = load_model(p)
-    for u in t.user_ids():
-        for i in t.item_ids():
-            assert oracles.mf_predict(back, u, i) == pytest.approx(
-                oracles.mf_predict(model, u, i), abs=1e-12
-            )
+    blob = json.loads(p.read_text())
+    assert blob["f"] == model.f == 3
+    assert blob["users"] == model.users.tolist() == t.user_ids().tolist()
+    assert blob["items"] == model.items.tolist() == t.item_ids().tolist()
+    for key, array in (("user_factors", model.P), ("item_factors", model.Q),
+                       ("user_bias", model.bu), ("item_bias", model.bi)):
+        assert np.array_equal(np.array(blob[key], dtype=np.float64), array), key
+    assert blob["global_mean"] == model.global_mean
+    assert blob["scale"] == [model.scale.r_min, model.scale.r_max]
+    assert blob["rmse_per_epoch"] == model.rmse_per_epoch and len(model.rmse_per_epoch) == 8
